@@ -232,11 +232,14 @@ class GroupWordSet:
 
     `matrices` is an (N, 2, 2) complex array; projectively equal elements
     (+-M) are identified, the representative being the sign-normalized
-    matrix.  When a norm cap was applied, `norm_cap` records it.
+    matrix.  When a norm cap was applied, `norm_cap` records it.  The
+    matrices are stored shell by shell (word length 0, 1, ...) and
+    `shell_sizes` records how many each shell holds.
     """
 
     max_length: int
     matrices: np.ndarray
+    shell_sizes: tuple
     norm_cap: float | None = None
     _elements: list = field(default=None, repr=False, compare=False)
 
@@ -252,6 +255,13 @@ class GroupWordSet:
 
     def __len__(self):
         return len(self.matrices)
+
+    def ball(self, length: int) -> np.ndarray:
+        """Matrices of the sub-ball of word length <= `length`; equal to
+        `enumerate_words(group, length, norm_cap=self.norm_cap).matrices`."""
+        if not 0 <= length <= self.max_length:
+            raise ValueError("ball length %d outside 0..%d" % (length, self.max_length))
+        return self.matrices[:sum(self.shell_sizes[:length + 1])]
 
     def contains(self, m: MobiusMap, tol: float = 1e-9) -> bool:
         d1 = np.abs(self.matrices - m.mat).max(axis=(1, 2))
@@ -315,17 +325,8 @@ def enumerate_words(group: FuchsianGroup, L: int, *, norm_cap: float | None = No
                 "word ball exceeds cap of %d elements at length <= %d" % (cap, L))
         shells.append(frontier)
     return GroupWordSet(max_length=L, matrices=np.concatenate(shells),
+                        shell_sizes=tuple(len(sh) for sh in shells),
                         norm_cap=norm_cap)
-
-
-def mobius_apply(m: MobiusMap, z):
-    """Functional form of MobiusMap.apply."""
-    return m.apply(z)
-
-
-def mobius_derivative(m: MobiusMap, z):
-    """Functional form of MobiusMap.derivative."""
-    return m.derivative(z)
 
 
 def in_fundamental_domain(group: FuchsianGroup, z, tol: float = 1e-12):

@@ -20,7 +20,6 @@ mu = conj(theta)/sigma with sigma(z) = 4/(1-|z|^2)^2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,13 +123,13 @@ class GramMatrix:
 def build_qdiff_basis(group: FuchsianGroup, L: int = 8, *,
                       word_set: GroupWordSet | None = None,
                       norm_cap: float | None = NORM_CAP_DEFAULT,
-                      eps_auto: float = EPS_AUTO_DEFAULT,
-                      check_tail: bool = True) -> list[QuadDifferential]:
+                      eps_auto: float = EPS_AUTO_DEFAULT) -> list[QuadDifferential]:
     """Basis of 3g-3 = 3 truncated series, degrees 0, 2, 4.
 
-    The tail estimate compares the (L-1)-ball and L-ball evaluations at the
-    probe points; if the increment exceeds eps_auto, the truncation cannot
-    support the requested tolerance and ConvergenceFailure is raised.
+    The tail estimate compares the word set's evaluations with those of its
+    own (L-1)-ball (same norm cap) at the probe points; if the increment
+    exceeds eps_auto, the truncation cannot support the requested tolerance
+    and ConvergenceFailure is raised.
     Linear independence is certified downstream by the Gram matrix rank.
     """
     if L < 4:
@@ -139,17 +138,16 @@ def build_qdiff_basis(group: FuchsianGroup, L: int = 8, *,
         word_set = enumerate_words(group, L, norm_cap=norm_cap)
     basis = [QuadDifferential(k, word_set) for k in SEED_DEGREES]
 
-    if check_tail:
-        probes = probe_points()
-        inner = enumerate_words(group, L - 1, norm_cap=norm_cap)
-        for q in basis:
-            full = q.evaluate(probes)
-            part = _series(inner.matrices, probes, q.monomial_degree)
-            inc = np.abs(full - part) / np.maximum(1.0, np.abs(full))
-            if inc.max() > eps_auto:
-                raise ConvergenceFailure(
-                    "degree-%d series tail increment %.3g exceeds %.3g"
-                    % (q.monomial_degree, inc.max(), eps_auto))
+    probes = probe_points()
+    inner = word_set.ball(L - 1)
+    for q in basis:
+        full = q.evaluate(probes)
+        part = _series(inner, probes, q.monomial_degree)
+        inc = np.abs(full - part) / np.maximum(1.0, np.abs(full))
+        if inc.max() > eps_auto:
+            raise ConvergenceFailure(
+                "degree-%d series tail increment %.3g exceeds %.3g"
+                % (q.monomial_degree, inc.max(), eps_auto))
     return basis
 
 
@@ -188,18 +186,3 @@ def orthonormalize(fields: list[BeltramiField], gram: GramMatrix):
     new_fields = [BeltramiField(row) for row in mu_new]
     new_gram = GramMatrix(np.eye(len(fields), dtype=complex))
     return new_fields, new_gram, C
-
-
-def export_basis_json(fields, surface, path):
-    """Node coordinates, weights and per-field values as JSON."""
-    payload = {
-        "nodes": [[z.real, z.imag] for z in surface.nodes],
-        "weights": list(surface.weights),
-        "fields": [
-            {"re": list(f.values.real), "im": list(f.values.imag)}
-            for f in fields
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    return payload

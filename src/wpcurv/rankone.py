@@ -32,6 +32,7 @@ import json
 import numpy as np
 
 from .errors import DimensionMismatch
+from .wedge import induced_action, wedge_basis
 
 
 def structures(m: int):
@@ -127,18 +128,7 @@ def omega_wedge(v: np.ndarray, m: int) -> np.ndarray:
 def wedge_j_action(m: int):
     """Matrix of the wedge involution u^w -> Ju^Jw on the C(4m,2) basis."""
     _, J, _ = structures(m)
-    dim = 4 * m
-    pairs = [(a, b) for a in range(dim) for b in range(dim) if a < b]
-    W = np.zeros((len(pairs), len(pairs)))
-    for col, (a, b) in enumerate(pairs):
-        omega = np.outer(J[:, a], J[:, b]) - np.outer(J[:, b], J[:, a])
-        for row, (c, d) in enumerate(pairs):
-            W[row, col] = omega[c, d]
-    return W, pairs
-
-
-def _wedge_coords(omega_mat, pairs):
-    return np.array([omega_mat[a, b] for (a, b) in pairs])
+    return induced_action(J), wedge_basis(2 * m)   # the pairs a < b below 4m
 
 
 def lemma51_check(m: int, trials: int, seed: int = 0) -> dict:
@@ -163,7 +153,7 @@ def lemma51_check(m: int, trials: int, seed: int = 0) -> dict:
         expansion = (quat_curvature(v, jv, v, jv, m)
                      + quat_curvature(kv, iv, kv, iv, m)
                      + 2 * quat_curvature(v, jv, kv, iv, m))
-        om = _wedge_coords(omega_wedge(v, m), pairs)
+        om = omega_wedge(v, m)[np.triu_indices(4 * m, 1)]
         norm = np.linalg.norm(om)
         j_resid = np.linalg.norm(Wj @ om - om) / norm
         x, *_ = np.linalg.lstsq(A_op, om, rcond=None)

@@ -188,7 +188,6 @@ class DiscreteSurface:
     triangles: list              # glued index triples
     identification: dict         # representative index -> raw node indices
     stiffness: sp.spmatrix = None
-    laplacian: sp.spmatrix = None
     _raw: tuple = field(default=None, repr=False)
     _lu: object = field(default=None, repr=False)
 
@@ -268,7 +267,7 @@ def build_mesh(group: FuchsianGroup, level: int, *,
 
 
 def assemble_laplacian(surface: DiscreteSurface) -> None:
-    """Assemble the glued stiffness matrix and the operator Delta_h."""
+    """Assemble the glued stiffness matrix (Delta_h = -M^-1 K)."""
     nodes, tris, gid = surface._raw
     if np.any(surface.weights <= 0):
         raise SingularMass("non-positive lumped weight")
@@ -277,7 +276,6 @@ def assemble_laplacian(surface: DiscreteSurface) -> None:
                       shape=(len(nodes), surface.num_nodes))
     K = (P.T @ K0 @ P).tocsc()
     surface.stiffness = K
-    surface.laplacian = (-sp.diags(1.0 / surface.weights) @ K).tocsr()
     surface._lu = None
 
 

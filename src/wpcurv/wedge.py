@@ -6,12 +6,12 @@ m = C(2n, 2) wedge basis e_a ^ e_b (a < b) by
 
     Q(V1 ^ V2, V3 ^ V4) = R(V1, V2, V3, V4),
 
-extended bilinearly.  Entries are evaluated from the complex curvature
-tensor by expanding x_i = t_i + tbar_i, y_i = i (t_i - tbar_i); terms
-whose holomorphic type is unbalanced (two unbarred or two barred indices
-in a slot pair) vanish identically and are dropped; the survivors are
-read off the stored R[i][j][k][l] after normalizing each slot pair to
-(unbarred, barred) order with a sign flip.
+extended bilinearly.  The real basis is one fixed change of basis from
+(t, tbar): x_i = t_i + tbar_i, y_i = i (t_i - tbar_i).  `real_tensor`
+applies it to all four slots of the complex tensor in a single einsum
+contraction, and Q is that real tensor read at the wedge pairs
+`np.triu_indices(2n, 1)`.  The same pair order indexes `wedge_vector`
+and the induced action of a linear map on wedges (`induced_action`).
 
 A second, independent evaluation path expresses x^T Q x through integrals
 of the two-point fields
@@ -45,56 +45,40 @@ def wedge_basis(n: int):
 
     Index a < n is the direction x_a; index a >= n is y_(a-n).
     """
-    dim = 2 * n
-    return [(a, b) for a in range(dim) for b in range(dim) if a < b]
+    return list(zip(*(idx.tolist() for idx in np.triu_indices(2 * n, 1))))
 
 
-def symbol(index: int, n: int):
-    """Translate a flat index into an ('x'|'y', i) symbol."""
-    return ("x", index) if index < n else ("y", index - n)
+def induced_action(M: np.ndarray) -> np.ndarray:
+    """Matrix of u ^ w -> Mu ^ Mw on the wedges e_a ^ e_b, a < b.
 
-
-def real_curvature(R: CurvatureTensor, va, vb, vc, vd) -> float:
-    """R(va, vb, vc, vd) for symbols ('x'|'y', i).
-
-    The imaginary residue after summation must vanish; a residue above
-    1e-10 * max|R| signals broken type bookkeeping.
+    (L M)[(c,d), (a,b)] = M[c,a] M[d,b] - M[d,a] M[c,b], with the pairs in
+    `np.triu_indices` order on both sides.
     """
-    scale = R.max_abs()
+    r, c = np.triu_indices(len(M), 1)
+    return M[np.ix_(r, r)] * M[np.ix_(c, c)] - M[np.ix_(c, r)] * M[np.ix_(r, c)]
 
-    def parts(v):
-        kind, i = v
-        if kind == "x":
-            return [(1.0, i, 0), (1.0, i, 1)]        # t_i + tbar_i
-        if kind == "y":
-            return [(1j, i, 0), (-1j, i, 1)]         # i (t_i - tbar_i)
-        raise TypeImbalance("unknown symbol kind %r" % (kind,))
 
-    total = 0j
-    for (c1, i1, b1) in parts(va):
-        for (c2, i2, b2) in parts(vb):
-            if b1 == b2:
-                continue                # unbalanced first pair: vanishes
-            for (c3, i3, b3) in parts(vc):
-                for (c4, i4, b4) in parts(vd):
-                    if b3 == b4:
-                        continue        # unbalanced second pair: vanishes
-                    coef = c1 * c2 * c3 * c4
-                    if b1:              # first slot barred: swap with sign
-                        coef = -coef
-                        h1, a1 = i2, i1
-                    else:
-                        h1, a1 = i1, i2
-                    if b3:
-                        coef = -coef
-                        h2, a2 = i4, i3
-                    else:
-                        h2, a2 = i3, i4
-                    total += coef * R.entries[h1, a1, h2, a2]
-    if abs(total.imag) > 1e-10 * max(scale, 1e-300):
+def real_tensor(R: CurvatureTensor) -> np.ndarray:
+    """R(e_a, e_b, e_c, e_d) over the real basis (x_1..x_n, y_1..y_n).
+
+    U and V hold the t- and tbar-coefficients of each real basis vector
+    (x_i = t_i + tbar_i, y_i = i (t_i - tbar_i)).  Only a slot pair with one
+    unbarred and one barred index survives; a (barred, unbarred) pair is
+    reordered to the stored (holo, anti) order of R with a sign, so each
+    pair enters through T[a,b,h,j] = U[a,h] V[b,j] - V[a,j] U[b,h].  The
+    imaginary residue must vanish; above 1e-10 * max|R| it signals broken
+    type bookkeeping.
+    """
+    eye = np.eye(R.n)
+    U = np.vstack([eye, 1j * eye])
+    V = np.vstack([eye, -1j * eye])
+    T = np.einsum("ah,bj->abhj", U, V) - np.einsum("aj,bh->abhj", V, U)
+    full = np.einsum("abhj,cdkl,hjkl->abcd", T, T, R.entries, optimize=True)
+    residue = np.abs(full.imag).max()
+    if residue > 1e-10 * max(R.max_abs(), 1e-300):
         raise TypeImbalance(
-            "imaginary residue %.3g in a real curvature value" % total.imag)
-    return float(total.real)
+            "imaginary residue %.3g in a real curvature value" % residue)
+    return full.real
 
 
 @dataclass
@@ -114,38 +98,18 @@ class WedgeOperator:
 
 
 def assemble_Q(R: CurvatureTensor) -> WedgeOperator:
-    """Evaluate Q over the enumerated wedge basis and symmetrize."""
-    n = R.n
-    basis = wedge_basis(n)
-    m = len(basis)
-    Q = np.empty((m, m))
-    for A, (a, b) in enumerate(basis):
-        sa, sb = symbol(a, n), symbol(b, n)
-        for B, (c, d) in enumerate(basis):
-            Q[A, B] = real_curvature(R, sa, sb, symbol(c, n), symbol(d, n))
+    """Read Q off the real tensor at the wedge pairs and symmetrize."""
+    r, c = np.triu_indices(2 * R.n, 1)
+    Q = real_tensor(R)[r, c][:, r, c]
     scale = max(np.abs(Q).max(), 1e-300)
     resid = float(np.abs(Q - Q.T).max() / scale)
-    return WedgeOperator(matrix=(Q + Q.T) / 2, n=n, symmetry_residual=resid)
+    return WedgeOperator(matrix=(Q + Q.T) / 2, n=R.n, symmetry_residual=resid)
 
 
 def j_wedge_matrix(n: int) -> np.ndarray:
     """Matrix of the involution induced on wedges by J x_i = y_i, J y_i = -x_i."""
-    basis = wedge_basis(n)
-    index = {p: i for i, p in enumerate(basis)}
-    m = len(basis)
-    J = np.zeros((m, m))
-
-    def jmap(a):
-        return (a + n, 1.0) if a < n else (a - n, -1.0)
-
-    for A, (a, b) in enumerate(basis):
-        ja, sa = jmap(a)
-        jb, sb = jmap(b)
-        s = sa * sb
-        if ja > jb:
-            ja, jb, s = jb, ja, -s
-        J[index[(ja, jb)], A] = s
-    return J
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return induced_action(np.block([[zero, -eye], [eye, zero]]))
 
 
 @dataclass
@@ -241,21 +205,12 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
     """Coordinates of a {a, b, c} coefficient triple in the wedge basis.
 
     a and c are n x n real matrices of xx- and yy-components (only their
-    antisymmetric parts matter), b is the full n x n cross block.
+    antisymmetric parts matter), b is the full n x n cross block; the
+    block matrix [[a - a^T, b], [0, c - c^T]] is read at the pairs a < b.
     """
-    basis = wedge_basis(n)
-    index = {p: i for i, p in enumerate(basis)}
-    x = np.zeros(len(basis))
-    a = np.asarray(coeffs.get("a", np.zeros((n, n))), dtype=float)
-    b = np.asarray(coeffs.get("b", np.zeros((n, n))), dtype=float)
-    c = np.asarray(coeffs.get("c", np.zeros((n, n))), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                x[index[(i, j)]] += a[i, j] - a[j, i]
-                x[index[(i + n, j + n)]] += c[i, j] - c[j, i]
-            x[index[(i, j + n)]] += b[i, j]
-    return x
+    zero = np.zeros((n, n))
+    a, b, c = (np.asarray(coeffs.get(key, zero), dtype=float) for key in "abc")
+    return np.block([[a - a.T, b], [zero, c - c.T]])[np.triu_indices(2 * n, 1)]
 
 
 def pair_field(coeff: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -282,33 +237,6 @@ def _green_quad(WG: np.ndarray, L: np.ndarray) -> tuple[float, float]:
     mod2 = float(np.sum(WG * (Lr * Lr + Li * Li)))
     cross = float(np.sum(WG * (Lr * Lr.T)) - np.sum(WG * (Li * Li.T)))
     return mod2, cross
-
-
-def q_xx_block(a, fields, surface, green, *, WG=None) -> float:
-    """x^T Q x for a pure xx-element with coefficient matrix a."""
-    mu = np.array([f.values for f in fields])
-    if WG is None:
-        WG = weighted_green(surface, green)
-    F = pair_field(a, mu)
-    t1 = -4 * _d_term(surface, np.diag(F).imag)
-    mod2, cross = _green_quad(WG, F)
-    return t1 - 2 * mod2 + 2 * cross
-
-
-def q_yy_block(c, fields, surface, green, *, WG=None) -> float:
-    """x^T Q x for a pure yy-element; same functional form as the xx block."""
-    return q_xx_block(c, fields, surface, green, WG=WG)
-
-
-def q_xy_block(b, fields, surface, green, *, WG=None) -> float:
-    """x^T Q x for a pure cross-element with coefficient matrix b."""
-    mu = np.array([f.values for f in fields])
-    if WG is None:
-        WG = weighted_green(surface, green)
-    H = pair_field(b, mu)
-    t1 = -4 * _d_term(surface, np.diag(H).real)
-    mod2, cross = _green_quad(WG, H)
-    return t1 - 2 * mod2 - 2 * cross
 
 
 def q_cross_term(a, b, fields, surface, green, *, WG=None) -> float:
@@ -352,15 +280,15 @@ def cross_term_consistency(a, b, fields, surface, green, *, WG=None) -> dict:
     """Compare the standalone cross-term formula with its polarization.
 
     The polarization identity Q(A,B) = (Q(A+B,A+B) - Q(A,A) - Q(B,B)) / 2
-    uses only the separately validated block formulas, so a mismatch here
+    uses only the combined formula on single blocks, so a mismatch here
     isolates a sign or factor problem in the standalone cross term.
     """
     if WG is None:
         WG = weighted_green(surface, green)
     direct = q_cross_term(a, b, fields, surface, green, WG=WG)
     total = integral_form_Q({"a": a, "b": b}, fields, surface, green, WG=WG)
-    qa = q_xx_block(a, fields, surface, green, WG=WG)
-    qb = q_xy_block(b, fields, surface, green, WG=WG)
+    qa = integral_form_Q({"a": a}, fields, surface, green, WG=WG)
+    qb = integral_form_Q({"b": b}, fields, surface, green, WG=WG)
     polarized = (total - qa - qb) / 2
     return {
         "direct": direct,

@@ -192,6 +192,18 @@ def test_norm_cap_is_distance_truncation():
         assert abs(m.inverse().a) <= 50.0 + 1e-9
 
 
+def test_ball_prefix_equals_shorter_enumeration():
+    """The (L-1)-ball is the leading block of the L-ball, for each cap."""
+    G = octagon_group(2)
+    for cap in (None, 50.0):
+        big = enumerate_words(G, 5, norm_cap=cap)
+        small = enumerate_words(G, 4, norm_cap=cap)
+        assert np.array_equal(big.ball(4), small.matrices)
+        assert np.array_equal(big.ball(5), big.matrices)
+    with pytest.raises(ValueError):
+        big.ball(6)
+
+
 def test_negative_length_rejected():
     with pytest.raises(ValueError):
         enumerate_words(octagon_group(2), -1)

@@ -41,6 +41,25 @@ def test_overtight_tolerance_rejected(group, words8):
         qdiff.build_qdiff_basis(group, 8, word_set=words8, eps_auto=1e-14)
 
 
+def test_tail_check_uses_word_set_cap(group, monkeypatch):
+    """The tail check compares the word set against its own (L-1)-ball,
+    built with the word set's norm cap, not the default cap."""
+    words = enumerate_words(group, 5, norm_cap=50.0)
+    inner = enumerate_words(group, 4, norm_cap=50.0).matrices
+    seen = []
+    original = qdiff._series
+
+    def spy(mats, z, k):
+        seen.append(mats)
+        return original(mats, z, k)
+
+    monkeypatch.setattr(qdiff, "_series", spy)
+    qdiff.build_qdiff_basis(group, 5, word_set=words, eps_auto=np.inf)
+    partial = [m for m in seen if len(m) != len(words)]
+    assert len(partial) == len(qdiff.SEED_DEGREES)
+    assert all(np.array_equal(m, inner) for m in partial)
+
+
 def test_odd_degree_series_vanishes(words8):
     """Degrees with the wrong rotation character average out."""
     probes = qdiff.probe_points()

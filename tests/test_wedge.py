@@ -15,13 +15,6 @@ def test_wedge_basis_size():
     assert len(wedge.wedge_basis(2)) == 6
 
 
-def test_symbol_translation():
-    assert wedge.symbol(0, 3) == ("x", 0)
-    assert wedge.symbol(2, 3) == ("x", 2)
-    assert wedge.symbol(3, 3) == ("y", 0)
-    assert wedge.symbol(5, 3) == ("y", 2)
-
-
 def test_j_matrix_involution_and_trace():
     for n in (2, 3):
         J = wedge.j_wedge_matrix(n)
@@ -34,19 +27,35 @@ def test_j_matrix_involution_and_trace():
         assert np.sum(lam < 0) == n * (n - 1)
 
 
+# real basis indices for n = 3: x_i = i, y_i = 3 + i
+
+
 def test_real_curvature_repeated_vector_zero(pipe3):
     R = pipe3["tensor"]
-    for sym in (("x", 0), ("y", 1)):
-        val = wedge.real_curvature(R, sym, sym, ("x", 1), ("y", 2))
-        assert abs(val) < 1e-12 * R.max_abs()
+    real = wedge.real_tensor(R)
+    for a in (0, 4):                # x_0, y_1
+        assert abs(real[a, a, 1, 5]) < 1e-12 * R.max_abs()
 
 
 def test_real_curvature_xxxx_equals_yyyy(pipe3):
-    R = pipe3["tensor"]
+    real = wedge.real_tensor(pipe3["tensor"])
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        xx = wedge.real_curvature(R, ("x", i), ("x", j), ("x", i), ("x", j))
-        yy = wedge.real_curvature(R, ("y", i), ("y", j), ("y", i), ("y", j))
+        xx = real[i, j, i, j]
+        yy = real[3 + i, 3 + j, 3 + i, 3 + j]
         assert xx == pytest.approx(yy, rel=1e-10)
+
+
+def test_single_entry_tensor_sign_convention():
+    """With only R[0,0,0,0] = 1, x_0 ^ y_0 = -2i t_0 ^ tbar_0 gives
+    Q(x_0^y_0, x_0^y_0) = (-2i)^2 = -4, and x_0 ^ x_1 pairs t_0 with
+    tbar_1 (or t_1 with tbar_0), which R does not see."""
+    entries = np.zeros((3, 3, 3, 3), dtype=complex)
+    entries[0, 0, 0, 0] = 1.0
+    Q = wedge.assemble_Q(CurvatureTensor(entries))
+    index = {p: i for i, p in enumerate(wedge.wedge_basis(3))}
+    x0y0, x0x1 = index[(0, 3)], index[(0, 1)]
+    assert Q.matrix[x0y0, x0y0] == -4.0
+    assert Q.matrix[x0x1, x0x1] == 0.0
 
 
 def test_assemble_Q_shape_and_symmetry(pipe3):
@@ -134,7 +143,8 @@ def test_integral_antisymmetric_cross_block_vanishes(pipe3, surf3, green3):
     WG = wedge.weighted_green(surf3, green3)
     rng = np.random.default_rng(1)
     b = rng.standard_normal((3, 3))
-    val = wedge.q_xy_block(b - b.T, pipe3["fields"], surf3, green3, WG=WG)
+    val = wedge.integral_form_Q({"b": b - b.T}, pipe3["fields"], surf3, green3,
+                                WG=WG)
     assert abs(val) < 1e-8 * np.abs(Q.matrix).max()
 
 
