@@ -1,0 +1,136 @@
+"""Named checks shared by the CLI and the acceptance tests.
+
+Each returns ``{pass, residual, tolerance, description}`` from pipeline objects
+and the random elements its caller drew.  Package functions are called as module
+attributes (``surface.apply_D``) so that a wrapper installed there sees the call.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import curvature, surface, wedge
+from .errors import KernelDimMismatch
+
+#: check name -> human description printed by `explain`
+CHECK_DESCRIPTIONS = {
+    "resolvent_operator": "resolvent D is self-adjoint and positive in the weighted inner product",
+    "green_kernel": "Green kernel entrywise positive, symmetric, weighted row sums equal 1",
+    "tensor_symmetries": "curvature tensor satisfies the two index-swap symmetries and conjugation",
+    "tensor_assembly": "diagonal entries positive, sectional curvatures negative, tensor and integral paths agree",
+    "xx_block_definite": "Q strictly negative on random xx-wedge elements",
+    "cross_block_null": "Q vanishes on antisymmetric cross-wedge elements",
+    "yy_block_definite": "Q strictly negative on random yy-wedge elements",
+    "reduction_null": "Q vanishes when the yy block cancels the xx block (a = -c)",
+    "operator_nonpositive_kernel": "Q non-positive with kernel exactly the range of (identity - J)",
+    "surrogate_spectrum": "every synthetic-kernel model has kernel dimension exactly n(n-1)",
+    "quaternionic_null_vector": "quaternionic special 2-vector: null expansion, J-invariance, least-squares margin",
+}
+
+
+def _check(name, passed, residual, tolerance):
+    return {"pass": bool(passed), "residual": residual, "tolerance": tolerance,
+            "description": CHECK_DESCRIPTIONS[name]}
+
+
+def resolvent_operator(surf, samples, rtol):
+    """On pairs (f, g) of node functions; `rtol` is `surface.apply_D`'s."""
+    asym, posmin = 0.0, np.inf
+    for f, g in samples:
+        Df = surface.apply_D(surf, f, rtol=rtol)
+        Dg = surface.apply_D(surf, g, rtol=rtol)
+        nf = np.sqrt(surf.inner(f, f).real)
+        ng = np.sqrt(surf.inner(g, g).real)
+        asym = max(asym, abs(surf.inner(Df, g) - surf.inner(f, Dg)) / (nf * ng))
+        posmin = min(posmin, surf.inner(Df, f).real / nf**2)
+    return _check("resolvent_operator", asym <= 1e-10 and posmin >= -1e-10,
+                  {"self_adjoint": float(asym), "positivity_min": float(posmin)}, 1e-10)
+
+
+def green_kernel(green):
+    gr = green.report
+    ok = gr["min_entry"] > 0 and gr["asymmetry_rel"] <= 1e-8 and gr["rowsum_err"] <= 1e-8
+    return _check("green_kernel", ok, gr, 1e-8)
+
+
+def tensor_symmetries(R):
+    res = R.residuals()
+    return _check("tensor_symmetries", max(res.values()) <= 1e-9, res, 1e-9)
+
+
+def two_path_values(Q, elements, fields, surf, green):
+    """(tensor path, integral path) value of Q on each {a, b, c} element."""
+    WG = wedge.weighted_green(surf, green)
+    return [(Q.quad(wedge.wedge_vector(coeffs, Q.n)),
+             wedge.integral_form_Q(coeffs, fields, surf, green, WG=WG))
+            for coeffs in elements]
+
+
+def tensor_assembly(R, gram, two_path=()):
+    """`two_path` holds `two_path_values` pairs (none: diagonal and sectional only)."""
+    diag_min = float(min(R.entries[i, i, i, i].real for i in range(R.n)))
+    sectional_max = max(curvature.holomorphic_sectional(R, gram, i) for i in range(R.n))
+    rel = max((abs(qt - qi) / max(1.0, abs(qt)) for qt, qi in two_path), default=0.0)
+    return _check("tensor_assembly", diag_min > 0 and sectional_max < 0 and rel <= 1e-6,
+                  {"diag_min": diag_min, "sectional_max": sectional_max,
+                   "two_path_rel": rel}, 1e-6)
+
+
+def vanishes_on(Q, tau, vectors):
+    """(max |x^T Q x| <= tau, that maximum) over wedge vectors."""
+    worst = float(max(abs(Q.quad(x)) for x in vectors))
+    return worst <= tau, worst
+
+
+# the block checks take one n x n coefficient matrix per element
+def xx_block_definite(Q, tau, elements):
+    worst = float(max(Q.quad(wedge.wedge_vector({"a": a}, Q.n)) for a in elements))
+    return _check("xx_block_definite", worst < -tau, worst, -tau)
+
+
+def yy_block_definite(Q, tau, elements):
+    worst = float(max(Q.quad(wedge.wedge_vector({"c": c}, Q.n)) for c in elements))
+    return _check("yy_block_definite", worst < -tau, worst, -tau)
+
+
+def cross_block_null(Q, tau, elements):
+    vectors = [wedge.wedge_vector({"b": b}, Q.n) for b in elements]
+    return _check("cross_block_null", *vanishes_on(Q, tau, vectors), tau)
+
+
+def reduction_null(Q, tau, elements):
+    vectors = [wedge.wedge_vector({"a": d, "c": -d}, Q.n) for d in elements]
+    return _check("reduction_null", *vanishes_on(Q, tau, vectors), tau)
+
+
+def kernel_report(Q, tau_rel):
+    """`wedge.kernel_check` against J; a rank mismatch becomes {"error": ...}."""
+    try:
+        return wedge.kernel_check(Q, wedge.j_wedge_matrix(Q.n), tau_rel)
+    except KernelDimMismatch as exc:
+        return {"error": str(exc)}
+
+
+def operator_nonpositive_kernel(spec, kernel, tau_rel):
+    """Sign counts and spectral gap of `wedge.spectrum`, and a `kernel_report`."""
+    ok = (spec.num_positive == 0 and spec.num_zero == spec.kernel_dim_expected
+          and spec.gap_ratio >= 1e2 and "error" not in kernel
+          and kernel["range_ok"] and kernel["plus_eigenspace_negative"])
+    return _check("operator_nonpositive_kernel", ok,
+                  {"counts": [spec.num_negative, spec.num_zero, spec.num_positive],
+                   "gap_ratio": spec.gap_ratio, **kernel}, tau_rel)
+
+
+def surrogate_spectrum(summary):
+    """On one `surrogate.run_seed_sweep` summary."""
+    return _check("surrogate_spectrum", summary["all_counts_ok"],
+                  summary["worst_kernel_dim_excess"], 0)
+
+
+def quaternionic_null_vector(reports):
+    """On `rankone.lemma51_check` reports, one per m."""
+    keys = ("worst_null_expansion", "worst_j_invariance", "min_lstsq_resid")
+    margins = {"m%d" % rep["m"]: {k: rep[k] for k in keys} for rep in reports}
+    ok = all(rep["worst_null_expansion"] <= 1e-12 and rep["worst_j_invariance"] <= 1e-12
+             and rep["min_lstsq_resid"] >= 0.5 for rep in reports)
+    return _check("quaternionic_null_vector", ok, margins, 1e-12)

@@ -13,12 +13,18 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import curvature, qdiff, rankone, surface, surrogate, wedge
+from . import checks, curvature, qdiff, rankone, surface, surrogate, wedge
+from .checks import CHECK_DESCRIPTIONS  # noqa: F401  (read as cli.CHECK_DESCRIPTIONS)
 from .fuchsian import enumerate_words, octagon_group
+
+
+STAGES = ("all", "surface", "surrogate", "rankone")
+#: the one stage each subcommand other than `run` selects
+SUBCOMMAND_STAGES = {"spectrum": "surface", "surrogate": "surrogate", "rankone": "rankone"}
 
 
 @dataclass
@@ -33,7 +39,7 @@ class RunConfig:
     seeds: int = 20
     surrogate_points: int = 40
     out: str = "wpcurv_out"
-    stage: str = "all"          # all | surface | surrogate | rankone
+    stage: str = "all"          # one of STAGES
 
     def validate(self):
         if self.genus != 2:
@@ -44,27 +50,12 @@ class RunConfig:
             raise ValueError("word length must be >= 4")
         if self.tau_rel <= 0 or self.solver_rtol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.stage not in ("all", "surface", "surrogate", "rankone"):
+        if self.stage not in STAGES:
             raise ValueError("unknown stage %r" % self.stage)
 
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-#: check name -> human description printed by `explain`
-CHECK_DESCRIPTIONS = {
-    "resolvent_operator": "resolvent D is self-adjoint and positive in the weighted inner product",
-    "green_kernel": "Green kernel entrywise positive, symmetric, weighted row sums equal 1",
-    "tensor_symmetries": "curvature tensor satisfies the two index-swap symmetries and conjugation",
-    "tensor_assembly": "diagonal entries positive, sectional curvatures negative, tensor and integral paths agree",
-    "xx_block_definite": "Q strictly negative on random xx-wedge elements",
-    "cross_block_null": "Q vanishes on antisymmetric cross-wedge elements",
-    "yy_block_definite": "Q strictly negative on random yy-wedge elements",
-    "reduction_null": "Q vanishes when the yy block cancels the xx block (a = -c)",
-    "operator_nonpositive_kernel": "Q non-positive with kernel exactly the range of (identity - J)",
-    "quaternionic_null_vector": "quaternionic special 2-vector: null expansion, J-invariance, least-squares margin",
-}
 
 
 def _stamp(path: str, cfg_hash: str):
@@ -76,22 +67,10 @@ def _stamp(path: str, cfg_hash: str):
         json.dump(payload, fh, indent=2)
 
 
-def _check(name, passed, residual, tolerance, detail=None):
-    entry = {
-        "pass": bool(passed),
-        "residual": residual,
-        "tolerance": tolerance,
-        "description": CHECK_DESCRIPTIONS[name],
-    }
-    if detail:
-        entry["detail"] = detail
-    return entry
-
-
 def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     """Group -> words -> basis -> mesh -> operators -> tensor -> Q -> checks."""
     cfg_hash = config.hash()
-    checks = {}
+    results = {}
 
     group = octagon_group(config.genus)
     group.export_json(os.path.join(outdir, "group.json"))
@@ -110,114 +89,43 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     fields, gram, _ = qdiff.orthonormalize(fields, gram)
 
     rng = np.random.default_rng(config.seeds)
-    n_nodes = surf.num_nodes
-
-    # resolvent operator hypotheses
-    asym = 0.0
-    posmin = np.inf
-    for _ in range(10):
-        f = rng.standard_normal(n_nodes)
-        g = rng.standard_normal(n_nodes)
-        Df = surface.apply_D(surf, f, rtol=config.solver_rtol)
-        Dg = surface.apply_D(surf, g, rtol=config.solver_rtol)
-        nf = np.sqrt(surf.inner(f, f).real)
-        ng = np.sqrt(surf.inner(g, g).real)
-        asym = max(asym, abs(surf.inner(Df, g) - surf.inner(f, Dg)) / (nf * ng))
-        posmin = min(posmin, surf.inner(Df, f).real / nf**2)
-    checks["resolvent_operator"] = _check(
-        "resolvent_operator", asym <= 1e-10 and posmin >= -1e-10,
-        {"self_adjoint": float(asym), "positivity_min": float(posmin)}, 1e-10)
+    results["resolvent_operator"] = checks.resolvent_operator(
+        surf, rng.standard_normal((10, 2, surf.num_nodes)), config.solver_rtol)
 
     green = surface.green_kernel(surf)
     surface.export_green(green, surf, os.path.join(outdir, "green"))
     _stamp(os.path.join(outdir, "green.json"), cfg_hash)
-    gr = green.report
-    checks["green_kernel"] = _check(
-        "green_kernel",
-        gr["min_entry"] > 0 and gr["asymmetry_rel"] <= 1e-8 and gr["rowsum_err"] <= 1e-8,
-        gr, 1e-8)
+    results["green_kernel"] = checks.green_kernel(green)
 
     P = curvature.pairing_table(fields, surf)
     R = curvature.curvature_tensor(P)
     curvature.export_tensor_json(R, os.path.join(outdir, "tensor.json"))
     _stamp(os.path.join(outdir, "tensor.json"), cfg_hash)
-    res = R.residuals()
-    checks["tensor_symmetries"] = _check(
-        "tensor_symmetries", max(res.values()) <= 1e-9, res, 1e-9)
+    results["tensor_symmetries"] = checks.tensor_symmetries(R)
 
     n = R.n
-    diag_pos = [R.entries[i, i, i, i].real for i in range(n)]
-    sectional = [curvature.holomorphic_sectional(R, gram, i) for i in range(n)]
-
     Q = wedge.assemble_Q(R)
     spec = wedge.spectrum(Q, config.tau_rel, strict=False)
-    tau = spec.tau
-    Jmat = wedge.j_wedge_matrix(n)
-    kernel_report = {}
-    kernel_ok = False
-    try:
-        kernel_report = wedge.kernel_check(Q, Jmat, config.tau_rel)
-        kernel_ok = kernel_report["range_ok"] and kernel_report["plus_eigenspace_negative"]
-    except Exception as exc:          # rank mismatch keeps the report honest
-        kernel_report = {"error": str(exc)}
+    kernel = checks.kernel_report(Q, config.tau_rel)
 
-    WG = wedge.weighted_green(surf, green)
+    mixed = [dict(zip("abc", abc)) for abc in rng.standard_normal((5, 3, n, n))]
+    results["tensor_assembly"] = checks.tensor_assembly(
+        R, gram, checks.two_path_values(Q, mixed, fields, surf, green))
 
-    # two-path agreement on a few random mixed elements
-    two_path_rel = 0.0
-    for _ in range(5):
-        coeffs = {
-            "a": rng.standard_normal((n, n)),
-            "b": rng.standard_normal((n, n)),
-            "c": rng.standard_normal((n, n)),
-        }
-        x = wedge.wedge_vector(coeffs, n)
-        qt = Q.quad(x)
-        qi = wedge.integral_form_Q(coeffs, fields, surf, green, WG=WG)
-        two_path_rel = max(two_path_rel, abs(qt - qi) / max(1.0, abs(qt)))
-    checks["tensor_assembly"] = _check(
-        "tensor_assembly",
-        min(diag_pos) > 0 and max(sectional) < 0 and two_path_rel <= 1e-6,
-        {"diag_min": min(diag_pos), "sectional_max": max(sectional),
-         "two_path_rel": two_path_rel}, 1e-6)
-
-    def rand_antisym():
-        a = rng.standard_normal((n, n))
-        return a - a.T
-
-    worst_xx = -np.inf
-    worst_yy = -np.inf
-    worst_cross = 0.0
-    worst_reduction = 0.0
-    for _ in range(10):
-        a = rand_antisym()
-        worst_xx = max(worst_xx, Q.quad(wedge.wedge_vector({"a": a}, n)))
-        worst_yy = max(worst_yy, Q.quad(wedge.wedge_vector({"c": a}, n)))
-        b = rand_antisym()
-        worst_cross = max(worst_cross, abs(Q.quad(wedge.wedge_vector({"b": b}, n))))
-        d = rng.standard_normal((n, n))
-        worst_reduction = max(worst_reduction, abs(
-            Q.quad(wedge.wedge_vector({"a": d, "c": -d}, n))))
-    checks["xx_block_definite"] = _check(
-        "xx_block_definite", worst_xx < -tau, float(worst_xx), -tau)
-    checks["yy_block_definite"] = _check(
-        "yy_block_definite", worst_yy < -tau, float(worst_yy), -tau)
-    checks["cross_block_null"] = _check(
-        "cross_block_null", worst_cross <= tau, float(worst_cross), tau)
-    checks["reduction_null"] = _check(
-        "reduction_null", worst_reduction <= tau, float(worst_reduction), tau)
-
-    counts_ok = (spec.num_positive == 0 and spec.num_zero == spec.kernel_dim_expected)
-    checks["operator_nonpositive_kernel"] = _check(
-        "operator_nonpositive_kernel", counts_ok and kernel_ok,
-        {"counts": [spec.num_negative, spec.num_zero, spec.num_positive],
-         "gap_ratio": spec.gap_ratio, **kernel_report}, config.tau_rel)
+    # each sample draws a, b, d in turn; a and b enter antisymmetrized
+    a, b, d = rng.standard_normal((10, 3, n, n)).swapaxes(0, 1)
+    a, b = a - a.swapaxes(1, 2), b - b.swapaxes(1, 2)
+    results["xx_block_definite"] = checks.xx_block_definite(Q, spec.tau, a)
+    results["yy_block_definite"] = checks.yy_block_definite(Q, spec.tau, a)
+    results["cross_block_null"] = checks.cross_block_null(Q, spec.tau, b)
+    results["reduction_null"] = checks.reduction_null(Q, spec.tau, d)
+    results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(
+        spec, kernel, config.tau_rel)
 
     wedge.export_spectrum_csv(spec, os.path.join(outdir, "spectrum.csv"))
-    wedge.export_spectrum_json(spec, kernel_report,
-                               os.path.join(outdir, "spectrum.json"))
+    wedge.export_spectrum_json(spec, kernel, os.path.join(outdir, "spectrum.json"))
     _stamp(os.path.join(outdir, "spectrum.json"), cfg_hash)
-    return checks
+    return results
 
 
 def run(config: RunConfig) -> dict:
@@ -225,39 +133,31 @@ def run(config: RunConfig) -> dict:
     config.validate()
     os.makedirs(config.out, exist_ok=True)
     cfg_hash = config.hash()
-    checks = {}
+    results = {}
 
     if config.stage in ("all", "surface"):
-        checks.update(run_surface_stage(config, config.out))
+        results.update(run_surface_stage(config, config.out))
 
     if config.stage in ("all", "surrogate"):
         summary = surrogate.run_seed_sweep(
             range(config.seeds), config.surrogate_points, 3, config.tau_rel)
         surrogate.export_suite_json(summary, os.path.join(config.out, "surrogate.json"))
         _stamp(os.path.join(config.out, "surrogate.json"), cfg_hash)
+        results["surrogate_spectrum"] = checks.surrogate_spectrum(summary)
 
     if config.stage in ("all", "rankone"):
-        lemma = {}
-        ok = True
-        for m in (1, 2):
-            rep = rankone.lemma51_check(m, config.seeds)
-            lemma["m%d" % m] = {k: rep[k] for k in
-                                ("worst_null_expansion", "worst_j_invariance",
-                                 "min_lstsq_resid")}
-            ok = ok and (rep["worst_null_expansion"] <= 1e-12
-                         and rep["worst_j_invariance"] <= 1e-12
-                         and rep["min_lstsq_resid"] >= 0.5)
-            path = os.path.join(config.out, "rankone_m%d.json" % m)
+        reports = [rankone.lemma51_check(m, config.seeds) for m in (1, 2)]
+        for rep in reports:
+            path = os.path.join(config.out, "rankone_m%d.json" % rep["m"])
             rankone.export_report_json(rep, path)
             _stamp(path, cfg_hash)
-        checks["quaternionic_null_vector"] = _check(
-            "quaternionic_null_vector", ok, lemma, 1e-12)
+        results["quaternionic_null_vector"] = checks.quaternionic_null_vector(reports)
 
     report = {
         "config": asdict(config),
         "config_hash": cfg_hash,
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks.values()),
+        "checks": results,
+        "all_pass": all(c["pass"] for c in results.values()),
     }
     with open(os.path.join(config.out, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
@@ -306,19 +206,16 @@ def main(argv=None) -> int:
         description="curvature-operator laboratory for the genus-2 octagon surface")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name in ("run", *SUBCOMMAND_STAGES):
+        p = sub.add_parser(name)
         p.add_argument("--config", help="plain-text key=value config file")
         p.add_argument("--mesh-level", dest="mesh_level", type=int)
         p.add_argument("--word-length", dest="word_length", type=int)
         p.add_argument("--tau-rel", dest="tau_rel", type=float)
         p.add_argument("--seeds", type=int)
         p.add_argument("--out")
-        p.add_argument("--stage", choices=["all", "surface", "surrogate", "rankone"])
-
-    for name in ("run", "spectrum", "surrogate", "rankone"):
-        add_common(sub.add_parser(name))
-    pe = sub.add_parser("explain")
-    pe.add_argument("report", help="path to a report.json")
+    sub.choices["run"].add_argument("--stage", choices=STAGES)
+    sub.add_parser("explain").add_argument("report", help="path to a report.json")
 
     args = parser.parse_args(argv)
 
@@ -329,19 +226,14 @@ def main(argv=None) -> int:
         return 0
 
     config = _load_config(args)
-    if args.command == "surrogate":
-        config.stage = "surrogate"
-    elif args.command == "rankone":
-        config.stage = "rankone"
-    elif args.command == "spectrum":
-        config.stage = "surface"
+    config.stage = SUBCOMMAND_STAGES.get(args.command, config.stage)
 
     report = run(config)
     if args.command == "spectrum":
         with open(os.path.join(config.out, "spectrum.csv")) as fh:
             print(fh.read().strip())
     else:
-        print(explain(report) if report["checks"] else "no checks selected")
+        print(explain(report))
     return 0 if report["all_pass"] else 1
 
 

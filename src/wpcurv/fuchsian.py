@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, NearPole, UnsupportedGenus
 
-DET_TOL = 1e-12
 POLE_TOL = 1e-14
 DEDUP_DECIMALS = 8  # rounding used for the 1e-9 entrywise dedup radius
 
@@ -133,10 +132,6 @@ class FuchsianGroup:
     canonical_generators: list
     vertices: np.ndarray
 
-    @property
-    def num_sides(self):
-        return 4 * self.genus
-
     def side_generator_words(self):
         """All 8 neighbor translations: g_0..g_3 and their inverses."""
         return list(self.generators) + [g.inverse() for g in self.generators]
@@ -242,10 +237,6 @@ class GroupWordSet:
     shell_sizes: tuple
     norm_cap: float | None = None
     _elements: list = field(default=None, repr=False, compare=False)
-
-    @property
-    def count(self):
-        return len(self.matrices)
 
     @property
     def elements(self):

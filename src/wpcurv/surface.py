@@ -187,7 +187,7 @@ class DiscreteSurface:
     weights: np.ndarray          # lumped hyperbolic-area weights
     triangles: list              # glued index triples
     identification: dict         # representative index -> raw node indices
-    stiffness: sp.spmatrix = None
+    stiffness: sp.spmatrix       # glued flat stiffness K (Delta_h = -M^-1 K)
     _raw: tuple = field(default=None, repr=False)
     _lu: object = field(default=None, repr=False)
 
@@ -211,15 +211,11 @@ class DiscreteSurface:
 
     def apply_laplacian(self, f):
         """Delta_h f = -M^-1 K f (non-positive spectrum convention)."""
-        if self.stiffness is None:
-            raise RuntimeError("laplacian not assembled")
         return -(self.stiffness @ f) / self.weights
 
     def factorization(self):
         """Sparse LU of (K + 2M), built once and reused."""
         if self._lu is None:
-            if self.stiffness is None:
-                raise RuntimeError("laplacian not assembled")
             A = (self.stiffness + 2 * sp.diags(self.weights)).tocsc()
             self._lu = spla.splu(A)
         return self._lu
@@ -247,6 +243,8 @@ def build_mesh(group: FuchsianGroup, level: int, *,
 
     weights = np.zeros(len(reps))
     np.add.at(weights, gid, w_raw)
+    if np.any(weights <= 0):
+        raise SingularMass("non-positive lumped weight")
 
     identification = {}
     for i in range(len(nodes)):
@@ -254,29 +252,18 @@ def build_mesh(group: FuchsianGroup, level: int, *,
 
     glued_tris = [(int(gid[i]), int(gid[j]), int(gid[k])) for (i, j, k) in tris]
 
-    surf = DiscreteSurface(
+    # the flat stiffness of the raw triangles, summed over each glued class
+    P = sp.csr_matrix((np.ones(len(nodes)), (np.arange(len(nodes)), gid)),
+                      shape=(len(nodes), len(reps)))
+    return DiscreteSurface(
         level=level,
         nodes=np.array([nodes[r] for r in reps]),
         weights=weights,
         triangles=glued_tris,
         identification=identification,
+        stiffness=(P.T @ _stiffness(nodes, tris, len(nodes)) @ P).tocsc(),
         _raw=(nodes, tris, gid),
     )
-    assemble_laplacian(surf)
-    return surf
-
-
-def assemble_laplacian(surface: DiscreteSurface) -> None:
-    """Assemble the glued stiffness matrix (Delta_h = -M^-1 K)."""
-    nodes, tris, gid = surface._raw
-    if np.any(surface.weights <= 0):
-        raise SingularMass("non-positive lumped weight")
-    K0 = _stiffness(nodes, tris, len(nodes))
-    P = sp.csr_matrix((np.ones(len(nodes)), (np.arange(len(nodes)), gid)),
-                      shape=(len(nodes), surface.num_nodes))
-    K = (P.T @ K0 @ P).tocsc()
-    surface.stiffness = K
-    surface._lu = None
 
 
 def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):

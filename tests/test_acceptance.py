@@ -1,12 +1,17 @@
-"""Acceptance gate: the nine headline checks, one pass/fail line each."""
+"""Acceptance gate: the nine headline checks, one pass/fail line each.
+
+Each criterion evaluates the named checks of `wpcurv.checks`, the ones
+`wpcurv run` reports, on its own seed and sample count.
+"""
 
 import time
 
 import numpy as np
 
-from wpcurv import rankone, surrogate, wedge
+from wpcurv import checks, cli, rankone, surrogate, wedge
 
-TAU_REL = 1e-8
+DEFAULTS = cli.RunConfig()
+TAU_REL = DEFAULTS.tau_rel
 
 
 def _report(num, ok, detail):
@@ -14,104 +19,91 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
+def _kernel_check(Q):
+    spec = wedge.spectrum(Q, TAU_REL, strict=False)
+    return checks.operator_nonpositive_kernel(spec, checks.kernel_report(Q, TAU_REL),
+                                              TAU_REL)
+
+
 def test_criterion_1_spectrum(pipe4):
     """Level-4 Q: 9 negative, 6 zero, none positive, clear spectral gap."""
-    spec = wedge.spectrum(pipe4["Q"], TAU_REL, strict=False)
-    ok = (spec.num_positive == 0 and spec.num_zero == 6
-          and spec.num_negative == 9 and spec.gap_ratio >= 1e2)
-    _report(1, ok, "counts=%d/%d/%d gap_ratio=%.3g"
-            % (spec.num_negative, spec.num_zero, spec.num_positive,
-               spec.gap_ratio))
+    check = _kernel_check(pipe4["Q"])
+    res = check["residual"]
+    ok = check["pass"] and res["counts"] == [9, 6, 0]
+    _report(1, ok, "counts=%d/%d/%d gap_ratio=%.3g" % (*res["counts"], res["gap_ratio"]))
 
 
-def test_criterion_2_kernel(pipe4, jmat3):
+def test_criterion_2_kernel(pipe4):
     """Kernel of Q is exactly the range of (identity - J)."""
-    rep = wedge.kernel_check(pipe4["Q"], jmat3, TAU_REL)
-    ok = (rep["range_ok"] and rep["rank"] == 9
-          and rep["plus_eigenspace_negative"])
+    check = _kernel_check(pipe4["Q"])
+    res = check["residual"]
+    ok = check["pass"] and res["rank"] == 9
     _report(2, ok, "range_resid=%.3g rank=%d worst_plus=%.3g"
-            % (rep["range_residual_rel"], rep["rank"],
-               rep["worst_plus_eigenspace_value"]))
+            % (res["range_residual_rel"], res["rank"],
+               res["worst_plus_eigenspace_value"]))
 
 
 def test_criterion_3_two_path(pipe3, surf3, green3):
     """Tensor-path and integral-path quadratic values agree."""
-    Q = pipe3["Q"]
-    fields = pipe3["fields"]
-    WG = wedge.weighted_green(surf3, green3)
-    qnorm = np.linalg.norm(Q.matrix, 2)
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(50):
-        coeffs = {k: rng.standard_normal((3, 3)) for k in "abc"}
-        x = wedge.wedge_vector(coeffs, 3)
-        qt = Q.quad(x)
-        qi = wedge.integral_form_Q(coeffs, fields, surf3, green3, WG=WG)
-        worst = max(worst, abs(qt - qi) / (qnorm * (x @ x)))
-    _report(3, worst <= 1e-6, "worst relative deviation %.3g" % worst)
+    elements = [{k: rng.standard_normal((3, 3)) for k in "abc"} for _ in range(50)]
+    values = checks.two_path_values(pipe3["Q"], elements, pipe3["fields"], surf3, green3)
+    check = checks.tensor_assembly(pipe3["tensor"], pipe3["gram"], values)
+    _report(3, check["pass"], "worst relative deviation %.3g"
+            % check["residual"]["two_path_rel"])
 
 
 def test_criterion_4_operator_hypotheses(surf3, green3):
     """Resolvent self-adjoint and positive; Green kernel positive/symmetric."""
-    from wpcurv.surface import apply_D
-
     rng = np.random.default_rng(4)
-    asym = 0.0
-    posmin = np.inf
-    for _ in range(20):
-        f = rng.standard_normal(surf3.num_nodes)
-        g = rng.standard_normal(surf3.num_nodes)
-        Df, Dg = apply_D(surf3, f), apply_D(surf3, g)
-        nf = np.sqrt(surf3.inner(f, f).real)
-        ng = np.sqrt(surf3.inner(g, g).real)
-        asym = max(asym, abs(surf3.inner(Df, g) - surf3.inner(f, Dg)) / (nf * ng))
-        posmin = min(posmin, surf3.inner(Df, f).real / nf**2)
-    gr = green3.report
-    ok = (asym <= 1e-10 and posmin >= -1e-10 and gr["min_entry"] > 0
-          and gr["asymmetry_rel"] <= 1e-8 and gr["rowsum_err"] <= 1e-8)
-    _report(4, ok, "D_asym=%.3g D_posmin=%.3g G_min=%.3g G_asym=%.3g G_rowsum=%.3g"
-            % (asym, posmin, gr["min_entry"], gr["asymmetry_rel"],
-               gr["rowsum_err"]))
+    pairs = [(rng.standard_normal(surf3.num_nodes), rng.standard_normal(surf3.num_nodes))
+             for _ in range(20)]
+    resolvent = checks.resolvent_operator(surf3, pairs, DEFAULTS.solver_rtol)
+    green = checks.green_kernel(green3)
+    d, gr = resolvent["residual"], green["residual"]
+    _report(4, resolvent["pass"] and green["pass"],
+            "D_asym=%.3g D_posmin=%.3g G_min=%.3g G_asym=%.3g G_rowsum=%.3g"
+            % (d["self_adjoint"], d["positivity_min"], gr["min_entry"],
+               gr["asymmetry_rel"], gr["rowsum_err"]))
 
 
 def test_criterion_5_tensor_symmetries(pipe3, pipe4):
-    """Index symmetries, positive diagonal, negative sectional curvature."""
-    from wpcurv.curvature import holomorphic_sectional
+    """Index symmetries, positive diagonal, negative sectional curvature.
 
-    worst = 0.0
-    diag_min = np.inf
-    sect_max = -np.inf
-    for pipe in (pipe3, pipe4):
-        R = pipe["tensor"]
-        worst = max(worst, max(R.residuals().values()))
-        for i in range(R.n):
-            diag_min = min(diag_min, R.entries[i, i, i, i].real)
-            sect_max = max(sect_max, holomorphic_sectional(R, pipe["gram"], i))
-    ok = worst <= 1e-9 and diag_min > 0 and sect_max < 0
-    _report(5, ok, "sym_resid=%.3g diag_min=%.3g sectional_max=%.3g"
-            % (worst, diag_min, sect_max))
+    Level 4 has no Green kernel, so `tensor_assembly` runs here without
+    two-path values; criterion 3 adds them at level 3.
+    """
+    sym = [checks.tensor_symmetries(p["tensor"]) for p in (pipe3, pipe4)]
+    assembly = [checks.tensor_assembly(p["tensor"], p["gram"]) for p in (pipe3, pipe4)]
+    _report(5, all(c["pass"] for c in sym + assembly),
+            "sym_resid=%.3g diag_min=%.3g sectional_max=%.3g"
+            % (max(max(c["residual"].values()) for c in sym),
+               min(c["residual"]["diag_min"] for c in assembly),
+               max(c["residual"]["sectional_max"] for c in assembly)))
 
 
 def test_criterion_6_zero_level_sets(pipe4, jmat3):
-    """Null directions (antisymmetric cross block, reduced elements) and
-    strict negativity of the pure blocks."""
+    """Null directions (antisymmetric cross block, range of identity - J)
+    and strict negativity of the pure blocks."""
     Q = pipe4["Q"]
-    tau = TAU_REL * np.abs(np.linalg.eigvalsh(Q.matrix)).max()
+    tau = wedge.spectrum(Q, TAU_REL, strict=False).tau
     rng = np.random.default_rng(6)
-    worst_null = 0.0
-    worst_block = -np.inf
+    cross, kernel, blocks = [], [], []
     for _ in range(20):
         b = rng.standard_normal((3, 3))
-        worst_null = max(worst_null, abs(Q.quad(
-            wedge.wedge_vector({"b": b - b.T}, 3))))
+        cross.append(b - b.T)
         B = rng.standard_normal(Q.m)
-        worst_null = max(worst_null, abs(Q.quad(B - jmat3 @ B)))
+        kernel.append(B - jmat3 @ B)
         a = rng.standard_normal((3, 3))
-        worst_block = max(worst_block, Q.quad(wedge.wedge_vector({"a": a - a.T}, 3)))
-        worst_block = max(worst_block, Q.quad(wedge.wedge_vector({"c": a - a.T}, 3)))
-    ok = worst_null <= tau and worst_block < -tau
+        blocks.append(a - a.T)
+    null = checks.cross_block_null(Q, tau, cross)
+    kernel_ok, kernel_worst = checks.vanishes_on(Q, tau, kernel)
+    definite = [checks.xx_block_definite(Q, tau, blocks),
+                checks.yy_block_definite(Q, tau, blocks)]
+    ok = null["pass"] and kernel_ok and all(c["pass"] for c in definite)
     _report(6, ok, "worst_null=%.3g worst_block=%.3g tau=%.3g"
-            % (worst_null, worst_block, tau))
+            % (max(null["residual"], kernel_worst),
+               max(c["residual"] for c in definite), tau))
 
 
 def test_criterion_7_surrogate_suite():
@@ -120,12 +112,13 @@ def test_criterion_7_surrogate_suite():
     s3 = surrogate.run_seed_sweep(range(50), 40, 3, TAU_REL)
     s2 = surrogate.run_seed_sweep(range(50), 20, 2, TAU_REL)
     elapsed = time.time() - start
-    ok = (s3["all_counts_ok"] and s2["all_counts_ok"]
+    c3, c2 = checks.surrogate_spectrum(s3), checks.surrogate_spectrum(s2)
+    ok = (c3["pass"] and c2["pass"]
           and all(r["num_zero"] == 6 for r in s3["per_seed"])
           and all(r["num_zero"] == 2 for r in s2["per_seed"])
           and elapsed <= 60)
     _report(7, ok, "n3_ok=%s n2_ok=%s elapsed=%.1fs"
-            % (s3["all_counts_ok"], s2["all_counts_ok"], elapsed))
+            % (c3["pass"], c2["pass"], elapsed))
 
 
 def test_criterion_8_quaternionic_null_vector():
@@ -136,17 +129,13 @@ def test_criterion_8_quaternionic_null_vector():
     v, and the mixed term R(v,Jv,Kv,Iv) is 0 rather than
     -R(v,Jv,v,Jv)), so this criterion fails and is reported as such.
     """
-    worst_null = 0.0
-    worst_j = 0.0
-    min_ls = np.inf
-    for m in (1, 2):
-        rep = rankone.lemma51_check(m, 20)
-        worst_null = max(worst_null, rep["worst_null_expansion"])
-        worst_j = max(worst_j, rep["worst_j_invariance"])
-        min_ls = min(min_ls, rep["min_lstsq_resid"])
-    ok = worst_null <= 1e-12 and worst_j <= 1e-12 and min_ls >= 0.5
-    _report(8, ok, "null_expansion=%.3g j_invariance=%.3g lstsq_margin=%.3g"
-            % (worst_null, worst_j, min_ls))
+    check = checks.quaternionic_null_vector(
+        [rankone.lemma51_check(m, 20) for m in (1, 2)])
+    margins = check["residual"].values()
+    _report(8, check["pass"], "null_expansion=%.3g j_invariance=%.3g lstsq_margin=%.3g"
+            % (max(r["worst_null_expansion"] for r in margins),
+               max(r["worst_j_invariance"] for r in margins),
+               min(r["min_lstsq_resid"] for r in margins)))
 
 
 def test_criterion_9_mesh_convergence(pipe3, pipe4):
@@ -154,12 +143,11 @@ def test_criterion_9_mesh_convergence(pipe3, pipe4):
     ok = True
     details = []
     for name, pipe in (("level3", pipe3), ("level4", pipe4)):
-        spec = wedge.spectrum(pipe["Q"], TAU_REL, strict=False)
-        counts_ok = (spec.num_negative, spec.num_zero, spec.num_positive) == (9, 6, 0)
-        sym_ok = max(pipe["tensor"].residuals().values()) <= 1e-9
-        ok = ok and counts_ok and sym_ok and spec.gap_ratio >= 1e2
-        details.append("%s counts=%d/%d/%d" % (name, spec.num_negative,
-                                               spec.num_zero, spec.num_positive))
+        check = _kernel_check(pipe["Q"])
+        counts = check["residual"]["counts"]
+        ok = (ok and check["pass"] and counts == [9, 6, 0]
+              and checks.tensor_symmetries(pipe["tensor"])["pass"])
+        details.append("%s counts=%d/%d/%d" % (name, *counts))
     scale = np.abs(pipe4["Q"].matrix).max()
     drift = np.abs(pipe3["Q"].matrix - pipe4["Q"].matrix).max() / scale
     ok = ok and drift <= 0.05

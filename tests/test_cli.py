@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wpcurv import cli
+from wpcurv import checks, cli
 
 
 def test_config_validation():
@@ -79,11 +79,20 @@ def test_rankone_exit_code(tmp_path):
     assert code == 1
 
 
+def test_subcommands_reject_stage(tmp_path, capsys):
+    """Only `run` selects stages; the other subcommands are one stage each."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["surrogate", "--stage", "rankone", "--seeds", "2",
+                  "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stage" in capsys.readouterr().err
+
+
 def test_surrogate_stage(tmp_path):
     cfg = cli.RunConfig(stage="surrogate", seeds=3, out=str(tmp_path / "out"))
     report = cli.run(cfg)
-    # the surrogate stage emits artifacts but no pass/fail checks of its
-    # own; pass status is vacuously true
+    # the sweep's kernel dimensions are the stage's one check
+    assert set(report["checks"]) == {"surrogate_spectrum"}
     assert report["all_pass"]
     payload = json.loads((tmp_path / "out" / "surrogate.json").read_text())
     assert payload["num_seeds"] == 3
@@ -92,8 +101,8 @@ def test_surrogate_stage(tmp_path):
 
 
 def test_surface_stage_and_determinism(tmp_path):
-    """Two identical surface runs produce identical reports and all
-    surface checks pass."""
+    """Two identical surface runs produce identical reports, and they report
+    exactly the registry's surface-stage checks, all passing."""
     cfg1 = cli.RunConfig(stage="surface", mesh_level=2, seeds=3,
                          out=str(tmp_path / "a"))
     cfg2 = cli.RunConfig(stage="surface", mesh_level=2, seeds=3,
@@ -101,6 +110,8 @@ def test_surface_stage_and_determinism(tmp_path):
     r1, r2 = cli.run(cfg1), cli.run(cfg2)
     assert r1["checks"] == r2["checks"]
     assert r1["all_pass"]
+    assert set(r1["checks"]) == set(checks.CHECK_DESCRIPTIONS) - {
+        "surrogate_spectrum", "quaternionic_null_vector"}
     assert len(r1["checks"]) == 9
     for name in ("group.json", "mesh.json", "green.json", "tensor.json",
                  "spectrum.json", "spectrum.csv", "green.bin", "report.json"):

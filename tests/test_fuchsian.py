@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from wpcurv.errors import NearPole, UnsupportedGenus
 from wpcurv.fuchsian import (MobiusMap, enumerate_words, hyperbolic_distance,
@@ -202,6 +203,17 @@ def test_ball_prefix_equals_shorter_enumeration():
         assert np.array_equal(big.ball(5), big.matrices)
     with pytest.raises(ValueError):
         big.ball(6)
+
+
+def test_word_ball_has_no_near_duplicates(words8):
+    """Deduplication rounds to DEDUP_DECIMALS, which can split equal elements
+    across a rounding boundary; no two stored elements, nor an element and
+    the negative of another (the same projective map), lie within 1e-6."""
+    coords = words8.matrices.view(np.float64).reshape(len(words8), 8)
+    tree = cKDTree(coords)
+    assert tree.query_pairs(1e-6) == set()
+    dist, _ = tree.query(-coords, distance_upper_bound=1e-6)
+    assert np.isinf(dist).all()
 
 
 def test_negative_length_rejected():
