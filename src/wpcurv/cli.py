@@ -84,7 +84,7 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     surface.export_mesh_json(surf, os.path.join(outdir, "mesh.json"))
     _stamp(os.path.join(outdir, "mesh.json"), cfg_hash)
 
-    fields = [qdiff.beltrami_from_qdiff(q, surf) for q in basis_q]
+    fields = qdiff.beltrami_from_qdiff(basis_q, surf)
     gram = qdiff.gram_matrix(fields, surf)
     fields, gram, _ = qdiff.orthonormalize(fields, gram)
 

@@ -42,7 +42,8 @@ class KernelBudget(WpcurvError):
 
 
 class SymmetryViolation(WpcurvError):
-    """A curvature-tensor symmetry residual exceeds tolerance."""
+    """A symmetry residual exceeds tolerance: a curvature-tensor index
+    symmetry, or the rotation law of the series basis."""
 
 
 class TypeImbalance(WpcurvError):

@@ -273,9 +273,9 @@ def _dedup_keys(mats: np.ndarray):
     normed = _sign_normalize(mats)
     flat = normed.reshape(len(mats), 4)
     r = np.round(np.concatenate([flat.real, flat.imag], axis=1), DEDUP_DECIMALS)
-    # quantize -0.0 to 0.0 so the rounded tuples hash consistently
-    r = r + 0.0
-    return [tuple(row) for row in r]
+    # quantize -0.0 to 0.0 so equal rounded rows have equal bytes
+    r = np.ascontiguousarray(r + 0.0)
+    return r.view(np.dtype((np.void, r.itemsize * r.shape[1]))).reshape(-1)
 
 
 def enumerate_words(group: FuchsianGroup, L: int, *, norm_cap: float | None = None,
@@ -294,7 +294,7 @@ def enumerate_words(group: FuchsianGroup, L: int, *, norm_cap: float | None = No
     step = np.array([g.mat for g in group.side_generator_words()])
 
     frontier = np.eye(2, dtype=complex)[None]
-    seen = set(_dedup_keys(frontier))
+    seen = _dedup_keys(frontier)
     shells = [frontier]
     total = 1
     for _ in range(L):
@@ -302,13 +302,12 @@ def enumerate_words(group: FuchsianGroup, L: int, *, norm_cap: float | None = No
         if norm_cap is not None:
             children = children[np.abs(children[:, 0, 0]) <= norm_cap]
         keys = _dedup_keys(children)
-        fresh = []
-        for idx, key in enumerate(keys):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(idx)
-        if not fresh:
+        # first occurrence of each key, in child order, unless seen before
+        fresh = np.sort(np.unique(keys, return_index=True)[1])
+        fresh = fresh[~np.isin(keys[fresh], seen)]
+        if not len(fresh):
             break
+        seen = np.concatenate([seen, keys[fresh]])
         frontier = _sign_normalize(children[fresh])
         total += len(frontier)
         if total > cap:

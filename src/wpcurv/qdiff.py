@@ -7,12 +7,23 @@ monomials over the (truncated) group:
 
     theta_k(z) = sum_{gamma in words} (gamma z)^k * gamma'(z)^2 .
 
-The regular octagon has an order-8 rotational symmetry R about the
-origin that normalizes the group, and theta_k transforms under R with
-character exp(i (k+2) pi/4).  The characters realized by the actual
+The regular octagon has an order-8 rotational symmetry R(z) = omega z,
+omega = exp(i pi/4), about the origin that normalizes the group: the word
+ball is closed under gamma -> R gamma R^-1, which keeps word length and |a|.
+Substituting that conjugate in the sum gives the law
+
+    theta_k(omega z) = omega^k theta_k(z) ,
+
+so the differential theta_k dz^2 transforms with character
+omega^(k+2) = exp(i (k+2) pi/4).  The characters realized by the actual
 3-dimensional space of quadratic differentials are the three for which
 the series does not cancel identically; these are the even monomial
 degrees k = 0, 2, 4 (odd degrees average to zero over the group).
+
+The law lets evaluation fold every point into the sector
+0 <= arg z < pi/4, evaluate the series once per distinct folded point and
+unfold with omega^(jk).  `build_qdiff_basis` certifies the law at the probe
+points on the word set it is given before any folded value is used.
 
 The tangent-space representative is the harmonic Beltrami differential
 mu = conj(theta)/sigma with sigma(z) = 4/(1-|z|^2)^2.
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateBasis
+from .errors import ConvergenceFailure, DegenerateBasis, SymmetryViolation
 from .fuchsian import FuchsianGroup, GroupWordSet, enumerate_words
 
 #: monomial degrees whose averaged series survive the rotation symmetry
@@ -40,7 +51,12 @@ PROBE_RADIUS = 0.35
 #: default norm cap for the series word ball (|a| <= cap)
 NORM_CAP_DEFAULT = 400.0
 
-_CHUNK_ELEMS = 8_000_000  # max elements-x-nodes per evaluation chunk
+#: max elements-x-points per evaluation chunk: each temporary is 4 MB; at
+#: 8,000,000 (128 MB temporaries) a third of a level-3 run was system time
+_CHUNK_ELEMS = 250_000
+
+#: relative tolerance of the folded-versus-direct certificate at the probes
+SYMMETRY_TOL = 1e-12
 
 
 def probe_points(num: int = 12, radius: float = PROBE_RADIUS) -> np.ndarray:
@@ -50,22 +66,50 @@ def probe_points(num: int = 12, radius: float = PROBE_RADIUS) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _series(mats: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
-    """Evaluate sum_gamma (gamma z)^k gamma'(z)^2 over the matrix array."""
+def _series(mats: np.ndarray, z: np.ndarray, degrees) -> np.ndarray:
+    """Evaluate sum_gamma (gamma z)^k gamma'(z)^2 over the matrix array for
+    every k in `degrees` in one pass; returns shape (len(degrees), len(z))."""
     z = np.asarray(z, dtype=complex).reshape(-1)
-    out = np.zeros(len(z), dtype=complex)
+    row = {k: i for i, k in enumerate(degrees)}
+    out = np.zeros((len(degrees), len(z)), dtype=complex)
+    step = 2 if all(k % 2 == 0 for k in row) else 1
+    kmax = max(row)
     a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
     chunk = max(1, _CHUNK_ELEMS // max(1, len(z)))
     for lo in range(0, len(mats), chunk):
         sl = slice(lo, lo + chunk)
-        den = np.multiply.outer(c[sl], z) + d[sl][:, None]
-        dz2 = 1.0 / (den * den)
-        term = dz2 * dz2
-        if k:
-            gz = (np.multiply.outer(a[sl], z) + b[sl][:, None]) / den
-            term = gz**k * term
-        out += term.sum(axis=0)
+        inv = np.multiply.outer(c[sl], z)
+        inv += d[sl][:, None]
+        np.reciprocal(inv, out=inv)
+        term = inv * inv
+        term *= term
+        if kmax:
+            gz = np.multiply.outer(a[sl], z)
+            gz += b[sl][:, None]
+            gz *= inv
+            if step == 2:
+                gz *= gz
+        for k in range(0, kmax + 1, step):
+            if k in row:
+                out[row[k]] += term.sum(axis=0)
+            if k < kmax:
+                term *= gz
     return out
+
+
+def _folded_series(mats: np.ndarray, z: np.ndarray, degrees) -> np.ndarray:
+    """`_series` through the rotation law theta_k(omega^j w) =
+    omega^(jk) theta_k(w): each point is rotated into 0 <= arg < pi/4, the
+    series is evaluated once per distinct folded point (coordinates rounded
+    to 12 decimals) and the character restores the original point's value."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    j = np.floor(np.angle(z) / (np.pi / 4)).astype(int) % 8
+    w = z * np.exp(-1j * np.pi / 4 * j)
+    keys = np.round(np.stack([w.real, w.imag], axis=1), 12) + 0.0
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    vals = _series(mats, w[first], degrees)[:, inverse.reshape(-1)]
+    return vals * np.exp(1j * np.pi / 4 * (np.outer(degrees, j) % 8))
 
 
 @dataclass
@@ -77,7 +121,7 @@ class QuadDifferential:
 
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)
-        vals = _series(self.word_set.matrices, z.reshape(-1), self.monomial_degree)
+        vals = _folded_series(self.word_set.matrices, z, (self.monomial_degree,))[0]
         return vals[0] if z.ndim == 0 else vals.reshape(z.shape)
 
     def automorphy_residual(self, group: FuchsianGroup, probes=None) -> float:
@@ -129,7 +173,10 @@ def build_qdiff_basis(group: FuchsianGroup, L: int = 8, *,
     The tail estimate compares the word set's evaluations with those of its
     own (L-1)-ball (same norm cap) at the probe points; if the increment
     exceeds eps_auto, the truncation cannot support the requested tolerance
-    and ConvergenceFailure is raised.
+    and ConvergenceFailure is raised.  The rotation law that evaluation
+    folds through is certified at the same probes: folded and direct values
+    of the word set must agree to SYMMETRY_TOL, or SymmetryViolation is
+    raised.
     Linear independence is certified downstream by the Gram matrix rank.
     """
     if L < 4:
@@ -139,23 +186,32 @@ def build_qdiff_basis(group: FuchsianGroup, L: int = 8, *,
     basis = [QuadDifferential(k, word_set) for k in SEED_DEGREES]
 
     probes = probe_points()
-    inner = word_set.ball(L - 1)
-    for q in basis:
-        full = q.evaluate(probes)
-        part = _series(inner, probes, q.monomial_degree)
-        inc = np.abs(full - part) / np.maximum(1.0, np.abs(full))
-        if inc.max() > eps_auto:
+    full = _series(word_set.matrices, probes, SEED_DEGREES)
+    scale = np.maximum(1.0, np.abs(full))
+    folded = _folded_series(word_set.matrices, probes, SEED_DEGREES)
+    sym = np.abs(folded - full) / scale
+    if sym.max() > SYMMETRY_TOL:
+        raise SymmetryViolation(
+            "folded and direct series differ by %.3g at the probes (tolerance %.3g)"
+            % (sym.max(), SYMMETRY_TOL))
+    inc = np.abs(full - _series(word_set.ball(L - 1), probes, SEED_DEGREES)) / scale
+    for k, row in zip(SEED_DEGREES, inc):
+        if row.max() > eps_auto:
             raise ConvergenceFailure(
                 "degree-%d series tail increment %.3g exceeds %.3g"
-                % (q.monomial_degree, inc.max(), eps_auto))
+                % (k, row.max(), eps_auto))
     return basis
 
 
-def beltrami_from_qdiff(q: QuadDifferential, surface) -> BeltramiField:
-    """Sample mu = conj(theta)/sigma at the surface quadrature nodes."""
+def beltrami_from_qdiff(basis: list[QuadDifferential], surface) -> list[BeltramiField]:
+    """Sample mu = conj(theta)/sigma of every basis element at the surface
+    quadrature nodes, in one folded pass over their shared word set."""
+    if not basis or any(q.word_set is not basis[0].word_set for q in basis):
+        raise ValueError("basis elements must share one word set")
     z = surface.nodes
-    theta = q.evaluate(z)
-    return BeltramiField(np.conj(theta) * (1 - np.abs(z) ** 2) ** 2 / 4)
+    theta = _folded_series(basis[0].word_set.matrices, z,
+                           [q.monomial_degree for q in basis])
+    return [BeltramiField(np.conj(t) * (1 - np.abs(z) ** 2) ** 2 / 4) for t in theta]
 
 
 def gram_matrix(fields: list[BeltramiField], surface) -> GramMatrix:

@@ -38,7 +38,7 @@ def surf4(group):
 
 
 def _pipeline(basis, surf):
-    fields_raw = [qdiff.beltrami_from_qdiff(q, surf) for q in basis]
+    fields_raw = qdiff.beltrami_from_qdiff(basis, surf)
     gram_raw = qdiff.gram_matrix(fields_raw, surf)
     fields, gram, C = qdiff.orthonormalize(fields_raw, gram_raw)
     P = curvature.pairing_table(fields, surf)

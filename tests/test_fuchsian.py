@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from wpcurv.errors import NearPole, UnsupportedGenus
-from wpcurv.fuchsian import (MobiusMap, enumerate_words, hyperbolic_distance,
-                             identity_map, in_fundamental_domain,
-                             octagon_group, rotation)
+from wpcurv.fuchsian import (DEDUP_DECIMALS, MobiusMap, _dedup_keys,
+                             _sign_normalize, enumerate_words,
+                             hyperbolic_distance, identity_map,
+                             in_fundamental_domain, octagon_group, rotation)
 
 
 def disk_points(max_radius=0.9):
@@ -214,6 +215,58 @@ def test_word_ball_has_no_near_duplicates(words8):
     assert tree.query_pairs(1e-6) == set()
     dist, _ = tree.query(-coords, distance_upper_bound=1e-6)
     assert np.isinf(dist).all()
+
+
+def test_word_ball_closed_under_rotation(words8):
+    """Conjugation by the octagon rotation permutes the word ball: it carries
+    g_k to g_(k+1) and g_3 to g_0^-1 and keeps |a|.  The series evaluation
+    folds points through this symmetry."""
+    r = rotation(np.pi / 4).mat
+    rotated = r @ words8.matrices @ np.linalg.inv(r)
+    assert np.array_equal(np.sort(_dedup_keys(words8.matrices)),
+                          np.sort(_dedup_keys(rotated)))
+
+
+def _reference_ball(G, L, norm_cap):
+    """Breadth-first ball deduplicated through a Python set of rounded
+    coordinate tuples, one child at a time."""
+    step = np.array([g.mat for g in G.side_generator_words()])
+
+    def key(m):
+        m = _sign_normalize(m[None])[0].reshape(4)
+        row = np.round(np.concatenate([m.real, m.imag]), DEDUP_DECIMALS) + 0.0
+        return tuple(row)
+
+    frontier = [np.eye(2, dtype=complex)]
+    seen = {key(frontier[0])}
+    shells = [frontier]
+    for _ in range(L):
+        fresh = []
+        for m in frontier:
+            for s in step:
+                child = m @ s
+                if norm_cap is not None and abs(child[0, 0]) > norm_cap:
+                    continue
+                k = key(child)
+                if k not in seen:
+                    seen.add(k)
+                    fresh.append(_sign_normalize(child[None])[0])
+        if not fresh:
+            break
+        frontier = fresh
+        shells.append(fresh)
+    return np.array([m for sh in shells for m in sh]), tuple(map(len, shells))
+
+
+def test_enumerate_words_matches_set_dedup():
+    G = octagon_group(2)
+    for cap in (None, 50.0):
+        mats, sizes = _reference_ball(G, 5, cap)
+        ball = enumerate_words(G, 5, norm_cap=cap)
+        assert ball.shell_sizes == sizes
+        # the reference multiplies with `@`, which rounds differently
+        err = np.abs(ball.matrices - mats).max(axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.abs(mats).max(axis=(1, 2)))
 
 
 def test_negative_length_rejected():

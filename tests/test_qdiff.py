@@ -1,10 +1,12 @@
 """Series basis, automorphy, Beltrami sampling and Gram-matrix tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wpcurv import qdiff
-from wpcurv.errors import ConvergenceFailure, DegenerateBasis
+from wpcurv.errors import ConvergenceFailure, DegenerateBasis, SymmetryViolation
 from wpcurv.fuchsian import enumerate_words
 
 
@@ -43,21 +45,47 @@ def test_overtight_tolerance_rejected(group, words8):
 
 def test_tail_check_uses_word_set_cap(group, monkeypatch):
     """The tail check compares the word set against its own (L-1)-ball,
-    built with the word set's norm cap, not the default cap."""
+    built with the word set's norm cap, not the default cap, evaluating
+    that ball once for all seed degrees."""
     words = enumerate_words(group, 5, norm_cap=50.0)
     inner = enumerate_words(group, 4, norm_cap=50.0).matrices
     seen = []
     original = qdiff._series
 
-    def spy(mats, z, k):
-        seen.append(mats)
-        return original(mats, z, k)
+    def spy(mats, z, degrees):
+        seen.append((mats, tuple(degrees)))
+        return original(mats, z, degrees)
 
     monkeypatch.setattr(qdiff, "_series", spy)
     qdiff.build_qdiff_basis(group, 5, word_set=words, eps_auto=np.inf)
-    partial = [m for m in seen if len(m) != len(words)]
-    assert len(partial) == len(qdiff.SEED_DEGREES)
-    assert all(np.array_equal(m, inner) for m in partial)
+    partial = [(m, k) for m, k in seen if len(m) != len(words)]
+    assert len(partial) == 1
+    assert np.array_equal(partial[0][0], inner)
+    assert partial[0][1] == qdiff.SEED_DEGREES
+
+
+def test_folded_series_equals_direct(group, words8, surf3):
+    """Evaluation through the rotation law agrees with the direct sum, for
+    odd degrees too, at the probes, inside |z| <= 0.9, at mesh nodes and
+    at the octagon vertices."""
+    rng = np.random.default_rng(0)
+    disk = 0.9 * np.sqrt(rng.uniform(size=64)) * np.exp(
+        2j * np.pi * rng.uniform(size=64))
+    z = np.concatenate([qdiff.probe_points(), disk, surf3.nodes[::8],
+                        group.vertices])
+    degrees = range(5)
+    direct = qdiff._series(words8.matrices, z, degrees)
+    folded = qdiff._folded_series(words8.matrices, z, degrees)
+    rel = np.abs(folded - direct) / np.maximum(1.0, np.abs(direct))
+    assert rel.max() <= 1e-12
+
+
+def test_rotation_law_certified(group, words8):
+    """A word set that is not closed under the octagon rotation fails the
+    symmetry certificate of the basis constructor."""
+    lopsided = dataclasses.replace(words8, matrices=words8.matrices[:-1000])
+    with pytest.raises(SymmetryViolation):
+        qdiff.build_qdiff_basis(group, 8, word_set=lopsided, eps_auto=np.inf)
 
 
 def test_odd_degree_series_vanishes(words8):
@@ -85,10 +113,18 @@ def test_beltrami_invariance(group, basis, surf3):
 
 
 def test_beltrami_bounded(basis, surf3):
-    for q in basis:
-        f = qdiff.beltrami_from_qdiff(q, surf3)
+    fields = qdiff.beltrami_from_qdiff(basis, surf3)
+    assert len(fields) == len(basis)
+    for f in fields:
         assert np.all(np.isfinite(f.values))
         assert np.abs(f.values).max() < 1e3
+
+
+def test_beltrami_rejects_mixed_word_sets(group, words8, surf3):
+    other = enumerate_words(group, 4)
+    mixed = [qdiff.QuadDifferential(0, words8), qdiff.QuadDifferential(2, other)]
+    with pytest.raises(ValueError):
+        qdiff.beltrami_from_qdiff(mixed, surf3)
 
 
 def test_gram_hermitian_posdef(pipe3):
