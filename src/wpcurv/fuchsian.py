@@ -18,6 +18,7 @@ from .errors import BudgetExceeded, NearPole, UnsupportedGenus
 
 POLE_TOL = 1e-14
 DEDUP_DECIMALS = 8  # rounding used for the 1e-9 entrywise dedup radius
+DOMAIN_BLOCK = 500_000  # points per block of `in_fundamental_domain`
 
 
 class MobiusMap:
@@ -326,17 +327,52 @@ def in_fundamental_domain(group: FuchsianGroup, z, tol: float = 1e-12):
     as to every neighbor center gamma(0); exact ties on a side boundary are
     broken toward the side of smaller index (sides 0..3 keep their points,
     their partners 4..7 do not).  Accepts scalars or arrays.
+
+    Points are taken in blocks of DOMAIN_BLOCK.  Since tanh(d(z, c)/2) =
+    |z - c| / |1 - conj(c) z|, z is closer to 0 than to c iff the real margin
+
+        |z - c|^2 - |z|^2 |1 - conj(c) z|^2
+            = (1 - |z|^2) (|c|^2 (1 + |z|^2) - 2 Re(conj(c) z))
+
+    is positive.  It is at most 4 times the distance margin, so a point
+    whose least real margin is at least 1e-9 in absolute value is decided
+    by its sign; every other point (every near tie) is decided by the
+    distance margins, as is the tie-breaking.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     zf = z.reshape(-1)
     centers = group.neighbor_centers()
-    d0 = hyperbolic_distance(zf, 0)
-    margins = np.array([hyperbolic_distance(zf, c) - d0 for c in centers])
+    inside = np.empty(len(zf), dtype=bool)
+    for lo in range(0, len(zf), DOMAIN_BLOCK):
+        zb = zf[lo:lo + DOMAIN_BLOCK]
+        x, y = zb.real.copy(), zb.imag.copy()
+        r2 = x * x + y * y
+        least = np.full(len(zb), np.inf)
+        for c in centers:
+            m = c.real * x
+            m += c.imag * y
+            m *= -2
+            m += abs(c) ** 2 * (1 + r2)
+            np.minimum(least, m, out=least)
+        least *= 1 - r2
+        inside[lo:lo + DOMAIN_BLOCK] = least > 0
+        near = ~(np.abs(least) >= 1e-9) | (r2 >= 1)     # NaN is near too
+        if np.any(near):
+            idx = lo + np.flatnonzero(near)
+            inside[idx] = _distance_membership(centers, zf[idx], tol)
+    return bool(inside[0]) if scalar else inside.reshape(z.shape)
+
+
+def _distance_membership(centers, z, tol):
+    """Membership from the hyperbolic distance margins, ties broken toward
+    the side of smaller index."""
+    d0 = hyperbolic_distance(z, 0)
+    margins = np.array([hyperbolic_distance(z, c) - d0 for c in centers])
     mmin = margins.min(axis=0)
     inside = mmin > tol
     ties = np.abs(mmin) <= tol
     if np.any(ties):
         first = np.argmax(margins[:, ties] <= tol + mmin[ties], axis=0)
         inside[ties] = first < 4
-    return bool(inside[0]) if scalar else inside.reshape(z.shape)
+    return inside

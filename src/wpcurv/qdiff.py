@@ -23,7 +23,8 @@ degrees k = 0, 2, 4 (odd degrees average to zero over the group).
 The law lets evaluation fold every point into the sector
 0 <= arg z < pi/4, evaluate the series once per distinct folded point and
 unfold with omega^(jk).  `build_qdiff_basis` certifies the law at the probe
-points on the word set it is given before any folded value is used.
+points on the word set it is given, and only `beltrami_from_qdiff`, which
+samples a basis, folds; `QuadDifferential.evaluate` sums directly.
 
 The tangent-space representative is the harmonic Beltrami differential
 mu = conj(theta)/sigma with sigma(z) = 4/(1-|z|^2)^2.
@@ -120,8 +121,9 @@ class QuadDifferential:
     word_set: GroupWordSet
 
     def evaluate(self, z):
+        """The direct series sum at z; it does not assume the rotation law."""
         z = np.asarray(z, dtype=complex)
-        vals = _folded_series(self.word_set.matrices, z, (self.monomial_degree,))[0]
+        vals = _series(self.word_set.matrices, z, (self.monomial_degree,))[0]
         return vals[0] if z.ndim == 0 else vals.reshape(z.shape)
 
     def automorphy_residual(self, group: FuchsianGroup, probes=None) -> float:

@@ -24,6 +24,10 @@ a cross term dominated by the Green term through the Cauchy-Schwarz
 inequality (G positive and symmetric).  The zero locus is exactly the
 antisymmetric cross-block, i.e. the range of (identity - J), where J is
 the involution induced on wedges by the complex structure.
+
+The two-point fields have rank n, so every Green sum is taken from their
+n x N factors, through the weighted kernel WG applied to 4n^2 real node
+vectors: no N x N field is ever formed.
 """
 
 from __future__ import annotations
@@ -213,12 +217,6 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
     return np.block([[a - a.T, b], [zero, c - c.T]])[np.triu_indices(2 * n, 1)]
 
 
-def pair_field(coeff: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Two-point field L[p, q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""
-    coeff = np.asarray(coeff, dtype=complex)
-    return np.conj(mu).T @ (coeff.T @ mu)
-
-
 def weighted_green(surface, green) -> np.ndarray:
     """Green kernel contracted with the quadrature weights on both slots."""
     w = surface.weights
@@ -231,12 +229,34 @@ def _d_term(surface, diag_part: np.ndarray) -> float:
     return float(np.sum(surface.weights * u * diag_part))
 
 
-def _green_quad(WG: np.ndarray, L: np.ndarray) -> tuple[float, float]:
-    """(sum WG |L|^2, Re sum WG L(z,w) L(w,z)) without large complex temps."""
-    Lr, Li = L.real, L.imag
-    mod2 = float(np.sum(WG * (Lr * Lr + Li * Li)))
-    cross = float(np.sum(WG * (Lr * Lr.T)) - np.sum(WG * (Li * Li.T)))
-    return mod2, cross
+def _factor(coeff, mu: np.ndarray) -> np.ndarray:
+    """Right factor nu = coeff^T mu of L[p,q] = sum_j conj(mu_j(p)) nu_j(q)."""
+    return np.asarray(coeff, dtype=complex).T @ mu
+
+
+def _green_sums(mu: np.ndarray, nu_x: np.ndarray, nu_y: np.ndarray,
+                WG: np.ndarray) -> tuple[complex, complex]:
+    """Green sums of two rank-n fields X and Y with right factors nu_x, nu_y:
+
+        bar  = sum_pq WG[p,q] X[p,q] conj(Y[p,q])
+             = sum_jl sum_p conj(mu_j) mu_l (p) (WG nu_x,j conj(nu_y,l))(p),
+        swap = sum_pq WG[p,q] X[p,q] Y[q,p]
+             = sum_jl sum_p conj(mu_j) nu_y,l (p) (WG nu_x,j conj(mu_l))(p),
+
+    with (WG v)(p) = sum_q WG[p,q] v(q).  The real and imaginary parts of
+    the 2n^2 complex node vectors v (4n^2 real rows) meet WG in one GEMM;
+    no N x N field is formed, and WG need not be symmetric.
+    """
+    n, N = mu.shape
+    mu_bar = np.conj(mu)
+    v = np.concatenate([(nu_x[:, None] * np.conj(nu_y)[None]).reshape(-1, N),
+                        (nu_x[:, None] * mu_bar[None]).reshape(-1, N)])
+    Wv = np.concatenate([v.real, v.imag]) @ WG.T
+    Wv = Wv[:len(v)] + 1j * Wv[len(v):]
+    left = np.concatenate([(mu_bar[:, None] * mu[None]).reshape(-1, N),
+                           (mu_bar[:, None] * nu_y[None]).reshape(-1, N)])
+    sums = np.einsum("kp,kp->k", left, Wv)
+    return complex(sums[:n * n].sum()), complex(sums[n * n:].sum())
 
 
 def q_cross_term(a, b, fields, surface, green, *, WG=None) -> float:
@@ -244,15 +264,13 @@ def q_cross_term(a, b, fields, surface, green, *, WG=None) -> float:
     mu = np.array([f.values for f in fields])
     if WG is None:
         WG = weighted_green(surface, green)
-    F = pair_field(a, mu)
-    H = pair_field(b, mu)
-    u = surface_mod.apply_D(surface, np.diag(F).imag)
-    t1 = -4 * float(np.sum(surface.weights * u * np.diag(H).real))
-    Fr, Fi, Hr, Hi = F.real, F.imag, H.real, H.imag
-    # Im sum WG F conj(H) and Im sum WG F(z,w) H(w,z), real arithmetic
-    im_fh_bar = float(np.sum(WG * (Fi * Hr - Fr * Hi)))
-    im_fh_swap = float(np.sum(WG * (Fr * Hi.T)) + np.sum(WG * (Fi * Hr.T)))
-    return t1 - 2 * im_fh_bar - 2 * im_fh_swap
+    nu_f, nu_h = _factor(a, mu), _factor(b, mu)
+    u = surface_mod.apply_D(surface, np.sum(np.conj(mu) * nu_f, axis=0).imag)
+    t1 = -4 * float(np.sum(surface.weights * u
+                           * np.sum(np.conj(mu) * nu_h, axis=0).real))
+    # Im sum WG F conj(H) and Im sum WG F(z,w) H(w,z)
+    fh_bar, fh_swap = _green_sums(mu, nu_f, nu_h, WG)
+    return t1 - 2 * fh_bar.imag - 2 * fh_swap.imag
 
 
 def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
@@ -260,7 +278,8 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
 
     The yy-block is folded into the xx-block first (d = a + c; the wedge
     involution J sends xx-wedges to yy-wedges and preserves Q), then the
-    three-term combined formula is evaluated with L = F_d + i H.
+    three-term combined formula is evaluated with L = F_d + i H, whose
+    right factor is (d + i b)^T mu.
     """
     mu = np.array([f.values for f in fields])
     n = len(mu)
@@ -269,11 +288,10 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     c = np.asarray(coeffs.get("c", np.zeros((n, n))), dtype=float)
     if WG is None:
         WG = weighted_green(surface, green)
-    d = a + c
-    L = pair_field(d, mu) + 1j * pair_field(b, mu)
-    t1 = -4 * _d_term(surface, np.diag(L).imag)
-    mod2, cross = _green_quad(WG, L)
-    return t1 - 2 * mod2 + 2 * cross
+    nu = _factor((a + c) + 1j * b, mu)
+    t1 = -4 * _d_term(surface, np.sum(np.conj(mu) * nu, axis=0).imag)
+    mod2, cross = _green_sums(mu, nu, nu, WG)
+    return t1 - 2 * mod2.real + 2 * cross.real
 
 
 def cross_term_consistency(a, b, fields, surface, green, *, WG=None) -> dict:
@@ -297,13 +315,13 @@ def cross_term_consistency(a, b, fields, surface, green, *, WG=None) -> dict:
     }
 
 
-def cauchy_schwarz_slack(L: np.ndarray, WG: np.ndarray) -> dict:
-    """|sum WG L(z,w) L(w,z)|  <=  sum WG |L(z,w)|^2 (G positive, symmetric)."""
-    Lr, Li = L.real, L.imag
-    lhs_re = float(np.sum(WG * (Lr * Lr.T)) - np.sum(WG * (Li * Li.T)))
-    lhs_im = float(np.sum(WG * (Lr * Li.T)) + np.sum(WG * (Li * Lr.T)))
-    rhs = float(np.sum(WG * (Lr * Lr + Li * Li)))
-    return {"lhs_abs": abs(complex(lhs_re, lhs_im)), "rhs": rhs}
+def cauchy_schwarz_slack(coeff, mu: np.ndarray, WG: np.ndarray) -> dict:
+    """|sum WG L(z,w) L(w,z)|  <=  sum WG |L(z,w)|^2 (G positive, symmetric)
+    for L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""
+    mu = np.asarray(mu, dtype=complex)
+    nu = _factor(coeff, mu)
+    rhs, lhs = _green_sums(mu, nu, nu, WG)
+    return {"lhs_abs": abs(lhs), "rhs": rhs.real}
 
 
 def export_spectrum_json(report: SpectrumReport, kernel_report: dict, path):

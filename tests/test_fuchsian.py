@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from wpcurv.errors import NearPole, UnsupportedGenus
-from wpcurv.fuchsian import (DEDUP_DECIMALS, MobiusMap, _dedup_keys,
+from wpcurv.fuchsian import (DEDUP_DECIMALS, DOMAIN_BLOCK, MobiusMap,
+                             _dedup_keys, _distance_membership,
                              _sign_normalize, enumerate_words,
                              hyperbolic_distance, identity_map,
                              in_fundamental_domain, octagon_group, rotation)
@@ -282,6 +283,36 @@ def test_origin_and_far_point_membership():
     G = octagon_group(2)
     assert in_fundamental_domain(G, 0.0)
     assert not in_fundamental_domain(G, 0.95)
+
+
+def test_side_ties_broken_by_side_index():
+    """Side midpoints are exact ties: sides 0..3 keep them, 4..7 do not;
+    a step of 1e-6 along the ray decides by the sign alone."""
+    G = octagon_group(2)
+    centers = G.neighbor_centers()
+    mids = centers / np.abs(centers) * np.tanh(np.arctanh(np.abs(centers)) / 2)
+    assert list(in_fundamental_domain(G, mids)) == [True] * 4 + [False] * 4
+    assert np.all(in_fundamental_domain(G, mids * (1 - 1e-6)))
+    assert not np.any(in_fundamental_domain(G, mids * (1 + 1e-6)))
+
+
+def test_domain_blocks_match_distance_formula():
+    """The blocked real-arithmetic test agrees with the distance margins
+    everywhere, across block ends and at points on every side."""
+    G = octagon_group(2)
+    rng = np.random.default_rng(3)
+    n = DOMAIN_BLOCK + 1000
+    pts = 0.999 * np.sqrt(rng.uniform(size=n)) * np.exp(
+        2j * np.pi * rng.uniform(size=n))
+    # the bisector of 0 and each center: the diameter orthogonal to the
+    # center's ray, translated along that ray to the midpoint
+    centers = G.neighbor_centers()
+    mids = centers / np.abs(centers) * np.tanh(np.arctanh(np.abs(centers)) / 2)
+    w = 1j * centers / np.abs(centers) * rng.uniform(-0.99, 0.99, size=(50, 1))
+    sides = ((w + mids) / (1 + np.conj(mids) * w)).reshape(-1)
+    pts = np.concatenate([pts, sides])
+    expected = _distance_membership(centers, pts, 1e-12)
+    assert np.array_equal(in_fundamental_domain(G, pts), expected)
 
 
 def test_tiling_unique_representative():

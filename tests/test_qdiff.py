@@ -88,6 +88,17 @@ def test_rotation_law_certified(group, words8):
         qdiff.build_qdiff_basis(group, 8, word_set=lopsided, eps_auto=np.inf)
 
 
+def test_evaluate_sums_directly(words8):
+    """evaluate does not fold through the rotation law, so it stays the
+    direct sum on a word set that is not rotation-closed."""
+    lopsided = dataclasses.replace(words8, matrices=words8.matrices[:-1000])
+    probes = qdiff.probe_points()
+    for k in qdiff.SEED_DEGREES:
+        got = qdiff.QuadDifferential(k, lopsided).evaluate(probes)
+        direct = qdiff._series(lopsided.matrices, probes, (k,))[0]
+        assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
+
+
 def test_odd_degree_series_vanishes(words8):
     """Degrees with the wrong rotation character average out."""
     probes = qdiff.probe_points()
@@ -170,7 +181,10 @@ def test_petersson_consistency(basis, pipe3, surf3):
     metric density squared (mu = conj(theta)/sigma exactly)."""
     z = surf3.nodes
     sigma = 4.0 / (1 - np.abs(z) ** 2) ** 2
-    theta = np.array([q.evaluate(z) for q in basis])
+    # the basis is certified, so its nodes are sampled through the fold,
+    # as beltrami_from_qdiff does
+    theta = qdiff._folded_series(basis[0].word_set.matrices, z,
+                                 [q.monomial_degree for q in basis])
     direct = np.einsum("p,ip,jp->ij", surf3.weights,
                        np.conj(theta) / sigma, theta / sigma)
     g = pipe3["gram_raw"].entries

@@ -133,6 +133,35 @@ def test_green_matches_resolvent(surf3, green3):
         assert np.abs(direct - via_kernel).max() < 1e-8 * np.abs(direct).max()
 
 
+def test_green_blocked_report_equals_full_matrix_formulas(surf3, green3):
+    """The column-blocked solve and report agree with one dense solve and
+    the full-matrix formulas; level 3 spans several blocks."""
+    G = green3.matrix
+    assert surf3.num_nodes > 2 * surface.GREEN_BLOCK
+    gmax = np.abs(G).max()
+    assert green3.report == {
+        "min_entry": float(G.min()),
+        "max_entry": float(gmax),
+        "asymmetry_rel": float(np.abs(G - G.T).max() / gmax),
+        "rowsum_err": float(np.abs(G @ surf3.weights - 1).max()),
+    }
+    dense = surf3.factorization().solve(2 * np.eye(surf3.num_nodes))
+    assert np.abs(G - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_green_kernel_applies_D_to_roundoff(level, surf3, surf4, green3):
+    """sum_q G[p,q] w_q f(q) = (Df)(p) holds to roundoff, not exactly."""
+    surf = surf3 if level == 3 else surf4
+    green = green3 if level == 3 else surface.green_kernel(surf4)
+    rng = np.random.default_rng(level)
+    for _ in range(5):
+        f = rng.standard_normal(surf.num_nodes)
+        direct = surface.apply_D(surf, f)
+        err = np.abs(green.apply(surf, f) - direct).max()
+        assert err <= 1e-13 * np.abs(direct).max()
+
+
 def test_green_report(green3):
     rep = green3.report
     assert rep["min_entry"] > 0

@@ -1,11 +1,13 @@
 """Wedge-space operator Q: assembly, involution, spectrum, integral forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcurv import wedge
+from wpcurv import qdiff, surface, wedge
 from wpcurv.curvature import CurvatureTensor
 from wpcurv.errors import KernelDimMismatch, PositiveModeDetected
 
@@ -126,16 +128,116 @@ def test_wedge_vector_roundtrip():
     assert x[index[(2, 3)]] == pytest.approx(0.0)   # no c part
 
 
-def test_pair_field_oracle():
+def test_green_sums_oracle():
+    """The factored Green sums equal explicit double sums over the nodes,
+    for a non-symmetric weighted kernel."""
     rng = np.random.default_rng(0)
-    mu = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-    coeff = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    L = wedge.pair_field(coeff, mu)
-    for p in range(5):
-        for q in range(5):
-            ref = sum(coeff[i, j] * mu[i, q] * np.conj(mu[j, p])
-                      for i in range(2) for j in range(2))
-            assert L[p, q] == pytest.approx(ref)
+    n, N = 2, 5
+    mu = rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N))
+    cx = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    cy = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    WG = rng.standard_normal((N, N))
+
+    def field(coeff, p, q):
+        return sum(coeff[i, j] * mu[i, q] * np.conj(mu[j, p])
+                   for i in range(n) for j in range(n))
+
+    bar = sum(WG[p, q] * field(cx, p, q) * np.conj(field(cy, p, q))
+              for p in range(N) for q in range(N))
+    swap = sum(WG[p, q] * field(cx, p, q) * field(cy, q, p)
+               for p in range(N) for q in range(N))
+    got = wedge._green_sums(mu, wedge._factor(cx, mu), wedge._factor(cy, mu), WG)
+    assert got[0] == pytest.approx(bar, rel=1e-13)
+    assert got[1] == pytest.approx(swap, rel=1e-13)
+
+
+# dense N x N oracles: the integral path as it was written before the Green
+# sums were factored.  Each returns its value and the magnitudes of its
+# terms, the complex Green sums in full: roundoff scales with those, and
+# on the octagon fields the cross term keeps about 1e-7 of them.
+
+
+def _dense_field(coeff, mu):
+    return np.conj(mu).T @ (np.asarray(coeff, dtype=complex).T @ mu)
+
+
+def _dense_integral_Q(coeffs, mu, surf, WG):
+    zero = np.zeros((len(mu), len(mu)))
+    a, b, c = (coeffs.get(key, zero) for key in "abc")
+    L = _dense_field(a + c, mu) + 1j * _dense_field(b, mu)
+    u = surface.apply_D(surf, np.diag(L).imag)
+    t1 = -4 * np.sum(surf.weights * u * np.diag(L).imag)
+    mod2 = np.sum(WG * np.abs(L) ** 2)
+    cross = np.sum(WG * (L * L.T))
+    return t1 - 2 * mod2 + 2 * cross.real, abs(t1) + 2 * mod2 + 2 * abs(cross)
+
+
+def _dense_cross_term(a, b, mu, surf, WG):
+    F, H = _dense_field(a, mu), _dense_field(b, mu)
+    u = surface.apply_D(surf, np.diag(F).imag)
+    t1 = -4 * np.sum(surf.weights * u * np.diag(H).real)
+    fh_bar = np.sum(WG * F * np.conj(H))
+    fh_swap = np.sum(WG * F * H.T)
+    return (t1 - 2 * fh_bar.imag - 2 * fh_swap.imag,
+            abs(t1) + 2 * abs(fh_bar) + 2 * abs(fh_swap))
+
+
+def _generic_fields(surf, seed):
+    """mu = conj(theta) (1 - |z|^2)^2 / 4, theta of degree 6."""
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    z = surf.nodes
+    return [qdiff.BeltramiField(np.conj(np.polynomial.polynomial.polyval(z, c))
+                                * (1 - np.abs(z) ** 2) ** 2 / 4) for c in theta]
+
+
+@pytest.mark.parametrize("kind", ["octagon", "generic"])
+def test_integral_path_matches_dense_oracle(kind, pipe3, surf3, green3):
+    fields = pipe3["fields"] if kind == "octagon" else _generic_fields(surf3, 5)
+    mu = np.array([f.values for f in fields])
+    WG = wedge.weighted_green(surf3, green3)
+    rng = np.random.default_rng(6)
+    for keys in ("a", "b", "c", "ab", "abc"):
+        coeffs = {key: rng.standard_normal((3, 3)) for key in keys}
+        got = wedge.integral_form_Q(coeffs, fields, surf3, green3, WG=WG)
+        ref, scale = _dense_integral_Q(coeffs, mu, surf3, WG)
+        assert abs(got - ref) <= 1e-13 * scale
+    for _ in range(3):
+        a, b = rng.standard_normal((2, 3, 3))
+        got = wedge.q_cross_term(a, b, fields, surf3, green3, WG=WG)
+        ref, scale = _dense_cross_term(a, b, mu, surf3, WG)
+        assert abs(got - ref) <= 1e-13 * scale
+        coeff = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        L = _dense_field(coeff, mu)
+        rep = wedge.cauchy_schwarz_slack(coeff, mu, WG)
+        assert rep["lhs_abs"] == pytest.approx(abs(np.sum(WG * L * L.T)), rel=1e-13)
+        assert rep["rhs"] == pytest.approx(np.sum(WG * np.abs(L) ** 2), rel=1e-13)
+
+
+def test_integral_path_forms_no_node_square_array(pipe3, surf3, green3):
+    """With WG given, no call of the integral path allocates 8 N^2 bytes,
+    the size of one real N x N array."""
+    fields = pipe3["fields"]
+    mu = np.array([f.values for f in fields])
+    WG = wedge.weighted_green(surf3, green3)
+    rng = np.random.default_rng(7)
+    coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
+    calls = [
+        lambda: wedge.integral_form_Q(coeffs, fields, surf3, green3, WG=WG),
+        lambda: wedge.q_cross_term(coeffs["a"], coeffs["b"], fields, surf3,
+                                   green3, WG=WG),
+        lambda: wedge.cauchy_schwarz_slack(coeffs["a"] + 1j * coeffs["b"], mu, WG),
+    ]
+    budget = 8 * surf3.num_nodes ** 2
+    for call in calls:
+        call()                          # the LU factorization is built once
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
 
 def test_integral_antisymmetric_cross_block_vanishes(pipe3, surf3, green3):
@@ -177,8 +279,7 @@ def test_cauchy_schwarz_slack(pipe3, surf3, green3):
     rng = np.random.default_rng(4)
     for _ in range(50):
         coeff = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        L = wedge.pair_field(coeff, mu)
-        rep = wedge.cauchy_schwarz_slack(L, WG)
+        rep = wedge.cauchy_schwarz_slack(coeff, mu, WG)
         assert rep["lhs_abs"] <= rep["rhs"] * (1 + 1e-12)
 
 
