@@ -18,8 +18,11 @@ hyperbolic mass M = diag(w): Delta_h = -M^-1 K.  The resolvent operator
     D = -2 (Delta - 2)^-1
 
 then solves (K + 2M) u = 2 M f, one sparse factorization reused for all
-right-hand sides, and its Green kernel is G = 2 (K + 2M)^-1, solved in
-column blocks.  G is symmetric up to roundoff, and (Df)(p) = sum_q G[p,q]
+right-hand sides, and its Green kernel is G = 2 (K + 2M)^-1.  G is solved
+once per symmetry orbit of the nodes: the maps z -> e^{ik pi/4} z and
+z -> e^{ik pi/4} conj(z) that carry the glued mesh, w and K onto
+themselves are certified first, and they fill the rows of G that the LU
+solves skip.  G is symmetric up to roundoff, and (Df)(p) = sum_q G[p,q]
 w_q f(q) holds to roundoff, not exactly: the two sides round differently
 (about 2e-15 relative at level 3 and 4e-15 at level 4).
 """
@@ -44,8 +47,8 @@ BASE_REFINEMENTS = 1
 NODE_CAP_DEFAULT = 200_000
 GREEN_BYTES_CAP_DEFAULT = 1_600_000_000
 
-#: columns of G per LU solve; bounds the right-hand side and each
-#: temporary of the Green report to N x GREEN_BLOCK
+#: rows of G per LU solve and per symmetry fill; bounds each temporary
+#: of the Green kernel and its report to N x GREEN_BLOCK
 GREEN_BLOCK = 256
 
 # 7-point degree-5 triangle quadrature (barycentric points and weights)
@@ -77,38 +80,31 @@ def _build_raw(group: FuchsianGroup, passes: int):
     Side s has outward midpoint direction s*pi/4 and connects vertices
     (s-1) mod 8 and s mod 8 of the octagon.
     """
-    verts = group.vertices
-    node_id = {}
-    nodes = []
-
-    def nid(z):
-        key = (round(z.real, 12), round(z.imag, 12))
-        if key not in node_id:
-            node_id[key] = len(nodes)
-            nodes.append(complex(z))
-        return node_id[key]
-
-    center = nid(0j)
-    vids = [nid(v) for v in verts]
+    nodes = [0j] + [complex(v) for v in group.vertices]
+    center, vids = 0, list(range(1, 9))
     tris = [(center, vids[s], vids[(s + 1) % 8]) for s in range(8)]
     bedges = {frozenset((vids[(s - 1) % 8], vids[s % 8])): s for s in range(8)}
+
+    def add(z):
+        nodes.append(complex(z))
+        return len(nodes) - 1
 
     for _ in range(passes):
         newtris = []
         newb = {}
-        midcache = {}
+        midcache = {}           # each edge's midpoint is a new node, made once
 
         def midpoint(i, j):
             key = frozenset((i, j))
             if key in midcache:
                 return midcache[key]
             if key in bedges:
-                m = nid(_hyp_mid(nodes[i], nodes[j]))
+                m = add(_hyp_mid(nodes[i], nodes[j]))
                 s = bedges[key]
                 newb[frozenset((i, m))] = s
                 newb[frozenset((m, j))] = s
             else:
-                m = nid((nodes[i] + nodes[j]) / 2)
+                m = add((nodes[i] + nodes[j]) / 2)
             midcache[key] = m
             return m
 
@@ -122,36 +118,31 @@ def _build_raw(group: FuchsianGroup, passes: int):
 
 
 def _area_weights(nodes, tris):
-    """Lumped hyperbolic-area weights by 7-point quadrature per triangle."""
+    """Lumped hyperbolic-area weights by 7-point quadrature per triangle.
+
+    Terms are summed in (triangle, quadrature point, corner) order.
+    """
+    T = np.asarray(tris)
+    zi, zj, zk = nodes[T].T
+    A = np.abs((zj - zi).real * (zk - zi).imag - (zj - zi).imag * (zk - zi).real) / 2
+    L = np.array(_QUAD_PTS)                                 # (7, 3)
+    z = L[:, :1] * zi + L[:, 1:2] * zj + L[:, 2:] * zk      # (7, M)
+    sig = 4 / (1 - np.hypot(z.real, z.imag) ** 2) ** 2     # hypot: as abs(complex)
+    terms = (np.array(_QUAD_WTS)[:, None] * A * sig).T[:, :, None] * L
     w = np.zeros(len(nodes))
-    for (i, j, k) in tris:
-        zi, zj, zk = nodes[i], nodes[j], nodes[k]
-        area2 = (zj - zi).real * (zk - zi).imag - (zj - zi).imag * (zk - zi).real
-        A = abs(area2) / 2
-        for (l1, l2, l3), qw in zip(_QUAD_PTS, _QUAD_WTS):
-            z = l1 * zi + l2 * zj + l3 * zk
-            sig = 4 / (1 - abs(z) ** 2) ** 2
-            w[i] += qw * A * sig * l1
-            w[j] += qw * A * sig * l2
-            w[k] += qw * A * sig * l3
+    np.add.at(w, np.broadcast_to(T[:, None, :], terms.shape).ravel(), terms.ravel())
     return w
 
 
 def _stiffness(nodes, tris, n):
     """Flat P1 cotangent stiffness matrix (conformally invariant)."""
-    rows, cols, vals = [], [], []
-    for (i, j, k) in tris:
-        p = np.array([[nodes[t].real, nodes[t].imag] for t in (i, j, k)])
-        e = np.array([p[2] - p[1], p[0] - p[2], p[1] - p[0]])
-        area2 = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-        A = abs(area2) / 2
-        Kloc = (e @ e.T) / (4 * A)
-        for a, ia in enumerate((i, j, k)):
-            for b, ib in enumerate((i, j, k)):
-                rows.append(ia)
-                cols.append(ib)
-                vals.append(Kloc[a, b])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    T = np.asarray(tris)
+    p = np.stack([nodes.real, nodes.imag], axis=-1)[T]     # (M, 3, 2)
+    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    A = np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]) / 2
+    Kloc = (e @ e.transpose(0, 2, 1)) / (4 * A)[:, None, None]
+    return sp.csr_matrix((Kloc.ravel(), (np.repeat(T, 3, axis=1).ravel(),
+                                         np.tile(T, 3).ravel())), shape=(n, n))
 
 
 def _glue(group: FuchsianGroup, nodes, bedges):
@@ -304,22 +295,73 @@ class GreenKernel:
         return self.matrix @ (surface.weights * f)
 
 
+def _symmetries(surface: DiscreteSurface) -> np.ndarray:
+    """Node permutations of the dihedral maps that the surface has.
+
+    The candidates are z -> e^{ik pi/4} z and z -> e^{ik pi/4} conj(z),
+    identity first.  A map is kept only if it carries the raw nodes one to
+    one onto raw nodes (to 1e-9), induces a well-defined map of the glued
+    classes, and preserves w and K to 1e-12 relative; the kept maps then
+    fix G as well.  Row g holds the image of each glued node under map g.
+    """
+    raw, _, gid = surface._raw
+    w, K = surface.weights, surface.stiffness
+
+    def grid(z):                    # integer keys on a 1e-9 grid
+        return np.rint(z.real * 1e9) + 1j * np.rint(z.imag * 1e9)
+
+    order = np.argsort(grid(raw))
+    keys = grid(raw)[order]
+    perms = []
+    for z in (raw, raw.conj()):
+        for k in range(8):
+            img = np.exp(1j * np.pi * k / 4) * z
+            hit = order[np.minimum(np.searchsorted(keys, grid(img)), len(raw) - 1)]
+            if np.abs(raw[hit] - img).max() > 1e-9 or np.unique(hit).size < len(raw):
+                continue
+            perm = np.empty(len(w), dtype=np.intp)
+            perm[gid] = gid[hit]
+            if (np.array_equal(perm[gid], gid[hit])
+                    and np.abs(w[perm] - w).max() <= 1e-12 * w.max()
+                    and abs(K[perm][:, perm] - K).max() <= 1e-12 * abs(K).max()):
+                perms.append(perm)
+    return np.array(perms)
+
+
 def green_kernel(surface: DiscreteSurface, *,
                  bytes_cap: int = GREEN_BYTES_CAP_DEFAULT) -> GreenKernel:
     """Dense Green kernel G = 2 (K + 2M)^-1 with a validation report.
 
-    G is solved GREEN_BLOCK columns at a time, and the report is taken
-    without N x N temporaries.
+    G is solved once per symmetry orbit of the nodes: the least node r of
+    each orbit gets row r of G from a transposed LU solve, GREEN_BLOCK
+    representatives at a time, and every other row is filled by the
+    certified permutations of `_symmetries`, G[g(r), :] = G[r, g^-1(:)].
+    No entry is taken from a transpose, so `asymmetry_rel` compares
+    independent solves.  The report is taken without N x N temporaries.
     """
     n = surface.num_nodes
     if 8 * n * n > bytes_cap:
         raise KernelBudget("dense kernel needs %d bytes > cap %d"
                            % (8 * n * n, bytes_cap))
     lu = surface.factorization()
-    blocks = [slice(lo, min(lo + GREEN_BLOCK, n)) for lo in range(0, n, GREEN_BLOCK)]
+    perms = _symmetries(surface)
+    orbit_min = perms.min(axis=0)
+    reps = np.flatnonzero(orbit_min == np.arange(n))
     G = np.empty((n, n))            # C order, as weighted_green and the export read it
-    for blk in blocks:              # columns blk of 2 I
-        G[:, blk] = lu.solve(2 * np.eye(n, blk.stop - blk.start, -blk.start))
+    for lo in range(0, len(reps), GREEN_BLOCK):
+        r = reps[lo:lo + GREEN_BLOCK]            # columns r of 2 I
+        G[r] = lu.solve(2.0 * (np.arange(n)[:, None] == r), trans="T").T
+    # the first map carrying each node's representative onto it (0, the
+    # identity, for the representatives); one exists, since every check of
+    # `_symmetries` holds for a map exactly when it holds for its inverse
+    first = (perms[:, orbit_min] == np.arange(n)).argmax(axis=0)
+    inverse = np.argsort(perms, axis=1)
+    for g in range(1, len(perms)):
+        rows = np.flatnonzero(first == g)
+        for lo in range(0, len(rows), GREEN_BLOCK):
+            s = rows[lo:lo + GREEN_BLOCK]
+            G[s] = G[orbit_min[s]][:, inverse[g]]
+    blocks = [slice(lo, min(lo + GREEN_BLOCK, n)) for lo in range(0, n, GREEN_BLOCK)]
     gmin = G.min()
     gmax = max(G.max(), -gmin)
     asym = max(np.abs(G[:, blk] - G[blk, :].T).max() for blk in blocks)

@@ -1,7 +1,10 @@
 """Mesh, quadrature, Laplacian, resolvent and Green-kernel tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +163,100 @@ def test_green_kernel_applies_D_to_roundoff(level, surf3, surf4, green3):
         direct = surface.apply_D(surf, f)
         err = np.abs(green.apply(surf, f) - direct).max()
         assert err <= 1e-13 * np.abs(direct).max()
+
+
+def _mesh(group, surf3, surf4, level):
+    return {3: surf3, 4: surf4}.get(level) or surface.build_mesh(group, level)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_raw_nodes_distinct(level, group, surf3, surf4):
+    """Each edge midpoint is a new node: no two raw nodes lie within 1e-9."""
+    from scipy.spatial import cKDTree
+
+    raw = _mesh(group, surf3, surf4, level)._raw[0]
+    assert not cKDTree(np.c_[raw.real, raw.imag]).query_pairs(1e-9)
+
+
+def test_mesh_loops_match_per_triangle_reference(surf3):
+    """The vectorized weights and stiffness against per-triangle loops."""
+    nodes, tris, _ = surf3._raw
+    w = np.zeros(len(nodes))
+    rows, cols, vals = [], [], []
+    for (i, j, k) in tris:
+        p = np.array([[nodes[t].real, nodes[t].imag] for t in (i, j, k)])
+        e = np.array([p[2] - p[1], p[0] - p[2], p[1] - p[0]])
+        A = abs(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]) / 2
+        Kloc = (e @ e.T) / (4 * A)
+        for a, ia in enumerate((i, j, k)):
+            for b, ib in enumerate((i, j, k)):
+                rows.append(ia)
+                cols.append(ib)
+                vals.append(Kloc[a, b])
+        for (l1, l2, l3), qw in zip(surface._QUAD_PTS, surface._QUAD_WTS):
+            z = l1 * nodes[i] + l2 * nodes[j] + l3 * nodes[k]
+            sig = 4 / (1 - abs(z) ** 2) ** 2
+            for ia, la in zip((i, j, k), (l1, l2, l3)):
+                w[ia] += qw * A * sig * la
+    K = sp.csr_matrix((vals, (rows, cols)), shape=(len(nodes),) * 2)
+    K_new = surface._stiffness(nodes, tris, len(nodes))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K_new, attr), getattr(K, attr))
+    # the squares are rounded once here, but through pow in the loop
+    assert np.abs(surface._area_weights(nodes, tris) - w).max() <= 1e-15 * w.max()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_symmetries_form_the_dihedral_group(level, group, surf3, surf4):
+    surf = _mesh(group, surf3, surf4, level)
+    perms = surface._symmetries(surf)
+    n = surf.num_nodes
+    found = {tuple(p) for p in perms}
+    assert len(perms) == len(found) == 16
+    assert tuple(range(n)) in found
+    assert all(tuple(a[b]) in found for a in perms for b in perms)
+    K, w = surf.stiffness, surf.weights
+    for p in perms:
+        assert np.abs(w[p] - w).max() <= 1e-12 * w.max()
+        assert abs(K[p][:, p] - K).max() <= 1e-12 * abs(K).max()
+
+
+def test_planted_asymmetry_shrinks_group_to_stabilizer(surf3):
+    """One weight off by 1e-6: only the maps fixing that node survive, and
+    G is still the full solve's."""
+    z = surf3.nodes
+    node = int(np.flatnonzero((abs(z.imag) < 1e-12) & (z.real > 0.1) & (z.real < 0.5))[0])
+    weights = surf3.weights.copy()
+    weights[node] *= 1 + 1e-6
+    bent = dataclasses.replace(surf3, weights=weights, _lu=None)
+    stabilizer = {tuple(p) for p in surface._symmetries(surf3) if p[node] == node}
+    assert len(stabilizer) == 2                    # the identity and z -> conj(z)
+    assert {tuple(p) for p in surface._symmetries(bent)} == stabilizer
+    G = surface.green_kernel(bent).matrix
+    dense = bent.factorization().solve(2 * np.eye(bent.num_nodes))
+    assert np.abs(G - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+class _CountingLU:
+    """Delegates to a factorization and records the columns of each solve."""
+
+    def __init__(self, lu):
+        self.lu, self.columns = lu, []
+
+    def solve(self, rhs, trans="N"):
+        self.columns.append(rhs.shape[1])
+        return self.lu.solve(rhs, trans=trans)
+
+
+@pytest.mark.parametrize("level, orbits", [(3, 81), (4, 289)])
+def test_green_solves_one_row_per_orbit(level, orbits, surf3, surf4, monkeypatch):
+    surf = surf3 if level == 3 else surf4
+    spy = _CountingLU(surf.factorization())
+    monkeypatch.setattr(surf, "_lu", spy)
+    surface.green_kernel(surf)
+    assert sum(spy.columns) == orbits
+    assert max(spy.columns) <= surface.GREEN_BLOCK
+    assert len(spy.columns) == -(-orbits // surface.GREEN_BLOCK)
 
 
 def test_green_report(green3):
