@@ -19,7 +19,8 @@ import numpy as np
 
 from . import checks, curvature, qdiff, rankone, surface, surrogate, wedge
 from .checks import CHECK_DESCRIPTIONS  # noqa: F401  (read as cli.CHECK_DESCRIPTIONS)
-from .fuchsian import enumerate_words, octagon_group
+from .fuchsian import enumerate_words  # noqa: F401  (read as cli.enumerate_words)
+from .fuchsian import octagon_group
 
 
 STAGES = ("all", "surface", "surrogate", "rankone")
@@ -30,10 +31,7 @@ SUBCOMMAND_STAGES = {"spectrum": "surface", "surrogate": "surrogate", "rankone":
 @dataclass
 class RunConfig:
     genus: int = 2
-    word_length: int = 8
     mesh_level: int = 3
-    norm_cap: float = 400.0
-    eps_auto: float = 1e-5
     tau_rel: float = 1e-8
     solver_rtol: float = 1e-10
     seeds: int = 20
@@ -46,8 +44,6 @@ class RunConfig:
             raise ValueError("only genus 2 is supported")
         if not 1 <= self.mesh_level <= 8:
             raise ValueError("mesh level must be in [1, 8]")
-        if self.word_length < 4:
-            raise ValueError("word length must be >= 4")
         if self.tau_rel <= 0 or self.solver_rtol <= 0:
             raise ValueError("tolerances must be positive")
         if self.stage not in STAGES:
@@ -68,7 +64,7 @@ def _stamp(path: str, cfg_hash: str):
 
 
 def run_surface_stage(config: RunConfig, outdir: str) -> dict:
-    """Group -> words -> basis -> mesh -> operators -> tensor -> Q -> checks."""
+    """Group -> basis -> mesh -> operators -> tensor -> Q -> checks."""
     cfg_hash = config.hash()
     results = {}
 
@@ -76,9 +72,7 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     group.export_json(os.path.join(outdir, "group.json"))
     _stamp(os.path.join(outdir, "group.json"), cfg_hash)
 
-    words = enumerate_words(group, config.word_length, norm_cap=config.norm_cap)
-    basis_q = qdiff.build_qdiff_basis(group, config.word_length, word_set=words,
-                                      eps_auto=config.eps_auto)
+    basis_q = qdiff.build_qdiff_basis(group)
 
     surf = surface.build_mesh(group, config.mesh_level)
     surface.export_mesh_json(surf, os.path.join(outdir, "mesh.json"))
@@ -193,7 +187,7 @@ def _load_config(args) -> RunConfig:
                 current = getattr(config, key)
                 setattr(config, key,
                         type(current)(value) if not isinstance(current, str) else value)
-    for key in ("mesh_level", "word_length", "tau_rel", "seeds", "out", "stage"):
+    for key in ("mesh_level", "tau_rel", "seeds", "out", "stage"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(config, key, val)
@@ -210,7 +204,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="plain-text key=value config file")
         p.add_argument("--mesh-level", dest="mesh_level", type=int)
-        p.add_argument("--word-length", dest="word_length", type=int)
         p.add_argument("--tau-rel", dest="tau_rel", type=float)
         p.add_argument("--seeds", type=int)
         p.add_argument("--out")

@@ -18,7 +18,8 @@ class NearPole(WpcurvError):
 
 
 class ConvergenceFailure(WpcurvError):
-    """Truncated series tail estimate exceeds the configured tolerance."""
+    """The automorphy solve of the quadratic-differential basis is not
+    certified: no isolated null vector, or a residual above tolerance."""
 
 
 class DegenerateBasis(WpcurvError):
@@ -42,8 +43,7 @@ class KernelBudget(WpcurvError):
 
 
 class SymmetryViolation(WpcurvError):
-    """A symmetry residual exceeds tolerance: a curvature-tensor index
-    symmetry, or the rotation law of the series basis."""
+    """A curvature-tensor index symmetry residual exceeds tolerance."""
 
 
 class TypeImbalance(WpcurvError):

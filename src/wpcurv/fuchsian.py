@@ -19,6 +19,7 @@ from .errors import BudgetExceeded, NearPole, UnsupportedGenus
 POLE_TOL = 1e-14
 DEDUP_DECIMALS = 8  # rounding used for the 1e-9 entrywise dedup radius
 DOMAIN_BLOCK = 500_000  # points per block of `in_fundamental_domain`
+REDUCE_STEPS = 64  # side-pairing steps `reduce_to_domain` allows per point
 
 
 class MobiusMap:
@@ -362,6 +363,34 @@ def in_fundamental_domain(group: FuchsianGroup, z, tol: float = 1e-12):
             idx = lo + np.flatnonzero(near)
             inside[idx] = _distance_membership(centers, zf[idx], tol)
     return bool(inside[0]) if scalar else inside.reshape(z.shape)
+
+
+def reduce_to_domain(group: FuchsianGroup, z):
+    """Carry each point of z into the octagon; returns (images, matrices).
+
+    Every step moves each point still outside (`in_fundamental_domain`)
+    by the side pairing of the neighbor copy whose center is nearest, which
+    carries that copy onto the octagon; matrices[i] is the product of those
+    steps, which takes z[i] to images[i].  A point off the open disk, or
+    not inside after REDUCE_STEPS steps, raises ValueError.
+    """
+    w = np.array(z, dtype=complex).reshape(-1)
+    if not np.all(np.abs(w) < 1):
+        raise ValueError("points must lie in the open unit disk")
+    centers = group.neighbor_centers()
+    # side_pairings[s] carries side s onto side s+4: the copy across side s
+    # onto the octagon
+    step = np.array([group.side_pairings[s].mat for s in range(8)])
+    mats = np.tile(np.eye(2, dtype=complex), (len(w), 1, 1))
+    for _ in range(REDUCE_STEPS):
+        out = np.flatnonzero(~in_fundamental_domain(group, w))
+        if not len(out):
+            return w, mats
+        wo = w[out, None]
+        h = step[np.abs((wo - centers) / (1 - np.conj(centers) * wo)).argmin(axis=1)]
+        w[out] = (h[:, 0, 0] * w[out] + h[:, 0, 1]) / (h[:, 1, 0] * w[out] + h[:, 1, 1])
+        mats[out] = h @ mats[out]
+    raise ValueError("%d points not reduced in %d steps" % (len(out), REDUCE_STEPS))
 
 
 def _distance_membership(centers, z, tol):

@@ -1,30 +1,37 @@
-"""Harmonic Beltrami differentials from truncated automorphic series.
+"""Harmonic Beltrami differentials from holomorphic quadratic differentials.
 
 A holomorphic quadratic differential on the quotient surface lifts to a
 function theta on the disk with the weight-4 automorphy law
-theta(gamma z) gamma'(z)^2 = theta(z).  We realize a basis by averaging
-monomials over the (truncated) group:
+theta(gamma z) gamma'(z)^2 = theta(z); on genus 2 these form a space of
+dimension 3g - 3 = 3.
 
-    theta_k(z) = sum_{gamma in words} (gamma z)^k * gamma'(z)^2 .
+The rotation R(z) = omega z, omega = exp(i pi/4), normalizes the group, so
+the space splits by the character theta(omega z) = omega^k theta(z).  The
+characters realized are k = 0, 2, 4 (`SEED_DEGREES`), once each, and a
+form of character k is a power series in z^8 times z^k:
 
-The regular octagon has an order-8 rotational symmetry R(z) = omega z,
-omega = exp(i pi/4), about the origin that normalizes the group: the word
-ball is closed under gamma -> R gamma R^-1, which keeps word length and |a|.
-Substituting that conjugate in the sum gives the law
+    theta_k(z) = sum_{m < NUM_COEFFS} a_m z^(k + 8m) ,
 
-    theta_k(omega z) = omega^k theta_k(z) ,
+so the rotation law holds by construction.  The reflection z -> conj(z)
+normalizes the group too, so the a_m are real; a_0 = 1.  They come from
+Hejhal's method (D. A. Hejhal, "On eigenfunctions of the Laplacian for
+Hecke triangle groups", 1999): at NUM_POINTS points w on the circle
+|w| = SOLVE_RADIUS in the sector 0 < arg w < pi/4, outside the octagon,
+gamma = `fuchsian.reduce_to_domain` carries w into the octagon, where the
+truncated series converges fast, and automorphy
 
-so the differential theta_k dz^2 transforms with character
-omega^(k+2) = exp(i (k+2) pi/4).  The characters realized by the actual
-3-dimensional space of quadratic differentials are the three for which
-the series does not cancel identically; these are the even monomial
-degrees k = 0, 2, 4 (odd degrees average to zero over the group).
+    theta(w) = gamma'(w)^2 theta(gamma w)
 
-The law lets evaluation fold every point into the sector
-0 <= arg z < pi/4, evaluate the series once per distinct folded point and
-unfold with omega^(jk).  `build_qdiff_basis` certifies the law at the probe
-points on the word set it is given, and only `beltrami_from_qdiff`, which
-samples a basis, folds; `QuadDifferential.evaluate` sums directly.
+is one complex linear equation in the a_m.  The stacked real system, with
+column n scaled by SOLVE_RADIUS^-n, has a one-dimensional null space,
+taken by SVD.  `build_qdiff_basis` certifies both the solve (one null
+singular value per character, with a clear gap to the next) and its
+result: automorphy to AUTOMORPHY_TOL for all 8 side pairings, at points
+along every side up to the vertices (|z| = 0.841, the mesh's reach).
+
+`_series`, the truncated Poincare series sum_gamma (gamma z)^k gamma'(z)^2
+over a word ball, is an independent construction of the same forms; the
+tests hold the solved basis against it.
 
 The tangent-space representative is the harmonic Beltrami differential
 mu = conj(theta)/sigma with sigma(z) = 4/(1-|z|^2)^2.
@@ -36,35 +43,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateBasis, SymmetryViolation
-from .fuchsian import FuchsianGroup, GroupWordSet, enumerate_words
+from .errors import ConvergenceFailure, DegenerateBasis
+from .fuchsian import FuchsianGroup, reduce_to_domain
+from .fuchsian import enumerate_words  # noqa: F401  (read as qdiff.enumerate_words)
 
-#: monomial degrees whose averaged series survive the rotation symmetry
+#: rotation characters k of the basis: theta_k(omega z) = omega^k theta_k(z)
 SEED_DEGREES = (0, 2, 4)
 
-#: default relative automorphy tolerance at word length 8
-EPS_AUTO_DEFAULT = 1e-5
+#: coefficients a_m per character (powers up to z^(k + 8 (NUM_COEFFS - 1)))
+NUM_COEFFS = 40
 
-#: probe radius for automorphy/tail checks; well inside the octagon, where
-#: the default truncation meets EPS_AUTO_DEFAULT
-PROBE_RADIUS = 0.35
+#: collocation points per character and the radius of their circle
+NUM_POINTS = 80
+SOLVE_RADIUS = 0.9
 
-#: default norm cap for the series word ball (|a| <= cap)
-NORM_CAP_DEFAULT = 400.0
+#: the null singular value must lie below NULL_TOL times the largest, the
+#: next one above GAP_TOL times the largest
+NULL_TOL = 1e-10
+GAP_TOL = 1e-4
 
-#: max elements-x-points per evaluation chunk: each temporary is 4 MB; at
-#: 8,000,000 (128 MB temporaries) a third of a level-3 run was system time
+#: relative automorphy residual accepted on the octagon sides
+AUTOMORPHY_TOL = 1e-10
+
+#: points per side for the automorphy certificate, both vertices included
+SIDE_POINTS = 33
+
+#: max elements-x-points per evaluation chunk of `_series`: each temporary
+#: is 4 MB; at 8,000,000 (128 MB temporaries) a third of a run was system time
 _CHUNK_ELEMS = 250_000
-
-#: relative tolerance of the folded-versus-direct certificate at the probes
-SYMMETRY_TOL = 1e-12
-
-
-def probe_points(num: int = 12, radius: float = PROBE_RADIUS) -> np.ndarray:
-    """Deterministic interior probe points on two rings."""
-    angles = np.arange(num) * 2 * np.pi / num + 0.1
-    radii = np.where(np.arange(num) % 2 == 0, radius, 0.6 * radius)
-    return radii * np.exp(1j * angles)
 
 
 def _series(mats: np.ndarray, z: np.ndarray, degrees) -> np.ndarray:
@@ -98,45 +104,43 @@ def _series(mats: np.ndarray, z: np.ndarray, degrees) -> np.ndarray:
     return out
 
 
-def _folded_series(mats: np.ndarray, z: np.ndarray, degrees) -> np.ndarray:
-    """`_series` through the rotation law theta_k(omega^j w) =
-    omega^(jk) theta_k(w): each point is rotated into 0 <= arg < pi/4, the
-    series is evaluated once per distinct folded point (coordinates rounded
-    to 12 decimals) and the character restores the original point's value."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    j = np.floor(np.angle(z) / (np.pi / 4)).astype(int) % 8
-    w = z * np.exp(-1j * np.pi / 4 * j)
-    keys = np.round(np.stack([w.real, w.imag], axis=1), 12) + 0.0
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    vals = _series(mats, w[first], degrees)[:, inverse.reshape(-1)]
-    return vals * np.exp(1j * np.pi / 4 * (np.outer(degrees, j) % 8))
+def side_points(group: FuchsianGroup, num: int = SIDE_POINTS) -> np.ndarray:
+    """(8, num) points spread along each octagon side s, from vertex s-1 to
+    vertex s: the geodesic through the side's midpoint m orthogonal to the
+    ray of m, traced by z = (w + m) / (1 + conj(m) w), w on that diameter."""
+    centers = group.neighbor_centers()
+    m = centers / np.abs(centers) * np.tanh(np.arctanh(np.abs(centers)) / 2)
+    reach = abs((group.vertices[0] - m[0]) / (1 - np.conj(m[0]) * group.vertices[0]))
+    w = 1j * (m / np.abs(m))[:, None] * reach * np.linspace(-1, 1, num)
+    return (w + m[:, None]) / (1 + np.conj(m)[:, None] * w)
 
 
 @dataclass
 class QuadDifferential:
-    """Truncated automorphic series of monomial degree k."""
+    """theta(z) = z^k sum_m a_m z^(8m) with real coefficients a_m."""
 
     monomial_degree: int
-    word_set: GroupWordSet
+    coefficients: np.ndarray
 
     def evaluate(self, z):
-        """The direct series sum at z; it does not assume the rotation law."""
+        """theta at z, by Horner in z^8."""
         z = np.asarray(z, dtype=complex)
-        vals = _series(self.word_set.matrices, z, (self.monomial_degree,))[0]
-        return vals[0] if z.ndim == 0 else vals.reshape(z.shape)
+        u = z ** 8
+        acc = np.full(z.shape, self.coefficients[-1], dtype=complex)
+        for a in self.coefficients[-2::-1]:
+            acc *= u
+            acc += a
+        return acc * z ** self.monomial_degree
 
-    def automorphy_residual(self, group: FuchsianGroup, probes=None) -> float:
-        """Worst relative residual of theta(gamma z) gamma'(z)^2 = theta(z)
-        over the probe points and all side pairings."""
-        if probes is None:
-            probes = probe_points()
+    def automorphy_residual(self, group: FuchsianGroup) -> float:
+        """Worst of max|theta(gamma z) gamma'(z)^2 - theta(z)| / max|theta(z)|
+        over the 8 side pairings gamma, z at the `side_points` of its side."""
         worst = 0.0
-        base = self.evaluate(probes)
-        for g in group.side_generator_words():
-            lhs = self.evaluate(g.apply(probes)) * g.derivative(probes) ** 2
-            rel = np.abs(lhs - base) / np.maximum(1.0, np.abs(base))
-            worst = max(worst, rel.max())
+        for s, z in enumerate(side_points(group)):
+            g = group.side_pairings[s]
+            base = self.evaluate(z)
+            lhs = self.evaluate(g.apply(z)) * g.derivative(z) ** 2
+            worst = max(worst, np.abs(lhs - base).max() / np.abs(base).max())
         return worst
 
 
@@ -166,54 +170,52 @@ class GramMatrix:
         return np.linalg.eigvalsh(self.entries)
 
 
-def build_qdiff_basis(group: FuchsianGroup, L: int = 8, *,
-                      word_set: GroupWordSet | None = None,
-                      norm_cap: float | None = NORM_CAP_DEFAULT,
-                      eps_auto: float = EPS_AUTO_DEFAULT) -> list[QuadDifferential]:
-    """Basis of 3g-3 = 3 truncated series, degrees 0, 2, 4.
+def _solve(group: FuchsianGroup, k: int):
+    """Real a_m (a_0 = 1) of character k and the singular values of the
+    scaled collocation system."""
+    w = SOLVE_RADIUS * np.exp(1j * np.pi / 4 * (np.arange(NUM_POINTS) + 0.5) / NUM_POINTS)
+    gw, mats = reduce_to_domain(group, w)
+    dg2 = (mats[:, 1, 0] * w + mats[:, 1, 1]) ** -4
+    n = k + 8 * np.arange(NUM_COEFFS)
+    A = (w[:, None] ** n - dg2[:, None] * gw[:, None] ** n) / SOLVE_RADIUS ** n
+    _, sv, vt = np.linalg.svd(np.concatenate([A.real, A.imag]), full_matrices=False)
+    a = vt[-1] / SOLVE_RADIUS ** n
+    return a / a[0], sv
 
-    The tail estimate compares the word set's evaluations with those of its
-    own (L-1)-ball (same norm cap) at the probe points; if the increment
-    exceeds eps_auto, the truncation cannot support the requested tolerance
-    and ConvergenceFailure is raised.  The rotation law that evaluation
-    folds through is certified at the same probes: folded and direct values
-    of the word set must agree to SYMMETRY_TOL, or SymmetryViolation is
-    raised.
-    Linear independence is certified downstream by the Gram matrix rank.
+
+def build_qdiff_basis(group: FuchsianGroup) -> list[QuadDifferential]:
+    """Basis of 3g-3 = 3 quadratic differentials, characters 0, 2, 4.
+
+    Raises ConvergenceFailure unless each character's system has exactly
+    one singular value below NULL_TOL (relative to the largest), the next
+    above GAP_TOL, and the solved form's `automorphy_residual` is at most
+    AUTOMORPHY_TOL.  Linear independence is certified downstream by the
+    Gram matrix rank.
     """
-    if L < 4:
-        raise ValueError("word length below 4 cannot resolve the series")
-    if word_set is None:
-        word_set = enumerate_words(group, L, norm_cap=norm_cap)
-    basis = [QuadDifferential(k, word_set) for k in SEED_DEGREES]
-
-    probes = probe_points()
-    full = _series(word_set.matrices, probes, SEED_DEGREES)
-    scale = np.maximum(1.0, np.abs(full))
-    folded = _folded_series(word_set.matrices, probes, SEED_DEGREES)
-    sym = np.abs(folded - full) / scale
-    if sym.max() > SYMMETRY_TOL:
-        raise SymmetryViolation(
-            "folded and direct series differ by %.3g at the probes (tolerance %.3g)"
-            % (sym.max(), SYMMETRY_TOL))
-    inc = np.abs(full - _series(word_set.ball(L - 1), probes, SEED_DEGREES)) / scale
-    for k, row in zip(SEED_DEGREES, inc):
-        if row.max() > eps_auto:
+    basis = []
+    for k in SEED_DEGREES:
+        a, sv = _solve(group, k)
+        rel = sv / sv[0]
+        if rel[-1] > NULL_TOL or rel[-2] < GAP_TOL:
             raise ConvergenceFailure(
-                "degree-%d series tail increment %.3g exceeds %.3g"
-                % (k, row.max(), eps_auto))
+                "character %d: least singular values %.3g, %.3g (relative); need "
+                "one below %.3g and the next above %.3g"
+                % (k, rel[-1], rel[-2], NULL_TOL, GAP_TOL))
+        basis.append(QuadDifferential(k, a))
+        res = basis[-1].automorphy_residual(group)
+        if res > AUTOMORPHY_TOL:
+            raise ConvergenceFailure(
+                "character %d: automorphy residual %.3g on the sides exceeds %.3g"
+                % (k, res, AUTOMORPHY_TOL))
     return basis
 
 
 def beltrami_from_qdiff(basis: list[QuadDifferential], surface) -> list[BeltramiField]:
     """Sample mu = conj(theta)/sigma of every basis element at the surface
-    quadrature nodes, in one folded pass over their shared word set."""
-    if not basis or any(q.word_set is not basis[0].word_set for q in basis):
-        raise ValueError("basis elements must share one word set")
+    quadrature nodes."""
     z = surface.nodes
-    theta = _folded_series(basis[0].word_set.matrices, z,
-                           [q.monomial_degree for q in basis])
-    return [BeltramiField(np.conj(t) * (1 - np.abs(z) ** 2) ** 2 / 4) for t in theta]
+    return [BeltramiField(np.conj(q.evaluate(z)) * (1 - np.abs(z) ** 2) ** 2 / 4)
+            for q in basis]
 
 
 def gram_matrix(fields: list[BeltramiField], surface) -> GramMatrix:

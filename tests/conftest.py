@@ -1,8 +1,9 @@
 """Shared session fixtures: the expensive pipeline objects are built once.
 
 Levels 3 and 4 of the mesh hierarchy are the validation workhorses; the
-series basis is evaluated on both.  The Green kernel is only needed at
-level 3 (the integral-path checks), which keeps memory modest.
+basis is evaluated on both.  The length-8 word ball serves the group tests
+and the Poincare-series oracle of the basis.  The Green kernel is only
+needed at level 3 (the integral-path checks), which keeps memory modest.
 """
 
 import numpy as np
@@ -23,8 +24,8 @@ def words8(group):
 
 
 @pytest.fixture(scope="session")
-def basis(group, words8):
-    return qdiff.build_qdiff_basis(group, 8, word_set=words8)
+def basis(group):
+    return qdiff.build_qdiff_basis(group)
 
 
 @pytest.fixture(scope="session")

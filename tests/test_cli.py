@@ -101,23 +101,35 @@ def test_surrogate_stage(tmp_path):
 
 
 def test_surface_stage_and_determinism(tmp_path):
-    """Two identical surface runs produce identical reports, and they report
-    exactly the registry's surface-stage checks, all passing."""
-    cfg1 = cli.RunConfig(stage="surface", mesh_level=2, seeds=3,
-                         out=str(tmp_path / "a"))
-    cfg2 = cli.RunConfig(stage="surface", mesh_level=2, seeds=3,
-                         out=str(tmp_path / "b"))
-    r1, r2 = cli.run(cfg1), cli.run(cfg2)
+    """Two surface runs of one config write bit-identical artifacts, and
+    they report exactly the registry's surface-stage checks, all passing."""
+    cfg = cli.RunConfig(stage="surface", mesh_level=2, seeds=3,
+                        out=str(tmp_path / "a"))
+    r1 = cli.run(cfg)
+    first = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+    r2 = cli.run(cfg)
     assert r1["checks"] == r2["checks"]
+    assert {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()} == first
     assert r1["all_pass"]
     assert set(r1["checks"]) == set(checks.CHECK_DESCRIPTIONS) - {
         "surrogate_spectrum", "quaternionic_null_vector"}
     assert len(r1["checks"]) == 9
-    for name in ("group.json", "mesh.json", "green.json", "tensor.json",
-                 "spectrum.json", "spectrum.csv", "green.bin", "report.json"):
-        assert (tmp_path / "a" / name).exists()
+    assert set(first) == {"group.json", "mesh.json", "green.json", "tensor.json",
+                          "spectrum.json", "spectrum.csv", "green.bin", "report.json"}
     text = cli.explain(r1)
     assert len(text.splitlines()) == 9
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_default_surface_run_two_paths_agree(level, tmp_path):
+    """With the default seed the surface stage passes `tensor_assembly`,
+    and the tensor and integral paths agree to roundoff (the basis makes R
+    real, where the two paths are the same sums)."""
+    report = cli.run(cli.RunConfig(stage="surface", mesh_level=level,
+                                   out=str(tmp_path / "o")))
+    check = report["checks"]["tensor_assembly"]
+    assert check["pass"]
+    assert check["residual"]["two_path_rel"] <= 1e-12
 
 
 def test_spectrum_command_prints_csv(tmp_path, capsys):

@@ -13,7 +13,8 @@ from wpcurv.fuchsian import (DEDUP_DECIMALS, DOMAIN_BLOCK, MobiusMap,
                              _dedup_keys, _distance_membership,
                              _sign_normalize, enumerate_words,
                              hyperbolic_distance, identity_map,
-                             in_fundamental_domain, octagon_group, rotation)
+                             in_fundamental_domain, octagon_group,
+                             reduce_to_domain, rotation)
 
 
 def disk_points(max_radius=0.9):
@@ -313,6 +314,23 @@ def test_domain_blocks_match_distance_formula():
     pts = np.concatenate([pts, sides])
     expected = _distance_membership(centers, pts, 1e-12)
     assert np.array_equal(in_fundamental_domain(G, pts), expected)
+
+
+def test_reduce_to_domain():
+    """Points up to |z| = 0.95 reach the octagon, and each returned product
+    of side pairings maps its point onto the returned image."""
+    G = octagon_group(2)
+    rng = np.random.default_rng(5)
+    z = 0.95 * np.sqrt(rng.uniform(size=400)) * np.exp(2j * np.pi * rng.uniform(size=400))
+    images, mats = reduce_to_domain(G, z)
+    assert np.all(in_fundamental_domain(G, images))
+    mapped = (mats[:, 0, 0] * z + mats[:, 0, 1]) / (mats[:, 1, 0] * z + mats[:, 1, 1])
+    assert np.abs(mapped - images).max() < 1e-10
+    inside = in_fundamental_domain(G, z)
+    assert np.array_equal(images[inside], z[inside])
+    assert not inside.all()
+    with pytest.raises(ValueError):
+        reduce_to_domain(G, [0.5, 1.0])
 
 
 def test_tiling_unique_representative():

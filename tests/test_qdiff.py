@@ -1,111 +1,143 @@
-"""Series basis, automorphy, Beltrami sampling and Gram-matrix tests."""
-
-import dataclasses
+"""Automorphy-solve basis, its series oracle, Beltrami sampling and Gram tests."""
 
 import numpy as np
 import pytest
 
 from wpcurv import qdiff
-from wpcurv.errors import ConvergenceFailure, DegenerateBasis, SymmetryViolation
+from wpcurv.errors import ConvergenceFailure, DegenerateBasis
 from wpcurv.fuchsian import enumerate_words
+
+OMEGA = np.exp(1j * np.pi / 4)
+
+
+def _probes(num=12, radius=0.35):
+    """Interior points on two rings, inside every series' accurate range."""
+    angles = np.arange(num) * 2 * np.pi / num + 0.1
+    radii = np.where(np.arange(num) % 2 == 0, radius, 0.6 * radius)
+    return radii * np.exp(1j * angles)
 
 
 def test_basis_size_and_degrees(basis):
     assert len(basis) == 3
     assert [q.monomial_degree for q in basis] == [0, 2, 4]
+    for q in basis:
+        assert q.coefficients.dtype == float
+        assert q.coefficients.shape == (qdiff.NUM_COEFFS,)
+        assert q.coefficients[0] == 1.0
 
 
 def test_automorphy_residuals(group, basis):
+    """All 8 side pairings at points along every side, vertices included,
+    and at points other than the certificate's own."""
+    sides = qdiff.side_points(group, 257)
+    assert np.abs(np.abs(sides).max() - np.abs(group.vertices).max()) < 1e-12
     for q in basis:
-        assert q.automorphy_residual(group) <= qdiff.EPS_AUTO_DEFAULT
+        assert q.automorphy_residual(group) <= qdiff.AUTOMORPHY_TOL
+        for s, z in enumerate(sides):
+            g = group.side_pairings[s]
+            lhs = q.evaluate(g.apply(z)) * g.derivative(z) ** 2
+            base = q.evaluate(z)
+            assert np.abs(lhs - base).max() <= qdiff.AUTOMORPHY_TOL * np.abs(base).max()
+
+
+def test_side_points_trace_the_sides(group):
+    """Side s runs from vertex s-1 to vertex s, and its pairing carries it
+    onto side s+4 (reversed)."""
+    sides = qdiff.side_points(group)
+    for s in range(8):
+        assert abs(sides[s, 0] - group.vertices[s - 1]) < 1e-12
+        assert abs(sides[s, -1] - group.vertices[s]) < 1e-12
+        image = group.side_pairings[s].apply(sides[s])
+        assert np.abs(image - sides[(s + 4) % 8, ::-1]).max() < 1e-12
+
+
+def test_singular_values_isolate_one_null_vector(group):
+    for k in qdiff.SEED_DEGREES:
+        _, sv = qdiff._solve(group, k)
+        rel = sv / sv[0]
+        assert rel[-1] <= qdiff.NULL_TOL
+        assert rel[-2] >= qdiff.GAP_TOL
+
+
+def test_series_oracle_in_span(basis, words8, surf3):
+    """The length-8 Poincare series of degree k is a multiple of the solved
+    theta_k at the level-3 nodes, up to the series' truncation error."""
+    z = surf3.nodes
+    series = qdiff._series(words8.matrices, z, qdiff.SEED_DEGREES)
+    for q, row in zip(basis, series):
+        theta = q.evaluate(z)
+        c = np.vdot(theta, row) / np.vdot(theta, theta)
+        assert np.abs(row - c * theta).max() <= 1e-4 * np.abs(row).max()
 
 
 def test_tail_increment_at_center(group, words8):
-    """Adding two more word lengths changes theta at the probes by less
-    than the automorphy tolerance (geometric tail)."""
-    bigger = enumerate_words(group, 10, norm_cap=qdiff.NORM_CAP_DEFAULT)
-    probes = qdiff.probe_points()
-    for k in qdiff.SEED_DEGREES:
-        q8 = qdiff.QuadDifferential(k, words8)
-        q10 = qdiff.QuadDifferential(k, bigger)
-        v8, v10 = q8.evaluate(probes), q10.evaluate(probes)
-        inc = np.abs(v10 - v8) / np.maximum(1.0, np.abs(v10))
-        assert inc.max() <= qdiff.EPS_AUTO_DEFAULT
+    """The series oracle: two more word lengths change it at interior
+    probes by less than 1e-5 (geometric tail)."""
+    bigger = enumerate_words(group, 10, norm_cap=400.0)
+    probes = _probes()
+    v8 = qdiff._series(words8.matrices, probes, qdiff.SEED_DEGREES)
+    v10 = qdiff._series(bigger.matrices, probes, qdiff.SEED_DEGREES)
+    inc = np.abs(v10 - v8) / np.maximum(1.0, np.abs(v10))
+    assert inc.max() <= 1e-5
 
 
-def test_short_truncation_rejected(group):
-    with pytest.raises(ValueError):
-        qdiff.build_qdiff_basis(group, 3)
-
-
-def test_overtight_tolerance_rejected(group, words8):
+def test_short_truncation_rejected(group, monkeypatch):
+    """With 20 coefficients the system has no null vector to roundoff."""
+    monkeypatch.setattr(qdiff, "NUM_COEFFS", 20)
     with pytest.raises(ConvergenceFailure):
-        qdiff.build_qdiff_basis(group, 8, word_set=words8, eps_auto=1e-14)
+        qdiff.build_qdiff_basis(group)
 
 
-def test_tail_check_uses_word_set_cap(group, monkeypatch):
-    """The tail check compares the word set against its own (L-1)-ball,
-    built with the word set's norm cap, not the default cap, evaluating
-    that ball once for all seed degrees."""
-    words = enumerate_words(group, 5, norm_cap=50.0)
-    inner = enumerate_words(group, 4, norm_cap=50.0).matrices
-    seen = []
-    original = qdiff._series
-
-    def spy(mats, z, degrees):
-        seen.append((mats, tuple(degrees)))
-        return original(mats, z, degrees)
-
-    monkeypatch.setattr(qdiff, "_series", spy)
-    qdiff.build_qdiff_basis(group, 5, word_set=words, eps_auto=np.inf)
-    partial = [(m, k) for m, k in seen if len(m) != len(words)]
-    assert len(partial) == 1
-    assert np.array_equal(partial[0][0], inner)
-    assert partial[0][1] == qdiff.SEED_DEGREES
+def test_overtight_tolerance_rejected(group, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(qdiff, "NULL_TOL", 1e-17)
+        with pytest.raises(ConvergenceFailure, match="singular values"):
+            qdiff.build_qdiff_basis(group)
+    monkeypatch.setattr(qdiff, "AUTOMORPHY_TOL", 1e-17)
+    with pytest.raises(ConvergenceFailure, match="automorphy"):
+        qdiff.build_qdiff_basis(group)
 
 
-def test_folded_series_equals_direct(group, words8, surf3):
-    """Evaluation through the rotation law agrees with the direct sum, for
-    odd degrees too, at the probes, inside |z| <= 0.9, at mesh nodes and
-    at the octagon vertices."""
-    rng = np.random.default_rng(0)
-    disk = 0.9 * np.sqrt(rng.uniform(size=64)) * np.exp(
-        2j * np.pi * rng.uniform(size=64))
-    z = np.concatenate([qdiff.probe_points(), disk, surf3.nodes[::8],
-                        group.vertices])
-    degrees = range(5)
-    direct = qdiff._series(words8.matrices, z, degrees)
-    folded = qdiff._folded_series(words8.matrices, z, degrees)
-    rel = np.abs(folded - direct) / np.maximum(1.0, np.abs(direct))
-    assert rel.max() <= 1e-12
+def test_perturbed_coefficient_fails_certificate(group, monkeypatch):
+    """A relative change of 1e-8 in one coefficient of the solve breaks
+    automorphy on the sides."""
+    solve = qdiff._solve
+
+    def perturbed(group, k):
+        a, sv = solve(group, k)
+        a[1] *= 1 + 1e-8 * (k == 2)
+        return a, sv
+
+    monkeypatch.setattr(qdiff, "_solve", perturbed)
+    with pytest.raises(ConvergenceFailure, match="character 2: automorphy"):
+        qdiff.build_qdiff_basis(group)
 
 
-def test_rotation_law_certified(group, words8):
-    """A word set that is not closed under the octagon rotation fails the
-    symmetry certificate of the basis constructor."""
-    lopsided = dataclasses.replace(words8, matrices=words8.matrices[:-1000])
-    with pytest.raises(SymmetryViolation):
-        qdiff.build_qdiff_basis(group, 8, word_set=lopsided, eps_auto=np.inf)
+def test_rotation_law_certified(basis):
+    """theta_k(omega z) = omega^k theta_k(z) holds by construction."""
+    rng = np.random.default_rng(1)
+    z = 0.84 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    for q in basis:
+        rotated = q.evaluate(OMEGA * z)
+        expected = OMEGA ** q.monomial_degree * q.evaluate(z)
+        assert np.abs(rotated - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-def test_evaluate_sums_directly(words8):
-    """evaluate does not fold through the rotation law, so it stays the
-    direct sum on a word set that is not rotation-closed."""
-    lopsided = dataclasses.replace(words8, matrices=words8.matrices[:-1000])
-    probes = qdiff.probe_points()
-    for k in qdiff.SEED_DEGREES:
-        got = qdiff.QuadDifferential(k, lopsided).evaluate(probes)
-        direct = qdiff._series(lopsided.matrices, probes, (k,))[0]
-        assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
+def test_evaluate_sums_directly(basis):
+    """Horner in z^8 equals the monomial sum sum_m a_m z^(k + 8m)."""
+    z = np.concatenate([_probes(), 0.8 * OMEGA ** np.arange(8)])
+    for q in basis:
+        powers = q.monomial_degree + 8 * np.arange(qdiff.NUM_COEFFS)
+        direct = (q.coefficients * z[:, None] ** powers).sum(axis=1)
+        assert np.abs(q.evaluate(z) - direct).max() <= 1e-13 * np.abs(direct).max()
+    assert np.ndim(basis[0].evaluate(0.1)) == 0
 
 
 def test_odd_degree_series_vanishes(words8):
     """Degrees with the wrong rotation character average out."""
-    probes = qdiff.probe_points()
-    even = np.abs(qdiff.QuadDifferential(2, words8).evaluate(probes)).max()
-    odd = np.abs(qdiff.QuadDifferential(1, words8).evaluate(probes)).max()
+    even, odd = np.abs(qdiff._series(words8.matrices, _probes(), (2, 1))).max(axis=1)
     # the cancellation is exact on the full group; the truncated ball
-    # leaves a tail of the order of the automorphy tolerance
+    # leaves a tail of the order of its truncation error
     assert odd < 1e-4 * even
 
 
@@ -129,13 +161,6 @@ def test_beltrami_bounded(basis, surf3):
     for f in fields:
         assert np.all(np.isfinite(f.values))
         assert np.abs(f.values).max() < 1e3
-
-
-def test_beltrami_rejects_mixed_word_sets(group, words8, surf3):
-    other = enumerate_words(group, 4)
-    mixed = [qdiff.QuadDifferential(0, words8), qdiff.QuadDifferential(2, other)]
-    with pytest.raises(ValueError):
-        qdiff.beltrami_from_qdiff(mixed, surf3)
 
 
 def test_gram_hermitian_posdef(pipe3):
@@ -181,10 +206,7 @@ def test_petersson_consistency(basis, pipe3, surf3):
     metric density squared (mu = conj(theta)/sigma exactly)."""
     z = surf3.nodes
     sigma = 4.0 / (1 - np.abs(z) ** 2) ** 2
-    # the basis is certified, so its nodes are sampled through the fold,
-    # as beltrami_from_qdiff does
-    theta = qdiff._folded_series(basis[0].word_set.matrices, z,
-                                 [q.monomial_degree for q in basis])
+    theta = np.array([q.evaluate(z) for q in basis])
     direct = np.einsum("p,ip,jp->ij", surf3.weights,
                        np.conj(theta) / sigma, theta / sigma)
     g = pipe3["gram_raw"].entries
@@ -195,3 +217,16 @@ def test_gram_refinement(pipe3, pipe4):
     g3, g4 = pipe3["gram_raw"].entries, pipe4["gram_raw"].entries
     rel = np.linalg.norm(g3 - g4) / np.linalg.norm(g4)
     assert rel < 0.02
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_whole_mesh_symmetry_certificates(level, pipe3, pipe4):
+    """The octagon's symmetries make the raw Gram matrix diagonal (distinct
+    rotation characters) and the curvature tensor real, over all nodes."""
+    pipe = pipe3 if level == 3 else pipe4
+    g = pipe["gram_raw"].entries
+    diag = np.abs(np.diag(g))
+    off = np.abs(g - np.diag(np.diag(g))) / np.sqrt(np.outer(diag, diag))
+    assert off.max() <= 1e-13
+    R = pipe["tensor"].entries
+    assert np.abs(R.imag).max() <= 1e-13 * np.abs(R).max()
