@@ -18,13 +18,16 @@ hyperbolic mass M = diag(w): Delta_h = -M^-1 K.  The resolvent operator
     D = -2 (Delta - 2)^-1
 
 then solves (K + 2M) u = 2 M f, one sparse factorization reused for all
-right-hand sides, and its Green kernel is G = 2 (K + 2M)^-1.  G is solved
-once per symmetry orbit of the nodes: the maps z -> e^{ik pi/4} z and
+right-hand sides (the Laplace eigensolve shifts about -2 to reuse it as
+well), and its Green kernel is G = 2 (K + 2M)^-1.  G is solved once per
+symmetry orbit of the nodes: the maps z -> e^{ik pi/4} z and
 z -> e^{ik pi/4} conj(z) that carry the glued mesh, w and K onto
-themselves are certified first, and they fill the rows of G that the LU
-solves skip.  G is symmetric up to roundoff, and (Df)(p) = sum_q G[p,q]
-w_q f(q) holds to roundoff, not exactly: the two sides round differently
-(about 2e-15 relative at level 3 and 4e-15 at level 4).
+themselves are certified first, and G is kept as the solved rows plus
+those permutations (289 rows of 4,094 at level 4).  It is applied by one
+product with the permuted columns and never expanded on the check path.
+G is symmetric up to roundoff, and (Df)(p) = sum_q G[p,q] w_q f(q) holds
+to roundoff, not exactly: the two sides round differently (about 2e-15
+relative at level 3 and 4e-15 at level 4).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -286,13 +290,70 @@ def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
 
 @dataclass
 class GreenKernel:
-    """Dense matrix G with (Df)(p) = sum_q G[p,q] w_q f(q)."""
+    """G = 2 (K + 2M)^-1, with (Df)(p) = sum_q G[p,q] w_q f(q), kept as solved.
 
-    matrix: np.ndarray
+    `rows` holds one solved row of G per symmetry orbit of the nodes (R x N).
+    Row i of G is rows[row_of[i]] with its columns permuted by the inverse
+    of the node map perms[map_of[i]]: G[i, perms[map_of[i], k]] =
+    rows[row_of[i], k].  With the trivial group, rows is G itself.
+    """
+
+    rows: np.ndarray
+    row_of: np.ndarray
+    map_of: np.ndarray
+    perms: np.ndarray
     report: dict
+    bytes_cap: int = GREEN_BYTES_CAP_DEFAULT
+
+    @cached_property
+    def _inverse(self):
+        return np.argsort(self.perms, axis=1)
+
+    def matmat(self, V):
+        """G @ V for V of shape (N,) or (N, k), real or complex.
+
+        (G V)[i] = (rows @ V[perms[map_of[i]]])[row_of[i]]: one product of
+        rows with the N x (maps * k) stack of permuted columns, then a
+        gather.  Complex V enters as its real and imaginary columns.
+        """
+        V = np.asarray(V)
+        X = V.reshape(len(V), -1)
+        k = X.shape[1]
+        if np.iscomplexobj(X):
+            X = np.concatenate([X.real, X.imag], axis=1)
+        stack = X[self.perms.T].reshape(len(X), -1)       # N x (maps * k)
+        Y = (self.rows @ stack).reshape(len(self.rows), len(self.perms), -1)
+        Y = Y[self.row_of, self.map_of]
+        if np.iscomplexobj(V):
+            Y = Y[:, :k] + 1j * Y[:, k:]
+        return Y.reshape(V.shape)
 
     def apply(self, surface, f):
-        return self.matrix @ (surface.weights * f)
+        return self.matmat(surface.weights * f)
+
+    def _rows_into(self, idx, out):
+        """out[j] = row idx[j] of G, row by row: no temporary."""
+        for j, (r, g) in enumerate(zip(self.row_of[idx], self.map_of[idx])):
+            self.rows[r].take(self._inverse[g], out=out[j])
+        return out
+
+    def _columns_into(self, cols, lo, out):
+        """out = G[lo:, cols], map by map from the solved rows' columns."""
+        maps = self.map_of[lo:]
+        for g in np.unique(maps):
+            sel = maps == g
+            out[sel] = self.rows[:, self._inverse[g][cols]][self.row_of[lo:][sel]]
+        return out
+
+    @cached_property
+    def matrix(self):
+        """The dense N x N matrix G, within bytes_cap: the tests' reference,
+        never built on the check path."""
+        n = len(self.row_of)
+        if 8 * n * n > self.bytes_cap:
+            raise KernelBudget("dense kernel needs %d bytes > cap %d"
+                               % (8 * n * n, self.bytes_cap))
+        return self._rows_into(np.arange(n), np.empty((n, n)))
 
 
 def _symmetries(surface: DiscreteSurface) -> np.ndarray:
@@ -330,56 +391,71 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
 
 def green_kernel(surface: DiscreteSurface, *,
                  bytes_cap: int = GREEN_BYTES_CAP_DEFAULT) -> GreenKernel:
-    """Dense Green kernel G = 2 (K + 2M)^-1 with a validation report.
+    """Green kernel G = 2 (K + 2M)^-1 as its orbit rows, with a report.
 
     G is solved once per symmetry orbit of the nodes: the least node r of
     each orbit gets row r of G from a transposed LU solve, GREEN_BLOCK
-    representatives at a time, and every other row is filled by the
-    certified permutations of `_symmetries`, G[g(r), :] = G[r, g^-1(:)].
-    No entry is taken from a transpose, so `asymmetry_rel` compares
-    independent solves.  The report is taken without N x N temporaries.
+    representatives at a time.  Every other row is the row of its orbit's
+    representative under a certified permutation of `_symmetries`,
+    G[g(r), :] = G[r, g^-1(:)]; it is gathered when read, never stored.
+    bytes_cap bounds the stored rows, 8 R N bytes.
+
+    The report is streamed over blocks of GREEN_BLOCK rows, each with its
+    column strip, in O(N GREEN_BLOCK) memory.  No entry is taken from a
+    transpose, so `asymmetry_rel` compares independent solves.  Every
+    entry of G is an entry of rows, so the extremes are read off rows.
     """
     n = surface.num_nodes
-    if 8 * n * n > bytes_cap:
-        raise KernelBudget("dense kernel needs %d bytes > cap %d"
-                           % (8 * n * n, bytes_cap))
-    lu = surface.factorization()
     perms = _symmetries(surface)
     orbit_min = perms.min(axis=0)
     reps = np.flatnonzero(orbit_min == np.arange(n))
-    G = np.empty((n, n))            # C order, as weighted_green and the export read it
+    if 8 * len(reps) * n > bytes_cap:
+        raise KernelBudget("orbit rows need %d bytes > cap %d"
+                           % (8 * len(reps) * n, bytes_cap))
+    lu = surface.factorization()
+    rows = np.empty((len(reps), n))
     for lo in range(0, len(reps), GREEN_BLOCK):
         r = reps[lo:lo + GREEN_BLOCK]            # columns r of 2 I
-        G[r] = lu.solve(2.0 * (np.arange(n)[:, None] == r), trans="T").T
+        rows[lo:lo + len(r)] = lu.solve(2.0 * (np.arange(n)[:, None] == r), trans="T").T
     # the first map carrying each node's representative onto it (0, the
     # identity, for the representatives); one exists, since every check of
     # `_symmetries` holds for a map exactly when it holds for its inverse
-    first = (perms[:, orbit_min] == np.arange(n)).argmax(axis=0)
-    inverse = np.argsort(perms, axis=1)
-    for g in range(1, len(perms)):
-        rows = np.flatnonzero(first == g)
-        for lo in range(0, len(rows), GREEN_BLOCK):
-            s = rows[lo:lo + GREEN_BLOCK]
-            G[s] = G[orbit_min[s]][:, inverse[g]]
-    blocks = [slice(lo, min(lo + GREEN_BLOCK, n)) for lo in range(0, n, GREEN_BLOCK)]
-    gmin = G.min()
-    gmax = max(G.max(), -gmin)
-    # each pair once: rows from the block's first row down
-    asym = max(np.abs(G[blk.start:, blk] - G[blk, blk.start:].T).max() for blk in blocks)
-    report = {
+    map_of = (perms[:, orbit_min] == np.arange(n)).argmax(axis=0)
+    kernel = GreenKernel(rows=rows, row_of=np.searchsorted(reps, orbit_min),
+                         map_of=map_of, perms=perms, report={}, bytes_cap=bytes_cap)
+    gmin = rows.min()
+    gmax = max(rows.max(), -gmin)
+    asym = rowsum = 0.0
+    # one pair of buffers for all blocks: fresh ones would fault in each time
+    row_buf, col_buf = np.empty((GREEN_BLOCK, n)), np.empty((n, GREEN_BLOCK))
+    for lo in range(0, n, GREEN_BLOCK):
+        blk = np.arange(lo, min(lo + GREEN_BLOCK, n))
+        G_blk = kernel._rows_into(blk, row_buf[:len(blk)])
+        # each pair once: the block's column strip G[lo:, blk] from its first row down
+        strip = kernel._columns_into(blk, lo, col_buf[:n - lo, :len(blk)])
+        np.subtract(strip, G_blk[:, lo:].T, out=strip)
+        asym = max(asym, np.abs(strip, out=strip).max())
+        rowsum = max(rowsum, np.abs(G_blk @ surface.weights - 1).max())
+    kernel.report = {
         "min_entry": float(gmin),
         "max_entry": float(gmax),
         "asymmetry_rel": float(asym / gmax),
-        "rowsum_err": float(np.abs(G @ surface.weights - 1).max()),
+        "rowsum_err": float(rowsum),
     }
-    return GreenKernel(matrix=G, report=report)
+    return kernel
 
 
 def laplacian_eigenvalues(surface: DiscreteSurface, k: int = 6) -> np.ndarray:
-    """Lowest k eigenvalues of -Delta_h (generalized problem K x = lam M x)."""
+    """Lowest k eigenvalues of -Delta_h (generalized problem K x = lam M x).
+
+    Shift-invert about sigma = -2 reuses the cached LU of K + 2M, which is
+    K - sigma M; K itself is singular (constants) and is never factored.
+    """
     M = sp.diags(surface.weights).tocsc()
-    vals = spla.eigsh(surface.stiffness, k=k, M=M, sigma=0, which="LM",
-                      return_eigenvectors=False)
+    OPinv = spla.LinearOperator(M.shape, matvec=surface.factorization().solve,
+                                dtype=float)
+    vals = spla.eigsh(surface.stiffness, k=k, M=M, sigma=-2, which="LM",
+                      OPinv=OPinv, return_eigenvectors=False)
     return np.sort(vals)
 
 
@@ -401,14 +477,20 @@ def export_mesh_json(surface: DiscreteSurface, path):
 
 
 def export_green(kernel: GreenKernel, surface: DiscreteSurface, prefix):
-    """Row-major float64 dump plus a JSON sidecar; reload is bit-exact."""
-    mat = np.ascontiguousarray(kernel.matrix, dtype=np.float64)
+    """The orbit rows (float64), then the index tables (int64), each in C
+    order in one binary dump; a JSON sidecar gives the shapes and the
+    report.  Reload is bit-exact.  The tables stay out of the JSON, whose
+    indented re-encoding (`cli._stamp`) would cost about 1 us per entry."""
+    tables = {key: getattr(kernel, key) for key in ("row_of", "map_of", "perms")}
     with open(str(prefix) + ".bin", "wb") as fh:
-        fh.write(mat.tobytes())
+        np.ascontiguousarray(kernel.rows, dtype=np.float64).tofile(fh)
+        for table in tables.values():
+            np.ascontiguousarray(table, dtype=np.int64).tofile(fh)
     sidecar = {
-        "shape": list(mat.shape),
+        "shape": list(kernel.rows.shape),
         "dtype": "float64",
         "order": "C",
+        "tables": {key: list(table.shape) for key, table in tables.items()},
         "node_hash": node_hash(surface),
         "report": kernel.report,
     }
@@ -419,7 +501,12 @@ def export_green(kernel: GreenKernel, surface: DiscreteSurface, prefix):
 def load_green(prefix) -> GreenKernel:
     with open(str(prefix) + ".json") as fh:
         sidecar = json.load(fh)
-    shape = tuple(sidecar["shape"])
     with open(str(prefix) + ".bin", "rb") as fh:
-        mat = np.frombuffer(fh.read(), dtype=np.float64).reshape(shape)
-    return GreenKernel(matrix=mat, report=sidecar["report"])
+        data = fh.read()
+    rows = np.frombuffer(data, dtype=np.float64, count=int(np.prod(sidecar["shape"])))
+    offset, tables = rows.nbytes, {}
+    for key, shape in sidecar["tables"].items():
+        table = np.frombuffer(data, dtype=np.int64, count=int(np.prod(shape)), offset=offset)
+        offset += table.nbytes
+        tables[key] = table.reshape(shape).astype(np.intp)
+    return GreenKernel(rows=rows.reshape(sidecar["shape"]), report=sidecar["report"], **tables)

@@ -27,7 +27,8 @@ the involution induced on wedges by the complex structure.
 
 The two-point fields have rank n, so every Green sum is taken from their
 n x N factors, through the weighted kernel WG applied to 4n^2 real node
-vectors: no N x N field is ever formed.
+vectors.  WG is an operator on the Green kernel's solved orbit rows
+(`weighted_green`): no N x N array is ever formed.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import surface as surface_mod
 from .curvature import CurvatureTensor
@@ -217,10 +219,17 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
     return np.block([[a - a.T, b], [zero, c - c.T]])[np.triu_indices(2 * n, 1)]
 
 
-def weighted_green(surface, green) -> np.ndarray:
-    """Green kernel contracted with the quadrature weights on both slots."""
+def weighted_green(surface, green) -> spla.LinearOperator:
+    """WG V = w * G(w * V): the Green kernel weighted on both slots, applied
+    through `green.matmat`; no N x N array is formed."""
     w = surface.weights
-    return green.matrix * np.outer(w, w)
+
+    def matmat(V):
+        ww = w.reshape((-1,) + (1,) * (np.ndim(V) - 1))
+        return ww * green.matmat(ww * V)
+
+    return spla.LinearOperator((len(w), len(w)), matvec=matmat, matmat=matmat,
+                               dtype=float)
 
 
 def _d_term(surface, diag_part: np.ndarray) -> float:
@@ -235,7 +244,7 @@ def _factor(coeff, mu: np.ndarray) -> np.ndarray:
 
 
 def _green_sums(mu: np.ndarray, nu_x: np.ndarray, nu_y: np.ndarray,
-                WG: np.ndarray) -> tuple[complex, complex]:
+                WG) -> tuple[complex, complex]:
     """Green sums of two rank-n fields X and Y with right factors nu_x, nu_y:
 
         bar  = sum_pq WG[p,q] X[p,q] conj(Y[p,q])
@@ -244,14 +253,15 @@ def _green_sums(mu: np.ndarray, nu_x: np.ndarray, nu_y: np.ndarray,
              = sum_jl sum_p conj(mu_j) nu_y,l (p) (WG nu_x,j conj(mu_l))(p),
 
     with (WG v)(p) = sum_q WG[p,q] v(q).  The real and imaginary parts of
-    the 2n^2 complex node vectors v (4n^2 real rows) meet WG in one GEMM;
-    no N x N field is formed, and WG need not be symmetric.
+    the 2n^2 complex node vectors v (4n^2 real columns) meet WG in one
+    product; no N x N field is formed, and WG need not be symmetric.  WG
+    is an N x N array or a `weighted_green` operator.
     """
     n, N = mu.shape
     mu_bar = np.conj(mu)
     v = np.concatenate([(nu_x[:, None] * np.conj(nu_y)[None]).reshape(-1, N),
                         (nu_x[:, None] * mu_bar[None]).reshape(-1, N)])
-    Wv = np.concatenate([v.real, v.imag]) @ WG.T
+    Wv = (WG @ np.concatenate([v.real, v.imag]).T).T
     Wv = Wv[:len(v)] + 1j * Wv[len(v):]
     left = np.concatenate([(mu_bar[:, None] * mu[None]).reshape(-1, N),
                            (mu_bar[:, None] * nu_y[None]).reshape(-1, N)])
@@ -315,7 +325,7 @@ def cross_term_consistency(a, b, fields, surface, green, *, WG=None) -> dict:
     }
 
 
-def cauchy_schwarz_slack(coeff, mu: np.ndarray, WG: np.ndarray) -> dict:
+def cauchy_schwarz_slack(coeff, mu: np.ndarray, WG) -> dict:
     """|sum WG L(z,w) L(w,z)|  <=  sum WG |L(z,w)|^2 (G positive, symmetric)
     for L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""
     mu = np.asarray(mu, dtype=complex)

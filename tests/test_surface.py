@@ -88,6 +88,29 @@ def test_low_eigenvalues(surf3, surf4):
     assert np.abs(ev3[1:] - ev4[1:]).max() < 0.03 * ev4[1]
 
 
+def test_eigensolve_reuses_factorization(surf3, monkeypatch):
+    """Once K + 2M is factored, the eigensolve factors nothing, and it
+    matches a shift-invert about 0 (which factors the singular K)."""
+    import scipy.sparse.linalg as spla
+    from scipy.sparse.linalg._eigen.arpack import arpack
+
+    M = sp.diags(surf3.weights).tocsc()
+    ref = np.sort(spla.eigsh(surf3.stiffness, k=6, M=M, sigma=0, which="LM",
+                             return_eigenvectors=False))
+    surf3.factorization()
+    calls, splu = [], spla.splu
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return splu(*args, **kwargs)
+
+    for module in (spla, arpack):       # eigsh reads arpack's own name
+        monkeypatch.setattr(module, "splu", spy)
+    vals = surface.laplacian_eigenvalues(surf3)
+    assert not calls
+    assert np.abs(vals - ref).max() <= 1e-10
+
+
 def test_resolvent_fixes_constants(surf3):
     u = surface.apply_D(surf3, np.ones(surf3.num_nodes))
     assert np.abs(u - 1).max() < 1e-10
@@ -163,6 +186,10 @@ def test_green_kernel_applies_D_to_roundoff(level, surf3, surf4, green3):
         direct = surface.apply_D(surf, f)
         err = np.abs(green.apply(surf, f) - direct).max()
         assert err <= 1e-13 * np.abs(direct).max()
+    f = rng.standard_normal(surf.num_nodes) + 1j * rng.standard_normal(surf.num_nodes)
+    direct = surface.apply_D(surf, f)
+    err = np.abs(green.apply(surf, f) - direct).max()
+    assert err <= 1e-13 * np.abs(direct).max()
 
 
 def _mesh(group, surf3, surf4, level):
@@ -266,15 +293,22 @@ def test_green_report(green3):
     assert rep["rowsum_err"] < 1e-10
 
 
-def test_green_budget(surf3):
+def test_green_budget(surf3, green3):
     with pytest.raises(KernelBudget):
         surface.green_kernel(surf3, bytes_cap=1000)
+    # the orbit rows fit, the dense expansion does not
+    small = surface.green_kernel(surf3, bytes_cap=green3.rows.nbytes)
+    assert np.array_equal(small.rows, green3.rows)
+    with pytest.raises(KernelBudget):
+        small.matrix
 
 
 def test_green_export_roundtrip(tmp_path, surf3, green3):
     prefix = tmp_path / "green"
     surface.export_green(green3, surf3, prefix)
     loaded = surface.load_green(prefix)
+    tables = green3.row_of.size + green3.map_of.size + green3.perms.size
+    assert (tmp_path / "green.bin").stat().st_size == green3.rows.nbytes + 8 * tables
     assert np.array_equal(loaded.matrix, green3.matrix)
     assert loaded.report == green3.report
 

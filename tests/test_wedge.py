@@ -196,33 +196,37 @@ def test_integral_path_matches_dense_oracle(kind, pipe3, surf3, green3):
     fields = pipe3["fields"] if kind == "octagon" else _generic_fields(surf3, 5)
     mu = np.array([f.values for f in fields])
     WG = wedge.weighted_green(surf3, green3)
+    dense_WG = green3.matrix * np.outer(surf3.weights, surf3.weights)
     rng = np.random.default_rng(6)
     for keys in ("a", "b", "c", "ab", "abc"):
         coeffs = {key: rng.standard_normal((3, 3)) for key in keys}
         got = wedge.integral_form_Q(coeffs, fields, surf3, green3, WG=WG)
-        ref, scale = _dense_integral_Q(coeffs, mu, surf3, WG)
+        ref, scale = _dense_integral_Q(coeffs, mu, surf3, dense_WG)
         assert abs(got - ref) <= 1e-13 * scale
     for _ in range(3):
         a, b = rng.standard_normal((2, 3, 3))
         got = wedge.q_cross_term(a, b, fields, surf3, green3, WG=WG)
-        ref, scale = _dense_cross_term(a, b, mu, surf3, WG)
+        ref, scale = _dense_cross_term(a, b, mu, surf3, dense_WG)
         assert abs(got - ref) <= 1e-13 * scale
         coeff = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         L = _dense_field(coeff, mu)
         rep = wedge.cauchy_schwarz_slack(coeff, mu, WG)
-        assert rep["lhs_abs"] == pytest.approx(abs(np.sum(WG * L * L.T)), rel=1e-13)
-        assert rep["rhs"] == pytest.approx(np.sum(WG * np.abs(L) ** 2), rel=1e-13)
+        assert rep["lhs_abs"] == pytest.approx(abs(np.sum(dense_WG * L * L.T)), rel=1e-13)
+        assert rep["rhs"] == pytest.approx(np.sum(dense_WG * np.abs(L) ** 2), rel=1e-13)
 
 
 def test_integral_path_forms_no_node_square_array(pipe3, surf3, green3):
-    """With WG given, no call of the integral path allocates 8 N^2 bytes,
-    the size of one real N x N array."""
+    """Neither the Green kernel, nor its weighted operator, nor any call of
+    the integral path allocates 8 N^2 bytes, the size of one real N x N
+    array."""
     fields = pipe3["fields"]
     mu = np.array([f.values for f in fields])
     WG = wedge.weighted_green(surf3, green3)
     rng = np.random.default_rng(7)
     coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
     calls = [
+        lambda: surface.green_kernel(surf3),
+        lambda: wedge.weighted_green(surf3, green3),
         lambda: wedge.integral_form_Q(coeffs, fields, surf3, green3, WG=WG),
         lambda: wedge.q_cross_term(coeffs["a"], coeffs["b"], fields, surf3,
                                    green3, WG=WG),
