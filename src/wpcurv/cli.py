@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import checks, curvature, qdiff, rankone, surface, surrogate, wedge
+from .artifacts import write_json
 from .checks import CHECK_DESCRIPTIONS  # noqa: F401  (read as cli.CHECK_DESCRIPTIONS)
 from .fuchsian import enumerate_words  # noqa: F401  (read as cli.enumerate_words)
 from .fuchsian import octagon_group
@@ -54,29 +55,18 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _stamp(path: str, cfg_hash: str):
-    """Embed the config hash into an already-written JSON artifact."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["config_hash"] = cfg_hash
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-
-
 def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     """Group -> basis -> mesh -> operators -> tensor -> Q -> checks."""
     cfg_hash = config.hash()
     results = {}
 
     group = octagon_group(config.genus)
-    group.export_json(os.path.join(outdir, "group.json"))
-    _stamp(os.path.join(outdir, "group.json"), cfg_hash)
+    group.export_json(os.path.join(outdir, "group.json"), config_hash=cfg_hash)
 
     basis_q = qdiff.build_qdiff_basis(group)
 
     surf = surface.build_mesh(group, config.mesh_level)
-    surface.export_mesh_json(surf, os.path.join(outdir, "mesh.json"))
-    _stamp(os.path.join(outdir, "mesh.json"), cfg_hash)
+    surface.export_mesh_json(surf, os.path.join(outdir, "mesh.json"), config_hash=cfg_hash)
 
     fields = qdiff.beltrami_from_qdiff(basis_q, surf)
     gram = qdiff.gram_matrix(fields, surf)
@@ -87,14 +77,12 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
         surf, rng.standard_normal((10, 2, surf.num_nodes)), config.solver_rtol)
 
     green = surface.green_kernel(surf)
-    surface.export_green(green, surf, os.path.join(outdir, "green"))
-    _stamp(os.path.join(outdir, "green.json"), cfg_hash)
+    surface.export_green(green, surf, os.path.join(outdir, "green"), config_hash=cfg_hash)
     results["green_kernel"] = checks.green_kernel(green)
 
     P = curvature.pairing_table(fields, surf)
     R = curvature.curvature_tensor(P)
-    curvature.export_tensor_json(R, os.path.join(outdir, "tensor.json"))
-    _stamp(os.path.join(outdir, "tensor.json"), cfg_hash)
+    curvature.export_tensor_json(R, os.path.join(outdir, "tensor.json"), config_hash=cfg_hash)
     results["tensor_symmetries"] = checks.tensor_symmetries(R)
 
     n = R.n
@@ -117,8 +105,8 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
         spec, kernel, config.tau_rel)
 
     wedge.export_spectrum_csv(spec, os.path.join(outdir, "spectrum.csv"))
-    wedge.export_spectrum_json(spec, kernel, os.path.join(outdir, "spectrum.json"))
-    _stamp(os.path.join(outdir, "spectrum.json"), cfg_hash)
+    wedge.export_spectrum_json(spec, kernel, os.path.join(outdir, "spectrum.json"),
+                               config_hash=cfg_hash)
     return results
 
 
@@ -135,16 +123,15 @@ def run(config: RunConfig) -> dict:
     if config.stage in ("all", "surrogate"):
         summary = surrogate.run_seed_sweep(
             range(config.seeds), config.surrogate_points, 3, config.tau_rel)
-        surrogate.export_suite_json(summary, os.path.join(config.out, "surrogate.json"))
-        _stamp(os.path.join(config.out, "surrogate.json"), cfg_hash)
+        surrogate.export_suite_json(summary, os.path.join(config.out, "surrogate.json"),
+                                    config_hash=cfg_hash)
         results["surrogate_spectrum"] = checks.surrogate_spectrum(summary)
 
     if config.stage in ("all", "rankone"):
         reports = [rankone.lemma51_check(m, config.seeds) for m in (1, 2)]
         for rep in reports:
             path = os.path.join(config.out, "rankone_m%d.json" % rep["m"])
-            rankone.export_report_json(rep, path)
-            _stamp(path, cfg_hash)
+            rankone.export_report_json(rep, path, config_hash=cfg_hash)
         results["quaternionic_null_vector"] = checks.quaternionic_null_vector(reports)
 
     report = {
@@ -153,8 +140,7 @@ def run(config: RunConfig) -> dict:
         "checks": results,
         "all_pass": all(c["pass"] for c in results.values()),
     }
-    with open(os.path.join(config.out, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
+    write_json(os.path.join(config.out, "report.json"), report)
     return report
 
 

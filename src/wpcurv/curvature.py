@@ -16,12 +16,12 @@ from the self-adjointness of D and are validated here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import surface as surface_mod
+from .artifacts import write_json
 from .errors import SymmetryViolation
 
 SYMMETRY_TOL = 1e-7
@@ -122,7 +122,7 @@ def holomorphic_sectional(R: CurvatureTensor, gram, i: int) -> float:
     return float(-R.entries[i, i, i, i].real / g_ii**2)
 
 
-def export_tensor_json(R: CurvatureTensor, path):
+def export_tensor_json(R: CurvatureTensor, path, *, config_hash=None):
     entries = [
         [i, j, k, l,
          R.entries[i, j, k, l].real, R.entries[i, j, k, l].imag]
@@ -130,6 +130,4 @@ def export_tensor_json(R: CurvatureTensor, path):
         for k in range(R.n) for l in range(R.n)
     ]
     payload = {"n": R.n, "entries": entries, "residuals": R.residuals()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    return payload
+    return write_json(path, payload, config_hash)

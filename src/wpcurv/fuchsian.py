@@ -9,11 +9,11 @@ unit-determinant 2x2 complex matrices acting by z -> (az+b)/(cz+d).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import BudgetExceeded, NearPole, UnsupportedGenus
 
 POLE_TOL = 1e-14
@@ -159,7 +159,7 @@ class FuchsianGroup:
         comm = lambda x, y: x @ y @ x.inverse() @ y.inverse()
         return (comm(a1, b1) @ comm(a2, b2)).dist_to(identity_map())
 
-    def export_json(self, path):
+    def export_json(self, path, *, config_hash=None):
         """Write generators (8 reals each), side-pairing table and the
         relation residuals."""
         def eight(g):
@@ -173,9 +173,7 @@ class FuchsianGroup:
             "octagon_relation_residual": self.octagon_relation_residual(),
             "commutator_relation_residual": self.commutator_residual(),
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        return payload
+        return write_json(path, payload, config_hash)
 
 
 def octagon_group(genus: int = 2) -> FuchsianGroup:

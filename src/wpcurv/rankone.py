@@ -27,22 +27,28 @@ All three margins are reported per trial.
 
 from __future__ import annotations
 
-import json
+import functools
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import DimensionMismatch
 from .wedge import induced_action, wedge_basis
 
 
+@functools.cache
 def structures(m: int):
-    """Orthogonal complex structures I, J, K on R^{4m} (IJ = K)."""
+    """Orthogonal complex structures I, J, K on R^{4m} (IJ = K), built once
+    per m and read-only."""
     # left multiplication by i, j, k on one quaternion block (1, i, j, k)
     Ib = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], float)
     Jb = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], float)
     Kb = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], float)
     eye = np.eye(m)
-    return np.kron(eye, Ib), np.kron(eye, Jb), np.kron(eye, Kb)
+    mats = tuple(np.kron(eye, B) for B in (Ib, Jb, Kb))
+    for A in mats:
+        A.setflags(write=False)
+    return mats
 
 
 def quat_curvature(X, Y, Z, W, m: int) -> float:
@@ -174,7 +180,5 @@ def lemma51_check(m: int, trials: int, seed: int = 0) -> dict:
     }
 
 
-def export_report_json(report: dict, path):
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    return report
+def export_report_json(report: dict, path, *, config_hash=None):
+    return write_json(path, report, config_hash)

@@ -41,6 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .artifacts import write_json
 from .errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
 from .fuchsian import FuchsianGroup
 
@@ -366,10 +367,12 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
     fix G as well.  Row g holds the image of each glued node under map g.
     """
     raw, _, gid = surface._raw
-    w, K = surface.weights, surface.stiffness
+    w, K = surface.weights, surface.stiffness.tocsc()
+    K_max = abs(K).max()
 
-    def grid(z):                    # integer keys on a 1e-9 grid
-        return np.rint(z.real * 1e9) + 1j * np.rint(z.imag * 1e9)
+    def grid(z):                    # one int64 key per point of the 1e-9 grid
+        return (np.rint(z.real * 1e9).astype(np.int64) * (2 * 10**9 + 1)
+                + np.rint(z.imag * 1e9).astype(np.int64))
 
     order = np.argsort(grid(raw))
     keys = grid(raw)[order]
@@ -378,13 +381,17 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
         for k in range(8):
             img = np.exp(1j * np.pi * k / 4) * z
             hit = order[np.minimum(np.searchsorted(keys, grid(img)), len(raw) - 1)]
-            if np.abs(raw[hit] - img).max() > 1e-9 or np.unique(hit).size < len(raw):
+            if np.abs(raw[hit] - img).max() > 1e-9 or np.bincount(hit).max() > 1:
                 continue
             perm = np.empty(len(w), dtype=np.intp)
             perm[gid] = gid[hit]
-            if (np.array_equal(perm[gid], gid[hit])
-                    and np.abs(w[perm] - w).max() <= 1e-12 * w.max()
-                    and abs(K[perm][:, perm] - K).max() <= 1e-12 * abs(K).max()):
+            if not (np.array_equal(perm[gid], gid[hit])
+                    and np.abs(w[perm] - w).max() <= 1e-12 * w.max()):
+                continue
+            # K[perm][:, perm]: relabel the rows of the CSC arrays, then pick columns
+            inv = np.argsort(perm)
+            K_perm = sp.csc_matrix((K.data, inv[K.indices], K.indptr), shape=K.shape)
+            if abs(K_perm[:, perm] - K).max() <= 1e-12 * K_max:
                 perms.append(perm)
     return np.array(perms)
 
@@ -463,7 +470,7 @@ def node_hash(surface: DiscreteSurface) -> str:
     return hashlib.sha256(np.ascontiguousarray(surface.nodes).tobytes()).hexdigest()
 
 
-def export_mesh_json(surface: DiscreteSurface, path):
+def export_mesh_json(surface: DiscreteSurface, path, *, config_hash=None):
     payload = {
         "level": surface.level,
         "nodes": [[z.real, z.imag] for z in surface.nodes],
@@ -471,16 +478,15 @@ def export_mesh_json(surface: DiscreteSurface, path):
         "triangles": [list(t) for t in surface.triangles],
         "identification": {str(k): v for k, v in surface.identification.items()},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    return payload
+    return write_json(path, payload, config_hash)
 
 
-def export_green(kernel: GreenKernel, surface: DiscreteSurface, prefix):
+def export_green(kernel: GreenKernel, surface: DiscreteSurface, prefix, *,
+                 config_hash=None):
     """The orbit rows (float64), then the index tables (int64), each in C
     order in one binary dump; a JSON sidecar gives the shapes and the
     report.  Reload is bit-exact.  The tables stay out of the JSON, whose
-    indented re-encoding (`cli._stamp`) would cost about 1 us per entry."""
+    indented encoding costs about 1 us per entry."""
     tables = {key: getattr(kernel, key) for key in ("row_of", "map_of", "perms")}
     with open(str(prefix) + ".bin", "wb") as fh:
         np.ascontiguousarray(kernel.rows, dtype=np.float64).tofile(fh)
@@ -494,8 +500,7 @@ def export_green(kernel: GreenKernel, surface: DiscreteSurface, prefix):
         "node_hash": node_hash(surface),
         "report": kernel.report,
     }
-    with open(str(prefix) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
+    write_json(str(prefix) + ".json", sidecar, config_hash)
 
 
 def load_green(prefix) -> GreenKernel:

@@ -12,12 +12,12 @@ them, serving as a brute-force oracle for the spectral claims.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import wedge
+from .artifacts import write_json
 from .curvature import curvature_tensor, pairing_table
 from .errors import KernelDimMismatch, PositiveModeDetected
 from .qdiff import BeltramiField
@@ -142,7 +142,5 @@ def run_seed_sweep(seeds, num_points: int, n: int,
     }
 
 
-def export_suite_json(summary: dict, path):
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    return summary
+def export_suite_json(summary: dict, path, *, config_hash=None):
+    return write_json(path, summary, config_hash)

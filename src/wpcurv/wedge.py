@@ -25,21 +25,25 @@ inequality (G positive and symmetric).  The zero locus is exactly the
 antisymmetric cross-block, i.e. the range of (identity - J), where J is
 the involution induced on wedges by the complex structure.
 
-The two-point fields have rank n, so every Green sum is taken from their
-n x N factors, through the weighted kernel WG applied to 4n^2 real node
-vectors.  WG is an operator on the Green kernel's solved orbit rows
-(`weighted_green`): no N x N array is ever formed.
+Every Green sum of two such fields is a contraction of one n^4 table
+T[i,k,l,j] = sum_p conj(mu_j) mu_l (p) (WG mu_i conj(mu_k))(p), for which
+the weighted kernel WG meets only the n^2 real node vectors of the
+coefficient-free products mu_i conj(mu_k).  WG is an operator on the
+Green kernel's solved orbit rows (`weighted_green`): no N x N array is
+ever formed, and T equals the pairing table taken through G instead of
+the LU, so the two paths still meet independent solves.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import surface as surface_mod
+from .artifacts import write_json
 from .curvature import CurvatureTensor
 from .errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
@@ -112,10 +116,14 @@ def assemble_Q(R: CurvatureTensor) -> WedgeOperator:
     return WedgeOperator(matrix=(Q + Q.T) / 2, n=R.n, symmetry_residual=resid)
 
 
+@functools.cache
 def j_wedge_matrix(n: int) -> np.ndarray:
-    """Matrix of the involution induced on wedges by J x_i = y_i, J y_i = -x_i."""
+    """Matrix of the involution induced on wedges by J x_i = y_i, J y_i = -x_i
+    (built once per n, read-only)."""
     eye, zero = np.eye(n), np.zeros((n, n))
-    return induced_action(np.block([[zero, -eye], [eye, zero]]))
+    Jw = induced_action(np.block([[zero, -eye], [eye, zero]]))
+    Jw.setflags(write=False)
+    return Jw
 
 
 @dataclass
@@ -238,35 +246,51 @@ def _d_term(surface, diag_part: np.ndarray) -> float:
     return float(np.sum(surface.weights * u * diag_part))
 
 
-def _factor(coeff, mu: np.ndarray) -> np.ndarray:
-    """Right factor nu = coeff^T mu of L[p,q] = sum_j conj(mu_j(p)) nu_j(q)."""
-    return np.asarray(coeff, dtype=complex).T @ mu
+def _diagonal(coeff, mu: np.ndarray) -> np.ndarray:
+    """L[p,p] of L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""
+    return np.sum(np.conj(mu) * (np.asarray(coeff, dtype=complex).T @ mu), axis=0)
 
 
-def _green_sums(mu: np.ndarray, nu_x: np.ndarray, nu_y: np.ndarray,
-                WG) -> tuple[complex, complex]:
-    """Green sums of two rank-n fields X and Y with right factors nu_x, nu_y:
+def _green_table(mu: np.ndarray, WG) -> np.ndarray:
+    """T[i,k,l,j] = sum_p conj(mu_j) mu_l (p) (WG mu_i conj(mu_k))(p).
 
-        bar  = sum_pq WG[p,q] X[p,q] conj(Y[p,q])
-             = sum_jl sum_p conj(mu_j) mu_l (p) (WG nu_x,j conj(nu_y,l))(p),
-        swap = sum_pq WG[p,q] X[p,q] Y[q,p]
-             = sum_jl sum_p conj(mu_j) nu_y,l (p) (WG nu_x,j conj(mu_l))(p),
-
-    with (WG v)(p) = sum_q WG[p,q] v(q).  The real and imaginary parts of
-    the 2n^2 complex node vectors v (4n^2 real columns) meet WG in one
-    product; no N x N field is formed, and WG need not be symmetric.  WG
-    is an N x N array or a `weighted_green` operator.
+    The products mu_i conj(mu_k) do not depend on any coefficients, and WG
+    is real, so WG meets only the n^2 real columns Re(mu_i conj mu_k),
+    i <= k, and Im(mu_i conj mu_k), i < k, in one product; the rest
+    follows from W_ki = conj(W_ik).  With WG = w G w this is the pairing
+    table (ik,lj) of `curvature.pairing_table`, taken through G instead of
+    the LU.  WG is an N x N array or a `weighted_green` operator.
     """
     n, N = mu.shape
-    mu_bar = np.conj(mu)
-    v = np.concatenate([(nu_x[:, None] * np.conj(nu_y)[None]).reshape(-1, N),
-                        (nu_x[:, None] * mu_bar[None]).reshape(-1, N)])
-    Wv = (WG @ np.concatenate([v.real, v.imag]).T).T
-    Wv = Wv[:len(v)] + 1j * Wv[len(v):]
-    left = np.concatenate([(mu_bar[:, None] * mu[None]).reshape(-1, N),
-                           (mu_bar[:, None] * nu_y[None]).reshape(-1, N)])
-    sums = np.einsum("kp,kp->k", left, Wv)
-    return complex(sums[:n * n].sum()), complex(sums[n * n:].sum())
+    prod = mu[:, None] * np.conj(mu)[None]               # mu_i conj(mu_k)
+    i, k = np.triu_indices(n)
+    off = i < k
+    upper = prod[i, k]
+    Wc = (WG @ np.concatenate([upper.real, upper[off].imag]).T).T
+    W = np.empty((n, n, N), dtype=complex)
+    W[i, k] = Wc[:len(i)]
+    W[i[off], k[off]] += 1j * Wc[len(i):]
+    W[k, i] = np.conj(W[i, k])
+    return (W.reshape(n * n, N) @ prod.reshape(n * n, N).T).reshape((n,) * 4)
+
+
+def _green_sums(mu: np.ndarray, cx, cy, WG) -> tuple[complex, complex]:
+    """Green sums of the two-point fields X[p,q] = sum_ij cx_ij mu_i(q)
+    conj(mu_j(p)) and Y (from cy) as contractions of `_green_table`:
+
+        bar  = sum_pq WG[p,q] X[p,q] conj(Y[p,q])
+             = sum cx_ij conj(cy_kl) T[i,k,l,j],
+        swap = sum_pq WG[p,q] X[p,q] Y[q,p]
+             = sum cx_ij cy_kl T[i,l,k,j],
+
+    with (WG v)(p) = sum_q WG[p,q] v(q).  WG need not be symmetric, and
+    no N x N field is formed.
+    """
+    T = _green_table(mu, WG)
+    cx, cy = (np.asarray(c, dtype=complex) for c in (cx, cy))
+    bar = np.einsum("ij,kl,iklj->", cx, np.conj(cy), T)
+    swap = np.einsum("ij,kl,ilkj->", cx, cy, T)
+    return complex(bar), complex(swap)
 
 
 def q_cross_term(a, b, fields, surface, green, *, WG=None) -> float:
@@ -274,12 +298,10 @@ def q_cross_term(a, b, fields, surface, green, *, WG=None) -> float:
     mu = np.array([f.values for f in fields])
     if WG is None:
         WG = weighted_green(surface, green)
-    nu_f, nu_h = _factor(a, mu), _factor(b, mu)
-    u = surface_mod.apply_D(surface, np.sum(np.conj(mu) * nu_f, axis=0).imag)
-    t1 = -4 * float(np.sum(surface.weights * u
-                           * np.sum(np.conj(mu) * nu_h, axis=0).real))
+    u = surface_mod.apply_D(surface, _diagonal(a, mu).imag)
+    t1 = -4 * float(np.sum(surface.weights * u * _diagonal(b, mu).real))
     # Im sum WG F conj(H) and Im sum WG F(z,w) H(w,z)
-    fh_bar, fh_swap = _green_sums(mu, nu_f, nu_h, WG)
+    fh_bar, fh_swap = _green_sums(mu, a, b, WG)
     return t1 - 2 * fh_bar.imag - 2 * fh_swap.imag
 
 
@@ -289,7 +311,7 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     The yy-block is folded into the xx-block first (d = a + c; the wedge
     involution J sends xx-wedges to yy-wedges and preserves Q), then the
     three-term combined formula is evaluated with L = F_d + i H, whose
-    right factor is (d + i b)^T mu.
+    coefficients are d + i b.
     """
     mu = np.array([f.values for f in fields])
     n = len(mu)
@@ -298,9 +320,9 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     c = np.asarray(coeffs.get("c", np.zeros((n, n))), dtype=float)
     if WG is None:
         WG = weighted_green(surface, green)
-    nu = _factor((a + c) + 1j * b, mu)
-    t1 = -4 * _d_term(surface, np.sum(np.conj(mu) * nu, axis=0).imag)
-    mod2, cross = _green_sums(mu, nu, nu, WG)
+    coeff = (a + c) + 1j * b
+    t1 = -4 * _d_term(surface, _diagonal(coeff, mu).imag)
+    mod2, cross = _green_sums(mu, coeff, coeff, WG)
     return t1 - 2 * mod2.real + 2 * cross.real
 
 
@@ -328,17 +350,14 @@ def cross_term_consistency(a, b, fields, surface, green, *, WG=None) -> dict:
 def cauchy_schwarz_slack(coeff, mu: np.ndarray, WG) -> dict:
     """|sum WG L(z,w) L(w,z)|  <=  sum WG |L(z,w)|^2 (G positive, symmetric)
     for L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""
-    mu = np.asarray(mu, dtype=complex)
-    nu = _factor(coeff, mu)
-    rhs, lhs = _green_sums(mu, nu, nu, WG)
+    rhs, lhs = _green_sums(np.asarray(mu, dtype=complex), coeff, coeff, WG)
     return {"lhs_abs": abs(lhs), "rhs": rhs.real}
 
 
-def export_spectrum_json(report: SpectrumReport, kernel_report: dict, path):
+def export_spectrum_json(report: SpectrumReport, kernel_report: dict, path, *,
+                         config_hash=None):
     payload = {"spectrum": report.to_dict(), "kernel_check": kernel_report}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    return payload
+    return write_json(path, payload, config_hash)
 
 
 def export_spectrum_csv(report: SpectrumReport, path):

@@ -1,6 +1,8 @@
 """Batch-driver tests: config handling, reports, exit codes, determinism."""
 
+import builtins
 import json
+import os
 
 import pytest
 
@@ -118,6 +120,31 @@ def test_surface_stage_and_determinism(tmp_path):
                           "spectrum.json", "spectrum.csv", "green.bin", "report.json"}
     text = cli.explain(r1)
     assert len(text.splitlines()) == 9
+
+
+def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
+    """Every JSON artifact is opened once, for writing, and never read back;
+    it is indented by 2 and stamped with the config hash as its last key."""
+    real_open = builtins.open
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((os.path.basename(str(file)), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    report = cli.run(cli.RunConfig(mesh_level=2, seeds=3, out=str(tmp_path / "o")))
+    monkeypatch.undo()
+    names = sorted(p.name for p in (tmp_path / "o").glob("*.json"))
+    assert len(names) == 9
+    for name in names:
+        assert [mode for seen, mode in opened if seen == name] == ["w"]
+        text = (tmp_path / "o" / name).read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2)
+        if name != "report.json":
+            assert list(payload)[-1] == "config_hash"
+            assert payload["config_hash"] == report["config_hash"]
 
 
 @pytest.mark.parametrize("level", [2, 3])

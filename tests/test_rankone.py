@@ -168,3 +168,18 @@ def test_export(tmp_path):
     rep = rankone.lemma51_check(1, 2)
     rankone.export_report_json(rep, tmp_path / "r.json")
     assert (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_structures_built_once_read_only(m, monkeypatch):
+    """Repeated calls return the same read-only arrays, and the cached
+    structures leave the lemma report unchanged."""
+    mats = rankone.structures(m)
+    assert all(a is b for a, b in zip(rankone.structures(m), mats))
+    for A in mats:
+        assert not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 1.0
+    cached = rankone.lemma51_check(m, 5)
+    monkeypatch.setattr(rankone, "structures", rankone.structures.__wrapped__)
+    assert rankone.lemma51_check(m, 5) == cached

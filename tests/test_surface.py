@@ -264,6 +264,20 @@ def test_planted_asymmetry_shrinks_group_to_stabilizer(surf3):
     assert np.abs(G - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
+def test_planted_stiffness_asymmetry_shrinks_group_to_stabilizer(surf3):
+    """Row and column of one node of K scaled by 1 + 1e-6: only the maps
+    fixing that node keep K."""
+    z = surf3.nodes
+    node = int(np.flatnonzero((abs(z.imag) < 1e-12) & (z.real > 0.1) & (z.real < 0.5))[0])
+    scale = np.ones(surf3.num_nodes)
+    scale[node] += 1e-6
+    S = sp.diags(scale)
+    bent = dataclasses.replace(surf3, stiffness=(S @ surf3.stiffness @ S).tocsc(), _lu=None)
+    stabilizer = {tuple(p) for p in surface._symmetries(surf3) if p[node] == node}
+    assert len(stabilizer) == 2
+    assert {tuple(p) for p in surface._symmetries(bent)} == stabilizer
+
+
 class _CountingLU:
     """Delegates to a factorization and records the columns of each solve."""
 

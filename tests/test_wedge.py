@@ -29,6 +29,14 @@ def test_j_matrix_involution_and_trace():
         assert np.sum(lam < 0) == n * (n - 1)
 
 
+def test_j_wedge_matrix_built_once_read_only():
+    J = wedge.j_wedge_matrix(3)
+    assert wedge.j_wedge_matrix(3) is J
+    assert not J.flags.writeable
+    with pytest.raises(ValueError):
+        J[0, 0] = 1.0
+
+
 # real basis indices for n = 3: x_i = i, y_i = 3 + i
 
 
@@ -146,9 +154,43 @@ def test_green_sums_oracle():
               for p in range(N) for q in range(N))
     swap = sum(WG[p, q] * field(cx, p, q) * field(cy, q, p)
                for p in range(N) for q in range(N))
-    got = wedge._green_sums(mu, wedge._factor(cx, mu), wedge._factor(cy, mu), WG)
+    got = wedge._green_sums(mu, cx, cy, WG)
     assert got[0] == pytest.approx(bar, rel=1e-13)
     assert got[1] == pytest.approx(swap, rel=1e-13)
+
+
+class _RecordingWG:
+    """Delegates to a weighted kernel and records the columns it is handed."""
+
+    def __init__(self, WG):
+        self.WG, self.columns = WG, []
+
+    def __matmul__(self, X):
+        assert np.isrealobj(X)
+        self.columns.append(X.shape[1])
+        return self.WG @ X
+
+
+def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
+    """Each Green-sum evaluation applies WG once, to the n^2 real columns
+    of the products mu_i conj(mu_k)."""
+    fields = pipe3["fields"]
+    mu = np.array([f.values for f in fields])
+    WG = _RecordingWG(wedge.weighted_green(surf3, green3))
+    rng = np.random.default_rng(8)
+    a, b, c = rng.standard_normal((3, 3, 3))
+    wedge.integral_form_Q({"a": a, "b": b, "c": c}, fields, surf3, green3, WG=WG)
+    wedge.q_cross_term(a, b, fields, surf3, green3, WG=WG)
+    wedge.cauchy_schwarz_slack(a + 1j * b, mu, WG)
+    assert WG.columns == [9, 9, 9]
+
+
+def test_green_table_is_the_pairing_table(pipe3, surf3, green3):
+    """T through the orbit-row kernel equals P through the LU."""
+    mu = np.array([f.values for f in pipe3["fields"]])
+    T = wedge._green_table(mu, wedge.weighted_green(surf3, green3))
+    P = pipe3["pairings"].entries
+    assert np.abs(T - P).max() <= 1e-13 * np.abs(P).max()
 
 
 # dense N x N oracles: the integral path as it was written before the Green
