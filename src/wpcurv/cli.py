@@ -77,7 +77,7 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
         surf, rng.standard_normal((10, 2, surf.num_nodes)), config.solver_rtol)
 
     green = surface.green_kernel(surf)
-    surface.export_green(green, surf, os.path.join(outdir, "green"), config_hash=cfg_hash)
+    surface.export_green(green, surf, os.path.join(outdir, "green.json"), config_hash=cfg_hash)
     results["green_kernel"] = checks.green_kernel(green)
 
     P = curvature.pairing_table(fields, surf)

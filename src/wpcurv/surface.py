@@ -24,7 +24,8 @@ symmetry orbit of the nodes: the maps z -> e^{ik pi/4} z and
 z -> e^{ik pi/4} conj(z) that carry the glued mesh, w and K onto
 themselves are certified first, and G is kept as the solved rows plus
 those permutations (289 rows of 4,094 at level 4).  It is applied by one
-product with the permuted columns and never expanded on the check path.
+product with the permuted columns, and its report is read off the solved
+rows; neither expands it.
 G is symmetric up to roundoff, and (Df)(p) = sum_q G[p,q] w_q f(q) holds
 to roundoff, not exactly: the two sides round differently (about 2e-15
 relative at level 3 and 4e-15 at level 4).
@@ -33,7 +34,6 @@ relative at level 3 and 4e-15 at level 4).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,11 +49,13 @@ from .fuchsian import FuchsianGroup
 #: level counting starts; the base mesh (level 0) is the once-refined fan
 BASE_REFINEMENTS = 1
 
-NODE_CAP_DEFAULT = 200_000
-GREEN_BYTES_CAP_DEFAULT = 1_600_000_000
+#: budgets, read at call time: raw mesh nodes, and bytes of G's solved
+#: rows (and of its dense expansion, `GreenKernel.matrix`)
+NODE_CAP = 200_000
+GREEN_BYTES_CAP = 1_600_000_000
 
-#: rows of G per LU solve and per symmetry fill; bounds each temporary
-#: of the Green kernel and its report to N x GREEN_BLOCK
+#: representatives per transposed LU solve of G; bounds the right-hand
+#: side and the solution to N x GREEN_BLOCK
 GREEN_BLOCK = 256
 
 # 7-point degree-5 triangle quadrature (barycentric points and weights)
@@ -222,8 +224,7 @@ class DiscreteSurface:
         return self._lu
 
 
-def build_mesh(group: FuchsianGroup, level: int, *,
-               node_cap: int = NODE_CAP_DEFAULT) -> DiscreteSurface:
+def build_mesh(group: FuchsianGroup, level: int) -> DiscreteSurface:
     """Triangulate, weight and glue the fundamental octagon.
 
     `level` in [1, 8] counts refinement passes beyond the base mesh (the
@@ -232,8 +233,8 @@ def build_mesh(group: FuchsianGroup, level: int, *,
     if not 1 <= level <= 8:
         raise ValueError("mesh level must be in [1, 8]")
     nodes, tris, bedges, _ = _build_raw(group, level + BASE_REFINEMENTS)
-    if len(nodes) > node_cap:
-        raise MeshBudget("raw node count %d exceeds cap %d" % (len(nodes), node_cap))
+    if len(nodes) > NODE_CAP:
+        raise MeshBudget("raw node count %d exceeds cap %d" % (len(nodes), NODE_CAP))
 
     w_raw = _area_weights(nodes, tris)
     find = _glue(group, nodes, bedges)
@@ -304,7 +305,6 @@ class GreenKernel:
     map_of: np.ndarray
     perms: np.ndarray
     report: dict
-    bytes_cap: int = GREEN_BYTES_CAP_DEFAULT
 
     @cached_property
     def _inverse(self):
@@ -329,32 +329,18 @@ class GreenKernel:
             Y = Y[:, :k] + 1j * Y[:, k:]
         return Y.reshape(V.shape)
 
-    def apply(self, surface, f):
-        return self.matmat(surface.weights * f)
-
-    def _rows_into(self, idx, out):
-        """out[j] = row idx[j] of G, row by row: no temporary."""
-        for j, (r, g) in enumerate(zip(self.row_of[idx], self.map_of[idx])):
-            self.rows[r].take(self._inverse[g], out=out[j])
-        return out
-
-    def _columns_into(self, cols, lo, out):
-        """out = G[lo:, cols], map by map from the solved rows' columns."""
-        maps = self.map_of[lo:]
-        for g in np.unique(maps):
-            sel = maps == g
-            out[sel] = self.rows[:, self._inverse[g][cols]][self.row_of[lo:][sel]]
-        return out
-
     @cached_property
     def matrix(self):
-        """The dense N x N matrix G, within bytes_cap: the tests' reference,
-        never built on the check path."""
+        """The dense N x N matrix G, within GREEN_BYTES_CAP, row by row: the
+        tests' reference, never built on the check path."""
         n = len(self.row_of)
-        if 8 * n * n > self.bytes_cap:
+        if 8 * n * n > GREEN_BYTES_CAP:
             raise KernelBudget("dense kernel needs %d bytes > cap %d"
-                               % (8 * n * n, self.bytes_cap))
-        return self._rows_into(np.arange(n), np.empty((n, n)))
+                               % (8 * n * n, GREEN_BYTES_CAP))
+        G = np.empty((n, n))
+        for i, (r, g) in enumerate(zip(self.row_of, self.map_of)):
+            self.rows[r].take(self._inverse[g], out=G[i])
+        return G
 
 
 def _symmetries(surface: DiscreteSurface) -> np.ndarray:
@@ -396,8 +382,7 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
     return np.array(perms)
 
 
-def green_kernel(surface: DiscreteSurface, *,
-                 bytes_cap: int = GREEN_BYTES_CAP_DEFAULT) -> GreenKernel:
+def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     """Green kernel G = 2 (K + 2M)^-1 as its orbit rows, with a report.
 
     G is solved once per symmetry orbit of the nodes: the least node r of
@@ -405,20 +390,24 @@ def green_kernel(surface: DiscreteSurface, *,
     representatives at a time.  Every other row is the row of its orbit's
     representative under a certified permutation of `_symmetries`,
     G[g(r), :] = G[r, g^-1(:)]; it is gathered when read, never stored.
-    bytes_cap bounds the stored rows, 8 R N bytes.
+    GREEN_BYTES_CAP bounds the stored rows, 8 R N bytes.
 
-    The report is streamed over blocks of GREEN_BLOCK rows, each with its
-    column strip, in O(N GREEN_BLOCK) memory.  No entry is taken from a
-    transpose, so `asymmetry_rel` compares independent solves.  Every
-    entry of G is an entry of rows, so the extremes are read off rows.
+    The report reads the solved rows and every index-table entry.  Every
+    entry of G is an entry of rows, which give the extremes.
+    `asymmetry_rel` compares each solved row G[r, :] with its column
+    G[:, r], gathered map by map from the rows of the nodes that map
+    carries, never from a transpose.  A certified map carries every pair
+    {i, j} onto a pair {r, k} with r a representative and leaves G
+    invariant, so these pairs cover every pair.  `rowsum_err` takes G w
+    through `matmat`, as the integral path applies G.
     """
     n = surface.num_nodes
     perms = _symmetries(surface)
     orbit_min = perms.min(axis=0)
     reps = np.flatnonzero(orbit_min == np.arange(n))
-    if 8 * len(reps) * n > bytes_cap:
+    if 8 * len(reps) * n > GREEN_BYTES_CAP:
         raise KernelBudget("orbit rows need %d bytes > cap %d"
-                           % (8 * len(reps) * n, bytes_cap))
+                           % (8 * len(reps) * n, GREEN_BYTES_CAP))
     lu = surface.factorization()
     rows = np.empty((len(reps), n))
     for lo in range(0, len(reps), GREEN_BLOCK):
@@ -428,26 +417,21 @@ def green_kernel(surface: DiscreteSurface, *,
     # identity, for the representatives); one exists, since every check of
     # `_symmetries` holds for a map exactly when it holds for its inverse
     map_of = (perms[:, orbit_min] == np.arange(n)).argmax(axis=0)
-    kernel = GreenKernel(rows=rows, row_of=np.searchsorted(reps, orbit_min),
-                         map_of=map_of, perms=perms, report={}, bytes_cap=bytes_cap)
+    row_of = np.searchsorted(reps, orbit_min)
+    kernel = GreenKernel(rows=rows, row_of=row_of, map_of=map_of, perms=perms, report={})
     gmin = rows.min()
     gmax = max(rows.max(), -gmin)
-    asym = rowsum = 0.0
-    # one pair of buffers for all blocks: fresh ones would fault in each time
-    row_buf, col_buf = np.empty((GREEN_BLOCK, n)), np.empty((n, GREEN_BLOCK))
-    for lo in range(0, n, GREEN_BLOCK):
-        blk = np.arange(lo, min(lo + GREEN_BLOCK, n))
-        G_blk = kernel._rows_into(blk, row_buf[:len(blk)])
-        # each pair once: the block's column strip G[lo:, blk] from its first row down
-        strip = kernel._columns_into(blk, lo, col_buf[:n - lo, :len(blk)])
-        np.subtract(strip, G_blk[:, lo:].T, out=strip)
-        asym = max(asym, np.abs(strip, out=strip).max())
-        rowsum = max(rowsum, np.abs(G_blk @ surface.weights - 1).max())
+    asym = 0.0
+    for g in np.unique(map_of):
+        sel = map_of == g
+        # G[sel, reps] from the rows of the nodes g carries, against G[reps, sel]
+        col = rows[row_of[sel][:, None], kernel._inverse[g][reps]]
+        asym = max(asym, np.abs(col - rows[:, sel].T).max())
     kernel.report = {
         "min_entry": float(gmin),
         "max_entry": float(gmax),
         "asymmetry_rel": float(asym / gmax),
-        "rowsum_err": float(rowsum),
+        "rowsum_err": float(np.abs(kernel.matmat(surface.weights) - 1).max()),
     }
     return kernel
 
@@ -481,37 +465,13 @@ def export_mesh_json(surface: DiscreteSurface, path, *, config_hash=None):
     return write_json(path, payload, config_hash)
 
 
-def export_green(kernel: GreenKernel, surface: DiscreteSurface, prefix, *,
+def export_green(kernel: GreenKernel, surface: DiscreteSurface, path, *,
                  config_hash=None):
-    """The orbit rows (float64), then the index tables (int64), each in C
-    order in one binary dump; a JSON sidecar gives the shapes and the
-    report.  Reload is bit-exact.  The tables stay out of the JSON, whose
-    indented encoding costs about 1 us per entry."""
-    tables = {key: getattr(kernel, key) for key in ("row_of", "map_of", "perms")}
-    with open(str(prefix) + ".bin", "wb") as fh:
-        np.ascontiguousarray(kernel.rows, dtype=np.float64).tofile(fh)
-        for table in tables.values():
-            np.ascontiguousarray(table, dtype=np.int64).tofile(fh)
-    sidecar = {
-        "shape": list(kernel.rows.shape),
-        "dtype": "float64",
-        "order": "C",
-        "tables": {key: list(table.shape) for key, table in tables.items()},
+    """The kernel's report, with the node hash and the solved-row shape; the
+    rows themselves are not written."""
+    payload = {
+        "rows_shape": list(kernel.rows.shape),
         "node_hash": node_hash(surface),
         "report": kernel.report,
     }
-    write_json(str(prefix) + ".json", sidecar, config_hash)
-
-
-def load_green(prefix) -> GreenKernel:
-    with open(str(prefix) + ".json") as fh:
-        sidecar = json.load(fh)
-    with open(str(prefix) + ".bin", "rb") as fh:
-        data = fh.read()
-    rows = np.frombuffer(data, dtype=np.float64, count=int(np.prod(sidecar["shape"])))
-    offset, tables = rows.nbytes, {}
-    for key, shape in sidecar["tables"].items():
-        table = np.frombuffer(data, dtype=np.int64, count=int(np.prod(shape)), offset=offset)
-        offset += table.nbytes
-        tables[key] = table.reshape(shape).astype(np.intp)
-    return GreenKernel(rows=rows.reshape(sidecar["shape"]), report=sidecar["report"], **tables)
+    return write_json(path, payload, config_hash)

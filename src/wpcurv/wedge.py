@@ -326,27 +326,6 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     return t1 - 2 * mod2.real + 2 * cross.real
 
 
-def cross_term_consistency(a, b, fields, surface, green, *, WG=None) -> dict:
-    """Compare the standalone cross-term formula with its polarization.
-
-    The polarization identity Q(A,B) = (Q(A+B,A+B) - Q(A,A) - Q(B,B)) / 2
-    uses only the combined formula on single blocks, so a mismatch here
-    isolates a sign or factor problem in the standalone cross term.
-    """
-    if WG is None:
-        WG = weighted_green(surface, green)
-    direct = q_cross_term(a, b, fields, surface, green, WG=WG)
-    total = integral_form_Q({"a": a, "b": b}, fields, surface, green, WG=WG)
-    qa = integral_form_Q({"a": a}, fields, surface, green, WG=WG)
-    qb = integral_form_Q({"b": b}, fields, surface, green, WG=WG)
-    polarized = (total - qa - qb) / 2
-    return {
-        "direct": direct,
-        "polarized": polarized,
-        "abs_difference": abs(direct - polarized),
-    }
-
-
 def cauchy_schwarz_slack(coeff, mu: np.ndarray, WG) -> dict:
     """|sum WG L(z,w) L(w,z)|  <=  sum WG |L(z,w)|^2 (G positive, symmetric)
     for L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""

@@ -117,7 +117,7 @@ def test_surface_stage_and_determinism(tmp_path):
         "surrogate_spectrum", "quaternionic_null_vector"}
     assert len(r1["checks"]) == 9
     assert set(first) == {"group.json", "mesh.json", "green.json", "tensor.json",
-                          "spectrum.json", "spectrum.csv", "green.bin", "report.json"}
+                          "spectrum.json", "spectrum.csv", "report.json"}
     text = cli.explain(r1)
     assert len(text.splitlines()) == 9
 

@@ -333,12 +333,10 @@ def test_reduce_to_domain():
         reduce_to_domain(G, [0.5, 1.0])
 
 
-def test_tiling_unique_representative():
+def test_tiling_unique_representative(group, words8):
     """Each sample point has exactly one translate in the domain, over the
     length-8 word ball."""
-    G = octagon_group(2)
-    ball = enumerate_words(G, 8, norm_cap=400.0)
-    mats = ball.matrices
+    mats = words8.matrices
     rng = np.random.default_rng(1)
     pts = 0.95 * np.sqrt(rng.uniform(size=1000)) * np.exp(
         2j * np.pi * rng.uniform(size=1000))
@@ -350,7 +348,7 @@ def test_tiling_unique_representative():
     for start in range(0, len(mats), 8000):
         sl = slice(start, start + 8000)
         images = (a[sl] * pts[None, :] + b[sl]) / (c[sl] * pts[None, :] + d[sl])
-        hits += in_fundamental_domain(G, images).sum(axis=0)
+        hits += in_fundamental_domain(group, images).sum(axis=0)
     assert np.all(hits == 1)
 
 

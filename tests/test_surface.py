@@ -1,6 +1,7 @@
 """Mesh, quadrature, Laplacian, resolvent and Green-kernel tests."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcurv import surface
+from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget
 from wpcurv.fuchsian import octagon_group
 
@@ -19,9 +20,10 @@ def test_level_bounds(group):
             surface.build_mesh(group, bad)
 
 
-def test_mesh_budget(group):
+def test_mesh_budget(group, monkeypatch):
+    monkeypatch.setattr(surface, "NODE_CAP", 10)
     with pytest.raises(MeshBudget):
-        surface.build_mesh(group, 3, node_cap=10)
+        surface.build_mesh(group, 3)
 
 
 def test_triangle_count(group, surf3):
@@ -155,22 +157,26 @@ def test_green_matches_resolvent(surf3, green3):
     for _ in range(20):
         f = rng.standard_normal(surf3.num_nodes)
         direct = surface.apply_D(surf3, f)
-        via_kernel = green3.apply(surf3, f)
+        via_kernel = green3.matmat(surf3.weights * f)
         assert np.abs(direct - via_kernel).max() < 1e-8 * np.abs(direct).max()
 
 
 def test_green_blocked_report_equals_full_matrix_formulas(surf3, green3):
-    """The column-blocked solve and report agree with one dense solve and
-    the full-matrix formulas; level 3 spans several blocks."""
+    """The blocked solve agrees with one dense solve, and the report read
+    off the solved rows, over all 16 maps at level 3, with the full-matrix
+    formulas."""
     G = green3.matrix
-    assert surf3.num_nodes > 2 * surface.GREEN_BLOCK
+    assert len(np.unique(green3.map_of)) == 16
     gmax = np.abs(G).max()
-    assert green3.report == {
+    rep = dict(green3.report)
+    rowsum = rep.pop("rowsum_err")
+    assert rep == {
         "min_entry": float(G.min()),
         "max_entry": float(gmax),
         "asymmetry_rel": float(np.abs(G - G.T).max() / gmax),
-        "rowsum_err": float(np.abs(G @ surf3.weights - 1).max()),
     }
+    assert rowsum == float(np.abs(green3.matmat(surf3.weights) - 1).max())
+    assert abs(rowsum - np.abs(G @ surf3.weights - 1).max()) <= 1e-14
     dense = surf3.factorization().solve(2 * np.eye(surf3.num_nodes))
     assert np.abs(G - dense).max() <= 1e-14 * np.abs(dense).max()
 
@@ -184,11 +190,11 @@ def test_green_kernel_applies_D_to_roundoff(level, surf3, surf4, green3):
     for _ in range(5):
         f = rng.standard_normal(surf.num_nodes)
         direct = surface.apply_D(surf, f)
-        err = np.abs(green.apply(surf, f) - direct).max()
+        err = np.abs(green.matmat(surf.weights * f) - direct).max()
         assert err <= 1e-13 * np.abs(direct).max()
     f = rng.standard_normal(surf.num_nodes) + 1j * rng.standard_normal(surf.num_nodes)
     direct = surface.apply_D(surf, f)
-    err = np.abs(green.apply(surf, f) - direct).max()
+    err = np.abs(green.matmat(surf.weights * f) - direct).max()
     assert err <= 1e-13 * np.abs(direct).max()
 
 
@@ -307,24 +313,41 @@ def test_green_report(green3):
     assert rep["rowsum_err"] < 1e-10
 
 
-def test_green_budget(surf3, green3):
+def test_green_report_reads_every_table_entry(surf3, monkeypatch):
+    """Two nodes' images swapped in one non-identity map: the symmetry and
+    row-sum parts of the report both see the corrupted index tables."""
+    perms = surface._symmetries(surf3)
+    bad = perms.copy()
+    bad[1, [1, 2]] = bad[1, [2, 1]]
+    monkeypatch.setattr(surface, "_symmetries", lambda surf: bad)
+    kernel = surface.green_kernel(surf3)
+    assert not checks.green_kernel(kernel)["pass"]
+    assert kernel.report["asymmetry_rel"] > 1e-8
+    assert kernel.report["rowsum_err"] > 1e-8
+
+
+def test_green_budget(surf3, green3, monkeypatch):
+    monkeypatch.setattr(surface, "GREEN_BYTES_CAP", 1000)
     with pytest.raises(KernelBudget):
-        surface.green_kernel(surf3, bytes_cap=1000)
+        surface.green_kernel(surf3)
     # the orbit rows fit, the dense expansion does not
-    small = surface.green_kernel(surf3, bytes_cap=green3.rows.nbytes)
+    monkeypatch.setattr(surface, "GREEN_BYTES_CAP", green3.rows.nbytes)
+    small = surface.green_kernel(surf3)
     assert np.array_equal(small.rows, green3.rows)
     with pytest.raises(KernelBudget):
         small.matrix
 
 
-def test_green_export_roundtrip(tmp_path, surf3, green3):
-    prefix = tmp_path / "green"
-    surface.export_green(green3, surf3, prefix)
-    loaded = surface.load_green(prefix)
-    tables = green3.row_of.size + green3.map_of.size + green3.perms.size
-    assert (tmp_path / "green.bin").stat().st_size == green3.rows.nbytes + 8 * tables
-    assert np.array_equal(loaded.matrix, green3.matrix)
-    assert loaded.report == green3.report
+def test_green_export_writes_report_json(tmp_path, surf3, green3):
+    """green.json holds the report, the node hash and the solved-row shape;
+    no binary dump of the rows is written."""
+    surface.export_green(green3, surf3, tmp_path / "green.json")
+    with open(tmp_path / "green.json") as fh:
+        payload = json.load(fh)
+    assert payload == {"rows_shape": list(green3.rows.shape),
+                       "node_hash": surface.node_hash(surf3),
+                       "report": green3.report}
+    assert [p.name for p in tmp_path.iterdir()] == ["green.json"]
 
 
 def test_node_hash_deterministic(group, surf3):

@@ -313,9 +313,12 @@ def test_cross_term_consistency(pipe3, surf3, green3):
     for _ in range(5):
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
-        rep = wedge.cross_term_consistency(a, b, pipe3["fields"], surf3,
-                                           green3, WG=WG)
-        assert rep["abs_difference"] < 1e-10 * scale * (1 + abs(rep["direct"]))
+        direct = wedge.q_cross_term(a, b, pipe3["fields"], surf3, green3, WG=WG)
+        # polarization: Q(A,B) = (Q(A+B,A+B) - Q(A,A) - Q(B,B)) / 2
+        qab, qa, qb = (wedge.integral_form_Q(coeffs, pipe3["fields"], surf3, green3, WG=WG)
+                       for coeffs in ({"a": a, "b": b}, {"a": a}, {"b": b}))
+        polarized = (qab - qa - qb) / 2
+        assert abs(direct - polarized) < 1e-10 * scale * (1 + abs(direct))
 
 
 def test_cauchy_schwarz_slack(pipe3, surf3, green3):
