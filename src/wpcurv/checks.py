@@ -33,12 +33,12 @@ def _check(name, passed, residual, tolerance):
             "description": CHECK_DESCRIPTIONS[name]}
 
 
-def resolvent_operator(surf, samples, rtol):
-    """On pairs (f, g) of node functions; `rtol` is `surface.apply_D`'s."""
+def resolvent_operator(surf, samples):
+    """On pairs (f, g) of node functions."""
     asym, posmin = 0.0, np.inf
     for f, g in samples:
-        Df = surface.apply_D(surf, f, rtol=rtol)
-        Dg = surface.apply_D(surf, g, rtol=rtol)
+        Df = surface.apply_D(surf, f)
+        Dg = surface.apply_D(surf, g)
         nf = np.sqrt(surf.inner(f, f).real)
         ng = np.sqrt(surf.inner(g, g).real)
         asym = max(asym, abs(surf.inner(Df, g) - surf.inner(f, Dg)) / (nf * ng))
@@ -103,22 +103,22 @@ def reduction_null(Q, tau, elements):
     return _check("reduction_null", *vanishes_on(Q, tau, vectors), tau)
 
 
-def kernel_report(Q, tau_rel):
+def kernel_report(Q):
     """`wedge.kernel_check` against J; a rank mismatch becomes {"error": ...}."""
     try:
-        return wedge.kernel_check(Q, wedge.j_wedge_matrix(Q.n), tau_rel)
+        return wedge.kernel_check(Q, wedge.j_wedge_matrix(Q.n))
     except KernelDimMismatch as exc:
         return {"error": str(exc)}
 
 
-def operator_nonpositive_kernel(spec, kernel, tau_rel):
+def operator_nonpositive_kernel(spec, kernel):
     """Sign counts and spectral gap of `wedge.spectrum`, and a `kernel_report`."""
     ok = (spec.num_positive == 0 and spec.num_zero == spec.kernel_dim_expected
           and spec.gap_ratio >= 1e2 and "error" not in kernel
           and kernel["range_ok"] and kernel["plus_eigenspace_negative"])
     return _check("operator_nonpositive_kernel", ok,
                   {"counts": [spec.num_negative, spec.num_zero, spec.num_positive],
-                   "gap_ratio": spec.gap_ratio, **kernel}, tau_rel)
+                   "gap_ratio": spec.gap_ratio, **kernel}, wedge.TAU_REL_DEFAULT)
 
 
 def surrogate_spectrum(summary):

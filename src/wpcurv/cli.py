@@ -1,7 +1,7 @@
 """Batch driver: build the surface, run pipeline stages, emit reports.
 
-A run is fully determined by a RunConfig (plain-text key=value file plus
-flag overrides); its SHA-256 hash is embedded in every JSON artifact so
+A run is fully determined by a RunConfig (the subcommand names the stage,
+flags set the rest); its SHA-256 hash is embedded in every JSON artifact so
 outputs can be traced back to their configuration.  Numeric outputs are
 deterministic for a fixed config.
 """
@@ -24,29 +24,27 @@ from .fuchsian import enumerate_words  # noqa: F401  (read as cli.enumerate_word
 from .fuchsian import octagon_group
 
 
-STAGES = ("all", "surface", "surrogate", "rankone")
-#: the one stage each subcommand other than `run` selects
-SUBCOMMAND_STAGES = {"spectrum": "surface", "surrogate": "surrogate", "rankone": "rankone"}
+#: the stage each subcommand runs
+SUBCOMMAND_STAGES = {"run": "all", "spectrum": "surface", "surrogate": "surrogate",
+                     "rankone": "rankone"}
+STAGES = tuple(SUBCOMMAND_STAGES.values())
+#: sample points of each surrogate model, and its number of basis fields
+SURROGATE_POINTS = 40
+SURROGATE_FIELDS = 3
 
 
 @dataclass
 class RunConfig:
-    genus: int = 2
     mesh_level: int = 3
-    tau_rel: float = 1e-8
-    solver_rtol: float = 1e-10
-    seeds: int = 20
-    surrogate_points: int = 40
+    seeds: int = 20             # surrogate models, rankone trials and the check RNG seed
     out: str = "wpcurv_out"
     stage: str = "all"          # one of STAGES
 
     def validate(self):
-        if self.genus != 2:
-            raise ValueError("only genus 2 is supported")
         if not 1 <= self.mesh_level <= 8:
             raise ValueError("mesh level must be in [1, 8]")
-        if self.tau_rel <= 0 or self.solver_rtol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.seeds < 1:
+            raise ValueError("seeds must be at least 1")
         if self.stage not in STAGES:
             raise ValueError("unknown stage %r" % self.stage)
 
@@ -60,7 +58,7 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     cfg_hash = config.hash()
     results = {}
 
-    group = octagon_group(config.genus)
+    group = octagon_group(2)
     group.export_json(os.path.join(outdir, "group.json"), config_hash=cfg_hash)
 
     basis_q = qdiff.build_qdiff_basis(group)
@@ -74,7 +72,7 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
 
     rng = np.random.default_rng(config.seeds)
     results["resolvent_operator"] = checks.resolvent_operator(
-        surf, rng.standard_normal((10, 2, surf.num_nodes)), config.solver_rtol)
+        surf, rng.standard_normal((10, 2, surf.num_nodes)))
 
     green = surface.green_kernel(surf)
     surface.export_green(green, surf, os.path.join(outdir, "green.json"), config_hash=cfg_hash)
@@ -87,8 +85,8 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
 
     n = R.n
     Q = wedge.assemble_Q(R)
-    spec = wedge.spectrum(Q, config.tau_rel, strict=False)
-    kernel = checks.kernel_report(Q, config.tau_rel)
+    spec = wedge.spectrum(Q, strict=False)
+    kernel = checks.kernel_report(Q)
 
     mixed = [dict(zip("abc", abc)) for abc in rng.standard_normal((5, 3, n, n))]
     results["tensor_assembly"] = checks.tensor_assembly(
@@ -101,8 +99,7 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     results["yy_block_definite"] = checks.yy_block_definite(Q, spec.tau, a)
     results["cross_block_null"] = checks.cross_block_null(Q, spec.tau, b)
     results["reduction_null"] = checks.reduction_null(Q, spec.tau, d)
-    results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(
-        spec, kernel, config.tau_rel)
+    results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(spec, kernel)
 
     wedge.export_spectrum_csv(spec, os.path.join(outdir, "spectrum.csv"))
     wedge.export_spectrum_json(spec, kernel, os.path.join(outdir, "spectrum.json"),
@@ -122,7 +119,7 @@ def run(config: RunConfig) -> dict:
 
     if config.stage in ("all", "surrogate"):
         summary = surrogate.run_seed_sweep(
-            range(config.seeds), config.surrogate_points, 3, config.tau_rel)
+            range(config.seeds), SURROGATE_POINTS, SURROGATE_FIELDS)
         surrogate.export_suite_json(summary, os.path.join(config.out, "surrogate.json"),
                                     config_hash=cfg_hash)
         results["surrogate_spectrum"] = checks.surrogate_spectrum(summary)
@@ -157,43 +154,19 @@ def explain(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _load_config(args) -> RunConfig:
-    config = RunConfig()
-    if args.config:
-        with open(args.config) as fh:
-            for line in fh:
-                line = line.split("#")[0].strip()
-                if not line:
-                    continue
-                key, _, value = line.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if not hasattr(config, key):
-                    raise ValueError("unknown config key %r" % key)
-                current = getattr(config, key)
-                setattr(config, key,
-                        type(current)(value) if not isinstance(current, str) else value)
-    for key in ("mesh_level", "tau_rel", "seeds", "out", "stage"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(config, key, val)
-    return config
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="wpcurv",
         description="curvature-operator laboratory for the genus-2 octagon surface")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("run", *SUBCOMMAND_STAGES):
+    defaults = RunConfig()
+    for name in SUBCOMMAND_STAGES:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="plain-text key=value config file")
-        p.add_argument("--mesh-level", dest="mesh_level", type=int)
-        p.add_argument("--tau-rel", dest="tau_rel", type=float)
-        p.add_argument("--seeds", type=int)
-        p.add_argument("--out")
-    sub.choices["run"].add_argument("--stage", choices=STAGES)
+        p.add_argument("--mesh-level", dest="mesh_level", type=int,
+                       default=defaults.mesh_level)
+        p.add_argument("--seeds", type=int, default=defaults.seeds)
+        p.add_argument("--out", default=defaults.out)
     sub.add_parser("explain").add_argument("report", help="path to a report.json")
 
     args = parser.parse_args(argv)
@@ -204,8 +177,12 @@ def main(argv=None) -> int:
         print(explain(report))
         return 0
 
-    config = _load_config(args)
-    config.stage = SUBCOMMAND_STAGES.get(args.command, config.stage)
+    config = RunConfig(mesh_level=args.mesh_level, seeds=args.seeds, out=args.out,
+                       stage=SUBCOMMAND_STAGES[args.command])
+    try:
+        config.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     report = run(config)
     if args.command == "spectrum":

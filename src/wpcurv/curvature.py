@@ -99,14 +99,14 @@ def pairing_table(fields, surface=None, *, weights=None, apply_D_fn=None) -> Pai
     return PairingTable(entries)
 
 
-def curvature_tensor(P: PairingTable, *, tol: float = SYMMETRY_TOL) -> CurvatureTensor:
+def curvature_tensor(P: PairingTable) -> CurvatureTensor:
     """Assemble R[i][j][k][l] = (ij,kl) + (il,kj) and validate symmetries."""
     R = CurvatureTensor(P.entries + P.entries.transpose(0, 3, 2, 1))
     res = R.residuals()
     worst = max(res.values())
-    if worst > tol:
-        raise SymmetryViolation(
-            "curvature symmetry residual %.3g exceeds %.3g (%s)" % (worst, tol, res))
+    if worst > SYMMETRY_TOL:
+        raise SymmetryViolation("curvature symmetry residual %.3g exceeds %.3g (%s)"
+                                % (worst, SYMMETRY_TOL, res))
     return R
 
 

@@ -10,7 +10,7 @@ class UnsupportedGenus(WpcurvError):
 
 
 class BudgetExceeded(WpcurvError):
-    """Word enumeration would exceed the configured element cap."""
+    """Word enumeration would exceed its element cap (`fuchsian.WORD_CAP`)."""
 
 
 class NearPole(WpcurvError):

@@ -20,6 +20,8 @@ POLE_TOL = 1e-14
 DEDUP_DECIMALS = 8  # rounding used for the 1e-9 entrywise dedup radius
 DOMAIN_BLOCK = 500_000  # points per block of `in_fundamental_domain`
 REDUCE_STEPS = 64  # side-pairing steps `reduce_to_domain` allows per point
+WORD_CAP = 2_000_000  # most elements `enumerate_words` may return
+DOMAIN_TOL = 1e-12  # distance margin within which `in_fundamental_domain` sees a tie
 
 
 class MobiusMap:
@@ -278,8 +280,8 @@ def _dedup_keys(mats: np.ndarray):
     return r.view(np.dtype((np.void, r.itemsize * r.shape[1]))).reshape(-1)
 
 
-def enumerate_words(group: FuchsianGroup, L: int, *, norm_cap: float | None = None,
-                    cap: int = 2_000_000) -> GroupWordSet:
+def enumerate_words(group: FuchsianGroup, L: int, *,
+                    norm_cap: float | None = None) -> GroupWordSet:
     """Breadth-first ball of reduced words of length <= L.
 
     Words are multiplied out to matrices and deduplicated projectively
@@ -310,16 +312,16 @@ def enumerate_words(group: FuchsianGroup, L: int, *, norm_cap: float | None = No
         seen = np.concatenate([seen, keys[fresh]])
         frontier = _sign_normalize(children[fresh])
         total += len(frontier)
-        if total > cap:
+        if total > WORD_CAP:
             raise BudgetExceeded(
-                "word ball exceeds cap of %d elements at length <= %d" % (cap, L))
+                "word ball exceeds cap of %d elements at length <= %d" % (WORD_CAP, L))
         shells.append(frontier)
     return GroupWordSet(max_length=L, matrices=np.concatenate(shells),
                         shell_sizes=tuple(len(sh) for sh in shells),
                         norm_cap=norm_cap)
 
 
-def in_fundamental_domain(group: FuchsianGroup, z, tol: float = 1e-12):
+def in_fundamental_domain(group: FuchsianGroup, z):
     """Membership in the Dirichlet domain centered at 0 (the octagon).
 
     A point belongs iff it is at least as close (hyperbolic distance) to 0
@@ -359,7 +361,7 @@ def in_fundamental_domain(group: FuchsianGroup, z, tol: float = 1e-12):
         near = ~(np.abs(least) >= 1e-9) | (r2 >= 1)     # NaN is near too
         if np.any(near):
             idx = lo + np.flatnonzero(near)
-            inside[idx] = _distance_membership(centers, zf[idx], tol)
+            inside[idx] = _distance_membership(centers, zf[idx])
     return bool(inside[0]) if scalar else inside.reshape(z.shape)
 
 
@@ -391,15 +393,15 @@ def reduce_to_domain(group: FuchsianGroup, z):
     raise ValueError("%d points not reduced in %d steps" % (len(out), REDUCE_STEPS))
 
 
-def _distance_membership(centers, z, tol):
+def _distance_membership(centers, z):
     """Membership from the hyperbolic distance margins, ties broken toward
     the side of smaller index."""
     d0 = hyperbolic_distance(z, 0)
     margins = np.array([hyperbolic_distance(z, c) - d0 for c in centers])
     mmin = margins.min(axis=0)
-    inside = mmin > tol
-    ties = np.abs(mmin) <= tol
+    inside = mmin > DOMAIN_TOL
+    ties = np.abs(mmin) <= DOMAIN_TOL
     if np.any(ties):
-        first = np.argmax(margins[:, ties] <= tol + mmin[ties], axis=0)
+        first = np.argmax(margins[:, ties] <= DOMAIN_TOL + mmin[ties], axis=0)
         inside[ties] = first < 4
     return inside

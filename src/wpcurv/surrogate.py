@@ -71,7 +71,7 @@ def random_surrogate(seed: int, num_points: int, n: int) -> SurrogateModel:
                           kernel=kernel, mu=mu, bandwidth=bandwidth)
 
 
-def run_property_suite(model: SurrogateModel, tau_rel: float = wedge.TAU_REL_DEFAULT) -> dict:
+def run_property_suite(model: SurrogateModel) -> dict:
     """Pairings -> tensor -> Q -> spectrum -> kernel characterization.
 
     Positive modes or a kernel smaller than n(n-1) raise immediately
@@ -83,7 +83,7 @@ def run_property_suite(model: SurrogateModel, tau_rel: float = wedge.TAU_REL_DEF
     P = pairing_table(fields, weights=model.weights, apply_D_fn=model.apply_D)
     R = curvature_tensor(P)
     Q = wedge.assemble_Q(R)
-    report = wedge.spectrum(Q, tau_rel, strict=False)
+    report = wedge.spectrum(Q, strict=False)
     expected = Q.n * (Q.n - 1)
     if report.num_positive:
         raise PositiveModeDetected(
@@ -122,13 +122,12 @@ def run_property_suite(model: SurrogateModel, tau_rel: float = wedge.TAU_REL_DEF
     }
 
 
-def run_seed_sweep(seeds, num_points: int, n: int,
-                   tau_rel: float = wedge.TAU_REL_DEFAULT) -> dict:
+def run_seed_sweep(seeds, num_points: int, n: int) -> dict:
     """Run the suite over many seeds and summarize worst margins."""
     per_seed = []
     for seed in seeds:
         model = random_surrogate(seed, num_points, n)
-        per_seed.append(run_property_suite(model, tau_rel))
+        per_seed.append(run_property_suite(model))
     return {
         "n": n,
         "num_points": num_points,

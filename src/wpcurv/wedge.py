@@ -47,7 +47,11 @@ from .artifacts import write_json
 from .curvature import CurvatureTensor
 from .errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
+#: an eigenvalue of Q counts as zero when |lambda| <= TAU_REL_DEFAULT * max|lambda|
 TAU_REL_DEFAULT = 1e-8
+#: random unit elements of J's +1 eigenspace `kernel_check` evaluates, and their seed
+KERNEL_SAMPLES = 20
+KERNEL_SEED = 0
 
 
 def wedge_basis(n: int):
@@ -177,8 +181,7 @@ def spectrum(Q: WedgeOperator, tau_rel: float = TAU_REL_DEFAULT,
 
 
 def kernel_check(Q: WedgeOperator, Jmat: np.ndarray,
-                 tau_rel: float = TAU_REL_DEFAULT, *, num_random: int = 20,
-                 seed: int = 0) -> dict:
+                 tau_rel: float = TAU_REL_DEFAULT) -> dict:
     """Both directions of the kernel characterization.
 
     range(I - J) lies inside ker Q (residual check), and the kernel is no
@@ -194,9 +197,9 @@ def kernel_check(Q: WedgeOperator, Jmat: np.ndarray,
     if rank != expected_rank:
         raise KernelDimMismatch("rank %d, expected %d" % (rank, expected_rank))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(KERNEL_SEED)
     worst = -np.inf
-    for _ in range(num_random):
+    for _ in range(KERNEL_SAMPLES):
         v = rng.standard_normal(m)
         v = (v + Jmat @ v) / 2          # project onto the +1 eigenspace
         v /= np.linalg.norm(v)

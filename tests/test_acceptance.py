@@ -8,10 +8,9 @@ import time
 
 import numpy as np
 
-from wpcurv import checks, cli, rankone, surrogate, wedge
+from wpcurv import checks, rankone, surrogate, wedge
 
-DEFAULTS = cli.RunConfig()
-TAU_REL = DEFAULTS.tau_rel
+TAU_REL = wedge.TAU_REL_DEFAULT
 
 
 def _report(num, ok, detail):
@@ -21,8 +20,7 @@ def _report(num, ok, detail):
 
 def _kernel_check(Q):
     spec = wedge.spectrum(Q, TAU_REL, strict=False)
-    return checks.operator_nonpositive_kernel(spec, checks.kernel_report(Q, TAU_REL),
-                                              TAU_REL)
+    return checks.operator_nonpositive_kernel(spec, checks.kernel_report(Q))
 
 
 def test_criterion_1_spectrum(pipe4):
@@ -58,7 +56,7 @@ def test_criterion_4_operator_hypotheses(surf3, green3):
     rng = np.random.default_rng(4)
     pairs = [(rng.standard_normal(surf3.num_nodes), rng.standard_normal(surf3.num_nodes))
              for _ in range(20)]
-    resolvent = checks.resolvent_operator(surf3, pairs, DEFAULTS.solver_rtol)
+    resolvent = checks.resolvent_operator(surf3, pairs)
     green = checks.green_kernel(green3)
     d, gr = resolvent["residual"], green["residual"]
     _report(4, resolvent["pass"] and green["pass"],
@@ -109,8 +107,8 @@ def test_criterion_6_zero_level_sets(pipe4, jmat3):
 def test_criterion_7_surrogate_suite():
     """100 synthetic-kernel models reproduce the counts; under a minute."""
     start = time.time()
-    s3 = surrogate.run_seed_sweep(range(50), 40, 3, TAU_REL)
-    s2 = surrogate.run_seed_sweep(range(50), 20, 2, TAU_REL)
+    s3 = surrogate.run_seed_sweep(range(50), 40, 3)
+    s2 = surrogate.run_seed_sweep(range(50), 20, 2)
     elapsed = time.time() - start
     c3, c2 = checks.surrogate_spectrum(s3), checks.surrogate_spectrum(s2)
     ok = (c3["pass"] and c2["pass"]

@@ -8,9 +8,8 @@ from wpcurv import checks, wedge
 
 def test_kernel_rank_mismatch_is_a_failed_check():
     Q = wedge.WedgeOperator(matrix=-np.eye(15), n=3, symmetry_residual=0.0)
-    kernel = checks.kernel_report(Q, 1e-8)
-    check = checks.operator_nonpositive_kernel(wedge.spectrum(Q, strict=False),
-                                               kernel, 1e-8)
+    kernel = checks.kernel_report(Q)
+    check = checks.operator_nonpositive_kernel(wedge.spectrum(Q, strict=False), kernel)
     assert not check["pass"]
     assert "rank 15, expected 9" in check["residual"]["error"]
 
@@ -22,7 +21,7 @@ def test_unrelated_kernel_error_propagates(monkeypatch):
     monkeypatch.setattr(wedge, "kernel_check", broken)
     Q = wedge.WedgeOperator(matrix=-np.eye(15), n=3, symmetry_residual=0.0)
     with pytest.raises(ZeroDivisionError):
-        checks.kernel_report(Q, 1e-8)
+        checks.kernel_report(Q)
 
 
 def test_surrogate_spectrum_fails_on_excess_kernel():

@@ -1,6 +1,7 @@
 """Batch-driver tests: config handling, reports, exit codes, determinism."""
 
 import builtins
+import dataclasses
 import json
 import os
 
@@ -10,16 +11,22 @@ from wpcurv import checks, cli
 
 
 def test_config_validation():
-    cfg = cli.RunConfig(genus=3)
-    with pytest.raises(ValueError):
-        cfg.validate()
     cfg = cli.RunConfig(mesh_level=0)
     with pytest.raises(ValueError):
         cfg.validate()
     cfg = cli.RunConfig(stage="bogus")
     with pytest.raises(ValueError):
         cfg.validate()
+    cfg = cli.RunConfig(seeds=0)
+    with pytest.raises(ValueError):
+        cfg.validate()
     cli.RunConfig().validate()
+
+
+def test_config_fields():
+    """The four settings a run varies; everything else is a constant."""
+    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == [
+        "mesh_level", "seeds", "out", "stage"]
 
 
 def test_config_hash_sensitivity():
@@ -29,28 +36,19 @@ def test_config_hash_sensitivity():
     assert len(a.hash()) == 16
 
 
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "cfg"
-    path.write_text("mesh_level = 2   # coarse\nseeds=5\nout = somewhere\n")
-
-    class Args:
-        config = str(path)
-
-    cfg = cli._load_config(Args())
-    assert cfg.mesh_level == 2
-    assert cfg.seeds == 5
-    assert cfg.out == "somewhere"
-
-
-def test_config_file_unknown_key(tmp_path):
-    path = tmp_path / "cfg"
-    path.write_text("no_such_key=1\n")
-
-    class Args:
-        config = str(path)
-
-    with pytest.raises(ValueError):
-        cli._load_config(Args())
+@pytest.mark.parametrize("argv", [["--mesh-level", "9"], ["--mesh-level", "1", "--seeds", "0"],
+                                  ["--seeds", "-1"]],
+                         ids=["mesh-level-9", "seeds-0", "seeds-minus-1"])
+def test_invalid_config_is_a_usage_error(argv, tmp_path, capsys):
+    """A setting `validate` rejects exits 2 with one error line, writing nothing."""
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("wpcurv: error: ")
+    assert not out.exists()
 
 
 def test_explain_requires_checks():
@@ -81,13 +79,18 @@ def test_rankone_exit_code(tmp_path):
     assert code == 1
 
 
-def test_subcommands_reject_stage(tmp_path, capsys):
-    """Only `run` selects stages; the other subcommands are one stage each."""
+@pytest.mark.parametrize("argv", [
+    [command, "--stage", "rankone"] for command in ("run", "spectrum", "surrogate", "rankone")
+] + [["run", "--config", "f"], ["run", "--tau-rel", "1e-8"]],
+    ids=["run", "spectrum", "surrogate", "rankone", "run-config", "run-tau-rel"])
+def test_subcommands_reject_stage(argv, tmp_path, capsys):
+    """The subcommand names the stage and flags set the rest: no subcommand
+    takes `--stage`, a config file or a tolerance."""
     with pytest.raises(SystemExit) as exc:
-        cli.main(["surrogate", "--stage", "rankone", "--seeds", "2",
-                  "--out", str(tmp_path / "o")])
+        cli.main([*argv, "--seeds", "2", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --stage" in capsys.readouterr().err
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_surrogate_stage(tmp_path):

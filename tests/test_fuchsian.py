@@ -312,7 +312,7 @@ def test_domain_blocks_match_distance_formula():
     w = 1j * centers / np.abs(centers) * rng.uniform(-0.99, 0.99, size=(50, 1))
     sides = ((w + mids) / (1 + np.conj(mids) * w)).reshape(-1)
     pts = np.concatenate([pts, sides])
-    expected = _distance_membership(centers, pts, 1e-12)
+    expected = _distance_membership(centers, pts)
     assert np.array_equal(in_fundamental_domain(G, pts), expected)
 
 
