@@ -41,8 +41,7 @@ class RunConfig:
     stage: str = "all"          # one of STAGES
 
     def validate(self):
-        if not 1 <= self.mesh_level <= 8:
-            raise ValueError("mesh level must be in [1, 8]")
+        surface.check_level(self.mesh_level)
         if self.seeds < 1:
             raise ValueError("seeds must be at least 1")
         if self.stage not in STAGES:

@@ -26,8 +26,8 @@ class DegenerateBasis(WpcurvError):
     """Gram matrix numerically singular: candidate fields not independent."""
 
 
-class MeshBudget(WpcurvError):
-    """Mesh refinement would exceed the configured node cap."""
+class MeshBudget(WpcurvError, ValueError):
+    """Mesh level out of range: its raw nodes would exceed the node cap."""
 
 
 class SingularMass(WpcurvError):

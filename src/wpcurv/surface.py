@@ -4,7 +4,8 @@ The fundamental octagon is triangulated by refining the 8-triangle fan
 from the center.  Boundary edges are subdivided at *hyperbolic* midpoints
 so refined boundary nodes stay on the geodesic sides and the side-pairing
 isometries match boundary nodes exactly; interior edges use Euclidean
-midpoints.  Paired boundary nodes are then merged (union-find), which
+midpoints.  Each boundary node is then glued to its image under the
+side pairing (classes joined root to root over index arrays), which
 closes the surface: the glued complex has Euler characteristic -2 and all
 8 octagon corners collapse to a single vertex (the corner angles sum to
 2 pi, so no cone point appears).
@@ -79,49 +80,47 @@ def _hyp_mid(z1: complex, z2: complex) -> complex:
     return (m + z1) / (1 + np.conj(z1) * m)
 
 
+def check_level(level: int):
+    """The one range of mesh levels: at least 1, and within NODE_CAP raw nodes.
+    Refining the fan (a disk) p = level + BASE_REFINEMENTS times gives 8 * 4**p
+    triangles, 8 * 2**p boundary edges and V = 1 + E - F = (2**(p+1) + 1)**2 nodes."""
+    raw = (2 ** (level + BASE_REFINEMENTS + 1) + 1) ** 2
+    if level < 1:
+        raise ValueError("mesh level must be at least 1")
+    if raw > NODE_CAP:
+        raise MeshBudget("mesh level %d needs %d raw nodes > cap %d" % (level, raw, NODE_CAP))
+
+
+def _edges(tris, n):
+    """Endpoints and key min*n + max of every triangle edge; edge e of
+    triangle t, one of (i, j), (j, k), (k, i), sits at 3t + e."""
+    i, j = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+    return i, j, np.minimum(i, j) * n + np.maximum(i, j)
+
+
 def _build_raw(group: FuchsianGroup, passes: int):
-    """Subdivide the center fan `passes` times.
+    """Subdivide the center fan `passes` times; returns (nodes, triangles).
 
-    Returns (nodes, triangles, boundary_edges, vertex_ids) where
-    boundary_edges maps frozenset{node, node} -> octagon side index.
-    Side s has outward midpoint direction s*pi/4 and connects vertices
-    (s-1) mod 8 and s mod 8 of the octagon.
+    Each pass adds one node per edge, numbered by first use in edge order,
+    and splits triangle (i, j, k) with edge midpoints a, b, c into
+    (i, a, c), (a, j, b), (c, b, k), (a, b, c).  A boundary edge, an edge
+    of one triangle, is split at its hyperbolic midpoint.
     """
-    nodes = [0j] + [complex(v) for v in group.vertices]
-    center, vids = 0, list(range(1, 9))
-    tris = [(center, vids[s], vids[(s + 1) % 8]) for s in range(8)]
-    bedges = {frozenset((vids[(s - 1) % 8], vids[s % 8])): s for s in range(8)}
-
-    def add(z):
-        nodes.append(complex(z))
-        return len(nodes) - 1
-
+    nodes = np.array([0j] + [complex(v) for v in group.vertices])
+    tris = np.array([(0, 1 + s, 1 + (s + 1) % 8) for s in range(8)])
     for _ in range(passes):
-        newtris = []
-        newb = {}
-        midcache = {}           # each edge's midpoint is a new node, made once
-
-        def midpoint(i, j):
-            key = frozenset((i, j))
-            if key in midcache:
-                return midcache[key]
-            if key in bedges:
-                m = add(_hyp_mid(nodes[i], nodes[j]))
-                s = bedges[key]
-                newb[frozenset((i, m))] = s
-                newb[frozenset((m, j))] = s
-            else:
-                m = add((nodes[i] + nodes[j]) / 2)
-            midcache[key] = m
-            return m
-
-        for (i, j, k) in tris:
-            a, b, c = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            newtris += [(i, a, c), (a, j, b), (c, b, k), (a, b, c)]
-        tris = newtris
-        bedges = newb
-
-    return np.array(nodes), tris, bedges, vids
+        i, j, keys = _edges(tris, len(nodes))
+        _, first, inv, count = np.unique(keys, return_index=True, return_inverse=True,
+                                         return_counts=True)
+        order = np.argsort(first)                   # new nodes by first use
+        a, b = i[first[order]], j[first[order]]
+        mid = (nodes[a] + nodes[b]) / 2
+        for e in np.flatnonzero(count[order] == 1):     # scalar: an array form moves 1 ulp
+            mid[e] = _hyp_mid(complex(nodes[a[e]]), complex(nodes[b[e]]))
+        m = len(nodes) + np.argsort(order)[inv].reshape(-1, 3)
+        nodes = np.concatenate([nodes, mid])
+        tris = np.c_[tris, m][:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3)
+    return nodes, tris
 
 
 def _area_weights(nodes, tris):
@@ -129,70 +128,66 @@ def _area_weights(nodes, tris):
 
     Terms are summed in (triangle, quadrature point, corner) order.
     """
-    T = np.asarray(tris)
-    zi, zj, zk = nodes[T].T
+    zi, zj, zk = nodes[tris].T
     A = np.abs((zj - zi).real * (zk - zi).imag - (zj - zi).imag * (zk - zi).real) / 2
     L = np.array(_QUAD_PTS)                                 # (7, 3)
     z = L[:, :1] * zi + L[:, 1:2] * zj + L[:, 2:] * zk      # (7, M)
     sig = 4 / (1 - np.hypot(z.real, z.imag) ** 2) ** 2     # hypot: as abs(complex)
     terms = (np.array(_QUAD_WTS)[:, None] * A * sig).T[:, :, None] * L
     w = np.zeros(len(nodes))
-    np.add.at(w, np.broadcast_to(T[:, None, :], terms.shape).ravel(), terms.ravel())
+    np.add.at(w, np.broadcast_to(tris[:, None, :], terms.shape).ravel(), terms.ravel())
     return w
 
 
 def _stiffness(nodes, tris, n):
     """Flat P1 cotangent stiffness matrix (conformally invariant)."""
-    T = np.asarray(tris)
-    p = np.stack([nodes.real, nodes.imag], axis=-1)[T]     # (M, 3, 2)
+    p = np.stack([nodes.real, nodes.imag], axis=-1)[tris]  # (M, 3, 2)
     e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
     A = np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]) / 2
     Kloc = (e @ e.transpose(0, 2, 1)) / (4 * A)[:, None, None]
-    return sp.csr_matrix((Kloc.ravel(), (np.repeat(T, 3, axis=1).ravel(),
-                                         np.tile(T, 3).ravel())), shape=(n, n))
+    return sp.csr_matrix((Kloc.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
+                                         np.tile(tris, 3).ravel())), shape=(n, n))
 
 
-def _glue(group: FuchsianGroup, nodes, bedges):
-    """Union-find merging each side s+4 node with its image on side s."""
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    side_nodes = {s: set() for s in range(8)}
-    for edge, s in bedges.items():
-        for i in edge:
-            side_nodes[s].add(i)
-
+def _glue(group: FuchsianGroup, nodes, tris):
+    """The root raw node of each node's glued class.  Side s holds the boundary
+    edges (of one triangle each) whose endpoint sums point along s pi/4.  Generator
+    s carries side s+4 onto side s; each side s+4 node's class joins, root to
+    root, the class of its image."""
+    i, j, keys = _edges(tris, len(nodes))
+    _, first, count = np.unique(keys, return_index=True, return_counts=True)
+    ends = np.c_[i, j][first[count == 1]]
+    side = np.rint(np.angle(nodes[ends].sum(axis=1)) / (np.pi / 4)).astype(int) % 8
+    parent = np.arange(len(nodes))
     for s in range(4):
-        g = group.generators[s]          # carries side s+4 onto side s
-        src = np.array(sorted(side_nodes[s + 4]))
-        tgt = np.array(sorted(side_nodes[s]))
-        imgs = g.apply(nodes[src])
-        for i, zz in zip(src, np.atleast_1d(imgs)):
-            d = np.abs(nodes[tgt] - zz)
-            if d.min() > 1e-9:
-                raise WpcurvError(
-                    "side pairing failed to match boundary node (gap %g)" % d.min())
-            parent[find(i)] = find(int(tgt[np.argmin(d)]))
-    return find
+        src, tgt = np.unique(ends[side == s + 4]), np.unique(ends[side == s])
+        d = np.abs(nodes[tgt] - group.generators[s].apply(nodes[src])[:, None])
+        gap = d.min(axis=1).max()
+        if gap > 1e-9:
+            raise WpcurvError("side pairing failed to match boundary node (gap %g)" % gap)
+        parent[parent[src]] = parent[tgt[d.argmin(axis=1)]]     # root to root
+        for _ in range(len(nodes).bit_length()):    # log2 N jumps flatten any chain
+            parent = parent[parent]
+    return parent
 
 
 @dataclass
 class DiscreteSurface:
-    """Glued quadrature nodes, weights, triangles, and operators."""
+    """Glued quadrature nodes, weights and operators, over the raw mesh."""
 
     level: int
     nodes: np.ndarray            # representative disk coordinate per class
     weights: np.ndarray          # lumped hyperbolic-area weights
-    triangles: list              # glued index triples
-    identification: dict         # representative index -> raw node indices
     stiffness: sp.spmatrix       # glued flat stiffness K (Delta_h = -M^-1 K)
-    _raw: tuple = field(default=None, repr=False)
+    raw_nodes: np.ndarray = field(repr=False)      # refined octagon, unglued
+    raw_triangles: np.ndarray = field(repr=False)  # (M, 3) raw node indices
+    gid: np.ndarray = field(repr=False)            # glued class of each raw node
     _lu: object = field(default=None, repr=False)
+
+    @property
+    def triangles(self):
+        """Glued index triples, (M, 3)."""
+        return self.gid[self.raw_triangles]
 
     @property
     def num_nodes(self):
@@ -203,10 +198,9 @@ class DiscreteSurface:
         return float(self.weights.sum())
 
     def euler_characteristic(self):
-        edges = set()
-        for (i, j, k) in self.triangles:
-            edges.update((frozenset((i, j)), frozenset((j, k)), frozenset((k, i))))
-        return self.num_nodes - len(edges) + len(self.triangles)
+        tris = self.triangles
+        edges = np.unique(_edges(tris, self.num_nodes)[2])
+        return self.num_nodes - len(edges) + len(tris)
 
     def inner(self, f, g):
         """Weighted inner product sum_p w_p f_p conj(g_p)."""
@@ -227,45 +221,22 @@ class DiscreteSurface:
 def build_mesh(group: FuchsianGroup, level: int) -> DiscreteSurface:
     """Triangulate, weight and glue the fundamental octagon.
 
-    `level` in [1, 8] counts refinement passes beyond the base mesh (the
-    once-refined fan), so the triangle count is 8 * 4**(level+1).
+    `level` (see `check_level`) counts refinement passes beyond the base
+    mesh (the once-refined fan), so the triangle count is 8 * 4**(level+1).
     """
-    if not 1 <= level <= 8:
-        raise ValueError("mesh level must be in [1, 8]")
-    nodes, tris, bedges, _ = _build_raw(group, level + BASE_REFINEMENTS)
-    if len(nodes) > NODE_CAP:
-        raise MeshBudget("raw node count %d exceeds cap %d" % (len(nodes), NODE_CAP))
-
-    w_raw = _area_weights(nodes, tris)
-    find = _glue(group, nodes, bedges)
-
-    reps = sorted({find(i) for i in range(len(nodes))})
-    rmap = {r: i for i, r in enumerate(reps)}
-    gid = np.array([rmap[find(i)] for i in range(len(nodes))])
-
-    weights = np.zeros(len(reps))
-    np.add.at(weights, gid, w_raw)
+    check_level(level)
+    nodes, tris = _build_raw(group, level + BASE_REFINEMENTS)
+    reps, gid = np.unique(_glue(group, nodes, tris), return_inverse=True)
+    weights = np.bincount(gid, _area_weights(nodes, tris))
     if np.any(weights <= 0):
         raise SingularMass("non-positive lumped weight")
-
-    identification = {}
-    for i in range(len(nodes)):
-        identification.setdefault(int(gid[i]), []).append(i)
-
-    glued_tris = [(int(gid[i]), int(gid[j]), int(gid[k])) for (i, j, k) in tris]
-
     # the flat stiffness of the raw triangles, summed over each glued class
     P = sp.csr_matrix((np.ones(len(nodes)), (np.arange(len(nodes)), gid)),
                       shape=(len(nodes), len(reps)))
     return DiscreteSurface(
-        level=level,
-        nodes=np.array([nodes[r] for r in reps]),
-        weights=weights,
-        triangles=glued_tris,
-        identification=identification,
+        level=level, nodes=nodes[reps], weights=weights,
         stiffness=(P.T @ _stiffness(nodes, tris, len(nodes)) @ P).tocsc(),
-        _raw=(nodes, tris, gid),
-    )
+        raw_nodes=nodes, raw_triangles=tris, gid=gid)
 
 
 def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
@@ -352,7 +323,7 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
     classes, and preserves w and K to 1e-12 relative; the kept maps then
     fix G as well.  Row g holds the image of each glued node under map g.
     """
-    raw, _, gid = surface._raw
+    raw, gid = surface.raw_nodes, surface.gid
     w, K = surface.weights, surface.stiffness.tocsc()
     K_max = abs(K).max()
 
@@ -459,9 +430,11 @@ def export_mesh_json(surface: DiscreteSurface, path, *, config_hash=None):
         "level": surface.level,
         "nodes": [[z.real, z.imag] for z in surface.nodes],
         "weights": list(surface.weights),
-        "triangles": [list(t) for t in surface.triangles],
-        "identification": {str(k): v for k, v in surface.identification.items()},
+        "triangles": surface.triangles.tolist(),
+        "identification": {},        # class -> its raw nodes, classes by least node
     }
+    for i, g in enumerate(surface.gid.tolist()):
+        payload["identification"].setdefault(str(g), []).append(i)
     return write_json(path, payload, config_hash)
 
 

@@ -25,14 +25,12 @@ from .qdiff import BeltramiField
 
 @dataclass
 class SurrogateModel:
-    """Abstract sample sites, weights, kernel and tangent fields."""
+    """Abstract sample weights, kernel and tangent fields."""
 
     seed: int
-    points: np.ndarray        # (N, 2) plane positions
     weights: np.ndarray       # positive
     kernel: np.ndarray        # symmetric, entrywise positive
     mu: np.ndarray            # (n, N) complex
-    bandwidth: float
 
     @property
     def n(self):
@@ -67,8 +65,7 @@ def random_surrogate(seed: int, num_points: int, n: int) -> SurrogateModel:
     bandwidth = float(np.median(dist[np.triu_indices(num_points, 1)]))
     kernel = np.exp(-(dist**2) / (2 * bandwidth**2))
     mu = rng.standard_normal((n, num_points)) + 1j * rng.standard_normal((n, num_points))
-    return SurrogateModel(seed=seed, points=pts, weights=weights,
-                          kernel=kernel, mu=mu, bandwidth=bandwidth)
+    return SurrogateModel(seed=seed, weights=weights, kernel=kernel, mu=mu)
 
 
 def run_property_suite(model: SurrogateModel) -> dict:

@@ -36,9 +36,9 @@ def test_config_hash_sensitivity():
     assert len(a.hash()) == 16
 
 
-@pytest.mark.parametrize("argv", [["--mesh-level", "9"], ["--mesh-level", "1", "--seeds", "0"],
-                                  ["--seeds", "-1"]],
-                         ids=["mesh-level-9", "seeds-0", "seeds-minus-1"])
+@pytest.mark.parametrize("argv", [["--mesh-level", "9"], ["--mesh-level", "7"],
+                                  ["--mesh-level", "1", "--seeds", "0"], ["--seeds", "-1"]],
+                         ids=["mesh-level-9", "mesh-level-7", "seeds-0", "seeds-minus-1"])
 def test_invalid_config_is_a_usage_error(argv, tmp_path, capsys):
     """A setting `validate` rejects exits 2 with one error line, writing nothing."""
     out = tmp_path / "o"

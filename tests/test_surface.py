@@ -15,7 +15,7 @@ from wpcurv.fuchsian import octagon_group
 
 
 def test_level_bounds(group):
-    for bad in (0, 9):
+    for bad in (0, 7, 9):           # level 7 needs 263,169 raw nodes > NODE_CAP
         with pytest.raises(ValueError):
             surface.build_mesh(group, bad)
 
@@ -44,19 +44,15 @@ def test_euler_characteristic(surf3):
 def test_corner_class(group, surf3):
     """All 8 octagon corners are glued into one class of the quotient."""
     rv = np.abs(group.vertices[0])
-    classes = [raw for raw in surf3.identification.values()]
-    nodes_raw = surf3._raw[0]
-    corner_classes = [
-        c for c in classes
-        if any(abs(abs(nodes_raw[i]) - rv) < 1e-12 for i in c)
-    ]
+    corner_classes = np.unique(surf3.gid[np.abs(np.abs(surf3.raw_nodes) - rv) < 1e-12])
     assert len(corner_classes) == 1
-    assert len(corner_classes[0]) == 8
+    assert np.bincount(surf3.gid)[corner_classes[0]] == 8
 
 
 def test_boundary_nodes_pair_two_to_one(surf3):
     """Every non-corner boundary class contains exactly two raw nodes."""
-    sizes = sorted(len(c) for c in surf3.identification.values() if len(c) > 1)
+    sizes = np.sort(np.bincount(surf3.gid))
+    sizes = sizes[sizes > 1].tolist()
     assert sizes[-1] == 8          # the corner class
     assert set(sizes[:-1]) == {2}  # all other glued classes are side pairs
 
@@ -207,13 +203,13 @@ def test_raw_nodes_distinct(level, group, surf3, surf4):
     """Each edge midpoint is a new node: no two raw nodes lie within 1e-9."""
     from scipy.spatial import cKDTree
 
-    raw = _mesh(group, surf3, surf4, level)._raw[0]
+    raw = _mesh(group, surf3, surf4, level).raw_nodes
     assert not cKDTree(np.c_[raw.real, raw.imag]).query_pairs(1e-9)
 
 
 def test_mesh_loops_match_per_triangle_reference(surf3):
     """The vectorized weights and stiffness against per-triangle loops."""
-    nodes, tris, _ = surf3._raw
+    nodes, tris = surf3.raw_nodes, surf3.raw_triangles
     w = np.zeros(len(nodes))
     rows, cols, vals = [], [], []
     for (i, j, k) in tris:
@@ -237,6 +233,62 @@ def test_mesh_loops_match_per_triangle_reference(surf3):
         assert np.array_equal(getattr(K_new, attr), getattr(K, attr))
     # the squares are rounded once here, but through pow in the loop
     assert np.abs(surface._area_weights(nodes, tris) - w).max() <= 1e-15 * w.max()
+
+
+def _reference_mesh(group, passes):
+    """Per-triangle refinement over edge dicts, then a sequential union-find
+    over the side pairings: (raw nodes, raw triangles, gid)."""
+    nodes = [0j] + [complex(v) for v in group.vertices]
+    tris = [(0, 1 + s, 1 + (s + 1) % 8) for s in range(8)]
+    bedges = {frozenset((1 + (s - 1) % 8, 1 + s)): s for s in range(8)}   # edge -> side
+    for _ in range(passes):
+        mids, newb, newtris = {}, {}, []
+        for (i, j, k) in tris:
+            for (p, q) in ((i, j), (j, k), (k, i)):
+                key = frozenset((p, q))
+                if key in mids:
+                    continue
+                mids[key] = m = len(nodes)
+                if key in bedges:
+                    nodes.append(complex(surface._hyp_mid(nodes[p], nodes[q])))
+                    newb[frozenset((p, m))] = newb[frozenset((m, q))] = bedges[key]
+                else:
+                    nodes.append((nodes[p] + nodes[q]) / 2)
+            a, b, c = (mids[frozenset(e)] for e in ((i, j), (j, k), (k, i)))
+            newtris += [(i, a, c), (a, j, b), (c, b, k), (a, b, c)]
+        tris, bedges = newtris, newb
+
+    parent = list(range(len(nodes)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def side(s):
+        return sorted({i for edge, t in bedges.items() if t == s for i in edge})
+
+    for s in range(4):
+        tgt = side(s)
+        imgs = group.generators[s].apply(np.array([nodes[i] for i in side(s + 4)]))
+        for i, z in zip(side(s + 4), imgs):
+            d = [abs(nodes[t] - z) for t in tgt]
+            assert min(d) < 1e-9
+            parent[find(i)] = find(tgt[int(np.argmin(d))])
+    roots = [find(i) for i in range(len(nodes))]
+    index = {r: n for n, r in enumerate(sorted(set(roots)))}
+    return np.array(nodes), np.array(tris), np.array([index[r] for r in roots])
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_mesh_arrays_match_per_triangle_reference(level, group, surf3, surf4):
+    """Refinement and gluing over index arrays against dict-based loops:
+    the same nodes in the same order, triangles and glued classes."""
+    surf = _mesh(group, surf3, surf4, level)
+    nodes, tris, gid = _reference_mesh(group, level + surface.BASE_REFINEMENTS)
+    assert np.array_equal(surf.raw_nodes, nodes)
+    assert np.array_equal(surf.raw_triangles, tris)
+    assert np.array_equal(surf.gid, gid)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
