@@ -42,6 +42,8 @@ class RunConfig:
 
     def validate(self):
         surface.check_level(self.mesh_level)
+        if self.stage in ("all", "surface"):
+            surface.check_green_budget(self.mesh_level)
         if self.seeds < 1:
             raise ValueError("seeds must be at least 1")
         if self.stage not in STAGES:
@@ -171,9 +173,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "explain":
-        with open(args.report) as fh:
-            report = json.load(fh)
-        print(explain(report))
+        try:
+            with open(args.report) as fh:
+                text = explain(json.load(fh))
+        except (OSError, ValueError) as exc:
+            parser.error("%s: %s" % (args.report, getattr(exc, "strerror", None) or exc))
+        print(text)
         return 0
 
     config = RunConfig(mesh_level=args.mesh_level, seeds=args.seeds, out=args.out,

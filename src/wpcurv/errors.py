@@ -38,8 +38,9 @@ class SolverFailure(WpcurvError):
     """A linear solve missed its residual tolerance."""
 
 
-class KernelBudget(WpcurvError):
-    """Dense Green-kernel matrix would exceed the configured memory cap."""
+class KernelBudget(WpcurvError, ValueError):
+    """The Green kernel's orbit rows, or its dense expansion, would exceed
+    `surface.GREEN_BYTES_CAP`."""
 
 
 class SymmetryViolation(WpcurvError):

@@ -3,13 +3,17 @@
 The surface is realized as the quotient of the Poincare disk (SU(1,1)
 model, metric density sigma(z) = 4/(1-|z|^2)^2) by the group generated
 by the four side pairings of the regular hyperbolic octagon centered at
-the origin, whose opposite sides are identified.  All group elements are
-unit-determinant 2x2 complex matrices acting by z -> (az+b)/(cz+d).
+the origin, whose opposite sides are identified.  A group element is a
+2x2 complex array [[a, b], [c, d]] in SU(1,1), of unit determinant, acting
+by z -> (az+b)/(cz+d); a set of elements is an (N, 2, 2) stack, such as
+the word ball of `enumerate_words`.  The module functions renormalize
+(`unit_det`), multiply (`product`), invert, act on points (`act`,
+`derivative`, both over stacks too) and compare (`projective_distance`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,86 +28,56 @@ WORD_CAP = 2_000_000  # most elements `enumerate_words` may return
 DOMAIN_TOL = 1e-12  # distance margin within which `in_fundamental_domain` sees a tie
 
 
-class MobiusMap:
-    """Disk isometry z -> (az+b)/(cz+d), [[a,b],[c,d]] in SU(1,1).
-
-    The matrix is renormalized to unit determinant on construction and
-    after every product, so +-M ambiguity is the only slack left.
-    """
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat):
-        m = np.asarray(mat, dtype=complex).reshape(2, 2)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        self.mat = m / np.sqrt(det)
-
-    @property
-    def a(self):
-        return self.mat[0, 0]
-
-    @property
-    def b(self):
-        return self.mat[0, 1]
-
-    @property
-    def c(self):
-        return self.mat[1, 0]
-
-    @property
-    def d(self):
-        return self.mat[1, 1]
-
-    def apply(self, z):
-        """Image (az+b)/(cz+d); z may be scalar or array."""
-        z = np.asarray(z, dtype=complex)
-        den = self.c * z + self.d
-        if np.any(np.abs(den) <= POLE_TOL):
-            raise NearPole("evaluation within %g of the pole" % POLE_TOL)
-        out = (self.a * z + self.b) / den
-        return out[()] if out.ndim == 0 else out
-
-    def derivative(self, z):
-        """Complex derivative 1/(cz+d)^2 of the action at z."""
-        z = np.asarray(z, dtype=complex)
-        den = self.c * z + self.d
-        if np.any(np.abs(den) <= POLE_TOL):
-            raise NearPole("evaluation within %g of the pole" % POLE_TOL)
-        out = 1.0 / den**2
-        return out[()] if out.ndim == 0 else out
-
-    def inverse(self):
-        m = self.mat
-        return MobiusMap([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-
-    def __matmul__(self, other):
-        return MobiusMap(self.mat @ other.mat)
-
-    def trace(self):
-        return self.mat[0, 0] + self.mat[1, 1]
-
-    def su11_residual(self):
-        """Max deviation from the SU(1,1) form d = conj(a), c = conj(b)."""
-        m = self.mat
-        return max(abs(m[1, 1] - np.conj(m[0, 0])), abs(m[1, 0] - np.conj(m[0, 1])))
-
-    def dist_to(self, other):
-        """Entrywise distance min(|M-N|, |M+N|) (projective comparison)."""
-        d1 = np.abs(self.mat - other.mat).max()
-        d2 = np.abs(self.mat + other.mat).max()
-        return min(d1, d2)
-
-    def __repr__(self):
-        return "MobiusMap(a=%s, b=%s)" % (self.a, self.b)
+def unit_det(m) -> np.ndarray:
+    """The 2x2 matrix m divided by the square root of its determinant.  The
+    determinant is taken with scalar indexing, whose complex arithmetic
+    rounds differently from numpy's 0-d array arithmetic."""
+    m = np.asarray(m, dtype=complex).reshape(2, 2)
+    return m / np.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def identity_map() -> MobiusMap:
-    return MobiusMap(np.eye(2))
+def product(*factors) -> np.ndarray:
+    """Left-to-right product of unit-determinant matrices, renormalized after
+    each factor, so +-M ambiguity is the only slack left."""
+    out = factors[0]
+    for m in factors[1:]:
+        out = unit_det(out @ m)
+    return out
 
 
-def rotation(angle: float) -> MobiusMap:
+def inverse(m) -> np.ndarray:
+    return unit_det([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
+def _den(m, z):
+    """cz + d, at least POLE_TOL from 0 in absolute value."""
+    den = m[..., 1, 0] * z + m[..., 1, 1]
+    if np.any(np.abs(den) <= POLE_TOL):
+        raise NearPole("evaluation within %g of the pole" % POLE_TOL)
+    return den
+
+
+def act(m, z):
+    """Image (az+b)/(cz+d) of z under the matrix m, or under each matrix of a
+    stack m (..., 2, 2), whose leading axes broadcast against z."""
+    z = np.asarray(z, dtype=complex)
+    return (m[..., 0, 0] * z + m[..., 0, 1]) / _den(m, z)
+
+
+def derivative(m, z):
+    """Complex derivative 1/(cz+d)^2 of the action at z, broadcast as `act`."""
+    return 1.0 / _den(m, np.asarray(z, dtype=complex)) ** 2
+
+
+def projective_distance(m, n):
+    """Entrywise distance min(|M-N|, |M+N|) of the maps M and N, over the
+    last two axes."""
+    return np.minimum(np.abs(m - n).max(axis=(-2, -1)), np.abs(m + n).max(axis=(-2, -1)))
+
+
+def rotation(angle: float) -> np.ndarray:
     """Rotation of the disk about the origin by `angle`."""
-    return MobiusMap([[np.exp(1j * angle / 2), 0], [0, np.exp(-1j * angle / 2)]])
+    return unit_det([[np.exp(1j * angle / 2), 0], [0, np.exp(-1j * angle / 2)]])
 
 
 def hyperbolic_distance(z, w):
@@ -118,60 +92,56 @@ def hyperbolic_distance(z, w):
 class FuchsianGroup:
     """Surface group of the regular-octagon genus-2 surface.
 
-    generators     -- the 2g = 4 side-pairing translations g_0..g_3; g_k is
-                      the rotation conjugate R(k pi/4) g_0 R(-k pi/4) and
-                      identifies octagon side k+4 with side k.
-    side_pairings  -- side index s (0..7) -> map carrying side s onto its
-                      partner side (s+4) mod 8.
-    canonical_generators -- a standard (a1, b1, a2, b2) tuple, written as
-                      words in `generators`, whose commutator product
+    generators     -- (4, 2, 2): the 2g = 4 side-pairing translations
+                      g_0..g_3; g_k is the rotation conjugate
+                      R(k pi/4) g_0 R(-k pi/4) and identifies octagon side
+                      k+4 with side k.
+    side_pairings  -- (8, 2, 2): row s carries side s onto its partner side
+                      (s+4) mod 8; rows 0..3 are the inverses of g_0..g_3,
+                      rows 4..7 are g_0..g_3.
+    canonical_generators -- (4, 2, 2): a standard (a1, b1, a2, b2), written
+                      as words in `generators`, whose commutator product
                       [a1,b1][a2,b2] is +-identity: the defining surface
                       relation in canonical form.
     vertices       -- the 8 octagon vertices (one equivalence class).
     """
 
     genus: int
-    generators: list
-    side_pairings: dict
-    canonical_generators: list
+    generators: np.ndarray
+    side_pairings: np.ndarray
+    canonical_generators: np.ndarray
     vertices: np.ndarray
-
-    def side_generator_words(self):
-        """All 8 neighbor translations: g_0..g_3 and their inverses."""
-        return list(self.generators) + [g.inverse() for g in self.generators]
 
     def neighbor_centers(self):
         """Images of 0 under the 8 neighbor translations, ordered so that
         entry s is the center of the octagon copy across side s."""
-        t0 = self.generators[0].apply(0.0)
+        t0 = act(self.generators[0], 0.0)
         return np.array([t0 * np.exp(1j * s * np.pi / 4) for s in range(8)])
 
     def octagon_relation_residual(self):
         """Entrywise residual of the octagon side-pairing relation
         g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 = +-identity."""
         g0, g1, g2, g3 = self.generators
-        word = (g0 @ g1.inverse() @ g2 @ g3.inverse()
-                @ g0.inverse() @ g1 @ g2.inverse() @ g3)
-        return word.dist_to(identity_map())
+        word = product(g0, inverse(g1), g2, inverse(g3),
+                       inverse(g0), g1, inverse(g2), g3)
+        return projective_distance(word, np.eye(2))
 
     def commutator_residual(self):
         """Entrywise residual of [a1,b1][a2,b2] = +-identity for the
         canonical generators."""
         a1, b1, a2, b2 = self.canonical_generators
-        comm = lambda x, y: x @ y @ x.inverse() @ y.inverse()
-        return (comm(a1, b1) @ comm(a2, b2)).dist_to(identity_map())
+        comm = lambda x, y: product(x, y, inverse(x), inverse(y))
+        return projective_distance(product(comm(a1, b1), comm(a2, b2)), np.eye(2))
 
     def export_json(self, path, *, config_hash=None):
-        """Write generators (8 reals each), side-pairing table and the
-        relation residuals."""
-        def eight(g):
-            return [g.a.real, g.a.imag, g.b.real, g.b.imag,
-                    g.c.real, g.c.imag, g.d.real, g.d.imag]
-
+        """Write generators (8 reals each: Re and Im of a, b, c, d), the
+        side-pairing table and the relation residuals."""
+        eight = lambda g: g.reshape(4).view(float).tolist()
         payload = {
             "genus": self.genus,
             "generators": [eight(g) for g in self.generators],
-            "side_pairings": {str(s): eight(g) for s, g in self.side_pairings.items()},
+            "side_pairings": {str(s): eight(self.side_pairings[s])
+                              for k in range(4) for s in (k, k + 4)},
             "octagon_relation_residual": self.octagon_relation_residual(),
             "commutator_relation_residual": self.commutator_residual(),
         }
@@ -192,21 +162,14 @@ def octagon_group(genus: int = 2) -> FuchsianGroup:
 
     ch = 1 + np.sqrt(2.0)
     sh = np.sqrt(ch**2 - 1)
-    T = MobiusMap([[ch, sh], [sh, ch]])
-    gens = [rotation(k * np.pi / 4) @ T @ rotation(-k * np.pi / 4) for k in range(4)]
-
-    side_pairings = {}
-    for s in range(4):
-        # g_s carries side s+4 onto side s, so its inverse carries s to s+4
-        side_pairings[s] = gens[s].inverse()
-        side_pairings[s + 4] = gens[s]
-
-    g0, g1, g2, g3 = gens
+    T = unit_det([[ch, sh], [sh, ch]])
+    g0, g1, g2, g3 = gens = [product(rotation(k * np.pi / 4), T, rotation(-k * np.pi / 4))
+                             for k in range(4)]
     canonical = [
-        g0,                                   # a1
-        g1.inverse() @ g2 @ g3.inverse(),     # b1
-        g1.inverse() @ g2,                    # a2
-        g3.inverse() @ g1,                    # b2
+        g0,                                          # a1
+        product(inverse(g1), g2, inverse(g3)),       # b1
+        product(inverse(g1), g2),                    # a2
+        product(inverse(g3), g1),                    # b2
     ]
 
     # octagon vertices: radius tanh(r_v/2) with cosh(r_v) = 3 + 2 sqrt(2),
@@ -214,52 +177,10 @@ def octagon_group(genus: int = 2) -> FuchsianGroup:
     rv = np.tanh(np.arccosh(3 + 2 * np.sqrt(2.0)) / 2)
     verts = rv * np.exp(1j * (2 * np.arange(8) + 1) * np.pi / 8)
 
-    return FuchsianGroup(
-        genus=genus,
-        generators=gens,
-        side_pairings=side_pairings,
-        canonical_generators=canonical,
-        vertices=verts,
-    )
-
-
-@dataclass
-class GroupWordSet:
-    """Deduplicated ball of reduced words of length <= max_length.
-
-    `matrices` is an (N, 2, 2) complex array; projectively equal elements
-    (+-M) are identified, the representative being the sign-normalized
-    matrix.  When a norm cap was applied, `norm_cap` records it.  The
-    matrices are stored shell by shell (word length 0, 1, ...) and
-    `shell_sizes` records how many each shell holds.
-    """
-
-    max_length: int
-    matrices: np.ndarray
-    shell_sizes: tuple
-    norm_cap: float | None = None
-    _elements: list = field(default=None, repr=False, compare=False)
-
-    @property
-    def elements(self):
-        if self._elements is None:
-            self._elements = [MobiusMap(m) for m in self.matrices]
-        return self._elements
-
-    def __len__(self):
-        return len(self.matrices)
-
-    def ball(self, length: int) -> np.ndarray:
-        """Matrices of the sub-ball of word length <= `length`; equal to
-        `enumerate_words(group, length, norm_cap=self.norm_cap).matrices`."""
-        if not 0 <= length <= self.max_length:
-            raise ValueError("ball length %d outside 0..%d" % (length, self.max_length))
-        return self.matrices[:sum(self.shell_sizes[:length + 1])]
-
-    def contains(self, m: MobiusMap, tol: float = 1e-9) -> bool:
-        d1 = np.abs(self.matrices - m.mat).max(axis=(1, 2))
-        d2 = np.abs(self.matrices + m.mat).max(axis=(1, 2))
-        return bool(np.minimum(d1, d2).min() <= tol)
+    return FuchsianGroup(genus=genus, generators=np.array(gens),
+                         # g_s carries side s+4 onto side s, so its inverse s onto s+4
+                         side_pairings=np.array([inverse(g) for g in gens] + gens),
+                         canonical_generators=np.array(canonical), vertices=verts)
 
 
 def _sign_normalize(mats: np.ndarray) -> np.ndarray:
@@ -281,8 +202,10 @@ def _dedup_keys(mats: np.ndarray):
 
 
 def enumerate_words(group: FuchsianGroup, L: int, *,
-                    norm_cap: float | None = None) -> GroupWordSet:
-    """Breadth-first ball of reduced words of length <= L.
+                    norm_cap: float | None = None) -> np.ndarray:
+    """Breadth-first ball of reduced words of length <= L, as an (N, 2, 2)
+    array stored shell by shell (word length 0, 1, ...): the ball of a
+    shorter length is its leading block.
 
     Words are multiplied out to matrices and deduplicated projectively
     (entrywise radius 1e-9 via rounded-coordinate hashing after sign
@@ -293,7 +216,7 @@ def enumerate_words(group: FuchsianGroup, L: int, *,
     """
     if L < 0:
         raise ValueError("word length must be >= 0")
-    step = np.array([g.mat for g in group.side_generator_words()])
+    step = np.roll(group.side_pairings, 4, axis=0)      # g_0..g_3, then inverses
 
     frontier = np.eye(2, dtype=complex)[None]
     seen = _dedup_keys(frontier)
@@ -316,9 +239,7 @@ def enumerate_words(group: FuchsianGroup, L: int, *,
             raise BudgetExceeded(
                 "word ball exceeds cap of %d elements at length <= %d" % (WORD_CAP, L))
         shells.append(frontier)
-    return GroupWordSet(max_length=L, matrices=np.concatenate(shells),
-                        shell_sizes=tuple(len(sh) for sh in shells),
-                        norm_cap=norm_cap)
+    return np.concatenate(shells)
 
 
 def in_fundamental_domain(group: FuchsianGroup, z):
@@ -380,7 +301,7 @@ def reduce_to_domain(group: FuchsianGroup, z):
     centers = group.neighbor_centers()
     # side_pairings[s] carries side s onto side s+4: the copy across side s
     # onto the octagon
-    step = np.array([group.side_pairings[s].mat for s in range(8)])
+    step = group.side_pairings
     mats = np.tile(np.eye(2, dtype=complex), (len(w), 1, 1))
     for _ in range(REDUCE_STEPS):
         out = np.flatnonzero(~in_fundamental_domain(group, w))
@@ -388,7 +309,7 @@ def reduce_to_domain(group: FuchsianGroup, z):
             return w, mats
         wo = w[out, None]
         h = step[np.abs((wo - centers) / (1 - np.conj(centers) * wo)).argmin(axis=1)]
-        w[out] = (h[:, 0, 0] * w[out] + h[:, 0, 1]) / (h[:, 1, 0] * w[out] + h[:, 1, 1])
+        w[out] = act(h, w[out])
         mats[out] = h @ mats[out]
     raise ValueError("%d points not reduced in %d steps" % (len(out), REDUCE_STEPS))
 

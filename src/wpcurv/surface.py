@@ -44,7 +44,7 @@ import scipy.sparse.linalg as spla
 
 from .artifacts import write_json
 from .errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
-from .fuchsian import FuchsianGroup
+from .fuchsian import FuchsianGroup, act
 
 #: extra subdivision passes applied to the 8-triangle fan before public
 #: level counting starts; the base mesh (level 0) is the once-refined fan
@@ -89,6 +89,17 @@ def check_level(level: int):
         raise ValueError("mesh level must be at least 1")
     if raw > NODE_CAP:
         raise MeshBudget("mesh level %d needs %d raw nodes > cap %d" % (level, raw, NODE_CAP))
+
+
+def check_green_budget(level: int):
+    """Raise KernelBudget unless G's orbit rows at `level` fit GREEN_BYTES_CAP:
+    8 R N bytes, with N = 4**(p+1) - 2 glued nodes (Euler characteristic -2)
+    and R = (2**(p-1) + 1)**2 symmetry orbits, p = level + BASE_REFINEMENTS."""
+    p = level + BASE_REFINEMENTS
+    need = 8 * (2 ** (p - 1) + 1) ** 2 * (4 ** (p + 1) - 2)
+    if need > GREEN_BYTES_CAP:
+        raise KernelBudget("mesh level %d: Green orbit rows need %d bytes > cap %d"
+                           % (level, need, GREEN_BYTES_CAP))
 
 
 def _edges(tris, n):
@@ -161,7 +172,7 @@ def _glue(group: FuchsianGroup, nodes, tris):
     parent = np.arange(len(nodes))
     for s in range(4):
         src, tgt = np.unique(ends[side == s + 4]), np.unique(ends[side == s])
-        d = np.abs(nodes[tgt] - group.generators[s].apply(nodes[src])[:, None])
+        d = np.abs(nodes[tgt] - act(group.generators[s], nodes[src])[:, None])
         gap = d.min(axis=1).max()
         if gap > 1e-9:
             raise WpcurvError("side pairing failed to match boundary node (gap %g)" % gap)

@@ -37,10 +37,14 @@ def test_config_hash_sensitivity():
 
 
 @pytest.mark.parametrize("argv", [["--mesh-level", "9"], ["--mesh-level", "7"],
+                                  ["--mesh-level", "6"],
                                   ["--mesh-level", "1", "--seeds", "0"], ["--seeds", "-1"]],
-                         ids=["mesh-level-9", "mesh-level-7", "seeds-0", "seeds-minus-1"])
+                         ids=["mesh-level-9", "mesh-level-7", "mesh-level-6", "seeds-0",
+                              "seeds-minus-1"])
 def test_invalid_config_is_a_usage_error(argv, tmp_path, capsys):
-    """A setting `validate` rejects exits 2 with one error line, writing nothing."""
+    """A setting `validate` rejects exits 2 with one error line, writing nothing.
+    Level 6 is within the node cap, but its Green kernel's orbit rows (2.2 GB)
+    exceed GREEN_BYTES_CAP."""
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", *argv, "--out", str(out)])
@@ -54,6 +58,22 @@ def test_invalid_config_is_a_usage_error(argv, tmp_path, capsys):
 def test_explain_requires_checks():
     with pytest.raises(ValueError):
         cli.explain({"checks": {}})
+
+
+@pytest.mark.parametrize("content", [None, "not json", '{"checks": {}}'],
+                         ids=["missing", "not-json", "no-checks"])
+def test_explain_bad_report_is_a_usage_error(content, tmp_path, capsys):
+    """A report that cannot be read, parsed or explained exits 2 with one
+    error line, as a usage error, not 1 as a failed check."""
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["explain", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("wpcurv: error: " + str(path))
 
 
 def test_rankone_stage_and_explain(tmp_path):

@@ -1,4 +1,4 @@
-"""Group, Mobius-map, word-enumeration and fundamental-domain tests."""
+"""Group, group-element, word-enumeration and fundamental-domain tests."""
 
 import itertools
 
@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from wpcurv.errors import NearPole, UnsupportedGenus
-from wpcurv.fuchsian import (DEDUP_DECIMALS, DOMAIN_BLOCK, MobiusMap,
-                             _dedup_keys, _distance_membership,
-                             _sign_normalize, enumerate_words,
-                             hyperbolic_distance, identity_map,
-                             in_fundamental_domain, octagon_group,
-                             reduce_to_domain, rotation)
+from wpcurv.fuchsian import (DEDUP_DECIMALS, DOMAIN_BLOCK, _dedup_keys,
+                             _distance_membership, _sign_normalize, act,
+                             derivative, enumerate_words, hyperbolic_distance,
+                             in_fundamental_domain, inverse, octagon_group,
+                             product, projective_distance, reduce_to_domain,
+                             rotation, unit_det)
 
 
 def disk_points(max_radius=0.9):
@@ -23,44 +23,57 @@ def disk_points(max_radius=0.9):
 
 
 # ---------------------------------------------------------------------------
-# MobiusMap
+# group elements
 
 
 def test_identity_fixes_points():
-    e = identity_map()
+    e = np.eye(2)
     z = np.array([0.0, 0.3 + 0.2j, -0.7j])
-    assert np.allclose(e.apply(z), z)
-    assert np.allclose(e.derivative(z), 1.0)
+    assert np.allclose(act(e, z), z)
+    assert np.allclose(derivative(e, z), 1.0)
 
 
 def test_apply_matches_formula():
-    m = MobiusMap([[2, 1], [1, 2]])  # det renormalized internally
+    m = unit_det([[2, 1], [1, 2]])
+    assert abs(np.linalg.det(m) - 1) < 1e-15
     z = 0.25 - 0.1j
-    a, b, c, d = m.a, m.b, m.c, m.d
-    assert m.apply(z) == pytest.approx((a * z + b) / (c * z + d))
+    (a, b), (c, d) = m
+    assert act(m, z) == pytest.approx((a * z + b) / (c * z + d))
 
 
 def test_derivative_finite_difference():
     m = octagon_group(2).generators[1]
     z = 0.2 + 0.15j
     h = 1e-6
-    fd = (m.apply(z + h) - m.apply(z - h)) / (2 * h)
-    assert abs(m.derivative(z) - fd) < 1e-8
+    fd = (act(m, z + h) - act(m, z - h)) / (2 * h)
+    assert abs(derivative(m, z) - fd) < 1e-8
 
 
 def test_inverse_composes_to_identity():
     g = octagon_group(2).generators[2]
-    assert (g @ g.inverse()).dist_to(identity_map()) < 1e-13
+    assert projective_distance(product(g, inverse(g)), np.eye(2)) < 1e-13
 
 
 def test_near_pole_raises():
     # map with a pole inside the closed disk: c z + d = 0 at z = -d/c
-    m = MobiusMap([[2, 1], [1, 2]])
-    pole = -m.d / m.c
+    m = unit_det([[2, 1], [1, 2]])
+    pole = -m[1, 1] / m[1, 0]
     with pytest.raises(NearPole):
-        m.apply(pole)
+        act(m, pole)
     with pytest.raises(NearPole):
-        m.derivative(pole)
+        derivative(m, pole)
+
+
+def test_stacked_action_matches_each_matrix():
+    """`act` and `derivative` on a matrix stack, broadcast against points,
+    equal the values of each matrix alone bit for bit."""
+    mats = enumerate_words(octagon_group(2), 2)
+    rng = np.random.default_rng(4)
+    z = 0.9 * np.sqrt(rng.uniform(size=37)) * np.exp(2j * np.pi * rng.uniform(size=37))
+    for f in (act, derivative):
+        stacked = f(mats[:, None], z)
+        assert stacked.shape == (len(mats), len(z))
+        assert np.array_equal(stacked, np.array([f(m, z) for m in mats]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -68,7 +81,7 @@ def test_near_pole_raises():
 def test_generators_are_isometries(z, w, k):
     g = octagon_group(2).generators[k]
     d0 = hyperbolic_distance(z, w)
-    d1 = hyperbolic_distance(g.apply(z), g.apply(w))
+    d1 = hyperbolic_distance(act(g, z), act(g, w))
     assert abs(d0 - d1) < 1e-9 * (1 + d0)
 
 
@@ -93,7 +106,7 @@ def test_generator_traces():
     G = octagon_group(2)
     expected = 2 + 2 * np.sqrt(2.0)
     for g in G.generators:
-        tr = g.trace()
+        tr = np.trace(g)
         assert abs(tr.imag) < 1e-13
         assert tr.real > 2  # hyperbolic
         assert abs(tr.real - expected) < 1e-12
@@ -102,13 +115,14 @@ def test_generator_traces():
 def test_generators_rotation_conjugate():
     G = octagon_group(2)
     for k in range(4):
-        conj = rotation(k * np.pi / 4) @ G.generators[0] @ rotation(-k * np.pi / 4)
-        assert conj.dist_to(G.generators[k]) < 1e-13
+        conj = product(rotation(k * np.pi / 4), G.generators[0], rotation(-k * np.pi / 4))
+        assert projective_distance(conj, G.generators[k]) < 1e-13
 
 
 def test_generators_in_su11():
-    for g in octagon_group(2).generators:
-        assert g.su11_residual() < 1e-13
+    """The SU(1,1) form: d = conj(a), c = conj(b)."""
+    g = octagon_group(2).generators
+    assert np.abs(g[:, 1] - np.conj(g[:, 0, ::-1])).max() < 1e-13
 
 
 def test_side_pairing_carries_side_to_partner():
@@ -119,7 +133,7 @@ def test_side_pairing_carries_side_to_partner():
     for s in range(8):
         ends = [verts[(s - 1) % 8], verts[s % 8]]
         targets = [verts[(s + 3) % 8], verts[(s + 4) % 8]]
-        images = [G.side_pairings[s].apply(z) for z in ends]
+        images = [act(G.side_pairings[s], z) for z in ends]
         match = min(
             max(abs(images[0] - targets[0]), abs(images[1] - targets[1])),
             max(abs(images[0] - targets[1]), abs(images[1] - targets[0])))
@@ -133,7 +147,7 @@ def test_neighbor_centers_match_side_pairings():
         # the copy across side s is the image of the octagon under the
         # inverse of the map that carries side s away
         gamma = G.side_pairings[(s + 4) % 8]
-        assert abs(gamma.apply(0.0) - centers[s]) < 1e-12
+        assert abs(act(gamma, 0.0) - centers[s]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +164,29 @@ def test_word_ball_length2_brute_force():
     """Independent oracle: multiply all free words of length <= 2 and
     deduplicate projectively by pairwise distance."""
     G = octagon_group(2)
-    step = G.side_generator_words()
-    words = [identity_map()] + list(step)
+    step = G.side_pairings
+    words = [np.eye(2)] + list(step)
     for g, h in itertools.product(step, repeat=2):
-        words.append(g @ h)
+        words.append(product(g, h))
     reps = []
     for w in words:
-        if not any(w.dist_to(r) < 1e-9 for r in reps):
+        if not any(projective_distance(w, r) < 1e-9 for r in reps):
             reps.append(w)
     ball = enumerate_words(G, 2)
     assert len(ball) == len(reps)
     for r in reps:
-        assert ball.contains(r)
+        assert _contains(ball, r)
+
+
+def _contains(ball, m, tol=1e-9):
+    return projective_distance(ball, m).min() <= tol
 
 
 def test_word_ball_closed_under_inverse():
     G = octagon_group(2)
     ball = enumerate_words(G, 3)
-    for m in ball.elements:
-        assert ball.contains(m.inverse())
+    for m in ball:
+        assert _contains(ball, inverse(m))
 
 
 def test_short_products_stay_in_larger_ball():
@@ -179,9 +197,11 @@ def test_short_products_stay_in_larger_ball():
     idx = rng.choice(len(small), size=10, replace=False)
     for i in idx:
         for j in idx[:3]:
-            prod = small.elements[i] @ small.elements[j]
+            # the ball's matrices are not renormalized: their determinants
+            # drift from 1 by up to 1e-12, which the product would amplify
+            prod = product(unit_det(small[i]), unit_det(small[j]))
             # entrywise rounding error scales with the matrix magnitude
-            assert big.contains(prod, tol=1e-9 * (1 + abs(prod.a)))
+            assert _contains(big, prod, tol=1e-9 * (1 + abs(prod[0, 0])))
 
 
 def test_norm_cap_is_distance_truncation():
@@ -190,10 +210,10 @@ def test_norm_cap_is_distance_truncation():
     full = enumerate_words(G, 6)
     assert len(capped) < len(full)
     # every kept element obeys the cap, and the cap commutes with inverse
-    a = np.abs(capped.matrices[:, 0, 0])
+    a = np.abs(capped[:, 0, 0])
     assert a.max() <= 50.0
-    for m in capped.elements[:50]:
-        assert abs(m.inverse().a) <= 50.0 + 1e-9
+    for m in capped[:50]:
+        assert abs(inverse(m)[0, 0]) <= 50.0 + 1e-9
 
 
 def test_ball_prefix_equals_shorter_enumeration():
@@ -202,17 +222,14 @@ def test_ball_prefix_equals_shorter_enumeration():
     for cap in (None, 50.0):
         big = enumerate_words(G, 5, norm_cap=cap)
         small = enumerate_words(G, 4, norm_cap=cap)
-        assert np.array_equal(big.ball(4), small.matrices)
-        assert np.array_equal(big.ball(5), big.matrices)
-    with pytest.raises(ValueError):
-        big.ball(6)
+        assert np.array_equal(big[:len(small)], small)
 
 
 def test_word_ball_has_no_near_duplicates(words8):
     """Deduplication rounds to DEDUP_DECIMALS, which can split equal elements
     across a rounding boundary; no two stored elements, nor an element and
     the negative of another (the same projective map), lie within 1e-6."""
-    coords = words8.matrices.view(np.float64).reshape(len(words8), 8)
+    coords = words8.view(np.float64).reshape(len(words8), 8)
     tree = cKDTree(coords)
     assert tree.query_pairs(1e-6) == set()
     dist, _ = tree.query(-coords, distance_upper_bound=1e-6)
@@ -223,16 +240,16 @@ def test_word_ball_closed_under_rotation(words8):
     """Conjugation by the octagon rotation permutes the word ball: it carries
     g_k to g_(k+1) and g_3 to g_0^-1 and keeps |a|.  The series evaluation
     folds points through this symmetry."""
-    r = rotation(np.pi / 4).mat
-    rotated = r @ words8.matrices @ np.linalg.inv(r)
-    assert np.array_equal(np.sort(_dedup_keys(words8.matrices)),
+    r = rotation(np.pi / 4)
+    rotated = r @ words8 @ np.linalg.inv(r)
+    assert np.array_equal(np.sort(_dedup_keys(words8)),
                           np.sort(_dedup_keys(rotated)))
 
 
 def _reference_ball(G, L, norm_cap):
     """Breadth-first ball deduplicated through a Python set of rounded
     coordinate tuples, one child at a time."""
-    step = np.array([g.mat for g in G.side_generator_words()])
+    step = np.concatenate([G.generators, [inverse(g) for g in G.generators]])
 
     def key(m):
         m = _sign_normalize(m[None])[0].reshape(4)
@@ -257,17 +274,17 @@ def _reference_ball(G, L, norm_cap):
             break
         frontier = fresh
         shells.append(fresh)
-    return np.array([m for sh in shells for m in sh]), tuple(map(len, shells))
+    return np.array([m for sh in shells for m in sh])
 
 
 def test_enumerate_words_matches_set_dedup():
     G = octagon_group(2)
     for cap in (None, 50.0):
-        mats, sizes = _reference_ball(G, 5, cap)
+        mats = _reference_ball(G, 5, cap)
         ball = enumerate_words(G, 5, norm_cap=cap)
-        assert ball.shell_sizes == sizes
+        assert ball.shape == mats.shape
         # the reference multiplies with `@`, which rounds differently
-        err = np.abs(ball.matrices - mats).max(axis=(1, 2))
+        err = np.abs(ball - mats).max(axis=(1, 2))
         assert np.all(err <= 1e-13 * np.abs(mats).max(axis=(1, 2)))
 
 
@@ -324,8 +341,7 @@ def test_reduce_to_domain():
     z = 0.95 * np.sqrt(rng.uniform(size=400)) * np.exp(2j * np.pi * rng.uniform(size=400))
     images, mats = reduce_to_domain(G, z)
     assert np.all(in_fundamental_domain(G, images))
-    mapped = (mats[:, 0, 0] * z + mats[:, 0, 1]) / (mats[:, 1, 0] * z + mats[:, 1, 1])
-    assert np.abs(mapped - images).max() < 1e-10
+    assert np.abs(act(mats, z) - images).max() < 1e-10
     inside = in_fundamental_domain(G, z)
     assert np.array_equal(images[inside], z[inside])
     assert not inside.all()
@@ -336,18 +352,12 @@ def test_reduce_to_domain():
 def test_tiling_unique_representative(group, words8):
     """Each sample point has exactly one translate in the domain, over the
     length-8 word ball."""
-    mats = words8.matrices
     rng = np.random.default_rng(1)
     pts = 0.95 * np.sqrt(rng.uniform(size=1000)) * np.exp(
         2j * np.pi * rng.uniform(size=1000))
-    a = mats[:, 0, 0][:, None]
-    b = mats[:, 0, 1][:, None]
-    c = mats[:, 1, 0][:, None]
-    d = mats[:, 1, 1][:, None]
     hits = np.zeros(len(pts), dtype=int)
-    for start in range(0, len(mats), 8000):
-        sl = slice(start, start + 8000)
-        images = (a[sl] * pts[None, :] + b[sl]) / (c[sl] * pts[None, :] + d[sl])
+    for start in range(0, len(words8), 8000):
+        images = act(words8[start:start + 8000, None], pts)
         hits += in_fundamental_domain(group, images).sum(axis=0)
     assert np.all(hits == 1)
 

@@ -5,7 +5,7 @@ import pytest
 
 from wpcurv import qdiff
 from wpcurv.errors import ConvergenceFailure, DegenerateBasis
-from wpcurv.fuchsian import enumerate_words
+from wpcurv.fuchsian import act, derivative, enumerate_words
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -35,7 +35,7 @@ def test_automorphy_residuals(group, basis):
         assert q.automorphy_residual(group) <= qdiff.AUTOMORPHY_TOL
         for s, z in enumerate(sides):
             g = group.side_pairings[s]
-            lhs = q.evaluate(g.apply(z)) * g.derivative(z) ** 2
+            lhs = q.evaluate(act(g, z)) * derivative(g, z) ** 2
             base = q.evaluate(z)
             assert np.abs(lhs - base).max() <= qdiff.AUTOMORPHY_TOL * np.abs(base).max()
 
@@ -47,7 +47,7 @@ def test_side_points_trace_the_sides(group):
     for s in range(8):
         assert abs(sides[s, 0] - group.vertices[s - 1]) < 1e-12
         assert abs(sides[s, -1] - group.vertices[s]) < 1e-12
-        image = group.side_pairings[s].apply(sides[s])
+        image = act(group.side_pairings[s], sides[s])
         assert np.abs(image - sides[(s + 4) % 8, ::-1]).max() < 1e-12
 
 
@@ -63,7 +63,7 @@ def test_series_oracle_in_span(basis, words8, surf3):
     """The length-8 Poincare series of degree k is a multiple of the solved
     theta_k at the level-3 nodes, up to the series' truncation error."""
     z = surf3.nodes
-    series = qdiff._series(words8.matrices, z, qdiff.SEED_DEGREES)
+    series = qdiff._series(words8, z, qdiff.SEED_DEGREES)
     for q, row in zip(basis, series):
         theta = q.evaluate(z)
         c = np.vdot(theta, row) / np.vdot(theta, theta)
@@ -75,8 +75,8 @@ def test_tail_increment_at_center(group, words8):
     probes by less than 1e-5 (geometric tail)."""
     bigger = enumerate_words(group, 10, norm_cap=400.0)
     probes = _probes()
-    v8 = qdiff._series(words8.matrices, probes, qdiff.SEED_DEGREES)
-    v10 = qdiff._series(bigger.matrices, probes, qdiff.SEED_DEGREES)
+    v8 = qdiff._series(words8, probes, qdiff.SEED_DEGREES)
+    v10 = qdiff._series(bigger, probes, qdiff.SEED_DEGREES)
     inc = np.abs(v10 - v8) / np.maximum(1.0, np.abs(v10))
     assert inc.max() <= 1e-5
 
@@ -135,7 +135,7 @@ def test_evaluate_sums_directly(basis):
 
 def test_odd_degree_series_vanishes(words8):
     """Degrees with the wrong rotation character average out."""
-    even, odd = np.abs(qdiff._series(words8.matrices, _probes(), (2, 1))).max(axis=1)
+    even, odd = np.abs(qdiff._series(words8, _probes(), (2, 1))).max(axis=1)
     # the cancellation is exact on the full group; the truncated ball
     # leaves a tail of the order of its truncation error
     assert odd < 1e-4 * even
@@ -149,8 +149,8 @@ def test_beltrami_invariance(group, basis, surf3):
     q = basis[1]
     mu = lambda w: np.conj(q.evaluate(w)) * (1 - np.abs(w) ** 2) ** 2 / 4
     for g in group.generators:
-        gz = g.apply(z)
-        dg = g.derivative(z)
+        gz = act(g, z)
+        dg = derivative(g, z)
         lhs = mu(gz) * np.conj(dg) / dg
         assert np.abs(lhs - mu(z)).max() < 2e-5 * max(1.0, np.abs(mu(z)).max())
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget
-from wpcurv.fuchsian import octagon_group
+from wpcurv.fuchsian import act, octagon_group
 
 
 def test_level_bounds(group):
@@ -270,7 +270,7 @@ def _reference_mesh(group, passes):
 
     for s in range(4):
         tgt = side(s)
-        imgs = group.generators[s].apply(np.array([nodes[i] for i in side(s + 4)]))
+        imgs = act(group.generators[s], np.array([nodes[i] for i in side(s + 4)]))
         for i, z in zip(side(s + 4), imgs):
             d = [abs(nodes[t] - z) for t in tgt]
             assert min(d) < 1e-9
@@ -388,6 +388,11 @@ def test_green_budget(surf3, green3, monkeypatch):
     assert np.array_equal(small.rows, green3.rows)
     with pytest.raises(KernelBudget):
         small.matrix
+    # the run-time budget check predicts the rows' size exactly
+    surface.check_green_budget(3)
+    monkeypatch.setattr(surface, "GREEN_BYTES_CAP", green3.rows.nbytes - 1)
+    with pytest.raises(KernelBudget):
+        surface.check_green_budget(3)
 
 
 def test_green_export_writes_report_json(tmp_path, surf3, green3):
