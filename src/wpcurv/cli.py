@@ -143,11 +143,18 @@ def run(config: RunConfig) -> dict:
 
 
 def explain(report: dict) -> str:
-    """One line per check: status, residual, tolerance, description."""
-    if not report.get("checks"):
+    """One line per check: status, residual, tolerance, description; a
+    ValueError if the report is not an object of checks holding all four."""
+    if not isinstance(report, dict):
+        raise ValueError("report is not an object")
+    entries = report.get("checks")
+    if not entries or not isinstance(entries, dict):
         raise ValueError("report contains no checks")
+    fields = ("pass", "residual", "tolerance", "description")
     lines = []
-    for name, c in report["checks"].items():
+    for name, c in entries.items():
+        if not (isinstance(c, dict) and all(key in c for key in fields)):
+            raise ValueError("check %r lacks one of %s" % (name, ", ".join(fields)))
         status = "pass" if c["pass"] else "FAIL"
         lines.append("%-28s %-4s residual=%s tol=%s  %s"
                      % (name, status, c["residual"], c["tolerance"],

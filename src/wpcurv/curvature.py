@@ -28,27 +28,6 @@ SYMMETRY_TOL = 1e-7
 
 
 @dataclass
-class PairingTable:
-    """All n^4 pairing values (ij,kl)."""
-
-    entries: np.ndarray   # complex, shape (n, n, n, n)
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
-    def residuals(self):
-        """Max relative residuals of the two pairing symmetries:
-        (ij,kl) = (kl,ij) and conj((ij,kl)) = (ji,lk)."""
-        P = self.entries
-        scale = np.abs(P).max()
-        return {
-            "exchange": float(np.abs(P - P.transpose(2, 3, 0, 1)).max() / scale),
-            "conjugation": float(np.abs(np.conj(P) - P.transpose(1, 0, 3, 2)).max() / scale),
-        }
-
-
-@dataclass
 class CurvatureTensor:
     """Entries R[i][j][k][l] with the index pattern (holo, anti, holo, anti)."""
 
@@ -67,12 +46,10 @@ class CurvatureTensor:
             "conjugation": float(np.abs(np.conj(R) - R.transpose(1, 0, 3, 2)).max() / scale),
         }
 
-    def max_abs(self):
-        return float(np.abs(self.entries).max())
 
-
-def pairing_table(fields, surface=None, *, weights=None, apply_D_fn=None) -> PairingTable:
-    """Compute all pairings with n(n+1)/2 resolvent solves.
+def pairing_table(fields, surface=None, *, weights=None, apply_D_fn=None) -> np.ndarray:
+    """All n^4 pairings (ij,kl), a complex (n, n, n, n) array, from
+    n(n+1)/2 resolvent solves.
 
     D commutes with complex conjugation (its kernel is real), so
     D(mu_j conj(mu_i)) = conj(D(mu_i conj(mu_j))) and only the upper
@@ -96,12 +73,13 @@ def pairing_table(fields, surface=None, *, weights=None, apply_D_fn=None) -> Pai
         for j in range(n):
             dij = solved[(i, j)] if i <= j else np.conj(solved[(j, i)])
             entries[i, j] = np.einsum("p,kp,lp->kl", weights * dij, mu, np.conj(mu))
-    return PairingTable(entries)
+    return entries
 
 
-def curvature_tensor(P: PairingTable) -> CurvatureTensor:
-    """Assemble R[i][j][k][l] = (ij,kl) + (il,kj) and validate symmetries."""
-    R = CurvatureTensor(P.entries + P.entries.transpose(0, 3, 2, 1))
+def curvature_tensor(P: np.ndarray) -> CurvatureTensor:
+    """Assemble R[i][j][k][l] = (ij,kl) + (il,kj) from the `pairing_table`
+    array and validate symmetries."""
+    R = CurvatureTensor(P + P.transpose(0, 3, 2, 1))
     res = R.residuals()
     worst = max(res.values())
     if worst > SYMMETRY_TOL:
@@ -118,8 +96,7 @@ def holomorphic_sectional(R: CurvatureTensor, gram, i: int) -> float:
     the complex line spanned by mu_i carries the opposite sign:
     K_i = -R[i][i][i][i] / g_ii^2 < 0.
     """
-    g_ii = gram.entries[i, i].real
-    return float(-R.entries[i, i, i, i].real / g_ii**2)
+    return float(-R.entries[i, i, i, i].real / gram[i, i].real ** 2)
 
 
 def export_tensor_json(R: CurvatureTensor, path, *, config_hash=None):

@@ -154,20 +154,6 @@ class BeltramiField:
             raise ValueError("Beltrami field has non-finite entries")
 
 
-@dataclass
-class GramMatrix:
-    """Hermitian matrix of pairwise products sum_p w_p mu_i conj(mu_j)."""
-
-    entries: np.ndarray
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    def eigenvalues(self):
-        return np.linalg.eigvalsh(self.entries)
-
-
 def _solve(group: FuchsianGroup, k: int):
     """Real a_m (a_0 = 1) of character k and the singular values of the
     scaled collocation system."""
@@ -216,8 +202,8 @@ def beltrami_from_qdiff(basis: list[QuadDifferential], surface) -> list[Beltrami
             for q in basis]
 
 
-def gram_matrix(fields: list[BeltramiField], surface) -> GramMatrix:
-    """Weighted Gram matrix g_ij = sum_p w_p mu_i(p) conj(mu_j(p))."""
+def gram_matrix(fields: list[BeltramiField], surface) -> np.ndarray:
+    """Hermitian (n, n) Gram array g_ij = sum_p w_p mu_i(p) conj(mu_j(p))."""
     mu = np.array([f.values for f in fields])
     if mu.shape[1] != len(surface.weights):
         raise ValueError("fields not sampled on this surface")
@@ -227,20 +213,19 @@ def gram_matrix(fields: list[BeltramiField], surface) -> GramMatrix:
     if ev.min() <= 1e-10 * ev.max():
         raise DegenerateBasis(
             "Gram matrix numerically singular (eigenvalues %s)" % ev)
-    return GramMatrix(g)
+    return g
 
 
-def orthonormalize(fields: list[BeltramiField], gram: GramMatrix):
+def orthonormalize(fields: list[BeltramiField], gram: np.ndarray):
     """Orthonormal basis spanning the same fields.
 
     Returns (new_fields, new_gram, C) where C is upper-triangular with
     gram = C^H C (Cholesky), and the new fields are (C^H)^-1 applied to
     the old ones, so their Gram matrix is the identity.
     """
-    low = np.linalg.cholesky(gram.entries)   # gram = low @ low^H
+    low = np.linalg.cholesky(gram)   # gram = low @ low^H
     C = low.conj().T
     mu = np.array([f.values for f in fields])
     mu_new = np.linalg.solve(low, mu)
     new_fields = [BeltramiField(row) for row in mu_new]
-    new_gram = GramMatrix(np.eye(len(fields), dtype=complex))
-    return new_fields, new_gram, C
+    return new_fields, np.eye(len(fields), dtype=complex), C

@@ -25,7 +25,7 @@ inequality (G positive and symmetric).  The zero locus is exactly the
 antisymmetric cross-block, i.e. the range of (identity - J), where J is
 the involution induced on wedges by the complex structure.
 
-Every Green sum of two such fields is a contraction of one n^4 table
+Both Green sums of such a field are contractions of one n^4 table
 T[i,k,l,j] = sum_p conj(mu_j) mu_l (p) (WG mu_i conj(mu_k))(p), for which
 the weighted kernel WG meets only the n^2 real node vectors of the
 coefficient-free products mu_i conj(mu_k).  WG is an operator on the
@@ -89,7 +89,7 @@ def real_tensor(R: CurvatureTensor) -> np.ndarray:
     T = np.einsum("ah,bj->abhj", U, V) - np.einsum("aj,bh->abhj", V, U)
     full = np.einsum("abhj,cdkl,hjkl->abcd", T, T, R.entries, optimize=True)
     residue = np.abs(full.imag).max()
-    if residue > 1e-10 * max(R.max_abs(), 1e-300):
+    if residue > 1e-10 * max(np.abs(R.entries).max(), 1e-300):
         raise TypeImbalance(
             "imaginary residue %.3g in a real curvature value" % residue)
     return full.real
@@ -186,16 +186,16 @@ def kernel_check(Q: WedgeOperator, Jmat: np.ndarray,
 
     range(I - J) lies inside ker Q (residual check), and the kernel is no
     larger: rank(Q) = m - n(n-1), and random unit elements of the +1
-    eigenspace of J are strictly negative directions.
+    eigenspace of J are strictly negative directions.  The rank and tau
+    are read off `spectrum`.
     """
     m = Q.m
-    lam = np.linalg.eigvalsh((Q.matrix + Q.matrix.T) / 2)
-    tau = tau_rel * np.abs(lam).max()
+    spec = spectrum(Q, tau_rel, strict=False)
+    tau = spec.tau
     range_resid = np.linalg.norm(Q.matrix @ (np.eye(m) - Jmat)) / np.linalg.norm(Q.matrix)
-    rank = int(np.sum(np.abs(lam) > tau))
-    expected_rank = m - Q.n * (Q.n - 1)
-    if rank != expected_rank:
-        raise KernelDimMismatch("rank %d, expected %d" % (rank, expected_rank))
+    rank = m - spec.num_zero
+    if spec.num_zero != spec.kernel_dim_expected:
+        raise KernelDimMismatch("rank %d, expected %d" % (rank, m - spec.kernel_dim_expected))
 
     rng = np.random.default_rng(KERNEL_SEED)
     worst = -np.inf
@@ -210,7 +210,7 @@ def kernel_check(Q: WedgeOperator, Jmat: np.ndarray,
         "rank": rank,
         "worst_plus_eigenspace_value": float(worst),
         "plus_eigenspace_negative": bool(worst < -tau),
-        "tau": float(tau),
+        "tau": tau,
     }
 
 
@@ -243,12 +243,6 @@ def weighted_green(surface, green) -> spla.LinearOperator:
                                dtype=float)
 
 
-def _d_term(surface, diag_part: np.ndarray) -> float:
-    """sum_p w_p D(diag_part)(p) diag_part(p) for a real diagonal field."""
-    u = surface_mod.apply_D(surface, diag_part)
-    return float(np.sum(surface.weights * u * diag_part))
-
-
 def _diagonal(coeff, mu: np.ndarray) -> np.ndarray:
     """L[p,p] of L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""
     return np.sum(np.conj(mu) * (np.asarray(coeff, dtype=complex).T @ mu), axis=0)
@@ -277,35 +271,23 @@ def _green_table(mu: np.ndarray, WG) -> np.ndarray:
     return (W.reshape(n * n, N) @ prod.reshape(n * n, N).T).reshape((n,) * 4)
 
 
-def _green_sums(mu: np.ndarray, cx, cy, WG) -> tuple[complex, complex]:
-    """Green sums of the two-point fields X[p,q] = sum_ij cx_ij mu_i(q)
-    conj(mu_j(p)) and Y (from cy) as contractions of `_green_table`:
+def _green_sums(mu: np.ndarray, coeff, WG) -> tuple[complex, complex]:
+    """Green sums of the two-point field L[p,q] = sum_ij coeff_ij mu_i(q)
+    conj(mu_j(p)) as contractions of `_green_table`:
 
-        bar  = sum_pq WG[p,q] X[p,q] conj(Y[p,q])
-             = sum cx_ij conj(cy_kl) T[i,k,l,j],
-        swap = sum_pq WG[p,q] X[p,q] Y[q,p]
-             = sum cx_ij cy_kl T[i,l,k,j],
+        mod2  = sum_pq WG[p,q] |L[p,q]|^2
+              = sum coeff_ij conj(coeff_kl) T[i,k,l,j],
+        cross = sum_pq WG[p,q] L[p,q] L[q,p]
+              = sum coeff_ij coeff_kl T[i,l,k,j],
 
     with (WG v)(p) = sum_q WG[p,q] v(q).  WG need not be symmetric, and
     no N x N field is formed.
     """
     T = _green_table(mu, WG)
-    cx, cy = (np.asarray(c, dtype=complex) for c in (cx, cy))
-    bar = np.einsum("ij,kl,iklj->", cx, np.conj(cy), T)
-    swap = np.einsum("ij,kl,ilkj->", cx, cy, T)
-    return complex(bar), complex(swap)
-
-
-def q_cross_term(a, b, fields, surface, green, *, WG=None) -> float:
-    """Mixed value Q(xx-element(a), cross-element(b))."""
-    mu = np.array([f.values for f in fields])
-    if WG is None:
-        WG = weighted_green(surface, green)
-    u = surface_mod.apply_D(surface, _diagonal(a, mu).imag)
-    t1 = -4 * float(np.sum(surface.weights * u * _diagonal(b, mu).real))
-    # Im sum WG F conj(H) and Im sum WG F(z,w) H(w,z)
-    fh_bar, fh_swap = _green_sums(mu, a, b, WG)
-    return t1 - 2 * fh_bar.imag - 2 * fh_swap.imag
+    coeff = np.asarray(coeff, dtype=complex)
+    mod2 = np.einsum("ij,kl,iklj->", coeff, np.conj(coeff), T)
+    cross = np.einsum("ij,kl,ilkj->", coeff, coeff, T)
+    return complex(mod2), complex(cross)
 
 
 def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
@@ -317,22 +299,22 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     coefficients are d + i b.
     """
     mu = np.array([f.values for f in fields])
-    n = len(mu)
-    a = np.asarray(coeffs.get("a", np.zeros((n, n))), dtype=float)
-    b = np.asarray(coeffs.get("b", np.zeros((n, n))), dtype=float)
-    c = np.asarray(coeffs.get("c", np.zeros((n, n))), dtype=float)
+    zero = np.zeros((len(mu),) * 2)
+    a, b, c = (np.asarray(coeffs.get(key, zero), dtype=float) for key in "abc")
     if WG is None:
         WG = weighted_green(surface, green)
     coeff = (a + c) + 1j * b
-    t1 = -4 * _d_term(surface, _diagonal(coeff, mu).imag)
-    mod2, cross = _green_sums(mu, coeff, coeff, WG)
+    diag_part = _diagonal(coeff, mu).imag
+    u = surface_mod.apply_D(surface, diag_part)
+    t1 = -4 * float(np.sum(surface.weights * u * diag_part))
+    mod2, cross = _green_sums(mu, coeff, WG)
     return t1 - 2 * mod2.real + 2 * cross.real
 
 
 def cauchy_schwarz_slack(coeff, mu: np.ndarray, WG) -> dict:
     """|sum WG L(z,w) L(w,z)|  <=  sum WG |L(z,w)|^2 (G positive, symmetric)
     for L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""
-    rhs, lhs = _green_sums(np.asarray(mu, dtype=complex), coeff, coeff, WG)
+    rhs, lhs = _green_sums(np.asarray(mu, dtype=complex), coeff, WG)
     return {"lhs_abs": abs(lhs), "rhs": rhs.real}
 
 

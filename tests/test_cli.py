@@ -60,8 +60,12 @@ def test_explain_requires_checks():
         cli.explain({"checks": {}})
 
 
-@pytest.mark.parametrize("content", [None, "not json", '{"checks": {}}'],
-                         ids=["missing", "not-json", "no-checks"])
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json", '{"checks": {}}', "[]", '{"checks": [1]}',
+     '{"checks": {"a": {"pass": true}}}', '{"checks": {"a": 1}}'],
+    ids=["missing", "not-json", "no-checks", "not-object", "checks-not-object",
+         "entry-lacks-fields", "entry-not-object"])
 def test_explain_bad_report_is_a_usage_error(content, tmp_path, capsys):
     """A report that cannot be read, parsed or explained exits 2 with one
     error line, as a usage error, not 1 as a failed check."""

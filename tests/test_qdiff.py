@@ -164,11 +164,11 @@ def test_beltrami_bounded(basis, surf3):
 
 
 def test_gram_hermitian_posdef(pipe3):
-    g = pipe3["gram_raw"].entries
+    g = pipe3["gram_raw"]
     assert np.abs(g - g.conj().T).max() < 1e-12 * np.abs(g).max()
     assert np.all(np.diag(g).real > 0)
     assert np.abs(np.diag(g).imag).max() < 1e-12 * np.abs(g).max()
-    assert pipe3["gram_raw"].eigenvalues().min() > 0
+    assert np.linalg.eigvalsh(pipe3["gram_raw"]).min() > 0
 
 
 def test_duplicate_field_degenerate(pipe3, surf3):
@@ -183,13 +183,13 @@ def test_wrong_surface_rejected(pipe3, surf4):
 
 
 def test_orthonormalize_output_gram_identity(pipe3, surf3):
-    g = qdiff.gram_matrix(pipe3["fields"], surf3).entries
+    g = qdiff.gram_matrix(pipe3["fields"], surf3)
     assert np.abs(g - np.eye(3)).max() < 1e-12
 
 
 def test_orthonormalize_recovers_gram(pipe3):
     C = pipe3["cholesky"]
-    g = pipe3["gram_raw"].entries
+    g = pipe3["gram_raw"]
     assert np.abs(C.conj().T @ C - g).max() < 1e-9 * np.abs(g).max()
 
 
@@ -209,12 +209,12 @@ def test_petersson_consistency(basis, pipe3, surf3):
     theta = np.array([q.evaluate(z) for q in basis])
     direct = np.einsum("p,ip,jp->ij", surf3.weights,
                        np.conj(theta) / sigma, theta / sigma)
-    g = pipe3["gram_raw"].entries
+    g = pipe3["gram_raw"]
     assert np.abs(direct - g).max() < 1e-12 * np.abs(g).max()
 
 
 def test_gram_refinement(pipe3, pipe4):
-    g3, g4 = pipe3["gram_raw"].entries, pipe4["gram_raw"].entries
+    g3, g4 = pipe3["gram_raw"], pipe4["gram_raw"]
     rel = np.linalg.norm(g3 - g4) / np.linalg.norm(g4)
     assert rel < 0.02
 
@@ -224,7 +224,7 @@ def test_whole_mesh_symmetry_certificates(level, pipe3, pipe4):
     """The octagon's symmetries make the raw Gram matrix diagonal (distinct
     rotation characters) and the curvature tensor real, over all nodes."""
     pipe = pipe3 if level == 3 else pipe4
-    g = pipe["gram_raw"].entries
+    g = pipe["gram_raw"]
     diag = np.abs(np.diag(g))
     off = np.abs(g - np.diag(np.diag(g))) / np.sqrt(np.outer(diag, diag))
     assert off.max() <= 1e-13

@@ -44,7 +44,7 @@ def test_real_curvature_repeated_vector_zero(pipe3):
     R = pipe3["tensor"]
     real = wedge.real_tensor(R)
     for a in (0, 4):                # x_0, y_1
-        assert abs(real[a, a, 1, 5]) < 1e-12 * R.max_abs()
+        assert abs(real[a, a, 1, 5]) < 1e-12 * np.abs(R.entries).max()
 
 
 def test_real_curvature_xxxx_equals_yyyy(pipe3):
@@ -142,21 +142,20 @@ def test_green_sums_oracle():
     rng = np.random.default_rng(0)
     n, N = 2, 5
     mu = rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N))
-    cx = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    cy = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    coeff = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     WG = rng.standard_normal((N, N))
 
-    def field(coeff, p, q):
+    def field(p, q):
         return sum(coeff[i, j] * mu[i, q] * np.conj(mu[j, p])
                    for i in range(n) for j in range(n))
 
-    bar = sum(WG[p, q] * field(cx, p, q) * np.conj(field(cy, p, q))
-              for p in range(N) for q in range(N))
-    swap = sum(WG[p, q] * field(cx, p, q) * field(cy, q, p)
+    mod2 = sum(WG[p, q] * field(p, q) * np.conj(field(p, q))
                for p in range(N) for q in range(N))
-    got = wedge._green_sums(mu, cx, cy, WG)
-    assert got[0] == pytest.approx(bar, rel=1e-13)
-    assert got[1] == pytest.approx(swap, rel=1e-13)
+    cross = sum(WG[p, q] * field(p, q) * field(q, p)
+                for p in range(N) for q in range(N))
+    got = wedge._green_sums(mu, coeff, WG)
+    assert got[0] == pytest.approx(mod2, rel=1e-13)
+    assert got[1] == pytest.approx(cross, rel=1e-13)
 
 
 class _RecordingWG:
@@ -180,21 +179,20 @@ def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
     rng = np.random.default_rng(8)
     a, b, c = rng.standard_normal((3, 3, 3))
     wedge.integral_form_Q({"a": a, "b": b, "c": c}, fields, surf3, green3, WG=WG)
-    wedge.q_cross_term(a, b, fields, surf3, green3, WG=WG)
     wedge.cauchy_schwarz_slack(a + 1j * b, mu, WG)
-    assert WG.columns == [9, 9, 9]
+    assert WG.columns == [9, 9]
 
 
 def test_green_table_is_the_pairing_table(pipe3, surf3, green3):
     """T through the orbit-row kernel equals P through the LU."""
     mu = np.array([f.values for f in pipe3["fields"]])
     T = wedge._green_table(mu, wedge.weighted_green(surf3, green3))
-    P = pipe3["pairings"].entries
+    P = pipe3["pairings"]
     assert np.abs(T - P).max() <= 1e-13 * np.abs(P).max()
 
 
-# dense N x N oracles: the integral path as it was written before the Green
-# sums were factored.  Each returns its value and the magnitudes of its
+# dense N x N oracle: the integral path as it was written before the Green
+# sums were factored.  It returns its value and the magnitudes of its
 # terms, the complex Green sums in full: roundoff scales with those, and
 # on the octagon fields the cross term keeps about 1e-7 of them.
 
@@ -212,16 +210,6 @@ def _dense_integral_Q(coeffs, mu, surf, WG):
     mod2 = np.sum(WG * np.abs(L) ** 2)
     cross = np.sum(WG * (L * L.T))
     return t1 - 2 * mod2 + 2 * cross.real, abs(t1) + 2 * mod2 + 2 * abs(cross)
-
-
-def _dense_cross_term(a, b, mu, surf, WG):
-    F, H = _dense_field(a, mu), _dense_field(b, mu)
-    u = surface.apply_D(surf, np.diag(F).imag)
-    t1 = -4 * np.sum(surf.weights * u * np.diag(H).real)
-    fh_bar = np.sum(WG * F * np.conj(H))
-    fh_swap = np.sum(WG * F * H.T)
-    return (t1 - 2 * fh_bar.imag - 2 * fh_swap.imag,
-            abs(t1) + 2 * abs(fh_bar) + 2 * abs(fh_swap))
 
 
 def _generic_fields(surf, seed):
@@ -246,10 +234,6 @@ def test_integral_path_matches_dense_oracle(kind, pipe3, surf3, green3):
         ref, scale = _dense_integral_Q(coeffs, mu, surf3, dense_WG)
         assert abs(got - ref) <= 1e-13 * scale
     for _ in range(3):
-        a, b = rng.standard_normal((2, 3, 3))
-        got = wedge.q_cross_term(a, b, fields, surf3, green3, WG=WG)
-        ref, scale = _dense_cross_term(a, b, mu, surf3, dense_WG)
-        assert abs(got - ref) <= 1e-13 * scale
         coeff = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         L = _dense_field(coeff, mu)
         rep = wedge.cauchy_schwarz_slack(coeff, mu, WG)
@@ -270,8 +254,6 @@ def test_integral_path_forms_no_node_square_array(pipe3, surf3, green3):
         lambda: surface.green_kernel(surf3),
         lambda: wedge.weighted_green(surf3, green3),
         lambda: wedge.integral_form_Q(coeffs, fields, surf3, green3, WG=WG),
-        lambda: wedge.q_cross_term(coeffs["a"], coeffs["b"], fields, surf3,
-                                   green3, WG=WG),
         lambda: wedge.cauchy_schwarz_slack(coeffs["a"] + 1j * coeffs["b"], mu, WG),
     ]
     budget = 8 * surf3.num_nodes ** 2
@@ -304,21 +286,6 @@ def test_integral_opposite_xx_yy_vanishes(pipe3, surf3, green3):
     val = wedge.integral_form_Q({"a": a, "c": -a}, pipe3["fields"],
                                 surf3, green3, WG=WG)
     assert abs(val) < 1e-10 * np.abs(pipe3["Q"].matrix).max()
-
-
-def test_cross_term_consistency(pipe3, surf3, green3):
-    WG = wedge.weighted_green(surf3, green3)
-    rng = np.random.default_rng(3)
-    scale = np.abs(pipe3["Q"].matrix).max()
-    for _ in range(5):
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        direct = wedge.q_cross_term(a, b, pipe3["fields"], surf3, green3, WG=WG)
-        # polarization: Q(A,B) = (Q(A+B,A+B) - Q(A,A) - Q(B,B)) / 2
-        qab, qa, qb = (wedge.integral_form_Q(coeffs, pipe3["fields"], surf3, green3, WG=WG)
-                       for coeffs in ({"a": a, "b": b}, {"a": a}, {"b": b}))
-        polarized = (qab - qa - qb) / 2
-        assert abs(direct - polarized) < 1e-10 * scale * (1 + abs(direct))
 
 
 def test_cauchy_schwarz_slack(pipe3, surf3, green3):
