@@ -162,6 +162,16 @@ def explain(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _print(text: str):
+    """Print and flush; a reader that closed the pipe early (`| head`) ends
+    the output quietly, with stdout sent to devnull so the flush at exit
+    raises nothing either."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="wpcurv",
@@ -185,7 +195,7 @@ def main(argv=None) -> int:
                 text = explain(json.load(fh))
         except (OSError, ValueError) as exc:
             parser.error("%s: %s" % (args.report, getattr(exc, "strerror", None) or exc))
-        print(text)
+        _print(text)
         return 0
 
     config = RunConfig(mesh_level=args.mesh_level, seeds=args.seeds, out=args.out,
@@ -198,9 +208,9 @@ def main(argv=None) -> int:
     report = run(config)
     if args.command == "spectrum":
         with open(os.path.join(config.out, "spectrum.csv")) as fh:
-            print(fh.read().strip())
+            _print(fh.read().strip())
     else:
-        print(explain(report))
+        _print(explain(report))
     return 0 if report["all_pass"] else 1
 
 

@@ -21,15 +21,17 @@ hyperbolic mass M = diag(w): Delta_h = -M^-1 K.  The resolvent operator
 then solves (K + 2M) u = 2 M f, one sparse factorization reused for all
 right-hand sides (the Laplace eigensolve shifts about -2 to reuse it as
 well), and its Green kernel is G = 2 (K + 2M)^-1.  G is solved once per
-symmetry orbit of the nodes: the maps z -> e^{ik pi/4} z and
-z -> e^{ik pi/4} conj(z) that carry the glued mesh, w and K onto
-themselves are certified first, and G is kept as the solved rows plus
-those permutations (289 rows of 4,094 at level 4).  It is applied by one
+symmetry orbit of the nodes: the generators z -> e^{i pi/4} z and
+z -> conj(z) are certified to carry the glued mesh, w and K onto
+themselves, their 16 compositions give the maps, and G is kept as the
+solved rows plus those permutations (289 rows of 4,094 at level 4).  The
+rows are solved as columns by the untransposed LU solve, which holds
+because K + 2M equals its transpose bit for bit.  G is applied by one
 product with the permuted columns, and its report is read off the solved
-rows; neither expands it.
-G is symmetric up to roundoff, and (Df)(p) = sum_q G[p,q] w_q f(q) holds
-to roundoff, not exactly: the two sides round differently (about 2e-15
-relative at level 3 and 4e-15 at level 4).
+rows; neither expands it.  The computed G is symmetric up to roundoff,
+and (Df)(p) = sum_q G[p,q] w_q f(q) holds to roundoff, not exactly: the
+two sides round differently (about 2e-15 relative at level 3 and 4e-15
+at level 4).
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ BASE_REFINEMENTS = 1
 NODE_CAP = 200_000
 GREEN_BYTES_CAP = 1_600_000_000
 
-#: representatives per transposed LU solve of G; bounds the right-hand
-#: side and the solution to N x GREEN_BLOCK
-GREEN_BLOCK = 256
+#: representatives per LU solve of G: the right-hand side and the solution
+#: are N x GREEN_BLOCK.  Wider blocks give SuperLU's supernode updates to
+#: the threaded BLAS, which on a 2-vCPU machine made the level-3 solve 20
+#: to 30 times slower in some processes (80 ms for 16 columns, 3 ms for 8)
+GREEN_BLOCK = 8
 
 # 7-point degree-5 triangle quadrature (barycentric points and weights)
 _QUAD_PTS = [(1 / 3, 1 / 3, 1 / 3),
@@ -328,15 +332,20 @@ class GreenKernel:
 def _symmetries(surface: DiscreteSurface) -> np.ndarray:
     """Node permutations of the dihedral maps that the surface has.
 
-    The candidates are z -> e^{ik pi/4} z and z -> e^{ik pi/4} conj(z),
-    identity first.  A map is kept only if it carries the raw nodes one to
+    Only the two generators z -> e^{i pi/4} z and z -> conj(z) are
+    certified: a generator is kept only if it carries the raw nodes one to
     one onto raw nodes (to 1e-9), induces a well-defined map of the glued
-    classes, and preserves w and K to 1e-12 relative; the kept maps then
-    fix G as well.  Row g holds the image of each glued node under map g.
+    classes, and preserves w and K to 1e-12 relative; it then fixes G as
+    well, and so does every composition of kept generators.  Row g holds
+    the image of each glued node under map g, in the order identity, the
+    rotations z -> e^{ik pi/4} z (k = 1..7), then z -> e^{ik pi/4} conj(z)
+    (k = 0..7).  If one generator fails, the rows are the subgroup the
+    other generates; on such a surface a map that neither generates (say
+    a reflection in another axis) is not looked for, and G is solved over
+    the smaller group, which is correct, only slower.
     """
     raw, gid = surface.raw_nodes, surface.gid
     w, K = surface.weights, surface.stiffness.tocsc()
-    K_max = abs(K).max()
 
     def grid(z):                    # one int64 key per point of the 1e-9 grid
         return (np.rint(z.real * 1e9).astype(np.int64) * (2 * 10**9 + 1)
@@ -344,23 +353,30 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
 
     order = np.argsort(grid(raw))
     keys = grid(raw)[order]
-    perms = []
-    for z in (raw, raw.conj()):
-        for k in range(8):
-            img = np.exp(1j * np.pi * k / 4) * z
-            hit = order[np.minimum(np.searchsorted(keys, grid(img)), len(raw) - 1)]
-            if np.abs(raw[hit] - img).max() > 1e-9 or np.bincount(hit).max() > 1:
-                continue
-            perm = np.empty(len(w), dtype=np.intp)
-            perm[gid] = gid[hit]
-            if not (np.array_equal(perm[gid], gid[hit])
-                    and np.abs(w[perm] - w).max() <= 1e-12 * w.max()):
-                continue
-            # K[perm][:, perm]: relabel the rows of the CSC arrays, then pick columns
-            inv = np.argsort(perm)
-            K_perm = sp.csc_matrix((K.data, inv[K.indices], K.indptr), shape=K.shape)
-            if abs(K_perm[:, perm] - K).max() <= 1e-12 * K_max:
-                perms.append(perm)
+
+    def certified(img):
+        """The glued-node permutation of the raw map z -> img, or None."""
+        hit = order[np.minimum(np.searchsorted(keys, grid(img)), len(raw) - 1)]
+        if np.abs(raw[hit] - img).max() > 1e-9 or np.bincount(hit).max() > 1:
+            return None
+        perm = np.empty(len(w), dtype=np.intp)
+        perm[gid] = gid[hit]
+        if not (np.array_equal(perm[gid], gid[hit])
+                and np.abs(w[perm] - w).max() <= 1e-12 * w.max()):
+            return None
+        # K[perm][:, perm]: relabel the rows of the CSC arrays, then pick columns
+        K_perm = sp.csc_matrix((K.data, np.argsort(perm)[K.indices], K.indptr),
+                               shape=K.shape)
+        return perm if abs(K_perm[:, perm] - K).max() <= 1e-12 * abs(K).max() else None
+
+    rotate = certified(np.exp(1j * np.pi / 4) * raw)
+    reflect = certified(raw.conj())
+    perms = [np.arange(len(w))]
+    if rotate is not None:          # e^{ik pi/4} z, as rotate applied k times
+        for _ in range(7):
+            perms.append(rotate[perms[-1]])
+    if reflect is not None:         # e^{ik pi/4} conj(z) = rotation k after conj
+        perms += [p[reflect] for p in perms[:8]]
     return np.array(perms)
 
 
@@ -368,9 +384,14 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     """Green kernel G = 2 (K + 2M)^-1 as its orbit rows, with a report.
 
     G is solved once per symmetry orbit of the nodes: the least node r of
-    each orbit gets row r of G from a transposed LU solve, GREEN_BLOCK
-    representatives at a time.  Every other row is the row of its orbit's
-    representative under a certified permutation of `_symmetries`,
+    each orbit gets row r of G as column r, the solution of
+    (K + 2M) x = 2 e_r, GREEN_BLOCK representatives per untransposed LU
+    solve.  Precondition: K + 2M equals its transpose bit for bit (the
+    local stiffness matrices e e^T are symmetric and M is diagonal; the
+    tests check it at levels 1-4), so G is symmetric and its columns are
+    its rows.  SuperLU does the untransposed solve by supernodes and the
+    transposed one column by column.  Every other row is the row of its
+    orbit's representative under a certified permutation of `_symmetries`,
     G[g(r), :] = G[r, g^-1(:)]; it is gathered when read, never stored.
     GREEN_BYTES_CAP bounds the stored rows, 8 R N bytes.
 
@@ -394,10 +415,10 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     rows = np.empty((len(reps), n))
     for lo in range(0, len(reps), GREEN_BLOCK):
         r = reps[lo:lo + GREEN_BLOCK]            # columns r of 2 I
-        rows[lo:lo + len(r)] = lu.solve(2.0 * (np.arange(n)[:, None] == r), trans="T").T
+        rows[lo:lo + len(r)] = lu.solve(2.0 * (np.arange(n)[:, None] == r)).T
     # the first map carrying each node's representative onto it (0, the
-    # identity, for the representatives); one exists, since every check of
-    # `_symmetries` holds for a map exactly when it holds for its inverse
+    # identity, for the representatives); one exists, since the maps of
+    # `_symmetries` form a group
     map_of = (perms[:, orbit_min] == np.arange(n)).argmax(axis=0)
     row_of = np.searchsorted(reps, orbit_min)
     kernel = GreenKernel(rows=rows, row_of=row_of, map_of=map_of, perms=perms, report={})

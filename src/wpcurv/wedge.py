@@ -29,9 +29,13 @@ Both Green sums of such a field are contractions of one n^4 table
 T[i,k,l,j] = sum_p conj(mu_j) mu_l (p) (WG mu_i conj(mu_k))(p), for which
 the weighted kernel WG meets only the n^2 real node vectors of the
 coefficient-free products mu_i conj(mu_k).  WG is an operator on the
-Green kernel's solved orbit rows (`weighted_green`): no N x N array is
-ever formed, and T equals the pairing table taken through G instead of
-the LU, so the two paths still meet independent solves.
+Green kernel's solved orbit rows (`weighted_green`), each solved as a
+column by the untransposed LU solve of K + 2M, which equals its
+transpose bit for bit: no N x N array is ever formed, and T equals the
+pairing table taken through G instead of the LU, so the two paths still
+meet independent solves.  The operator keeps the last table it built,
+keyed by the exact fields, so one table, and one product with WG, serves
+every element of a stage.
 """
 
 from __future__ import annotations
@@ -232,15 +236,19 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
 
 def weighted_green(surface, green) -> spla.LinearOperator:
     """WG V = w * G(w * V): the Green kernel weighted on both slots, applied
-    through `green.matmat`; no N x N array is formed."""
+    through `green.matmat`; no N x N array is formed.  The operator keeps
+    the last `_green_table` built through it (`last_table`, the fields and
+    the table), so the elements of one stage share one table."""
     w = surface.weights
 
     def matmat(V):
         ww = w.reshape((-1,) + (1,) * (np.ndim(V) - 1))
         return ww * green.matmat(ww * V)
 
-    return spla.LinearOperator((len(w), len(w)), matvec=matmat, matmat=matmat,
-                               dtype=float)
+    op = spla.LinearOperator((len(w), len(w)), matvec=matmat, matmat=matmat,
+                             dtype=float)
+    op.last_table = None
+    return op
 
 
 def _diagonal(coeff, mu: np.ndarray) -> np.ndarray:
@@ -256,8 +264,13 @@ def _green_table(mu: np.ndarray, WG) -> np.ndarray:
     i <= k, and Im(mu_i conj mu_k), i < k, in one product; the rest
     follows from W_ki = conj(W_ik).  With WG = w G w this is the pairing
     table (ik,lj) of `curvature.pairing_table`, taken through G instead of
-    the LU.  WG is an N x N array or a `weighted_green` operator.
+    the LU.  WG is an N x N array or a `weighted_green` operator; the
+    operator's last table is returned again when mu equals its fields
+    exactly, and any other mu builds and keeps a new one.
     """
+    last = getattr(WG, "last_table", None)
+    if last is not None and np.array_equal(last[0], mu):
+        return last[1]
     n, N = mu.shape
     prod = mu[:, None] * np.conj(mu)[None]               # mu_i conj(mu_k)
     i, k = np.triu_indices(n)
@@ -268,7 +281,11 @@ def _green_table(mu: np.ndarray, WG) -> np.ndarray:
     W[i, k] = Wc[:len(i)]
     W[i[off], k[off]] += 1j * Wc[len(i):]
     W[k, i] = np.conj(W[i, k])
-    return (W.reshape(n * n, N) @ prod.reshape(n * n, N).T).reshape((n,) * 4)
+    T = (W.reshape(n * n, N) @ prod.reshape(n * n, N).T).reshape((n,) * 4)
+    if hasattr(WG, "last_table"):
+        T.setflags(write=False)
+        WG.last_table = (mu.copy(), T)
+    return T
 
 
 def _green_sums(mu: np.ndarray, coeff, WG) -> tuple[complex, complex]:

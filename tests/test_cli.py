@@ -4,10 +4,14 @@ import builtins
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from wpcurv import checks, cli
+import wpcurv
+from wpcurv import checks, cli, surface
 
 
 def test_config_validation():
@@ -202,3 +206,30 @@ def test_explain_command(tmp_path, capsys):
     code = cli.main(["explain", str(tmp_path / "o" / "report.json")])
     assert code == 0
     assert "quaternionic_null_vector" in capsys.readouterr().out
+
+
+def test_run_multiplies_by_the_green_kernel_twice(tmp_path, monkeypatch):
+    """One level-3 run applies G once for the row-sum report and once for
+    the Green table that all five two-path elements share."""
+    calls = []
+    matmat = surface.GreenKernel.matmat
+    monkeypatch.setattr(surface.GreenKernel, "matmat",
+                        lambda self, V: calls.append(np.shape(V)) or matmat(self, V))
+    cli.run(cli.RunConfig(mesh_level=3, out=str(tmp_path / "o")))
+    assert calls == [(1022,), (1022, 9)]        # G w, then the 9 table columns
+
+
+def test_explain_into_closed_pipe_is_quiet(tmp_path):
+    """`wpcurv explain report.json | head` with the reader gone: no traceback."""
+    report = {"checks": {"c%d" % i: {"pass": True, "residual": 0, "tolerance": 0,
+                                     "description": "x" * 200} for i in range(2000)}}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wpcurv.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "wpcurv.cli", "explain", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 0

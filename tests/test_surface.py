@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpcurv import checks, surface
-from wpcurv.errors import KernelBudget, MeshBudget
+from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure
 from wpcurv.fuchsian import act, octagon_group
 
 
@@ -306,6 +306,87 @@ def test_symmetries_form_the_dihedral_group(level, group, surf3, surf4):
         assert abs(K[p][:, p] - K).max() <= 1e-12 * abs(K).max()
 
 
+def _symmetries_by_candidates(surface):
+    """Oracle: certify each of the 16 maps z -> e^{ik pi/4} z and
+    z -> e^{ik pi/4} conj(z) on its own, with `surface._symmetries`' checks,
+    and keep those that pass, identity first."""
+    raw, gid = surface.raw_nodes, surface.gid
+    w, K = surface.weights, surface.stiffness.tocsc()
+    K_max = abs(K).max()
+
+    def grid(z):
+        return (np.rint(z.real * 1e9).astype(np.int64) * (2 * 10**9 + 1)
+                + np.rint(z.imag * 1e9).astype(np.int64))
+
+    order = np.argsort(grid(raw))
+    keys = grid(raw)[order]
+    perms = []
+    for z in (raw, raw.conj()):
+        for k in range(8):
+            img = np.exp(1j * np.pi * k / 4) * z
+            hit = order[np.minimum(np.searchsorted(keys, grid(img)), len(raw) - 1)]
+            if np.abs(raw[hit] - img).max() > 1e-9 or np.bincount(hit).max() > 1:
+                continue
+            perm = np.empty(len(w), dtype=np.intp)
+            perm[gid] = gid[hit]
+            if not (np.array_equal(perm[gid], gid[hit])
+                    and np.abs(w[perm] - w).max() <= 1e-12 * w.max()):
+                continue
+            inv = np.argsort(perm)
+            K_perm = sp.csc_matrix((K.data, inv[K.indices], K.indptr), shape=K.shape)
+            if abs(K_perm[:, perm] - K).max() <= 1e-12 * K_max:
+                perms.append(perm)
+    return np.array(perms)
+
+
+def _axis_node(surf):
+    """A glued node on the positive real axis, fixed only by the identity
+    and z -> conj(z)."""
+    z = surf.nodes
+    return int(np.flatnonzero((abs(z.imag) < 1e-12) & (z.real > 0.1) & (z.real < 0.5))[0])
+
+
+def _bent(surf, kind):
+    """`surf` with one node's weight, or its row and column of K, scaled by
+    1 + 1e-6."""
+    scale = np.ones(surf.num_nodes)
+    scale[_axis_node(surf)] += 1e-6
+    if kind == "weight":
+        return dataclasses.replace(surf, weights=surf.weights * scale, _lu=None)
+    S = sp.diags(scale)
+    return dataclasses.replace(surf, stiffness=(S @ surf.stiffness @ S).tocsc(), _lu=None)
+
+
+@pytest.mark.parametrize("case", ["L1", "L2", "L3", "L4", "bent-weight", "bent-stiffness"])
+def test_generated_symmetries_match_candidate_oracle(case, group, surf3, surf4):
+    """The maps composed from the two certified generators are the maps the
+    16 separate certificates keep: the same rows in the same order."""
+    if case.startswith("bent"):
+        surf = _bent(surf3, case.split("-")[1])
+    else:
+        surf = _mesh(group, surf3, surf4, int(case[1]))
+    perms = surface._symmetries(surf)
+    assert np.array_equal(perms, _symmetries_by_candidates(surf))
+    assert len(perms) == (2 if case.startswith("bent") else 16)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_stiffness_plus_mass_is_bitwise_symmetric(level, group, surf3, surf4):
+    """The untransposed orbit solve gives rows of G because K + 2M equals
+    its transpose bit for bit."""
+    surf = _mesh(group, surf3, surf4, level)
+    A = (surf.stiffness + 2 * sp.diags(surf.weights)).tocsc()
+    assert (A - A.T).count_nonzero() == 0
+
+
+def test_orbit_rows_are_rows_of_the_dense_inverse(surf3, green3):
+    A = (surf3.stiffness + 2 * sp.diags(surf3.weights)).toarray()
+    G = 2 * np.linalg.inv(A)
+    reps = np.flatnonzero(green3.map_of == 0)        # the identity maps only these
+    assert np.array_equal(green3.row_of[reps], np.arange(len(reps)))
+    assert np.abs(green3.rows - G[reps]).max() <= 1e-14 * np.abs(G).max()
+
+
 def test_planted_asymmetry_shrinks_group_to_stabilizer(surf3):
     """One weight off by 1e-6: only the maps fixing that node survive, and
     G is still the full solve's."""
@@ -337,25 +418,29 @@ def test_planted_stiffness_asymmetry_shrinks_group_to_stabilizer(surf3):
 
 
 class _CountingLU:
-    """Delegates to a factorization and records the columns of each solve."""
+    """Delegates to a factorization and records the columns and the
+    `trans` of each solve."""
 
     def __init__(self, lu):
-        self.lu, self.columns = lu, []
+        self.lu, self.columns, self.trans = lu, [], []
 
     def solve(self, rhs, trans="N"):
         self.columns.append(rhs.shape[1])
+        self.trans.append(trans)
         return self.lu.solve(rhs, trans=trans)
 
 
 @pytest.mark.parametrize("level, orbits", [(3, 81), (4, 289)])
 def test_green_solves_one_row_per_orbit(level, orbits, surf3, surf4, monkeypatch):
+    """ceil(orbits / 8) untransposed solves of at most 8 columns each."""
     surf = surf3 if level == 3 else surf4
     spy = _CountingLU(surf.factorization())
     monkeypatch.setattr(surf, "_lu", spy)
     surface.green_kernel(surf)
     assert sum(spy.columns) == orbits
-    assert max(spy.columns) <= surface.GREEN_BLOCK
-    assert len(spy.columns) == -(-orbits // surface.GREEN_BLOCK)
+    assert max(spy.columns) <= 8
+    assert len(spy.columns) == -(-orbits // 8)
+    assert set(spy.trans) == {"N"}
 
 
 def test_green_report(green3):
@@ -405,6 +490,25 @@ def test_green_export_writes_report_json(tmp_path, surf3, green3):
                        "node_hash": surface.node_hash(surf3),
                        "report": green3.report}
     assert [p.name for p in tmp_path.iterdir()] == ["green.json"]
+
+
+def test_resolvent_unreachable_tolerance_is_a_solver_failure(surf3):
+    f = np.random.default_rng(9).standard_normal(surf3.num_nodes)
+    with pytest.raises(SolverFailure):
+        surface.apply_D(surf3, f, rtol=1e-30)
+
+
+def test_zero_weight_is_singular_mass(group, monkeypatch):
+    area_weights = surface._area_weights
+
+    def zero_at_center(nodes, tris):
+        w = area_weights(nodes, tris)
+        w[0] = 0.0                      # the center is a glued class of its own
+        return w
+
+    monkeypatch.setattr(surface, "_area_weights", zero_at_center)
+    with pytest.raises(SingularMass):
+        surface.build_mesh(group, 1)
 
 
 def test_node_hash_deterministic(group, surf3):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wpcurv import qdiff, surface, wedge
 from wpcurv.curvature import CurvatureTensor
-from wpcurv.errors import KernelDimMismatch, PositiveModeDetected
+from wpcurv.errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
 
 def test_wedge_basis_size():
@@ -181,6 +181,37 @@ def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
     wedge.integral_form_Q({"a": a, "b": b, "c": c}, fields, surf3, green3, WG=WG)
     wedge.cauchy_schwarz_slack(a + 1j * b, mu, WG)
     assert WG.columns == [9, 9]
+
+
+def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
+    """The operator builds the table once per field set: equal fields reuse
+    it with no product, and fields scaled by 2 rebuild it, bit for bit as a
+    fresh operator builds it."""
+    mu = np.array([f.values for f in pipe3["fields"]])
+    WG = wedge.weighted_green(surf3, green3)
+    calls = []
+    matmat = surface.GreenKernel.matmat
+    monkeypatch.setattr(surface.GreenKernel, "matmat",
+                        lambda self, V: calls.append(1) or matmat(self, V))
+    T = wedge._green_table(mu, WG)
+    assert wedge._green_table(mu.copy(), WG) is T
+    assert len(calls) == 1
+    T2 = wedge._green_table(2 * mu, WG)
+    assert len(calls) == 2
+    assert np.array_equal(T2, wedge._green_table(2 * mu, wedge.weighted_green(surf3, green3)))
+    assert not np.array_equal(T2, T)
+    scaled = [qdiff.BeltramiField(2 * f.values) for f in pipe3["fields"]]
+    rng = np.random.default_rng(3)
+    coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
+    assert (wedge.integral_form_Q(coeffs, scaled, surf3, green3, WG=WG)
+            == wedge.integral_form_Q(coeffs, scaled, surf3, green3))
+
+
+def test_real_tensor_planted_imaginary_residue_is_type_imbalance(pipe3):
+    entries = pipe3["tensor"].entries.copy()
+    entries[0, 0, 0, 0] += 1e-6j
+    with pytest.raises(TypeImbalance):
+        wedge.real_tensor(CurvatureTensor(entries))
 
 
 def test_green_table_is_the_pairing_table(pipe3, surf3, green3):
