@@ -20,6 +20,7 @@ import numpy as np
 from . import checks, curvature, qdiff, rankone, surface, surrogate, wedge
 from .artifacts import write_json
 from .checks import CHECK_DESCRIPTIONS  # noqa: F401  (read as cli.CHECK_DESCRIPTIONS)
+from .errors import WpcurvError
 from .fuchsian import enumerate_words  # noqa: F401  (read as cli.enumerate_words)
 from .fuchsian import octagon_group
 
@@ -108,33 +109,46 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     return results
 
 
+def run_surrogate_stage(config: RunConfig, outdir: str) -> dict:
+    """Synthetic-kernel models -> their sign counts."""
+    summary = surrogate.run_seed_sweep(
+        range(config.seeds), SURROGATE_POINTS, SURROGATE_FIELDS)
+    surrogate.export_suite_json(summary, os.path.join(outdir, "surrogate.json"),
+                                config_hash=config.hash())
+    return {"surrogate_spectrum": checks.surrogate_spectrum(summary)}
+
+
+def run_rankone_stage(config: RunConfig, outdir: str) -> dict:
+    """Quaternionic model, m = 1 and 2 -> the special 2-vector check."""
+    reports = [rankone.lemma51_check(m, config.seeds) for m in (1, 2)]
+    for rep in reports:
+        path = os.path.join(outdir, "rankone_m%d.json" % rep["m"])
+        rankone.export_report_json(rep, path, config_hash=config.hash())
+    return {"quaternionic_null_vector": checks.quaternionic_null_vector(reports)}
+
+
 def run(config: RunConfig) -> dict:
-    """Execute the selected stages; returns the verification report."""
+    """Execute the selected stages; returns the verification report, which
+    is always written.  A stage that raises a WpcurvError is recorded as a
+    failed entry `<stage>_stage` with the error as its residual."""
     config.validate()
     os.makedirs(config.out, exist_ok=True)
-    cfg_hash = config.hash()
     results = {}
-
-    if config.stage in ("all", "surface"):
-        results.update(run_surface_stage(config, config.out))
-
-    if config.stage in ("all", "surrogate"):
-        summary = surrogate.run_seed_sweep(
-            range(config.seeds), SURROGATE_POINTS, SURROGATE_FIELDS)
-        surrogate.export_suite_json(summary, os.path.join(config.out, "surrogate.json"),
-                                    config_hash=cfg_hash)
-        results["surrogate_spectrum"] = checks.surrogate_spectrum(summary)
-
-    if config.stage in ("all", "rankone"):
-        reports = [rankone.lemma51_check(m, config.seeds) for m in (1, 2)]
-        for rep in reports:
-            path = os.path.join(config.out, "rankone_m%d.json" % rep["m"])
-            rankone.export_report_json(rep, path, config_hash=cfg_hash)
-        results["quaternionic_null_vector"] = checks.quaternionic_null_vector(reports)
+    for stage, runner in (("surface", run_surface_stage),
+                          ("surrogate", run_surrogate_stage),
+                          ("rankone", run_rankone_stage)):
+        if config.stage in ("all", stage):
+            try:
+                results.update(runner(config, config.out))
+            except WpcurvError as exc:
+                results[stage + "_stage"] = {
+                    "pass": False, "residual": "%s: %s" % (type(exc).__name__, exc),
+                    "tolerance": None,
+                    "description": "the %s stage raised before its checks completed" % stage}
 
     report = {
         "config": asdict(config),
-        "config_hash": cfg_hash,
+        "config_hash": config.hash(),
         "checks": results,
         "all_pass": all(c["pass"] for c in results.values()),
     }
@@ -206,7 +220,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     report = run(config)
-    if args.command == "spectrum":
+    if args.command == "spectrum" and "surface_stage" not in report["checks"]:
         with open(os.path.join(config.out, "spectrum.csv")) as fh:
             _print(fh.read().strip())
     else:

@@ -48,8 +48,8 @@ class CurvatureTensor:
 
 
 def pairing_table(fields, surface=None, *, weights=None, apply_D_fn=None) -> np.ndarray:
-    """All n^4 pairings (ij,kl), a complex (n, n, n, n) array, from
-    n(n+1)/2 resolvent solves.
+    """All n^4 pairings (ij,kl) of the (n, N) fields, a complex
+    (n, n, n, n) array, from n(n+1)/2 resolvent solves.
 
     D commutes with complex conjugation (its kernel is real), so
     D(mu_j conj(mu_i)) = conj(D(mu_i conj(mu_j))) and only the upper
@@ -57,7 +57,7 @@ def pairing_table(fields, surface=None, *, weights=None, apply_D_fn=None) -> np.
     pair may replace the surface operators (used by the synthetic-kernel
     harness).
     """
-    mu = np.array([f.values for f in fields])
+    mu = np.asarray(fields, dtype=complex)
     n = len(mu)
     if weights is None:
         weights = surface.weights

@@ -29,10 +29,6 @@ singular value per character, with a clear gap to the next) and its
 result: automorphy to AUTOMORPHY_TOL for all 8 side pairings, at points
 along every side up to the vertices (|z| = 0.841, the mesh's reach).
 
-`_series`, the truncated Poincare series sum_gamma (gamma z)^k gamma'(z)^2
-over a word ball, is an independent construction of the same forms; the
-tests hold the solved basis against it.
-
 The tangent-space representative is the harmonic Beltrami differential
 mu = conj(theta)/sigma with sigma(z) = 4/(1-|z|^2)^2.
 """
@@ -67,42 +63,6 @@ AUTOMORPHY_TOL = 1e-10
 
 #: points per side for the automorphy certificate, both vertices included
 SIDE_POINTS = 33
-
-#: max elements-x-points per evaluation chunk of `_series`: each temporary
-#: is 4 MB; at 8,000,000 (128 MB temporaries) a third of a run was system time
-_CHUNK_ELEMS = 250_000
-
-
-def _series(mats: np.ndarray, z: np.ndarray, degrees) -> np.ndarray:
-    """Evaluate sum_gamma (gamma z)^k gamma'(z)^2 over the matrix array for
-    every k in `degrees` in one pass; returns shape (len(degrees), len(z))."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    row = {k: i for i, k in enumerate(degrees)}
-    out = np.zeros((len(degrees), len(z)), dtype=complex)
-    step = 2 if all(k % 2 == 0 for k in row) else 1
-    kmax = max(row)
-    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
-    chunk = max(1, _CHUNK_ELEMS // max(1, len(z)))
-    for lo in range(0, len(mats), chunk):
-        sl = slice(lo, lo + chunk)
-        inv = np.multiply.outer(c[sl], z)
-        inv += d[sl][:, None]
-        np.reciprocal(inv, out=inv)
-        term = inv * inv
-        term *= term
-        if kmax:
-            gz = np.multiply.outer(a[sl], z)
-            gz += b[sl][:, None]
-            gz *= inv
-            if step == 2:
-                gz *= gz
-        for k in range(0, kmax + 1, step):
-            if k in row:
-                out[row[k]] += term.sum(axis=0)
-            if k < kmax:
-                term *= gz
-    return out
-
 
 def side_points(group: FuchsianGroup, num: int = SIDE_POINTS) -> np.ndarray:
     """(8, num) points spread along each octagon side s, from vertex s-1 to
@@ -142,16 +102,15 @@ class QuadDifferential:
         return (np.abs(lhs - base).max(axis=1) / np.abs(base).max(axis=1)).max()
 
 
-@dataclass
-class BeltramiField:
-    """Values of a harmonic Beltrami differential at quadrature nodes."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("Beltrami field has non-finite entries")
+def BeltramiField(values) -> np.ndarray:
+    """Values of harmonic Beltrami differentials at quadrature nodes, one
+    row or an (n, N) stack of rows, as a complex array; a ValueError on
+    any non-finite entry.  (A function under a type's name: the benchmark
+    harness builds its fields with it.)"""
+    values = np.asarray(values, dtype=complex)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("Beltrami field has non-finite entries")
+    return values
 
 
 def _solve(group: FuchsianGroup, k: int):
@@ -194,17 +153,18 @@ def build_qdiff_basis(group: FuchsianGroup) -> list[QuadDifferential]:
     return basis
 
 
-def beltrami_from_qdiff(basis: list[QuadDifferential], surface) -> list[BeltramiField]:
-    """Sample mu = conj(theta)/sigma of every basis element at the surface
-    quadrature nodes."""
+def beltrami_from_qdiff(basis: list[QuadDifferential], surface) -> np.ndarray:
+    """(n, N) samples of mu = conj(theta)/sigma of every basis element at
+    the surface quadrature nodes."""
     z = surface.nodes
-    return [BeltramiField(np.conj(q.evaluate(z)) * (1 - np.abs(z) ** 2) ** 2 / 4)
-            for q in basis]
+    theta = np.array([q.evaluate(z) for q in basis])
+    return BeltramiField(np.conj(theta) * (1 - np.abs(z) ** 2) ** 2 / 4)
 
 
-def gram_matrix(fields: list[BeltramiField], surface) -> np.ndarray:
-    """Hermitian (n, n) Gram array g_ij = sum_p w_p mu_i(p) conj(mu_j(p))."""
-    mu = np.array([f.values for f in fields])
+def gram_matrix(fields, surface) -> np.ndarray:
+    """Hermitian (n, n) Gram array g_ij = sum_p w_p mu_i(p) conj(mu_j(p))
+    of the (n, N) fields."""
+    mu = np.asarray(fields, dtype=complex)
     if mu.shape[1] != len(surface.weights):
         raise ValueError("fields not sampled on this surface")
     g = np.einsum("p,ip,jp->ij", surface.weights, mu, np.conj(mu))
@@ -216,16 +176,13 @@ def gram_matrix(fields: list[BeltramiField], surface) -> np.ndarray:
     return g
 
 
-def orthonormalize(fields: list[BeltramiField], gram: np.ndarray):
-    """Orthonormal basis spanning the same fields.
+def orthonormalize(fields, gram: np.ndarray):
+    """Orthonormal basis spanning the same (n, N) fields.
 
     Returns (new_fields, new_gram, C) where C is upper-triangular with
     gram = C^H C (Cholesky), and the new fields are (C^H)^-1 applied to
     the old ones, so their Gram matrix is the identity.
     """
     low = np.linalg.cholesky(gram)   # gram = low @ low^H
-    C = low.conj().T
-    mu = np.array([f.values for f in fields])
-    mu_new = np.linalg.solve(low, mu)
-    new_fields = [BeltramiField(row) for row in mu_new]
-    return new_fields, np.eye(len(fields), dtype=complex), C
+    mu_new = BeltramiField(np.linalg.solve(low, np.asarray(fields, dtype=complex)))
+    return mu_new, np.eye(len(low), dtype=complex), low.conj().T

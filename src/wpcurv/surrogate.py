@@ -20,7 +20,6 @@ from . import wedge
 from .artifacts import write_json
 from .curvature import curvature_tensor, pairing_table
 from .errors import KernelDimMismatch, PositiveModeDetected
-from .qdiff import BeltramiField
 
 
 @dataclass
@@ -39,12 +38,6 @@ class SurrogateModel:
     def apply_D(self, f):
         """Kernel contraction (Df)(p) = sum_q K[p,q] w_q f(q)."""
         return self.kernel @ (self.weights * f)
-
-    def operator_eigenvalues(self):
-        """Eigenvalues of the kernel as a weighted operator (similar to
-        the symmetric matrix W^1/2 K W^1/2)."""
-        s = np.sqrt(self.weights)
-        return np.linalg.eigvalsh(self.kernel * np.outer(s, s))
 
 
 def random_surrogate(seed: int, num_points: int, n: int) -> SurrogateModel:
@@ -76,8 +69,7 @@ def run_property_suite(model: SurrogateModel) -> dict:
     n(n-1), possible when the mu vectors are linearly dependent, is
     reported as excess instead.
     """
-    fields = [BeltramiField(row) for row in model.mu]
-    P = pairing_table(fields, weights=model.weights, apply_D_fn=model.apply_D)
+    P = pairing_table(model.mu, weights=model.weights, apply_D_fn=model.apply_D)
     R = curvature_tensor(P)
     Q = wedge.assemble_Q(R)
     report = wedge.spectrum(Q, strict=False)

@@ -313,9 +313,9 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     The yy-block is folded into the xx-block first (d = a + c; the wedge
     involution J sends xx-wedges to yy-wedges and preserves Q), then the
     three-term combined formula is evaluated with L = F_d + i H, whose
-    coefficients are d + i b.
+    coefficients are d + i b.  The fields are an (n, N) array.
     """
-    mu = np.array([f.values for f in fields])
+    mu = np.asarray(fields, dtype=complex)
     zero = np.zeros((len(mu),) * 2)
     a, b, c = (np.asarray(coeffs.get(key, zero), dtype=float) for key in "abc")
     if WG is None:

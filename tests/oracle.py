@@ -1,0 +1,81 @@
+"""Independent oracles the tests hold the pipeline against.
+
+`_series`, the truncated Poincare series sum_gamma (gamma z)^k gamma'(z)^2
+over a word ball, is an independent construction of the same forms; the
+tests hold the solved basis against it.
+
+`_symmetries_by_candidates` certifies each of the octagon's 16 rotations
+and reflections on its own, where `surface._symmetries` certifies two
+generators and composes them.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+#: max elements-x-points per evaluation chunk of `_series`: each temporary
+#: is 4 MB; at 8,000,000 (128 MB temporaries) a third of a run was system time
+_CHUNK_ELEMS = 250_000
+
+
+def _series(mats: np.ndarray, z: np.ndarray, degrees) -> np.ndarray:
+    """Evaluate sum_gamma (gamma z)^k gamma'(z)^2 over the matrix array for
+    every k in `degrees` in one pass; returns shape (len(degrees), len(z))."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    row = {k: i for i, k in enumerate(degrees)}
+    out = np.zeros((len(degrees), len(z)), dtype=complex)
+    step = 2 if all(k % 2 == 0 for k in row) else 1
+    kmax = max(row)
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    chunk = max(1, _CHUNK_ELEMS // max(1, len(z)))
+    for lo in range(0, len(mats), chunk):
+        sl = slice(lo, lo + chunk)
+        inv = np.multiply.outer(c[sl], z)
+        inv += d[sl][:, None]
+        np.reciprocal(inv, out=inv)
+        term = inv * inv
+        term *= term
+        if kmax:
+            gz = np.multiply.outer(a[sl], z)
+            gz += b[sl][:, None]
+            gz *= inv
+            if step == 2:
+                gz *= gz
+        for k in range(0, kmax + 1, step):
+            if k in row:
+                out[row[k]] += term.sum(axis=0)
+            if k < kmax:
+                term *= gz
+    return out
+
+
+def _symmetries_by_candidates(surface):
+    """Oracle: certify each of the 16 maps z -> e^{ik pi/4} z and
+    z -> e^{ik pi/4} conj(z) on its own, with `surface._symmetries`' checks,
+    and keep those that pass, identity first."""
+    raw, gid = surface.raw_nodes, surface.gid
+    w, K = surface.weights, surface.stiffness.tocsc()
+    K_max = abs(K).max()
+
+    def grid(z):
+        return (np.rint(z.real * 1e9).astype(np.int64) * (2 * 10**9 + 1)
+                + np.rint(z.imag * 1e9).astype(np.int64))
+
+    order = np.argsort(grid(raw))
+    keys = grid(raw)[order]
+    perms = []
+    for z in (raw, raw.conj()):
+        for k in range(8):
+            img = np.exp(1j * np.pi * k / 4) * z
+            hit = order[np.minimum(np.searchsorted(keys, grid(img)), len(raw) - 1)]
+            if np.abs(raw[hit] - img).max() > 1e-9 or np.bincount(hit).max() > 1:
+                continue
+            perm = np.empty(len(w), dtype=np.intp)
+            perm[gid] = gid[hit]
+            if not (np.array_equal(perm[gid], gid[hit])
+                    and np.abs(w[perm] - w).max() <= 1e-12 * w.max()):
+                continue
+            inv = np.argsort(perm)
+            K_perm = sp.csc_matrix((K.data, inv[K.indices], K.indptr), shape=K.shape)
+            if abs(K_perm[:, perm] - K).max() <= 1e-12 * K_max:
+                perms.append(perm)
+    return np.array(perms)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import wpcurv
-from wpcurv import checks, cli, surface
+from wpcurv import checks, cli, qdiff, surface
+from wpcurv.errors import ConvergenceFailure
 
 
 def test_config_validation():
@@ -198,6 +199,36 @@ def test_spectrum_command_prints_csv(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 16
+
+
+def test_failed_stage_replaces_a_stale_report(tmp_path, monkeypatch, capsys):
+    """A WpcurvError in a stage is recorded as a failed entry and the report
+    is written over an earlier passing one; `spectrum` then prints the
+    explanation, not a stale spectrum.csv, and exits 1 without a traceback."""
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "report.json").write_text(json.dumps({"checks": {}, "all_pass": True}))
+    (out / "spectrum.csv").write_text("index,eigenvalue\n0,-1\n")
+
+    def fail(group):
+        raise ConvergenceFailure("planted")
+
+    monkeypatch.setattr(qdiff, "build_qdiff_basis", fail)
+    code = cli.main(["spectrum", "--mesh-level", "2", "--out", str(out)])
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert not report["all_pass"]
+    entry = report["checks"]["surface_stage"]
+    assert list(report["checks"]) == ["surface_stage"]
+    assert entry["pass"] is False
+    assert entry["residual"] == "ConvergenceFailure: planted"
+    assert entry["tolerance"] is None
+    assert "surface stage" in entry["description"]
+    assert "surface_stage" not in checks.CHECK_DESCRIPTIONS
+    captured = capsys.readouterr()
+    assert captured.out.startswith("surface_stage")
+    assert "FAIL" in captured.out and "index,eigenvalue" not in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_explain_command(tmp_path, capsys):

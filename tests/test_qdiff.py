@@ -7,6 +7,8 @@ from wpcurv import qdiff
 from wpcurv.errors import ConvergenceFailure, DegenerateBasis
 from wpcurv.fuchsian import act, derivative, enumerate_words
 
+from oracle import _series
+
 OMEGA = np.exp(1j * np.pi / 4)
 
 
@@ -63,7 +65,7 @@ def test_series_oracle_in_span(basis, words8, surf3):
     """The length-8 Poincare series of degree k is a multiple of the solved
     theta_k at the level-3 nodes, up to the series' truncation error."""
     z = surf3.nodes
-    series = qdiff._series(words8, z, qdiff.SEED_DEGREES)
+    series = _series(words8, z, qdiff.SEED_DEGREES)
     for q, row in zip(basis, series):
         theta = q.evaluate(z)
         c = np.vdot(theta, row) / np.vdot(theta, theta)
@@ -75,8 +77,8 @@ def test_tail_increment_at_center(group, words8):
     probes by less than 1e-5 (geometric tail)."""
     bigger = enumerate_words(group, 10, norm_cap=400.0)
     probes = _probes()
-    v8 = qdiff._series(words8, probes, qdiff.SEED_DEGREES)
-    v10 = qdiff._series(bigger, probes, qdiff.SEED_DEGREES)
+    v8 = _series(words8, probes, qdiff.SEED_DEGREES)
+    v10 = _series(bigger, probes, qdiff.SEED_DEGREES)
     inc = np.abs(v10 - v8) / np.maximum(1.0, np.abs(v10))
     assert inc.max() <= 1e-5
 
@@ -135,7 +137,7 @@ def test_evaluate_sums_directly(basis):
 
 def test_odd_degree_series_vanishes(words8):
     """Degrees with the wrong rotation character average out."""
-    even, odd = np.abs(qdiff._series(words8, _probes(), (2, 1))).max(axis=1)
+    even, odd = np.abs(_series(words8, _probes(), (2, 1))).max(axis=1)
     # the cancellation is exact on the full group; the truncated ball
     # leaves a tail of the order of its truncation error
     assert odd < 1e-4 * even
@@ -159,8 +161,24 @@ def test_beltrami_bounded(basis, surf3):
     fields = qdiff.beltrami_from_qdiff(basis, surf3)
     assert len(fields) == len(basis)
     for f in fields:
-        assert np.all(np.isfinite(f.values))
-        assert np.abs(f.values).max() < 1e3
+        assert np.all(np.isfinite(f))
+        assert np.abs(f).max() < 1e3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(7,), (3, 7)], ids=["row", "stack"])
+def test_beltrami_field_validation(shape, bad):
+    """Finite samples, one row or an (n, N) stack, come back as an equal
+    complex array; one NaN or inf entry is a ValueError."""
+    values = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    field = qdiff.BeltramiField(values)
+    assert field.dtype == complex
+    assert np.array_equal(field, values)
+    for entry in (bad, complex(0, bad)):    # in the real, then the imaginary part
+        planted = field.copy()
+        planted[(0,) * len(shape)] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            qdiff.BeltramiField(planted)
 
 
 def test_gram_hermitian_posdef(pipe3):
@@ -198,7 +216,7 @@ def test_orthonormalize_identity_on_orthonormal_input(pipe3, surf3):
         pipe3["fields"], qdiff.gram_matrix(pipe3["fields"], surf3))
     assert np.abs(C - np.eye(3)).max() < 1e-10
     for old, new in zip(pipe3["fields"], fields):
-        assert np.abs(old.values - new.values).max() < 1e-10
+        assert np.abs(old - new).max() < 1e-10
 
 
 def test_petersson_consistency(basis, pipe3, surf3):

@@ -13,6 +13,8 @@ from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure
 from wpcurv.fuchsian import act, octagon_group
 
+from oracle import _symmetries_by_candidates
+
 
 def test_level_bounds(group):
     for bad in (0, 7, 9):           # level 7 needs 263,169 raw nodes > NODE_CAP
@@ -304,39 +306,6 @@ def test_symmetries_form_the_dihedral_group(level, group, surf3, surf4):
     for p in perms:
         assert np.abs(w[p] - w).max() <= 1e-12 * w.max()
         assert abs(K[p][:, p] - K).max() <= 1e-12 * abs(K).max()
-
-
-def _symmetries_by_candidates(surface):
-    """Oracle: certify each of the 16 maps z -> e^{ik pi/4} z and
-    z -> e^{ik pi/4} conj(z) on its own, with `surface._symmetries`' checks,
-    and keep those that pass, identity first."""
-    raw, gid = surface.raw_nodes, surface.gid
-    w, K = surface.weights, surface.stiffness.tocsc()
-    K_max = abs(K).max()
-
-    def grid(z):
-        return (np.rint(z.real * 1e9).astype(np.int64) * (2 * 10**9 + 1)
-                + np.rint(z.imag * 1e9).astype(np.int64))
-
-    order = np.argsort(grid(raw))
-    keys = grid(raw)[order]
-    perms = []
-    for z in (raw, raw.conj()):
-        for k in range(8):
-            img = np.exp(1j * np.pi * k / 4) * z
-            hit = order[np.minimum(np.searchsorted(keys, grid(img)), len(raw) - 1)]
-            if np.abs(raw[hit] - img).max() > 1e-9 or np.bincount(hit).max() > 1:
-                continue
-            perm = np.empty(len(w), dtype=np.intp)
-            perm[gid] = gid[hit]
-            if not (np.array_equal(perm[gid], gid[hit])
-                    and np.abs(w[perm] - w).max() <= 1e-12 * w.max()):
-                continue
-            inv = np.argsort(perm)
-            K_perm = sp.csc_matrix((K.data, inv[K.indices], K.indptr), shape=K.shape)
-            if abs(K_perm[:, perm] - K).max() <= 1e-12 * K_max:
-                perms.append(perm)
-    return np.array(perms)
 
 
 def _axis_node(surf):

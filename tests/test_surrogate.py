@@ -31,7 +31,8 @@ def test_kernel_hypotheses():
     assert m.kernel.min() > 0
     assert np.array_equal(m.kernel, m.kernel.T)
     assert np.all(m.weights > 0)
-    ev = m.operator_eigenvalues()
+    s = np.sqrt(m.weights)                  # the kernel as a weighted operator
+    ev = np.linalg.eigvalsh(m.kernel * np.outer(s, s))
     assert ev.min() > -1e-12 * ev.max()
 
 

@@ -173,12 +173,11 @@ class _RecordingWG:
 def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
     """Each Green-sum evaluation applies WG once, to the n^2 real columns
     of the products mu_i conj(mu_k)."""
-    fields = pipe3["fields"]
-    mu = np.array([f.values for f in fields])
+    mu = pipe3["fields"]
     WG = _RecordingWG(wedge.weighted_green(surf3, green3))
     rng = np.random.default_rng(8)
     a, b, c = rng.standard_normal((3, 3, 3))
-    wedge.integral_form_Q({"a": a, "b": b, "c": c}, fields, surf3, green3, WG=WG)
+    wedge.integral_form_Q({"a": a, "b": b, "c": c}, mu, surf3, green3, WG=WG)
     wedge.cauchy_schwarz_slack(a + 1j * b, mu, WG)
     assert WG.columns == [9, 9]
 
@@ -187,7 +186,7 @@ def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
     """The operator builds the table once per field set: equal fields reuse
     it with no product, and fields scaled by 2 rebuild it, bit for bit as a
     fresh operator builds it."""
-    mu = np.array([f.values for f in pipe3["fields"]])
+    mu = pipe3["fields"]
     WG = wedge.weighted_green(surf3, green3)
     calls = []
     matmat = surface.GreenKernel.matmat
@@ -200,7 +199,7 @@ def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
     assert len(calls) == 2
     assert np.array_equal(T2, wedge._green_table(2 * mu, wedge.weighted_green(surf3, green3)))
     assert not np.array_equal(T2, T)
-    scaled = [qdiff.BeltramiField(2 * f.values) for f in pipe3["fields"]]
+    scaled = [qdiff.BeltramiField(row) for row in 2 * mu]
     rng = np.random.default_rng(3)
     coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
     assert (wedge.integral_form_Q(coeffs, scaled, surf3, green3, WG=WG)
@@ -216,8 +215,7 @@ def test_real_tensor_planted_imaginary_residue_is_type_imbalance(pipe3):
 
 def test_green_table_is_the_pairing_table(pipe3, surf3, green3):
     """T through the orbit-row kernel equals P through the LU."""
-    mu = np.array([f.values for f in pipe3["fields"]])
-    T = wedge._green_table(mu, wedge.weighted_green(surf3, green3))
+    T = wedge._green_table(pipe3["fields"], wedge.weighted_green(surf3, green3))
     P = pipe3["pairings"]
     assert np.abs(T - P).max() <= 1e-13 * np.abs(P).max()
 
@@ -255,7 +253,7 @@ def _generic_fields(surf, seed):
 @pytest.mark.parametrize("kind", ["octagon", "generic"])
 def test_integral_path_matches_dense_oracle(kind, pipe3, surf3, green3):
     fields = pipe3["fields"] if kind == "octagon" else _generic_fields(surf3, 5)
-    mu = np.array([f.values for f in fields])
+    mu = np.array(fields)
     WG = wedge.weighted_green(surf3, green3)
     dense_WG = green3.matrix * np.outer(surf3.weights, surf3.weights)
     rng = np.random.default_rng(6)
@@ -276,15 +274,14 @@ def test_integral_path_forms_no_node_square_array(pipe3, surf3, green3):
     """Neither the Green kernel, nor its weighted operator, nor any call of
     the integral path allocates 8 N^2 bytes, the size of one real N x N
     array."""
-    fields = pipe3["fields"]
-    mu = np.array([f.values for f in fields])
+    mu = pipe3["fields"]
     WG = wedge.weighted_green(surf3, green3)
     rng = np.random.default_rng(7)
     coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
     calls = [
         lambda: surface.green_kernel(surf3),
         lambda: wedge.weighted_green(surf3, green3),
-        lambda: wedge.integral_form_Q(coeffs, fields, surf3, green3, WG=WG),
+        lambda: wedge.integral_form_Q(coeffs, mu, surf3, green3, WG=WG),
         lambda: wedge.cauchy_schwarz_slack(coeffs["a"] + 1j * coeffs["b"], mu, WG),
     ]
     budget = 8 * surf3.num_nodes ** 2
@@ -321,7 +318,7 @@ def test_integral_opposite_xx_yy_vanishes(pipe3, surf3, green3):
 
 def test_cauchy_schwarz_slack(pipe3, surf3, green3):
     """The swapped Green pairing never exceeds the diagonal one."""
-    mu = np.array([f.values for f in pipe3["fields"]])
+    mu = pipe3["fields"]
     WG = wedge.weighted_green(surf3, green3)
     rng = np.random.default_rng(4)
     for _ in range(50):
