@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import curvature, surface, wedge
-from .errors import KernelDimMismatch
 
 #: check name -> human description printed by `explain`
 CHECK_DESCRIPTIONS = {
@@ -103,22 +102,14 @@ def reduction_null(Q, tau, elements):
     return _check("reduction_null", *vanishes_on(Q, tau, vectors), tau)
 
 
-def kernel_report(Q):
-    """`wedge.kernel_check` against J; a rank mismatch becomes {"error": ...}."""
-    try:
-        return wedge.kernel_check(Q, wedge.j_wedge_matrix(Q.n))
-    except KernelDimMismatch as exc:
-        return {"error": str(exc)}
-
-
 def operator_nonpositive_kernel(spec, kernel):
-    """Sign counts and spectral gap of `wedge.spectrum`, and a `kernel_report`."""
+    """Sign counts and spectral gap of `wedge.spectrum`, and its `wedge.kernel_report`."""
     ok = (spec.num_positive == 0 and spec.num_zero == spec.kernel_dim_expected
-          and spec.gap_ratio >= 1e2 and "error" not in kernel
-          and kernel["range_ok"] and kernel["plus_eigenspace_negative"])
+          and spec.gap_ratio >= 1e2 and kernel["range_ok"]
+          and kernel["plus_eigenspace_negative"])
     return _check("operator_nonpositive_kernel", ok,
                   {"counts": [spec.num_negative, spec.num_zero, spec.num_positive],
-                   "gap_ratio": spec.gap_ratio, **kernel}, wedge.TAU_REL_DEFAULT)
+                   "gap_ratio": spec.gap_ratio, **kernel}, spec.tau_rel)
 
 
 def surrogate_spectrum(summary):

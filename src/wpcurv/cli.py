@@ -32,6 +32,11 @@ STAGES = tuple(SUBCOMMAND_STAGES.values())
 #: sample points of each surrogate model, and its number of basis fields
 SURROGATE_POINTS = 40
 SURROGATE_FIELDS = 3
+#: the files each stage writes; a stage that fails removes all of its own
+STAGE_ARTIFACTS = {"surface": ("group.json", "mesh.json", "green.json", "tensor.json",
+                               "spectrum.csv", "spectrum.json"),
+                   "surrogate": ("surrogate.json",),
+                   "rankone": ("rankone_m1.json", "rankone_m2.json")}
 
 
 @dataclass
@@ -88,7 +93,7 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     n = R.n
     Q = wedge.assemble_Q(R)
     spec = wedge.spectrum(Q, strict=False)
-    kernel = checks.kernel_report(Q)
+    kernel = wedge.kernel_report(Q, spec, wedge.j_wedge_matrix(n))
 
     mixed = [dict(zip("abc", abc)) for abc in rng.standard_normal((5, 3, n, n))]
     results["tensor_assembly"] = checks.tensor_assembly(
@@ -113,8 +118,7 @@ def run_surrogate_stage(config: RunConfig, outdir: str) -> dict:
     """Synthetic-kernel models -> their sign counts."""
     summary = surrogate.run_seed_sweep(
         range(config.seeds), SURROGATE_POINTS, SURROGATE_FIELDS)
-    surrogate.export_suite_json(summary, os.path.join(outdir, "surrogate.json"),
-                                config_hash=config.hash())
+    write_json(os.path.join(outdir, "surrogate.json"), summary, config.hash())
     return {"surrogate_spectrum": checks.surrogate_spectrum(summary)}
 
 
@@ -122,15 +126,14 @@ def run_rankone_stage(config: RunConfig, outdir: str) -> dict:
     """Quaternionic model, m = 1 and 2 -> the special 2-vector check."""
     reports = [rankone.lemma51_check(m, config.seeds) for m in (1, 2)]
     for rep in reports:
-        path = os.path.join(outdir, "rankone_m%d.json" % rep["m"])
-        rankone.export_report_json(rep, path, config_hash=config.hash())
+        write_json(os.path.join(outdir, "rankone_m%d.json" % rep["m"]), rep, config.hash())
     return {"quaternionic_null_vector": checks.quaternionic_null_vector(reports)}
 
 
 def run(config: RunConfig) -> dict:
     """Execute the selected stages; returns the verification report, which
-    is always written.  A stage that raises a WpcurvError is recorded as a
-    failed entry `<stage>_stage` with the error as its residual."""
+    is always written.  A stage raising a WpcurvError becomes the failed entry
+    `<stage>_stage`, the error its residual, and leaves no `STAGE_ARTIFACTS`."""
     config.validate()
     os.makedirs(config.out, exist_ok=True)
     results = {}
@@ -141,6 +144,9 @@ def run(config: RunConfig) -> dict:
             try:
                 results.update(runner(config, config.out))
             except WpcurvError as exc:
+                for name in STAGE_ARTIFACTS[stage]:
+                    if os.path.exists(path := os.path.join(config.out, name)):
+                        os.remove(path)
                 results[stage + "_stage"] = {
                     "pass": False, "residual": "%s: %s" % (type(exc).__name__, exc),
                     "tolerance": None,

@@ -113,11 +113,16 @@ def BeltramiField(values) -> np.ndarray:
     return values
 
 
-def _solve(group: FuchsianGroup, k: int):
-    """Real a_m (a_0 = 1) of character k and the singular values of the
-    scaled collocation system."""
+def _collocation(group: FuchsianGroup):
+    """(w, gamma w, gamma's matrices) for the NUM_POINTS points w, shared by all characters."""
     w = SOLVE_RADIUS * np.exp(1j * np.pi / 4 * (np.arange(NUM_POINTS) + 0.5) / NUM_POINTS)
-    gw, mats = reduce_to_domain(group, w)
+    return (w, *reduce_to_domain(group, w))
+
+
+def _solve(points, k: int):
+    """Real a_m (a_0 = 1) of character k and the singular values of the
+    scaled collocation system at the `_collocation` points."""
+    w, gw, mats = points
     dg2 = (mats[:, 1, 0] * w + mats[:, 1, 1]) ** -4
     n = k + 8 * np.arange(NUM_COEFFS)
     A = (w[:, None] ** n - dg2[:, None] * gw[:, None] ** n) / SOLVE_RADIUS ** n
@@ -135,9 +140,10 @@ def build_qdiff_basis(group: FuchsianGroup) -> list[QuadDifferential]:
     AUTOMORPHY_TOL.  Linear independence is certified downstream by the
     Gram matrix rank.
     """
+    points = _collocation(group)
     basis = []
     for k in SEED_DEGREES:
-        a, sv = _solve(group, k)
+        a, sv = _solve(points, k)
         rel = sv / sv[0]
         if rel[-1] > NULL_TOL or rel[-2] < GAP_TOL:
             raise ConvergenceFailure(

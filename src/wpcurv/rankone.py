@@ -31,9 +31,8 @@ import functools
 
 import numpy as np
 
-from .artifacts import write_json
 from .errors import DimensionMismatch
-from .wedge import induced_action, wedge_basis
+from .wedge import induced_action
 
 #: seed of the random unit vectors v that `lemma51_check` draws
 LEMMA_SEED = 0
@@ -134,12 +133,6 @@ def omega_wedge(v: np.ndarray, m: int) -> np.ndarray:
             + np.outer(kv, iv) - np.outer(iv, kv))
 
 
-def wedge_j_action(m: int):
-    """Matrix of the wedge involution u^w -> Ju^Jw on the C(4m,2) basis."""
-    _, J, _ = structures(m)
-    return induced_action(J), wedge_basis(2 * m)   # the pairs a < b below 4m
-
-
 def lemma51_check(m: int, trials: int) -> dict:
     """Margins of the three claimed properties of omega = v^Jv + Kv^Iv.
 
@@ -151,8 +144,8 @@ def lemma51_check(m: int, trials: int) -> dict:
     if m < 1 or trials < 1:
         raise ValueError("need m >= 1 and trials >= 1")
     I, J, K = structures(m)
-    Wj, pairs = wedge_j_action(m)
-    A_op = np.eye(len(pairs)) - Wj
+    Wj = induced_action(J)              # u ^ w -> Ju ^ Jw on the C(4m, 2) wedges
+    A_op = np.eye(len(Wj)) - Wj
     rng = np.random.default_rng(LEMMA_SEED)
     records = []
     for _ in range(trials):
@@ -181,7 +174,3 @@ def lemma51_check(m: int, trials: int) -> dict:
         "min_lstsq_resid": min(r["lstsq_resid_rel"] for r in records),
         "records": records,
     }
-
-
-def export_report_json(report: dict, path, *, config_hash=None):
-    return write_json(path, report, config_hash)

@@ -10,8 +10,8 @@ extended bilinearly.  The real basis is one fixed change of basis from
 (t, tbar): x_i = t_i + tbar_i, y_i = i (t_i - tbar_i).  `real_tensor`
 applies it to all four slots of the complex tensor in a single einsum
 contraction, and Q is that real tensor read at the wedge pairs
-`np.triu_indices(2n, 1)`.  The same pair order indexes `wedge_vector`
-and the induced action of a linear map on wedges (`induced_action`).
+`np.triu_indices(2n, 1)` (index a < n is x_a, a >= n is y_(a-n)).  The
+same pair order indexes `wedge_vector` and `induced_action`.
 
 A second, independent evaluation path expresses x^T Q x through integrals
 of the two-point fields
@@ -53,17 +53,9 @@ from .errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
 #: an eigenvalue of Q counts as zero when |lambda| <= TAU_REL_DEFAULT * max|lambda|
 TAU_REL_DEFAULT = 1e-8
-#: random unit elements of J's +1 eigenspace `kernel_check` evaluates, and their seed
+#: random unit elements of J's +1 eigenspace `kernel_report` evaluates, and their seed
 KERNEL_SAMPLES = 20
 KERNEL_SEED = 0
-
-
-def wedge_basis(n: int):
-    """Ordered pairs (a, b), a < b, over indices 0..2n-1.
-
-    Index a < n is the direction x_a; index a >= n is y_(a-n).
-    """
-    return list(zip(*(idx.tolist() for idx in np.triu_indices(2 * n, 1))))
 
 
 def induced_action(M: np.ndarray) -> np.ndarray:
@@ -143,6 +135,7 @@ class SpectrumReport:
     num_positive: int
     kernel_dim_expected: int
     gap_ratio: float
+    tau_rel: float              # tau / max|lambda|; not part of `to_dict`
 
     def to_dict(self):
         return {
@@ -156,13 +149,13 @@ class SpectrumReport:
 
 def spectrum(Q: WedgeOperator, tau_rel: float = TAU_REL_DEFAULT,
              *, strict: bool = True) -> SpectrumReport:
-    """Eigendecomposition with sign counts against tau = tau_rel * max|lam|.
+    """Eigenvalues of the symmetric Q, counted against tau = tau_rel * max|lam|.
 
     With `strict`, a positive mode raises PositiveModeDetected and a zero
     count different from n(n-1) raises KernelDimMismatch; both signal an
     implementation (not theorem) failure.
     """
-    lam = np.linalg.eigvalsh((Q.matrix + Q.matrix.T) / 2)
+    lam = np.linalg.eigvalsh(Q.matrix)
     scale = np.abs(lam).max()
     tau = tau_rel * scale
     neg = int(np.sum(lam < -tau))
@@ -172,8 +165,8 @@ def spectrum(Q: WedgeOperator, tau_rel: float = TAU_REL_DEFAULT,
     nonzero = np.abs(lam)[np.abs(lam) > tau]
     gap = float(nonzero.min() / tau) if (len(nonzero) and tau > 0) else float("inf")
     report = SpectrumReport(eigenvalues=lam, tau=float(tau), num_negative=neg,
-                            num_zero=zero, num_positive=pos,
-                            kernel_dim_expected=expected, gap_ratio=gap)
+                            num_zero=zero, num_positive=pos, kernel_dim_expected=expected,
+                            gap_ratio=gap, tau_rel=tau_rel)
     if strict:
         if pos:
             raise PositiveModeDetected(
@@ -184,38 +177,44 @@ def spectrum(Q: WedgeOperator, tau_rel: float = TAU_REL_DEFAULT,
     return report
 
 
-def kernel_check(Q: WedgeOperator, Jmat: np.ndarray,
-                 tau_rel: float = TAU_REL_DEFAULT) -> dict:
-    """Both directions of the kernel characterization.
+def range_residual(Q: WedgeOperator, Jmat: np.ndarray) -> float:
+    """||Q (I - J)|| / ||Q||, zero when range(I - J) lies inside ker Q."""
+    return float(np.linalg.norm(Q.matrix @ (np.eye(Q.m) - Jmat)) / np.linalg.norm(Q.matrix))
 
-    range(I - J) lies inside ker Q (residual check), and the kernel is no
-    larger: rank(Q) = m - n(n-1), and random unit elements of the +1
-    eigenspace of J are strictly negative directions.  The rank and tau
-    are read off `spectrum`.
-    """
-    m = Q.m
-    spec = spectrum(Q, tau_rel, strict=False)
-    tau = spec.tau
-    range_resid = np.linalg.norm(Q.matrix @ (np.eye(m) - Jmat)) / np.linalg.norm(Q.matrix)
-    rank = m - spec.num_zero
-    if spec.num_zero != spec.kernel_dim_expected:
-        raise KernelDimMismatch("rank %d, expected %d" % (rank, m - spec.kernel_dim_expected))
 
+def kernel_report(Q: WedgeOperator, spec: SpectrumReport, Jmat: np.ndarray) -> dict:
+    """Both directions of the kernel characterization: range(I - J) lies
+    inside ker Q (residual check), and the kernel is no larger: rank(Q) =
+    m - n(n-1), and random unit elements of the +1 eigenspace of J are
+    strictly negative directions.  Rank, tau and tau_rel are read off Q's
+    `spectrum` `spec`; nothing is raised."""
+    range_resid = range_residual(Q, Jmat)
     rng = np.random.default_rng(KERNEL_SEED)
     worst = -np.inf
     for _ in range(KERNEL_SAMPLES):
-        v = rng.standard_normal(m)
+        v = rng.standard_normal(Q.m)
         v = (v + Jmat @ v) / 2          # project onto the +1 eigenspace
         v /= np.linalg.norm(v)
         worst = max(worst, Q.quad(v))
     return {
-        "range_residual_rel": float(range_resid),
-        "range_ok": bool(range_resid <= tau_rel),
-        "rank": rank,
+        "range_residual_rel": range_resid,
+        "range_ok": bool(range_resid <= spec.tau_rel),
+        "rank": Q.m - spec.num_zero,
         "worst_plus_eigenspace_value": float(worst),
-        "plus_eigenspace_negative": bool(worst < -tau),
-        "tau": tau,
+        "plus_eigenspace_negative": bool(worst < -spec.tau),
+        "tau": spec.tau,
     }
+
+
+def kernel_check(Q: WedgeOperator, Jmat: np.ndarray,
+                 tau_rel: float = TAU_REL_DEFAULT) -> dict:
+    """`kernel_report` on Q's own `spectrum`; KernelDimMismatch when the
+    zero count is not n(n-1)."""
+    spec = spectrum(Q, tau_rel, strict=False)
+    if spec.num_zero != spec.kernel_dim_expected:
+        raise KernelDimMismatch("rank %d, expected %d"
+                                % (Q.m - spec.num_zero, Q.m - spec.kernel_dim_expected))
+    return kernel_report(Q, spec, Jmat)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +334,9 @@ def cauchy_schwarz_slack(coeff, mu: np.ndarray, WG) -> dict:
     return {"lhs_abs": abs(lhs), "rhs": rhs.real}
 
 
-def export_spectrum_json(report: SpectrumReport, kernel_report: dict, path, *,
+def export_spectrum_json(report: SpectrumReport, kernel: dict, path, *,
                          config_hash=None):
-    payload = {"spectrum": report.to_dict(), "kernel_check": kernel_report}
+    payload = {"spectrum": report.to_dict(), "kernel_check": kernel}
     return write_json(path, payload, config_hash)
 
 

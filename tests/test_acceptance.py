@@ -20,7 +20,8 @@ def _report(num, ok, detail):
 
 def _kernel_check(Q):
     spec = wedge.spectrum(Q, TAU_REL, strict=False)
-    return checks.operator_nonpositive_kernel(spec, checks.kernel_report(Q))
+    kernel = wedge.kernel_report(Q, spec, wedge.j_wedge_matrix(Q.n))
+    return checks.operator_nonpositive_kernel(spec, kernel)
 
 
 def test_criterion_1_spectrum(pipe4):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wpcurv
-from wpcurv import checks, cli, qdiff, surface
+from wpcurv import checks, cli, qdiff, surface, wedge
 from wpcurv.errors import ConvergenceFailure
 
 
@@ -169,6 +169,7 @@ def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     names = sorted(p.name for p in (tmp_path / "o").glob("*.json"))
     assert len(names) == 9
+    assert set(names) | {"spectrum.csv"} == {"report.json"}.union(*cli.STAGE_ARTIFACTS.values())
     for name in names:
         assert [mode for seen, mode in opened if seen == name] == ["w"]
         text = (tmp_path / "o" / name).read_text()
@@ -229,6 +230,33 @@ def test_failed_stage_replaces_a_stale_report(tmp_path, monkeypatch, capsys):
     assert captured.out.startswith("surface_stage")
     assert "FAIL" in captured.out and "index,eigenvalue" not in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_failed_stage_leaves_none_of_its_files(tmp_path, monkeypatch):
+    """After a passing surface run, a failing one removes every file the
+    stage writes, its own and the earlier run's: only report.json stays."""
+    cfg = cli.RunConfig(stage="surface", mesh_level=2, out=str(tmp_path / "o"))
+    cli.run(cfg)
+    written = {p.name for p in (tmp_path / "o").iterdir()}
+    assert written == {"report.json", *cli.STAGE_ARTIFACTS["surface"]}
+
+    def fail(group):
+        raise ConvergenceFailure("planted")
+
+    monkeypatch.setattr(qdiff, "build_qdiff_basis", fail)
+    assert not cli.run(cfg)["all_pass"]
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.json"]
+
+
+def test_surface_stage_takes_one_spectrum(tmp_path, monkeypatch):
+    """The kernel analysis reads the stage's one spectrum of Q."""
+    calls = []
+    spectrum = wedge.spectrum
+    monkeypatch.setattr(wedge, "spectrum",
+                        lambda *a, **kw: calls.append(a[0]) or spectrum(*a, **kw))
+    report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, out=str(tmp_path / "o")))
+    assert report["all_pass"]
+    assert len(calls) == 1
 
 
 def test_explain_command(tmp_path, capsys):

@@ -54,8 +54,9 @@ def test_side_points_trace_the_sides(group):
 
 
 def test_singular_values_isolate_one_null_vector(group):
+    points = qdiff._collocation(group)
     for k in qdiff.SEED_DEGREES:
-        _, sv = qdiff._solve(group, k)
+        _, sv = qdiff._solve(points, k)
         rel = sv / sv[0]
         assert rel[-1] <= qdiff.NULL_TOL
         assert rel[-2] >= qdiff.GAP_TOL
@@ -105,14 +106,24 @@ def test_perturbed_coefficient_fails_certificate(group, monkeypatch):
     automorphy on the sides."""
     solve = qdiff._solve
 
-    def perturbed(group, k):
-        a, sv = solve(group, k)
+    def perturbed(points, k):
+        a, sv = solve(points, k)
         a[1] *= 1 + 1e-8 * (k == 2)
         return a, sv
 
     monkeypatch.setattr(qdiff, "_solve", perturbed)
     with pytest.raises(ConvergenceFailure, match="character 2: automorphy"):
         qdiff.build_qdiff_basis(group)
+
+
+def test_collocation_points_pulled_back_once(group, monkeypatch):
+    """One `reduce_to_domain` call serves the solves of all three characters."""
+    calls = []
+    reduce = qdiff.reduce_to_domain
+    monkeypatch.setattr(qdiff, "reduce_to_domain",
+                        lambda group, z: calls.append(len(z)) or reduce(group, z))
+    qdiff.build_qdiff_basis(group)
+    assert calls == [qdiff.NUM_POINTS]
 
 
 def test_rotation_law_certified(basis):

@@ -12,11 +12,6 @@ from wpcurv.curvature import CurvatureTensor
 from wpcurv.errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
 
-def test_wedge_basis_size():
-    assert len(wedge.wedge_basis(3)) == 15
-    assert len(wedge.wedge_basis(2)) == 6
-
-
 def test_j_matrix_involution_and_trace():
     for n in (2, 3):
         J = wedge.j_wedge_matrix(n)
@@ -62,7 +57,7 @@ def test_single_entry_tensor_sign_convention():
     entries = np.zeros((3, 3, 3, 3), dtype=complex)
     entries[0, 0, 0, 0] = 1.0
     Q = wedge.assemble_Q(CurvatureTensor(entries))
-    index = {p: i for i, p in enumerate(wedge.wedge_basis(3))}
+    index = {p: i for i, p in enumerate(zip(*np.triu_indices(6, 1)))}
     x0y0, x0x1 = index[(0, 3)], index[(0, 1)]
     assert Q.matrix[x0y0, x0y0] == -4.0
     assert Q.matrix[x0x1, x0x1] == 0.0
@@ -82,8 +77,7 @@ def test_Q_commutes_with_J(pipe3, jmat3):
 
 def test_xx_subblock_negative_definite(pipe3):
     """Q restricted to the antisymmetric xx-wedges is strictly negative."""
-    basis = wedge.wedge_basis(3)
-    idx = [k for k, (a, b) in enumerate(basis) if b < 3]
+    idx = [k for k, b in enumerate(np.triu_indices(6, 1)[1]) if b < 3]
     sub = pipe3["Q"].matrix[np.ix_(idx, idx)]
     assert np.linalg.eigvalsh(sub).max() < 0
 
@@ -123,10 +117,24 @@ def test_kernel_check_report(pipe3, jmat3):
     assert rep["plus_eigenspace_negative"]
 
 
+def test_kernel_check_is_the_report_of_one_spectrum(pipe3, jmat3):
+    """`kernel_check` is `kernel_report` on the spectrum taken with the same
+    tau_rel, which the report carries (and `to_dict` leaves out)."""
+    Q, tau_rel = pipe3["Q"], 1e-9
+    spec = wedge.spectrum(Q, tau_rel, strict=False)
+    assert spec.tau_rel == tau_rel and "tau_rel" not in spec.to_dict()
+    assert wedge.kernel_check(Q, jmat3, tau_rel) == wedge.kernel_report(Q, spec, jmat3)
+
+
+def test_kernel_check_raises_on_rank_mismatch():
+    Q = wedge.WedgeOperator(matrix=-np.eye(15), n=3, symmetry_residual=0.0)
+    with pytest.raises(KernelDimMismatch, match="rank 15, expected 9"):
+        wedge.kernel_check(Q, wedge.j_wedge_matrix(3))
+
+
 def test_wedge_vector_roundtrip():
     """Coefficients land on the expected basis slots."""
-    basis = wedge.wedge_basis(2)
-    index = {p: i for i, p in enumerate(basis)}
+    index = {p: i for i, p in enumerate(zip(*np.triu_indices(4, 1)))}
     a = np.array([[0.0, 2.0], [0.5, 0.0]])
     b = np.array([[1.0, -1.0], [3.0, 4.0]])
     x = wedge.wedge_vector({"a": a, "b": b}, 2)
