@@ -78,8 +78,8 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     fields, gram, _ = qdiff.orthonormalize(fields, gram)
 
     rng = np.random.default_rng(config.seeds)
-    results["resolvent_operator"] = checks.resolvent_operator(
-        surf, rng.standard_normal((10, 2, surf.num_nodes)))
+    f, g = rng.standard_normal((10, 2, surf.num_nodes)).transpose(1, 2, 0)
+    results["resolvent_operator"] = checks.resolvent_operator(surf, f, g)
 
     green = surface.green_kernel(surf)
     surface.export_green(green, surf, os.path.join(outdir, "green.json"), config_hash=cfg_hash)

@@ -5,6 +5,10 @@ The building block is the pairing
     (ij,kl) = sum_p w_p * D(mu_i conj(mu_j))(p) * mu_k(p) conj(mu_l)(p),
 
 a discrete integral over the surface against the resolvent operator D.
+`kernel_table` takes all n^4 pairings through a real weighted kernel
+W = w D in one product, and every table of the package is built by it:
+the LU path (`pairing_table`, D from `surface.apply_D`), the Green path
+of `wedge` (W = w G w) and the synthetic kernels of `surrogate`.
 The curvature tensor in these coordinates is the two-pairing sum
 
     R[i][j][k][l] = (ij,kl) + (il,kj),
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import surface as surface_mod
 from .artifacts import write_json
@@ -47,33 +52,49 @@ class CurvatureTensor:
         }
 
 
-def pairing_table(fields, surface=None, *, weights=None, apply_D_fn=None) -> np.ndarray:
-    """All n^4 pairings (ij,kl) of the (n, N) fields, a complex
-    (n, n, n, n) array, from n(n+1)/2 resolvent solves.
+def kernel_table(mu: np.ndarray, W) -> np.ndarray:
+    """P[i,j,k,l] = sum_p (W mu_i conj(mu_j))(p) mu_k(p) conj(mu_l)(p) for a
+    real weighted kernel W (W = w D), the (n, n, n, n) pairing table.
 
-    D commutes with complex conjugation (its kernel is real), so
-    D(mu_j conj(mu_i)) = conj(D(mu_i conj(mu_j))) and only the upper
-    triangle of products needs a solve.  A custom (weights, apply_D_fn)
-    pair may replace the surface operators (used by the synthetic-kernel
-    harness).
+    The products mu_i conj(mu_j) do not depend on any coefficients, and W
+    is real, so W meets only the n^2 real columns Re(mu_i conj mu_j),
+    i <= j, and Im(mu_i conj mu_j), i < j, in one product; the rest
+    follows from W_ji = conj(W_ij).  W is an N x N array or an operator
+    with `@` on real (N, m) arrays.  An operator with a `last_table`
+    attribute (`wedge.weighted_green`) keeps the last table built through
+    it, with its fields, and returns it again when mu equals those fields
+    exactly; any other mu builds and keeps a new one.
     """
-    mu = np.asarray(fields, dtype=complex)
-    n = len(mu)
-    if weights is None:
-        weights = surface.weights
-    if apply_D_fn is None:
-        apply_D_fn = lambda f: surface_mod.apply_D(surface, f)
+    last = getattr(W, "last_table", None)
+    if last is not None and np.array_equal(last[0], mu):
+        return last[1]
+    n, N = mu.shape
+    prod = mu[:, None] * np.conj(mu)[None]               # mu_i conj(mu_j)
+    i, j = np.triu_indices(n)
+    off = i < j
+    upper = prod[i, j]
+    Wc = (W @ np.concatenate([upper.real, upper[off].imag]).T).T
+    Wp = np.empty((n, n, N), dtype=complex)
+    Wp[i, j] = Wc[:len(i)]
+    Wp[i[off], j[off]] += 1j * Wc[len(i):]
+    Wp[j, i] = np.conj(Wp[i, j])
+    P = (Wp.reshape(n * n, N) @ prod.reshape(n * n, N).T).reshape((n,) * 4)
+    if hasattr(W, "last_table"):
+        P.setflags(write=False)
+        W.last_table = (mu.copy(), P)
+    return P
 
-    solved = {}
-    for i in range(n):
-        for j in range(i, n):
-            solved[(i, j)] = apply_D_fn(mu[i] * np.conj(mu[j]))
-    entries = np.empty((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            dij = solved[(i, j)] if i <= j else np.conj(solved[(j, i)])
-            entries[i, j] = np.einsum("p,kp,lp->kl", weights * dij, mu, np.conj(mu))
-    return entries
+
+def pairing_table(fields, surface) -> np.ndarray:
+    """All n^4 pairings (ij,kl) of the (n, N) fields, a complex
+    (n, n, n, n) array: `kernel_table` through W = w D, one `apply_D` call
+    on the stack of n^2 real columns."""
+    def weighted_D(X):
+        return (surface.weights * surface_mod.apply_D(surface, X).T).T
+
+    N = surface.num_nodes
+    W = spla.LinearOperator((N, N), matvec=weighted_D, matmat=weighted_D, dtype=float)
+    return kernel_table(np.asarray(fields, dtype=complex), W)
 
 
 def curvature_tensor(P: np.ndarray) -> CurvatureTensor:

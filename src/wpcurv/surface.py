@@ -57,10 +57,11 @@ BASE_REFINEMENTS = 1
 NODE_CAP = 200_000
 GREEN_BYTES_CAP = 1_600_000_000
 
-#: representatives per LU solve of G: the right-hand side and the solution
-#: are N x GREEN_BLOCK.  Wider blocks give SuperLU's supernode updates to
-#: the threaded BLAS, which on a 2-vCPU machine made the level-3 solve 20
-#: to 30 times slower in some processes (80 ms for 16 columns, 3 ms for 8)
+#: columns per LU solve, of G's representatives and of `apply_D`'s stacks:
+#: the right-hand side and the solution are N x GREEN_BLOCK.  Wider blocks
+#: give SuperLU's supernode updates to the threaded BLAS, which on a 2-vCPU
+#: machine made the level-3 solve 20 to 30 times slower in some processes
+#: (80 ms for 16 columns, 3 ms for 8)
 GREEN_BLOCK = 8
 
 # 7-point degree-5 triangle quadrature (barycentric points and weights)
@@ -257,23 +258,33 @@ def build_mesh(group: FuchsianGroup, level: int) -> DiscreteSurface:
 def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
     """Resolvent D f = -2 (Delta_h - 2)^-1 f via (K + 2M) u = 2 M f.
 
-    Complex input is solved through its real and imaginary parts.  The
-    weighted residual of (Delta_h - 2) u = -2 f is checked against rtol.
+    f is a node function (N,) or a stack of them (N, k), real or complex;
+    complex input is solved through its real and imaginary columns, at
+    most GREEN_BLOCK columns per LU solve.  The weighted residual of
+    (Delta_h - 2) u = -2 f is checked column by column against rtol.
     """
     f = np.asarray(f)
+    X = f.reshape(len(f), -1)
+    k = X.shape[1]
+    if np.iscomplexobj(X):
+        X = np.concatenate([X.real, X.imag], axis=1)
     lu = surface.factorization()
-    w = surface.weights
+    w = surface.weights[:, None]
+    U = np.empty(X.shape)
+    for lo in range(0, X.shape[1], GREEN_BLOCK):
+        U[:, lo:lo + GREEN_BLOCK] = lu.solve(2 * w * X[:, lo:lo + GREEN_BLOCK])
+    resid = -(surface.stiffness @ U) / w - 2 * U + 2 * X
+
+    def norm2(V):           # weighted squared norm per column of f (re + im)
+        return np.sum(w * V * V, axis=0).reshape(-1, k).sum(axis=0)
+
+    rel = np.sqrt(norm2(resid)) / np.maximum(np.sqrt(norm2(X)), 1e-300)
+    if rel.max() > rtol:
+        raise SolverFailure("worst relative resolvent residual %.3g exceeds rtol %.3g"
+                            % (rel.max(), rtol))
     if np.iscomplexobj(f):
-        u = lu.solve(2 * w * f.real) + 1j * lu.solve(2 * w * f.imag)
-    else:
-        u = lu.solve(2 * w * f)
-    resid = surface.apply_laplacian(u) - 2 * u + 2 * f
-    rnorm = np.sqrt(abs(surface.inner(resid, resid)))
-    fnorm = np.sqrt(abs(surface.inner(f, f)))
-    if rnorm > rtol * max(fnorm, 1e-300):
-        raise SolverFailure(
-            "resolvent residual %.3g exceeds %.3g relative" % (rnorm, rtol * fnorm))
-    return u
+        U = U[:, :k] + 1j * U[:, k:]
+    return U.reshape(f.shape)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wedge
-from .curvature import curvature_tensor, pairing_table
+from .curvature import curvature_tensor, kernel_table
 from .errors import KernelDimMismatch, PositiveModeDetected
 
 
@@ -33,10 +33,6 @@ class SurrogateModel:
     @property
     def n(self):
         return len(self.mu)
-
-    def apply_D(self, f):
-        """Kernel contraction (Df)(p) = sum_q K[p,q] w_q f(q)."""
-        return self.kernel @ (self.weights * f)
 
 
 def random_surrogate(seed: int, num_points: int, n: int) -> SurrogateModel:
@@ -68,7 +64,9 @@ def run_property_suite(model: SurrogateModel) -> dict:
     n(n-1), possible when the mu vectors are linearly dependent, is
     reported as excess instead.
     """
-    P = pairing_table(model.mu, weights=model.weights, apply_D_fn=model.apply_D)
+    # the weighted kernel W = w K w, for the table and the Green sums alike
+    W = model.kernel * np.outer(model.weights, model.weights)
+    P = kernel_table(model.mu, W)
     Q = wedge.assemble_Q(curvature_tensor(P))
     report = wedge.spectrum(Q, strict=False)
     expected = report.kernel_dim_expected
@@ -85,8 +83,7 @@ def run_property_suite(model: SurrogateModel) -> dict:
     rng = np.random.default_rng(model.seed + 1)
     coeff = rng.standard_normal((model.n, model.n)) \
         + 1j * rng.standard_normal((model.n, model.n))
-    WG = model.kernel * np.outer(model.weights, model.weights)
-    slack = wedge.cauchy_schwarz_slack(coeff, model.mu, WG)
+    slack = wedge.cauchy_schwarz_slack(coeff, model.mu, W)
 
     return {
         "seed": model.seed,

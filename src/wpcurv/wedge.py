@@ -25,17 +25,16 @@ inequality (G positive and symmetric).  The zero locus is exactly the
 antisymmetric cross-block, i.e. the range of (identity - J), where J is
 the involution induced on wedges by the complex structure.
 
-Both Green sums of such a field are contractions of one n^4 table
-T[i,k,l,j] = sum_p conj(mu_j) mu_l (p) (WG mu_i conj(mu_k))(p), for which
-the weighted kernel WG meets only the n^2 real node vectors of the
-coefficient-free products mu_i conj(mu_k).  WG is an operator on the
+Both Green sums of such a field are contractions of one n^4 table,
+`curvature.kernel_table` taken through the weighted Green kernel
+WG = w G w: the function that builds the tensor path's pairing table
+through W = w D, with the kernel swapped.  WG is an operator on the
 Green kernel's solved orbit rows (`weighted_green`), each solved as a
 column by the untransposed LU solve of K + 2M, which equals its
-transpose bit for bit: no N x N array is ever formed, and T equals the
-pairing table taken through G instead of the LU, so the two paths still
-meet independent solves.  The operator keeps the last table it built,
-keyed by the exact fields, so one table, and one product with WG, serves
-every element of a stage.
+transpose bit for bit: no N x N array is ever formed, and the two paths
+share the table's code but meet independent solves.  The operator keeps
+the last table it built, keyed by the exact fields, so one table, and
+one product with WG, serves every element of a stage.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import scipy.sparse.linalg as spla
 
 from . import surface as surface_mod
 from .artifacts import write_json
-from .curvature import CurvatureTensor
+from .curvature import CurvatureTensor, kernel_table
 from .errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
 #: an eigenvalue of Q counts as zero when |lambda| <= TAU_REL_DEFAULT * max|lambda|
@@ -236,8 +235,8 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
 def weighted_green(surface, green) -> spla.LinearOperator:
     """WG V = w * G(w * V): the Green kernel weighted on both slots, applied
     through `green.matmat`; no N x N array is formed.  The operator keeps
-    the last `_green_table` built through it (`last_table`, the fields and
-    the table), so the elements of one stage share one table."""
+    the last `curvature.kernel_table` built through it (`last_table`, the
+    fields and the table), so the elements of one stage share one table."""
     w = surface.weights
 
     def matmat(V):
@@ -255,41 +254,9 @@ def _diagonal(coeff, mu: np.ndarray) -> np.ndarray:
     return np.sum(np.conj(mu) * (np.asarray(coeff, dtype=complex).T @ mu), axis=0)
 
 
-def _green_table(mu: np.ndarray, WG) -> np.ndarray:
-    """T[i,k,l,j] = sum_p conj(mu_j) mu_l (p) (WG mu_i conj(mu_k))(p).
-
-    The products mu_i conj(mu_k) do not depend on any coefficients, and WG
-    is real, so WG meets only the n^2 real columns Re(mu_i conj mu_k),
-    i <= k, and Im(mu_i conj mu_k), i < k, in one product; the rest
-    follows from W_ki = conj(W_ik).  With WG = w G w this is the pairing
-    table (ik,lj) of `curvature.pairing_table`, taken through G instead of
-    the LU.  WG is an N x N array or a `weighted_green` operator; the
-    operator's last table is returned again when mu equals its fields
-    exactly, and any other mu builds and keeps a new one.
-    """
-    last = getattr(WG, "last_table", None)
-    if last is not None and np.array_equal(last[0], mu):
-        return last[1]
-    n, N = mu.shape
-    prod = mu[:, None] * np.conj(mu)[None]               # mu_i conj(mu_k)
-    i, k = np.triu_indices(n)
-    off = i < k
-    upper = prod[i, k]
-    Wc = (WG @ np.concatenate([upper.real, upper[off].imag]).T).T
-    W = np.empty((n, n, N), dtype=complex)
-    W[i, k] = Wc[:len(i)]
-    W[i[off], k[off]] += 1j * Wc[len(i):]
-    W[k, i] = np.conj(W[i, k])
-    T = (W.reshape(n * n, N) @ prod.reshape(n * n, N).T).reshape((n,) * 4)
-    if hasattr(WG, "last_table"):
-        T.setflags(write=False)
-        WG.last_table = (mu.copy(), T)
-    return T
-
-
 def _green_sums(mu: np.ndarray, coeff, WG) -> tuple[complex, complex]:
     """Green sums of the two-point field L[p,q] = sum_ij coeff_ij mu_i(q)
-    conj(mu_j(p)) as contractions of `_green_table`:
+    conj(mu_j(p)) as contractions of T = `curvature.kernel_table`(mu, WG):
 
         mod2  = sum_pq WG[p,q] |L[p,q]|^2
               = sum coeff_ij conj(coeff_kl) T[i,k,l,j],
@@ -299,7 +266,7 @@ def _green_sums(mu: np.ndarray, coeff, WG) -> tuple[complex, complex]:
     with (WG v)(p) = sum_q WG[p,q] v(q).  WG need not be symmetric, and
     no N x N field is formed.
     """
-    T = _green_table(mu, WG)
+    T = kernel_table(mu, WG)
     coeff = np.asarray(coeff, dtype=complex)
     mod2 = np.einsum("ij,kl,iklj->", coeff, np.conj(coeff), T)
     cross = np.einsum("ij,kl,ilkj->", coeff, coeff, T)

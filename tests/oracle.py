@@ -7,10 +7,16 @@ tests hold the solved basis against it.
 `_symmetries_by_candidates` certifies each of the octagon's 16 rotations
 and reflections on its own, where `surface._symmetries` certifies two
 generators and composes them.
+
+`_pairing_table_by_pairs` takes the pairing table one resolvent solve per
+product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where
+`curvature.pairing_table` applies D once to all n^2 real columns.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+from wpcurv import surface as surface_mod
 
 #: max elements-x-points per evaluation chunk of `_series`: each temporary
 #: is 4 MB; at 8,000,000 (128 MB temporaries) a third of a run was system time
@@ -79,3 +85,23 @@ def _symmetries_by_candidates(surface):
             if abs(K_perm[:, perm] - K).max() <= 1e-12 * K_max:
                 perms.append(perm)
     return np.array(perms)
+
+
+def _pairing_table_by_pairs(fields, surface):
+    """Oracle: all n^4 pairings (ij,kl) from n(n+1)/2 complex resolvent
+    solves.  D commutes with complex conjugation (its kernel is real), so
+    D(mu_j conj(mu_i)) = conj(D(mu_i conj(mu_j))) and only the upper
+    triangle of products needs a solve."""
+    mu = np.asarray(fields, dtype=complex)
+    n = len(mu)
+    weights = surface.weights
+    solved = {}
+    for i in range(n):
+        for j in range(i, n):
+            solved[(i, j)] = surface_mod.apply_D(surface, mu[i] * np.conj(mu[j]))
+    entries = np.empty((n, n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            dij = solved[(i, j)] if i <= j else np.conj(solved[(j, i)])
+            entries[i, j] = np.einsum("p,kp,lp->kl", weights * dij, mu, np.conj(mu))
+    return entries

@@ -57,7 +57,8 @@ def test_criterion_4_operator_hypotheses(surf3, green3):
     rng = np.random.default_rng(4)
     pairs = [(rng.standard_normal(surf3.num_nodes), rng.standard_normal(surf3.num_nodes))
              for _ in range(20)]
-    resolvent = checks.resolvent_operator(surf3, pairs)
+    f, g = np.array(pairs).transpose(1, 2, 0)
+    resolvent = checks.resolvent_operator(surf3, f, g)
     green = checks.green_kernel(green3)
     d, gr = resolvent["residual"], green["residual"]
     _report(4, resolvent["pass"] and green["pass"],

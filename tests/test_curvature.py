@@ -1,21 +1,25 @@
 """Pairing-table and curvature-tensor tests, including small-case oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from wpcurv import curvature
+from wpcurv import curvature, surface
 from wpcurv.errors import SymmetryViolation
-from wpcurv.qdiff import BeltramiField
+
+from oracle import _pairing_table_by_pairs
 
 
 def _toy_operator(num_points, seed=0):
-    """A tiny self-adjoint positive kernel operator on random weights."""
+    """A tiny self-adjoint positive kernel operator on random weights: the
+    weights, (Df)(p) = sum_q K[p,q] w_q f(q), and W = diag(w) K diag(w)."""
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((num_points, 2))
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
     kernel = np.exp(-(d ** 2))
     weights = rng.uniform(0.5, 1.5, size=num_points)
-    return weights, lambda f: kernel @ (weights * f)
+    return weights, lambda f: kernel @ (weights * f), kernel * np.outer(weights, weights)
 
 
 def test_pairing_symmetries(pipe3):
@@ -59,12 +63,11 @@ def test_sectional_scale_invariant(pipe3):
 
 
 def test_zero_field_slice_vanishes():
-    weights, apply_D = _toy_operator(30)
+    _, _, W = _toy_operator(30)
     rng = np.random.default_rng(1)
     mu = rng.standard_normal((3, 30)) + 1j * rng.standard_normal((3, 30))
     mu[2] = 0.0
-    fields = [BeltramiField(row) for row in mu]
-    P = curvature.pairing_table(fields, weights=weights, apply_D_fn=apply_D)
+    P = curvature.kernel_table(mu, W)
     assert np.abs(P[2]).max() == 0.0
     assert np.abs(P[:, 2]).max() == 0.0
     assert np.abs(P[:, :, 2]).max() == 0.0
@@ -73,22 +76,20 @@ def test_zero_field_slice_vanishes():
 
 def test_single_field_tensor_factor_two():
     """With one field, R[0,0,0,0] = 2 * (00,00)."""
-    weights, apply_D = _toy_operator(25, seed=2)
+    _, _, W = _toy_operator(25, seed=2)
     rng = np.random.default_rng(3)
     mu = rng.standard_normal((1, 25)) + 1j * rng.standard_normal((1, 25))
-    fields = [BeltramiField(row) for row in mu]
-    P = curvature.pairing_table(fields, weights=weights, apply_D_fn=apply_D)
+    P = curvature.kernel_table(mu, W)
     R = curvature.CurvatureTensor(P + P.transpose(0, 3, 2, 1))
     assert R.entries[0, 0, 0, 0] == pytest.approx(2 * P[0, 0, 0, 0])
 
 
 def test_pairing_oracle_direct_sum():
-    """Brute-force double loop reproduces the einsum assembly."""
-    weights, apply_D = _toy_operator(20, seed=4)
+    """Brute-force double loop reproduces the one-product table."""
+    weights, apply_D, W = _toy_operator(20, seed=4)
     rng = np.random.default_rng(5)
     mu = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))
-    fields = [BeltramiField(row) for row in mu]
-    P = curvature.pairing_table(fields, weights=weights, apply_D_fn=apply_D)
+    P = curvature.kernel_table(mu, W)
     for i in range(2):
         for j in range(2):
             d = apply_D(mu[i] * np.conj(mu[j]))
@@ -101,16 +102,14 @@ def test_pairing_oracle_direct_sum():
 def test_scaling_covariance():
     """Scaling a field by a complex constant scales the pairings with the
     right holomorphic/antiholomorphic powers."""
-    weights, apply_D = _toy_operator(25, seed=6)
+    _, _, W = _toy_operator(25, seed=6)
     rng = np.random.default_rng(7)
     mu = rng.standard_normal((2, 25)) + 1j * rng.standard_normal((2, 25))
     for const in (2.0, 1j, 0.3 - 0.4j):
         mu2 = mu.copy()
         mu2[0] = const * mu[0]
-        P1 = curvature.pairing_table([BeltramiField(r) for r in mu],
-                                     weights=weights, apply_D_fn=apply_D)
-        P2 = curvature.pairing_table([BeltramiField(r) for r in mu2],
-                                     weights=weights, apply_D_fn=apply_D)
+        P1 = curvature.kernel_table(mu, W)
+        P2 = curvature.kernel_table(mu2, W)
         expected = P1[0, 1, 1, 0] * const * np.conj(const)
         assert P2[0, 1, 1, 0] == pytest.approx(expected)
         expected = P1[0, 0, 0, 0] * abs(const) ** 4
@@ -122,12 +121,44 @@ def test_symmetry_violation_raised():
     rng = np.random.default_rng(8)
     weights = rng.uniform(0.5, 1.5, size=30)
     asym = rng.standard_normal((30, 30))
-    apply_D = lambda f: asym @ f
     mu = rng.standard_normal((2, 30)) + 1j * rng.standard_normal((2, 30))
-    fields = [BeltramiField(row) for row in mu]
-    P = curvature.pairing_table(fields, weights=weights, apply_D_fn=apply_D)
+    P = curvature.kernel_table(mu, weights[:, None] * asym)
     with pytest.raises(SymmetryViolation):
         curvature.curvature_tensor(P)
+
+
+class _RecordingLU:
+    """Delegates to a factorization and records each right-hand side's width."""
+
+    def __init__(self, lu):
+        self.lu, self.widths = lu, []
+
+    def solve(self, b):
+        self.widths.append(b.shape[1] if b.ndim == 2 else 1)
+        return self.lu.solve(b)
+
+
+def test_pairing_table_is_one_stacked_resolvent_call(pipe3, surf3, monkeypatch):
+    """One `apply_D` call on the real N x n^2 stack, at most GREEN_BLOCK
+    columns per LU solve."""
+    lu = _RecordingLU(surf3.factorization())
+    surf = dataclasses.replace(surf3, _lu=lu)
+    calls = []
+    apply_D = surface.apply_D
+    monkeypatch.setattr(surface, "apply_D",
+                        lambda s, f, **kw: calls.append(f) or apply_D(s, f, **kw))
+    P = curvature.pairing_table(pipe3["fields"], surf)
+    assert len(calls) == 1
+    assert calls[0].shape == (surf3.num_nodes, 9) and np.isrealobj(calls[0])
+    assert max(lu.widths) <= surface.GREEN_BLOCK and sum(lu.widths) == 9
+    assert np.array_equal(P, pipe3["pairings"])
+
+
+def test_pairing_table_matches_per_pair_solves(pipe3, surf3):
+    """The one-product table equals the per-pair algorithm at level 3."""
+    P = pipe3["pairings"]
+    ref = _pairing_table_by_pairs(pipe3["fields"], surf3)
+    assert np.abs(P - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_tensor_export(tmp_path, pipe3):

@@ -467,6 +467,37 @@ def test_resolvent_unreachable_tolerance_is_a_solver_failure(surf3):
         surface.apply_D(surf3, f, rtol=1e-30)
 
 
+def test_solver_failure_reports_the_worst_relative_residual(surf3):
+    """On an (N, 3) complex stack the message gives the worst column's
+    relative residual, not its absolute one."""
+    rng = np.random.default_rng(10)
+    shape = (surf3.num_nodes, 3)
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    with pytest.raises(SolverFailure) as err:
+        surface.apply_D(surf3, F, rtol=1e-30)
+    rel = []
+    for f in F.T:
+        u = surface.apply_D(surf3, f)
+        r = surf3.apply_laplacian(u) - 2 * u + 2 * f
+        rel.append(np.sqrt(abs(surf3.inner(r, r)) / abs(surf3.inner(f, f))))
+    words = str(err.value).split()
+    assert "relative" in words and words[-1] == "1e-30"
+    assert float(words[words.index("exceeds") - 1]) == pytest.approx(max(rel), rel=0.05)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_resolvent_stack_equals_column_calls(surf4, dtype):
+    """(N, k) stacks, wider than one LU block, equal column-by-column calls."""
+    rng = np.random.default_rng(11)
+    F = rng.standard_normal((surf4.num_nodes, 11)).astype(dtype)
+    if dtype is complex:
+        F += 1j * rng.standard_normal(F.shape)
+    U = surface.apply_D(surf4, F)
+    cols = np.stack([surface.apply_D(surf4, f) for f in F.T], axis=1)
+    assert U.dtype == cols.dtype and U.shape == F.shape
+    assert np.abs(U - cols).max() <= 1e-14 * np.abs(cols).max()
+
+
 def test_zero_weight_is_singular_mass(group, monkeypatch):
     area_weights = surface._area_weights
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wpcurv import surrogate, wedge
-from wpcurv.curvature import curvature_tensor, pairing_table
+from wpcurv.curvature import curvature_tensor, kernel_table
 from wpcurv.errors import PositiveModeDetected
 
 
@@ -90,6 +90,6 @@ def test_range_residual_is_the_wedge_formula():
     """The suite's residual is `wedge.range_residual` of the model's Q."""
     model = surrogate.random_surrogate(0, 40, 3)
     rep = surrogate.run_property_suite(model)
-    P = pairing_table(model.mu, weights=model.weights, apply_D_fn=model.apply_D)
+    P = kernel_table(model.mu, model.kernel * np.outer(model.weights, model.weights))
     Q = wedge.assemble_Q(curvature_tensor(P))
     assert rep["range_residual_rel"] == wedge.range_residual(Q, wedge.j_wedge_matrix(3))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpcurv import qdiff, surface, wedge
-from wpcurv.curvature import CurvatureTensor
+from wpcurv.curvature import CurvatureTensor, kernel_table
 from wpcurv.errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
 
@@ -200,12 +200,12 @@ def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
     matmat = surface.GreenKernel.matmat
     monkeypatch.setattr(surface.GreenKernel, "matmat",
                         lambda self, V: calls.append(1) or matmat(self, V))
-    T = wedge._green_table(mu, WG)
-    assert wedge._green_table(mu.copy(), WG) is T
+    T = kernel_table(mu, WG)
+    assert kernel_table(mu.copy(), WG) is T
     assert len(calls) == 1
-    T2 = wedge._green_table(2 * mu, WG)
+    T2 = kernel_table(2 * mu, WG)
     assert len(calls) == 2
-    assert np.array_equal(T2, wedge._green_table(2 * mu, wedge.weighted_green(surf3, green3)))
+    assert np.array_equal(T2, kernel_table(2 * mu, wedge.weighted_green(surf3, green3)))
     assert not np.array_equal(T2, T)
     scaled = [qdiff.BeltramiField(row) for row in 2 * mu]
     rng = np.random.default_rng(3)
@@ -223,7 +223,7 @@ def test_real_tensor_planted_imaginary_residue_is_type_imbalance(pipe3):
 
 def test_green_table_is_the_pairing_table(pipe3, surf3, green3):
     """T through the orbit-row kernel equals P through the LU."""
-    T = wedge._green_table(pipe3["fields"], wedge.weighted_green(surf3, green3))
+    T = kernel_table(pipe3["fields"], wedge.weighted_green(surf3, green3))
     P = pipe3["pairings"]
     assert np.abs(T - P).max() <= 1e-13 * np.abs(P).max()
 
