@@ -60,14 +60,8 @@ def kernel_table(mu: np.ndarray, W) -> np.ndarray:
     is real, so W meets only the n^2 real columns Re(mu_i conj mu_j),
     i <= j, and Im(mu_i conj mu_j), i < j, in one product; the rest
     follows from W_ji = conj(W_ij).  W is an N x N array or an operator
-    with `@` on real (N, m) arrays.  An operator with a `last_table`
-    attribute (`wedge.weighted_green`) keeps the last table built through
-    it, with its fields, and returns it again when mu equals those fields
-    exactly; any other mu builds and keeps a new one.
+    with `@` on real (N, m) arrays.
     """
-    last = getattr(W, "last_table", None)
-    if last is not None and np.array_equal(last[0], mu):
-        return last[1]
     n, N = mu.shape
     prod = mu[:, None] * np.conj(mu)[None]               # mu_i conj(mu_j)
     i, j = np.triu_indices(n)
@@ -78,11 +72,7 @@ def kernel_table(mu: np.ndarray, W) -> np.ndarray:
     Wp[i, j] = Wc[:len(i)]
     Wp[i[off], j[off]] += 1j * Wc[len(i):]
     Wp[j, i] = np.conj(Wp[i, j])
-    P = (Wp.reshape(n * n, N) @ prod.reshape(n * n, N).T).reshape((n,) * 4)
-    if hasattr(W, "last_table"):
-        P.setflags(write=False)
-        W.last_table = (mu.copy(), P)
-    return P
+    return (Wp.reshape(n * n, N) @ prod.reshape(n * n, N).T).reshape((n,) * 4)
 
 
 def pairing_table(fields, surface) -> np.ndarray:

@@ -22,10 +22,9 @@ from .errors import BudgetExceeded, NearPole, UnsupportedGenus
 
 POLE_TOL = 1e-14
 DEDUP_DECIMALS = 8  # rounding used for the 1e-9 entrywise dedup radius
-DOMAIN_BLOCK = 500_000  # points per block of `in_fundamental_domain`
 REDUCE_STEPS = 64  # side-pairing steps `reduce_to_domain` allows per point
+REDUCE_TOL = 1e-12  # band below |w| in which `reduce_to_domain` counts a point inside
 WORD_CAP = 2_000_000  # most elements `enumerate_words` may return
-DOMAIN_TOL = 1e-12  # distance margin within which `in_fundamental_domain` sees a tie
 
 
 def unit_det(m) -> np.ndarray:
@@ -78,14 +77,6 @@ def projective_distance(m, n):
 def rotation(angle: float) -> np.ndarray:
     """Rotation of the disk about the origin by `angle`."""
     return unit_det([[np.exp(1j * angle / 2), 0], [0, np.exp(-1j * angle / 2)]])
-
-
-def hyperbolic_distance(z, w):
-    """Distance in the Poincare disk of curvature -1."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    q = np.abs((z - w) / (1 - np.conj(z) * w))
-    return 2 * np.arctanh(q)
 
 
 @dataclass
@@ -242,58 +233,18 @@ def enumerate_words(group: FuchsianGroup, L: int, *,
     return np.concatenate(shells)
 
 
-def in_fundamental_domain(group: FuchsianGroup, z):
-    """Membership in the Dirichlet domain centered at 0 (the octagon).
-
-    A point belongs iff it is at least as close (hyperbolic distance) to 0
-    as to every neighbor center gamma(0); exact ties on a side boundary are
-    broken toward the side of smaller index (sides 0..3 keep their points,
-    their partners 4..7 do not).  Accepts scalars or arrays.
-
-    Points are taken in blocks of DOMAIN_BLOCK.  Since tanh(d(z, c)/2) =
-    |z - c| / |1 - conj(c) z|, z is closer to 0 than to c iff the real margin
-
-        |z - c|^2 - |z|^2 |1 - conj(c) z|^2
-            = (1 - |z|^2) (|c|^2 (1 + |z|^2) - 2 Re(conj(c) z))
-
-    is positive.  It is at most 4 times the distance margin, so a point
-    whose least real margin is at least 1e-9 in absolute value is decided
-    by its sign; every other point (every near tie) is decided by the
-    distance margins, as is the tie-breaking.
-    """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zf = z.reshape(-1)
-    centers = group.neighbor_centers()
-    inside = np.empty(len(zf), dtype=bool)
-    for lo in range(0, len(zf), DOMAIN_BLOCK):
-        zb = zf[lo:lo + DOMAIN_BLOCK]
-        x, y = zb.real.copy(), zb.imag.copy()
-        r2 = x * x + y * y
-        least = np.full(len(zb), np.inf)
-        for c in centers:
-            m = c.real * x
-            m += c.imag * y
-            m *= -2
-            m += abs(c) ** 2 * (1 + r2)
-            np.minimum(least, m, out=least)
-        least *= 1 - r2
-        inside[lo:lo + DOMAIN_BLOCK] = least > 0
-        near = ~(np.abs(least) >= 1e-9) | (r2 >= 1)     # NaN is near too
-        if np.any(near):
-            idx = lo + np.flatnonzero(near)
-            inside[idx] = _distance_membership(centers, zf[idx])
-    return bool(inside[0]) if scalar else inside.reshape(z.shape)
-
-
 def reduce_to_domain(group: FuchsianGroup, z):
     """Carry each point of z into the octagon; returns (images, matrices).
 
-    Every step moves each point still outside (`in_fundamental_domain`)
-    by the side pairing of the neighbor copy whose center is nearest, which
-    carries that copy onto the octagon; matrices[i] is the product of those
-    steps, which takes z[i] to images[i].  A point off the open disk, or
-    not inside after REDUCE_STEPS steps, raises ValueError.
+    The octagon is the Dirichlet domain centered at 0, and tanh(d(w, c)/2)
+    = |w - c| / |1 - conj(c) w|, so the ratio q of w's nearest neighbor
+    center c decides it: w is outside iff q < |w| - REDUCE_TOL.  The band
+    counts as inside, so the domain is closed and a point on a side is not
+    carried back and forth between partner sides.  Every step moves each
+    point outside by the side pairing of c, which carries the copy around
+    c onto the octagon; matrices[i] is the product of those steps, which
+    takes z[i] to images[i].  A point off the open disk, or still outside
+    after REDUCE_STEPS steps, raises ValueError.
     """
     w = np.array(z, dtype=complex).reshape(-1)
     if not np.all(np.abs(w) < 1):
@@ -304,25 +255,12 @@ def reduce_to_domain(group: FuchsianGroup, z):
     step = group.side_pairings
     mats = np.tile(np.eye(2, dtype=complex), (len(w), 1, 1))
     for _ in range(REDUCE_STEPS):
-        out = np.flatnonzero(~in_fundamental_domain(group, w))
+        q = np.abs((w[:, None] - centers) / (1 - np.conj(centers) * w[:, None]))
+        near = q.argmin(axis=1)
+        out = np.flatnonzero(q[np.arange(len(w)), near] < np.abs(w) - REDUCE_TOL)
         if not len(out):
             return w, mats
-        wo = w[out, None]
-        h = step[np.abs((wo - centers) / (1 - np.conj(centers) * wo)).argmin(axis=1)]
+        h = step[near[out]]
         w[out] = act(h, w[out])
         mats[out] = h @ mats[out]
     raise ValueError("%d points not reduced in %d steps" % (len(out), REDUCE_STEPS))
-
-
-def _distance_membership(centers, z):
-    """Membership from the hyperbolic distance margins, ties broken toward
-    the side of smaller index."""
-    d0 = hyperbolic_distance(z, 0)
-    margins = np.array([hyperbolic_distance(z, c) - d0 for c in centers])
-    mmin = margins.min(axis=0)
-    inside = mmin > DOMAIN_TOL
-    ties = np.abs(mmin) <= DOMAIN_TOL
-    if np.any(ties):
-        first = np.argmax(margins[:, ties] <= DOMAIN_TOL + mmin[ties], axis=0)
-        inside[ties] = first < 4
-    return inside

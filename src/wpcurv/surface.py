@@ -222,10 +222,6 @@ class DiscreteSurface:
         """Weighted inner product sum_p w_p f_p conj(g_p)."""
         return np.sum(self.weights * f * np.conj(g))
 
-    def apply_laplacian(self, f):
-        """Delta_h f = -M^-1 K f (non-positive spectrum convention)."""
-        return -(self.stiffness @ f) / self.weights
-
     def factorization(self):
         """Sparse LU of (K + 2M), built once and reused."""
         if self._lu is None:

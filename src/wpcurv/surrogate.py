@@ -64,9 +64,8 @@ def run_property_suite(model: SurrogateModel) -> dict:
     n(n-1), possible when the mu vectors are linearly dependent, is
     reported as excess instead.
     """
-    # the weighted kernel W = w K w, for the table and the Green sums alike
-    W = model.kernel * np.outer(model.weights, model.weights)
-    P = kernel_table(model.mu, W)
+    # one table through W = w K w serves the tensor and the Green sums alike
+    P = kernel_table(model.mu, model.kernel * np.outer(model.weights, model.weights))
     Q = wedge.assemble_Q(curvature_tensor(P))
     report = wedge.spectrum(Q, strict=False)
     expected = report.kernel_dim_expected
@@ -83,7 +82,7 @@ def run_property_suite(model: SurrogateModel) -> dict:
     rng = np.random.default_rng(model.seed + 1)
     coeff = rng.standard_normal((model.n, model.n)) \
         + 1j * rng.standard_normal((model.n, model.n))
-    slack = wedge.cauchy_schwarz_slack(coeff, model.mu, W)
+    slack = wedge.cauchy_schwarz_slack(coeff, P)
 
     return {
         "seed": model.seed,

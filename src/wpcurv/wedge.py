@@ -32,9 +32,9 @@ through W = w D, with the kernel swapped.  WG is an operator on the
 Green kernel's solved orbit rows (`weighted_green`), each solved as a
 column by the untransposed LU solve of K + 2M, which equals its
 transpose bit for bit: no N x N array is ever formed, and the two paths
-share the table's code but meet independent solves.  The operator keeps
-the last table it built, keyed by the exact fields, so one table, and
-one product with WG, serves every element of a stage.
+share the table's code but meet independent solves.  `_green_table`
+keeps the last table on the operator, keyed by the exact fields, so one
+table, and one product with WG, serves every element of a stage.
 """
 
 from __future__ import annotations
@@ -234,9 +234,8 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
 
 def weighted_green(surface, green) -> spla.LinearOperator:
     """WG V = w * G(w * V): the Green kernel weighted on both slots, applied
-    through `green.matmat`; no N x N array is formed.  The operator keeps
-    the last `curvature.kernel_table` built through it (`last_table`, the
-    fields and the table), so the elements of one stage share one table."""
+    through `green.matmat`; no N x N array is formed.  `last_table` holds
+    the last `_green_table` built through it."""
     w = surface.weights
 
     def matmat(V):
@@ -254,7 +253,21 @@ def _diagonal(coeff, mu: np.ndarray) -> np.ndarray:
     return np.sum(np.conj(mu) * (np.asarray(coeff, dtype=complex).T @ mu), axis=0)
 
 
-def _green_sums(mu: np.ndarray, coeff, WG) -> tuple[complex, complex]:
+def _green_table(mu: np.ndarray, WG) -> np.ndarray:
+    """T = `curvature.kernel_table`(mu, WG) for a `weighted_green` operator,
+    which keeps the last T with its fields (`last_table`) and returns it
+    again for fields equal to those exactly, so the elements of one stage
+    share one table."""
+    last = WG.last_table
+    if last is not None and np.array_equal(last[0], mu):
+        return last[1]
+    T = kernel_table(mu, WG)
+    T.setflags(write=False)
+    WG.last_table = (mu.copy(), T)
+    return T
+
+
+def _green_sums(T: np.ndarray, coeff) -> tuple[complex, complex]:
     """Green sums of the two-point field L[p,q] = sum_ij coeff_ij mu_i(q)
     conj(mu_j(p)) as contractions of T = `curvature.kernel_table`(mu, WG):
 
@@ -266,7 +279,6 @@ def _green_sums(mu: np.ndarray, coeff, WG) -> tuple[complex, complex]:
     with (WG v)(p) = sum_q WG[p,q] v(q).  WG need not be symmetric, and
     no N x N field is formed.
     """
-    T = kernel_table(mu, WG)
     coeff = np.asarray(coeff, dtype=complex)
     mod2 = np.einsum("ij,kl,iklj->", coeff, np.conj(coeff), T)
     cross = np.einsum("ij,kl,ilkj->", coeff, coeff, T)
@@ -290,14 +302,15 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     diag_part = _diagonal(coeff, mu).imag
     u = surface_mod.apply_D(surface, diag_part)
     t1 = -4 * float(np.sum(surface.weights * u * diag_part))
-    mod2, cross = _green_sums(mu, coeff, WG)
+    mod2, cross = _green_sums(_green_table(mu, WG), coeff)
     return t1 - 2 * mod2.real + 2 * cross.real
 
 
-def cauchy_schwarz_slack(coeff, mu: np.ndarray, WG) -> dict:
+def cauchy_schwarz_slack(coeff, T: np.ndarray) -> dict:
     """|sum WG L(z,w) L(w,z)|  <=  sum WG |L(z,w)|^2 (G positive, symmetric)
-    for L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""
-    rhs, lhs = _green_sums(np.asarray(mu, dtype=complex), coeff, WG)
+    for L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p)), from the table
+    T = `curvature.kernel_table`(mu, WG)."""
+    rhs, lhs = _green_sums(T, coeff)
     return {"lhs_abs": abs(lhs), "rhs": rhs.real}
 
 

@@ -11,12 +11,19 @@ generators and composes them.
 `_pairing_table_by_pairs` takes the pairing table one resolvent solve per
 product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where
 `curvature.pairing_table` applies D once to all n^2 real columns.
+
+`in_fundamental_domain` is the half-open Dirichlet domain, ties broken
+by side index, so that each point of the disk has exactly one translate
+in it; `fuchsian.reduce_to_domain` decides by the closed domain alone.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from wpcurv import surface as surface_mod
+
+DOMAIN_BLOCK = 500_000  # points per block of `in_fundamental_domain`
+DOMAIN_TOL = 1e-12  # distance margin within which `in_fundamental_domain` sees a tie
 
 #: max elements-x-points per evaluation chunk of `_series`: each temporary
 #: is 4 MB; at 8,000,000 (128 MB temporaries) a third of a run was system time
@@ -105,3 +112,69 @@ def _pairing_table_by_pairs(fields, surface):
             dij = solved[(i, j)] if i <= j else np.conj(solved[(j, i)])
             entries[i, j] = np.einsum("p,kp,lp->kl", weights * dij, mu, np.conj(mu))
     return entries
+
+
+def hyperbolic_distance(z, w):
+    """Distance in the Poincare disk of curvature -1."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    q = np.abs((z - w) / (1 - np.conj(z) * w))
+    return 2 * np.arctanh(q)
+
+
+def in_fundamental_domain(group, z):
+    """Membership in the Dirichlet domain centered at 0 (the octagon).
+
+    A point belongs iff it is at least as close (hyperbolic distance) to 0
+    as to every neighbor center gamma(0); exact ties on a side boundary are
+    broken toward the side of smaller index (sides 0..3 keep their points,
+    their partners 4..7 do not).  Accepts scalars or arrays.
+
+    Points are taken in blocks of DOMAIN_BLOCK.  Since tanh(d(z, c)/2) =
+    |z - c| / |1 - conj(c) z|, z is closer to 0 than to c iff the real margin
+
+        |z - c|^2 - |z|^2 |1 - conj(c) z|^2
+            = (1 - |z|^2) (|c|^2 (1 + |z|^2) - 2 Re(conj(c) z))
+
+    is positive.  It is at most 4 times the distance margin, so a point
+    whose least real margin is at least 1e-9 in absolute value is decided
+    by its sign; every other point (every near tie) is decided by the
+    distance margins, as is the tie-breaking.
+    """
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    zf = z.reshape(-1)
+    centers = group.neighbor_centers()
+    inside = np.empty(len(zf), dtype=bool)
+    for lo in range(0, len(zf), DOMAIN_BLOCK):
+        zb = zf[lo:lo + DOMAIN_BLOCK]
+        x, y = zb.real.copy(), zb.imag.copy()
+        r2 = x * x + y * y
+        least = np.full(len(zb), np.inf)
+        for c in centers:
+            m = c.real * x
+            m += c.imag * y
+            m *= -2
+            m += abs(c) ** 2 * (1 + r2)
+            np.minimum(least, m, out=least)
+        least *= 1 - r2
+        inside[lo:lo + DOMAIN_BLOCK] = least > 0
+        near = ~(np.abs(least) >= 1e-9) | (r2 >= 1)     # NaN is near too
+        if np.any(near):
+            idx = lo + np.flatnonzero(near)
+            inside[idx] = _distance_membership(centers, zf[idx])
+    return bool(inside[0]) if scalar else inside.reshape(z.shape)
+
+
+def _distance_membership(centers, z):
+    """Membership from the hyperbolic distance margins, ties broken toward
+    the side of smaller index."""
+    d0 = hyperbolic_distance(z, 0)
+    margins = np.array([hyperbolic_distance(z, c) - d0 for c in centers])
+    mmin = margins.min(axis=0)
+    inside = mmin > DOMAIN_TOL
+    ties = np.abs(mmin) <= DOMAIN_TOL
+    if np.any(ties):
+        first = np.argmax(margins[:, ties] <= DOMAIN_TOL + mmin[ties], axis=0)
+        inside[ties] = first < 4
+    return inside

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from wpcurv import qdiff
 from wpcurv.errors import NearPole, UnsupportedGenus
-from wpcurv.fuchsian import (DEDUP_DECIMALS, DOMAIN_BLOCK, _dedup_keys,
-                             _distance_membership, _sign_normalize, act,
-                             derivative, enumerate_words, hyperbolic_distance,
-                             in_fundamental_domain, inverse, octagon_group,
+from wpcurv.fuchsian import (DEDUP_DECIMALS, _dedup_keys, _sign_normalize, act,
+                             derivative, enumerate_words, inverse, octagon_group,
                              product, projective_distance, reduce_to_domain,
                              rotation, unit_det)
+
+from oracle import (DOMAIN_BLOCK, _distance_membership, hyperbolic_distance,
+                    in_fundamental_domain)
 
 
 def disk_points(max_radius=0.9):
@@ -349,16 +351,36 @@ def test_reduce_to_domain():
         reduce_to_domain(G, [0.5, 1.0])
 
 
+def test_reduce_to_domain_keeps_boundary_points(group):
+    """The domain is closed: points along every side and the 8 vertices
+    come back unmoved, with identity matrices, and none is carried back
+    and forth between partner sides until the step limit raises."""
+    pts = np.concatenate([qdiff.side_points(group, 2001).reshape(-1), group.vertices])
+    images, mats = reduce_to_domain(group, pts)
+    assert len(pts) == 16_016
+    assert np.array_equal(images, pts)
+    assert np.array_equal(mats, np.broadcast_to(np.eye(2), mats.shape))
+
+
 def test_tiling_unique_representative(group, words8):
     """Each sample point has exactly one translate in the domain, over the
-    length-8 word ball."""
+    length-8 word ball.  The octagon lies in the hyperbolic disk about 0
+    through its vertices, which is convex, so only images with |w|^2 up to
+    the vertices' (plus 1e-9) are handed to the oracle; on the first chunk
+    of words that gives the oracle's own answer."""
     rng = np.random.default_rng(1)
     pts = 0.95 * np.sqrt(rng.uniform(size=1000)) * np.exp(
         2j * np.pi * rng.uniform(size=1000))
+    reach2 = abs(group.vertices[0]) ** 2 + 1e-9
     hits = np.zeros(len(pts), dtype=int)
     for start in range(0, len(words8), 8000):
         images = act(words8[start:start + 8000, None], pts)
-        hits += in_fundamental_domain(group, images).sum(axis=0)
+        near = images.real ** 2 + images.imag ** 2 <= reach2
+        inside = np.zeros(images.shape, dtype=bool)
+        inside[near] = in_fundamental_domain(group, images[near])
+        if start == 0:
+            assert np.array_equal(inside, in_fundamental_domain(group, images))
+        hits += inside.sum(axis=0)
     assert np.all(hits == 1)
 
 

@@ -161,7 +161,7 @@ def test_green_sums_oracle():
                for p in range(N) for q in range(N))
     cross = sum(WG[p, q] * field(p, q) * field(q, p)
                 for p in range(N) for q in range(N))
-    got = wedge._green_sums(mu, coeff, WG)
+    got = wedge._green_sums(kernel_table(mu, WG), coeff)
     assert got[0] == pytest.approx(mod2, rel=1e-13)
     assert got[1] == pytest.approx(cross, rel=1e-13)
 
@@ -170,7 +170,7 @@ class _RecordingWG:
     """Delegates to a weighted kernel and records the columns it is handed."""
 
     def __init__(self, WG):
-        self.WG, self.columns = WG, []
+        self.WG, self.columns, self.last_table = WG, [], None
 
     def __matmul__(self, X):
         assert np.isrealobj(X)
@@ -179,14 +179,16 @@ class _RecordingWG:
 
 
 def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
-    """Each Green-sum evaluation applies WG once, to the n^2 real columns
-    of the products mu_i conj(mu_k)."""
+    """Each Green table applies WG once, to the n^2 real columns of the
+    products mu_i conj(mu_k); the integral path takes one table for two
+    elements on the same fields."""
     mu = pipe3["fields"]
     WG = _RecordingWG(wedge.weighted_green(surf3, green3))
     rng = np.random.default_rng(8)
     a, b, c = rng.standard_normal((3, 3, 3))
     wedge.integral_form_Q({"a": a, "b": b, "c": c}, mu, surf3, green3, WG=WG)
-    wedge.cauchy_schwarz_slack(a + 1j * b, mu, WG)
+    wedge.integral_form_Q({"a": c, "b": a}, mu, surf3, green3, WG=WG)
+    wedge.cauchy_schwarz_slack(a + 1j * b, kernel_table(mu, WG))
     assert WG.columns == [9, 9]
 
 
@@ -200,10 +202,10 @@ def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
     matmat = surface.GreenKernel.matmat
     monkeypatch.setattr(surface.GreenKernel, "matmat",
                         lambda self, V: calls.append(1) or matmat(self, V))
-    T = kernel_table(mu, WG)
-    assert kernel_table(mu.copy(), WG) is T
+    T = wedge._green_table(mu, WG)
+    assert wedge._green_table(mu.copy(), WG) is T
     assert len(calls) == 1
-    T2 = kernel_table(2 * mu, WG)
+    T2 = wedge._green_table(2 * mu, WG)
     assert len(calls) == 2
     assert np.array_equal(T2, kernel_table(2 * mu, wedge.weighted_green(surf3, green3)))
     assert not np.array_equal(T2, T)
@@ -264,6 +266,7 @@ def test_integral_path_matches_dense_oracle(kind, pipe3, surf3, green3):
     mu = np.array(fields)
     WG = wedge.weighted_green(surf3, green3)
     dense_WG = green3.matrix * np.outer(surf3.weights, surf3.weights)
+    T = kernel_table(mu, WG)
     rng = np.random.default_rng(6)
     for keys in ("a", "b", "c", "ab", "abc"):
         coeffs = {key: rng.standard_normal((3, 3)) for key in keys}
@@ -273,24 +276,26 @@ def test_integral_path_matches_dense_oracle(kind, pipe3, surf3, green3):
     for _ in range(3):
         coeff = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         L = _dense_field(coeff, mu)
-        rep = wedge.cauchy_schwarz_slack(coeff, mu, WG)
+        rep = wedge.cauchy_schwarz_slack(coeff, T)
         assert rep["lhs_abs"] == pytest.approx(abs(np.sum(dense_WG * L * L.T)), rel=1e-13)
         assert rep["rhs"] == pytest.approx(np.sum(dense_WG * np.abs(L) ** 2), rel=1e-13)
 
 
 def test_integral_path_forms_no_node_square_array(pipe3, surf3, green3):
-    """Neither the Green kernel, nor its weighted operator, nor any call of
-    the integral path allocates 8 N^2 bytes, the size of one real N x N
-    array."""
+    """Neither the Green kernel, nor its weighted operator, nor its table,
+    nor any call of the integral path allocates 8 N^2 bytes, the size of
+    one real N x N array."""
     mu = pipe3["fields"]
     WG = wedge.weighted_green(surf3, green3)
+    T = kernel_table(mu, WG)
     rng = np.random.default_rng(7)
     coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
     calls = [
         lambda: surface.green_kernel(surf3),
         lambda: wedge.weighted_green(surf3, green3),
+        lambda: kernel_table(mu, WG),
         lambda: wedge.integral_form_Q(coeffs, mu, surf3, green3, WG=WG),
-        lambda: wedge.cauchy_schwarz_slack(coeffs["a"] + 1j * coeffs["b"], mu, WG),
+        lambda: wedge.cauchy_schwarz_slack(coeffs["a"] + 1j * coeffs["b"], T),
     ]
     budget = 8 * surf3.num_nodes ** 2
     for call in calls:
@@ -326,12 +331,11 @@ def test_integral_opposite_xx_yy_vanishes(pipe3, surf3, green3):
 
 def test_cauchy_schwarz_slack(pipe3, surf3, green3):
     """The swapped Green pairing never exceeds the diagonal one."""
-    mu = pipe3["fields"]
-    WG = wedge.weighted_green(surf3, green3)
+    T = kernel_table(pipe3["fields"], wedge.weighted_green(surf3, green3))
     rng = np.random.default_rng(4)
     for _ in range(50):
         coeff = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rep = wedge.cauchy_schwarz_slack(coeff, mu, WG)
+        rep = wedge.cauchy_schwarz_slack(coeff, T)
         assert rep["lhs_abs"] <= rep["rhs"] * (1 + 1e-12)
 
 
