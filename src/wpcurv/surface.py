@@ -254,32 +254,24 @@ def build_mesh(group: FuchsianGroup, level: int) -> DiscreteSurface:
 def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
     """Resolvent D f = -2 (Delta_h - 2)^-1 f via (K + 2M) u = 2 M f.
 
-    f is a node function (N,) or a stack of them (N, k), real or complex;
-    complex input is solved through its real and imaginary columns, at
-    most GREEN_BLOCK columns per LU solve.  The weighted residual of
-    (Delta_h - 2) u = -2 f is checked column by column against rtol.
+    f is a real node function (N,) or a stack of them (N, k), solved at
+    most GREEN_BLOCK columns per LU solve; complex input raises TypeError
+    (a caller solves its real and imaginary parts).  The weighted residual
+    of (Delta_h - 2) u = -2 f is checked column by column against rtol.
     """
     f = np.asarray(f)
     X = f.reshape(len(f), -1)
-    k = X.shape[1]
-    if np.iscomplexobj(X):
-        X = np.concatenate([X.real, X.imag], axis=1)
     lu = surface.factorization()
     w = surface.weights[:, None]
     U = np.empty(X.shape)
     for lo in range(0, X.shape[1], GREEN_BLOCK):
         U[:, lo:lo + GREEN_BLOCK] = lu.solve(2 * w * X[:, lo:lo + GREEN_BLOCK])
     resid = -(surface.stiffness @ U) / w - 2 * U + 2 * X
-
-    def norm2(V):           # weighted squared norm per column of f (re + im)
-        return np.sum(w * V * V, axis=0).reshape(-1, k).sum(axis=0)
-
-    rel = np.sqrt(norm2(resid)) / np.maximum(np.sqrt(norm2(X)), 1e-300)
+    norm = lambda V: np.sqrt(np.sum(w * V * V, axis=0))      # weighted, per column
+    rel = norm(resid) / np.maximum(norm(X), 1e-300)
     if rel.max() > rtol:
         raise SolverFailure("worst relative resolvent residual %.3g exceeds rtol %.3g"
                             % (rel.max(), rtol))
-    if np.iscomplexobj(f):
-        U = U[:, :k] + 1j * U[:, k:]
     return U.reshape(f.shape)
 
 
@@ -304,23 +296,17 @@ class GreenKernel:
         return np.argsort(self.perms, axis=1)
 
     def matmat(self, V):
-        """G @ V for V of shape (N,) or (N, k), real or complex.
+        """G @ V for real V of shape (N,) or (N, k).
 
         (G V)[i] = (rows @ V[perms[map_of[i]]])[row_of[i]]: one product of
         rows with the N x (maps * k) stack of permuted columns, then a
-        gather.  Complex V enters as its real and imaginary columns.
+        gather.
         """
         V = np.asarray(V)
         X = V.reshape(len(V), -1)
-        k = X.shape[1]
-        if np.iscomplexobj(X):
-            X = np.concatenate([X.real, X.imag], axis=1)
         stack = X[self.perms.T].reshape(len(X), -1)       # N x (maps * k)
         Y = (self.rows @ stack).reshape(len(self.rows), len(self.perms), -1)
-        Y = Y[self.row_of, self.map_of]
-        if np.iscomplexobj(V):
-            Y = Y[:, :k] + 1j * Y[:, k:]
-        return Y.reshape(V.shape)
+        return Y[self.row_of, self.map_of].reshape(V.shape)
 
     @cached_property
     def matrix(self):

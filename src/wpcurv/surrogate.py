@@ -18,7 +18,6 @@ import numpy as np
 
 from . import wedge
 from .curvature import curvature_tensor, kernel_table
-from .errors import KernelDimMismatch, PositiveModeDetected
 
 
 @dataclass
@@ -59,24 +58,16 @@ def random_surrogate(seed: int, num_points: int, n: int) -> SurrogateModel:
 def run_property_suite(model: SurrogateModel) -> dict:
     """Pairings -> tensor -> Q -> spectrum -> kernel characterization.
 
-    Positive modes or a kernel smaller than n(n-1) raise immediately
-    (either falsifies the implementation).  A kernel *larger* than
-    n(n-1), possible when the mu vectors are linearly dependent, is
-    reported as excess instead.
+    Nothing is raised: the sign counts are reported, and a positive mode or
+    a kernel dimension other than n(n-1) fails `checks.surrogate_spectrum`
+    through the sweep's `all_counts_ok`.  A kernel *larger* than n(n-1),
+    possible when the mu vectors are linearly dependent, shows as excess.
     """
     # one table through W = w K w serves the tensor and the Green sums alike
     P = kernel_table(model.mu, model.kernel * np.outer(model.weights, model.weights))
     Q = wedge.assemble_Q(curvature_tensor(P))
     report = wedge.spectrum(Q, strict=False)
     expected = report.kernel_dim_expected
-    if report.num_positive:
-        raise PositiveModeDetected(
-            "surrogate seed %d: positive mode %.3g" % (model.seed,
-                                                       report.eigenvalues.max()))
-    if report.num_zero < expected:
-        raise KernelDimMismatch(
-            "surrogate seed %d: %d zero modes < %d" % (model.seed,
-                                                       report.num_zero, expected))
 
     # Cauchy-Schwarz slack of the Green term for a random two-point field
     rng = np.random.default_rng(model.seed + 1)
@@ -114,7 +105,7 @@ def run_seed_sweep(seeds, num_points: int, n: int) -> dict:
         "worst_eigenvalue_margin": max(
             max(r["eigenvalues"]) for r in per_seed),
         "worst_kernel_dim_excess": max(r["kernel_dim_excess"] for r in per_seed),
-        "all_counts_ok": all(
-            r["num_zero"] == r["kernel_dim_expected"] for r in per_seed),
+        "all_counts_ok": all(r["num_positive"] == 0
+                             and r["num_zero"] == r["kernel_dim_expected"] for r in per_seed),
         "per_seed": per_seed,
     }

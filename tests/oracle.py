@@ -8,7 +8,7 @@ tests hold the solved basis against it.
 and reflections on its own, where `surface._symmetries` certifies two
 generators and composes them.
 
-`_pairing_table_by_pairs` takes the pairing table one resolvent solve per
+`_pairing_table_by_pairs` takes the pairing table two resolvent solves per
 product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where
 `curvature.pairing_table` applies D once to all n^2 real columns.
 
@@ -95,17 +95,19 @@ def _symmetries_by_candidates(surface):
 
 
 def _pairing_table_by_pairs(fields, surface):
-    """Oracle: all n^4 pairings (ij,kl) from n(n+1)/2 complex resolvent
-    solves.  D commutes with complex conjugation (its kernel is real), so
-    D(mu_j conj(mu_i)) = conj(D(mu_i conj(mu_j))) and only the upper
-    triangle of products needs a solve."""
+    """Oracle: all n^4 pairings (ij,kl) from n(n+1)/2 products, each solved
+    as its real and imaginary parts.  D commutes with complex conjugation
+    (its kernel is real), so D(mu_j conj(mu_i)) = conj(D(mu_i conj(mu_j)))
+    and only the upper triangle of products needs a solve."""
     mu = np.asarray(fields, dtype=complex)
     n = len(mu)
     weights = surface.weights
     solved = {}
     for i in range(n):
         for j in range(i, n):
-            solved[(i, j)] = surface_mod.apply_D(surface, mu[i] * np.conj(mu[j]))
+            p = mu[i] * np.conj(mu[j])
+            solved[(i, j)] = (surface_mod.apply_D(surface, p.real)
+                              + 1j * surface_mod.apply_D(surface, p.imag))
     entries = np.empty((n, n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):

@@ -1,7 +1,8 @@
 """Acceptance gate: the nine headline checks, one pass/fail line each.
 
 Each criterion evaluates the named checks of `wpcurv.checks`, the ones
-`wpcurv run` reports, on its own seed and sample count.
+`wpcurv run` reports; a criterion that draws samples has its own seed and
+sample count.
 """
 
 import time
@@ -83,24 +84,16 @@ def test_criterion_5_tensor_symmetries(pipe3, pipe4):
 
 
 def test_criterion_6_zero_level_sets(pipe4, jmat3):
-    """Null directions (antisymmetric cross block, range of identity - J)
-    and strict negativity of the pure blocks."""
+    """Null directions (antisymmetric cross block, and the range of
+    identity - J, which is J's -1 eigenspace) and strict negativity of the
+    pure blocks, read off Q's eigenvalues on each subspace."""
     Q = pipe4["Q"]
     tau = wedge.spectrum(Q, TAU_REL, strict=False).tau
-    rng = np.random.default_rng(6)
-    cross, kernel, blocks = [], [], []
-    for _ in range(20):
-        b = rng.standard_normal((3, 3))
-        cross.append(b - b.T)
-        B = rng.standard_normal(Q.m)
-        kernel.append(B - jmat3 @ B)
-        a = rng.standard_normal((3, 3))
-        blocks.append(a - a.T)
-    null = checks.cross_block_null(Q, tau, cross)
-    kernel_ok, kernel_worst = checks.vanishes_on(Q, tau, kernel)
-    definite = [checks.xx_block_definite(Q, tau, blocks),
-                checks.yy_block_definite(Q, tau, blocks)]
-    ok = null["pass"] and kernel_ok and all(c["pass"] for c in definite)
+    lam, vecs = np.linalg.eigh(jmat3)
+    kernel_worst = float(np.abs(Q.eigenvalues_on(vecs[:, lam < 0])).max())
+    null = checks.cross_block_null(Q, tau)
+    definite = [checks.xx_block_definite(Q, tau), checks.yy_block_definite(Q, tau)]
+    ok = null["pass"] and kernel_worst <= tau and all(c["pass"] for c in definite)
     _report(6, ok, "worst_null=%.3g worst_block=%.3g tau=%.3g"
             % (max(null["residual"], kernel_worst),
                max(c["residual"] for c in definite), tau))

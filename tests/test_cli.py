@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wpcurv
-from wpcurv import checks, cli, qdiff, surface, wedge
+from wpcurv import checks, cli, qdiff, surface, surrogate, wedge
 from wpcurv.errors import ConvergenceFailure
 
 
@@ -132,6 +132,40 @@ def test_surrogate_stage(tmp_path):
     assert payload["num_seeds"] == 3
     assert payload["all_counts_ok"]
     assert payload["config_hash"] == cfg.hash()
+
+
+def test_surrogate_sign_flip_is_a_failed_check(tmp_path, monkeypatch):
+    """A model with a positive mode fails `surrogate_spectrum`; the stage
+    still completes and writes its sweep."""
+    random_surrogate = surrogate.random_surrogate
+
+    def flipped(*args):
+        model = random_surrogate(*args)
+        model.kernel = -model.kernel
+        return model
+
+    monkeypatch.setattr(surrogate, "random_surrogate", flipped)
+    report = cli.run(cli.RunConfig(stage="surrogate", seeds=2, out=str(tmp_path / "o")))
+    assert list(report["checks"]) == ["surrogate_spectrum"]
+    assert not report["checks"]["surrogate_spectrum"]["pass"]
+    payload = json.loads((tmp_path / "o" / "surrogate.json").read_text())
+    assert not payload["all_counts_ok"]
+    assert all(r["num_positive"] > 0 for r in payload["per_seed"])
+
+
+def test_block_and_kernel_checks_do_not_depend_on_seeds(tmp_path):
+    """The block residuals and the kernel analysis are exact, so `--seeds`
+    leaves them unchanged."""
+    runs = []
+    for seeds in (1, 20):
+        out = tmp_path / str(seeds)
+        report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, seeds=seeds,
+                                       out=str(out)))
+        kernel = json.loads((out / "spectrum.json").read_text())["kernel_check"]
+        runs.append(({name: report["checks"][name] for name in (
+            "xx_block_definite", "yy_block_definite", "cross_block_null", "reduction_null",
+            "operator_nonpositive_kernel")}, kernel))
+    assert runs[0] == runs[1]
 
 
 def test_surface_stage_and_determinism(tmp_path):

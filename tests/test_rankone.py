@@ -145,6 +145,21 @@ def test_lemma_margins():
         assert r["null_expansion_abs"] == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lstsq_margin_is_the_projection(m):
+    """Each trial's margin, taken as a projection, equals the least-squares
+    residual of (identity - W_J) x = omega on the same draw of v."""
+    W = wedge.induced_action(rankone.structures(m)[1])
+    A = np.eye(len(W)) - W
+    rng = np.random.default_rng(rankone.LEMMA_SEED)
+    for record in rankone.lemma51_check(m, 5)["records"]:
+        v = rng.standard_normal(4 * m)
+        om = rankone.omega_wedge(v / np.linalg.norm(v), m)[np.triu_indices(4 * m, 1)]
+        x, *_ = np.linalg.lstsq(A, om, rcond=None)
+        ref = np.linalg.norm(A @ x - om) / np.linalg.norm(om)
+        assert abs(record["lstsq_resid_rel"] - ref) <= 1e-15
+
+
 def test_mixed_term_is_zero_not_negative():
     """The root cause of the failed null claim: R(v,Jv,Kv,Iv) = 0."""
     rng = np.random.default_rng(5)

@@ -7,7 +7,6 @@ import pytest
 
 from wpcurv import surrogate, wedge
 from wpcurv.curvature import curvature_tensor, kernel_table
-from wpcurv.errors import PositiveModeDetected
 
 
 def test_determinism():
@@ -64,12 +63,14 @@ def test_degenerate_fields_grow_kernel():
     assert rep["kernel_dim_excess"] > 0
 
 
-def test_sign_flip_detected():
-    """Negating the kernel breaks positivity and must raise."""
+def test_sign_flip_detected(monkeypatch):
+    """Negating the kernel breaks positivity: the suite reports positive
+    modes, and the sweep's counts fail."""
     m = surrogate.random_surrogate(6, 40, 3)
     m.kernel = -m.kernel
-    with pytest.raises(PositiveModeDetected):
-        surrogate.run_property_suite(m)
+    assert surrogate.run_property_suite(m)["num_positive"] > 0
+    monkeypatch.setattr(surrogate, "random_surrogate", lambda *args: m)
+    assert not surrogate.run_seed_sweep([6], 40, 3)["all_counts_ok"]
 
 
 def test_seed_sweep_summary():

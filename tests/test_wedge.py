@@ -64,9 +64,13 @@ def test_single_entry_tensor_sign_convention():
 
 
 def test_assemble_Q_shape_and_symmetry(pipe3):
+    """Q read off the real tensor is symmetric before symmetrization to
+    1e-12 of its largest entry, and exactly after it."""
     Q = pipe3["Q"]
     assert Q.matrix.shape == (15, 15)
-    assert Q.symmetry_residual < 1e-12
+    r, c = np.triu_indices(6, 1)
+    raw = wedge.real_tensor(pipe3["tensor"])[r, c][:, r, c]
+    assert np.abs(raw - raw.T).max() < 1e-12 * np.abs(raw).max()
     assert np.array_equal(Q.matrix, Q.matrix.T)
 
 
@@ -99,13 +103,13 @@ def test_spectrum_counts(pipe3):
 
 
 def test_spectrum_strict_raises_on_positive():
-    fake = wedge.WedgeOperator(matrix=np.eye(15), n=3, symmetry_residual=0.0)
+    fake = wedge.WedgeOperator(matrix=np.eye(15), n=3)
     with pytest.raises(PositiveModeDetected):
         wedge.spectrum(fake)
 
 
 def test_spectrum_strict_raises_on_kernel_mismatch():
-    fake = wedge.WedgeOperator(matrix=-np.eye(15), n=3, symmetry_residual=0.0)
+    fake = wedge.WedgeOperator(matrix=-np.eye(15), n=3)
     with pytest.raises(KernelDimMismatch):
         wedge.spectrum(fake)
 
@@ -126,8 +130,32 @@ def test_kernel_check_is_the_report_of_one_spectrum(pipe3, jmat3):
     assert wedge.kernel_check(Q, jmat3, tau_rel) == wedge.kernel_report(Q, spec, jmat3)
 
 
+def test_plus_eigenspace_with_a_null_direction_is_not_negative():
+    """A Q whose kernel is J's -1 eigenspace plus one +1 direction v: Q is
+    negative on every +1 direction but v, and the report finds v."""
+    J = wedge.j_wedge_matrix(3)
+    lam, vecs = np.linalg.eigh(J)
+    plus = vecs[:, lam > 0]
+    v = plus @ np.random.default_rng(0).standard_normal(plus.shape[1])
+    v /= np.linalg.norm(v)
+    Q = wedge.WedgeOperator(matrix=-(plus @ plus.T) + np.outer(v, v), n=3)
+    spec = wedge.spectrum(Q, strict=False)
+    rep = wedge.kernel_report(Q, spec, J)
+    assert spec.num_zero == 7
+    assert abs(rep["worst_plus_eigenspace_value"]) <= 1e-15
+    assert not rep["plus_eigenspace_negative"]
+
+
+def test_eigenvalues_on_a_subspace():
+    """Q on the span of two independent, non-orthogonal vectors: the
+    eigenvalues of its compression to an orthonormal basis of that span."""
+    Q = wedge.WedgeOperator(matrix=np.diag([-3.0, -1.0, 0.0, 2.0]), n=2)
+    span = np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0]]).T
+    assert np.allclose(Q.eigenvalues_on(span), [-3.0, -1.0], atol=1e-15)
+
+
 def test_kernel_check_raises_on_rank_mismatch():
-    Q = wedge.WedgeOperator(matrix=-np.eye(15), n=3, symmetry_residual=0.0)
+    Q = wedge.WedgeOperator(matrix=-np.eye(15), n=3)
     with pytest.raises(KernelDimMismatch, match="rank 15, expected 9"):
         wedge.kernel_check(Q, wedge.j_wedge_matrix(3))
 
