@@ -29,9 +29,15 @@ from .fuchsian import octagon_group
 SUBCOMMAND_STAGES = {"run": "all", "spectrum": "surface", "surrogate": "surrogate",
                      "rankone": "rankone"}
 STAGES = tuple(SUBCOMMAND_STAGES.values())
+#: the RunConfig fields each subcommand takes as flags: those its stage reads
+SUBCOMMAND_FLAGS = {"run": ("mesh_level", "seeds", "out"), "spectrum": ("mesh_level", "out"),
+                    "surrogate": ("seeds", "out"), "rankone": ("seeds", "out")}
 #: sample points of each surrogate model, and its number of basis fields
 SURROGATE_POINTS = 40
 SURROGATE_FIELDS = 3
+#: seed of the surface stage's resolvent and two-path draws; 20, the default
+#: trial count, keeps a default run's artifacts as they were when it seeded them
+CHECK_SEED = 20
 #: the files each stage writes; a stage that fails removes all of its own
 STAGE_ARTIFACTS = {"surface": ("group.json", "mesh.json", "green.json", "tensor.json",
                                "spectrum.csv", "spectrum.json"),
@@ -42,8 +48,7 @@ STAGE_ARTIFACTS = {"surface": ("group.json", "mesh.json", "green.json", "tensor.
 @dataclass
 class RunConfig:
     mesh_level: int = 3
-    seeds: int = 20             # surrogate models, rankone trials and the seed of the
-                                # resolvent and two-path draws
+    seeds: int = 20             # trials: surrogate models and rankone samples
     out: str = "wpcurv_out"
     stage: str = "all"          # one of STAGES
 
@@ -61,10 +66,10 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def run_surface_stage(config: RunConfig, outdir: str) -> dict:
-    """Group -> basis -> mesh -> operators -> tensor -> Q -> checks."""
+def run_surface_stage(config: RunConfig, outdir: str, results: dict):
+    """Group -> basis -> mesh -> operators -> tensor -> Q -> checks, each
+    check entered into `results` as it completes."""
     cfg_hash = config.hash()
-    results = {}
 
     group = octagon_group(2)
     group.export_json(os.path.join(outdir, "group.json"), config_hash=cfg_hash)
@@ -78,7 +83,7 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     gram = qdiff.gram_matrix(fields, surf)
     fields, gram, _ = qdiff.orthonormalize(fields, gram)
 
-    rng = np.random.default_rng(config.seeds)
+    rng = np.random.default_rng(CHECK_SEED)
     f, g = rng.standard_normal((10, 2, surf.num_nodes)).transpose(1, 2, 0)
     results["resolvent_operator"] = checks.resolvent_operator(surf, f, g)
 
@@ -108,29 +113,29 @@ def run_surface_stage(config: RunConfig, outdir: str) -> dict:
     wedge.export_spectrum_csv(spec, os.path.join(outdir, "spectrum.csv"))
     wedge.export_spectrum_json(spec, kernel, os.path.join(outdir, "spectrum.json"),
                                config_hash=cfg_hash)
-    return results
 
 
-def run_surrogate_stage(config: RunConfig, outdir: str) -> dict:
+def run_surrogate_stage(config: RunConfig, outdir: str, results: dict):
     """Synthetic-kernel models -> their sign counts."""
     summary = surrogate.run_seed_sweep(
         range(config.seeds), SURROGATE_POINTS, SURROGATE_FIELDS)
     write_json(os.path.join(outdir, "surrogate.json"), summary, config.hash())
-    return {"surrogate_spectrum": checks.surrogate_spectrum(summary)}
+    results["surrogate_spectrum"] = checks.surrogate_spectrum(summary)
 
 
-def run_rankone_stage(config: RunConfig, outdir: str) -> dict:
+def run_rankone_stage(config: RunConfig, outdir: str, results: dict):
     """Quaternionic model, m = 1 and 2 -> the special 2-vector check."""
     reports = [rankone.lemma51_check(m, config.seeds) for m in (1, 2)]
     for rep in reports:
         write_json(os.path.join(outdir, "rankone_m%d.json" % rep["m"]), rep, config.hash())
-    return {"quaternionic_null_vector": checks.quaternionic_null_vector(reports)}
+    results["quaternionic_null_vector"] = checks.quaternionic_null_vector(reports)
 
 
 def run(config: RunConfig) -> dict:
     """Execute the selected stages; returns the verification report, which
-    is always written.  A stage raising a WpcurvError becomes the failed entry
-    `<stage>_stage`, the error its residual, and leaves no `STAGE_ARTIFACTS`."""
+    is always written.  A stage raising a WpcurvError keeps the checks it
+    completed, adds the failed entry `<stage>_stage`, the error its residual,
+    and leaves no `STAGE_ARTIFACTS`."""
     config.validate()
     os.makedirs(config.out, exist_ok=True)
     results = {}
@@ -139,7 +144,7 @@ def run(config: RunConfig) -> dict:
                           ("rankone", run_rankone_stage)):
         if config.stage in ("all", stage):
             try:
-                results.update(runner(config, config.out))
+                runner(config, config.out, results)
             except WpcurvError as exc:
                 for name in STAGE_ARTIFACTS[stage]:
                     if os.path.exists(path := os.path.join(config.out, name)):
@@ -195,13 +200,12 @@ def main(argv=None) -> int:
         description="curvature-operator laboratory for the genus-2 octagon surface")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = RunConfig()
-    for name in SUBCOMMAND_STAGES:
+    defaults = asdict(RunConfig())      # a field a subcommand does not take keeps these
+    for name, flags in SUBCOMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--mesh-level", dest="mesh_level", type=int,
-                       default=defaults.mesh_level)
-        p.add_argument("--seeds", type=int, default=defaults.seeds)
-        p.add_argument("--out", default=defaults.out)
+        for field in flags:
+            p.add_argument("--" + field.replace("_", "-"), dest=field,
+                           type=type(defaults[field]), default=defaults[field])
     sub.add_parser("explain").add_argument("report", help="path to a report.json")
 
     args = parser.parse_args(argv)
@@ -215,8 +219,8 @@ def main(argv=None) -> int:
         _print(text)
         return 0
 
-    config = RunConfig(mesh_level=args.mesh_level, seeds=args.seeds, out=args.out,
-                       stage=SUBCOMMAND_STAGES[args.command])
+    config = RunConfig(stage=SUBCOMMAND_STAGES[args.command],
+                       **{field: getattr(args, field) for field in SUBCOMMAND_FLAGS[args.command]})
     try:
         config.validate()
     except ValueError as exc:

@@ -85,12 +85,7 @@ class QuadDifferential:
     def evaluate(self, z):
         """theta at z, by Horner in z^8."""
         z = np.asarray(z, dtype=complex)
-        u = z ** 8
-        acc = np.full(z.shape, self.coefficients[-1], dtype=complex)
-        for a in self.coefficients[-2::-1]:
-            acc *= u
-            acc += a
-        return acc * z ** self.monomial_degree
+        return np.polynomial.polynomial.polyval(z**8, self.coefficients) * z**self.monomial_degree
 
     def automorphy_residual(self, group: FuchsianGroup) -> float:
         """Worst of max|theta(gamma z) gamma'(z)^2 - theta(z)| / max|theta(z)|

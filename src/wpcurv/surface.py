@@ -150,9 +150,8 @@ def _area_weights(nodes, tris):
     z = L[:, :1] * zi + L[:, 1:2] * zj + L[:, 2:] * zk      # (7, M)
     sig = 4 / (1 - np.hypot(z.real, z.imag) ** 2) ** 2     # hypot: as abs(complex)
     terms = (np.array(_QUAD_WTS)[:, None] * A * sig).T[:, :, None] * L
-    w = np.zeros(len(nodes))
-    np.add.at(w, np.broadcast_to(tris[:, None, :], terms.shape).ravel(), terms.ravel())
-    return w
+    return np.bincount(np.broadcast_to(tris[:, None, :], terms.shape).ravel(), terms.ravel(),
+                       len(nodes))
 
 
 def _stiffness(nodes, tris, n):

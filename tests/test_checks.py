@@ -17,10 +17,11 @@ def test_kernel_rank_mismatch_is_a_failed_check():
 
 
 def test_surrogate_spectrum_fails_on_excess_kernel():
-    check = checks.surrogate_spectrum({"all_counts_ok": False,
+    check = checks.surrogate_spectrum({"all_counts_ok": False, "worst_eigenvalue_margin": 0.0,
                                        "worst_kernel_dim_excess": 1})
     assert not check["pass"]
-    assert check["residual"] == 1 and check["tolerance"] == 0
+    assert check["residual"] == {"worst_eigenvalue_margin": 0.0, "worst_kernel_dim_excess": 1}
+    assert check["tolerance"] == 0
 
 
 def test_xx_block_with_one_positive_direction_fails():

@@ -12,7 +12,7 @@ import pytest
 
 import wpcurv
 from wpcurv import checks, cli, qdiff, surface, surrogate, wedge
-from wpcurv.errors import ConvergenceFailure
+from wpcurv.errors import ConvergenceFailure, SolverFailure
 
 
 def test_config_validation():
@@ -58,6 +58,31 @@ def test_invalid_config_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("wpcurv: error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--seeds", "2"],
+                                  ["surrogate", "--mesh-level", "3"],
+                                  ["rankone", "--mesh-level", "3"]],
+                         ids=["spectrum-seeds", "surrogate-mesh-level", "rankone-mesh-level"])
+def test_subcommands_take_only_the_flags_their_stage_reads(argv, tmp_path, capsys):
+    """`spectrum` draws no trials and `surrogate` and `rankone` build no
+    mesh, so each rejects the flag it would ignore, writing nothing."""
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_takes_every_flag(tmp_path):
+    """`run` reads the mesh level and the trial count, and writes to --out
+    (it exits 1 on the rankone check, criterion 8)."""
+    out = tmp_path / "o"
+    assert cli.main(["run", "--mesh-level", "2", "--seeds", "2", "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"] == {"mesh_level": 2, "seeds": 2, "out": str(out), "stage": "all"}
+    assert json.loads((out / "surrogate.json").read_text())["num_seeds"] == 2
 
 
 def test_explain_requires_checks():
@@ -116,7 +141,7 @@ def test_subcommands_reject_stage(argv, tmp_path, capsys):
     """The subcommand names the stage and flags set the rest: no subcommand
     takes `--stage`, a config file or a tolerance."""
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--seeds", "2", "--out", str(tmp_path / "o")])
+        cli.main([*argv, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -151,20 +176,30 @@ def test_surrogate_sign_flip_is_a_failed_check(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "o" / "surrogate.json").read_text())
     assert not payload["all_counts_ok"]
     assert all(r["num_positive"] > 0 for r in payload["per_seed"])
+    # the residual shows the positive mode, not only the kernel excess
+    residual = report["checks"]["surrogate_spectrum"]["residual"]
+    assert residual["worst_eigenvalue_margin"] > max(r["tau"] for r in payload["per_seed"])
+    assert residual["worst_kernel_dim_excess"] == payload["worst_kernel_dim_excess"]
 
 
 def test_block_and_kernel_checks_do_not_depend_on_seeds(tmp_path):
-    """The block residuals and the kernel analysis are exact, so `--seeds`
-    leaves them unchanged."""
+    """The surface stage draws from CHECK_SEED, so `seeds` changes none of
+    its artifacts or checks, apart from the config hash they carry."""
     runs = []
     for seeds in (1, 20):
         out = tmp_path / str(seeds)
         report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, seeds=seeds,
                                        out=str(out)))
-        kernel = json.loads((out / "spectrum.json").read_text())["kernel_check"]
-        runs.append(({name: report["checks"][name] for name in (
-            "xx_block_definite", "yy_block_definite", "cross_block_null", "reduction_null",
-            "operator_nonpositive_kernel")}, kernel))
+        artifacts = {}
+        for name in cli.STAGE_ARTIFACTS["surface"]:
+            text = (out / name).read_text()
+            if name.endswith(".json"):
+                payload = json.loads(text)
+                assert payload.pop("config_hash") == report["config_hash"]
+                text = json.dumps(payload)
+            artifacts[name] = text
+        assert len(report["checks"]) == 9
+        runs.append((artifacts, report["checks"]))
     assert runs[0] == runs[1]
 
 
@@ -227,8 +262,7 @@ def test_default_surface_run_two_paths_agree(level, tmp_path):
 
 
 def test_spectrum_command_prints_csv(tmp_path, capsys):
-    code = cli.main(["spectrum", "--mesh-level", "2", "--seeds", "2",
-                     "--out", str(tmp_path / "o")])
+    code = cli.main(["spectrum", "--mesh-level", "2", "--out", str(tmp_path / "o")])
     assert code == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
@@ -279,6 +313,22 @@ def test_failed_stage_leaves_none_of_its_files(tmp_path, monkeypatch):
 
     monkeypatch.setattr(qdiff, "build_qdiff_basis", fail)
     assert not cli.run(cfg)["all_pass"]
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.json"]
+
+
+def test_failed_stage_keeps_the_checks_it_reached(tmp_path, monkeypatch):
+    """A stage that raises after some checks completed reports them with the
+    failed stage entry, and still leaves none of its files."""
+    def fail(*args, **kwargs):
+        raise SolverFailure("planted")
+
+    monkeypatch.setattr(wedge, "integral_form_Q", fail)
+    report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, out=str(tmp_path / "o")))
+    assert list(report["checks"]) == ["resolvent_operator", "green_kernel",
+                                      "tensor_symmetries", "surface_stage"]
+    assert all(report["checks"][name]["pass"] for name in list(report["checks"])[:3])
+    assert report["checks"]["surface_stage"]["residual"] == "SolverFailure: planted"
+    assert not report["all_pass"]
     assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.json"]
 
 
