@@ -39,11 +39,9 @@ def resolvent_operator(surf, f, g):
     """On the column pairs (f_k, g_k) of two real (N, k) stacks of node functions."""
     Df = surface.apply_D(surf, f)
     Dg = surface.apply_D(surf, g)
-    w = surf.weights[:, None]
-    inner = lambda u, v: np.sum(w * u * v, axis=0)        # column by column
-    nf, ng = np.sqrt(inner(f, f)), np.sqrt(inner(g, g))
-    asym = np.max(np.abs(inner(Df, g) - inner(f, Dg)) / (nf * ng))
-    posmin = np.min(inner(Df, f) / nf**2)
+    nf, ng = np.sqrt(surf.inner(f, f)), np.sqrt(surf.inner(g, g))
+    asym = np.max(np.abs(surf.inner(Df, g) - surf.inner(f, Dg)) / (nf * ng))
+    posmin = np.min(surf.inner(Df, f) / nf**2)
     return _check("resolvent_operator", asym <= 1e-10 and posmin >= -1e-10,
                   {"self_adjoint": float(asym), "positivity_min": float(posmin)}, 1e-10)
 

@@ -223,8 +223,11 @@ def main(argv=None) -> int:
                        **{field: getattr(args, field) for field in SUBCOMMAND_FLAGS[args.command]})
     try:
         config.validate()
+        os.makedirs(config.out, exist_ok=True)
     except ValueError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        parser.error("--out %r: %s" % (config.out, exc.strerror or exc))
 
     report = run(config)
     if args.command == "spectrum" and "surface_stage" not in report["checks"]:

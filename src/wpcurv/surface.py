@@ -218,8 +218,9 @@ class DiscreteSurface:
         return self.num_nodes - len(edges) + len(tris)
 
     def inner(self, f, g):
-        """Weighted inner product sum_p w_p f_p conj(g_p)."""
-        return np.sum(self.weights * f * np.conj(g))
+        """Weighted inner product sum_p w_p f_p conj(g_p), of (N, k) stacks by column."""
+        w = self.weights.reshape((-1,) + (1,) * (np.ndim(f) - 1))
+        return np.sum(w * f * np.conj(g), axis=0)
 
     def factorization(self):
         """Sparse LU of (K + 2M), built once and reused."""
@@ -266,8 +267,8 @@ def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
     for lo in range(0, X.shape[1], GREEN_BLOCK):
         U[:, lo:lo + GREEN_BLOCK] = lu.solve(2 * w * X[:, lo:lo + GREEN_BLOCK])
     resid = -(surface.stiffness @ U) / w - 2 * U + 2 * X
-    norm = lambda V: np.sqrt(np.sum(w * V * V, axis=0))      # weighted, per column
-    rel = norm(resid) / np.maximum(norm(X), 1e-300)
+    rel = (np.sqrt(surface.inner(resid, resid))
+           / np.maximum(np.sqrt(surface.inner(X, X)), 1e-300))
     if rel.max() > rtol:
         raise SolverFailure("worst relative resolvent residual %.3g exceeds rtol %.3g"
                             % (rel.max(), rtol))

@@ -25,16 +25,17 @@ inequality (G positive and symmetric).  The zero locus is exactly the
 antisymmetric cross-block, i.e. the range of (identity - J), where J is
 the involution induced on wedges by the complex structure.
 
-Both Green sums of such a field are contractions of one n^4 table,
+All three terms are contractions of one n^4 table,
 `curvature.kernel_table` taken through the weighted Green kernel
 WG = w G w: the function that builds the tensor path's pairing table
-through W = w D, with the kernel swapped.  WG is an operator on the
-Green kernel's solved orbit rows (`weighted_green`), each solved as a
-column by the untransposed LU solve of K + 2M, which equals its
-transpose bit for bit: no N x N array is ever formed, and the two paths
-share the table's code but meet independent solves.  `_green_table`
-keeps the last table on the operator, keyed by the exact fields, so one
-table, and one product with WG, serves every element of a stage.
+through W = w D, with the kernel swapped.  Since w D f = WG f, the D-term
+is one of them.  WG is an operator on the Green kernel's solved orbit
+rows (`weighted_green`), each solved as a column by the untransposed LU
+solve of K + 2M, which equals its transpose bit for bit: no N x N array
+is ever formed, and this path reads D only through those rows, so the
+two paths share the table's code but no solve.  `_green_table` keeps the
+last table on the operator, keyed by the exact fields, so one table, and
+one product with WG, serves every element of a stage.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from . import surface as surface_mod
 from .artifacts import write_json
 from .curvature import CurvatureTensor, kernel_table
 from .errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
@@ -245,11 +245,6 @@ def weighted_green(surface, green) -> spla.LinearOperator:
     return op
 
 
-def _diagonal(coeff, mu: np.ndarray) -> np.ndarray:
-    """L[p,p] of L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p))."""
-    return np.sum(np.conj(mu) * (np.asarray(coeff, dtype=complex).T @ mu), axis=0)
-
-
 def _green_table(mu: np.ndarray, WG) -> np.ndarray:
     """T = `curvature.kernel_table`(mu, WG) for a `weighted_green` operator,
     which keeps the last T with its fields (`last_table`) and returns it
@@ -264,22 +259,28 @@ def _green_table(mu: np.ndarray, WG) -> np.ndarray:
     return T
 
 
-def _green_sums(T: np.ndarray, coeff) -> tuple[complex, complex]:
+def _green_sums(T: np.ndarray, coeff) -> tuple[complex, complex, complex]:
     """Green sums of the two-point field L[p,q] = sum_ij coeff_ij mu_i(q)
-    conj(mu_j(p)) as contractions of T = `curvature.kernel_table`(mu, WG):
+    conj(mu_j(p)) as contractions of T = `curvature.kernel_table`(mu, WG),
+    T[i,j,k,l] = sum_pq WG[p,q] mu_i(q) conj(mu_j(q)) mu_k(p) conj(mu_l(p)):
 
+        diag  = sum_pq WG[p,q] d(p) d(q)
+              = sum e_ij e_kl T[i,j,k,l],
         mod2  = sum_pq WG[p,q] |L[p,q]|^2
               = sum coeff_ij conj(coeff_kl) T[i,k,l,j],
         cross = sum_pq WG[p,q] L[p,q] L[q,p]
               = sum coeff_ij coeff_kl T[i,l,k,j],
 
-    with (WG v)(p) = sum_q WG[p,q] v(q).  WG need not be symmetric, and
+    with d(p) = Im L[p,p] = sum_ij e_ij mu_i(p) conj(mu_j(p)) for the
+    Hermitian e = (coeff - coeff^H) / 2i.  WG need not be symmetric, and
     no N x N field is formed.
     """
     coeff = np.asarray(coeff, dtype=complex)
+    e = (coeff - coeff.conj().T) / 2j
+    diag = np.einsum("ij,kl,ijkl->", e, e, T)
     mod2 = np.einsum("ij,kl,iklj->", coeff, np.conj(coeff), T)
     cross = np.einsum("ij,kl,ilkj->", coeff, coeff, T)
-    return complex(mod2), complex(cross)
+    return complex(diag), complex(mod2), complex(cross)
 
 
 def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
@@ -288,26 +289,23 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     The yy-block is folded into the xx-block first (d = a + c; the wedge
     involution J sends xx-wedges to yy-wedges and preserves Q), then the
     three-term combined formula is evaluated with L = F_d + i H, whose
-    coefficients are d + i b.  The fields are an (n, N) array.
+    coefficients are d + i b.  Its D-term -4 <d, D d>_w is -4 `diag`, so
+    every term is read off one `_green_table`.  The fields are (n, N).
     """
     mu = np.asarray(fields, dtype=complex)
     zero = np.zeros((len(mu),) * 2)
     a, b, c = (np.asarray(coeffs.get(key, zero), dtype=float) for key in "abc")
     if WG is None:
         WG = weighted_green(surface, green)
-    coeff = (a + c) + 1j * b
-    diag_part = _diagonal(coeff, mu).imag
-    u = surface_mod.apply_D(surface, diag_part)
-    t1 = -4 * float(np.sum(surface.weights * u * diag_part))
-    mod2, cross = _green_sums(_green_table(mu, WG), coeff)
-    return t1 - 2 * mod2.real + 2 * cross.real
+    diag, mod2, cross = _green_sums(_green_table(mu, WG), (a + c) + 1j * b)
+    return -4 * diag.real - 2 * mod2.real + 2 * cross.real
 
 
 def cauchy_schwarz_slack(coeff, T: np.ndarray) -> dict:
     """|sum WG L(z,w) L(w,z)|  <=  sum WG |L(z,w)|^2 (G positive, symmetric)
     for L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p)), from the table
     T = `curvature.kernel_table`(mu, WG)."""
-    rhs, lhs = _green_sums(T, coeff)
+    rhs, lhs = _green_sums(T, coeff)[1:]
     return {"lhs_abs": abs(lhs), "rhs": rhs.real}
 
 

@@ -75,6 +75,24 @@ def test_subcommands_take_only_the_flags_their_stage_reads(argv, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["existing-file", "empty", "under-a-file"])
+def test_bad_out_is_a_usage_error(kind, tmp_path, capsys):
+    """An --out that cannot be made a directory exits 2 with one error
+    line and no traceback, and leaves the file in its way untouched."""
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    out = {"existing-file": str(blocker), "empty": "",
+           "under-a-file": str(blocker / "o")}[kind]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--mesh-level", "1", "--out", out])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("wpcurv: error: --out ")
+    assert blocker.read_text() == "keep"
+
+
 def test_run_takes_every_flag(tmp_path):
     """`run` reads the mesh level and the trial count, and writes to --out
     (it exits 1 on the rankone check, criterion 8)."""

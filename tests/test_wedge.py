@@ -185,13 +185,16 @@ def test_green_sums_oracle():
         return sum(coeff[i, j] * mu[i, q] * np.conj(mu[j, p])
                    for i in range(n) for j in range(n))
 
+    diag = sum(WG[p, q] * field(p, p).imag * field(q, q).imag
+               for p in range(N) for q in range(N))
     mod2 = sum(WG[p, q] * field(p, q) * np.conj(field(p, q))
                for p in range(N) for q in range(N))
     cross = sum(WG[p, q] * field(p, q) * field(q, p)
                 for p in range(N) for q in range(N))
     got = wedge._green_sums(kernel_table(mu, WG), coeff)
-    assert got[0] == pytest.approx(mod2, rel=1e-13)
-    assert got[1] == pytest.approx(cross, rel=1e-13)
+    assert got[0] == pytest.approx(diag, rel=1e-13)
+    assert got[1] == pytest.approx(mod2, rel=1e-13)
+    assert got[2] == pytest.approx(cross, rel=1e-13)
 
 
 class _RecordingWG:
@@ -218,6 +221,21 @@ def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
     wedge.integral_form_Q({"a": c, "b": a}, mu, surf3, green3, WG=WG)
     wedge.cauchy_schwarz_slack(a + 1j * b, kernel_table(mu, WG))
     assert WG.columns == [9, 9]
+
+
+def test_integral_path_solves_nothing(pipe3, surf3, green3, monkeypatch):
+    """Every term comes from the Green table: with the LU solver made to
+    raise, the integral path returns the same value."""
+    WG = wedge.weighted_green(surf3, green3)
+    rng = np.random.default_rng(9)
+    coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
+    expected = wedge.integral_form_Q(coeffs, pipe3["fields"], surf3, green3, WG=WG)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the integral path called apply_D")
+
+    monkeypatch.setattr(surface, "apply_D", no_solve)
+    assert wedge.integral_form_Q(coeffs, pipe3["fields"], surf3, green3, WG=WG) == expected
 
 
 def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
