@@ -20,7 +20,9 @@ hyperbolic mass M = diag(w): Delta_h = -M^-1 K.  The resolvent operator
 
 then solves (K + 2M) u = 2 M f, one sparse factorization reused for all
 right-hand sides (the Laplace eigensolve shifts about -2 to reuse it as
-well), and its Green kernel is G = 2 (K + 2M)^-1.  G is solved once per
+well); as K + 2M is symmetric, the LU orders it by minimum degree on
+A^T + A, not by COLAMD on A^T A, without relaxed supernodes.  Its Green
+kernel is G = 2 (K + 2M)^-1.  G is solved once per
 symmetry orbit of the nodes: the generators z -> e^{i pi/4} z and
 z -> conj(z) are certified to carry the glued mesh, w and K onto
 themselves, their 16 compositions give the maps, and G is kept as the
@@ -58,10 +60,9 @@ NODE_CAP = 200_000
 GREEN_BYTES_CAP = 1_600_000_000
 
 #: columns per LU solve, of G's representatives and of `apply_D`'s stacks:
-#: the right-hand side and the solution are N x GREEN_BLOCK.  Wider blocks
-#: give SuperLU's supernode updates to the threaded BLAS, which on a 2-vCPU
-#: machine made the level-3 solve 20 to 30 times slower in some processes
-#: (80 ms for 16 columns, 3 ms for 8)
+#: the right-hand side and the solution are N x GREEN_BLOCK.  On a 2-vCPU
+#: Xeon the 289 level-4 orbit rows took 87-140 ms at widths 4-64, 116-196
+#: ms at width 289 and 156-210 ms one column at a time (medians of 5)
 GREEN_BLOCK = 8
 
 # 7-point degree-5 triangle quadrature (barycentric points and weights)
@@ -223,10 +224,14 @@ class DiscreteSurface:
         return np.sum(w * f * np.conj(g), axis=0)
 
     def factorization(self):
-        """Sparse LU of (K + 2M), built once and reused."""
+        """Sparse LU of (K + 2M), built once and reused.  K + 2M is symmetric,
+        so it is ordered by minimum degree on A^T + A (scipy's default COLAMD
+        orders A^T A and leaves 25-43% more fill at levels 3-6), and relax=1
+        turns off relaxed supernodes, which on this ordering take the level-6
+        factor from about 1 s to about a minute."""
         if self._lu is None:
             A = (self.stiffness + 2 * sp.diags(self.weights)).tocsc()
-            self._lu = spla.splu(A)
+            self._lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1)
         return self._lu
 
 
@@ -437,12 +442,13 @@ def laplacian_eigenvalues(surface: DiscreteSurface, k: int = 6) -> np.ndarray:
 
     Shift-invert about sigma = -2 reuses the cached LU of K + 2M, which is
     K - sigma M; K itself is singular (constants) and is never factored.
+    ARPACK starts from the weights, so two calls agree bit for bit.
     """
     M = sp.diags(surface.weights).tocsc()
     OPinv = spla.LinearOperator(M.shape, matvec=surface.factorization().solve,
                                 dtype=float)
     vals = spla.eigsh(surface.stiffness, k=k, M=M, sigma=-2, which="LM",
-                      OPinv=OPinv, return_eigenvectors=False)
+                      OPinv=OPinv, v0=surface.weights, return_eigenvectors=False)
     return np.sort(vals)
 
 
