@@ -1,4 +1,4 @@
-"""JSON artifacts: each is encoded once and written in one pass."""
+"""JSON artifacts: each is encoded once, by json's C encoder, on one line."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import json
 
 
 def write_json(path, payload: dict, config_hash: str | None = None) -> dict:
-    """Write payload indented by 2, with config_hash as its last key when
-    given (the run's stamp).  Returns payload unstamped."""
+    """Write payload compact (any `indent` selects json's Python encoder),
+    config_hash its last key when given (the run's stamp); returns it unstamped."""
     stamped = payload if config_hash is None else {**payload, "config_hash": config_hash}
     with open(path, "w") as fh:
-        fh.write(json.dumps(stamped, indent=2))
+        fh.write(json.dumps(stamped))
     return payload

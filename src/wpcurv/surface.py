@@ -426,7 +426,7 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     for g in np.unique(map_of):
         sel = map_of == g
         # G[sel, reps] from the rows of the nodes g carries, against G[reps, sel]
-        col = rows[row_of[sel][:, None], kernel._inverse[g][reps]]
+        col = rows[:, kernel._inverse[g][reps]][row_of[sel]]
         asym = max(asym, np.abs(col - rows[:, sel].T).max())
     kernel.report = {
         "min_entry": float(gmin),
@@ -459,8 +459,8 @@ def node_hash(surface: DiscreteSurface) -> str:
 def export_mesh_json(surface: DiscreteSurface, path, *, config_hash=None):
     payload = {
         "level": surface.level,
-        "nodes": [[z.real, z.imag] for z in surface.nodes],
-        "weights": list(surface.weights),
+        "nodes": np.c_[surface.nodes.real, surface.nodes.imag].tolist(),
+        "weights": surface.weights.tolist(),
         "triangles": surface.triangles.tolist(),
         "identification": {},        # class -> its raw nodes, classes by least node
     }

@@ -243,7 +243,8 @@ def test_surface_stage_and_determinism(tmp_path):
 
 def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
     """Every JSON artifact is opened once, for writing, and never read back;
-    it is indented by 2 and stamped with the config hash as its last key."""
+    it is json's compact encoding, stamped with the config hash as its last
+    key."""
     real_open = builtins.open
     opened = []
 
@@ -261,7 +262,7 @@ def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
         assert [mode for seen, mode in opened if seen == name] == ["w"]
         text = (tmp_path / "o" / name).read_text()
         payload = json.loads(text)
-        assert text == json.dumps(payload, indent=2)
+        assert text == json.dumps(payload)
         if name != "report.json":
             assert list(payload)[-1] == "config_hash"
             assert payload["config_hash"] == report["config_hash"]

@@ -542,6 +542,17 @@ def test_node_hash_deterministic(group, surf3):
 
 
 def test_mesh_export(tmp_path, surf3):
+    """`mesh.json` is one line that reloads to the mesh float for float."""
     payload = surface.export_mesh_json(surf3, tmp_path / "mesh.json")
     assert len(payload["nodes"]) == surf3.num_nodes
-    assert (tmp_path / "mesh.json").exists()
+    text = (tmp_path / "mesh.json").read_text()
+    assert "\n" not in text
+    back = json.loads(text)
+    assert back["level"] == surf3.level
+    assert back["nodes"] == [[z.real, z.imag] for z in surf3.nodes.tolist()]
+    assert back["weights"] == surf3.weights.tolist()
+    assert back["triangles"] == surf3.triangles.tolist()
+    classes = {int(g): nodes for g, nodes in back["identification"].items()}
+    assert sorted(classes) == list(range(surf3.gid.max() + 1))
+    for g, nodes in classes.items():
+        assert nodes == np.flatnonzero(surf3.gid == g).tolist()
