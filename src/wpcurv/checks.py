@@ -1,18 +1,18 @@
 """Named checks shared by the CLI and the acceptance tests.
 
-Each returns ``{pass, residual, tolerance, description}`` from pipeline objects
-and, for the resolvent and two-path checks, the random elements its caller
-drew.  The block checks read Q exactly: the extreme eigenvalue of Q on each
-named subspace of wedges, so their verdicts depend on no draw.  Package
-functions are called as module attributes (``surface.apply_D``) so that a
-wrapper installed there sees the call.
+Each returns ``{pass, residual, tolerance, description}`` from pipeline
+objects, and none draws a sample: the resolvent check reads the LU factor
+of K + 2M, the two-path check compares two m x m matrices, and the block
+checks read Q's eigenvalues on named subspaces of wedges.  Package
+functions are called as module attributes (``wedge.wedge_vector``) so that
+a wrapper installed there sees the call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import curvature, surface, wedge
+from . import curvature, wedge
 
 #: check name -> human description printed by `explain`
 CHECK_DESCRIPTIONS = {
@@ -35,15 +35,23 @@ def _check(name, passed, residual, tolerance):
             "description": CHECK_DESCRIPTIONS[name]}
 
 
-def resolvent_operator(surf, f, g):
-    """On the column pairs (f_k, g_k) of two real (N, k) stacks of node functions."""
-    Df = surface.apply_D(surf, f)
-    Dg = surface.apply_D(surf, g)
-    nf, ng = np.sqrt(surf.inner(f, f)), np.sqrt(surf.inner(g, g))
-    asym = np.max(np.abs(surf.inner(Df, g) - surf.inner(f, Dg)) / (nf * ng))
-    posmin = np.min(surf.inner(Df, f) / nf**2)
-    return _check("resolvent_operator", asym <= 1e-10 and posmin >= -1e-10,
-                  {"self_adjoint": float(asym), "positivity_min": float(posmin)}, 1e-10)
+def resolvent_operator(surf):
+    """The LU factor of K + 2M with perm_r == perm_c and U = diag(U) L^T is an
+    LDL^T, so positive pivots (U's diagonal) make K + 2M positive definite by
+    Sylvester's law of inertia: D = 2 (K + 2M)^-1 M is then self-adjoint and
+    positive in the weighted inner product.  Residuals: max|U - diag(U) L^T|
+    / max|U| (inf for unequal permutations or patterns), least pivot / max|pivot|."""
+    lu = surf.factorization()
+    U, L = lu.U.tocsr(), lu.L.sorted_indices()
+    pivots = U.diagonal()
+    ldlt = np.inf
+    if (np.array_equal(lu.perm_r, lu.perm_c) and np.array_equal(U.indptr, L.indptr)
+            and np.array_equal(U.indices, L.indices)):
+        DLt = np.repeat(pivots, np.diff(U.indptr)) * L.data
+        ldlt = np.abs(U.data - DLt).max() / np.abs(U.data).max()
+    posmin = pivots.min() / np.abs(pivots).max()
+    return _check("resolvent_operator", ldlt <= 1e-12 and posmin > 0,
+                  {"self_adjoint": float(ldlt), "positivity_min": float(posmin)}, 1e-12)
 
 
 def green_kernel(green):
@@ -57,22 +65,17 @@ def tensor_symmetries(R):
     return _check("tensor_symmetries", max(res.values()) <= 1e-9, res, 1e-9)
 
 
-def two_path_values(Q, elements, fields, surf, green):
-    """(tensor path, integral path) value of Q on each {a, b, c} element."""
-    WG = wedge.weighted_green(surf, green)
-    return [(Q.quad(wedge.wedge_vector(coeffs, Q.n)),
-             wedge.integral_form_Q(coeffs, fields, surf, green, WG=WG))
-            for coeffs in elements]
-
-
-def tensor_assembly(R, gram, two_path=()):
-    """`two_path` holds `two_path_values` pairs (none: diagonal and sectional only)."""
+def tensor_assembly(R, gram, two_path=None):
+    """`two_path` is the pair (Q, Q_D + Q_G) of the tensor path's matrix and
+    the sum of `wedge.integral_matrices`, compared in the 2-norm relative to
+    Q (none: diagonal and sectional only)."""
     diag_min = float(min(R.entries[i, i, i, i].real for i in range(R.n)))
     sectional_max = max(curvature.holomorphic_sectional(R, gram, i) for i in range(R.n))
-    rel = max((abs(qt - qi) / max(1.0, abs(qt)) for qt, qi in two_path), default=0.0)
-    return _check("tensor_assembly", diag_min > 0 and sectional_max < 0 and rel <= 1e-6,
+    rel = 0.0 if two_path is None else float(
+        np.linalg.norm(two_path[1] - two_path[0], 2) / np.linalg.norm(two_path[0], 2))
+    return _check("tensor_assembly", diag_min > 0 and sectional_max < 0 and rel <= 1e-12,
                   {"diag_min": diag_min, "sectional_max": sectional_max,
-                   "two_path_rel": rel}, 1e-6)
+                   "two_path_rel": rel}, 1e-12)
 
 
 def _block_eigenvalues(Q, pattern):

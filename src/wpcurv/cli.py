@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import checks, curvature, qdiff, rankone, surface, surrogate, wedge
 from .artifacts import write_json
 from .checks import CHECK_DESCRIPTIONS  # noqa: F401  (read as cli.CHECK_DESCRIPTIONS)
@@ -35,9 +33,6 @@ SUBCOMMAND_FLAGS = {"run": ("mesh_level", "seeds", "out"), "spectrum": ("mesh_le
 #: sample points of each surrogate model, and its number of basis fields
 SURROGATE_POINTS = 40
 SURROGATE_FIELDS = 3
-#: seed of the surface stage's resolvent and two-path draws; 20, the default
-#: trial count, keeps a default run's artifacts as they were when it seeded them
-CHECK_SEED = 20
 #: the files each stage writes; a stage that fails removes all of its own
 STAGE_ARTIFACTS = {"surface": ("group.json", "mesh.json", "green.json", "tensor.json",
                                "spectrum.csv", "spectrum.json"),
@@ -83,9 +78,7 @@ def run_surface_stage(config: RunConfig, outdir: str, results: dict):
     gram = qdiff.gram_matrix(fields, surf)
     fields, gram, _ = qdiff.orthonormalize(fields, gram)
 
-    rng = np.random.default_rng(CHECK_SEED)
-    f, g = rng.standard_normal((10, 2, surf.num_nodes)).transpose(1, 2, 0)
-    results["resolvent_operator"] = checks.resolvent_operator(surf, f, g)
+    results["resolvent_operator"] = checks.resolvent_operator(surf)
 
     green = surface.green_kernel(surf)
     surface.export_green(green, surf, os.path.join(outdir, "green.json"), config_hash=cfg_hash)
@@ -96,14 +89,13 @@ def run_surface_stage(config: RunConfig, outdir: str, results: dict):
     curvature.export_tensor_json(R, os.path.join(outdir, "tensor.json"), config_hash=cfg_hash)
     results["tensor_symmetries"] = checks.tensor_symmetries(R)
 
-    n = R.n
     Q = wedge.assemble_Q(R)
     spec = wedge.spectrum(Q, strict=False)
-    kernel = wedge.kernel_report(Q, spec, wedge.j_wedge_matrix(n))
+    kernel = wedge.kernel_report(Q, spec, wedge.j_wedge_matrix(R.n))
 
-    mixed = [dict(zip("abc", abc)) for abc in rng.standard_normal((5, 3, n, n))]
-    results["tensor_assembly"] = checks.tensor_assembly(
-        R, gram, checks.two_path_values(Q, mixed, fields, surf, green))
+    Q_D, Q_G = wedge.integral_matrices(
+        curvature.kernel_table(fields, wedge.weighted_green(surf, green)))
+    results["tensor_assembly"] = checks.tensor_assembly(R, gram, (Q.matrix, Q_D + Q_G))
     results["xx_block_definite"] = checks.xx_block_definite(Q, spec.tau)
     results["yy_block_definite"] = checks.yy_block_definite(Q, spec.tau)
     results["cross_block_null"] = checks.cross_block_null(Q, spec.tau)

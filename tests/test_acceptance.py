@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from wpcurv import checks, rankone, surrogate, wedge
+from wpcurv.curvature import kernel_table
 
 TAU_REL = wedge.TAU_REL_DEFAULT
 
@@ -44,26 +45,21 @@ def test_criterion_2_kernel(pipe4):
 
 
 def test_criterion_3_two_path(pipe3, surf3, green3):
-    """Tensor-path and integral-path quadratic values agree."""
-    rng = np.random.default_rng(3)
-    elements = [{k: rng.standard_normal((3, 3)) for k in "abc"} for _ in range(50)]
-    values = checks.two_path_values(pipe3["Q"], elements, pipe3["fields"], surf3, green3)
-    check = checks.tensor_assembly(pipe3["tensor"], pipe3["gram"], values)
-    _report(3, check["pass"], "worst relative deviation %.3g"
+    """Tensor-path and integral-path matrices of Q agree."""
+    T = kernel_table(pipe3["fields"], wedge.weighted_green(surf3, green3))
+    Q_D, Q_G = wedge.integral_matrices(T)
+    check = checks.tensor_assembly(pipe3["tensor"], pipe3["gram"], (pipe3["Q"].matrix, Q_D + Q_G))
+    _report(3, check["pass"], "relative 2-norm deviation %.3g"
             % check["residual"]["two_path_rel"])
 
 
 def test_criterion_4_operator_hypotheses(surf3, green3):
     """Resolvent self-adjoint and positive; Green kernel positive/symmetric."""
-    rng = np.random.default_rng(4)
-    pairs = [(rng.standard_normal(surf3.num_nodes), rng.standard_normal(surf3.num_nodes))
-             for _ in range(20)]
-    f, g = np.array(pairs).transpose(1, 2, 0)
-    resolvent = checks.resolvent_operator(surf3, f, g)
+    resolvent = checks.resolvent_operator(surf3)
     green = checks.green_kernel(green3)
     d, gr = resolvent["residual"], green["residual"]
     _report(4, resolvent["pass"] and green["pass"],
-            "D_asym=%.3g D_posmin=%.3g G_min=%.3g G_asym=%.3g G_rowsum=%.3g"
+            "D_ldlt=%.3g D_posmin=%.3g G_min=%.3g G_asym=%.3g G_rowsum=%.3g"
             % (d["self_adjoint"], d["positivity_min"], gr["min_entry"],
                gr["asymmetry_rel"], gr["rowsum_err"]))
 
@@ -72,7 +68,7 @@ def test_criterion_5_tensor_symmetries(pipe3, pipe4):
     """Index symmetries, positive diagonal, negative sectional curvature.
 
     Level 4 has no Green kernel, so `tensor_assembly` runs here without
-    two-path values; criterion 3 adds them at level 3.
+    the two-path matrices; criterion 3 adds them at level 3.
     """
     sym = [checks.tensor_symmetries(p["tensor"]) for p in (pipe3, pipe4)]
     assembly = [checks.tensor_assembly(p["tensor"], p["gram"]) for p in (pipe3, pipe4)]

@@ -1,9 +1,13 @@
 """The check registry on hand-made inputs: failures are reported, not raised."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wpcurv import checks, wedge
+from wpcurv.curvature import kernel_table
 
 
 def test_kernel_rank_mismatch_is_a_failed_check():
@@ -54,3 +58,52 @@ def test_null_blocks_read_the_unit_sphere_maximum():
         assert check["pass"] is ok
         assert check["residual"] == pytest.approx(scale * tau, rel=1e-12)
         assert checks.reduction_null(Q, tau)["pass"]
+
+
+def _with_stiffness(surf, K):
+    """The surface with stiffness K and no factor yet."""
+    return dataclasses.replace(surf, stiffness=sp.csc_array(K), _lu=None)
+
+
+def test_resolvent_reads_an_ldlt_with_positive_pivots(surf3):
+    check = checks.resolvent_operator(surf3)
+    assert check["pass"]
+    assert check["residual"]["self_adjoint"] <= 1e-15
+    assert 0 < check["residual"]["positivity_min"] <= 1
+
+
+def test_resolvent_fails_on_an_asymmetric_stiffness_pair(surf3):
+    """One off-diagonal entry of K moved by 1e-6 of itself, its mirror left:
+    the factor is no LDL^T, and the LDL^T residual trips, not the pivots."""
+    K = surf3.stiffness.copy()
+    j = next(j for j in K.indices[K.indptr[0]:K.indptr[1]] if j != 0)
+    K[0, j] *= 1 + 1e-6
+    check = checks.resolvent_operator(_with_stiffness(surf3, K))
+    assert not check["pass"]
+    assert check["residual"]["self_adjoint"] > 1e-12
+    assert check["residual"]["positivity_min"] > 0
+
+
+def test_resolvent_fails_on_an_indefinite_stiffness(surf3):
+    """K - 3M makes K + 2M = K - M indefinite: a negative pivot trips."""
+    K = surf3.stiffness - 3 * sp.diags_array(surf3.weights)
+    check = checks.resolvent_operator(_with_stiffness(surf3, K))
+    assert not check["pass"]
+    assert check["residual"]["positivity_min"] < 0
+
+
+def test_two_path_fails_on_one_moved_entry_pair(pipe3, surf3, green3):
+    """Q_D + Q_G passes as computed and fails with one symmetric entry pair
+    moved by 1e-10 ||Q||_2, which the residual reads to roundoff."""
+    Q = pipe3["Q"].matrix
+    Q_D, Q_G = wedge.integral_matrices(
+        kernel_table(pipe3["fields"], wedge.weighted_green(surf3, green3)))
+    R, gram = pipe3["tensor"], pipe3["gram"]
+    assert checks.tensor_assembly(R, gram, (Q, Q_D + Q_G))["pass"]
+    moved = Q_D + Q_G
+    delta = 1e-10 * np.linalg.norm(Q, 2)
+    moved[0, 1] += delta
+    moved[1, 0] += delta
+    check = checks.tensor_assembly(R, gram, (Q, moved))
+    assert not check["pass"]
+    assert check["residual"]["two_path_rel"] == pytest.approx(1e-10, abs=1e-12)

@@ -201,7 +201,7 @@ def test_surrogate_sign_flip_is_a_failed_check(tmp_path, monkeypatch):
 
 
 def test_block_and_kernel_checks_do_not_depend_on_seeds(tmp_path):
-    """The surface stage draws from CHECK_SEED, so `seeds` changes none of
+    """The surface stage makes no random draw, so `seeds` changes none of
     its artifacts or checks, apart from the config hash they carry."""
     runs = []
     for seeds in (1, 20):
@@ -268,11 +268,23 @@ def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
             assert payload["config_hash"] == report["config_hash"]
 
 
-@pytest.mark.parametrize("level", [2, 3])
+def test_surface_stage_draws_nothing(tmp_path, monkeypatch):
+    """With numpy's generator made to raise, the surface stage still runs
+    and passes every check."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the surface stage made a random draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, out=str(tmp_path / "o")))
+    assert report["all_pass"]
+    assert len(report["checks"]) == 9
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
 def test_default_surface_run_two_paths_agree(level, tmp_path):
-    """With the default seed the surface stage passes `tensor_assembly`,
-    and the tensor and integral paths agree to roundoff (the basis makes R
-    real, where the two paths are the same sums)."""
+    """The surface stage passes `tensor_assembly`, and the tensor and
+    integral paths' matrices agree to roundoff in the 2-norm (the basis
+    makes R real, where the two paths are the same sums)."""
     report = cli.run(cli.RunConfig(stage="surface", mesh_level=level,
                                    out=str(tmp_path / "o")))
     check = report["checks"]["tensor_assembly"]
@@ -341,7 +353,7 @@ def test_failed_stage_keeps_the_checks_it_reached(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise SolverFailure("planted")
 
-    monkeypatch.setattr(wedge, "integral_form_Q", fail)
+    monkeypatch.setattr(wedge, "integral_matrices", fail)
     report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, out=str(tmp_path / "o")))
     assert list(report["checks"]) == ["resolvent_operator", "green_kernel",
                                       "tensor_symmetries", "surface_stage"]
@@ -372,7 +384,7 @@ def test_explain_command(tmp_path, capsys):
 
 def test_run_multiplies_by_the_green_kernel_twice(tmp_path, monkeypatch):
     """One level-3 run applies G once for the row-sum report and once for
-    the Green table that all five two-path elements share."""
+    the Green table of the integral path's matrices."""
     calls = []
     matmat = surface.GreenKernel.matmat
     monkeypatch.setattr(surface.GreenKernel, "matmat",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcurv import qdiff, surface, wedge
+from wpcurv import curvature, qdiff, surface, wedge
 from wpcurv.curvature import CurvatureTensor, kernel_table
 from wpcurv.errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
@@ -173,12 +173,15 @@ def test_wedge_vector_roundtrip():
 
 
 def test_green_sums_oracle():
-    """The factored Green sums equal explicit double sums over the nodes,
-    for a non-symmetric weighted kernel."""
+    """Each integral matrix equals its explicit double sums over the nodes,
+    for a non-symmetric weighted kernel, on an element whose coefficients
+    d + ib are the unit wedges' exactly (a and c strictly upper)."""
     rng = np.random.default_rng(0)
     n, N = 2, 5
     mu = rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N))
-    coeff = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a, c = (np.triu(rng.standard_normal((n, n)), 1) for _ in range(2))
+    b = rng.standard_normal((n, n))
+    coeff = a + c + 1j * b
     WG = rng.standard_normal((N, N))
 
     def field(p, q):
@@ -191,10 +194,11 @@ def test_green_sums_oracle():
                for p in range(N) for q in range(N))
     cross = sum(WG[p, q] * field(p, q) * field(q, p)
                 for p in range(N) for q in range(N))
-    got = wedge._green_sums(kernel_table(mu, WG), coeff)
-    assert got[0] == pytest.approx(diag, rel=1e-13)
-    assert got[1] == pytest.approx(mod2, rel=1e-13)
-    assert got[2] == pytest.approx(cross, rel=1e-13)
+    x = wedge.wedge_vector({"a": a, "b": b, "c": c}, n)
+    Q_D, Q_G = wedge.integral_matrices(kernel_table(mu, WG))
+    assert x @ Q_D @ x == pytest.approx(-4 * diag.real, rel=1e-13)
+    assert abs(x @ Q_G @ x - (2 * cross.real - 2 * mod2.real)) \
+        <= 1e-13 * (2 * abs(cross) + 2 * abs(mod2))
 
 
 class _RecordingWG:
@@ -219,7 +223,7 @@ def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
     a, b, c = rng.standard_normal((3, 3, 3))
     wedge.integral_form_Q({"a": a, "b": b, "c": c}, mu, surf3, green3, WG=WG)
     wedge.integral_form_Q({"a": c, "b": a}, mu, surf3, green3, WG=WG)
-    wedge.cauchy_schwarz_slack(a + 1j * b, kernel_table(mu, WG))
+    wedge.integral_matrices(kernel_table(mu, WG))
     assert WG.columns == [9, 9]
 
 
@@ -312,7 +316,6 @@ def test_integral_path_matches_dense_oracle(kind, pipe3, surf3, green3):
     mu = np.array(fields)
     WG = wedge.weighted_green(surf3, green3)
     dense_WG = green3.matrix * np.outer(surf3.weights, surf3.weights)
-    T = kernel_table(mu, WG)
     rng = np.random.default_rng(6)
     for keys in ("a", "b", "c", "ab", "abc"):
         coeffs = {key: rng.standard_normal((3, 3)) for key in keys}
@@ -322,9 +325,8 @@ def test_integral_path_matches_dense_oracle(kind, pipe3, surf3, green3):
     for _ in range(3):
         coeff = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         L = _dense_field(coeff, mu)
-        rep = wedge.cauchy_schwarz_slack(coeff, T)
-        assert rep["lhs_abs"] == pytest.approx(abs(np.sum(dense_WG * L * L.T)), rel=1e-13)
-        assert rep["rhs"] == pytest.approx(np.sum(dense_WG * np.abs(L) ** 2), rel=1e-13)
+        assert (abs(np.sum(dense_WG * L * L.T))
+                <= np.sum(dense_WG * np.abs(L) ** 2) * (1 + 1e-12))    # Cauchy-Schwarz
 
 
 def test_integral_path_forms_no_node_square_array(pipe3, surf3, green3):
@@ -341,7 +343,7 @@ def test_integral_path_forms_no_node_square_array(pipe3, surf3, green3):
         lambda: wedge.weighted_green(surf3, green3),
         lambda: kernel_table(mu, WG),
         lambda: wedge.integral_form_Q(coeffs, mu, surf3, green3, WG=WG),
-        lambda: wedge.cauchy_schwarz_slack(coeffs["a"] + 1j * coeffs["b"], T),
+        lambda: wedge.integral_matrices(T),
     ]
     budget = 8 * surf3.num_nodes ** 2
     for call in calls:
@@ -375,14 +377,16 @@ def test_integral_opposite_xx_yy_vanishes(pipe3, surf3, green3):
     assert abs(val) < 1e-10 * np.abs(pipe3["Q"].matrix).max()
 
 
-def test_cauchy_schwarz_slack(pipe3, surf3, green3):
-    """The swapped Green pairing never exceeds the diagonal one."""
-    T = kernel_table(pipe3["fields"], wedge.weighted_green(surf3, green3))
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        coeff = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rep = wedge.cauchy_schwarz_slack(coeff, T)
-        assert rep["lhs_abs"] <= rep["rhs"] * (1 + 1e-12)
+@pytest.mark.parametrize("kind", ["octagon", "generic"])
+def test_integral_terms_nonpositive(kind, pipe3, surf3, green3):
+    """The D-term and the Green term are each non-positive: their largest
+    eigenvalues are at most 1e-12 of the largest |eigenvalue| of Q."""
+    fields = pipe3["fields"] if kind == "octagon" else np.array(_generic_fields(surf3, 1))
+    Q = wedge.assemble_Q(curvature.curvature_tensor(curvature.pairing_table(fields, surf3)))
+    scale = np.abs(np.linalg.eigvalsh(Q.matrix)).max()
+    for M in wedge.integral_matrices(kernel_table(fields, wedge.weighted_green(surf3, green3))):
+        assert np.array_equal(M, M.T)
+        assert np.linalg.eigvalsh(M).max() <= 1e-12 * scale
 
 
 @settings(max_examples=25, deadline=None)
