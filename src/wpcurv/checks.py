@@ -10,6 +10,8 @@ a wrapper installed there sees the call.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import curvature, wedge
@@ -78,34 +80,47 @@ def tensor_assembly(R, gram, two_path=None):
                    "two_path_rel": rel}, 1e-12)
 
 
-def _block_eigenvalues(Q, pattern):
-    """Eigenvalues of Q on the span of the wedge vectors of `pattern`(E) over
-    the unit antisymmetric matrices E = E_ij - E_ji, i < j."""
-    eye = np.eye(Q.n)
+@functools.cache
+def _block_bases(n):
+    """Orthonormal bases (QR of the wedge vectors) of the xx, yy, cross and
+    reduction (a = -c) blocks over the unit antisymmetric E = E_ij - E_ji,
+    i < j (built once per n, read-only)."""
+    eye = np.eye(n)
     E = [np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
-         for i, j in zip(*np.triu_indices(Q.n, 1))]
-    return Q.eigenvalues_on(np.array([wedge.wedge_vector(pattern(e), Q.n) for e in E]).T)
+         for i, j in zip(*np.triu_indices(n, 1))]
+    xx, yy, cross = (np.array([wedge.wedge_vector({k: e}, n) for e in E]).T for k in "acb")
+    bases = {}
+    for name, vectors in (("xx", xx), ("yy", yy), ("cross", cross), ("reduction", xx - yy)):
+        bases[name] = np.linalg.qr(vectors)[0]
+        bases[name].setflags(write=False)
+    return bases
+
+
+def _block_eigenvalues(Q, block):
+    """Eigenvalues of Q on one of the `_block_bases`."""
+    U = _block_bases(Q.n)[block]
+    return np.linalg.eigvalsh(U.T @ Q.matrix @ U)
 
 
 # definite blocks pass when Q's largest eigenvalue there is below -tau, null
 # blocks when its largest |eigenvalue| there is at most tau
 def xx_block_definite(Q, tau):
-    worst = float(_block_eigenvalues(Q, lambda e: {"a": e}).max())
+    worst = float(_block_eigenvalues(Q, "xx").max())
     return _check("xx_block_definite", worst < -tau, worst, -tau)
 
 
 def yy_block_definite(Q, tau):
-    worst = float(_block_eigenvalues(Q, lambda e: {"c": e}).max())
+    worst = float(_block_eigenvalues(Q, "yy").max())
     return _check("yy_block_definite", worst < -tau, worst, -tau)
 
 
 def cross_block_null(Q, tau):
-    worst = float(np.abs(_block_eigenvalues(Q, lambda e: {"b": e})).max())
+    worst = float(np.abs(_block_eigenvalues(Q, "cross")).max())
     return _check("cross_block_null", worst <= tau, worst, tau)
 
 
 def reduction_null(Q, tau):
-    worst = float(np.abs(_block_eigenvalues(Q, lambda e: {"a": e, "c": -e})).max())
+    worst = float(np.abs(_block_eigenvalues(Q, "reduction")).max())
     return _check("reduction_null", worst <= tau, worst, tau)
 
 

@@ -60,19 +60,23 @@ def kernel_table(mu: np.ndarray, W) -> np.ndarray:
     is real, so W meets only the n^2 real columns Re(mu_i conj mu_j),
     i <= j, and Im(mu_i conj mu_j), i < j, in one product; the rest
     follows from W_ji = conj(W_ij).  W is an N x N array or an operator
-    with `@` on real (N, m) arrays.
+    with `@` on real (N, m) arrays; mu (..., n, N) and an array W
+    (..., N, N) with leading batch axes give one table per slice.
     """
-    n, N = mu.shape
-    prod = mu[:, None] * np.conj(mu)[None]               # mu_i conj(mu_j)
+    *lead, n, N = mu.shape
+    prod = mu[..., :, None, :] * np.conj(mu)[..., None, :, :]   # mu_i conj(mu_j)
     i, j = np.triu_indices(n)
     off = i < j
-    upper = prod[i, j]
-    Wc = (W @ np.concatenate([upper.real, upper[off].imag]).T).T
-    Wp = np.empty((n, n, N), dtype=complex)
-    Wp[i, j] = Wc[:len(i)]
-    Wp[i[off], j[off]] += 1j * Wc[len(i):]
-    Wp[j, i] = np.conj(Wp[i, j])
-    return (Wp.reshape(n * n, N) @ prod.reshape(n * n, N).T).reshape((n,) * 4)
+    upper = prod[..., i, j, :]
+    cols = np.concatenate([upper.real, upper[..., off, :].imag], axis=-2)
+    Wc = np.swapaxes(W @ np.swapaxes(cols, -1, -2), -1, -2)
+    Wp = np.empty((*lead, n, n, N), dtype=complex)
+    Wp[..., i, j, :] = Wc[..., :len(i), :]
+    Wp[..., i[off], j[off], :] += 1j * Wc[..., len(i):, :]
+    Wp[..., j, i, :] = np.conj(Wp[..., i, j, :])
+    flat = (*lead, n * n, N)
+    P = Wp.reshape(flat) @ np.swapaxes(prod.reshape(flat), -1, -2)
+    return P.reshape(*lead, n, n, n, n)
 
 
 def pairing_table(fields, surface) -> np.ndarray:

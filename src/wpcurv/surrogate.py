@@ -49,23 +49,29 @@ def random_surrogate(seed: int, num_points: int, n: int) -> SurrogateModel:
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((num_points, 2))
     weights = rng.uniform(0.5, 1.5, num_points)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dx, dy = (pts[:, None, k] - pts[None, :, k] for k in (0, 1))
+    dist = np.sqrt(dx * dx + dy * dy)
     bandwidth = float(np.median(dist[np.triu_indices(num_points, 1)]))
     kernel = np.exp(-(dist**2) / (2 * bandwidth**2))
     mu = rng.standard_normal((n, num_points)) + 1j * rng.standard_normal((n, num_points))
     return SurrogateModel(seed=seed, weights=weights, kernel=kernel, mu=mu)
 
 
-def run_property_suite(model: SurrogateModel) -> dict:
+def _weighted_kernel(model: SurrogateModel) -> np.ndarray:
+    return model.kernel * np.outer(model.weights, model.weights)
+
+
+def run_property_suite(model: SurrogateModel, P=None) -> dict:
     """Pairings -> tensor -> Q -> spectrum -> kernel characterization.
 
-    Nothing is raised: the sign counts are reported, and a positive mode or
-    a kernel dimension other than n(n-1) fails `checks.surrogate_spectrum`
+    P is the model's pairing table, if the sweep has built it.  Nothing is
+    raised: the sign counts are reported, and a positive mode or a kernel
+    dimension other than n(n-1) fails `checks.surrogate_spectrum`
     through the sweep's `all_counts_ok`.  A kernel *larger* than n(n-1),
     possible when the mu vectors are linearly dependent, shows as excess.
     """
-    P = kernel_table(model.mu, model.kernel * np.outer(model.weights, model.weights))
+    if P is None:
+        P = kernel_table(model.mu, _weighted_kernel(model))
     Q = wedge.assemble_Q(curvature_tensor(P))
     report = wedge.spectrum(Q, strict=False)
     expected = report.kernel_dim_expected
@@ -85,11 +91,12 @@ def run_property_suite(model: SurrogateModel) -> dict:
 
 
 def run_seed_sweep(seeds, num_points: int, n: int) -> dict:
-    """Run the suite over many seeds and summarize worst margins."""
-    per_seed = []
-    for seed in seeds:
-        model = random_surrogate(seed, num_points, n)
-        per_seed.append(run_property_suite(model))
+    """Run the suite over many seeds, their pairing tables built in one
+    stacked `kernel_table` call, and summarize worst margins."""
+    models = [random_surrogate(seed, num_points, n) for seed in seeds]
+    tables = kernel_table(np.array([model.mu for model in models]),
+                          np.array([_weighted_kernel(model) for model in models]))
+    per_seed = [run_property_suite(model, P) for model, P in zip(models, tables)]
     return {
         "n": n,
         "num_points": num_points,

@@ -7,11 +7,12 @@ m = C(2n, 2) wedge basis e_a ^ e_b (a < b) by
     Q(V1 ^ V2, V3 ^ V4) = R(V1, V2, V3, V4),
 
 extended bilinearly.  The real basis is one fixed change of basis from
-(t, tbar): x_i = t_i + tbar_i, y_i = i (t_i - tbar_i).  `real_tensor`
-applies it to all four slots of the complex tensor in a single einsum
-contraction, and Q is that real tensor read at the wedge pairs
-`np.triu_indices(2n, 1)` (index a < n is x_a, a >= n is y_(a-n)).  The
-same pair order indexes `wedge_vector` and `induced_action`.
+(t, tbar): x_i = t_i + tbar_i, y_i = i (t_i - tbar_i).  Q is one product
+W R W^T of R, flattened to n^2 x n^2, with the fixed m x n^2 wedge map W
+(`_wedge_map`): the real tensor is antisymmetric in each slot pair, so its
+wedge pairs `np.triu_indices(2n, 1)` (index a < n is x_a, a >= n is
+y_(a-n)) hold all of it.  The same pair order indexes `wedge_vector` and
+`induced_action`.
 
 A second, independent evaluation path expresses x^T Q x through integrals
 of the two-point fields
@@ -62,29 +63,6 @@ def induced_action(M: np.ndarray) -> np.ndarray:
     return M[np.ix_(r, r)] * M[np.ix_(c, c)] - M[np.ix_(c, r)] * M[np.ix_(r, c)]
 
 
-def real_tensor(R: CurvatureTensor) -> np.ndarray:
-    """R(e_a, e_b, e_c, e_d) over the real basis (x_1..x_n, y_1..y_n).
-
-    U and V hold the t- and tbar-coefficients of each real basis vector
-    (x_i = t_i + tbar_i, y_i = i (t_i - tbar_i)).  Only a slot pair with one
-    unbarred and one barred index survives; a (barred, unbarred) pair is
-    reordered to the stored (holo, anti) order of R with a sign, so each
-    pair enters through T[a,b,h,j] = U[a,h] V[b,j] - V[a,j] U[b,h].  The
-    imaginary residue must vanish; above 1e-10 * max|R| it signals broken
-    type bookkeeping.
-    """
-    eye = np.eye(R.n)
-    U = np.vstack([eye, 1j * eye])
-    V = np.vstack([eye, -1j * eye])
-    T = np.einsum("ah,bj->abhj", U, V) - np.einsum("aj,bh->abhj", V, U)
-    full = np.einsum("abhj,cdkl,hjkl->abcd", T, T, R.entries, optimize=True)
-    residue = np.abs(full.imag).max()
-    if residue > 1e-10 * max(np.abs(R.entries).max(), 1e-300):
-        raise TypeImbalance(
-            "imaginary residue %.3g in a real curvature value" % residue)
-    return full.real
-
-
 @dataclass
 class WedgeOperator:
     """m x m real symmetric matrix of Q on the wedge basis."""
@@ -107,11 +85,28 @@ class WedgeOperator:
         return np.linalg.eigvalsh(U.T @ self.matrix @ U)
 
 
+@functools.cache
+def _wedge_map(n: int) -> np.ndarray:
+    """W[(a,b), (h,j)] = U[a,h] V[b,j] - V[a,j] U[b,h] at the wedge pairs a < b,
+    with U, V the t- and tbar-coefficients of the real basis vectors: a slot
+    pair meets R only as (unbarred, barred), a reversed pair with a sign
+    (built once per n, read-only)."""
+    eye, (r, c) = np.eye(n), np.triu_indices(2 * n, 1)
+    U, V = np.vstack([eye, 1j * eye]), np.vstack([eye, -1j * eye])
+    W = (U[r, :, None] * V[c, None, :] - V[r, None, :] * U[c, :, None]).reshape(len(r), n * n)
+    W.setflags(write=False)
+    return W
+
+
 def assemble_Q(R: CurvatureTensor) -> WedgeOperator:
-    """Read Q off the real tensor at the wedge pairs and symmetrize."""
-    r, c = np.triu_indices(2 * R.n, 1)
-    Q = real_tensor(R)[r, c][:, r, c]
-    return WedgeOperator(matrix=(Q + Q.T) / 2, n=R.n)
+    """Q = W R W^T through the `_wedge_map` W, symmetrized; an imaginary
+    residue above 1e-10 * max|R| signals broken type bookkeeping."""
+    W = _wedge_map(R.n)
+    full = W @ R.entries.reshape(W.shape[1], -1) @ W.T
+    residue = np.abs(full.imag).max()
+    if residue > 1e-10 * max(np.abs(R.entries).max(), 1e-300):
+        raise TypeImbalance("imaginary residue %.3g in a real curvature value" % residue)
+    return WedgeOperator(matrix=(full.real + full.real.T) / 2, n=R.n)
 
 
 @functools.cache

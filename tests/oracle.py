@@ -12,6 +12,14 @@ generators and composes them.
 product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where
 `curvature.pairing_table` applies D once to all n^2 real columns.
 
+`real_tensor` applies the real change of basis to all four slots of the
+complex curvature tensor in one einsum, over all (2n)^4 entries, where
+`wedge.assemble_Q` reads only the wedge pairs through one fixed map.
+
+`lemma51_by_trials` evaluates the quaternionic lemma one trial at a time,
+with scalar `rankone.quat_curvature` calls, where `rankone.lemma51_check`
+stacks all its trials.
+
 `in_fundamental_domain` is the half-open Dirichlet domain, ties broken
 by side index, so that each point of the disk has exactly one translate
 in it; `fuchsian.reduce_to_domain` decides by the closed domain alone.
@@ -20,7 +28,9 @@ in it; `fuchsian.reduce_to_domain` decides by the closed domain alone.
 import numpy as np
 import scipy.sparse as sp
 
+from wpcurv import rankone, wedge
 from wpcurv import surface as surface_mod
+from wpcurv.errors import TypeImbalance
 
 DOMAIN_BLOCK = 500_000  # points per block of `in_fundamental_domain`
 DOMAIN_TOL = 1e-12  # distance margin within which `in_fundamental_domain` sees a tie
@@ -114,6 +124,54 @@ def _pairing_table_by_pairs(fields, surface):
             dij = solved[(i, j)] if i <= j else np.conj(solved[(j, i)])
             entries[i, j] = np.einsum("p,kp,lp->kl", weights * dij, mu, np.conj(mu))
     return entries
+
+
+def real_tensor(R) -> np.ndarray:
+    """Oracle: R(e_a, e_b, e_c, e_d) over the real basis (x_1..x_n, y_1..y_n).
+
+    U and V hold the t- and tbar-coefficients of each real basis vector
+    (x_i = t_i + tbar_i, y_i = i (t_i - tbar_i)).  Only a slot pair with one
+    unbarred and one barred index survives; a (barred, unbarred) pair is
+    reordered to the stored (holo, anti) order of R with a sign, so each
+    pair enters through T[a,b,h,j] = U[a,h] V[b,j] - V[a,j] U[b,h].  The
+    imaginary residue must vanish; above 1e-10 * max|R| it signals broken
+    type bookkeeping.
+    """
+    eye = np.eye(R.n)
+    U = np.vstack([eye, 1j * eye])
+    V = np.vstack([eye, -1j * eye])
+    T = np.einsum("ah,bj->abhj", U, V) - np.einsum("aj,bh->abhj", V, U)
+    full = np.einsum("abhj,cdkl,hjkl->abcd", T, T, R.entries, optimize=True)
+    residue = np.abs(full.imag).max()
+    if residue > 1e-10 * max(np.abs(R.entries).max(), 1e-300):
+        raise TypeImbalance(
+            "imaginary residue %.3g in a real curvature value" % residue)
+    return full.real
+
+
+def lemma51_by_trials(m: int, trials: int) -> list:
+    """Oracle: the records of `rankone.lemma51_check`, one trial at a time
+    on the same draws of v."""
+    I, J, K = rankone.structures(m)
+    Wj = wedge.induced_action(J)
+    rng = np.random.default_rng(rankone.LEMMA_SEED)
+    records = []
+    for _ in range(trials):
+        v = rng.standard_normal(4 * m)
+        v /= np.linalg.norm(v)
+        jv, kv, iv = J @ v, K @ v, I @ v
+        expansion = (rankone.quat_curvature(v, jv, v, jv, m)
+                     + rankone.quat_curvature(kv, iv, kv, iv, m)
+                     + 2 * rankone.quat_curvature(v, jv, kv, iv, m))
+        om = rankone.omega_wedge(v, m)[np.triu_indices(4 * m, 1)]
+        norm = np.linalg.norm(om)
+        records.append({
+            "null_expansion_abs": abs(expansion),
+            "j_invariance_resid": float(np.linalg.norm(Wj @ om - om) / norm),
+            "lstsq_resid_rel": float(np.linalg.norm(om + Wj @ om) / 2 / norm),
+            "omega_norm": float(norm),
+        })
+    return records
 
 
 def hyperbolic_distance(z, w):

@@ -60,6 +60,27 @@ def test_null_blocks_read_the_unit_sphere_maximum():
         assert checks.reduction_null(Q, tau)["pass"]
 
 
+def test_block_bases_built_once_read_only(pipe3):
+    """Each cached basis is orthonormal and read-only, and Q's eigenvalues
+    on it are, bit for bit, `WedgeOperator.eigenvalues_on` over the block's
+    wedge vectors, as each check took them before the bases were cached."""
+    bases = checks._block_bases(3)
+    assert checks._block_bases(3) is bases
+    eye = np.eye(3)
+    E = [np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
+         for i, j in zip(*np.triu_indices(3, 1))]
+    patterns = {"xx": lambda e: {"a": e}, "yy": lambda e: {"c": e},
+                "cross": lambda e: {"b": e}, "reduction": lambda e: {"a": e, "c": -e}}
+    Q = pipe3["Q"]
+    assert bases.keys() == patterns.keys()
+    for name, pattern in patterns.items():
+        U = bases[name]
+        assert not U.flags.writeable
+        assert np.abs(U.T @ U - np.eye(3)).max() <= 1e-15
+        vectors = np.array([wedge.wedge_vector(pattern(e), 3) for e in E]).T
+        assert np.array_equal(checks._block_eigenvalues(Q, name), Q.eigenvalues_on(vectors))
+
+
 def _with_stiffness(surf, K):
     """The surface with stiffness K and no factor yet."""
     return dataclasses.replace(surf, stiffness=sp.csc_array(K), _lu=None)

@@ -6,6 +6,8 @@ import pytest
 from wpcurv import rankone, wedge
 from wpcurv.errors import DimensionMismatch
 
+from oracle import lemma51_by_trials
+
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_structures_algebra(m):
@@ -24,6 +26,33 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         rankone.lie_triple_curvature(np.ones(8), np.ones(4), np.ones(4),
                                      np.ones(4), 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_curvature_is_row_by_row(m):
+    """A (..., 4m) stack gives each row's scalar value exactly."""
+    X, Y, Z, W = np.random.default_rng(m).standard_normal((4, 2, 5, 4 * m))
+    stacked = rankone.quat_curvature(X, Y, Z, W, m)
+    assert stacked.shape == (2, 5)
+    rows = [[rankone.quat_curvature(*args, m) for args in zip(x, y, z, w)]
+            for x, y, z, w in zip(X, Y, Z, W)]
+    assert np.array_equal(stacked, rows)
+    assert isinstance(rankone.quat_curvature(X[0, 0], Y[0, 0], Z[0, 0], W[0, 0], m), float)
+    with pytest.raises(DimensionMismatch):
+        rankone.quat_curvature(X, Y, Z, np.ones((2, 5, 4 * m + 1)), m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_lemma_is_the_per_trial_loop(m):
+    """All 20 trials at once give each trial's record of the loop."""
+    records = rankone.lemma51_check(m, 20)["records"]
+    reference = lemma51_by_trials(m, 20)
+    assert len(records) == len(reference) == 20
+    for got, want in zip(records, reference):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert isinstance(got[key], float)
+            assert abs(got[key] - want[key]) <= 1e-14
 
 
 @pytest.mark.parametrize("m", [1, 2])

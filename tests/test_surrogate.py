@@ -89,3 +89,20 @@ def test_range_residual_is_the_wedge_formula():
     P = kernel_table(model.mu, model.kernel * np.outer(model.weights, model.weights))
     Q = wedge.assemble_Q(curvature_tensor(P))
     assert rep["range_residual_rel"] == wedge.range_residual(Q, wedge.j_wedge_matrix(3))
+
+
+def test_sweep_records_are_the_single_models():
+    """The sweep's stacked tables give each model's own suite exactly."""
+    summary = surrogate.run_seed_sweep(range(5), 40, 3)
+    for seed, record in enumerate(summary["per_seed"]):
+        assert record == surrogate.run_property_suite(surrogate.random_surrogate(seed, 40, 3))
+
+
+def test_kernel_table_on_a_stack_is_its_slices():
+    models = [surrogate.random_surrogate(seed, 40, 3) for seed in range(4)]
+    mu = np.array([m.mu for m in models]).reshape(2, 2, 3, 40)
+    W = np.array([m.kernel * np.outer(m.weights, m.weights) for m in models]).reshape(2, 2, 40, 40)
+    tables = kernel_table(mu, W)
+    assert tables.shape == (2, 2, 3, 3, 3, 3)
+    for idx in np.ndindex(2, 2):
+        assert np.array_equal(tables[idx], kernel_table(mu[idx], W[idx]))

@@ -11,6 +11,8 @@ from wpcurv import curvature, qdiff, surface, wedge
 from wpcurv.curvature import CurvatureTensor, kernel_table
 from wpcurv.errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
+from oracle import real_tensor
+
 
 def test_j_matrix_involution_and_trace():
     for n in (2, 3):
@@ -37,13 +39,13 @@ def test_j_wedge_matrix_built_once_read_only():
 
 def test_real_curvature_repeated_vector_zero(pipe3):
     R = pipe3["tensor"]
-    real = wedge.real_tensor(R)
+    real = real_tensor(R)
     for a in (0, 4):                # x_0, y_1
         assert abs(real[a, a, 1, 5]) < 1e-12 * np.abs(R.entries).max()
 
 
 def test_real_curvature_xxxx_equals_yyyy(pipe3):
-    real = wedge.real_tensor(pipe3["tensor"])
+    real = real_tensor(pipe3["tensor"])
     for i, j in ((0, 1), (0, 2), (1, 2)):
         xx = real[i, j, i, j]
         yy = real[3 + i, 3 + j, 3 + i, 3 + j]
@@ -69,9 +71,53 @@ def test_assemble_Q_shape_and_symmetry(pipe3):
     Q = pipe3["Q"]
     assert Q.matrix.shape == (15, 15)
     r, c = np.triu_indices(6, 1)
-    raw = wedge.real_tensor(pipe3["tensor"])[r, c][:, r, c]
+    raw = real_tensor(pipe3["tensor"])[r, c][:, r, c]
     assert np.abs(raw - raw.T).max() < 1e-12 * np.abs(raw).max()
     assert np.array_equal(Q.matrix, Q.matrix.T)
+
+
+def _oracle_Q(R):
+    """The oracle's real tensor read at the wedge pairs and symmetrized."""
+    r, c = np.triu_indices(2 * R.n, 1)
+    raw = real_tensor(R)[r, c][:, r, c]
+    return (raw + raw.T) / 2
+
+
+def _symmetric_tensor(entries):
+    """Project a complex n^4 array onto R's symmetries: the holomorphic
+    and antiholomorphic slot swaps, then conjugation with pairwise swap
+    (which exchanges the two swap symmetries, so all three hold)."""
+    A = (entries + entries.transpose(2, 1, 0, 3)) / 2
+    A = (A + A.transpose(0, 3, 2, 1)) / 2
+    return (A + np.conj(A.transpose(1, 0, 3, 2))) / 2
+
+
+def test_assemble_Q_is_the_real_tensor_at_the_wedge_pairs(pipe3):
+    """The wedge map reads the same sums as the full real tensor, bit for
+    bit, on the surface tensor and on the single-entry tensor."""
+    single = np.zeros((3, 3, 3, 3), dtype=complex)
+    single[0, 0, 0, 0] = 1.0
+    for R in (pipe3["tensor"], CurvatureTensor(single)):
+        assert np.array_equal(wedge.assemble_Q(R).matrix, _oracle_Q(R))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_assemble_Q_is_the_real_tensor_on_drawn_tensors(n, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n,) * 4
+    R = CurvatureTensor(_symmetric_tensor(rng.standard_normal(shape)
+                                          + 1j * rng.standard_normal(shape)))
+    assert max(R.residuals().values()) <= 1e-15
+    assert np.array_equal(wedge.assemble_Q(R).matrix, _oracle_Q(R))
+
+
+def test_wedge_map_built_once_read_only():
+    W = wedge._wedge_map(3)
+    assert wedge._wedge_map(3) is W
+    assert W.shape == (15, 9)
+    with pytest.raises(ValueError):
+        W[0, 0] = 1.0
 
 
 def test_Q_commutes_with_J(pipe3, jmat3):
@@ -267,10 +313,12 @@ def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
 
 
 def test_real_tensor_planted_imaginary_residue_is_type_imbalance(pipe3):
+    """A planted imaginary part leaves an imaginary residue in the real
+    values, which `assemble_Q` raises as a TypeImbalance."""
     entries = pipe3["tensor"].entries.copy()
     entries[0, 0, 0, 0] += 1e-6j
     with pytest.raises(TypeImbalance):
-        wedge.real_tensor(CurvatureTensor(entries))
+        wedge.assemble_Q(CurvatureTensor(entries))
 
 
 def test_green_table_is_the_pairing_table(pipe3, surf3, green3):
