@@ -34,21 +34,28 @@ SYMMETRY_TOL = 1e-7
 
 @dataclass
 class CurvatureTensor:
-    """Entries R[i][j][k][l] with the index pattern (holo, anti, holo, anti)."""
+    """Entries R[i][j][k][l] with the index pattern (holo, anti, holo, anti);
+    leading axes hold a stack of tensors."""
 
     entries: np.ndarray
 
     @property
     def n(self):
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def residuals(self):
-        R = self.entries
-        scale = np.abs(R).max()
+        """Relative residual of each index symmetry; on a stack, the worst
+        of the tensors' own."""
+        R, axes = self.entries, (-4, -3, -2, -1)
+        scale = np.abs(R).max(axis=axes)
+
+        def worst(residue):
+            return float((np.abs(residue).max(axis=axes) / scale).max())
+
         return {
-            "holo_swap": float(np.abs(R - R.transpose(2, 1, 0, 3)).max() / scale),
-            "anti_swap": float(np.abs(R - R.transpose(0, 3, 2, 1)).max() / scale),
-            "conjugation": float(np.abs(np.conj(R) - R.transpose(1, 0, 3, 2)).max() / scale),
+            "holo_swap": worst(R - np.swapaxes(R, -4, -2)),
+            "anti_swap": worst(R - np.swapaxes(R, -3, -1)),
+            "conjugation": worst(np.conj(R) - np.swapaxes(np.swapaxes(R, -4, -3), -2, -1)),
         }
 
 
@@ -93,8 +100,8 @@ def pairing_table(fields, surface) -> np.ndarray:
 
 def curvature_tensor(P: np.ndarray) -> CurvatureTensor:
     """Assemble R[i][j][k][l] = (ij,kl) + (il,kj) from the `pairing_table`
-    array and validate symmetries."""
-    R = CurvatureTensor(P + P.transpose(0, 3, 2, 1))
+    array (or a stack of tables) and validate symmetries."""
+    R = CurvatureTensor(P + np.swapaxes(P, -3, -1))
     res = R.residuals()
     worst = max(res.values())
     if worst > SYMMETRY_TOL:

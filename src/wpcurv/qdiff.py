@@ -24,10 +24,12 @@ truncated series converges fast, and automorphy
 
 is one complex linear equation in the a_m.  The stacked real system, with
 column n scaled by SOLVE_RADIUS^-n, has a one-dimensional null space,
-taken by SVD.  `build_qdiff_basis` certifies both the solve (one null
-singular value per character, with a clear gap to the next) and its
-result: automorphy to AUTOMORPHY_TOL for all 8 side pairings, at points
-along every side up to the vertices (|z| = 0.841, the mesh's reach).
+taken by the SVD of its square R factor; its columns are cumulative
+products of (w/R)^8, so no complex power is taken on the grid.
+`build_qdiff_basis` certifies both the solve (one null singular value per
+character, with a clear gap to the next) and its result: automorphy to
+AUTOMORPHY_TOL for all 8 side pairings, at points along every side up to
+the vertices (|z| = 0.841, the mesh's reach).
 
 The tangent-space representative is the harmonic Beltrami differential
 mu = conj(theta)/sigma with sigma(z) = 4/(1-|z|^2)^2.
@@ -84,17 +86,30 @@ class QuadDifferential:
 
     def evaluate(self, z):
         """theta at z, by Horner in z^8."""
-        z = np.asarray(z, dtype=complex)
-        return np.polynomial.polynomial.polyval(z**8, self.coefficients) * z**self.monomial_degree
+        return _theta([self], z)[0]
 
     def automorphy_residual(self, group: FuchsianGroup) -> float:
         """Worst of max|theta(gamma z) gamma'(z)^2 - theta(z)| / max|theta(z)|
         over the 8 side pairings gamma, z at the `side_points` of its side."""
-        z = side_points(group)
-        g = group.side_pairings[:, None]
-        base = self.evaluate(z)
-        lhs = self.evaluate(act(g, z)) * derivative(g, z) ** 2
-        return (np.abs(lhs - base).max(axis=1) / np.abs(base).max(axis=1)).max()
+        return _automorphy_residuals([self], group)[0]
+
+
+def _theta(basis, z) -> np.ndarray:
+    """(len(basis), *z.shape) values of the forms at z: one Horner pass in
+    z^8 over all their coefficients, each row then times its z^k."""
+    z = np.asarray(z, dtype=complex)
+    series = np.polynomial.polynomial.polyval(z**8, np.array([q.coefficients for q in basis]).T)
+    return np.array([row * z**q.monomial_degree for row, q in zip(series, basis)])
+
+
+def _automorphy_residuals(basis, group: FuchsianGroup) -> np.ndarray:
+    """`QuadDifferential.automorphy_residual` of every form, from one
+    evaluation of all of them at the side points and at their images."""
+    z = side_points(group)
+    g = group.side_pairings[:, None]
+    base = _theta(basis, z)
+    lhs = _theta(basis, act(g, z)) * derivative(g, z) ** 2
+    return (np.abs(lhs - base).max(axis=-1) / np.abs(base).max(axis=-1)).max(axis=-1)
 
 
 def BeltramiField(values) -> np.ndarray:
@@ -114,15 +129,25 @@ def _collocation(group: FuchsianGroup):
     return (w, *reduce_to_domain(group, w))
 
 
+def _powers(z, k: int) -> np.ndarray:
+    """(len(z), NUM_COEFFS) table of (z / SOLVE_RADIUS)^(k + 8m): a cumulative
+    product of (z/R)^8 times (z/R)^k, with no complex power on the grid."""
+    u = z / SOLVE_RADIUS
+    table = np.empty((len(z), NUM_COEFFS), dtype=complex)
+    table[:, 0] = u ** k
+    table[:, 1:] = (u ** 8)[:, None]
+    return np.cumprod(table, axis=1)
+
+
 def _solve(points, k: int):
     """Real a_m (a_0 = 1) of character k and the singular values of the
-    scaled collocation system at the `_collocation` points."""
+    scaled collocation system at the `_collocation` points, both from the
+    SVD of the NUM_COEFFS x NUM_COEFFS R factor of the stacked real system."""
     w, gw, mats = points
     dg2 = (mats[:, 1, 0] * w + mats[:, 1, 1]) ** -4
-    n = k + 8 * np.arange(NUM_COEFFS)
-    A = (w[:, None] ** n - dg2[:, None] * gw[:, None] ** n) / SOLVE_RADIUS ** n
-    _, sv, vt = np.linalg.svd(np.concatenate([A.real, A.imag]), full_matrices=False)
-    a = vt[-1] / SOLVE_RADIUS ** n
+    A = _powers(w, k) - dg2[:, None] * _powers(gw, k)
+    _, sv, vt = np.linalg.svd(np.linalg.qr(np.concatenate([A.real, A.imag]), mode="r"))
+    a = vt[-1] / SOLVE_RADIUS ** (k + 8 * np.arange(NUM_COEFFS))
     return a / a[0], sv
 
 
@@ -131,9 +156,9 @@ def build_qdiff_basis(group: FuchsianGroup) -> list[QuadDifferential]:
 
     Raises ConvergenceFailure unless each character's system has exactly
     one singular value below NULL_TOL (relative to the largest), the next
-    above GAP_TOL, and the solved form's `automorphy_residual` is at most
-    AUTOMORPHY_TOL.  Linear independence is certified downstream by the
-    Gram matrix rank.
+    above GAP_TOL, and then each solved form's `automorphy_residual` (all
+    three from one evaluation) is at most AUTOMORPHY_TOL.  Linear
+    independence is certified downstream by the Gram matrix rank.
     """
     points = _collocation(group)
     basis = []
@@ -146,11 +171,11 @@ def build_qdiff_basis(group: FuchsianGroup) -> list[QuadDifferential]:
                 "one below %.3g and the next above %.3g"
                 % (k, rel[-1], rel[-2], NULL_TOL, GAP_TOL))
         basis.append(QuadDifferential(k, a))
-        res = basis[-1].automorphy_residual(group)
+    for q, res in zip(basis, _automorphy_residuals(basis, group)):
         if res > AUTOMORPHY_TOL:
             raise ConvergenceFailure(
                 "character %d: automorphy residual %.3g on the sides exceeds %.3g"
-                % (k, res, AUTOMORPHY_TOL))
+                % (q.monomial_degree, res, AUTOMORPHY_TOL))
     return basis
 
 
@@ -158,7 +183,7 @@ def beltrami_from_qdiff(basis: list[QuadDifferential], surface) -> np.ndarray:
     """(n, N) samples of mu = conj(theta)/sigma of every basis element at
     the surface quadrature nodes."""
     z = surface.nodes
-    theta = np.array([q.evaluate(z) for q in basis])
+    theta = _theta(basis, z)
     return BeltramiField(np.conj(theta) * (1 - np.abs(z) ** 2) ** 2 / 4)
 
 

@@ -19,9 +19,10 @@ hyperbolic mass M = diag(w): Delta_h = -M^-1 K.  The resolvent operator
     D = -2 (Delta - 2)^-1
 
 then solves (K + 2M) u = 2 M f, one sparse factorization reused for all
-right-hand sides (the Laplace eigensolve shifts about -2 to reuse it as
-well); as K + 2M is symmetric, the LU orders it by minimum degree on
-A^T + A, not by COLAMD on A^T A, without relaxed supernodes.  Its Green
+right-hand sides (the Laplace eigensolve runs Lanczos on its inverse,
+made symmetric by sqrt(w), to reuse it as well); as K + 2M is symmetric,
+the LU orders it by minimum degree on A^T + A, not by COLAMD on A^T A,
+without relaxed supernodes.  Its Green
 kernel is G = 2 (K + 2M)^-1.  G is solved once per
 symmetry orbit of the nodes: the generators z -> e^{i pi/4} z and
 z -> conj(z) are certified to carry the glued mesh, w and K onto
@@ -440,16 +441,19 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
 def laplacian_eigenvalues(surface: DiscreteSurface, k: int = 6) -> np.ndarray:
     """Lowest k eigenvalues of -Delta_h (generalized problem K x = lam M x).
 
-    Shift-invert about sigma = -2 reuses the cached LU of K + 2M, which is
-    K - sigma M; K itself is singular (constants) and is never factored.
-    ARPACK starts from the weights, so two calls agree bit for bit.
+    With s = sqrt(w) and y = s x the problem is S y = y / (lam + 2) for the
+    symmetric S = s (K + 2M)^-1 s, applied through the cached LU of K + 2M;
+    K itself is singular (constants) and is never factored.  Plain Lanczos
+    takes the k largest eigenvalues mu of S, and lam = 1/mu - 2.  ARPACK
+    starts from s w, the weights carried through the similarity, so two
+    calls agree bit for bit.
     """
-    M = sp.diags(surface.weights).tocsc()
-    OPinv = spla.LinearOperator(M.shape, matvec=surface.factorization().solve,
-                                dtype=float)
-    vals = spla.eigsh(surface.stiffness, k=k, M=M, sigma=-2, which="LM",
-                      OPinv=OPinv, v0=surface.weights, return_eigenvectors=False)
-    return np.sort(vals)
+    s, lu = np.sqrt(surface.weights), surface.factorization()
+    S = spla.LinearOperator((len(s), len(s)), matvec=lambda x: s * lu.solve(s * x),
+                            dtype=float)
+    mu = spla.eigsh(S, k=k, which="LA", v0=s * surface.weights,
+                    return_eigenvectors=False)
+    return np.sort(1 / mu - 2)
 
 
 def node_hash(surface: DiscreteSurface) -> str:

@@ -24,20 +24,23 @@ from .curvature import curvature_tensor, kernel_table
 
 @dataclass
 class SurrogateModel:
-    """Abstract sample weights, kernel and tangent fields."""
+    """Abstract sample weights, kernel and tangent fields: one model, or a
+    stack of models on a leading axis, one per seed."""
 
-    seed: int
-    weights: np.ndarray       # positive
-    kernel: np.ndarray        # symmetric, entrywise positive
-    mu: np.ndarray            # (n, N) complex
+    seed: int | list
+    weights: np.ndarray       # (N,) or (S, N), positive
+    kernel: np.ndarray        # (N, N) or (S, N, N), symmetric, entrywise positive
+    mu: np.ndarray            # (n, N) or (S, n, N), complex
 
     @property
     def n(self):
-        return len(self.mu)
+        return self.mu.shape[-2]
 
 
-def random_surrogate(seed: int, num_points: int, n: int) -> SurrogateModel:
-    """Deterministic random model with a Gaussian radial kernel.
+def random_surrogate(seed, num_points: int, n: int) -> SurrogateModel:
+    """Deterministic random model with a Gaussian radial kernel; a sequence
+    of seeds gives their models as one stack, each drawn from its own
+    `default_rng(seed)` in the same order as alone.
 
     Bandwidth is the median inter-point distance, so the kernel is
     symmetric, entrywise positive and positive definite by construction.
@@ -46,57 +49,76 @@ def random_surrogate(seed: int, num_points: int, n: int) -> SurrogateModel:
     if num_points < 2 * n * n:
         raise ValueError(
             "num_points %d below identifiability floor %d" % (num_points, 2 * n * n))
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((num_points, 2))
-    weights = rng.uniform(0.5, 1.5, num_points)
-    dx, dy = (pts[:, None, k] - pts[None, :, k] for k in (0, 1))
-    dist = np.sqrt(dx * dx + dy * dy)
-    bandwidth = float(np.median(dist[np.triu_indices(num_points, 1)]))
+    seeds = np.atleast_1d(seed).tolist()
+    pts, weights, mu = [], [], []
+    for s in seeds:
+        rng = np.random.default_rng(s)
+        pts.append(rng.standard_normal((num_points, 2)))
+        weights.append(rng.uniform(0.5, 1.5, num_points))
+        mu.append(rng.standard_normal((n, num_points)) + 1j * rng.standard_normal((n, num_points)))
+    pts, weights, mu = np.array(pts), np.array(weights), np.array(mu)
+    dx, dy = (pts[:, :, None, k] - pts[:, None, :, k] for k in (0, 1))
+    dx *= dx
+    dx += dy * dy
+    dist = np.sqrt(dx, out=dx)                 # sqrt(dx dx + dy dy), in place
+    r, c = np.triu_indices(num_points, 1)
+    bandwidth = np.median(dist[:, r, c], axis=-1)[:, None, None]
     kernel = np.exp(-(dist**2) / (2 * bandwidth**2))
-    mu = rng.standard_normal((n, num_points)) + 1j * rng.standard_normal((n, num_points))
-    return SurrogateModel(seed=seed, weights=weights, kernel=kernel, mu=mu)
+    if np.ndim(seed) == 0:
+        return SurrogateModel(seed=seed, weights=weights[0], kernel=kernel[0], mu=mu[0])
+    return SurrogateModel(seed=seeds, weights=weights, kernel=kernel, mu=mu)
 
 
 def _weighted_kernel(model: SurrogateModel) -> np.ndarray:
-    return model.kernel * np.outer(model.weights, model.weights)
+    w = model.weights
+    return model.kernel * (w[..., :, None] * w[..., None, :])
 
 
-def run_property_suite(model: SurrogateModel, P=None) -> dict:
-    """Pairings -> tensor -> Q -> spectrum -> kernel characterization.
+def _suite(model: SurrogateModel, P=None) -> list:
+    """Pairings -> tensor -> Q -> spectrum -> range residual as one stacked
+    pass over the models of `model` (one, or a stack), and their records in
+    seed order; P is the pairing table (or stack of tables), if built.
 
-    P is the model's pairing table, if the sweep has built it.  Nothing is
-    raised: the sign counts are reported, and a positive mode or a kernel
-    dimension other than n(n-1) fails `checks.surrogate_spectrum`
+    Nothing is raised: the sign counts are reported, and a positive mode or
+    a kernel dimension other than n(n-1) fails `checks.surrogate_spectrum`
     through the sweep's `all_counts_ok`.  A kernel *larger* than n(n-1),
     possible when the mu vectors are linearly dependent, shows as excess.
     """
+    seeds = np.atleast_1d(model.seed).tolist()
     if P is None:
         P = kernel_table(model.mu, _weighted_kernel(model))
-    Q = wedge.assemble_Q(curvature_tensor(P))
+    Q = wedge.assemble_Q(curvature_tensor(P.reshape(len(seeds), *P.shape[-4:])))
     report = wedge.spectrum(Q, strict=False)
     expected = report.kernel_dim_expected
-    return {
-        "seed": model.seed,
-        "n": model.n,
-        "eigenvalues": list(report.eigenvalues),
-        "tau": report.tau,
-        "num_negative": report.num_negative,
-        "num_zero": report.num_zero,
-        "num_positive": report.num_positive,
+    return [{
+        "seed": seed,
+        "n": Q.n,
+        "eigenvalues": list(lam),
+        "tau": tau,
+        "num_negative": neg,
+        "num_zero": zero,
+        "num_positive": pos,
         "kernel_dim_expected": expected,
-        "kernel_dim_excess": report.num_zero - expected,
-        "gap_ratio": report.gap_ratio,
-        "range_residual_rel": wedge.range_residual(Q, wedge.j_wedge_matrix(Q.n)),
-    }
+        "kernel_dim_excess": zero - expected,
+        "gap_ratio": gap,
+        "range_residual_rel": residual,
+    } for seed, lam, tau, neg, zero, pos, gap, residual in zip(
+        seeds, report.eigenvalues, report.tau, report.num_negative, report.num_zero,
+        report.num_positive, report.gap_ratio,
+        wedge.range_residual(Q, wedge.j_wedge_matrix(Q.n)))]
+
+
+def run_property_suite(model: SurrogateModel, P=None) -> dict:
+    """The record of one model: `_suite` on a stack of one.  P is the
+    model's pairing table, if built."""
+    (record,) = _suite(model, P)
+    return record
 
 
 def run_seed_sweep(seeds, num_points: int, n: int) -> dict:
-    """Run the suite over many seeds, their pairing tables built in one
-    stacked `kernel_table` call, and summarize worst margins."""
-    models = [random_surrogate(seed, num_points, n) for seed in seeds]
-    tables = kernel_table(np.array([model.mu for model in models]),
-                          np.array([_weighted_kernel(model) for model in models]))
-    per_seed = [run_property_suite(model, P) for model, P in zip(models, tables)]
+    """Run the suite over many seeds, their models built and evaluated as
+    one stack, and summarize worst margins."""
+    per_seed = _suite(random_surrogate(list(seeds), num_points, n))
     return {
         "n": n,
         "num_points": num_points,

@@ -65,14 +65,16 @@ def induced_action(M: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WedgeOperator:
-    """m x m real symmetric matrix of Q on the wedge basis."""
+    """m x m real symmetric matrix of Q on the wedge basis; leading axes
+    hold a stack of them (`assemble_Q`, `spectrum` and `range_residual`
+    take stacks)."""
 
     matrix: np.ndarray
     n: int
 
     @property
     def m(self):
-        return len(self.matrix)
+        return self.matrix.shape[-1]
 
     def quad(self, x):
         return float(x @ self.matrix @ x)
@@ -86,12 +88,21 @@ class WedgeOperator:
 
 
 @functools.cache
+def _wedge_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The wedge pairs a < b, `np.triu_indices(2n, 1)` (built once per n, read-only)."""
+    pairs = np.triu_indices(2 * n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+@functools.cache
 def _wedge_map(n: int) -> np.ndarray:
     """W[(a,b), (h,j)] = U[a,h] V[b,j] - V[a,j] U[b,h] at the wedge pairs a < b,
     with U, V the t- and tbar-coefficients of the real basis vectors: a slot
     pair meets R only as (unbarred, barred), a reversed pair with a sign
     (built once per n, read-only)."""
-    eye, (r, c) = np.eye(n), np.triu_indices(2 * n, 1)
+    eye, (r, c) = np.eye(n), _wedge_pairs(n)
     U, V = np.vstack([eye, 1j * eye]), np.vstack([eye, -1j * eye])
     W = (U[r, :, None] * V[c, None, :] - V[r, None, :] * U[c, :, None]).reshape(len(r), n * n)
     W.setflags(write=False)
@@ -99,14 +110,17 @@ def _wedge_map(n: int) -> np.ndarray:
 
 
 def assemble_Q(R: CurvatureTensor) -> WedgeOperator:
-    """Q = W R W^T through the `_wedge_map` W, symmetrized; an imaginary
-    residue above 1e-10 * max|R| signals broken type bookkeeping."""
-    W = _wedge_map(R.n)
-    full = W @ R.entries.reshape(W.shape[1], -1) @ W.T
-    residue = np.abs(full.imag).max()
-    if residue > 1e-10 * max(np.abs(R.entries).max(), 1e-300):
-        raise TypeImbalance("imaginary residue %.3g in a real curvature value" % residue)
-    return WedgeOperator(matrix=(full.real + full.real.T) / 2, n=R.n)
+    """Q = W R W^T through the `_wedge_map` W, symmetrized, for each tensor
+    of a stack; an imaginary residue above 1e-10 * max|R| (the tensor's
+    own) signals broken type bookkeeping."""
+    W, lead = _wedge_map(R.n), R.entries.shape[:-4]
+    full = W @ R.entries.reshape(*lead, W.shape[1], -1) @ W.T
+    residue = np.abs(full.imag).max(axis=(-2, -1))
+    scale = np.abs(R.entries).max(axis=(-4, -3, -2, -1))
+    if np.any(residue > 1e-10 * np.maximum(scale, 1e-300)):
+        raise TypeImbalance("imaginary residue %.3g in a real curvature value"
+                            % residue.max())
+    return WedgeOperator(matrix=(full.real + np.swapaxes(full.real, -2, -1)) / 2, n=R.n)
 
 
 @functools.cache
@@ -119,8 +133,21 @@ def j_wedge_matrix(n: int) -> np.ndarray:
     return Jw
 
 
+@functools.cache
+def _j_plus_space(n: int) -> np.ndarray:
+    """Orthonormal basis (m x n^2) of the +1 eigenspace of the symmetric
+    `j_wedge_matrix(n)` (built once per n, read-only)."""
+    lam, vecs = np.linalg.eigh(j_wedge_matrix(n))
+    plus = vecs[:, lam > 0]
+    plus.setflags(write=False)
+    return plus
+
+
 @dataclass
 class SpectrumReport:
+    """`spectrum` of one Q; for a stack, eigenvalues (S, m) and each scalar
+    field a list of S values."""
+
     eigenvalues: np.ndarray
     tau: float
     num_negative: int
@@ -142,37 +169,47 @@ class SpectrumReport:
 
 def spectrum(Q: WedgeOperator, tau_rel: float = TAU_REL_DEFAULT,
              *, strict: bool = True) -> SpectrumReport:
-    """Eigenvalues of the symmetric Q, counted against tau = tau_rel * max|lam|.
+    """Eigenvalues of the symmetric Q, counted against tau = tau_rel * max|lam|,
+    for each matrix of a stack.  The gap ratio is the least |lam| above tau
+    over tau, inf when there is none.
 
     With `strict`, a positive mode raises PositiveModeDetected and a zero
     count different from n(n-1) raises KernelDimMismatch; both signal an
     implementation (not theorem) failure.
     """
     lam = np.linalg.eigvalsh(Q.matrix)
-    scale = np.abs(lam).max()
-    tau = tau_rel * scale
-    neg = int(np.sum(lam < -tau))
-    pos = int(np.sum(lam > tau))
-    zero = len(lam) - neg - pos
+    mag = np.abs(lam)
+    tau = tau_rel * mag.max(axis=-1)
+    neg = np.sum(lam < -tau[..., None], axis=-1)
+    pos = np.sum(lam > tau[..., None], axis=-1)
+    zero = lam.shape[-1] - neg - pos
     expected = Q.n * (Q.n - 1)
-    nonzero = np.abs(lam)[np.abs(lam) > tau]
-    gap = float(nonzero.min() / tau) if (len(nonzero) and tau > 0) else float("inf")
-    report = SpectrumReport(eigenvalues=lam, tau=float(tau), num_negative=neg,
-                            num_zero=zero, num_positive=pos, kernel_dim_expected=expected,
-                            gap_ratio=gap, tau_rel=tau_rel)
+    with np.errstate(divide="ignore"):         # a zero tau gives inf too
+        gap = np.where(mag > tau[..., None], mag, np.inf).min(axis=-1) / tau
+    report = SpectrumReport(eigenvalues=lam, tau=tau.tolist(), num_negative=neg.tolist(),
+                            num_zero=zero.tolist(), num_positive=pos.tolist(),
+                            kernel_dim_expected=expected, gap_ratio=gap.tolist(),
+                            tau_rel=tau_rel)
     if strict:
-        if pos:
+        if np.any(pos):
             raise PositiveModeDetected(
-                "largest eigenvalue %.3g above tau %.3g" % (lam.max(), tau))
-        if zero != expected:
+                "largest eigenvalue %.3g above tau %.3g" % (lam.max(), tau.max()))
+        if np.any(zero != expected):
             raise KernelDimMismatch(
-                "found %d near-zero modes, expected %d" % (zero, expected))
+                "found %s near-zero modes, expected %d" % (zero, expected))
     return report
 
 
-def range_residual(Q: WedgeOperator, Jmat: np.ndarray) -> float:
-    """||Q (I - J)|| / ||Q||, zero when range(I - J) lies inside ker Q."""
-    return float(np.linalg.norm(Q.matrix @ (np.eye(Q.m) - Jmat)) / np.linalg.norm(Q.matrix))
+def range_residual(Q: WedgeOperator, Jmat: np.ndarray):
+    """||Q (I - J)|| / ||Q|| (Frobenius), zero when range(I - J) lies inside
+    ker Q; a list of them for a stack.  Each norm is the one dot product
+    `np.linalg.norm` takes for a single matrix, so a matrix gives the same
+    value alone and in a stack."""
+    def norm(A):
+        flat = A.reshape(*A.shape[:-2], 1, -1)
+        return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
+
+    return (norm(Q.matrix @ (np.eye(Q.m) - Jmat)) / norm(Q.matrix)).tolist()
 
 
 def kernel_report(Q: WedgeOperator, spec: SpectrumReport, Jmat: np.ndarray) -> dict:
@@ -180,11 +217,11 @@ def kernel_report(Q: WedgeOperator, spec: SpectrumReport, Jmat: np.ndarray) -> d
     inside ker Q (residual check), and the kernel is no larger: rank(Q) =
     m - n(n-1), and Q is strictly negative on the whole +1 eigenspace of
     the symmetric J (the largest eigenvalue of Q there is below -tau).
-    Rank, tau and tau_rel are read off Q's `spectrum` `spec`; nothing is
-    raised."""
+    Jmat is `j_wedge_matrix(Q.n)`, whose +1 eigenspace `_j_plus_space`
+    holds.  Rank, tau and tau_rel are read off Q's `spectrum` `spec`;
+    nothing is raised."""
     range_resid = range_residual(Q, Jmat)
-    lam, vecs = np.linalg.eigh(Jmat)
-    worst = float(Q.eigenvalues_on(vecs[:, lam > 0]).max())
+    worst = float(Q.eigenvalues_on(_j_plus_space(Q.n)).max())
     return {
         "range_residual_rel": range_resid,
         "range_ok": bool(range_resid <= spec.tau_rel),
@@ -217,9 +254,12 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
     antisymmetric parts matter), b is the full n x n cross block; the
     block matrix [[a - a^T, b], [0, c - c^T]] is read at the pairs a < b.
     """
-    zero = np.zeros((n, n))
-    a, b, c = (np.asarray(coeffs.get(key, zero), dtype=float) for key in "abc")
-    return np.block([[a - a.T, b], [zero, c - c.T]])[np.triu_indices(2 * n, 1)]
+    a, b, c = (np.asarray(coeffs.get(key, 0.0), dtype=float) for key in "abc")
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = a - a.T
+    block[:n, n:] = b
+    block[n:, n:] = c - c.T
+    return block[_wedge_pairs(n)]
 
 
 def weighted_green(surface, green) -> spla.LinearOperator:
@@ -252,6 +292,20 @@ def _green_table(mu: np.ndarray, WG) -> np.ndarray:
     return T
 
 
+@functools.cache
+def _unit_wedges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, E) of `integral_matrices`: the coefficient matrix C_k of each unit
+    wedge k and its Hermitian part E_k = (C_k - C_k^H) / 2i (built once per
+    n, read-only)."""
+    r, c = _wedge_pairs(n)
+    C = np.zeros((len(r), n, n), dtype=complex)
+    C[np.arange(len(r)), r % n, c % n] = np.where((r < n) & (c >= n), 1j, 1)
+    E = (C - np.conj(C).transpose(0, 2, 1)) / 2j
+    for M in (C, E):
+        M.setflags(write=False)
+    return C, E
+
+
 def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The integral path as the real symmetric m x m pair (Q_D, Q_G), from
     T = `curvature.kernel_table`(mu, WG),
@@ -274,11 +328,7 @@ def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x^T (Q_D + Q_G) x on its `wedge_vector` x; WG need not be symmetric.  On
     generic fields the tensor path matches d - ib instead (a known defect).
     """
-    n = len(T)
-    r, c = np.triu_indices(2 * n, 1)
-    C = np.zeros((len(r), n, n), dtype=complex)
-    C[np.arange(len(r)), r % n, c % n] = np.where((r < n) & (c >= n), 1j, 1)
-    E = (C - np.conj(C).transpose(0, 2, 1)) / 2j
+    C, E = _unit_wedges(len(T))
     diag = np.einsum("aij,bkl,ijkl->ab", E, E, T)
     mod2 = np.einsum("aij,bkl,iklj->ab", C, np.conj(C), T)
     cross = np.einsum("aij,bkl,ilkj->ab", C, C, T)

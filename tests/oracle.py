@@ -4,6 +4,11 @@
 over a word ball, is an independent construction of the same forms; the
 tests hold the solved basis against it.
 
+`_solve_by_powers` builds the Hejhal collocation system with a complex
+power per grid entry and takes the full SVD of the stacked real system,
+where `qdiff._solve` builds it by cumulative products and takes the SVD
+of its R factor.
+
 `_symmetries_by_candidates` certifies each of the octagon's 16 rotations
 and reflections on its own, where `surface._symmetries` certifies two
 generators and composes them.
@@ -20,6 +25,9 @@ complex curvature tensor in one einsum, over all (2n)^4 entries, where
 with scalar `rankone.quat_curvature` calls, where `rankone.lemma51_check`
 stacks all its trials.
 
+`seed_sweep_by_models` draws, builds and evaluates the surrogate models
+one at a time, where `surrogate.run_seed_sweep` stacks them.
+
 `in_fundamental_domain` is the half-open Dirichlet domain, ties broken
 by side index, so that each point of the disk has exactly one translate
 in it; `fuchsian.reduce_to_domain` decides by the closed domain alone.
@@ -28,8 +36,9 @@ in it; `fuchsian.reduce_to_domain` decides by the closed domain alone.
 import numpy as np
 import scipy.sparse as sp
 
-from wpcurv import rankone, wedge
+from wpcurv import qdiff, rankone, wedge
 from wpcurv import surface as surface_mod
+from wpcurv.curvature import curvature_tensor, kernel_table
 from wpcurv.errors import TypeImbalance
 
 DOMAIN_BLOCK = 500_000  # points per block of `in_fundamental_domain`
@@ -69,6 +78,19 @@ def _series(mats: np.ndarray, z: np.ndarray, degrees) -> np.ndarray:
             if k < kmax:
                 term *= gz
     return out
+
+
+def _solve_by_powers(points, k: int):
+    """Oracle: `qdiff._solve` with A[p, m] = ((w/R)^n - gamma'(w)^2 (gamma w/R)^n)
+    for n = k + 8m, each power taken by `**`, and the SVD of the whole
+    stacked (2 NUM_POINTS, NUM_COEFFS) real system."""
+    w, gw, mats = points
+    dg2 = (mats[:, 1, 0] * w + mats[:, 1, 1]) ** -4
+    n = k + 8 * np.arange(qdiff.NUM_COEFFS)
+    A = (w[:, None] ** n - dg2[:, None] * gw[:, None] ** n) / qdiff.SOLVE_RADIUS ** n
+    _, sv, vt = np.linalg.svd(np.concatenate([A.real, A.imag]), full_matrices=False)
+    a = vt[-1] / qdiff.SOLVE_RADIUS ** n
+    return a / a[0], sv
 
 
 def _symmetries_by_candidates(surface):
@@ -172,6 +194,54 @@ def lemma51_by_trials(m: int, trials: int) -> list:
             "omega_norm": float(norm),
         })
     return records
+
+
+def _surrogate_by_draws(seed: int, num_points: int, n: int):
+    """One surrogate model's weights, kernel and fields, as arrays of its own."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((num_points, 2))
+    weights = rng.uniform(0.5, 1.5, num_points)
+    dx, dy = (pts[:, None, k] - pts[None, :, k] for k in (0, 1))
+    dist = np.sqrt(dx * dx + dy * dy)
+    bandwidth = float(np.median(dist[np.triu_indices(num_points, 1)]))
+    kernel = np.exp(-(dist**2) / (2 * bandwidth**2))
+    mu = rng.standard_normal((n, num_points)) + 1j * rng.standard_normal((n, num_points))
+    return weights, kernel, mu
+
+
+def seed_sweep_by_models(seeds, num_points: int, n: int) -> dict:
+    """Oracle: `surrogate.run_seed_sweep`, one model at a time, each through
+    its own pairing table, tensor, Q, spectrum and range residual."""
+    per_seed = []
+    for seed in seeds:
+        weights, kernel, mu = _surrogate_by_draws(seed, num_points, n)
+        Q = wedge.assemble_Q(curvature_tensor(
+            kernel_table(mu, kernel * np.outer(weights, weights))))
+        report = wedge.spectrum(Q, strict=False)
+        expected = report.kernel_dim_expected
+        per_seed.append({
+            "seed": seed,
+            "n": n,
+            "eigenvalues": list(report.eigenvalues),
+            "tau": report.tau,
+            "num_negative": report.num_negative,
+            "num_zero": report.num_zero,
+            "num_positive": report.num_positive,
+            "kernel_dim_expected": expected,
+            "kernel_dim_excess": report.num_zero - expected,
+            "gap_ratio": report.gap_ratio,
+            "range_residual_rel": wedge.range_residual(Q, wedge.j_wedge_matrix(n)),
+        })
+    return {
+        "n": n,
+        "num_points": num_points,
+        "num_seeds": len(per_seed),
+        "worst_eigenvalue_margin": max(max(r["eigenvalues"]) for r in per_seed),
+        "worst_kernel_dim_excess": max(r["kernel_dim_excess"] for r in per_seed),
+        "all_counts_ok": all(r["num_positive"] == 0
+                             and r["num_zero"] == r["kernel_dim_expected"] for r in per_seed),
+        "per_seed": per_seed,
+    }
 
 
 def hyperbolic_distance(z, w):

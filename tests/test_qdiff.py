@@ -7,7 +7,7 @@ from wpcurv import qdiff
 from wpcurv.errors import ConvergenceFailure, DegenerateBasis
 from wpcurv.fuchsian import act, derivative, enumerate_words
 
-from oracle import _series
+from oracle import _series, _solve_by_powers
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -60,6 +60,22 @@ def test_singular_values_isolate_one_null_vector(group):
         rel = sv / sv[0]
         assert rel[-1] <= qdiff.NULL_TOL
         assert rel[-2] >= qdiff.GAP_TOL
+
+
+def test_solve_is_the_power_oracle(group, surf3):
+    """The cumulative-product system and its R factor's SVD give the
+    `**`-built system's singular values within 1e-12 of the largest, and
+    its basis functions within 1e-12 relative at the side points and the
+    level-3 nodes."""
+    points = qdiff._collocation(group)
+    z = np.concatenate([qdiff.side_points(group).ravel(), surf3.nodes])
+    for k in qdiff.SEED_DEGREES:
+        a, sv = qdiff._solve(points, k)
+        a_ref, sv_ref = _solve_by_powers(points, k)
+        assert np.abs(sv - sv_ref).max() <= 1e-12 * sv_ref[0]
+        theta = qdiff.QuadDifferential(k, a).evaluate(z)
+        ref = qdiff.QuadDifferential(k, a_ref).evaluate(z)
+        assert np.abs(theta - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_series_oracle_in_span(basis, words8, surf3):

@@ -8,6 +8,8 @@ import pytest
 from wpcurv import surrogate, wedge
 from wpcurv.curvature import curvature_tensor, kernel_table
 
+from oracle import seed_sweep_by_models
+
 
 def test_determinism():
     a = surrogate.random_surrogate(7, 30, 3)
@@ -96,6 +98,24 @@ def test_sweep_records_are_the_single_models():
     summary = surrogate.run_seed_sweep(range(5), 40, 3)
     for seed, record in enumerate(summary["per_seed"]):
         assert record == surrogate.run_property_suite(surrogate.random_surrogate(seed, 40, 3))
+
+
+@pytest.mark.parametrize("num_points, n", [(40, 3), (20, 2)])
+def test_stacked_sweep_is_the_per_model_loop(num_points, n):
+    """The stacked models and suite give the per-model loop's summary and
+    records exactly: eigenvalues, counts, tau, gap and residual."""
+    assert (surrogate.run_seed_sweep(range(20), num_points, n)
+            == seed_sweep_by_models(range(20), num_points, n))
+
+
+def test_stacked_model_is_its_single_models():
+    stack = surrogate.random_surrogate(range(3), 40, 3)
+    assert stack.seed == [0, 1, 2] and stack.n == 3
+    for i in range(3):
+        one = surrogate.random_surrogate(i, 40, 3)
+        assert one.seed == i
+        for field in ("weights", "kernel", "mu"):
+            assert np.array_equal(getattr(stack, field)[i], getattr(one, field))
 
 
 def test_kernel_table_on_a_stack_is_its_slices():
