@@ -74,10 +74,10 @@ def _weighted_kernel(model: SurrogateModel) -> np.ndarray:
     return model.kernel * (w[..., :, None] * w[..., None, :])
 
 
-def _suite(model: SurrogateModel, P=None) -> list:
+def _suite(model: SurrogateModel) -> list:
     """Pairings -> tensor -> Q -> spectrum -> range residual as one stacked
     pass over the models of `model` (one, or a stack), and their records in
-    seed order; P is the pairing table (or stack of tables), if built.
+    seed order.
 
     Nothing is raised: the sign counts are reported, and a positive mode or
     a kernel dimension other than n(n-1) fails `checks.surrogate_spectrum`
@@ -85,8 +85,7 @@ def _suite(model: SurrogateModel, P=None) -> list:
     possible when the mu vectors are linearly dependent, shows as excess.
     """
     seeds = np.atleast_1d(model.seed).tolist()
-    if P is None:
-        P = kernel_table(model.mu, _weighted_kernel(model))
+    P = kernel_table(model.mu, _weighted_kernel(model))
     Q = wedge.assemble_Q(curvature_tensor(P.reshape(len(seeds), *P.shape[-4:])))
     report = wedge.spectrum(Q, strict=False)
     expected = report.kernel_dim_expected
@@ -108,10 +107,9 @@ def _suite(model: SurrogateModel, P=None) -> list:
         wedge.range_residual(Q, wedge.j_wedge_matrix(Q.n)))]
 
 
-def run_property_suite(model: SurrogateModel, P=None) -> dict:
-    """The record of one model: `_suite` on a stack of one.  P is the
-    model's pairing table, if built."""
-    (record,) = _suite(model, P)
+def run_property_suite(model: SurrogateModel) -> dict:
+    """The record of one model: `_suite` on a stack of one."""
+    (record,) = _suite(model)
     return record
 
 

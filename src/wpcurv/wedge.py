@@ -88,21 +88,12 @@ class WedgeOperator:
 
 
 @functools.cache
-def _wedge_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The wedge pairs a < b, `np.triu_indices(2n, 1)` (built once per n, read-only)."""
-    pairs = np.triu_indices(2 * n, 1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
-
-
-@functools.cache
 def _wedge_map(n: int) -> np.ndarray:
     """W[(a,b), (h,j)] = U[a,h] V[b,j] - V[a,j] U[b,h] at the wedge pairs a < b,
     with U, V the t- and tbar-coefficients of the real basis vectors: a slot
     pair meets R only as (unbarred, barred), a reversed pair with a sign
     (built once per n, read-only)."""
-    eye, (r, c) = np.eye(n), _wedge_pairs(n)
+    eye, (r, c) = np.eye(n), np.triu_indices(2 * n, 1)
     U, V = np.vstack([eye, 1j * eye]), np.vstack([eye, -1j * eye])
     W = (U[r, :, None] * V[c, None, :] - V[r, None, :] * U[c, :, None]).reshape(len(r), n * n)
     W.setflags(write=False)
@@ -117,7 +108,7 @@ def assemble_Q(R: CurvatureTensor) -> WedgeOperator:
     full = W @ R.entries.reshape(*lead, W.shape[1], -1) @ W.T
     residue = np.abs(full.imag).max(axis=(-2, -1))
     scale = np.abs(R.entries).max(axis=(-4, -3, -2, -1))
-    if np.any(residue > 1e-10 * np.maximum(scale, 1e-300)):
+    if (residue > 1e-10 * np.maximum(scale, 1e-300)).any():
         raise TypeImbalance("imaginary residue %.3g in a real curvature value"
                             % residue.max())
     return WedgeOperator(matrix=(full.real + np.swapaxes(full.real, -2, -1)) / 2, n=R.n)
@@ -131,16 +122,6 @@ def j_wedge_matrix(n: int) -> np.ndarray:
     Jw = induced_action(np.block([[zero, -eye], [eye, zero]]))
     Jw.setflags(write=False)
     return Jw
-
-
-@functools.cache
-def _j_plus_space(n: int) -> np.ndarray:
-    """Orthonormal basis (m x n^2) of the +1 eigenspace of the symmetric
-    `j_wedge_matrix(n)` (built once per n, read-only)."""
-    lam, vecs = np.linalg.eigh(j_wedge_matrix(n))
-    plus = vecs[:, lam > 0]
-    plus.setflags(write=False)
-    return plus
 
 
 @dataclass
@@ -217,11 +198,11 @@ def kernel_report(Q: WedgeOperator, spec: SpectrumReport, Jmat: np.ndarray) -> d
     inside ker Q (residual check), and the kernel is no larger: rank(Q) =
     m - n(n-1), and Q is strictly negative on the whole +1 eigenspace of
     the symmetric J (the largest eigenvalue of Q there is below -tau).
-    Jmat is `j_wedge_matrix(Q.n)`, whose +1 eigenspace `_j_plus_space`
-    holds.  Rank, tau and tau_rel are read off Q's `spectrum` `spec`;
-    nothing is raised."""
+    Rank, tau and tau_rel are read off Q's `spectrum` `spec`; nothing is
+    raised."""
     range_resid = range_residual(Q, Jmat)
-    worst = float(Q.eigenvalues_on(_j_plus_space(Q.n)).max())
+    lam, vecs = np.linalg.eigh(Jmat)
+    worst = float(Q.eigenvalues_on(vecs[:, lam > 0]).max())
     return {
         "range_residual_rel": range_resid,
         "range_ok": bool(range_resid <= spec.tau_rel),
@@ -254,12 +235,9 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
     antisymmetric parts matter), b is the full n x n cross block; the
     block matrix [[a - a^T, b], [0, c - c^T]] is read at the pairs a < b.
     """
-    a, b, c = (np.asarray(coeffs.get(key, 0.0), dtype=float) for key in "abc")
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = a - a.T
-    block[:n, n:] = b
-    block[n:, n:] = c - c.T
-    return block[_wedge_pairs(n)]
+    zero = np.zeros((n, n))
+    a, b, c = (np.asarray(coeffs.get(key, zero), dtype=float) for key in "abc")
+    return np.block([[a - a.T, b], [zero, c - c.T]])[np.triu_indices(2 * n, 1)]
 
 
 def weighted_green(surface, green) -> spla.LinearOperator:
@@ -292,20 +270,6 @@ def _green_table(mu: np.ndarray, WG) -> np.ndarray:
     return T
 
 
-@functools.cache
-def _unit_wedges(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C, E) of `integral_matrices`: the coefficient matrix C_k of each unit
-    wedge k and its Hermitian part E_k = (C_k - C_k^H) / 2i (built once per
-    n, read-only)."""
-    r, c = _wedge_pairs(n)
-    C = np.zeros((len(r), n, n), dtype=complex)
-    C[np.arange(len(r)), r % n, c % n] = np.where((r < n) & (c >= n), 1j, 1)
-    E = (C - np.conj(C).transpose(0, 2, 1)) / 2j
-    for M in (C, E):
-        M.setflags(write=False)
-    return C, E
-
-
 def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The integral path as the real symmetric m x m pair (Q_D, Q_G), from
     T = `curvature.kernel_table`(mu, WG),
@@ -328,7 +292,11 @@ def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x^T (Q_D + Q_G) x on its `wedge_vector` x; WG need not be symmetric.  On
     generic fields the tensor path matches d - ib instead (a known defect).
     """
-    C, E = _unit_wedges(len(T))
+    n = len(T)
+    r, c = np.triu_indices(2 * n, 1)
+    C = np.zeros((len(r), n, n), dtype=complex)
+    C[np.arange(len(r)), r % n, c % n] = np.where((r < n) & (c >= n), 1j, 1)
+    E = (C - np.conj(C).transpose(0, 2, 1)) / 2j
     diag = np.einsum("aij,bkl,ijkl->ab", E, E, T)
     mod2 = np.einsum("aij,bkl,iklj->ab", C, np.conj(C), T)
     cross = np.einsum("aij,bkl,ilkj->ab", C, C, T)

@@ -120,20 +120,6 @@ def test_wedge_map_built_once_read_only():
         W[0, 0] = 1.0
 
 
-def test_per_n_constants_built_once_read_only(jmat3):
-    """The wedge pairs, J's +1 eigenspace and the unit-wedge coefficients
-    are built once per n and cannot be written."""
-    pairs, plus, (C, E) = wedge._wedge_pairs(3), wedge._j_plus_space(3), wedge._unit_wedges(3)
-    assert wedge._wedge_pairs(3) is pairs and wedge._j_plus_space(3) is plus
-    assert wedge._unit_wedges(3)[0] is C
-    for array in (*pairs, plus, C, E):
-        assert not array.flags.writeable
-    assert all(np.array_equal(x, y) for x, y in zip(pairs, np.triu_indices(6, 1)))
-    assert plus.shape == (15, 9)
-    assert np.abs(plus.T @ plus - np.eye(9)).max() <= 1e-14
-    assert np.abs(jmat3 @ plus - plus).max() <= 1e-14
-
-
 def test_Q_commutes_with_J(pipe3, jmat3):
     Q = pipe3["Q"].matrix
     assert np.abs(Q @ jmat3 - jmat3 @ Q).max() < 1e-9 * np.abs(Q).max()
