@@ -81,46 +81,39 @@ def tensor_assembly(R, gram, two_path=None):
 
 
 @functools.cache
-def _block_bases(n):
-    """Orthonormal bases (QR of the wedge vectors) of the xx, yy, cross and
-    reduction (a = -c) blocks over the unit antisymmetric E = E_ij - E_ji,
-    i < j (built once per n, read-only)."""
+def _block_vectors(n):
+    """Wedge vectors (one column per unit antisymmetric E = E_ij - E_ji,
+    i < j) of the xx, yy, cross and reduction (a = -c) blocks, built once
+    per n and read-only; each check reads Q on one through `eigenvalues_on`."""
     eye = np.eye(n)
     E = [np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
          for i, j in zip(*np.triu_indices(n, 1))]
     xx, yy, cross = (np.array([wedge.wedge_vector({k: e}, n) for e in E]).T for k in "acb")
-    bases = {}
-    for name, vectors in (("xx", xx), ("yy", yy), ("cross", cross), ("reduction", xx - yy)):
-        bases[name] = np.linalg.qr(vectors)[0]
-        bases[name].setflags(write=False)
-    return bases
-
-
-def _block_eigenvalues(Q, block):
-    """Eigenvalues of Q on one of the `_block_bases`."""
-    U = _block_bases(Q.n)[block]
-    return np.linalg.eigvalsh(U.T @ Q.matrix @ U)
+    vectors = {"xx": xx, "yy": yy, "cross": cross, "reduction": xx - yy}
+    for v in vectors.values():
+        v.setflags(write=False)
+    return vectors
 
 
 # definite blocks pass when Q's largest eigenvalue there is below -tau, null
 # blocks when its largest |eigenvalue| there is at most tau
 def xx_block_definite(Q, tau):
-    worst = float(_block_eigenvalues(Q, "xx").max())
+    worst = float(Q.eigenvalues_on(_block_vectors(Q.n)["xx"]).max())
     return _check("xx_block_definite", worst < -tau, worst, -tau)
 
 
 def yy_block_definite(Q, tau):
-    worst = float(_block_eigenvalues(Q, "yy").max())
+    worst = float(Q.eigenvalues_on(_block_vectors(Q.n)["yy"]).max())
     return _check("yy_block_definite", worst < -tau, worst, -tau)
 
 
 def cross_block_null(Q, tau):
-    worst = float(np.abs(_block_eigenvalues(Q, "cross")).max())
+    worst = float(np.abs(Q.eigenvalues_on(_block_vectors(Q.n)["cross"])).max())
     return _check("cross_block_null", worst <= tau, worst, tau)
 
 
 def reduction_null(Q, tau):
-    worst = float(np.abs(_block_eigenvalues(Q, "reduction")).max())
+    worst = float(np.abs(Q.eigenvalues_on(_block_vectors(Q.n)["reduction"])).max())
     return _check("reduction_null", worst <= tau, worst, tau)
 
 

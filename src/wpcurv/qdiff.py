@@ -13,7 +13,9 @@ form of character k is a power series in z^8 times z^k:
     theta_k(z) = sum_{m < NUM_COEFFS} a_m z^(k + 8m) ,
 
 so the rotation law holds by construction.  The reflection z -> conj(z)
-normalizes the group too, so the a_m are real; a_0 = 1.  They come from
+normalizes the group too, so the a_m are real; a_0 = 1.  The basis is
+one real (3, NUM_COEFFS) array whose row i holds the a_m of character
+SEED_DEGREES[i]; `theta` evaluates all its rows at once.  The a_m come from
 Hejhal's method (D. A. Hejhal, "On eigenfunctions of the Laplacian for
 Hecke triangle groups", 1999): at NUM_POINTS points w on the circle
 |w| = SOLVE_RADIUS in the sector 0 < arg w < pi/4, outside the octagon,
@@ -28,16 +30,14 @@ taken by the SVD of its square R factor; its columns are cumulative
 products of (w/R)^8, so no complex power is taken on the grid.
 `build_qdiff_basis` certifies both the solve (one null singular value per
 character, with a clear gap to the next) and its result: automorphy to
-AUTOMORPHY_TOL for all 8 side pairings, at points along every side up to
-the vertices (|z| = 0.841, the mesh's reach).
+AUTOMORPHY_TOL (`automorphy_residuals`) for all 8 side pairings, at points
+along every side up to the vertices (|z| = 0.841, the mesh's reach).
 
 The tangent-space representative is the harmonic Beltrami differential
 mu = conj(theta)/sigma with sigma(z) = 4/(1-|z|^2)^2.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +66,7 @@ AUTOMORPHY_TOL = 1e-10
 #: points per side for the automorphy certificate, both vertices included
 SIDE_POINTS = 33
 
+
 def side_points(group: FuchsianGroup, num: int = SIDE_POINTS) -> np.ndarray:
     """(8, num) points spread along each octagon side s, from vertex s-1 to
     vertex s: the geodesic through the side's midpoint m orthogonal to the
@@ -77,38 +78,22 @@ def side_points(group: FuchsianGroup, num: int = SIDE_POINTS) -> np.ndarray:
     return (w + m[:, None]) / (1 + np.conj(m)[:, None] * w)
 
 
-@dataclass
-class QuadDifferential:
-    """theta(z) = z^k sum_m a_m z^(8m) with real coefficients a_m."""
-
-    monomial_degree: int
-    coefficients: np.ndarray
-
-    def evaluate(self, z):
-        """theta at z, by Horner in z^8."""
-        return _theta([self], z)[0]
-
-    def automorphy_residual(self, group: FuchsianGroup) -> float:
-        """Worst of max|theta(gamma z) gamma'(z)^2 - theta(z)| / max|theta(z)|
-        over the 8 side pairings gamma, z at the `side_points` of its side."""
-        return _automorphy_residuals([self], group)[0]
-
-
-def _theta(basis, z) -> np.ndarray:
+def theta(basis: np.ndarray, z) -> np.ndarray:
     """(len(basis), *z.shape) values of the forms at z: one Horner pass in
-    z^8 over all their coefficients, each row then times its z^k."""
+    z^8 over all their coefficients, row i then times z^SEED_DEGREES[i]."""
     z = np.asarray(z, dtype=complex)
-    series = np.polynomial.polynomial.polyval(z**8, np.array([q.coefficients for q in basis]).T)
-    return np.array([row * z**q.monomial_degree for row, q in zip(series, basis)])
+    series = np.polynomial.polynomial.polyval(z**8, basis.T)
+    return np.array([row * z**k for row, k in zip(series, SEED_DEGREES)])
 
 
-def _automorphy_residuals(basis, group: FuchsianGroup) -> np.ndarray:
-    """`QuadDifferential.automorphy_residual` of every form, from one
-    evaluation of all of them at the side points and at their images."""
+def automorphy_residuals(basis: np.ndarray, group: FuchsianGroup) -> np.ndarray:
+    """Per form, the worst of max|theta(gamma z) gamma'(z)^2 - theta(z)| /
+    max|theta(z)| over the 8 side pairings gamma, z at the `side_points` of
+    its side: one evaluation of all forms at those points and their images."""
     z = side_points(group)
     g = group.side_pairings[:, None]
-    base = _theta(basis, z)
-    lhs = _theta(basis, act(g, z)) * derivative(g, z) ** 2
+    base = theta(basis, z)
+    lhs = theta(basis, act(g, z)) * derivative(g, z) ** 2
     return (np.abs(lhs - base).max(axis=-1) / np.abs(base).max(axis=-1)).max(axis=-1)
 
 
@@ -151,40 +136,39 @@ def _solve(points, k: int):
     return a / a[0], sv
 
 
-def build_qdiff_basis(group: FuchsianGroup) -> list[QuadDifferential]:
-    """Basis of 3g-3 = 3 quadratic differentials, characters 0, 2, 4.
+def build_qdiff_basis(group: FuchsianGroup) -> np.ndarray:
+    """Basis of 3g-3 = 3 quadratic differentials as a (3, NUM_COEFFS) real
+    array: row i holds the a_m (a_0 = 1) of character SEED_DEGREES[i].
 
     Raises ConvergenceFailure unless each character's system has exactly
     one singular value below NULL_TOL (relative to the largest), the next
-    above GAP_TOL, and then each solved form's `automorphy_residual` (all
+    above GAP_TOL, and then each row's `automorphy_residuals` entry (all
     three from one evaluation) is at most AUTOMORPHY_TOL.  Linear
     independence is certified downstream by the Gram matrix rank.
     """
     points = _collocation(group)
-    basis = []
-    for k in SEED_DEGREES:
-        a, sv = _solve(points, k)
+    basis = np.empty((len(SEED_DEGREES), NUM_COEFFS))
+    for i, k in enumerate(SEED_DEGREES):
+        basis[i], sv = _solve(points, k)
         rel = sv / sv[0]
         if rel[-1] > NULL_TOL or rel[-2] < GAP_TOL:
             raise ConvergenceFailure(
                 "character %d: least singular values %.3g, %.3g (relative); need "
                 "one below %.3g and the next above %.3g"
                 % (k, rel[-1], rel[-2], NULL_TOL, GAP_TOL))
-        basis.append(QuadDifferential(k, a))
-    for q, res in zip(basis, _automorphy_residuals(basis, group)):
+    for k, res in zip(SEED_DEGREES, automorphy_residuals(basis, group)):
         if res > AUTOMORPHY_TOL:
             raise ConvergenceFailure(
                 "character %d: automorphy residual %.3g on the sides exceeds %.3g"
-                % (q.monomial_degree, res, AUTOMORPHY_TOL))
+                % (k, res, AUTOMORPHY_TOL))
     return basis
 
 
-def beltrami_from_qdiff(basis: list[QuadDifferential], surface) -> np.ndarray:
-    """(n, N) samples of mu = conj(theta)/sigma of every basis element at
-    the surface quadrature nodes."""
+def beltrami_from_qdiff(basis: np.ndarray, surface) -> np.ndarray:
+    """(3, N) samples of mu = conj(theta)/sigma of every row of the
+    `build_qdiff_basis` array at the surface quadrature nodes."""
     z = surface.nodes
-    theta = _theta(basis, z)
-    return BeltramiField(np.conj(theta) * (1 - np.abs(z) ** 2) ** 2 / 4)
+    return BeltramiField(np.conj(theta(basis, z)) * (1 - np.abs(z) ** 2) ** 2 / 4)
 
 
 def gram_matrix(fields, surface) -> np.ndarray:

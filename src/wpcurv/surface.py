@@ -466,10 +466,7 @@ def export_mesh_json(surface: DiscreteSurface, path, *, config_hash=None):
         "nodes": np.c_[surface.nodes.real, surface.nodes.imag].tolist(),
         "weights": surface.weights.tolist(),
         "triangles": surface.triangles.tolist(),
-        "identification": {},        # class -> its raw nodes, classes by least node
     }
-    for i, g in enumerate(surface.gid.tolist()):
-        payload["identification"].setdefault(str(g), []).append(i)
     return write_json(path, payload, config_hash)
 
 

@@ -60,25 +60,30 @@ def test_null_blocks_read_the_unit_sphere_maximum():
         assert checks.reduction_null(Q, tau)["pass"]
 
 
-def test_block_bases_built_once_read_only(pipe3):
-    """Each cached basis is orthonormal and read-only, and Q's eigenvalues
-    on it are, bit for bit, `WedgeOperator.eigenvalues_on` over the block's
-    wedge vectors, as each check took them before the bases were cached."""
-    bases = checks._block_bases(3)
-    assert checks._block_bases(3) is bases
+def test_block_vectors_built_once_read_only(pipe3):
+    """Each cached block is read-only and holds the wedge vectors of its
+    pattern over the unit antisymmetric E, and each block check's residual
+    is, bit for bit, `eigvalsh` of Q on the QR basis of those vectors."""
+    blocks = checks._block_vectors(3)
+    assert checks._block_vectors(3) is blocks
     eye = np.eye(3)
     E = [np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
          for i, j in zip(*np.triu_indices(3, 1))]
     patterns = {"xx": lambda e: {"a": e}, "yy": lambda e: {"c": e},
                 "cross": lambda e: {"b": e}, "reduction": lambda e: {"a": e, "c": -e}}
-    Q = pipe3["Q"]
-    assert bases.keys() == patterns.keys()
+    assert blocks.keys() == patterns.keys()
     for name, pattern in patterns.items():
-        U = bases[name]
-        assert not U.flags.writeable
-        assert np.abs(U.T @ U - np.eye(3)).max() <= 1e-15
-        vectors = np.array([wedge.wedge_vector(pattern(e), 3) for e in E]).T
-        assert np.array_equal(checks._block_eigenvalues(Q, name), Q.eigenvalues_on(vectors))
+        assert not blocks[name].flags.writeable
+        ref = np.array([wedge.wedge_vector(pattern(e), 3) for e in E]).T
+        assert np.array_equal(blocks[name], ref)
+    Q = pipe3["Q"]
+    runs = {"xx": (checks.xx_block_definite, np.max), "yy": (checks.yy_block_definite, np.max),
+            "cross": (checks.cross_block_null, lambda ev: np.abs(ev).max()),
+            "reduction": (checks.reduction_null, lambda ev: np.abs(ev).max())}
+    for name, (check, worst) in runs.items():
+        U = np.linalg.qr(blocks[name])[0]
+        ev = np.linalg.eigvalsh(U.T @ Q.matrix @ U)
+        assert check(Q, 1e-8)["residual"] == float(worst(ev))
 
 
 def _with_stiffness(surf, K):

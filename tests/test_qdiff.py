@@ -20,12 +20,12 @@ def _probes(num=12, radius=0.35):
 
 
 def test_basis_size_and_degrees(basis):
-    assert len(basis) == 3
-    assert [q.monomial_degree for q in basis] == [0, 2, 4]
-    for q in basis:
-        assert q.coefficients.dtype == float
-        assert q.coefficients.shape == (qdiff.NUM_COEFFS,)
-        assert q.coefficients[0] == 1.0
+    """One real row of coefficients per character 0, 2, 4, each with a_0 = 1."""
+    assert qdiff.SEED_DEGREES == (0, 2, 4)
+    assert isinstance(basis, np.ndarray)
+    assert basis.dtype == float
+    assert basis.shape == (3, qdiff.NUM_COEFFS)
+    assert np.all(basis[:, 0] == 1.0)
 
 
 def test_automorphy_residuals(group, basis):
@@ -33,13 +33,13 @@ def test_automorphy_residuals(group, basis):
     and at points other than the certificate's own."""
     sides = qdiff.side_points(group, 257)
     assert np.abs(np.abs(sides).max() - np.abs(group.vertices).max()) < 1e-12
-    for q in basis:
-        assert q.automorphy_residual(group) <= qdiff.AUTOMORPHY_TOL
-        for s, z in enumerate(sides):
-            g = group.side_pairings[s]
-            lhs = q.evaluate(act(g, z)) * derivative(g, z) ** 2
-            base = q.evaluate(z)
-            assert np.abs(lhs - base).max() <= qdiff.AUTOMORPHY_TOL * np.abs(base).max()
+    assert np.all(qdiff.automorphy_residuals(basis, group) <= qdiff.AUTOMORPHY_TOL)
+    for s, z in enumerate(sides):
+        g = group.side_pairings[s]
+        lhs = qdiff.theta(basis, act(g, z)) * derivative(g, z) ** 2
+        base = qdiff.theta(basis, z)
+        for i in range(3):
+            assert np.abs(lhs[i] - base[i]).max() <= qdiff.AUTOMORPHY_TOL * np.abs(base[i]).max()
 
 
 def test_side_points_trace_the_sides(group):
@@ -69,13 +69,17 @@ def test_solve_is_the_power_oracle(group, surf3):
     level-3 nodes."""
     points = qdiff._collocation(group)
     z = np.concatenate([qdiff.side_points(group).ravel(), surf3.nodes])
+    rows, rows_ref = [], []
     for k in qdiff.SEED_DEGREES:
         a, sv = qdiff._solve(points, k)
         a_ref, sv_ref = _solve_by_powers(points, k)
         assert np.abs(sv - sv_ref).max() <= 1e-12 * sv_ref[0]
-        theta = qdiff.QuadDifferential(k, a).evaluate(z)
-        ref = qdiff.QuadDifferential(k, a_ref).evaluate(z)
-        assert np.abs(theta - ref).max() <= 1e-12 * np.abs(ref).max()
+        rows.append(a)
+        rows_ref.append(a_ref)
+    theta = qdiff.theta(np.array(rows), z)
+    ref = qdiff.theta(np.array(rows_ref), z)
+    for row, row_ref in zip(theta, ref):
+        assert np.abs(row - row_ref).max() <= 1e-12 * np.abs(row_ref).max()
 
 
 def test_series_oracle_in_span(basis, words8, surf3):
@@ -83,8 +87,7 @@ def test_series_oracle_in_span(basis, words8, surf3):
     theta_k at the level-3 nodes, up to the series' truncation error."""
     z = surf3.nodes
     series = _series(words8, z, qdiff.SEED_DEGREES)
-    for q, row in zip(basis, series):
-        theta = q.evaluate(z)
+    for theta, row in zip(qdiff.theta(basis, z), series):
         c = np.vdot(theta, row) / np.vdot(theta, theta)
         assert np.abs(row - c * theta).max() <= 1e-4 * np.abs(row).max()
 
@@ -146,20 +149,22 @@ def test_rotation_law_certified(basis):
     """theta_k(omega z) = omega^k theta_k(z) holds by construction."""
     rng = np.random.default_rng(1)
     z = 0.84 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
-    for q in basis:
-        rotated = q.evaluate(OMEGA * z)
-        expected = OMEGA ** q.monomial_degree * q.evaluate(z)
-        assert np.abs(rotated - expected).max() <= 1e-13 * np.abs(expected).max()
+    rotated = qdiff.theta(basis, OMEGA * z)
+    values = qdiff.theta(basis, z)
+    for k, row, base in zip(qdiff.SEED_DEGREES, rotated, values):
+        expected = OMEGA ** k * base
+        assert np.abs(row - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_evaluate_sums_directly(basis):
     """Horner in z^8 equals the monomial sum sum_m a_m z^(k + 8m)."""
     z = np.concatenate([_probes(), 0.8 * OMEGA ** np.arange(8)])
-    for q in basis:
-        powers = q.monomial_degree + 8 * np.arange(qdiff.NUM_COEFFS)
-        direct = (q.coefficients * z[:, None] ** powers).sum(axis=1)
-        assert np.abs(q.evaluate(z) - direct).max() <= 1e-13 * np.abs(direct).max()
-    assert np.ndim(basis[0].evaluate(0.1)) == 0
+    values = qdiff.theta(basis, z)
+    for k, a, row in zip(qdiff.SEED_DEGREES, basis, values):
+        powers = k + 8 * np.arange(qdiff.NUM_COEFFS)
+        direct = (a * z[:, None] ** powers).sum(axis=1)
+        assert np.abs(row - direct).max() <= 1e-13 * np.abs(direct).max()
+    assert qdiff.theta(basis, 0.1).shape == (3,)
 
 
 def test_odd_degree_series_vanishes(words8):
@@ -175,8 +180,7 @@ def test_beltrami_invariance(group, basis, surf3):
     rng = np.random.default_rng(0)
     z = 0.3 * np.sqrt(rng.uniform(size=16)) * np.exp(
         2j * np.pi * rng.uniform(size=16))
-    q = basis[1]
-    mu = lambda w: np.conj(q.evaluate(w)) * (1 - np.abs(w) ** 2) ** 2 / 4
+    mu = lambda w: np.conj(qdiff.theta(basis, w)[1]) * (1 - np.abs(w) ** 2) ** 2 / 4
     for g in group.generators:
         gz = act(g, z)
         dg = derivative(g, z)
@@ -251,7 +255,7 @@ def test_petersson_consistency(basis, pipe3, surf3):
     metric density squared (mu = conj(theta)/sigma exactly)."""
     z = surf3.nodes
     sigma = 4.0 / (1 - np.abs(z) ** 2) ** 2
-    theta = np.array([q.evaluate(z) for q in basis])
+    theta = qdiff.theta(basis, z)
     direct = np.einsum("p,ip,jp->ij", surf3.weights,
                        np.conj(theta) / sigma, theta / sigma)
     g = pipe3["gram_raw"]

@@ -552,7 +552,4 @@ def test_mesh_export(tmp_path, surf3):
     assert back["nodes"] == [[z.real, z.imag] for z in surf3.nodes.tolist()]
     assert back["weights"] == surf3.weights.tolist()
     assert back["triangles"] == surf3.triangles.tolist()
-    classes = {int(g): nodes for g, nodes in back["identification"].items()}
-    assert sorted(classes) == list(range(surf3.gid.max() + 1))
-    for g, nodes in classes.items():
-        assert nodes == np.flatnonzero(surf3.gid == g).tolist()
+    assert back.keys() == {"level", "nodes", "weights", "triangles"}
