@@ -1,10 +1,10 @@
 """Named checks shared by the CLI and the acceptance tests.
 
 Each returns ``{pass, residual, tolerance, description}`` from pipeline
-objects, and none draws a sample: the resolvent check reads the LU factor
-of K + 2M, the two-path check compares two m x m matrices, and the block
-checks read Q's eigenvalues on named subspaces of wedges.  Package
-functions are called as module attributes (``wedge.wedge_vector``) so that
+objects (``block_checks`` one per block), and none draws a sample: the
+resolvent check reads the LU factor of K + 2M, the two-path check compares
+two m x m matrices, and one block rule reads Q's eigenvalues on four named
+subspaces of wedges.  Package functions are called as module attributes (``wedge.wedge_vector``) so that
 a wrapper installed there sees the call.
 """
 
@@ -84,7 +84,7 @@ def tensor_assembly(R, gram, two_path=None):
 def _block_vectors(n):
     """Wedge vectors (one column per unit antisymmetric E = E_ij - E_ji,
     i < j) of the xx, yy, cross and reduction (a = -c) blocks, built once
-    per n and read-only; each check reads Q on one through `eigenvalues_on`."""
+    per n and read-only; `block_checks` reads Q on each through `eigenvalues_on`."""
     eye = np.eye(n)
     E = [np.outer(eye[i], eye[j]) - np.outer(eye[j], eye[i])
          for i, j in zip(*np.triu_indices(n, 1))]
@@ -95,26 +95,23 @@ def _block_vectors(n):
     return vectors
 
 
-# definite blocks pass when Q's largest eigenvalue there is below -tau, null
-# blocks when its largest |eigenvalue| there is at most tau
-def xx_block_definite(Q, tau):
-    worst = float(Q.eigenvalues_on(_block_vectors(Q.n)["xx"]).max())
-    return _check("xx_block_definite", worst < -tau, worst, -tau)
-
-
-def yy_block_definite(Q, tau):
-    worst = float(Q.eigenvalues_on(_block_vectors(Q.n)["yy"]).max())
-    return _check("yy_block_definite", worst < -tau, worst, -tau)
-
-
-def cross_block_null(Q, tau):
-    worst = float(np.abs(Q.eigenvalues_on(_block_vectors(Q.n)["cross"])).max())
-    return _check("cross_block_null", worst <= tau, worst, tau)
-
-
-def reduction_null(Q, tau):
-    worst = float(np.abs(Q.eigenvalues_on(_block_vectors(Q.n)["reduction"])).max())
-    return _check("reduction_null", worst <= tau, worst, tau)
+def block_checks(Q, tau):
+    """Q's eigenvalues on each block of `_block_vectors`, as the checks
+    {name: (block, definite)}: a definite block passes when the largest is
+    below -tau, a null block when the largest |eigenvalue| is at most tau."""
+    results = {}
+    for name, (block, definite) in {"xx_block_definite": ("xx", True),
+                                    "yy_block_definite": ("yy", True),
+                                    "cross_block_null": ("cross", False),
+                                    "reduction_null": ("reduction", False)}.items():
+        ev = Q.eigenvalues_on(_block_vectors(Q.n)[block])
+        if definite:
+            worst = float(ev.max())
+            results[name] = _check(name, worst < -tau, worst, -tau)
+        else:
+            worst = float(np.abs(ev).max())
+            results[name] = _check(name, worst <= tau, worst, tau)
+    return results
 
 
 def operator_nonpositive_kernel(spec, kernel):

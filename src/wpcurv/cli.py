@@ -96,10 +96,7 @@ def run_surface_stage(config: RunConfig, outdir: str, results: dict):
     Q_D, Q_G = wedge.integral_matrices(
         curvature.kernel_table(fields, wedge.weighted_green(surf, green)))
     results["tensor_assembly"] = checks.tensor_assembly(R, gram, (Q.matrix, Q_D + Q_G))
-    results["xx_block_definite"] = checks.xx_block_definite(Q, spec.tau)
-    results["yy_block_definite"] = checks.yy_block_definite(Q, spec.tau)
-    results["cross_block_null"] = checks.cross_block_null(Q, spec.tau)
-    results["reduction_null"] = checks.reduction_null(Q, spec.tau)
+    results.update(checks.block_checks(Q, spec.tau))
     results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(spec, kernel)
 
     wedge.export_spectrum_csv(spec, os.path.join(outdir, "spectrum.csv"))

@@ -8,13 +8,19 @@ midpoints.  Each boundary node is then glued to its image under the
 side pairing (classes joined root to root over index arrays), which
 closes the surface: the glued complex has Euler characteristic -2 and all
 8 octagon corners collapse to a single vertex (the corner angles sum to
-2 pi, so no cone point appears).
+2 pi, so no cone point appears).  The surface stores its triangles as
+glued index triples.
 
 The Laplace-Beltrami operator of the metric sigma |dz|^2 is assembled
 with the conformal-invariance trick: in 2D the P1 stiffness matrix of the
 flat Laplacian is conformally invariant, so Delta = sigma^-1 (dxx + dyy)
 is discretized by the flat cotangent stiffness K together with a lumped
-hyperbolic mass M = diag(w): Delta_h = -M^-1 K.  The resolvent operator
+hyperbolic mass M = diag(w): Delta_h = -M^-1 K.  Each raw triangle's
+local matrix e e^T / 4A is summed straight into its glued classes as one
+sparse matrix.  Every glued edge borders two triangles, so an off-diagonal
+entry of K sums at most two local terms and its mirror the same symmetric
+terms; two terms add the same in either order, so K + 2M equals its
+transpose bit for bit.  The resolvent operator
 
     D = -2 (Delta - 2)^-1
 
@@ -156,14 +162,15 @@ def _area_weights(nodes, tris):
                        len(nodes))
 
 
-def _stiffness(nodes, tris, n):
-    """Flat P1 cotangent stiffness matrix (conformally invariant)."""
+def _stiffness(nodes, tris, glued, n):
+    """Flat P1 cotangent stiffness matrix (conformally invariant): the local
+    matrix of each raw triangle `tris` summed into its glued classes `glued`."""
     p = np.stack([nodes.real, nodes.imag], axis=-1)[tris]  # (M, 3, 2)
     e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
     A = np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]) / 2
     Kloc = (e @ e.transpose(0, 2, 1)) / (4 * A)[:, None, None]
-    return sp.csr_matrix((Kloc.ravel(), (np.repeat(tris, 3, axis=1).ravel(),
-                                         np.tile(tris, 3).ravel())), shape=(n, n))
+    return sp.csc_matrix((Kloc.ravel(), (np.repeat(glued, 3, axis=1).ravel(),
+                                         np.tile(glued, 3).ravel())), shape=(n, n))
 
 
 def _glue(group: FuchsianGroup, nodes, tris):
@@ -190,21 +197,16 @@ def _glue(group: FuchsianGroup, nodes, tris):
 
 @dataclass
 class DiscreteSurface:
-    """Glued quadrature nodes, weights and operators, over the raw mesh."""
+    """Glued quadrature nodes, weights, triangles and operators, over the raw mesh."""
 
     level: int
     nodes: np.ndarray            # representative disk coordinate per class
     weights: np.ndarray          # lumped hyperbolic-area weights
     stiffness: sp.spmatrix       # glued flat stiffness K (Delta_h = -M^-1 K)
-    raw_nodes: np.ndarray = field(repr=False)      # refined octagon, unglued
-    raw_triangles: np.ndarray = field(repr=False)  # (M, 3) raw node indices
-    gid: np.ndarray = field(repr=False)            # glued class of each raw node
+    triangles: np.ndarray = field(repr=False)   # (M, 3) glued node indices
+    raw_nodes: np.ndarray = field(repr=False)   # refined octagon, unglued
+    gid: np.ndarray = field(repr=False)         # glued class of each raw node
     _lu: object = field(default=None, repr=False)
-
-    @property
-    def triangles(self):
-        """Glued index triples, (M, 3)."""
-        return self.gid[self.raw_triangles]
 
     @property
     def num_nodes(self):
@@ -248,13 +250,11 @@ def build_mesh(group: FuchsianGroup, level: int) -> DiscreteSurface:
     weights = np.bincount(gid, _area_weights(nodes, tris))
     if np.any(weights <= 0):
         raise SingularMass("non-positive lumped weight")
-    # the flat stiffness of the raw triangles, summed over each glued class
-    P = sp.csr_matrix((np.ones(len(nodes)), (np.arange(len(nodes)), gid)),
-                      shape=(len(nodes), len(reps)))
+    glued = gid[tris]
     return DiscreteSurface(
         level=level, nodes=nodes[reps], weights=weights,
-        stiffness=(P.T @ _stiffness(nodes, tris, len(nodes)) @ P).tocsc(),
-        raw_nodes=nodes, raw_triangles=tris, gid=gid)
+        stiffness=_stiffness(nodes, tris, glued, len(reps)),
+        triangles=glued, raw_nodes=nodes, gid=gid)
 
 
 def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
@@ -385,11 +385,11 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     G is solved once per symmetry orbit of the nodes: the least node r of
     each orbit gets row r of G as column r, the solution of
     (K + 2M) x = 2 e_r, GREEN_BLOCK representatives per untransposed LU
-    solve.  Precondition: K + 2M equals its transpose bit for bit (the
-    local stiffness matrices e e^T are symmetric and M is diagonal; the
-    tests check it at levels 1-4), so G is symmetric and its columns are
-    its rows.  SuperLU does the untransposed solve by supernodes and the
-    transposed one column by column.  Every other row is the row of its
+    solve.  Precondition: K + 2M equals its transpose bit for bit (an
+    off-diagonal entry of K sums at most two symmetric local terms and M
+    is diagonal; the tests check it at levels 1-5), so G is symmetric and
+    its columns are its rows.  SuperLU does the untransposed solve by
+    supernodes and the transposed one column by column.  Every other row is the row of its
     orbit's representative under a certified permutation of `_symmetries`,
     G[g(r), :] = G[r, g^-1(:)]; it is gathered when read, never stored.
     GREEN_BYTES_CAP bounds the stored rows, 8 R N bytes.

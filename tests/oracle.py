@@ -13,6 +13,11 @@ of its R factor.
 and reflections on its own, where `surface._symmetries` certifies two
 generators and composes them.
 
+`_stiffness_by_gluing_matrix` assembles the flat stiffness on the raw
+nodes and glues it by the raw-to-glued matrix P as P^T K P, where
+`surface.build_mesh` sums each raw triangle's local matrix straight into
+its glued classes.
+
 `_pairing_table_by_pairs` takes the pairing table two resolvent solves per
 product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where
 `curvature.pairing_table` applies D once to all n^2 real columns.
@@ -124,6 +129,16 @@ def _symmetries_by_candidates(surface):
             if abs(K_perm[:, perm] - K).max() <= 1e-12 * K_max:
                 perms.append(perm)
     return np.array(perms)
+
+
+def _stiffness_by_gluing_matrix(nodes, tris, gid, n):
+    """Oracle: P^T K P, with K the stiffness of the raw triangles `tris` on
+    the raw nodes and P[i, gid[i]] = 1 the gluing of raw node i into its
+    class, as a CSC matrix of the n glued classes with sorted indices."""
+    raw = len(nodes)
+    K = surface_mod._stiffness(nodes, tris, tris, raw).tocsr()
+    P = sp.csr_matrix((np.ones(raw), (np.arange(raw), gid)), shape=(raw, n))
+    return (P.T @ K @ P).tocsc().sorted_indices()
 
 
 def _pairing_table_by_pairs(fields, surface):

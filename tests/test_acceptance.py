@@ -87,8 +87,9 @@ def test_criterion_6_zero_level_sets(pipe4, jmat3):
     tau = wedge.spectrum(Q, TAU_REL, strict=False).tau
     lam, vecs = np.linalg.eigh(jmat3)
     kernel_worst = float(np.abs(Q.eigenvalues_on(vecs[:, lam < 0])).max())
-    null = checks.cross_block_null(Q, tau)
-    definite = [checks.xx_block_definite(Q, tau), checks.yy_block_definite(Q, tau)]
+    blocks = checks.block_checks(Q, tau)
+    null = blocks["cross_block_null"]
+    definite = [blocks["xx_block_definite"], blocks["yy_block_definite"]]
     ok = null["pass"] and kernel_worst <= tau and all(c["pass"] for c in definite)
     _report(6, ok, "worst_null=%.3g worst_block=%.3g tau=%.3g"
             % (max(null["residual"], kernel_worst),

@@ -37,10 +37,11 @@ def test_xx_block_with_one_positive_direction_fails():
     v = wedge.wedge_vector({"a": e}, 3)
     v /= np.linalg.norm(v)
     Q = wedge.WedgeOperator(matrix=-np.eye(15) + (1 + 10 * tau) * np.outer(v, v), n=3)
-    xx = checks.xx_block_definite(Q, tau)
+    blocks = checks.block_checks(Q, tau)
+    xx = blocks["xx_block_definite"]
     assert not xx["pass"]
     assert xx["residual"] == pytest.approx(10 * tau, rel=1e-6)
-    assert checks.yy_block_definite(Q, tau)["pass"]
+    assert blocks["yy_block_definite"]["pass"]
 
 
 def test_null_blocks_read_the_unit_sphere_maximum():
@@ -54,10 +55,11 @@ def test_null_blocks_read_the_unit_sphere_maximum():
     v /= np.linalg.norm(v)
     for scale, ok in ((2.0, False), (0.5, True)):
         Q = wedge.WedgeOperator(matrix=scale * tau * np.outer(v, v), n=3)
-        check = checks.cross_block_null(Q, tau)
+        blocks = checks.block_checks(Q, tau)
+        check = blocks["cross_block_null"]
         assert check["pass"] is ok
         assert check["residual"] == pytest.approx(scale * tau, rel=1e-12)
-        assert checks.reduction_null(Q, tau)["pass"]
+        assert blocks["reduction_null"]["pass"]
 
 
 def test_block_vectors_built_once_read_only(pipe3):
@@ -77,13 +79,15 @@ def test_block_vectors_built_once_read_only(pipe3):
         ref = np.array([wedge.wedge_vector(pattern(e), 3) for e in E]).T
         assert np.array_equal(blocks[name], ref)
     Q = pipe3["Q"]
-    runs = {"xx": (checks.xx_block_definite, np.max), "yy": (checks.yy_block_definite, np.max),
-            "cross": (checks.cross_block_null, lambda ev: np.abs(ev).max()),
-            "reduction": (checks.reduction_null, lambda ev: np.abs(ev).max())}
+    results = checks.block_checks(Q, 1e-8)
+    runs = {"xx": ("xx_block_definite", np.max), "yy": ("yy_block_definite", np.max),
+            "cross": ("cross_block_null", lambda ev: np.abs(ev).max()),
+            "reduction": ("reduction_null", lambda ev: np.abs(ev).max())}
+    assert list(results) == [check for check, _ in runs.values()]
     for name, (check, worst) in runs.items():
         U = np.linalg.qr(blocks[name])[0]
         ev = np.linalg.eigvalsh(U.T @ Q.matrix @ U)
-        assert check(Q, 1e-8)["residual"] == float(worst(ev))
+        assert results[check]["residual"] == float(worst(ev))
 
 
 def _with_stiffness(surf, K):

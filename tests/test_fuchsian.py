@@ -199,8 +199,10 @@ def test_short_products_stay_in_larger_ball():
     idx = rng.choice(len(small), size=10, replace=False)
     for i in idx:
         for j in idx[:3]:
-            # the ball's matrices are not renormalized: their determinants
-            # drift from 1 by up to 1e-12, which the product would amplify
+            # renormalize the factors, not their product: unit_det(a @ b)
+            # takes a d - b c of the product, whose entries reach |a| ~ 4,809,
+            # and that cancellation puts it 8.96e-6 from the ball, where the
+            # factor-wise product lands 2.2e-9 away
             prod = product(unit_det(small[i]), unit_det(small[j]))
             # entrywise rounding error scales with the matrix magnitude
             assert _contains(big, prod, tol=1e-9 * (1 + abs(prod[0, 0])))

@@ -123,6 +123,27 @@ def test_evaluators_agree(m):
     assert ratios[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_curvature_operator_spectrum(m):
+    """The curvature operator on Lambda^2 R^{4m}, R(e_a, e_b, e_c, e_d) over
+    the orthonormal e_a ^ e_b (a < b): both evaluators give it entry for
+    entry (the Lie-triple one on the upper triangle), and its spectrum is
+    -4m three times (the span of I, J, K), -4 m(2m+1) times, 0 on the rest."""
+    d = 4 * m
+    eye = np.eye(d)
+    a, b = np.triu_indices(d, 1)
+    O = rankone.quat_curvature(*np.broadcast_arrays(
+        eye[a][:, None], eye[b][:, None], eye[a][None, :], eye[b][None, :]), m)
+    assert np.array_equal(O, O.T)
+    for p, q in zip(*np.triu_indices(len(a))):
+        lie = rankone.lie_triple_curvature(eye[a[p]], eye[b[p]], eye[a[q]], eye[b[q]], m)
+        assert abs(lie - O[p, q]) <= 1e-12
+    expected = np.repeat([-4.0 * m, -4.0, 0.0], [3, m * (2 * m + 1), len(a) - 3 - m * (2 * m + 1)])
+    assert np.abs(np.linalg.eigvalsh(O) - np.sort(expected)).max() <= 1e-12
+    for A in rankone.structures(m):     # the 2-vector sum_{a<b} A_ab e_a ^ e_b
+        assert np.abs(O @ A[a, b] + 4 * m * A[a, b]).max() <= 1e-12
+
+
 def test_omega_nonzero_and_j_invariant():
     rng = np.random.default_rng(4)
     for m in (1, 2):

@@ -13,7 +13,7 @@ from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure
 from wpcurv.fuchsian import act, octagon_group
 
-from oracle import _symmetries_by_candidates
+from oracle import _stiffness_by_gluing_matrix, _symmetries_by_candidates
 
 
 def test_level_bounds(group):
@@ -230,9 +230,11 @@ def test_raw_nodes_distinct(level, group, surf3, surf4):
     assert not cKDTree(np.c_[raw.real, raw.imag]).query_pairs(1e-9)
 
 
-def test_mesh_loops_match_per_triangle_reference(surf3):
-    """The vectorized weights and stiffness against per-triangle loops."""
-    nodes, tris = surf3.raw_nodes, surf3.raw_triangles
+def test_mesh_loops_match_per_triangle_reference(group, surf3):
+    """The vectorized weights and stiffness against per-triangle loops; the
+    loops' stiffness is summed through gid, bit for bit as the mesh's."""
+    nodes, tris = surface._build_raw(group, 3 + surface.BASE_REFINEMENTS)
+    gid = surf3.gid
     w = np.zeros(len(nodes))
     rows, cols, vals = [], [], []
     for (i, j, k) in tris:
@@ -250,10 +252,10 @@ def test_mesh_loops_match_per_triangle_reference(surf3):
             sig = 4 / (1 - abs(z) ** 2) ** 2
             for ia, la in zip((i, j, k), (l1, l2, l3)):
                 w[ia] += qw * A * sig * la
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(len(nodes),) * 2)
-    K_new = surface._stiffness(nodes, tris, len(nodes))
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(K_new, attr), getattr(K, attr))
+    K = sp.csc_matrix((vals, (gid[rows], gid[cols])), shape=(surf3.num_nodes,) * 2)
+    for K_new in (surface._stiffness(nodes, tris, gid[tris], surf3.num_nodes), surf3.stiffness):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(K_new, attr), getattr(K, attr))
     # the squares are rounded once here, but through pow in the loop
     assert np.abs(surface._area_weights(nodes, tris) - w).max() <= 1e-15 * w.max()
 
@@ -306,12 +308,16 @@ def _reference_mesh(group, passes):
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_mesh_arrays_match_per_triangle_reference(level, group, surf3, surf4):
     """Refinement and gluing over index arrays against dict-based loops:
-    the same nodes in the same order, triangles and glued classes."""
+    the same nodes in the same order, triangles and glued classes, and the
+    mesh's glued triangles."""
     surf = _mesh(group, surf3, surf4, level)
     nodes, tris, gid = _reference_mesh(group, level + surface.BASE_REFINEMENTS)
+    raw_nodes, raw_tris = surface._build_raw(group, level + surface.BASE_REFINEMENTS)
+    assert np.array_equal(raw_nodes, nodes)
     assert np.array_equal(surf.raw_nodes, nodes)
-    assert np.array_equal(surf.raw_triangles, tris)
+    assert np.array_equal(raw_tris, tris)
     assert np.array_equal(surf.gid, gid)
+    assert np.array_equal(surf.triangles, gid[tris])
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -360,13 +366,30 @@ def test_generated_symmetries_match_candidate_oracle(case, group, surf3, surf4):
     assert len(perms) == (2 if case.startswith("bent") else 16)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_stiffness_plus_mass_is_bitwise_symmetric(level, group, surf3, surf4):
     """The untransposed orbit solve gives rows of G because K + 2M equals
-    its transpose bit for bit."""
+    its transpose bit for bit, up to level 5, the top level `run` accepts."""
     surf = _mesh(group, surf3, surf4, level)
     A = (surf.stiffness + 2 * sp.diags(surf.weights)).tocsc()
     assert (A - A.T).count_nonzero() == 0
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_glued_stiffness_matches_gluing_matrix_product(level, group, surf3, surf4):
+    """K summed straight into the glued classes against the raw-node
+    stiffness glued as P^T K P: the same sparsity pattern, and the same
+    entries to roundoff: an off-diagonal entry sums at most two terms, and
+    only the diagonal sums a class's terms in another order."""
+    surf = _mesh(group, surf3, surf4, level)
+    nodes, tris = surface._build_raw(group, level + surface.BASE_REFINEMENTS)
+    ref = _stiffness_by_gluing_matrix(nodes, tris, surf.gid, surf.num_nodes)
+    K = surf.stiffness
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert np.abs(K.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+    off = K.indices != np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+    assert np.array_equal(K.data[off], ref.data[off])
 
 
 def test_orbit_rows_are_rows_of_the_dense_inverse(surf3, green3):
