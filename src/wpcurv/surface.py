@@ -66,10 +66,10 @@ BASE_REFINEMENTS = 1
 NODE_CAP = 200_000
 GREEN_BYTES_CAP = 1_600_000_000
 
-#: columns per LU solve, of G's representatives and of `apply_D`'s stacks:
-#: the right-hand side and the solution are N x GREEN_BLOCK.  On a 2-vCPU
-#: Xeon the 289 level-4 orbit rows took 87-140 ms at widths 4-64, 116-196
-#: ms at width 289 and 156-210 ms one column at a time (medians of 5)
+#: columns per LU solve of G's orbit rows (`apply_D` solves its whole
+#: stack at once): the right-hand side and the solution are N x GREEN_BLOCK.
+#: On a 2-vCPU Xeon the 289 level-4 orbit rows took 87-140 ms at widths 4-64,
+#: 116-196 ms at width 289 and 156-210 ms one column at a time (medians of 5)
 GREEN_BLOCK = 8
 
 # 7-point degree-5 triangle quadrature (barycentric points and weights)
@@ -206,7 +206,8 @@ class DiscreteSurface:
     triangles: np.ndarray = field(repr=False)   # (M, 3) glued node indices
     raw_nodes: np.ndarray = field(repr=False)   # refined octagon, unglued
     gid: np.ndarray = field(repr=False)         # glued class of each raw node
-    _lu: object = field(default=None, repr=False)
+    # not an init field, so a surface made by `dataclasses.replace` starts unfactored
+    _lu: object = field(default=None, init=False, repr=False)
 
     @property
     def num_nodes(self):
@@ -260,18 +261,15 @@ def build_mesh(group: FuchsianGroup, level: int) -> DiscreteSurface:
 def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
     """Resolvent D f = -2 (Delta_h - 2)^-1 f via (K + 2M) u = 2 M f.
 
-    f is a real node function (N,) or a stack of them (N, k), solved at
-    most GREEN_BLOCK columns per LU solve; complex input raises TypeError
-    (a caller solves its real and imaginary parts).  The weighted residual
-    of (Delta_h - 2) u = -2 f is checked column by column against rtol.
+    f is a real node function (N,) or a stack of them (N, k), solved in one
+    LU solve; complex input raises TypeError (a caller solves its real and
+    imaginary parts).  The weighted residual of (Delta_h - 2) u = -2 f is
+    checked column by column against rtol.
     """
     f = np.asarray(f)
     X = f.reshape(len(f), -1)
-    lu = surface.factorization()
     w = surface.weights[:, None]
-    U = np.empty(X.shape)
-    for lo in range(0, X.shape[1], GREEN_BLOCK):
-        U[:, lo:lo + GREEN_BLOCK] = lu.solve(2 * w * X[:, lo:lo + GREEN_BLOCK])
+    U = surface.factorization().solve(2 * w * X)
     resid = -(surface.stiffness @ U) / w - 2 * U + 2 * X
     rel = (np.sqrt(surface.inner(resid, resid))
            / np.maximum(np.sqrt(surface.inner(X, X)), 1e-300))
@@ -363,10 +361,7 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
         if not (np.array_equal(perm[gid], gid[hit])
                 and np.abs(w[perm] - w).max() <= 1e-12 * w.max()):
             return None
-        # K[perm][:, perm]: relabel the rows of the CSC arrays, then pick columns
-        K_perm = sp.csc_matrix((K.data, np.argsort(perm)[K.indices], K.indptr),
-                               shape=K.shape)
-        return perm if abs(K_perm[:, perm] - K).max() <= 1e-12 * abs(K).max() else None
+        return perm if abs(K[perm][:, perm] - K).max() <= 1e-12 * abs(K).max() else None
 
     rotate = certified(np.exp(1j * np.pi / 4) * raw)
     reflect = certified(raw.conj())

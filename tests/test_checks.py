@@ -92,7 +92,7 @@ def test_block_vectors_built_once_read_only(pipe3):
 
 def _with_stiffness(surf, K):
     """The surface with stiffness K and no factor yet."""
-    return dataclasses.replace(surf, stiffness=sp.csc_array(K), _lu=None)
+    return dataclasses.replace(surf, stiffness=sp.csc_array(K))
 
 
 def test_resolvent_reads_an_ldlt_with_positive_pivots(surf3):

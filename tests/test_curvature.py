@@ -62,6 +62,30 @@ def test_sectional_scale_invariant(pipe3):
         curvature.holomorphic_sectional(R, g, 1))
 
 
+@pytest.mark.parametrize("level", [3, 4])
+def test_nakano_and_dual_nakano_forms(level, pipe3, pipe4):
+    """The two Hermitian forms of R on V (x) V: the dual-Nakano form
+    B[(i,l),(j,k)] = R[i,j,k,l] is positive definite (dual-Nakano negativity,
+    Liu-Sun-Yau, Publ. RIMS 44, 2008), and the Nakano form
+    A[(i,k),(j,l)] = R[i,j,k,l] is positive semidefinite with exactly the
+    n(n-1)/2 antisymmetric tensors as its kernel."""
+    R = (pipe3 if level == 3 else pipe4)["tensor"].entries
+    n, scale = R.shape[0], np.abs(R).max()
+    A = R.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    B = R.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    for form in (A, B):
+        assert np.abs(form - form.conj().T).max() <= 1e-15 * scale
+    assert np.linalg.eigvalsh(B)[0] >= 0.25 * scale
+    ev = np.linalg.eigvalsh(A)
+    zero = np.abs(ev) <= 1e-14 * scale
+    assert zero.sum() == n * (n - 1) // 2 == 3
+    assert ev[~zero].min() >= 0.4 * scale
+    i, k = np.triu_indices(n, 1)
+    u = np.zeros((len(i), n, n))
+    u[np.arange(len(i)), i, k], u[np.arange(len(i)), k, i] = np.sqrt(0.5), -np.sqrt(0.5)
+    assert np.abs(A @ u.reshape(len(i), -1).T).max() <= 1e-14 * scale
+
+
 def test_zero_field_slice_vanishes():
     _, _, W = _toy_operator(30)
     rng = np.random.default_rng(1)
@@ -139,10 +163,9 @@ class _RecordingLU:
 
 
 def test_pairing_table_is_one_stacked_resolvent_call(pipe3, surf3, monkeypatch):
-    """One `apply_D` call on the real N x n^2 stack, at most GREEN_BLOCK
-    columns per LU solve."""
-    lu = _RecordingLU(surf3.factorization())
-    surf = dataclasses.replace(surf3, _lu=lu)
+    """One `apply_D` call on the real N x n^2 stack, in one LU solve."""
+    surf = dataclasses.replace(surf3)
+    surf._lu = lu = _RecordingLU(surf3.factorization())
     calls = []
     apply_D = surface.apply_D
     monkeypatch.setattr(surface, "apply_D",
@@ -150,7 +173,7 @@ def test_pairing_table_is_one_stacked_resolvent_call(pipe3, surf3, monkeypatch):
     P = curvature.pairing_table(pipe3["fields"], surf)
     assert len(calls) == 1
     assert calls[0].shape == (surf3.num_nodes, 9) and np.isrealobj(calls[0])
-    assert max(lu.widths) <= surface.GREEN_BLOCK and sum(lu.widths) == 9
+    assert lu.widths == [9]
     assert np.array_equal(P, pipe3["pairings"])
 
 

@@ -144,6 +144,37 @@ def test_curvature_operator_spectrum(m):
         assert np.abs(O @ A[a, b] + 4 * m * A[a, b]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("m, kernel_dim", [(1, 0), (2, 15), (3, 42)])
+def test_omega_projected_onto_kernel_is_null(m, kernel_dim):
+    """What holds beside criterion 8: ker O of the curvature operator on
+    Lambda^2 R^{4m} has dimension 0, 15 and 42 at m = 1, 2, 3.  For 20 unit
+    v, omega = v ^ Jv + Kv ^ Iv has omega^T O omega = -8 (the expansion
+    criterion 8 reads), and at m = 2, 3 its projection p onto ker O keeps
+    sqrt(1 - 1/m) of its norm, is curvature-null and J-invariant, with
+    least-squares margin 1."""
+    d = 4 * m
+    eye = np.eye(d)
+    a, b = np.triu_indices(d, 1)
+    O = rankone.quat_curvature(*np.broadcast_arrays(
+        eye[a][:, None], eye[b][:, None], eye[a][None, :], eye[b][None, :]), m)
+    ev, U = np.linalg.eigh(O)
+    ker = U[:, np.abs(ev) <= 1e-12]
+    assert ker.shape[1] == kernel_dim
+    v = np.random.default_rng(rankone.LEMMA_SEED).standard_normal((20, d))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    om = rankone.omega_wedge(v, m)[:, a, b]
+    assert np.abs(np.einsum("ti,ij,tj->t", om, O, om) + 8).max() <= 1e-12
+    if m == 1:
+        return
+    p = om @ ker @ ker.T
+    norm = np.linalg.norm(p, axis=1)
+    assert np.abs(norm / np.linalg.norm(om, axis=1) - np.sqrt(1 - 1 / m)).max() <= 1e-13
+    assert np.abs(np.einsum("ti,ij,tj->t", p, O, p)).max() <= 1e-13
+    Jp = p @ wedge.induced_action(rankone.structures(m)[1]).T
+    assert (np.linalg.norm(Jp - p, axis=1) / norm).max() <= 1e-13
+    assert (np.linalg.norm((p + Jp) / 2, axis=1) / norm).min() >= 1 - 1e-12
+
+
 def test_omega_nonzero_and_j_invariant():
     rng = np.random.default_rng(4)
     for m in (1, 2):

@@ -348,9 +348,9 @@ def _bent(surf, kind):
     scale = np.ones(surf.num_nodes)
     scale[_axis_node(surf)] += 1e-6
     if kind == "weight":
-        return dataclasses.replace(surf, weights=surf.weights * scale, _lu=None)
+        return dataclasses.replace(surf, weights=surf.weights * scale)
     S = sp.diags(scale)
-    return dataclasses.replace(surf, stiffness=(S @ surf.stiffness @ S).tocsc(), _lu=None)
+    return dataclasses.replace(surf, stiffness=(S @ surf.stiffness @ S).tocsc())
 
 
 @pytest.mark.parametrize("case", ["L1", "L2", "L3", "L4", "bent-weight", "bent-stiffness"])
@@ -364,6 +364,19 @@ def test_generated_symmetries_match_candidate_oracle(case, group, surf3, surf4):
     perms = surface._symmetries(surf)
     assert np.array_equal(perms, _symmetries_by_candidates(surf))
     assert len(perms) == (2 if case.startswith("bent") else 16)
+
+
+def test_replaced_surface_factors_its_own_operator(surf3):
+    """`dataclasses.replace` carries no factor over: the copy with weights
+    2w factors K + 4M itself, and its resolvent passes its residual."""
+    lu = surf3.factorization()
+    doubled = dataclasses.replace(surf3, weights=2 * surf3.weights)
+    assert doubled.factorization() is not lu
+    assert surf3.factorization() is lu
+    f = np.random.default_rng(12).standard_normal(surf3.num_nodes)
+    u = surface.apply_D(doubled, f)
+    r = -(doubled.stiffness @ u) / doubled.weights - 2 * u + 2 * f
+    assert np.sqrt(doubled.inner(r, r) / doubled.inner(f, f)) <= 1e-10
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
@@ -407,7 +420,7 @@ def test_planted_asymmetry_shrinks_group_to_stabilizer(surf3):
     node = int(np.flatnonzero((abs(z.imag) < 1e-12) & (z.real > 0.1) & (z.real < 0.5))[0])
     weights = surf3.weights.copy()
     weights[node] *= 1 + 1e-6
-    bent = dataclasses.replace(surf3, weights=weights, _lu=None)
+    bent = dataclasses.replace(surf3, weights=weights)
     stabilizer = {tuple(p) for p in surface._symmetries(surf3) if p[node] == node}
     assert len(stabilizer) == 2                    # the identity and z -> conj(z)
     assert {tuple(p) for p in surface._symmetries(bent)} == stabilizer
@@ -424,7 +437,7 @@ def test_planted_stiffness_asymmetry_shrinks_group_to_stabilizer(surf3):
     scale = np.ones(surf3.num_nodes)
     scale[node] += 1e-6
     S = sp.diags(scale)
-    bent = dataclasses.replace(surf3, stiffness=(S @ surf3.stiffness @ S).tocsc(), _lu=None)
+    bent = dataclasses.replace(surf3, stiffness=(S @ surf3.stiffness @ S).tocsc())
     stabilizer = {tuple(p) for p in surface._symmetries(surf3) if p[node] == node}
     assert len(stabilizer) == 2
     assert {tuple(p) for p in surface._symmetries(bent)} == stabilizer
@@ -529,7 +542,7 @@ def test_solver_failure_reports_the_worst_relative_residual(surf3):
 
 
 def test_resolvent_stack_equals_column_calls(surf4):
-    """(N, k) stacks, wider than one LU block, equal column-by-column calls."""
+    """An (N, k) stack, solved in one LU solve, equals column-by-column calls."""
     rng = np.random.default_rng(11)
     F = rng.standard_normal((surf4.num_nodes, 11))
     U = surface.apply_D(surf4, F)
