@@ -123,17 +123,23 @@ def test_evaluators_agree(m):
     assert ratios[0] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_curvature_operator_spectrum(m):
-    """The curvature operator on Lambda^2 R^{4m}, R(e_a, e_b, e_c, e_d) over
-    the orthonormal e_a ^ e_b (a < b): both evaluators give it entry for
-    entry (the Lie-triple one on the upper triangle), and its spectrum is
-    -4m three times (the span of I, J, K), -4 m(2m+1) times, 0 on the rest."""
-    d = 4 * m
-    eye = np.eye(d)
-    a, b = np.triu_indices(d, 1)
+def _curvature_operator(m):
+    """The curvature operator O on Lambda^2 R^{4m}, R(e_a, e_b, e_c, e_d)
+    over the orthonormal e_a ^ e_b (a < b), with the index pairs (a, b)."""
+    eye = np.eye(4 * m)
+    a, b = np.triu_indices(4 * m, 1)
     O = rankone.quat_curvature(*np.broadcast_arrays(
         eye[a][:, None], eye[b][:, None], eye[a][None, :], eye[b][None, :]), m)
+    return O, a, b
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_curvature_operator_spectrum(m):
+    """Both evaluators give the curvature operator O entry for entry (the
+    Lie-triple one on the upper triangle), and its spectrum is -4m three
+    times (the span of I, J, K), -4 m(2m+1) times, 0 on the rest."""
+    O, a, b = _curvature_operator(m)
+    eye = np.eye(4 * m)
     assert np.array_equal(O, O.T)
     for p, q in zip(*np.triu_indices(len(a))):
         lie = rankone.lie_triple_curvature(eye[a[p]], eye[b[p]], eye[a[q]], eye[b[q]], m)
@@ -152,15 +158,11 @@ def test_omega_projected_onto_kernel_is_null(m, kernel_dim):
     criterion 8 reads), and at m = 2, 3 its projection p onto ker O keeps
     sqrt(1 - 1/m) of its norm, is curvature-null and J-invariant, with
     least-squares margin 1."""
-    d = 4 * m
-    eye = np.eye(d)
-    a, b = np.triu_indices(d, 1)
-    O = rankone.quat_curvature(*np.broadcast_arrays(
-        eye[a][:, None], eye[b][:, None], eye[a][None, :], eye[b][None, :]), m)
+    O, a, b = _curvature_operator(m)
     ev, U = np.linalg.eigh(O)
     ker = U[:, np.abs(ev) <= 1e-12]
     assert ker.shape[1] == kernel_dim
-    v = np.random.default_rng(rankone.LEMMA_SEED).standard_normal((20, d))
+    v = np.random.default_rng(rankone.LEMMA_SEED).standard_normal((20, 4 * m))
     v /= np.linalg.norm(v, axis=1)[:, None]
     om = rankone.omega_wedge(v, m)[:, a, b]
     assert np.abs(np.einsum("ti,ij,tj->t", om, O, om) + 8).max() <= 1e-12
