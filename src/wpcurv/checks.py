@@ -64,7 +64,7 @@ def green_kernel(green):
 
 def tensor_symmetries(R):
     res = R.residuals()
-    return _check("tensor_symmetries", max(res.values()) <= 1e-9, res, 1e-9)
+    return _check("tensor_symmetries", np.max(list(res.values())) <= 1e-9, res, 1e-9)
 
 
 def tensor_assembly(R, gram, two_path=None):

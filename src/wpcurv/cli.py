@@ -1,8 +1,9 @@
 """Batch driver: build the surface, run pipeline stages, emit reports.
 
 A run is fully determined by a RunConfig (the subcommand names the stage,
-flags set the rest); its SHA-256 hash is embedded in every JSON artifact so
-outputs can be traced back to their configuration.  Numeric outputs are
+flags set the rest); the SHA-256 hash of every field but `out` is embedded
+in every JSON artifact, so outputs can be traced back to their
+configuration wherever they are written.  Numeric outputs are
 deterministic for a fixed config.
 """
 
@@ -26,7 +27,6 @@ from .fuchsian import octagon_group
 #: the stage each subcommand runs
 SUBCOMMAND_STAGES = {"run": "all", "spectrum": "surface", "surrogate": "surrogate",
                      "rankone": "rankone"}
-STAGES = tuple(SUBCOMMAND_STAGES.values())
 #: the RunConfig fields each subcommand takes as flags: those its stage reads
 SUBCOMMAND_FLAGS = {"run": ("mesh_level", "seeds", "out"), "spectrum": ("mesh_level", "out"),
                     "surrogate": ("seeds", "out"), "rankone": ("seeds", "out")}
@@ -45,7 +45,7 @@ class RunConfig:
     mesh_level: int = 3
     seeds: int = 20             # trials: surrogate models and rankone samples
     out: str = "wpcurv_out"
-    stage: str = "all"          # one of STAGES
+    stage: str = "all"          # "all" or a key of STAGE_ARTIFACTS
 
     def validate(self):
         surface.check_level(self.mesh_level)
@@ -53,26 +53,27 @@ class RunConfig:
             surface.check_green_budget(self.mesh_level)
         if self.seeds < 1:
             raise ValueError("seeds must be at least 1")
-        if self.stage not in STAGES:
+        if self.stage not in ("all", *STAGE_ARTIFACTS):
             raise ValueError("unknown stage %r" % self.stage)
 
     def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
+        blob = json.dumps({k: v for k, v in asdict(self).items() if k != "out"},
+                          sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def run_surface_stage(config: RunConfig, outdir: str, results: dict):
+def run_surface_stage(config: RunConfig, results: dict):
     """Group -> basis -> mesh -> operators -> tensor -> Q -> checks, each
     check entered into `results` as it completes."""
     cfg_hash = config.hash()
 
     group = octagon_group(2)
-    group.export_json(os.path.join(outdir, "group.json"), config_hash=cfg_hash)
+    group.export_json(os.path.join(config.out, "group.json"), config_hash=cfg_hash)
 
     basis_q = qdiff.build_qdiff_basis(group)
 
     surf = surface.build_mesh(group, config.mesh_level)
-    surface.export_mesh_json(surf, os.path.join(outdir, "mesh.json"), config_hash=cfg_hash)
+    surface.export_mesh_json(surf, os.path.join(config.out, "mesh.json"), config_hash=cfg_hash)
 
     fields = qdiff.beltrami_from_qdiff(basis_q, surf)
     gram = qdiff.gram_matrix(fields, surf)
@@ -81,12 +82,12 @@ def run_surface_stage(config: RunConfig, outdir: str, results: dict):
     results["resolvent_operator"] = checks.resolvent_operator(surf)
 
     green = surface.green_kernel(surf)
-    surface.export_green(green, surf, os.path.join(outdir, "green.json"), config_hash=cfg_hash)
+    surface.export_green(green, surf, os.path.join(config.out, "green.json"), config_hash=cfg_hash)
     results["green_kernel"] = checks.green_kernel(green)
 
     P = curvature.pairing_table(fields, surf)
     R = curvature.curvature_tensor(P)
-    curvature.export_tensor_json(R, os.path.join(outdir, "tensor.json"), config_hash=cfg_hash)
+    curvature.export_tensor_json(R, os.path.join(config.out, "tensor.json"), config_hash=cfg_hash)
     results["tensor_symmetries"] = checks.tensor_symmetries(R)
 
     Q = wedge.assemble_Q(R)
@@ -99,24 +100,24 @@ def run_surface_stage(config: RunConfig, outdir: str, results: dict):
     results.update(checks.block_checks(Q, spec.tau))
     results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(spec, kernel)
 
-    wedge.export_spectrum_csv(spec, os.path.join(outdir, "spectrum.csv"))
-    wedge.export_spectrum_json(spec, kernel, os.path.join(outdir, "spectrum.json"),
+    wedge.export_spectrum_csv(spec, os.path.join(config.out, "spectrum.csv"))
+    wedge.export_spectrum_json(spec, kernel, os.path.join(config.out, "spectrum.json"),
                                config_hash=cfg_hash)
 
 
-def run_surrogate_stage(config: RunConfig, outdir: str, results: dict):
+def run_surrogate_stage(config: RunConfig, results: dict):
     """Synthetic-kernel models -> their sign counts."""
     summary = surrogate.run_seed_sweep(
         range(config.seeds), SURROGATE_POINTS, SURROGATE_FIELDS)
-    write_json(os.path.join(outdir, "surrogate.json"), summary, config.hash())
+    write_json(os.path.join(config.out, "surrogate.json"), summary, config.hash())
     results["surrogate_spectrum"] = checks.surrogate_spectrum(summary)
 
 
-def run_rankone_stage(config: RunConfig, outdir: str, results: dict):
+def run_rankone_stage(config: RunConfig, results: dict):
     """Quaternionic model, m = 1 and 2 -> the special 2-vector check."""
     reports = [rankone.lemma51_check(m, config.seeds) for m in (1, 2)]
     for rep in reports:
-        write_json(os.path.join(outdir, "rankone_m%d.json" % rep["m"]), rep, config.hash())
+        write_json(os.path.join(config.out, "rankone_m%d.json" % rep["m"]), rep, config.hash())
     results["quaternionic_null_vector"] = checks.quaternionic_null_vector(reports)
 
 
@@ -133,7 +134,7 @@ def run(config: RunConfig) -> dict:
                           ("rankone", run_rankone_stage)):
         if config.stage in ("all", stage):
             try:
-                runner(config, config.out, results)
+                runner(config, results)
             except WpcurvError as exc:
                 for name in STAGE_ARTIFACTS[stage]:
                     if os.path.exists(path := os.path.join(config.out, name)):

@@ -103,8 +103,8 @@ def curvature_tensor(P: np.ndarray) -> CurvatureTensor:
     array (or a stack of tables) and validate symmetries."""
     R = CurvatureTensor(P + np.swapaxes(P, -3, -1))
     res = R.residuals()
-    worst = max(res.values())
-    if worst > SYMMETRY_TOL:
+    worst = np.max(list(res.values()))         # a NaN propagates
+    if not worst <= SYMMETRY_TOL:
         raise SymmetryViolation("curvature symmetry residual %.3g exceeds %.3g (%s)"
                                 % (worst, SYMMETRY_TOL, res))
     return R

@@ -151,13 +151,13 @@ def build_qdiff_basis(group: FuchsianGroup) -> np.ndarray:
     for i, k in enumerate(SEED_DEGREES):
         basis[i], sv = _solve(points, k)
         rel = sv / sv[0]
-        if rel[-1] > NULL_TOL or rel[-2] < GAP_TOL:
+        if not (rel[-1] <= NULL_TOL and rel[-2] >= GAP_TOL):
             raise ConvergenceFailure(
                 "character %d: least singular values %.3g, %.3g (relative); need "
                 "one below %.3g and the next above %.3g"
                 % (k, rel[-1], rel[-2], NULL_TOL, GAP_TOL))
     for k, res in zip(SEED_DEGREES, automorphy_residuals(basis, group)):
-        if res > AUTOMORPHY_TOL:
+        if not res <= AUTOMORPHY_TOL:
             raise ConvergenceFailure(
                 "character %d: automorphy residual %.3g on the sides exceeds %.3g"
                 % (k, res, AUTOMORPHY_TOL))

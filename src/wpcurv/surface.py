@@ -187,7 +187,7 @@ def _glue(group: FuchsianGroup, nodes, tris):
         src, tgt = np.unique(ends[side == s + 4]), np.unique(ends[side == s])
         d = np.abs(nodes[tgt] - act(group.generators[s], nodes[src])[:, None])
         gap = d.min(axis=1).max()
-        if gap > 1e-9:
+        if not gap <= 1e-9:
             raise WpcurvError("side pairing failed to match boundary node (gap %g)" % gap)
         parent[parent[src]] = parent[tgt[d.argmin(axis=1)]]     # root to root
         for _ in range(len(nodes).bit_length()):    # log2 N jumps flatten any chain
@@ -249,7 +249,7 @@ def build_mesh(group: FuchsianGroup, level: int) -> DiscreteSurface:
     nodes, tris = _build_raw(group, level + BASE_REFINEMENTS)
     reps, gid = np.unique(_glue(group, nodes, tris), return_inverse=True)
     weights = np.bincount(gid, _area_weights(nodes, tris))
-    if np.any(weights <= 0):
+    if not np.all(weights > 0):
         raise SingularMass("non-positive lumped weight")
     glued = gid[tris]
     return DiscreteSurface(
@@ -273,7 +273,7 @@ def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
     resid = -(surface.stiffness @ U) / w - 2 * U + 2 * X
     rel = (np.sqrt(surface.inner(resid, resid))
            / np.maximum(np.sqrt(surface.inner(X, X)), 1e-300))
-    if rel.max() > rtol:
+    if not rel.max() <= rtol:
         raise SolverFailure("worst relative resolvent residual %.3g exceeds rtol %.3g"
                             % (rel.max(), rtol))
     return U.reshape(f.shape)

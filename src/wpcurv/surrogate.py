@@ -24,23 +24,23 @@ from .curvature import curvature_tensor, kernel_table
 
 @dataclass
 class SurrogateModel:
-    """Abstract sample weights, kernel and tangent fields: one model, or a
-    stack of models on a leading axis, one per seed."""
+    """Abstract sample weights, kernel and tangent fields of a stack of
+    models on a leading axis, one per seed."""
 
-    seed: int | list
-    weights: np.ndarray       # (N,) or (S, N), positive
-    kernel: np.ndarray        # (N, N) or (S, N, N), symmetric, entrywise positive
-    mu: np.ndarray            # (n, N) or (S, n, N), complex
+    seed: list
+    weights: np.ndarray       # (S, N), positive
+    kernel: np.ndarray        # (S, N, N), symmetric, entrywise positive
+    mu: np.ndarray            # (S, n, N), complex
 
     @property
     def n(self):
         return self.mu.shape[-2]
 
 
-def random_surrogate(seed, num_points: int, n: int) -> SurrogateModel:
-    """Deterministic random model with a Gaussian radial kernel; a sequence
-    of seeds gives their models as one stack, each drawn from its own
-    `default_rng(seed)` in the same order as alone.
+def random_surrogate(seeds, num_points: int, n: int) -> SurrogateModel:
+    """Deterministic random models with a Gaussian radial kernel, one per
+    seed of the sequence `seeds`, as one stack, each drawn from its own
+    `default_rng(seed)`.
 
     Bandwidth is the median inter-point distance, so the kernel is
     symmetric, entrywise positive and positive definite by construction.
@@ -49,7 +49,6 @@ def random_surrogate(seed, num_points: int, n: int) -> SurrogateModel:
     if num_points < 2 * n * n:
         raise ValueError(
             "num_points %d below identifiability floor %d" % (num_points, 2 * n * n))
-    seeds = np.atleast_1d(seed).tolist()
     pts, weights, mu = [], [], []
     for s in seeds:
         rng = np.random.default_rng(s)
@@ -64,9 +63,7 @@ def random_surrogate(seed, num_points: int, n: int) -> SurrogateModel:
     r, c = np.triu_indices(num_points, 1)
     bandwidth = np.median(dist[:, r, c], axis=-1)[:, None, None]
     kernel = np.exp(-(dist**2) / (2 * bandwidth**2))
-    if np.ndim(seed) == 0:
-        return SurrogateModel(seed=seed, weights=weights[0], kernel=kernel[0], mu=mu[0])
-    return SurrogateModel(seed=seeds, weights=weights, kernel=kernel, mu=mu)
+    return SurrogateModel(seed=list(seeds), weights=weights, kernel=kernel, mu=mu)
 
 
 def _weighted_kernel(model: SurrogateModel) -> np.ndarray:
@@ -76,17 +73,14 @@ def _weighted_kernel(model: SurrogateModel) -> np.ndarray:
 
 def _suite(model: SurrogateModel) -> list:
     """Pairings -> tensor -> Q -> spectrum -> range residual as one stacked
-    pass over the models of `model` (one, or a stack), and their records in
-    seed order.
+    pass over the models of `model`, and their records in seed order.
 
     Nothing is raised: the sign counts are reported, and a positive mode or
     a kernel dimension other than n(n-1) fails `checks.surrogate_spectrum`
     through the sweep's `all_counts_ok`.  A kernel *larger* than n(n-1),
     possible when the mu vectors are linearly dependent, shows as excess.
     """
-    seeds = np.atleast_1d(model.seed).tolist()
-    P = kernel_table(model.mu, _weighted_kernel(model))
-    Q = wedge.assemble_Q(curvature_tensor(P.reshape(len(seeds), *P.shape[-4:])))
+    Q = wedge.assemble_Q(curvature_tensor(kernel_table(model.mu, _weighted_kernel(model))))
     report = wedge.spectrum(Q, strict=False)
     expected = report.kernel_dim_expected
     return [{
@@ -102,13 +96,13 @@ def _suite(model: SurrogateModel) -> list:
         "gap_ratio": gap,
         "range_residual_rel": residual,
     } for seed, lam, tau, neg, zero, pos, gap, residual in zip(
-        seeds, report.eigenvalues, report.tau, report.num_negative, report.num_zero,
+        model.seed, report.eigenvalues, report.tau, report.num_negative, report.num_zero,
         report.num_positive, report.gap_ratio,
         wedge.range_residual(Q, wedge.j_wedge_matrix(Q.n)))]
 
 
 def run_property_suite(model: SurrogateModel) -> dict:
-    """The record of one model: `_suite` on a stack of one."""
+    """The record of a one-model stack."""
     (record,) = _suite(model)
     return record
 
@@ -116,7 +110,7 @@ def run_property_suite(model: SurrogateModel) -> dict:
 def run_seed_sweep(seeds, num_points: int, n: int) -> dict:
     """Run the suite over many seeds, their models built and evaluated as
     one stack, and summarize worst margins."""
-    per_seed = _suite(random_surrogate(list(seeds), num_points, n))
+    per_seed = _suite(random_surrogate(seeds, num_points, n))
     return {
         "n": n,
         "num_points": num_points,

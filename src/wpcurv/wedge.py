@@ -108,7 +108,7 @@ def assemble_Q(R: CurvatureTensor) -> WedgeOperator:
     full = W @ R.entries.reshape(*lead, W.shape[1], -1) @ W.T
     residue = np.abs(full.imag).max(axis=(-2, -1))
     scale = np.abs(R.entries).max(axis=(-4, -3, -2, -1))
-    if (residue > 1e-10 * np.maximum(scale, 1e-300)).any():
+    if not (residue <= 1e-10 * np.maximum(scale, 1e-300)).all():
         raise TypeImbalance("imaginary residue %.3g in a real curvature value"
                             % residue.max())
     return WedgeOperator(matrix=(full.real + np.swapaxes(full.real, -2, -1)) / 2, n=R.n)

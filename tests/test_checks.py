@@ -1,6 +1,7 @@
 """The check registry on hand-made inputs: failures are reported, not raised."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +9,13 @@ import scipy.sparse as sp
 
 from wpcurv import checks, wedge
 from wpcurv.curvature import kernel_table
+
+
+def test_one_nan_symmetry_residual_fails():
+    """A NaN after the first residual is not skipped, as Python's max would."""
+    R = types.SimpleNamespace(residuals=lambda: {
+        "holo_swap": 1e-17, "anti_swap": np.nan, "conjugation": 1e-17})
+    assert not checks.tensor_symmetries(R)["pass"]
 
 
 def test_kernel_rank_mismatch_is_a_failed_check():

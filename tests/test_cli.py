@@ -39,6 +39,9 @@ def test_config_hash_sensitivity():
     assert a.hash() != b.hash()
     assert a.hash() == cli.RunConfig().hash()
     assert len(a.hash()) == 16
+    # where the artifacts are written is not part of the computation
+    assert cli.RunConfig(out="elsewhere").hash() == a.hash()
+    assert cli.RunConfig(mesh_level=2, out="elsewhere").hash() == b.hash() != a.hash()
 
 
 @pytest.mark.parametrize("argv", [["--mesh-level", "9"], ["--mesh-level", "7"],
@@ -241,6 +244,20 @@ def test_surface_stage_and_determinism(tmp_path):
     assert len(text.splitlines()) == 9
 
 
+def test_one_config_into_two_directories_writes_the_same_artifacts(tmp_path):
+    """The stage artifacts do not depend on `out`; the report differs only
+    in the `out` it records."""
+    for name in "ab":
+        cli.run(cli.RunConfig(mesh_level=2, seeds=3, out=str(tmp_path / name)))
+    a, b = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} for name in "ab")
+    assert set(a) == set(b) and len(a) == 10
+    assert all(a[name] == b[name] for name in a if name != "report.json")
+    ra, rb = (json.loads(files["report.json"]) for files in (a, b))
+    assert ra["config"].pop("out") == str(tmp_path / "a")
+    assert rb["config"].pop("out") == str(tmp_path / "b")
+    assert ra == rb
+
+
 def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
     """Every JSON artifact is opened once, for writing, and never read back;
     it is json's compact encoding, stamped with the config hash as its last
@@ -360,6 +377,47 @@ def test_failed_stage_keeps_the_checks_it_reached(tmp_path, monkeypatch):
     assert all(report["checks"][name]["pass"] for name in list(report["checks"])[:3])
     assert report["checks"]["surface_stage"]["residual"] == "SolverFailure: planted"
     assert not report["all_pass"]
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.json"]
+
+
+def test_nan_basis_coefficient_is_a_failed_stage(tmp_path, monkeypatch):
+    """A NaN coefficient from the automorphy solve is a ConvergenceFailure
+    of the stage, recorded in the report, which is the only file left."""
+    solve = qdiff._solve
+
+    def planted(points, k):
+        a, sv = solve(points, k)
+        a[1] = np.nan
+        return a, sv
+
+    monkeypatch.setattr(qdiff, "_solve", planted)
+    report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, out=str(tmp_path / "o")))
+    assert list(report["checks"]) == ["surface_stage"]
+    assert report["checks"]["surface_stage"]["residual"].startswith("ConvergenceFailure")
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.json"]
+
+
+def test_nan_resolvent_solve_is_a_failed_stage(tmp_path, monkeypatch):
+    """An LU solve that returns a NaN is a SolverFailure of the stage, not
+    an error from a later eigensolve, and leaves only the report."""
+    class NanLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            x.flat[0] = np.nan
+            return x
+
+    factorization = surface.DiscreteSurface.factorization
+    monkeypatch.setattr(surface.DiscreteSurface, "factorization",
+                        lambda self: NanLU(factorization(self)))
+    report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, out=str(tmp_path / "o")))
+    assert not report["all_pass"]
+    assert report["checks"]["surface_stage"]["residual"].startswith("SolverFailure")
     assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.json"]
 
 

@@ -151,6 +151,21 @@ def test_symmetry_violation_raised():
         curvature.curvature_tensor(P)
 
 
+def test_nan_pairing_is_a_symmetry_violation(pipe3):
+    P = pipe3["pairings"].copy()
+    P[0, 1, 2, 0] = np.nan
+    with pytest.raises(SymmetryViolation):
+        curvature.curvature_tensor(P)
+
+
+def test_one_nan_residual_is_a_symmetry_violation(pipe3, monkeypatch):
+    """A NaN after the first residual is not skipped, as Python's max would."""
+    monkeypatch.setattr(curvature.CurvatureTensor, "residuals", lambda self: {
+        "holo_swap": 1e-17, "anti_swap": np.nan, "conjugation": 1e-17})
+    with pytest.raises(SymmetryViolation):
+        curvature.curvature_tensor(pipe3["pairings"])
+
+
 class _RecordingLU:
     """Delegates to a factorization and records each right-hand side's width."""
 

@@ -135,6 +135,26 @@ def test_perturbed_coefficient_fails_certificate(group, monkeypatch):
         qdiff.build_qdiff_basis(group)
 
 
+@pytest.mark.parametrize("where, gate", [("coefficient", "automorphy"),
+                                         ("singular-value", "least singular values")])
+def test_nan_in_solve_fails_certificate(where, gate, group, monkeypatch):
+    """A NaN coefficient fails the automorphy gate, a NaN least singular
+    value the null/gap gate: neither passes as not above its tolerance."""
+    solve = qdiff._solve
+
+    def planted(points, k):
+        a, sv = solve(points, k)
+        if k == 2 and where == "coefficient":
+            a[1] = np.nan
+        elif k == 2:
+            sv[-1] = np.nan
+        return a, sv
+
+    monkeypatch.setattr(qdiff, "_solve", planted)
+    with pytest.raises(ConvergenceFailure, match="character 2: " + gate):
+        qdiff.build_qdiff_basis(group)
+
+
 def test_collocation_points_pulled_back_once(group, monkeypatch):
     """One `reduce_to_domain` call serves the solves of all three characters."""
     calls = []

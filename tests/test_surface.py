@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpcurv import checks, surface
-from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure
+from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
 from wpcurv.fuchsian import act, octagon_group
 
 from oracle import _stiffness_by_gluing_matrix, _symmetries_by_candidates
@@ -559,6 +559,15 @@ def test_resolvent_rejects_complex_input(surf3):
         surface.apply_D(surf3, f)
 
 
+def test_nan_in_resolvent_input_is_a_solver_failure(group):
+    """A NaN residual fails the gate rather than passing as not above rtol."""
+    surf = surface.build_mesh(group, 2)
+    f = np.random.default_rng(12).standard_normal(surf.num_nodes)
+    f[5] = np.nan
+    with pytest.raises(SolverFailure):
+        surface.apply_D(surf, f)
+
+
 def test_zero_weight_is_singular_mass(group, monkeypatch):
     area_weights = surface._area_weights
 
@@ -570,6 +579,27 @@ def test_zero_weight_is_singular_mass(group, monkeypatch):
     monkeypatch.setattr(surface, "_area_weights", zero_at_center)
     with pytest.raises(SingularMass):
         surface.build_mesh(group, 1)
+
+
+def test_nan_weight_is_singular_mass(group, monkeypatch):
+    area_weights = surface._area_weights
+
+    def nan_at_center(nodes, tris):
+        w = area_weights(nodes, tris)
+        w[0] = np.nan
+        return w
+
+    monkeypatch.setattr(surface, "_area_weights", nan_at_center)
+    with pytest.raises(SingularMass):
+        surface.build_mesh(group, 2)
+
+
+def test_nan_side_pairing_fails_the_gluing(group, monkeypatch):
+    """Side pairings that map every node to NaN match no boundary node;
+    the gluing raises instead of leaving the sides unglued."""
+    monkeypatch.setattr(surface, "act", lambda g, z: np.full_like(z, np.nan))
+    with pytest.raises(WpcurvError, match="side pairing"):
+        surface.build_mesh(group, 2)
 
 
 def test_node_hash_deterministic(group, surf3):

@@ -321,6 +321,13 @@ def test_real_tensor_planted_imaginary_residue_is_type_imbalance(pipe3):
         wedge.assemble_Q(CurvatureTensor(entries))
 
 
+def test_nan_tensor_is_type_imbalance(pipe3):
+    entries = pipe3["tensor"].entries.copy()
+    entries[0, 1, 0, 1] = np.nan
+    with pytest.raises(TypeImbalance):
+        wedge.assemble_Q(CurvatureTensor(entries))
+
+
 def test_green_table_is_the_pairing_table(pipe3, surf3, green3):
     """T through the orbit-row kernel equals P through the LU."""
     T = kernel_table(pipe3["fields"], wedge.weighted_green(surf3, green3))
