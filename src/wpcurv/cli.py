@@ -1,9 +1,10 @@
 """Batch driver: build the surface, run pipeline stages, emit reports.
 
 A run is fully determined by a RunConfig (the subcommand names the stage,
-flags set the rest); the SHA-256 hash of every field but `out` is embedded
-in every JSON artifact, so outputs can be traced back to their
-configuration wherever they are written.  Numeric outputs are
+flags set the rest).  Every JSON artifact embeds the SHA-256 hash of the
+settings its stage reads (the report, of those its stages read), so an
+output can be traced back to its configuration wherever it is written,
+and one stage writes the same bytes whichever subcommand runs it.  Numeric outputs are
 deterministic for a fixed config.
 """
 
@@ -56,8 +57,11 @@ class RunConfig:
         if self.stage not in ("all", *STAGE_ARTIFACTS):
             raise ValueError("unknown stage %r" % self.stage)
 
-    def hash(self) -> str:
-        blob = json.dumps({k: v for k, v in asdict(self).items() if k != "out"},
+    def hash(self, stage: str | None = None) -> str:
+        """Hash of the settings `stage` (by default this run's) reads: the
+        flags of the subcommand that runs it, but `out`."""
+        command = next(c for c, s in SUBCOMMAND_STAGES.items() if s == (stage or self.stage))
+        blob = json.dumps({k: getattr(self, k) for k in SUBCOMMAND_FLAGS[command] if k != "out"},
                           sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -65,7 +69,7 @@ class RunConfig:
 def run_surface_stage(config: RunConfig, results: dict):
     """Group -> basis -> mesh -> operators -> tensor -> Q -> checks, each
     check entered into `results` as it completes."""
-    cfg_hash = config.hash()
+    cfg_hash = config.hash("surface")
 
     group = octagon_group(2)
     group.export_json(os.path.join(config.out, "group.json"), config_hash=cfg_hash)
@@ -109,7 +113,7 @@ def run_surrogate_stage(config: RunConfig, results: dict):
     """Synthetic-kernel models -> their sign counts."""
     summary = surrogate.run_seed_sweep(
         range(config.seeds), SURROGATE_POINTS, SURROGATE_FIELDS)
-    write_json(os.path.join(config.out, "surrogate.json"), summary, config.hash())
+    write_json(os.path.join(config.out, "surrogate.json"), summary, config.hash("surrogate"))
     results["surrogate_spectrum"] = checks.surrogate_spectrum(summary)
 
 
@@ -117,7 +121,8 @@ def run_rankone_stage(config: RunConfig, results: dict):
     """Quaternionic model, m = 1 and 2 -> the special 2-vector check."""
     reports = [rankone.lemma51_check(m, config.seeds) for m in (1, 2)]
     for rep in reports:
-        write_json(os.path.join(config.out, "rankone_m%d.json" % rep["m"]), rep, config.hash())
+        write_json(os.path.join(config.out, "rankone_m%d.json" % rep["m"]), rep,
+                   config.hash("rankone"))
     results["quaternionic_null_vector"] = checks.quaternionic_null_vector(reports)
 
 

@@ -51,7 +51,7 @@ def inverse(m) -> np.ndarray:
 def _den(m, z):
     """cz + d, at least POLE_TOL from 0 in absolute value."""
     den = m[..., 1, 0] * z + m[..., 1, 1]
-    if np.any(np.abs(den) <= POLE_TOL):
+    if not np.all(np.abs(den) > POLE_TOL):            # a NaN point fails it too
         raise NearPole("evaluation within %g of the pole" % POLE_TOL)
     return den
 

@@ -173,14 +173,17 @@ def beltrami_from_qdiff(basis: np.ndarray, surface) -> np.ndarray:
 
 def gram_matrix(fields, surface) -> np.ndarray:
     """Hermitian (n, n) Gram array g_ij = sum_p w_p mu_i(p) conj(mu_j(p))
-    of the (n, N) fields."""
+    of the (n, N) fields; DegenerateBasis unless it is finite and of full
+    numerical rank."""
     mu = np.asarray(fields, dtype=complex)
     if mu.shape[1] != len(surface.weights):
         raise ValueError("fields not sampled on this surface")
     g = np.einsum("p,ip,jp->ij", surface.weights, mu, np.conj(mu))
     g = (g + g.conj().T) / 2
+    if not np.all(np.isfinite(g)):
+        raise DegenerateBasis("Gram matrix has non-finite entries")
     ev = np.linalg.eigvalsh(g)
-    if ev.min() <= 1e-10 * ev.max():
+    if not ev.min() > 1e-10 * ev.max():
         raise DegenerateBasis(
             "Gram matrix numerically singular (eigenvalues %s)" % ev)
     return g

@@ -35,12 +35,12 @@ z -> conj(z) are certified to carry the glued mesh, w and K onto
 themselves, their 16 compositions give the maps, and G is kept as the
 solved rows plus those permutations (289 rows of 4,094 at level 4).  The
 rows are solved as columns by the untransposed LU solve, which holds
-because K + 2M equals its transpose bit for bit.  G is applied by one
-product with the permuted columns, and its report is read off the solved
-rows; neither expands it.  The computed G is symmetric up to roundoff,
-and (Df)(p) = sum_q G[p,q] w_q f(q) holds to roundoff, not exactly: the
-two sides round differently (about 2e-15 relative at level 3 and 4e-15
-at level 4).
+because K + 2M equals its transpose bit for bit.  G is applied by
+products with the permuted columns, four maps at a time, and its report
+is read off the solved rows; neither expands it.  The computed G is
+symmetric up to roundoff, and (Df)(p) = sum_q G[p,q] w_q f(q) holds to
+roundoff, not exactly: the two sides round differently (about 2e-15
+relative at level 3 and 4e-15 at level 4).
 """
 
 from __future__ import annotations
@@ -71,6 +71,10 @@ GREEN_BYTES_CAP = 1_600_000_000
 #: On a 2-vCPU Xeon the 289 level-4 orbit rows took 87-140 ms at widths 4-64,
 #: 116-196 ms at width 289 and 156-210 ms one column at a time (medians of 5)
 GREEN_BLOCK = 8
+
+#: symmetry maps per product of `GreenKernel.matmat`: its permuted columns
+#: are N x (GREEN_MAPS * k), a quarter of the 16 maps' N x 16k stack
+GREEN_MAPS = 4
 
 # 7-point degree-5 triangle quadrature (barycentric points and weights)
 _QUAD_PTS = [(1 / 3, 1 / 3, 1 / 3),
@@ -150,27 +154,31 @@ def _build_raw(group: FuchsianGroup, passes: int):
 def _area_weights(nodes, tris):
     """Lumped hyperbolic-area weights by 7-point quadrature per triangle.
 
-    Terms are summed in (triangle, quadrature point, corner) order.
+    Each raw triangle's corners sum their seven terms in quadrature-point
+    order, and the (M, 3) corner sums are then summed into the nodes in
+    (triangle, corner) order.
     """
     zi, zj, zk = nodes[tris].T
     A = np.abs((zj - zi).real * (zk - zi).imag - (zj - zi).imag * (zk - zi).real) / 2
-    L = np.array(_QUAD_PTS)                                 # (7, 3)
-    z = L[:, :1] * zi + L[:, 1:2] * zj + L[:, 2:] * zk      # (7, M)
-    sig = 4 / (1 - np.hypot(z.real, z.imag) ** 2) ** 2     # hypot: as abs(complex)
-    terms = (np.array(_QUAD_WTS)[:, None] * A * sig).T[:, :, None] * L
-    return np.bincount(np.broadcast_to(tris[:, None, :], terms.shape).ravel(), terms.ravel(),
-                       len(nodes))
+    corners = np.zeros(tris.shape)
+    for L, qw in zip(_QUAD_PTS, _QUAD_WTS):
+        z = L[0] * zi + L[1] * zj + L[2] * zk
+        sig = 4 / (1 - np.hypot(z.real, z.imag) ** 2) ** 2   # hypot: as abs(complex)
+        corners += np.multiply.outer(qw * A * sig, L)
+    return np.bincount(tris.ravel(), corners.ravel(), len(nodes))
 
 
 def _stiffness(nodes, tris, glued, n):
     """Flat P1 cotangent stiffness matrix (conformally invariant): the local
-    matrix of each raw triangle `tris` summed into its glued classes `glued`."""
+    matrix of each raw triangle `tris` summed into its glued classes `glued`,
+    scattered by int32 indices, as the sparse matrix stores them."""
+    g = np.asarray(glued, dtype=np.int32)
     p = np.stack([nodes.real, nodes.imag], axis=-1)[tris]  # (M, 3, 2)
     e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
     A = np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]) / 2
     Kloc = (e @ e.transpose(0, 2, 1)) / (4 * A)[:, None, None]
-    return sp.csc_matrix((Kloc.ravel(), (np.repeat(glued, 3, axis=1).ravel(),
-                                         np.tile(glued, 3).ravel())), shape=(n, n))
+    return sp.csc_matrix((Kloc.ravel(), (np.repeat(g, 3, axis=1).ravel(),
+                                         np.tile(g, 3).ravel())), shape=(n, n))
 
 
 def _glue(group: FuchsianGroup, nodes, tris):
@@ -302,14 +310,18 @@ class GreenKernel:
     def matmat(self, V):
         """G @ V for real V of shape (N,) or (N, k).
 
-        (G V)[i] = (rows @ V[perms[map_of[i]]])[row_of[i]]: one product of
-        rows with the N x (maps * k) stack of permuted columns, then a
-        gather.
+        (G V)[i] = (rows @ V[perms[map_of[i]]])[row_of[i]]: the products of
+        rows with the permuted columns, GREEN_MAPS maps per product, fill
+        an R x maps x k table, which is then gathered.
         """
         V = np.asarray(V)
         X = V.reshape(len(V), -1)
-        stack = X[self.perms.T].reshape(len(X), -1)       # N x (maps * k)
-        Y = (self.rows @ stack).reshape(len(self.rows), len(self.perms), -1)
+        Y = np.empty((len(self.rows), len(self.perms), X.shape[1]))
+        for lo in range(0, len(self.perms), GREEN_MAPS):
+            # the N x maps x k stack is freed before the next one is gathered
+            stack = X[self.perms[lo:lo + GREEN_MAPS].T].reshape(len(X), -1)
+            Y[:, lo:lo + GREEN_MAPS] = (self.rows @ stack).reshape(len(Y), -1, X.shape[1])
+            del stack
         return Y[self.row_of, self.map_of].reshape(V.shape)
 
     @cached_property

@@ -18,6 +18,10 @@ nodes and glues it by the raw-to-glued matrix P as P^T K P, where
 `surface.build_mesh` sums each raw triangle's local matrix straight into
 its glued classes.
 
+`_matmat_by_stack` applies the Green kernel by one product of its solved
+rows with the N x (maps * k) stack of all permuted columns, where
+`surface.GreenKernel.matmat` takes a few maps per product.
+
 `_pairing_table_by_pairs` takes the pairing table two resolvent solves per
 product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where
 `curvature.pairing_table` applies D once to all n^2 real columns.
@@ -139,6 +143,16 @@ def _stiffness_by_gluing_matrix(nodes, tris, gid, n):
     K = surface_mod._stiffness(nodes, tris, tris, raw).tocsr()
     P = sp.csr_matrix((np.ones(raw), (np.arange(raw), gid)), shape=(raw, n))
     return (P.T @ K @ P).tocsc().sorted_indices()
+
+
+def _matmat_by_stack(kernel, V):
+    """Oracle: G @ V as (rows @ V[perms[map_of[i]]])[row_of[i]], through one
+    product of the rows with the N x (maps * k) stack of permuted columns."""
+    V = np.asarray(V)
+    X = V.reshape(len(V), -1)
+    stack = X[kernel.perms.T].reshape(len(X), -1)
+    Y = (kernel.rows @ stack).reshape(len(kernel.rows), len(kernel.perms), -1)
+    return Y[kernel.row_of, kernel.map_of].reshape(V.shape)
 
 
 def _pairing_table_by_pairs(fields, surface):

@@ -42,6 +42,9 @@ def test_config_hash_sensitivity():
     # where the artifacts are written is not part of the computation
     assert cli.RunConfig(out="elsewhere").hash() == a.hash()
     assert cli.RunConfig(mesh_level=2, out="elsewhere").hash() == b.hash() != a.hash()
+    # a stage's hash reads only the settings that stage reads
+    assert cli.RunConfig(seeds=5).hash("surface") == a.hash("surface") != b.hash("surface")
+    assert b.hash("surrogate") == a.hash("surrogate") != cli.RunConfig(seeds=5).hash("rankone")
 
 
 @pytest.mark.parametrize("argv", [["--mesh-level", "9"], ["--mesh-level", "7"],
@@ -204,24 +207,29 @@ def test_surrogate_sign_flip_is_a_failed_check(tmp_path, monkeypatch):
 
 
 def test_block_and_kernel_checks_do_not_depend_on_seeds(tmp_path):
-    """The surface stage makes no random draw, so `seeds` changes none of
-    its artifacts or checks, apart from the config hash they carry."""
+    """The surface stage makes no random draw and its hash does not read
+    `seeds`, so `seeds` changes none of its artifacts' bytes or checks."""
     runs = []
     for seeds in (1, 20):
         out = tmp_path / str(seeds)
         report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, seeds=seeds,
                                        out=str(out)))
-        artifacts = {}
-        for name in cli.STAGE_ARTIFACTS["surface"]:
-            text = (out / name).read_text()
-            if name.endswith(".json"):
-                payload = json.loads(text)
-                assert payload.pop("config_hash") == report["config_hash"]
-                text = json.dumps(payload)
-            artifacts[name] = text
+        artifacts = {name: (out / name).read_bytes() for name in cli.STAGE_ARTIFACTS["surface"]}
         assert len(report["checks"]) == 9
         runs.append((artifacts, report["checks"]))
     assert runs[0] == runs[1]
+
+
+def test_spectrum_and_run_write_the_same_surface_files(tmp_path, capsys):
+    """`spectrum` and `run --seeds 3` run one surface stage at level 2, so
+    they write its six files byte for byte alike."""
+    cli.main(["spectrum", "--mesh-level", "2", "--out", str(tmp_path / "s")])
+    cli.main(["run", "--mesh-level", "2", "--seeds", "3", "--out", str(tmp_path / "r")])
+    capsys.readouterr()
+    names = cli.STAGE_ARTIFACTS["surface"]
+    assert len(names) == 6
+    for name in names:
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
 
 
 def test_surface_stage_and_determinism(tmp_path):
@@ -260,8 +268,8 @@ def test_one_config_into_two_directories_writes_the_same_artifacts(tmp_path):
 
 def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
     """Every JSON artifact is opened once, for writing, and never read back;
-    it is json's compact encoding, stamped with the config hash as its last
-    key."""
+    it is json's compact encoding, stamped as its last key with the hash of
+    the settings its own stage reads, and the report with that of the run's."""
     real_open = builtins.open
     opened = []
 
@@ -270,8 +278,14 @@ def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", spy)
-    report = cli.run(cli.RunConfig(mesh_level=2, seeds=3, out=str(tmp_path / "o")))
+    config = cli.RunConfig(mesh_level=2, seeds=3, out=str(tmp_path / "o"))
+    report = cli.run(config)
     monkeypatch.undo()
+    stage_of = {name: stage for stage, files in cli.STAGE_ARTIFACTS.items() for name in files}
+    hashes = {stage: config.hash(stage) for stage in ("all", *cli.STAGE_ARTIFACTS)}
+    assert hashes["surrogate"] == hashes["rankone"]         # both read `seeds` alone
+    assert len({hashes["all"], hashes["surface"], hashes["surrogate"]}) == 3
+    assert report["config_hash"] == hashes["all"] == config.hash()
     names = sorted(p.name for p in (tmp_path / "o").glob("*.json"))
     assert len(names) == 9
     assert set(names) | {"spectrum.csv"} == {"report.json"}.union(*cli.STAGE_ARTIFACTS.values())
@@ -282,7 +296,7 @@ def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
         assert text == json.dumps(payload)
         if name != "report.json":
             assert list(payload)[-1] == "config_hash"
-            assert payload["config_hash"] == report["config_hash"]
+            assert payload["config_hash"] == hashes[stage_of[name]]
 
 
 def test_surface_stage_draws_nothing(tmp_path, monkeypatch):

@@ -66,6 +66,13 @@ def test_near_pole_raises():
         derivative(m, pole)
 
 
+@pytest.mark.parametrize("fn", [act, derivative], ids=["act", "derivative"])
+def test_nan_point_raises_near_pole(fn):
+    """A NaN point fails the pole gate; it is not carried through as NaN."""
+    with pytest.raises(NearPole):
+        fn(octagon_group(2).generators[0], np.array([np.nan, 0.1]))
+
+
 def test_stacked_action_matches_each_matrix():
     """`act` and `derivative` on a matrix stack, broadcast against points,
     equal the values of each matrix alone bit for bit."""

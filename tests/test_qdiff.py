@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wpcurv import qdiff
+from wpcurv import qdiff, surface
 from wpcurv.errors import ConvergenceFailure, DegenerateBasis
 from wpcurv.fuchsian import act, derivative, enumerate_words
 
@@ -244,6 +244,16 @@ def test_duplicate_field_degenerate(pipe3, surf3):
     fields = pipe3["fields_raw"]
     with pytest.raises(DegenerateBasis):
         qdiff.gram_matrix([fields[0], fields[0], fields[1]], surf3)
+
+
+def test_nan_field_sample_is_degenerate(group, basis):
+    """One NaN sample makes the Gram matrix non-finite: DegenerateBasis, not
+    an error from the eigensolver."""
+    surf = surface.build_mesh(group, 2)
+    fields = qdiff.beltrami_from_qdiff(basis, surf)
+    fields[1, 7] = np.nan
+    with pytest.raises(DegenerateBasis, match="non-finite"):
+        qdiff.gram_matrix(fields, surf)
 
 
 def test_wrong_surface_rejected(pipe3, surf4):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
 from wpcurv.fuchsian import act, octagon_group
 
-from oracle import _stiffness_by_gluing_matrix, _symmetries_by_candidates
+from oracle import _matmat_by_stack, _stiffness_by_gluing_matrix, _symmetries_by_candidates
 
 
 def test_level_bounds(group):
@@ -201,10 +202,10 @@ def test_green_blocked_report_equals_full_matrix_formulas(surf3, green3):
 
 
 @pytest.mark.parametrize("level", [3, 4])
-def test_green_kernel_applies_D_to_roundoff(level, surf3, surf4, green3):
+def test_green_kernel_applies_D_to_roundoff(level, surf3, surf4, green3, green4):
     """sum_q G[p,q] w_q f(q) = (Df)(p) holds to roundoff, not exactly."""
     surf = surf3 if level == 3 else surf4
-    green = green3 if level == 3 else surface.green_kernel(surf4)
+    green = green3 if level == 3 else green4
     rng = np.random.default_rng(level)
     for _ in range(5):
         f = rng.standard_normal(surf.num_nodes)
@@ -215,6 +216,44 @@ def test_green_kernel_applies_D_to_roundoff(level, surf3, surf4, green3):
     direct = surface.apply_D(surf, F)
     err = np.abs(green.matmat(surf.weights[:, None] * F) - direct).max()
     assert err <= 1e-13 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("k", [None, 1, 9], ids=["vector", "k1", "k9"])
+def test_matmat_matches_the_whole_stack_product(level, k, surf3, surf4, green3, green4):
+    """A few maps per product against one product with all 16 maps'
+    permuted columns: the same values to roundoff."""
+    surf, green = (surf3, green3) if level == 3 else (surf4, green4)
+    V = np.random.default_rng(k).standard_normal((surf.num_nodes,) + ((k,) if k else ()))
+    got, ref = green.matmat(V), _matmat_by_stack(green, V)
+    assert got.shape == ref.shape == V.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _traced_peak(fn, *args):
+    """Bytes that `fn(*args)` allocates at its peak beyond what is held
+    before the call, as tracemalloc sees numpy's allocations."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_matmat_peak_is_below_the_whole_stack(surf4, green4):
+    """At level 4 on an (N, 9) stack, matmat peaks below the 8 N 16 9 bytes
+    that the stack of all 16 maps' permuted columns alone would take."""
+    V = np.random.default_rng(0).standard_normal((surf4.num_nodes, 9))
+    assert _traced_peak(green4.matmat, V) < 8 * surf4.num_nodes * 16 * 9
+
+
+def test_area_weights_peak_is_below_the_term_array(group):
+    """At level 4, the weights peak below the 8 * 21 * M bytes of an (M, 7, 3)
+    array holding every quadrature term of the M raw triangles."""
+    nodes, tris = surface._build_raw(group, 4 + surface.BASE_REFINEMENTS)
+    assert _traced_peak(surface._area_weights, nodes, tris) < 8 * 21 * len(tris)
 
 
 def _mesh(group, surf3, surf4, level):
