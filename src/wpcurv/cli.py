@@ -4,8 +4,8 @@ A run is fully determined by a RunConfig (the subcommand names the stage,
 flags set the rest).  Every JSON artifact embeds the SHA-256 hash of the
 settings its stage reads (the report, of those its stages read), so an
 output can be traced back to its configuration wherever it is written,
-and one stage writes the same bytes whichever subcommand runs it.  Numeric outputs are
-deterministic for a fixed config.
+and one stage writes the same bytes whichever subcommand runs it.
+Numeric outputs are deterministic for a fixed config.
 """
 
 from __future__ import annotations
