@@ -1,17 +1,4 @@
 """Numerical laboratory for the Weil-Petersson curvature operator of
 genus-2 Teichmueller space, evaluated at the regular-octagon surface."""
 
-from . import curvature, errors, fuchsian, qdiff, rankone, surface, surrogate, wedge
-
-__all__ = [
-    "curvature",
-    "errors",
-    "fuchsian",
-    "qdiff",
-    "rankone",
-    "surface",
-    "surrogate",
-    "wedge",
-]
-
 __version__ = "0.1.0"

@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from . import surface as surface_mod
 from .artifacts import write_json
 from .errors import SymmetryViolation
 
@@ -66,9 +64,9 @@ def kernel_table(mu: np.ndarray, W) -> np.ndarray:
     The products mu_i conj(mu_j) do not depend on any coefficients, and W
     is real, so W meets only the n^2 real columns Re(mu_i conj mu_j),
     i <= j, and Im(mu_i conj mu_j), i < j, in one product; the rest
-    follows from W_ji = conj(W_ij).  W is an N x N array or an operator
-    with `@` on real (N, m) arrays; mu (..., n, N) and an array W
-    (..., N, N) with leading batch axes give one table per slice.
+    follows from W_ji = conj(W_ij).  W is an (..., N, N) array, applied
+    with `@`, or a function of the real (N, m) stack; mu (..., n, N) and
+    an array W with the same leading batch axes give one table per slice.
     """
     *lead, n, N = mu.shape
     prod = mu[..., :, None, :] * np.conj(mu)[..., None, :, :]   # mu_i conj(mu_j)
@@ -76,7 +74,8 @@ def kernel_table(mu: np.ndarray, W) -> np.ndarray:
     off = i < j
     upper = prod[..., i, j, :]
     cols = np.concatenate([upper.real, upper[..., off, :].imag], axis=-2)
-    Wc = np.swapaxes(W @ np.swapaxes(cols, -1, -2), -1, -2)
+    X = np.swapaxes(cols, -1, -2)
+    Wc = np.swapaxes(W(X) if callable(W) else W @ X, -1, -2)
     Wp = np.empty((*lead, n, n, N), dtype=complex)
     Wp[..., i, j, :] = Wc[..., :len(i), :]
     Wp[..., i[off], j[off], :] += 1j * Wc[..., len(i):, :]
@@ -90,12 +89,12 @@ def pairing_table(fields, surface) -> np.ndarray:
     """All n^4 pairings (ij,kl) of the (n, N) fields, a complex
     (n, n, n, n) array: `kernel_table` through W = w D, one `apply_D` call
     on the stack of n^2 real columns."""
+    from . import surface as surface_mod
+
     def weighted_D(X):
         return (surface.weights * surface_mod.apply_D(surface, X).T).T
 
-    N = surface.num_nodes
-    W = spla.LinearOperator((N, N), matvec=weighted_D, matmat=weighted_D, dtype=float)
-    return kernel_table(np.asarray(fields, dtype=complex), W)
+    return kernel_table(np.asarray(fields, dtype=complex), weighted_D)
 
 
 def curvature_tensor(P: np.ndarray) -> CurvatureTensor:

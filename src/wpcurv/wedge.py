@@ -30,8 +30,8 @@ induced on wedges by the complex structure.
 
 Both terms are contractions of one n^4 table, `curvature.kernel_table`
 taken through the weighted Green kernel WG = w G w in place of W = w D;
-since w D f = WG f, the D-term is one of them.  WG is an operator on the
-Green kernel's solved orbit rows (`weighted_green`), each solved as a
+since w D f = WG f, the D-term is one of them.  The function WG applies
+the Green kernel's solved orbit rows (`weighted_green`), each solved as a
 column by the untransposed LU solve of K + 2M, which equals its transpose
 bit for bit: no N x N array is ever formed, and this path reads D only
 through those rows, so the two paths share the table's code but no solve.
@@ -43,7 +43,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .artifacts import write_json
 from .curvature import CurvatureTensor, kernel_table
@@ -240,24 +239,22 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
     return np.block([[a - a.T, b], [zero, c - c.T]])[np.triu_indices(2 * n, 1)]
 
 
-def weighted_green(surface, green) -> spla.LinearOperator:
-    """WG V = w * G(w * V): the Green kernel weighted on both slots, applied
-    through `green.matmat`; no N x N array is formed.  `last_table` holds
-    the last `_green_table` built through it."""
+def weighted_green(surface, green):
+    """The function WG: V -> w * G(w * V), the Green kernel weighted on both
+    slots, through `green.matmat`; no N x N array is formed.  Its attribute
+    `last_table` holds the last `_green_table` built through it."""
     w = surface.weights
 
     def matmat(V):
         ww = w.reshape((-1,) + (1,) * (np.ndim(V) - 1))
         return ww * green.matmat(ww * V)
 
-    op = spla.LinearOperator((len(w), len(w)), matvec=matmat, matmat=matmat,
-                             dtype=float)
-    op.last_table = None
-    return op
+    matmat.last_table = None
+    return matmat
 
 
 def _green_table(mu: np.ndarray, WG) -> np.ndarray:
-    """T = `curvature.kernel_table`(mu, WG) for a `weighted_green` operator,
+    """T = `curvature.kernel_table`(mu, WG) for a `weighted_green` function,
     which keeps the last T with its fields (`last_table`) and returns it
     again for fields equal to those exactly, so the per-element calls of
     `integral_form_Q` on one set of fields share one table."""
@@ -307,7 +304,7 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     """x^T (Q_D + Q_G) x for the `wedge_vector` x of {a, b, c}, from the
     `integral_matrices` of the (n, N) fields' `_green_table`.  This
     per-element form and the table cache stay only for the benchmark
-    harness, which calls it once per element on one operator."""
+    harness, which calls it once per element on one `weighted_green`."""
     mu = np.asarray(fields, dtype=complex)
     if WG is None:
         WG = weighted_green(surface, green)

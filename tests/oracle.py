@@ -50,7 +50,7 @@ from wpcurv import surface as surface_mod
 from wpcurv.curvature import curvature_tensor, kernel_table
 from wpcurv.errors import TypeImbalance
 
-DOMAIN_BLOCK = 500_000  # points per block of `in_fundamental_domain`
+DOMAIN_BLOCK = 32_768  # points per block of `in_fundamental_domain` (256 kB float rows)
 DOMAIN_TOL = 1e-12  # distance margin within which `in_fundamental_domain` sees a tie
 
 #: max elements-x-points per evaluation chunk of `_series`: each temporary

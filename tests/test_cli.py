@@ -479,3 +479,19 @@ def test_explain_into_closed_pipe_is_quiet(tmp_path):
     _, err = proc.communicate(timeout=60)
     assert err == b""
     assert proc.returncode == 0
+
+
+def test_package_import_loads_no_numpy_and_algebra_no_scipy():
+    """In a fresh interpreter, `import wpcurv` loads no submodule and no
+    numpy, and the algebra (`checks`, `surrogate` and `rankone`, with the
+    `curvature` and `wedge` they import) loads no scipy: only `surface`
+    imports it."""
+    code = ("import json, sys, wpcurv\n"
+            "first = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'wpcurv'))\n"
+            "import wpcurv.checks, wpcurv.surrogate, wpcurv.rankone\n"
+            "print(json.dumps([first, sorted(m for m in sys.modules\n"
+            "                                if m.split('.')[0] == 'scipy')]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wpcurv.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert json.loads(proc.stdout) == [["wpcurv"], []]

@@ -178,7 +178,9 @@ class _RecordingLU:
 
 
 def test_pairing_table_is_one_stacked_resolvent_call(pipe3, surf3, monkeypatch):
-    """One `apply_D` call on the real N x n^2 stack, in one LU solve."""
+    """One `apply_D` call on the real N x n^2 stack, in one LU solve.  The
+    call reads `surface.apply_D` when it runs, so a spy installed there
+    (as the benchmark's tracer installs its wrapper) sees it."""
     surf = dataclasses.replace(surf3)
     surf._lu = lu = _RecordingLU(surf3.factorization())
     calls = []

@@ -330,7 +330,7 @@ def test_domain_blocks_match_distance_formula():
     everywhere, across block ends and at points on every side."""
     G = octagon_group(2)
     rng = np.random.default_rng(3)
-    n = DOMAIN_BLOCK + 1000
+    n = 16 * DOMAIN_BLOCK + 1000
     pts = 0.999 * np.sqrt(rng.uniform(size=n)) * np.exp(
         2j * np.pi * rng.uniform(size=n))
     # the bisector of 0 and each center: the diameter orthogonal to the
@@ -375,21 +375,37 @@ def test_tiling_unique_representative(group, words8):
     """Each sample point has exactly one translate in the domain, over the
     length-8 word ball.  The octagon lies in the hyperbolic disk about 0
     through its vertices, which is convex, so only images with |w|^2 up to
-    the vertices' (plus 1e-9) are handed to the oracle; on the first chunk
-    of words that gives the oracle's own answer."""
+    the vertices' (plus 1e-9), the reach disk of radius d_r about 0, are
+    handed to the oracle.
+
+    Only a few words can reach it.  An image gamma z lies in the reach disk
+    only if d(0, gamma 0) <= d(0, gamma z) + d(gamma z, gamma 0) <= d_r +
+    d(0, z), and for gamma in SU(1,1), |a_gamma| = cosh(d(0, gamma 0) / 2).
+    So every word with |a| above cosh((d_r + d_max) / 2) (1 + 1e-9), where
+    d_max is the largest d(0, z) over the points, is skipped; the factor
+    covers the words' roundoff in det = 1.  On the first 8,000 words, no
+    skipped word's image falls in the reach disk, and the reach disk gives
+    the oracle's own answer on every image."""
     rng = np.random.default_rng(1)
     pts = 0.95 * np.sqrt(rng.uniform(size=1000)) * np.exp(
         2j * np.pi * rng.uniform(size=1000))
     reach2 = abs(group.vertices[0]) ** 2 + 1e-9
-    hits = np.zeros(len(pts), dtype=int)
-    for start in range(0, len(words8), 8000):
-        images = act(words8[start:start + 8000, None], pts)
+    d_reach, d_max = 2 * np.arctanh(np.sqrt([reach2, np.max(np.abs(pts) ** 2)]))
+    kept = np.abs(words8[:, 0, 0]) <= np.cosh((d_reach + d_max) / 2) * (1 + 1e-9)
+
+    def images_in_domain(words):
+        images = act(words[:, None], pts)
         near = images.real ** 2 + images.imag ** 2 <= reach2
         inside = np.zeros(images.shape, dtype=bool)
         inside[near] = in_fundamental_domain(group, images[near])
-        if start == 0:
-            assert np.array_equal(inside, in_fundamental_domain(group, images))
-        hits += inside.sum(axis=0)
+        return images, near, inside
+
+    for start in range(0, 8000, 1000):
+        chunk = slice(start, start + 1000)
+        images, near, inside = images_in_domain(words8[chunk])
+        assert not near[~kept[chunk]].any()
+        assert np.array_equal(inside, in_fundamental_domain(group, images))
+    hits = images_in_domain(words8[kept])[2].sum(axis=0)
     assert np.all(hits == 1)
 
 

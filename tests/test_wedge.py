@@ -256,7 +256,7 @@ class _RecordingWG:
     def __matmul__(self, X):
         assert np.isrealobj(X)
         self.columns.append(X.shape[1])
-        return self.WG @ X
+        return self.WG(X)
 
 
 def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
