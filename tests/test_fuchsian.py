@@ -390,7 +390,7 @@ def test_tiling_unique_representative(group, words8):
     pts = 0.95 * np.sqrt(rng.uniform(size=1000)) * np.exp(
         2j * np.pi * rng.uniform(size=1000))
     reach2 = abs(group.vertices[0]) ** 2 + 1e-9
-    d_reach, d_max = 2 * np.arctanh(np.sqrt([reach2, np.max(np.abs(pts) ** 2)]))
+    d_reach, d_max = 2 * np.arctanh([np.sqrt(reach2), np.abs(pts).max()])
     kept = np.abs(words8[:, 0, 0]) <= np.cosh((d_reach + d_max) / 2) * (1 + 1e-9)
 
     def images_in_domain(words):
