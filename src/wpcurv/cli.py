@@ -1,11 +1,12 @@
 """Batch driver: build the surface, run pipeline stages, emit reports.
 
 A run is fully determined by a RunConfig (the subcommand names the stage,
-flags set the rest).  Every JSON artifact embeds the SHA-256 hash of the
-settings its stage reads (the report, of those its stages read), so an
-output can be traced back to its configuration wherever it is written,
-and one stage writes the same bytes whichever subcommand runs it.
-Numeric outputs are deterministic for a fixed config.
+flags set the rest).  Every artifact is JSON and embeds the SHA-256 hash
+of the settings its stage reads (the report, of those its stages read),
+so an output can be traced back to its configuration wherever it is
+written, and one stage writes the same bytes whichever subcommand runs
+it.  A stage's results live in its artifacts and its check records in
+the report alone.  Numeric outputs are deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ SURROGATE_POINTS = 40
 SURROGATE_FIELDS = 3
 #: the files each stage writes; a stage that fails removes all of its own
 STAGE_ARTIFACTS = {"surface": ("group.json", "mesh.json", "green.json", "tensor.json",
-                               "spectrum.csv", "spectrum.json"),
+                               "spectrum.json"),
                    "surrogate": ("surrogate.json",),
                    "rankone": ("rankone_m1.json", "rankone_m2.json")}
 
@@ -104,8 +105,7 @@ def run_surface_stage(config: RunConfig, results: dict):
     results.update(checks.block_checks(Q, spec.tau))
     results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(spec, kernel)
 
-    wedge.export_spectrum_csv(spec, os.path.join(config.out, "spectrum.csv"))
-    wedge.export_spectrum_json(spec, kernel, os.path.join(config.out, "spectrum.json"),
+    wedge.export_spectrum_json(spec, os.path.join(config.out, "spectrum.json"),
                                config_hash=cfg_hash)
 
 
@@ -226,8 +226,10 @@ def main(argv=None) -> int:
 
     report = run(config)
     if args.command == "spectrum" and "surface_stage" not in report["checks"]:
-        with open(os.path.join(config.out, "spectrum.csv")) as fh:
-            _print(fh.read().strip())
+        with open(os.path.join(config.out, "spectrum.json")) as fh:
+            lams = json.load(fh)["spectrum"]["eigenvalues"]
+        _print("\n".join(["index,eigenvalue"]
+                          + ["%d,%.17g" % (i, lam) for i, lam in enumerate(lams)]))
     else:
         _print(explain(report))
     return 0 if report["all_pass"] else 1

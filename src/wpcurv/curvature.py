@@ -127,5 +127,4 @@ def export_tensor_json(R: CurvatureTensor, path, *, config_hash=None):
         for i in range(R.n) for j in range(R.n)
         for k in range(R.n) for l in range(R.n)
     ]
-    payload = {"n": R.n, "entries": entries, "residuals": R.residuals()}
-    return write_json(path, payload, config_hash)
+    return write_json(path, {"n": R.n, "entries": entries}, config_hash)

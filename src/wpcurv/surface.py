@@ -303,10 +303,6 @@ class GreenKernel:
     perms: np.ndarray
     report: dict
 
-    @cached_property
-    def _inverse(self):
-        return np.argsort(self.perms, axis=1)
-
     def matmat(self, V):
         """G @ V for real V of shape (N,) or (N, k).
 
@@ -334,7 +330,7 @@ class GreenKernel:
                                % (8 * n * n, GREEN_BYTES_CAP))
         G = np.empty((n, n))
         for i, (r, g) in enumerate(zip(self.row_of, self.map_of)):
-            self.rows[r].take(self._inverse[g], out=G[i])
+            G[i, self.perms[g]] = self.rows[r]
         return G
 
 
@@ -430,12 +426,14 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     kernel = GreenKernel(rows=rows, row_of=row_of, map_of=map_of, perms=perms, report={})
     gmin = rows.min()
     gmax = max(rows.max(), -gmin)
-    asym = 0.0
+    asym, inverse = 0.0, np.empty(n, dtype=np.intp)
     for g in np.unique(map_of):
         sel = map_of == g
+        inverse[perms[g]] = np.arange(n)
         # G[sel, reps] from the rows of the nodes g carries, against G[reps, sel]
-        col = rows[:, kernel._inverse[g][reps]][row_of[sel]]
-        asym = max(asym, np.abs(col - rows[:, sel].T).max())
+        gap = rows[row_of[sel][:, None], inverse[reps]]
+        gap -= rows[:, sel].T
+        asym = max(asym, np.abs(gap).max())
     kernel.report = {
         "min_entry": float(gmin),
         "max_entry": float(gmax),

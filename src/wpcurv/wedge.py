@@ -312,14 +312,5 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     return float(x @ sum(integral_matrices(_green_table(mu, WG))) @ x)
 
 
-def export_spectrum_json(report: SpectrumReport, kernel: dict, path, *,
-                         config_hash=None):
-    payload = {"spectrum": report.to_dict(), "kernel_check": kernel}
-    return write_json(path, payload, config_hash)
-
-
-def export_spectrum_csv(report: SpectrumReport, path):
-    with open(path, "w") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, lam in enumerate(report.eigenvalues):
-            fh.write("%d,%.17g\n" % (i, lam))
+def export_spectrum_json(report: SpectrumReport, path, *, config_hash=None):
+    return write_json(path, {"spectrum": report.to_dict()}, config_hash)

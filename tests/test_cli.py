@@ -222,12 +222,12 @@ def test_block_and_kernel_checks_do_not_depend_on_seeds(tmp_path):
 
 def test_spectrum_and_run_write_the_same_surface_files(tmp_path, capsys):
     """`spectrum` and `run --seeds 3` run one surface stage at level 2, so
-    they write its six files byte for byte alike."""
+    they write its five files byte for byte alike."""
     cli.main(["spectrum", "--mesh-level", "2", "--out", str(tmp_path / "s")])
     cli.main(["run", "--mesh-level", "2", "--seeds", "3", "--out", str(tmp_path / "r")])
     capsys.readouterr()
     names = cli.STAGE_ARTIFACTS["surface"]
-    assert len(names) == 6
+    assert len(names) == 5
     for name in names:
         assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
 
@@ -247,7 +247,7 @@ def test_surface_stage_and_determinism(tmp_path):
         "surrogate_spectrum", "quaternionic_null_vector"}
     assert len(r1["checks"]) == 9
     assert set(first) == {"group.json", "mesh.json", "green.json", "tensor.json",
-                          "spectrum.json", "spectrum.csv", "report.json"}
+                          "spectrum.json", "report.json"}
     text = cli.explain(r1)
     assert len(text.splitlines()) == 9
 
@@ -258,7 +258,7 @@ def test_one_config_into_two_directories_writes_the_same_artifacts(tmp_path):
     for name in "ab":
         cli.run(cli.RunConfig(mesh_level=2, seeds=3, out=str(tmp_path / name)))
     a, b = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} for name in "ab")
-    assert set(a) == set(b) and len(a) == 10
+    assert set(a) == set(b) and len(a) == 9
     assert all(a[name] == b[name] for name in a if name != "report.json")
     ra, rb = (json.loads(files["report.json"]) for files in (a, b))
     assert ra["config"].pop("out") == str(tmp_path / "a")
@@ -267,7 +267,7 @@ def test_one_config_into_two_directories_writes_the_same_artifacts(tmp_path):
 
 
 def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
-    """Every JSON artifact is opened once, for writing, and never read back;
+    """Every artifact is JSON, opened once, for writing, and never read back;
     it is json's compact encoding, stamped as its last key with the hash of
     the settings its own stage reads, and the report with that of the run's."""
     real_open = builtins.open
@@ -286,9 +286,9 @@ def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
     assert hashes["surrogate"] == hashes["rankone"]         # both read `seeds` alone
     assert len({hashes["all"], hashes["surface"], hashes["surrogate"]}) == 3
     assert report["config_hash"] == hashes["all"] == config.hash()
-    names = sorted(p.name for p in (tmp_path / "o").glob("*.json"))
-    assert len(names) == 9
-    assert set(names) | {"spectrum.csv"} == {"report.json"}.union(*cli.STAGE_ARTIFACTS.values())
+    names = sorted(p.name for p in (tmp_path / "o").iterdir())
+    assert len(names) == 9 and all(name.endswith(".json") for name in names)
+    assert set(names) == {"report.json"}.union(*cli.STAGE_ARTIFACTS.values())
     for name in names:
         assert [mode for seen, mode in opened if seen == name] == ["w"]
         text = (tmp_path / "o" / name).read_text()
@@ -324,22 +324,42 @@ def test_default_surface_run_two_paths_agree(level, tmp_path):
 
 
 def test_spectrum_command_prints_csv(tmp_path, capsys):
+    """`spectrum` prints an index,eigenvalue table of spectrum.json's
+    eigenvalues, each to 17 significant digits."""
     code = cli.main(["spectrum", "--mesh-level", "2", "--out", str(tmp_path / "o")])
     assert code == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 16
+    lams = json.loads((tmp_path / "o" / "spectrum.json").read_text())["spectrum"]["eigenvalues"]
+    assert lines[1:] == ["%d,%.17g" % (i, lam) for i, lam in enumerate(lams)]
+
+
+def test_stage_artifacts_hold_no_check_record(tmp_path):
+    """tensor.json and spectrum.json hold the stage's results and its stamp
+    only: their check records live in report.json alone."""
+    out = tmp_path / "o"
+    report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, out=str(out)))
+    tensor, spec = (json.loads((out / name).read_text())
+                    for name in ("tensor.json", "spectrum.json"))
+    assert set(tensor) == {"n", "entries", "config_hash"}
+    assert set(spec) == {"spectrum", "config_hash"}
+    assert set(report["checks"]["tensor_symmetries"]["residual"]) == {
+        "holo_swap", "anti_swap", "conjugation"}
+    assert report["checks"]["operator_nonpositive_kernel"]["residual"]["counts"] == \
+        spec["spectrum"]["counts"]
 
 
 def test_failed_stage_replaces_a_stale_report(tmp_path, monkeypatch, capsys):
     """A WpcurvError in a stage is recorded as a failed entry and the report
     is written over an earlier passing one; `spectrum` then prints the
-    explanation, not a stale spectrum.csv, and exits 1 without a traceback."""
+    explanation, not a stale spectrum.json's table, and exits 1 without a
+    traceback."""
     out = tmp_path / "o"
     out.mkdir()
     (out / "report.json").write_text(json.dumps({"checks": {}, "all_pass": True}))
-    (out / "spectrum.csv").write_text("index,eigenvalue\n0,-1\n")
+    (out / "spectrum.json").write_text(json.dumps({"spectrum": {"eigenvalues": [-1.0]}}))
 
     def fail(group):
         raise ConvergenceFailure("planted")
@@ -359,6 +379,7 @@ def test_failed_stage_replaces_a_stale_report(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("surface_stage")
     assert "FAIL" in captured.out and "index,eigenvalue" not in captured.out
+    assert not (out / "spectrum.json").exists()
     assert "Traceback" not in captured.err
 
 

@@ -249,6 +249,16 @@ def test_matmat_peak_is_below_the_whole_stack(surf4, green4):
     assert _traced_peak(green4.matmat, V) < 8 * surf4.num_nodes * 16 * 9
 
 
+def test_green_kernel_peak_is_near_its_rows(surf4, green4):
+    """At level 4, the Green kernel allocates less than a quarter of its
+    solved rows' bytes above them: the report's asymmetry compares each
+    map's columns without an R x R copy of the rows or a cached inverse
+    of every map."""
+    surf4.factorization()
+    peak = _traced_peak(surface.green_kernel, surf4)
+    assert peak - green4.rows.nbytes < green4.rows.nbytes / 4
+
+
 def test_area_weights_peak_is_below_the_term_array(group):
     """At level 4, the weights peak below the 8 * 21 * M bytes of an (M, 7, 3)
     array holding every quadrature term of the M raw triangles."""

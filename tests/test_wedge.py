@@ -453,11 +453,8 @@ def test_quadratic_form_nonpositive(pipe3, seed):
     assert Q.quad(x) <= 1e-8 * np.abs(Q.matrix).max() * (x @ x)
 
 
-def test_spectrum_export(tmp_path, pipe3, jmat3):
+def test_spectrum_export(tmp_path, pipe3):
     rep = wedge.spectrum(pipe3["Q"])
-    ker = wedge.kernel_check(pipe3["Q"], jmat3)
-    payload = wedge.export_spectrum_json(rep, ker, tmp_path / "spec.json")
+    payload = wedge.export_spectrum_json(rep, tmp_path / "spec.json")
+    assert payload == {"spectrum": rep.to_dict()}
     assert payload["spectrum"]["counts"] == [9, 6, 0]
-    wedge.export_spectrum_csv(rep, tmp_path / "spec.csv")
-    lines = (tmp_path / "spec.csv").read_text().strip().splitlines()
-    assert len(lines) == 16
