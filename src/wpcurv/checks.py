@@ -21,7 +21,7 @@ CHECK_DESCRIPTIONS = {
     "resolvent_operator": "resolvent D is self-adjoint and positive in the weighted inner product",
     "green_kernel": "Green kernel entrywise positive, symmetric, weighted row sums equal 1",
     "tensor_symmetries": "curvature tensor satisfies the two index-swap symmetries and conjugation",
-    "tensor_assembly": "diagonal entries positive, sectional curvatures negative, tensor and integral paths agree",
+    "tensor_assembly": "diagonal entries positive, sectional curvatures negative, tensor and integral paths agree on one table",
     "xx_block_definite": "Q strictly negative on the xx-wedges",
     "cross_block_null": "Q vanishes on the antisymmetric cross-wedges",
     "yy_block_definite": "Q strictly negative on the yy-wedges",
@@ -70,9 +70,11 @@ def tensor_symmetries(R):
 def tensor_assembly(R, gram, two_path=None):
     """`two_path` is the pair (Q, Q_D + Q_G) of the tensor path's matrix and
     the sum of `wedge.integral_matrices`, compared in the 2-norm relative to
-    Q (none: diagonal and sectional only)."""
-    diag_min = float(min(R.entries[i, i, i, i].real for i in range(R.n)))
-    sectional_max = max(curvature.holomorphic_sectional(R, gram, i) for i in range(R.n))
+    Q (none: diagonal and sectional only); the run's integral path re-reads
+    the tensor path's table, so this checks the wedge and sign bookkeeping."""
+    diag_min = float(np.min(np.einsum("iiii->i", R.entries).real))    # a NaN propagates
+    sectional_max = float(np.max([curvature.holomorphic_sectional(R, gram, i)
+                                  for i in range(R.n)]))
     rel = 0.0 if two_path is None else float(
         np.linalg.norm(two_path[1] - two_path[0], 2) / np.linalg.norm(two_path[0], 2))
     return _check("tensor_assembly", diag_min > 0 and sectional_max < 0 and rel <= 1e-12,

@@ -99,8 +99,7 @@ def run_surface_stage(config: RunConfig, results: dict):
     spec = wedge.spectrum(Q, strict=False)
     kernel = wedge.kernel_report(Q, spec, wedge.j_wedge_matrix(R.n))
 
-    Q_D, Q_G = wedge.integral_matrices(
-        curvature.kernel_table(fields, wedge.weighted_green(surf, green)))
+    Q_D, Q_G = wedge.integral_matrices(P)      # w G w f = w D f: P is the Green table
     results["tensor_assembly"] = checks.tensor_assembly(R, gram, (Q.matrix, Q_D + Q_G))
     results.update(checks.block_checks(Q, spec.tau))
     results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(spec, kernel)

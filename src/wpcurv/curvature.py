@@ -7,8 +7,8 @@ The building block is the pairing
 a discrete integral over the surface against the resolvent operator D.
 `kernel_table` takes all n^4 pairings through a real weighted kernel
 W = w D in one product, and every table of the package is built by it:
-the LU path (`pairing_table`, D from `surface.apply_D`), the Green path
-of `wedge` (W = w G w) and the synthetic kernels of `surrogate`.
+the surface's (`pairing_table`, through `weighted_D`, D from
+`surface.apply_D`) and the synthetic kernels of `surrogate`.
 The curvature tensor in these coordinates is the two-pairing sum
 
     R[i][j][k][l] = (ij,kl) + (il,kj),
@@ -85,16 +85,19 @@ def kernel_table(mu: np.ndarray, W) -> np.ndarray:
     return P.reshape(*lead, n, n, n, n)
 
 
-def pairing_table(fields, surface) -> np.ndarray:
-    """All n^4 pairings (ij,kl) of the (n, N) fields, a complex
-    (n, n, n, n) array: `kernel_table` through W = w D, one `apply_D` call
-    on the stack of n^2 real columns."""
+def weighted_D(surface):
+    """W = w D on a real (N,) or (N, m) stack, one `surface.apply_D` call
+    per stack; `pairing_table` and `wedge.weighted_green` share it."""
     from . import surface as surface_mod
 
-    def weighted_D(X):
-        return (surface.weights * surface_mod.apply_D(surface, X).T).T
+    return lambda X: (surface.weights * surface_mod.apply_D(surface, X).T).T
 
-    return kernel_table(np.asarray(fields, dtype=complex), weighted_D)
+
+def pairing_table(fields, surface) -> np.ndarray:
+    """All n^4 pairings (ij,kl) of the (n, N) fields, a complex
+    (n, n, n, n) array: `kernel_table` through `weighted_D`, one `apply_D`
+    call on the stack of n^2 real columns."""
+    return kernel_table(np.asarray(fields, dtype=complex), weighted_D(surface))
 
 
 def curvature_tensor(P: np.ndarray) -> CurvatureTensor:

@@ -35,12 +35,11 @@ z -> conj(z) are certified to carry the glued mesh, w and K onto
 themselves, their 16 compositions give the maps, and G is kept as the
 solved rows plus those permutations (289 rows of 4,094 at level 4).  The
 rows are solved as columns by the untransposed LU solve, which holds
-because K + 2M equals its transpose bit for bit.  G is applied by
-products with the permuted columns, four maps at a time, and its report
-is read off the solved rows; neither expands it.  The computed G is
-symmetric up to roundoff, and (Df)(p) = sum_q G[p,q] w_q f(q) holds to
-roundoff, not exactly: the two sides round differently (about 2e-15
-relative at level 3 and 4e-15 at level 4).
+because K + 2M equals its transpose bit for bit.  On the check path only
+G's report reads the rows, without expanding them; the package applies G
+as D, since (Df)(p) = sum_q G[p,q] w_q f(q).  That holds to roundoff, not
+exactly (about 2e-15 relative at level 3 and 4e-15 at level 4), and the
+computed G is symmetric up to roundoff.
 """
 
 from __future__ import annotations
@@ -71,10 +70,6 @@ GREEN_BYTES_CAP = 1_600_000_000
 #: On a 2-vCPU Xeon the 289 level-4 orbit rows took 87-140 ms at widths 4-64,
 #: 116-196 ms at width 289 and 156-210 ms one column at a time (medians of 5)
 GREEN_BLOCK = 8
-
-#: symmetry maps per product of `GreenKernel.matmat`: its permuted columns
-#: are N x (GREEN_MAPS * k), a quarter of the 16 maps' N x 16k stack
-GREEN_MAPS = 4
 
 # 7-point degree-5 triangle quadrature (barycentric points and weights)
 _QUAD_PTS = [(1 / 3, 1 / 3, 1 / 3),
@@ -303,23 +298,6 @@ class GreenKernel:
     perms: np.ndarray
     report: dict
 
-    def matmat(self, V):
-        """G @ V for real V of shape (N,) or (N, k).
-
-        (G V)[i] = (rows @ V[perms[map_of[i]]])[row_of[i]]: the products of
-        rows with the permuted columns, GREEN_MAPS maps per product, fill
-        an R x maps x k table, which is then gathered.
-        """
-        V = np.asarray(V)
-        X = V.reshape(len(V), -1)
-        Y = np.empty((len(self.rows), len(self.perms), X.shape[1]))
-        for lo in range(0, len(self.perms), GREEN_MAPS):
-            # the N x maps x k stack is freed before the next one is gathered
-            stack = X[self.perms[lo:lo + GREEN_MAPS].T].reshape(len(X), -1)
-            Y[:, lo:lo + GREEN_MAPS] = (self.rows @ stack).reshape(len(Y), -1, X.shape[1])
-            del stack
-        return Y[self.row_of, self.map_of].reshape(V.shape)
-
     @cached_property
     def matrix(self):
         """The dense N x N matrix G, within GREEN_BYTES_CAP, row by row: the
@@ -403,8 +381,9 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     G[:, r], gathered map by map from the rows of the nodes that map
     carries, never from a transpose.  A certified map carries every pair
     {i, j} onto a pair {r, k} with r a representative and leaves G
-    invariant, so these pairs cover every pair.  `rowsum_err` takes G w
-    through `matmat`, as the integral path applies G.
+    invariant, so these pairs cover every pair.  `rowsum_err` takes G w as
+    (rows @ w[perms].T)[row_of, map_of], one product with all the maps'
+    permuted weights that reads every row and index-table entry.
     """
     n = surface.num_nodes
     perms = _symmetries(surface)
@@ -423,7 +402,6 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     # `_symmetries` form a group
     map_of = (perms[:, orbit_min] == np.arange(n)).argmax(axis=0)
     row_of = np.searchsorted(reps, orbit_min)
-    kernel = GreenKernel(rows=rows, row_of=row_of, map_of=map_of, perms=perms, report={})
     gmin = rows.min()
     gmax = max(rows.max(), -gmin)
     asym, inverse = 0.0, np.empty(n, dtype=np.intp)
@@ -434,13 +412,13 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
         gap = rows[row_of[sel][:, None], inverse[reps]]
         gap -= rows[:, sel].T
         asym = max(asym, np.abs(gap).max())
-    kernel.report = {
+    report = {
         "min_entry": float(gmin),
         "max_entry": float(gmax),
         "asymmetry_rel": float(asym / gmax),
-        "rowsum_err": float(np.abs(kernel.matmat(surface.weights) - 1).max()),
+        "rowsum_err": float(np.abs((rows @ surface.weights[perms].T)[row_of, map_of] - 1).max()),
     }
-    return kernel
+    return GreenKernel(rows=rows, row_of=row_of, map_of=map_of, perms=perms, report=report)
 
 
 def laplacian_eigenvalues(surface: DiscreteSurface, k: int = 6) -> np.ndarray:

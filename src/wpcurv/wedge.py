@@ -28,13 +28,11 @@ Cauchy-Schwarz step).  The zero locus is exactly the antisymmetric
 cross-block, i.e. the range of (identity - J), where J is the involution
 induced on wedges by the complex structure.
 
-Both terms are contractions of one n^4 table, `curvature.kernel_table`
-taken through the weighted Green kernel WG = w G w in place of W = w D;
-since w D f = WG f, the D-term is one of them.  The function WG applies
-the Green kernel's solved orbit rows (`weighted_green`), each solved as a
-column by the untransposed LU solve of K + 2M, which equals its transpose
-bit for bit: no N x N array is ever formed, and this path reads D only
-through those rows, so the two paths share the table's code but no solve.
+Both terms are contractions of one n^4 table taken through the weighted
+Green kernel WG = w G w.  Since WG f = w D f, that is the tensor path's
+pairing table, which the run hands to `integral_matrices`: the paths share
+the table, and their comparison checks the wedge and sign bookkeeping,
+not the discretization.  G's solved rows are read only by its own check.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_json
-from .curvature import CurvatureTensor, kernel_table
+from .curvature import CurvatureTensor, kernel_table, weighted_D
 from .errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
 
 #: an eigenvalue of Q counts as zero when |lambda| <= TAU_REL_DEFAULT * max|lambda|
@@ -240,24 +238,19 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
 
 
 def weighted_green(surface, green):
-    """The function WG: V -> w * G(w * V), the Green kernel weighted on both
-    slots, through `green.matmat`; no N x N array is formed.  Its attribute
-    `last_table` holds the last `_green_table` built through it."""
-    w = surface.weights
-
-    def matmat(V):
-        ww = w.reshape((-1,) + (1,) * (np.ndim(V) - 1))
-        return ww * green.matmat(ww * V)
-
-    matmat.last_table = None
-    return matmat
+    """WG = w G w, the Green kernel weighted on both slots, applied as
+    `curvature.weighted_D` (WG f = w D f).  Its attribute `last_table` holds
+    the last `_green_table` built through it.  `green` is not read; the
+    benchmark harness passes it until its tracer stops wrapping this."""
+    WG = weighted_D(surface)
+    WG.last_table = None
+    return WG
 
 
 def _green_table(mu: np.ndarray, WG) -> np.ndarray:
-    """T = `curvature.kernel_table`(mu, WG) for a `weighted_green` function,
-    which keeps the last T with its fields (`last_table`) and returns it
-    again for fields equal to those exactly, so the per-element calls of
-    `integral_form_Q` on one set of fields share one table."""
+    """T = `curvature.kernel_table`(mu, WG), kept with its fields in the
+    `weighted_green` function's `last_table` and returned again for exactly
+    equal fields, so `integral_form_Q`'s calls on one field set share it."""
     last = WG.last_table
     if last is not None and np.array_equal(last[0], mu):
         return last[1]
@@ -303,8 +296,8 @@ def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
     """x^T (Q_D + Q_G) x for the `wedge_vector` x of {a, b, c}, from the
     `integral_matrices` of the (n, N) fields' `_green_table`.  This
-    per-element form and the table cache stay only for the benchmark
-    harness, which calls it once per element on one `weighted_green`."""
+    per-element form, the table cache and the unread `green` stay only for
+    the benchmark harness, which calls it per element on one `weighted_green`."""
     mu = np.asarray(fields, dtype=complex)
     if WG is None:
         WG = weighted_green(surface, green)

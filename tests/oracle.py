@@ -19,8 +19,9 @@ nodes and glues it by the raw-to-glued matrix P as P^T K P, where
 its glued classes.
 
 `_matmat_by_stack` applies the Green kernel by one product of its solved
-rows with the N x (maps * k) stack of all permuted columns, where
-`surface.GreenKernel.matmat` takes a few maps per product.
+rows with the N x (maps * k) stack of all permuted columns; the package
+never applies G (it applies D through the LU), so the tests hold the
+orbit rows and permutations against `surface.apply_D` through it.
 
 `_pairing_table_by_pairs` takes the pairing table two resolvent solves per
 product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where

@@ -18,6 +18,19 @@ def test_one_nan_symmetry_residual_fails():
     assert not checks.tensor_symmetries(R)["pass"]
 
 
+def test_one_nan_diagonal_entry_fails_the_assembly(pipe3):
+    """A NaN at R[1,1,1,1], not the first diagonal entry, reaches both the
+    least diagonal entry and the largest sectional curvature, which
+    Python's min and max would skip."""
+    entries = pipe3["tensor"].entries.copy()
+    entries[1, 1, 1, 1] = np.nan
+    check = checks.tensor_assembly(dataclasses.replace(pipe3["tensor"], entries=entries),
+                                   pipe3["gram"])
+    assert not check["pass"]
+    assert np.isnan(check["residual"]["diag_min"])
+    assert np.isnan(check["residual"]["sectional_max"])
+
+
 def test_kernel_rank_mismatch_is_a_failed_check():
     Q = wedge.WedgeOperator(matrix=-np.eye(15), n=3)
     spec = wedge.spectrum(Q, strict=False)

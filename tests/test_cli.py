@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wpcurv
-from wpcurv import checks, cli, qdiff, surface, surrogate, wedge
+from wpcurv import checks, cli, curvature, qdiff, surface, surrogate, wedge
 from wpcurv.errors import ConvergenceFailure, SolverFailure
 
 
@@ -475,15 +475,27 @@ def test_explain_command(tmp_path, capsys):
     assert "quaternionic_null_vector" in capsys.readouterr().out
 
 
-def test_run_multiplies_by_the_green_kernel_twice(tmp_path, monkeypatch):
-    """One level-3 run applies G once for the row-sum report and once for
-    the Green table of the integral path's matrices."""
-    calls = []
-    matmat = surface.GreenKernel.matmat
-    monkeypatch.setattr(surface.GreenKernel, "matmat",
-                        lambda self, V: calls.append(np.shape(V)) or matmat(self, V))
+def test_run_builds_one_surface_table(tmp_path, monkeypatch):
+    """A level-3 run hands the integral path the tensor path's pairing table
+    itself, and builds two n^4 tables in all: that one and the surrogate's
+    stack."""
+    built, tables, handed = [], [], []
+    kernel_table, pairing_table = curvature.kernel_table, curvature.pairing_table
+    integral_matrices = wedge.integral_matrices
+
+    def counted(mu, W):
+        built.append(np.shape(mu))
+        return kernel_table(mu, W)
+
+    monkeypatch.setattr(curvature, "kernel_table", counted)
+    monkeypatch.setattr(surrogate, "kernel_table", counted)
+    monkeypatch.setattr(curvature, "pairing_table",
+                        lambda *a: tables.append(pairing_table(*a)) or tables[-1])
+    monkeypatch.setattr(wedge, "integral_matrices",
+                        lambda T: handed.append(T) or integral_matrices(T))
     cli.run(cli.RunConfig(mesh_level=3, out=str(tmp_path / "o")))
-    assert calls == [(1022,), (1022, 9)]        # G w, then the 9 table columns
+    assert len(tables) == len(handed) == 1 and handed[0] is tables[0]
+    assert built == [(3, 1022), (20, 3, 40)]    # P, then the surrogate's 20 models
 
 
 def test_explain_into_closed_pipe_is_quiet(tmp_path):

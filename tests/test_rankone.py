@@ -228,6 +228,23 @@ def test_lemma_margins():
         assert r["null_expansion_abs"] == pytest.approx(8.0)
 
 
+def test_one_nan_trial_reaches_every_margin(monkeypatch):
+    """A NaN in the second of three trials is not skipped, as Python's min
+    and max would: each of the three margins reads NaN."""
+    def planted(fn):
+        def nan_at_1(*args):
+            out = np.array(fn(*args), dtype=float)
+            out[1] = np.nan
+            return out
+        return nan_at_1
+
+    monkeypatch.setattr(rankone, "quat_curvature", planted(rankone.quat_curvature))
+    monkeypatch.setattr(rankone, "omega_wedge", planted(rankone.omega_wedge))
+    rep = rankone.lemma51_check(1, 3)
+    for key in ("worst_null_expansion", "worst_j_invariance", "min_lstsq_resid"):
+        assert np.isnan(rep[key])
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_lstsq_margin_is_the_projection(m):
     """Each trial's margin, taken as a projection, equals the least-squares

@@ -274,8 +274,9 @@ def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
 
 
 def test_integral_path_solves_nothing(pipe3, surf3, green3, monkeypatch):
-    """Every term comes from the Green table: with the LU solver made to
-    raise, the integral path returns the same value."""
+    """The per-element calls on one set of fields share one table: once the
+    first call has built it, the LU solver made to raise changes nothing,
+    and the second call returns the same value from the cached table."""
     WG = wedge.weighted_green(surf3, green3)
     rng = np.random.default_rng(9)
     coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
@@ -289,20 +290,20 @@ def test_integral_path_solves_nothing(pipe3, surf3, green3, monkeypatch):
 
 
 def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
-    """The operator builds the table once per field set: equal fields reuse
-    it with no product, and fields scaled by 2 rebuild it, bit for bit as a
-    fresh operator builds it."""
+    """The operator builds the table once per field set, with one 9-column
+    `apply_D` call: equal fields reuse it with no solve, and fields scaled
+    by 2 rebuild it, bit for bit as a fresh operator builds it."""
     mu = pipe3["fields"]
     WG = wedge.weighted_green(surf3, green3)
     calls = []
-    matmat = surface.GreenKernel.matmat
-    monkeypatch.setattr(surface.GreenKernel, "matmat",
-                        lambda self, V: calls.append(1) or matmat(self, V))
+    apply_D = surface.apply_D
+    monkeypatch.setattr(surface, "apply_D",
+                        lambda surf, X, **kw: calls.append(np.shape(X)) or apply_D(surf, X, **kw))
     T = wedge._green_table(mu, WG)
     assert wedge._green_table(mu.copy(), WG) is T
-    assert len(calls) == 1
+    assert calls == [(surf3.num_nodes, 9)]
     T2 = wedge._green_table(2 * mu, WG)
-    assert len(calls) == 2
+    assert calls == [(surf3.num_nodes, 9)] * 2
     assert np.array_equal(T2, kernel_table(2 * mu, wedge.weighted_green(surf3, green3)))
     assert not np.array_equal(T2, T)
     scaled = [qdiff.BeltramiField(row) for row in 2 * mu]
@@ -328,11 +329,13 @@ def test_nan_tensor_is_type_imbalance(pipe3):
         wedge.assemble_Q(CurvatureTensor(entries))
 
 
-def test_green_table_is_the_pairing_table(pipe3, surf3, green3):
-    """T through the orbit-row kernel equals P through the LU."""
-    T = kernel_table(pipe3["fields"], wedge.weighted_green(surf3, green3))
-    P = pipe3["pairings"]
-    assert np.abs(T - P).max() <= 1e-13 * np.abs(P).max()
+@pytest.mark.parametrize("level", [3, 4])
+def test_green_table_is_the_pairing_table(level, pipe3, pipe4, surf3, surf4, green3, green4):
+    """T through the weighted Green kernel is P through the LU, bit for bit:
+    w G w f is applied as w D f."""
+    pipe, surf, green = (pipe3, surf3, green3) if level == 3 else (pipe4, surf4, green4)
+    T = kernel_table(pipe["fields"], wedge.weighted_green(surf, green))
+    assert np.array_equal(T, pipe["pairings"])
 
 
 # dense N x N oracle: the integral path as it was written before the Green
