@@ -329,13 +329,12 @@ def test_nan_tensor_is_type_imbalance(pipe3):
         wedge.assemble_Q(CurvatureTensor(entries))
 
 
-@pytest.mark.parametrize("level", [3, 4])
-def test_green_table_is_the_pairing_table(level, pipe3, pipe4, surf3, surf4, green3, green4):
-    """T through the weighted Green kernel is P through the LU, bit for bit:
-    w G w f is applied as w D f."""
-    pipe, surf, green = (pipe3, surf3, green3) if level == 3 else (pipe4, surf4, green4)
-    T = kernel_table(pipe["fields"], wedge.weighted_green(surf, green))
-    assert np.array_equal(T, pipe["pairings"])
+def test_green_table_is_the_pairing_table(pipe3, pipe4, surf3, surf4, green3, green4):
+    """T through the weighted Green kernel is P through the LU, bit for bit,
+    at levels 3 and 4: w G w f is applied as w D f."""
+    for pipe, surf, green in ((pipe3, surf3, green3), (pipe4, surf4, green4)):
+        T = kernel_table(pipe["fields"], wedge.weighted_green(surf, green))
+        assert np.array_equal(T, pipe["pairings"])
 
 
 # dense N x N oracle: the integral path as it was written before the Green
