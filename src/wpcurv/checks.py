@@ -1,11 +1,12 @@
 """Named checks shared by the CLI and the acceptance tests.
 
-Each returns ``{pass, residual, tolerance, description}`` from pipeline
-objects (``block_checks`` one per block), and none draws a sample: the
-resolvent check reads the LU factor of K + 2M, the two-path check compares
-two m x m matrices, and one block rule reads Q's eigenvalues on four named
-subspaces of wedges.  Package functions are called as module attributes (``wedge.wedge_vector``) so that
-a wrapper installed there sees the call.
+Each returns ``{pass, residual, tolerance, description}`` from the objects
+the stage already holds (``block_checks`` one per block), and none draws a
+sample: the resolvent check reads the LU factor of K + 2M, the two-path
+check compares Q with the integral path's matrices of the stage's pairing
+table, and one block rule reads Q's eigenvalues on four named subspaces of
+wedges.  Package functions are called as module attributes
+(``wedge.wedge_vector``) so that a wrapper installed there sees the call.
 """
 
 from __future__ import annotations
@@ -67,16 +68,16 @@ def tensor_symmetries(R):
     return _check("tensor_symmetries", np.max(list(res.values())) <= 1e-9, res, 1e-9)
 
 
-def tensor_assembly(R, gram, two_path=None):
-    """`two_path` is the pair (Q, Q_D + Q_G) of the tensor path's matrix and
-    the sum of `wedge.integral_matrices`, compared in the 2-norm relative to
-    Q (none: diagonal and sectional only); the run's integral path re-reads
-    the tensor path's table, so this checks the wedge and sign bookkeeping."""
+def tensor_assembly(R, gram, Q, P):
+    """Diagonal and sectional signs of R, and the tensor path's Q against
+    the sum of `wedge.integral_matrices(P)` of the pairing table P in the
+    2-norm relative to Q; both paths read one table, so this checks the
+    wedge and sign bookkeeping."""
     diag_min = float(np.min(np.einsum("iiii->i", R.entries).real))    # a NaN propagates
     sectional_max = float(np.max([curvature.holomorphic_sectional(R, gram, i)
                                   for i in range(R.n)]))
-    rel = 0.0 if two_path is None else float(
-        np.linalg.norm(two_path[1] - two_path[0], 2) / np.linalg.norm(two_path[0], 2))
+    rel = float(np.linalg.norm(sum(wedge.integral_matrices(P)) - Q.matrix, 2)
+                / np.linalg.norm(Q.matrix, 2))
     return _check("tensor_assembly", diag_min > 0 and sectional_max < 0 and rel <= 1e-12,
                   {"diag_min": diag_min, "sectional_max": sectional_max,
                    "two_path_rel": rel}, 1e-12)
@@ -116,8 +117,10 @@ def block_checks(Q, tau):
     return results
 
 
-def operator_nonpositive_kernel(spec, kernel):
-    """Sign counts and spectral gap of `wedge.spectrum`, and its `wedge.kernel_report`."""
+def operator_nonpositive_kernel(Q, spec):
+    """Sign counts and spectral gap of Q's `wedge.spectrum` `spec`, and the
+    `wedge.kernel_report` read off it."""
+    kernel = wedge.kernel_report(Q, spec, wedge.j_wedge_matrix(Q.n))
     ok = (spec.num_positive == 0 and spec.num_zero == spec.kernel_dim_expected
           and spec.gap_ratio >= 1e2 and kernel["range_ok"]
           and kernel["plus_eigenspace_negative"])

@@ -96,13 +96,10 @@ def run_surface_stage(config: RunConfig, results: dict):
     results["tensor_symmetries"] = checks.tensor_symmetries(R)
 
     Q = wedge.assemble_Q(R)
-    spec = wedge.spectrum(Q, strict=False)
-    kernel = wedge.kernel_report(Q, spec, wedge.j_wedge_matrix(R.n))
-
-    Q_D, Q_G = wedge.integral_matrices(P)      # w G w f = w D f: P is the Green table
-    results["tensor_assembly"] = checks.tensor_assembly(R, gram, (Q.matrix, Q_D + Q_G))
+    spec = wedge.spectrum(Q)
+    results["tensor_assembly"] = checks.tensor_assembly(R, gram, Q, P)   # w G w f = w D f
     results.update(checks.block_checks(Q, spec.tau))
-    results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(spec, kernel)
+    results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(Q, spec)
 
     wedge.export_spectrum_json(spec, os.path.join(config.out, "spectrum.json"),
                                config_hash=cfg_hash)

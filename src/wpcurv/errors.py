@@ -51,10 +51,6 @@ class TypeImbalance(WpcurvError):
     """Internal consistency failure in the holomorphic-type bookkeeping."""
 
 
-class PositiveModeDetected(WpcurvError):
-    """The wedge operator has an eigenvalue above the zero tolerance."""
-
-
 class KernelDimMismatch(WpcurvError):
     """Wedge-operator kernel dimension differs from the predicted n(n-1)."""
 

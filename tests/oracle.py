@@ -247,7 +247,7 @@ def seed_sweep_by_models(seeds, num_points: int, n: int) -> dict:
         weights, kernel, mu = _surrogate_by_draws(seed, num_points, n)
         Q = wedge.assemble_Q(curvature_tensor(
             kernel_table(mu, kernel * np.outer(weights, weights))))
-        report = wedge.spectrum(Q, strict=False)
+        report = wedge.spectrum(Q)
         expected = report.kernel_dim_expected
         per_seed.append({
             "seed": seed,

@@ -8,7 +8,6 @@ import pytest
 import scipy.sparse as sp
 
 from wpcurv import checks, wedge
-from wpcurv.curvature import kernel_table
 
 
 def test_one_nan_symmetry_residual_fails():
@@ -25,7 +24,7 @@ def test_one_nan_diagonal_entry_fails_the_assembly(pipe3):
     entries = pipe3["tensor"].entries.copy()
     entries[1, 1, 1, 1] = np.nan
     check = checks.tensor_assembly(dataclasses.replace(pipe3["tensor"], entries=entries),
-                                   pipe3["gram"])
+                                   pipe3["gram"], pipe3["Q"], pipe3["pairings"])
     assert not check["pass"]
     assert np.isnan(check["residual"]["diag_min"])
     assert np.isnan(check["residual"]["sectional_max"])
@@ -33,12 +32,21 @@ def test_one_nan_diagonal_entry_fails_the_assembly(pipe3):
 
 def test_kernel_rank_mismatch_is_a_failed_check():
     Q = wedge.WedgeOperator(matrix=-np.eye(15), n=3)
-    spec = wedge.spectrum(Q, strict=False)
-    kernel = wedge.kernel_report(Q, spec, wedge.j_wedge_matrix(3))
-    check = checks.operator_nonpositive_kernel(spec, kernel)
+    check = checks.operator_nonpositive_kernel(Q, wedge.spectrum(Q))
     assert not check["pass"]
     assert check["residual"]["rank"] == 15
     assert check["residual"]["counts"] == [15, 0, 0]
+
+
+def test_one_positive_mode_is_a_failed_check(pipe3):
+    """Q with its least eigenvalue turned positive fails the check through
+    its positive count; nothing is raised."""
+    lam, vecs = np.linalg.eigh(pipe3["Q"].matrix)
+    lam[0] = -lam[0]
+    Q = wedge.WedgeOperator(matrix=(vecs * lam) @ vecs.T, n=3)
+    check = checks.operator_nonpositive_kernel(Q, wedge.spectrum(Q))
+    assert not check["pass"]
+    assert check["residual"]["counts"][2] == 1
 
 
 def test_surrogate_spectrum_fails_on_excess_kernel():
@@ -143,18 +151,15 @@ def test_resolvent_fails_on_an_indefinite_stiffness(surf3):
     assert check["residual"]["positivity_min"] < 0
 
 
-def test_two_path_fails_on_one_moved_entry_pair(pipe3, surf3, green3):
-    """Q_D + Q_G passes as computed and fails with one symmetric entry pair
-    moved by 1e-10 ||Q||_2, which the residual reads to roundoff."""
-    Q = pipe3["Q"].matrix
-    Q_D, Q_G = wedge.integral_matrices(
-        kernel_table(pipe3["fields"], wedge.weighted_green(surf3, green3)))
-    R, gram = pipe3["tensor"], pipe3["gram"]
-    assert checks.tensor_assembly(R, gram, (Q, Q_D + Q_G))["pass"]
-    moved = Q_D + Q_G
-    delta = 1e-10 * np.linalg.norm(Q, 2)
+def test_two_path_fails_on_one_moved_entry_pair(pipe3):
+    """The tensor path's Q passes as computed and fails with one symmetric
+    entry pair moved by 1e-10 ||Q||_2, which the residual reads to roundoff."""
+    R, gram, Q, P = pipe3["tensor"], pipe3["gram"], pipe3["Q"], pipe3["pairings"]
+    assert checks.tensor_assembly(R, gram, Q, P)["pass"]
+    moved = Q.matrix.copy()
+    delta = 1e-10 * np.linalg.norm(Q.matrix, 2)
     moved[0, 1] += delta
     moved[1, 0] += delta
-    check = checks.tensor_assembly(R, gram, (Q, moved))
+    check = checks.tensor_assembly(R, gram, dataclasses.replace(Q, matrix=moved), P)
     assert not check["pass"]
     assert check["residual"]["two_path_rel"] == pytest.approx(1e-10, abs=1e-12)

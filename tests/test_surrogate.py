@@ -79,6 +79,23 @@ def test_seed_sweep_summary():
     assert summary["worst_eigenvalue_margin"] <= 1e-10
 
 
+def test_sweep_summary_keeps_a_nan_of_a_later_model(monkeypatch):
+    """A NaN in the largest eigenvalue of model 1 of 3 is the worst margin,
+    where Python's max would skip it."""
+    suite = surrogate._suite
+
+    def planted(model):
+        records = suite(model)
+        records[1]["eigenvalues"][-1] = np.nan
+        return records
+
+    monkeypatch.setattr(surrogate, "_suite", planted)
+    summary = surrogate.run_seed_sweep(range(3), 40, 3)
+    assert np.isnan(summary["worst_eigenvalue_margin"])
+    assert summary["worst_kernel_dim_excess"] == 0
+    assert type(summary["worst_kernel_dim_excess"]) is int
+
+
 def test_sweep_speed():
     start = time.time()
     surrogate.run_seed_sweep(range(20), 40, 3)

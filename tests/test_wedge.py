@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wpcurv import curvature, qdiff, surface, wedge
 from wpcurv.curvature import CurvatureTensor, kernel_table
-from wpcurv.errors import KernelDimMismatch, PositiveModeDetected, TypeImbalance
+from wpcurv.errors import KernelDimMismatch, TypeImbalance
 
 from oracle import real_tensor
 
@@ -148,16 +148,12 @@ def test_spectrum_counts(pipe3):
     assert rep.gap_ratio > 1e2
 
 
-def test_spectrum_strict_raises_on_positive():
-    fake = wedge.WedgeOperator(matrix=np.eye(15), n=3)
-    with pytest.raises(PositiveModeDetected):
-        wedge.spectrum(fake)
-
-
-def test_spectrum_strict_raises_on_kernel_mismatch():
-    fake = wedge.WedgeOperator(matrix=-np.eye(15), n=3)
-    with pytest.raises(KernelDimMismatch):
-        wedge.spectrum(fake)
+def test_spectrum_counts_wrong_signs_and_raises_nothing():
+    """+I has 15 positive modes and -I no zero mode: both are counted."""
+    plus = wedge.spectrum(wedge.WedgeOperator(matrix=np.eye(15), n=3))
+    minus = wedge.spectrum(wedge.WedgeOperator(matrix=-np.eye(15), n=3))
+    assert plus.num_positive == 15
+    assert (minus.num_negative, minus.num_zero) == (15, 0)
 
 
 def test_kernel_check_report(pipe3, jmat3):
@@ -171,7 +167,7 @@ def test_kernel_check_is_the_report_of_one_spectrum(pipe3, jmat3):
     """`kernel_check` is `kernel_report` on the spectrum taken with the same
     tau_rel, which the report carries (and `to_dict` leaves out)."""
     Q, tau_rel = pipe3["Q"], 1e-9
-    spec = wedge.spectrum(Q, tau_rel, strict=False)
+    spec = wedge.spectrum(Q, tau_rel)
     assert spec.tau_rel == tau_rel and "tau_rel" not in spec.to_dict()
     assert wedge.kernel_check(Q, jmat3, tau_rel) == wedge.kernel_report(Q, spec, jmat3)
 
@@ -185,7 +181,7 @@ def test_plus_eigenspace_with_a_null_direction_is_not_negative():
     v = plus @ np.random.default_rng(0).standard_normal(plus.shape[1])
     v /= np.linalg.norm(v)
     Q = wedge.WedgeOperator(matrix=-(plus @ plus.T) + np.outer(v, v), n=3)
-    spec = wedge.spectrum(Q, strict=False)
+    spec = wedge.spectrum(Q)
     rep = wedge.kernel_report(Q, spec, J)
     assert spec.num_zero == 7
     assert abs(rep["worst_plus_eigenspace_value"]) <= 1e-15
