@@ -32,12 +32,13 @@ without relaxed supernodes.  Its Green
 kernel is G = 2 (K + 2M)^-1.  G is solved once per
 symmetry orbit of the nodes: the generators z -> e^{i pi/4} z and
 z -> conj(z) are certified to carry the glued mesh, w and K onto
-themselves, their 16 compositions give the maps, and G is kept as the
-solved rows plus those permutations (289 rows of 4,094 at level 4).  The
-rows are solved as columns by the untransposed LU solve, which holds
-because K + 2M equals its transpose bit for bit.  On the check path only
-G's report reads the rows, without expanding them; the package applies G
-as D, since (Df)(p) = sum_q G[p,q] w_q f(q).  That holds to roundoff, not
+themselves, and their 16 compositions give the maps (289 orbit rows of
+4,094 at level 4).  The rows are solved as columns by the untransposed
+LU solve, which holds because K + 2M equals its transpose bit for bit.
+On the check path only G's report reads the rows, in one pass over the
+solve blocks that keeps no whole table of them; G is kept as that
+report plus the permutations, and the package applies G as D, since
+(Df)(p) = sum_q G[p,q] w_q f(q).  That holds to roundoff, not
 exactly (about 2e-15 relative at level 3 and 4e-15 at level 4), and the
 computed G is symmetric up to roundoff.
 """
@@ -60,8 +61,9 @@ from .fuchsian import FuchsianGroup, act
 #: level counting starts; the base mesh (level 0) is the once-refined fan
 BASE_REFINEMENTS = 1
 
-#: budgets, read at call time: raw mesh nodes, and bytes of G's solved
-#: rows (and of its dense expansion, `GreenKernel.matrix`)
+#: budgets, read at call time: raw mesh nodes, and bytes of G's orbit
+#: rows when materialised (`GreenKernel.rows`; the report keeps about a
+#: quarter of them) and of its dense expansion, `GreenKernel.matrix`
 NODE_CAP = 200_000
 GREEN_BYTES_CAP = 1_600_000_000
 
@@ -104,9 +106,10 @@ def check_level(level: int):
 
 
 def check_green_budget(level: int):
-    """Raise KernelBudget unless G's orbit rows at `level` fit GREEN_BYTES_CAP:
-    8 R N bytes, with N = 4**(p+1) - 2 glued nodes (Euler characteristic -2)
-    and R = (2**(p-1) + 1)**2 symmetry orbits, p = level + BASE_REFINEMENTS."""
+    """Raise KernelBudget unless G's orbit rows at `level`, materialised,
+    fit GREEN_BYTES_CAP: 8 R N bytes, with N = 4**(p+1) - 2 glued nodes
+    (Euler characteristic -2) and R = (2**(p-1) + 1)**2 symmetry orbits,
+    p = level + BASE_REFINEMENTS."""
     p = level + BASE_REFINEMENTS
     need = 8 * (2 ** (p - 1) + 1) ** 2 * (4 ** (p + 1) - 2)
     if need > GREEN_BYTES_CAP:
@@ -284,19 +287,33 @@ def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
 
 @dataclass
 class GreenKernel:
-    """G = 2 (K + 2M)^-1, with (Df)(p) = sum_q G[p,q] w_q f(q), kept as solved.
+    """G = 2 (K + 2M)^-1, with (Df)(p) = sum_q G[p,q] w_q f(q), kept as its
+    report and index tables.
 
-    `rows` holds one solved row of G per symmetry orbit of the nodes (R x N).
-    Row i of G is rows[row_of[i]] with its columns permuted by the inverse
-    of the node map perms[map_of[i]]: G[i, perms[map_of[i], k]] =
-    rows[row_of[i], k].  With the trivial group, rows is G itself.
+    `rows` holds one solved row of G per symmetry orbit of the nodes (R x N),
+    solved again when first read.  Row i of G is rows[row_of[i]] with its
+    columns permuted by the inverse of the node map perms[map_of[i]]:
+    G[i, perms[map_of[i], k]] = rows[row_of[i], k].  The identity, map 0,
+    maps only the orbits' representatives.  With the trivial group, rows is
+    G itself.
     """
 
-    rows: np.ndarray
+    surface: DiscreteSurface = field(repr=False)
     row_of: np.ndarray
     map_of: np.ndarray
     perms: np.ndarray
     report: dict
+
+    @cached_property
+    def rows(self):
+        """The R x N orbit rows, solved block by block as `green_kernel`
+        solved them, so bit for bit the values its report read: the tests'
+        reference, never read on the check path."""
+        reps = np.flatnonzero(self.map_of == 0)
+        rows = np.empty((len(reps), len(self.row_of)))
+        for lo, block in _orbit_blocks(self.surface, reps):
+            rows[lo:lo + len(block)] = block
+        return rows
 
     @cached_property
     def matrix(self):
@@ -360,65 +377,101 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
     return np.array(perms)
 
 
+def _orbit_blocks(surface: DiscreteSurface, reps: np.ndarray):
+    """Rows reps[lo:lo + GREEN_BLOCK] of G as (lo, block) pairs, one
+    untransposed LU solve each: the block is the solution of
+    (K + 2M) X = 2 E, E the identity's columns reps[lo:lo + GREEN_BLOCK]."""
+    n, lu = surface.num_nodes, surface.factorization()
+    for lo in range(0, len(reps), GREEN_BLOCK):
+        r = reps[lo:lo + GREEN_BLOCK]
+        yield lo, lu.solve(2.0 * (np.arange(n)[:, None] == r)).T
+
+
 def green_kernel(surface: DiscreteSurface) -> GreenKernel:
-    """Green kernel G = 2 (K + 2M)^-1 as its orbit rows, with a report.
+    """Green kernel G = 2 (K + 2M)^-1 as its index tables, with a report
+    taken in one pass over its orbit rows.
 
     G is solved once per symmetry orbit of the nodes: the least node r of
-    each orbit gets row r of G as column r, the solution of
-    (K + 2M) x = 2 e_r, GREEN_BLOCK representatives per untransposed LU
-    solve.  Precondition: K + 2M equals its transpose bit for bit (an
-    off-diagonal entry of K sums at most two symmetric local terms and M
-    is diagonal; the tests check it at levels 1-5), so G is symmetric and
-    its columns are its rows.  SuperLU does the untransposed solve by
-    supernodes and the transposed one column by column.  Every other row is the row of its
-    orbit's representative under a certified permutation of `_symmetries`,
-    G[g(r), :] = G[r, g^-1(:)]; it is gathered when read, never stored.
-    GREEN_BYTES_CAP bounds the stored rows, 8 R N bytes.
+    each orbit gets row r of G as column r, GREEN_BLOCK representatives
+    per untransposed LU solve (`_orbit_blocks`).  Precondition: K + 2M
+    equals its transpose bit for bit (an off-diagonal entry of K sums at
+    most two symmetric local terms and M is diagonal; the tests check it
+    at levels 1-5), so G is symmetric and its columns are its rows.
+    SuperLU does the untransposed solve by supernodes and the transposed
+    one column by column.  Every other row is the row of its orbit's
+    representative under a certified permutation of `_symmetries`,
+    G[g(r), :] = G[r, g^-1(:)].  GREEN_BYTES_CAP bounds the orbit rows,
+    8 R N bytes, though no whole table of them is kept: `GreenKernel.rows`
+    solves them again when read.
 
-    The report reads the solved rows and every index-table entry.  Every
-    entry of G is an entry of rows, which give the extremes.
-    `asymmetry_rel` compares each solved row G[r, :] with its column
-    G[:, r], gathered map by map from the rows of the nodes that map
-    carries, never from a transpose.  A certified map carries every pair
-    {i, j} onto a pair {r, k} with r a representative and leaves G
-    invariant, so these pairs cover every pair.  `rowsum_err` takes G w as
-    (rows @ w[perms].T)[row_of, map_of], one product with all the maps'
-    permuted weights that reads every row and index-table entry.
+    The report reads each solved block once, with every index-table entry.
+    The extremes run over the blocks, since every entry of G is an entry
+    of an orbit row.  `rowsum_err` takes G w at the nodes i of the
+    block's orbits as (block @ w[perms].T)[row_of[i] - lo, map_of[i]],
+    lo the block's first row.
+    `asymmetry_rel` compares G[reps[t], i] with the entry of its mirror
+    gathered from i's orbit row, G[reps[row_of[i]], g^-1(reps[t])] for
+    g = map_of[i], never from a transpose; a certified map carries every
+    pair {i, j} onto a pair {r, k} with r a representative and leaves G
+    invariant, so these pairs cover every pair.  Both entries of a pair
+    lie in rows t and row_of[i], at the columns of each other's orbit, so
+    the pair is compared when the later of the two rows is solved: each
+    block keeps only its entries at the orbit columns of each later block,
+    one small array per later block, dropped once that block is compared;
+    about R N / 4 entries at most.
     """
     n = surface.num_nodes
     perms = _symmetries(surface)
     orbit_min = perms.min(axis=0)
     reps = np.flatnonzero(orbit_min == np.arange(n))
-    if 8 * len(reps) * n > GREEN_BYTES_CAP:
-        raise KernelBudget("orbit rows need %d bytes > cap %d"
-                           % (8 * len(reps) * n, GREEN_BYTES_CAP))
-    lu = surface.factorization()
-    rows = np.empty((len(reps), n))
-    for lo in range(0, len(reps), GREEN_BLOCK):
-        r = reps[lo:lo + GREEN_BLOCK]            # columns r of 2 I
-        rows[lo:lo + len(r)] = lu.solve(2.0 * (np.arange(n)[:, None] == r)).T
+    m = len(reps)
+    if 8 * m * n > GREEN_BYTES_CAP:
+        raise KernelBudget("orbit rows need %d bytes > cap %d" % (8 * m * n, GREEN_BYTES_CAP))
     # the first map carrying each node's representative onto it (0, the
     # identity, for the representatives); one exists, since the maps of
     # `_symmetries` form a group
     map_of = (perms[:, orbit_min] == np.arange(n)).argmax(axis=0)
     row_of = np.searchsorted(reps, orbit_min)
-    gmin = rows.min()
-    gmax = max(rows.max(), -gmin)
-    asym, inverse = 0.0, np.empty(n, dtype=np.intp)
-    for g in np.unique(map_of):
-        sel = map_of == g
-        inverse[perms[g]] = np.arange(n)
-        # G[sel, reps] from the rows of the nodes g carries, against G[reps, sel]
-        gap = rows[row_of[sel][:, None], inverse[reps]]
-        gap -= rows[:, sel].T
-        asym = max(asym, np.abs(gap).max())
+    # the nodes by orbit: orbit t holds order[start[t]:start[t + 1]], and
+    # srow, smap are row_of and map_of in that order
+    order = np.argsort(row_of, kind="stable")
+    srow, smap = row_of[order], map_of[order]
+    start = np.searchsorted(srow, np.arange(m + 1))
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # at[g, t]: the place of g^-1(reps[t]) in that order
+    at, inverse = np.empty((len(perms), m), dtype=np.intp), np.empty(n, dtype=np.intp)
+    for g, p in enumerate(perms):
+        inverse[p] = np.arange(n)
+        at[g] = rank[inverse[reps]]
+    wp = surface.weights[perms].T
+    gmin, gmax, asym, rowsum = np.inf, -np.inf, 0.0, 0.0
+    kept = {}               # block start -> earlier rows at that block's orbit columns
+    for lo, block in _orbit_blocks(surface, reps):
+        hi = lo + len(block)
+        a, b = start[lo], start[hi]
+        s, g = srow[a:b] - lo, smap[a:b]
+        gmin, gmax = np.minimum(gmin, block.min()), np.maximum(gmax, block.max())
+        rowsum = np.maximum(rowsum, np.abs((block @ wp)[s, g] - 1).max())
+        by_orbit = np.take(block, order, axis=1)
+        ahead = np.concatenate(kept.pop(lo, []) + [by_orbit[:, a:b]])  # G[reps[:hi], order[a:b]]
+        # i in this block's orbits, t in it or before
+        asym = np.maximum(asym, np.abs(by_orbit[s[:, None], at[g, :hi]] - ahead.T).max())
+        if lo:              # t in this block, i in an earlier orbit
+            mirror = ahead[srow[:a, None], at[smap[:a], lo:hi] - a]
+            asym = np.maximum(asym, np.abs(mirror - by_orbit[:, :a].T).max())
+        for nxt in range(hi, m, GREEN_BLOCK):
+            kept.setdefault(nxt, []).append(
+                by_orbit[:, start[nxt]:start[min(nxt + GREEN_BLOCK, m)]].copy())
+    gmax = np.maximum(gmax, -gmin)
     report = {
         "min_entry": float(gmin),
         "max_entry": float(gmax),
         "asymmetry_rel": float(asym / gmax),
-        "rowsum_err": float(np.abs((rows @ surface.weights[perms].T)[row_of, map_of] - 1).max()),
+        "rowsum_err": float(rowsum),
     }
-    return GreenKernel(rows=rows, row_of=row_of, map_of=map_of, perms=perms, report=report)
+    return GreenKernel(surface=surface, row_of=row_of, map_of=map_of, perms=perms,
+                       report=report)
 
 
 def laplacian_eigenvalues(surface: DiscreteSurface, k: int = 6) -> np.ndarray:
@@ -458,7 +511,7 @@ def export_green(kernel: GreenKernel, surface: DiscreteSurface, path, *,
     """The kernel's report, with the node hash and the solved-row shape; the
     rows themselves are not written."""
     payload = {
-        "rows_shape": list(kernel.rows.shape),
+        "rows_shape": [int(kernel.row_of.max()) + 1, len(kernel.row_of)],
         "node_hash": node_hash(surface),
         "report": kernel.report,
     }

@@ -115,7 +115,7 @@ def run_seed_sweep(seeds, num_points: int, n: int) -> dict:
         "n": n,
         "num_points": num_points,
         "num_seeds": len(per_seed),
-        "worst_eigenvalue_margin": np.max([r["eigenvalues"] for r in per_seed]),
+        "worst_eigenvalue_margin": float(np.max([r["eigenvalues"] for r in per_seed])),
         "worst_kernel_dim_excess": int(np.max([r["kernel_dim_excess"] for r in per_seed])),
         "all_counts_ok": all(r["num_positive"] == 0
                              and r["num_zero"] == r["kernel_dim_expected"] for r in per_seed),

@@ -498,6 +498,32 @@ def test_run_builds_one_surface_table(tmp_path, monkeypatch):
     assert built == [(3, 1022), (20, 3, 40)]    # P, then the surrogate's 20 models
 
 
+def test_run_solves_the_green_rows_in_one_pass(tmp_path, monkeypatch):
+    """A level-3 run takes the Green report and green.json from one pass of
+    ceil(81 / 8) = 11 solve blocks, and never solves the rows again for
+    `GreenKernel.rows`."""
+    passes = []
+    orbit_blocks = surface._orbit_blocks
+
+    def counted(surf, reps):
+        passes.append([])
+        for lo, block in orbit_blocks(surf, reps):
+            passes[-1].append(len(block))
+            yield lo, block
+
+    monkeypatch.setattr(surface, "_orbit_blocks", counted)
+    cli.run(cli.RunConfig(mesh_level=3, out=str(tmp_path / "o")))
+    assert passes == [[8] * 10 + [1]]
+
+
+def test_run_prints_the_table_explain_reads_back(tmp_path):
+    """The check table a level-2 run prints is the one `wpcurv explain`
+    prints from its report.json: every residual is a plain value."""
+    report = cli.run(cli.RunConfig(mesh_level=2, out=str(tmp_path / "o")))
+    saved = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert cli.explain(report) == cli.explain(saved)
+
+
 def test_explain_into_closed_pipe_is_quiet(tmp_path):
     """`wpcurv explain report.json | head` with the reader gone: no traceback."""
     report = {"checks": {"c%d" % i: {"pass": True, "residual": 0, "tolerance": 0,

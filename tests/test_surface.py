@@ -233,13 +233,13 @@ def _traced_peak(fn, *args):
 
 
 def test_green_kernel_peak_is_near_its_rows(surf4, green4):
-    """At level 4, the Green kernel allocates less than a quarter of its
-    solved rows' bytes above them: the report's asymmetry compares each
-    map's columns without an R x R copy of the rows or a cached inverse
-    of every map."""
+    """At level 4, the Green kernel allocates less than 0.6 of its orbit
+    rows' 8 R N bytes at its peak (0.55 measured; 1.22 when it kept every
+    row): it keeps only each solved block's entries at later blocks' orbit
+    columns, about R N / 4, and never holds the rows themselves."""
     surf4.factorization()
     peak = _traced_peak(surface.green_kernel, surf4)
-    assert peak - green4.rows.nbytes < green4.rows.nbytes / 4
+    assert peak < 0.6 * 8 * (green4.row_of.max() + 1) * surf4.num_nodes
 
 
 def test_area_weights_peak_is_below_the_term_array(group):
@@ -519,6 +519,68 @@ def test_green_report_reads_every_table_entry(surf3, monkeypatch):
     assert not checks.green_kernel(kernel)["pass"]
     assert kernel.report["asymmetry_rel"] > 1e-8
     assert kernel.report["rowsum_err"] > 1e-8
+
+
+def test_green_report_sees_a_swap_in_the_last_block(surf3, monkeypatch):
+    """Two nodes of the last orbit swapped in one non-identity map: their
+    pairs with the first block's rows are compared only when the last
+    block is solved, from the first block's kept entries."""
+    perms = surface._symmetries(surf3)
+    orbit_min = perms.min(axis=0)
+    last = np.flatnonzero(orbit_min == orbit_min.max())
+    bad = perms.copy()
+    bad[1, last[:2]] = bad[1, last[1::-1]]
+    monkeypatch.setattr(surface, "_symmetries", lambda surf: bad)
+    kernel = surface.green_kernel(surf3)
+    assert not checks.green_kernel(kernel)["pass"]
+    assert kernel.report["asymmetry_rel"] > 1e-8
+
+
+def test_green_asymmetry_pairs_the_first_and_last_blocks(surf3, green3, monkeypatch):
+    """One entry of the first solved block, at a column of the last orbit,
+    moved by 1e-6 relative: only pairs between the first and the last
+    block's rows read it, so the report sees it through the kept entries."""
+    last = int(np.flatnonzero(green3.row_of == green3.row_of.max())[0])
+    orbit_blocks = surface._orbit_blocks
+
+    def bent(surf, reps):
+        for lo, block in orbit_blocks(surf, reps):
+            if lo == 0:
+                block = block.copy()
+                block[0, last] *= 1 + 1e-6
+            yield lo, block
+
+    monkeypatch.setattr(surface, "_orbit_blocks", bent)
+    rep = surface.green_kernel(surf3).report
+    moved = 1e-6 * green3.rows[0, last] / green3.report["max_entry"]
+    assert rep["asymmetry_rel"] == pytest.approx(moved, rel=1e-6)
+    assert {k: rep[k] for k in ("min_entry", "max_entry")} == {
+        k: green3.report[k] for k in ("min_entry", "max_entry")}
+
+
+def test_green_asymmetry_reads_the_later_rows_pairs(surf3, green3, monkeypatch):
+    """The last orbit lies on a mirror axis, so rotations alone carry its
+    representative onto its nodes, and no pair of an earlier row reads the
+    last row at the nodes that a reflection carries from an earlier
+    representative.  Those entries moved by 1e-6 relative are seen through
+    the pairs of the last row itself."""
+    last = green3.row_of.max()
+    lo = last - last % surface.GREEN_BLOCK
+    assert green3.map_of[green3.row_of == last].max() < 8
+    cols = np.flatnonzero((green3.map_of >= 8) & (green3.row_of < lo))
+    orbit_blocks = surface._orbit_blocks
+
+    def bent(surf, reps):
+        for start, block in orbit_blocks(surf, reps):
+            if start == lo:
+                block = block.copy()
+                block[last - lo, cols] *= 1 + 1e-6
+            yield start, block
+
+    monkeypatch.setattr(surface, "_orbit_blocks", bent)
+    rep = surface.green_kernel(surf3).report
+    moved = 1e-6 * green3.rows[last, cols].max() / green3.report["max_entry"]
+    assert rep["asymmetry_rel"] == pytest.approx(moved, rel=1e-6)
 
 
 def test_green_budget(surf3, green3, monkeypatch):
