@@ -536,21 +536,27 @@ def test_green_report_sees_a_swap_in_the_last_block(surf3, monkeypatch):
     assert kernel.report["asymmetry_rel"] > 1e-8
 
 
+def _move_block_entries(monkeypatch, lo, row, cols):
+    """Solve blocks as before, but with the entries at `cols` of row `row`
+    of the block that starts at `lo` moved by 1e-6 relative."""
+    orbit_blocks = surface._orbit_blocks
+
+    def moved(surf, reps):
+        for start, block in orbit_blocks(surf, reps):
+            if start == lo:
+                block = block.copy()
+                block[row, cols] *= 1 + 1e-6
+            yield start, block
+
+    monkeypatch.setattr(surface, "_orbit_blocks", moved)
+
+
 def test_green_asymmetry_pairs_the_first_and_last_blocks(surf3, green3, monkeypatch):
     """One entry of the first solved block, at a column of the last orbit,
     moved by 1e-6 relative: only pairs between the first and the last
     block's rows read it, so the report sees it through the kept entries."""
     last = int(np.flatnonzero(green3.row_of == green3.row_of.max())[0])
-    orbit_blocks = surface._orbit_blocks
-
-    def bent(surf, reps):
-        for lo, block in orbit_blocks(surf, reps):
-            if lo == 0:
-                block = block.copy()
-                block[0, last] *= 1 + 1e-6
-            yield lo, block
-
-    monkeypatch.setattr(surface, "_orbit_blocks", bent)
+    _move_block_entries(monkeypatch, 0, 0, last)
     rep = surface.green_kernel(surf3).report
     moved = 1e-6 * green3.rows[0, last] / green3.report["max_entry"]
     assert rep["asymmetry_rel"] == pytest.approx(moved, rel=1e-6)
@@ -568,16 +574,7 @@ def test_green_asymmetry_reads_the_later_rows_pairs(surf3, green3, monkeypatch):
     lo = last - last % surface.GREEN_BLOCK
     assert green3.map_of[green3.row_of == last].max() < 8
     cols = np.flatnonzero((green3.map_of >= 8) & (green3.row_of < lo))
-    orbit_blocks = surface._orbit_blocks
-
-    def bent(surf, reps):
-        for start, block in orbit_blocks(surf, reps):
-            if start == lo:
-                block = block.copy()
-                block[last - lo, cols] *= 1 + 1e-6
-            yield start, block
-
-    monkeypatch.setattr(surface, "_orbit_blocks", bent)
+    _move_block_entries(monkeypatch, lo, last - lo, cols)
     rep = surface.green_kernel(surf3).report
     moved = 1e-6 * green3.rows[last, cols].max() / green3.report["max_entry"]
     assert rep["asymmetry_rel"] == pytest.approx(moved, rel=1e-6)
