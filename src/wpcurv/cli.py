@@ -87,7 +87,7 @@ def run_surface_stage(config: RunConfig, results: dict):
     results["resolvent_operator"] = checks.resolvent_operator(surf)
 
     green = surface.green_kernel(surf)
-    surface.export_green(green, surf, os.path.join(config.out, "green.json"), config_hash=cfg_hash)
+    surface.export_green(green, os.path.join(config.out, "green.json"), config_hash=cfg_hash)
     results["green_kernel"] = checks.green_kernel(green)
 
     P = curvature.pairing_table(fields, surf)

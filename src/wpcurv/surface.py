@@ -35,9 +35,9 @@ z -> conj(z) are certified to carry the glued mesh, w and K onto
 themselves, and their 16 compositions give the maps (289 orbit rows of
 4,094 at level 4).  The rows are solved as columns by the untransposed
 LU solve, which holds because K + 2M equals its transpose bit for bit.
-On the check path only G's report reads the rows, in one pass over the
-solve blocks that keeps no whole table of them; G is kept as that
-report plus the permutations, and the package applies G as D, since
+Only G's report reads the rows, in one pass over the solve blocks that
+keeps no whole table of them; G is kept as that report plus the
+permutations, and the package applies G as D, since
 (Df)(p) = sum_q G[p,q] w_q f(q).  That holds to roundoff, not
 exactly (about 2e-15 relative at level 3 and 4e-15 at level 4), and the
 computed G is symmetric up to roundoff.
@@ -61,9 +61,9 @@ from .fuchsian import FuchsianGroup, act
 #: level counting starts; the base mesh (level 0) is the once-refined fan
 BASE_REFINEMENTS = 1
 
-#: budgets, read at call time: raw mesh nodes, and bytes of G's orbit
-#: rows when materialised (`GreenKernel.rows`; the report keeps about a
-#: quarter of them) and of its dense expansion, `GreenKernel.matrix`
+#: budgets, read at call time: raw mesh nodes, and bytes of G: 8 R N for
+#: its R orbit rows, a level policy (no run holds them) that keeps the
+#: Green report at level 5 or below, and 8 N N for `GreenKernel.matrix`
 NODE_CAP = 200_000
 GREEN_BYTES_CAP = 1_600_000_000
 
@@ -106,10 +106,10 @@ def check_level(level: int):
 
 
 def check_green_budget(level: int):
-    """Raise KernelBudget unless G's orbit rows at `level`, materialised,
-    fit GREEN_BYTES_CAP: 8 R N bytes, with N = 4**(p+1) - 2 glued nodes
-    (Euler characteristic -2) and R = (2**(p-1) + 1)**2 symmetry orbits,
-    p = level + BASE_REFINEMENTS."""
+    """Raise KernelBudget unless G's 8 R N bytes of orbit rows at `level`,
+    which no run holds, fit GREEN_BYTES_CAP (a level policy: 2.2 GB at
+    level 6), with N = 4**(p+1) - 2 glued nodes (Euler characteristic -2)
+    and R = (2**(p-1) + 1)**2 symmetry orbits, p = level + BASE_REFINEMENTS."""
     p = level + BASE_REFINEMENTS
     need = 8 * (2 ** (p - 1) + 1) ** 2 * (4 ** (p + 1) - 2)
     if need > GREEN_BYTES_CAP:
@@ -290,12 +290,11 @@ class GreenKernel:
     """G = 2 (K + 2M)^-1, with (Df)(p) = sum_q G[p,q] w_q f(q), kept as its
     report and index tables.
 
-    `rows` holds one solved row of G per symmetry orbit of the nodes (R x N),
-    solved again when first read.  Row i of G is rows[row_of[i]] with its
-    columns permuted by the inverse of the node map perms[map_of[i]]:
-    G[i, perms[map_of[i], k]] = rows[row_of[i], k].  The identity, map 0,
-    maps only the orbits' representatives.  With the trivial group, rows is
-    G itself.
+    Row i of G is the row of G at the representative reps[row_of[i]] of
+    its orbit (reps the nodes with map_of 0), with its columns permuted by
+    the inverse of the node map perms[map_of[i]]:
+    G[i, perms[map_of[i], k]] = G[reps[row_of[i]], k].  The identity, map
+    0, maps only the representatives.
     """
 
     surface: DiscreteSurface = field(repr=False)
@@ -305,27 +304,18 @@ class GreenKernel:
     report: dict
 
     @cached_property
-    def rows(self):
-        """The R x N orbit rows, solved block by block as `green_kernel`
-        solved them, so bit for bit the values its report read: the tests'
-        reference, never read on the check path."""
-        reps = np.flatnonzero(self.map_of == 0)
-        rows = np.empty((len(reps), len(self.row_of)))
-        for lo, block in _orbit_blocks(self.surface, reps):
-            rows[lo:lo + len(block)] = block
-        return rows
-
-    @cached_property
     def matrix(self):
-        """The dense N x N matrix G, within GREEN_BYTES_CAP, row by row: the
+        """The dense N x N matrix G, within GREEN_BYTES_CAP, from one pass of
+        the report's solve blocks, bit for bit the rows its report read: the
         tests' reference, never built on the check path."""
         n = len(self.row_of)
         if 8 * n * n > GREEN_BYTES_CAP:
             raise KernelBudget("dense kernel needs %d bytes > cap %d"
                                % (8 * n * n, GREEN_BYTES_CAP))
         G = np.empty((n, n))
-        for i, (r, g) in enumerate(zip(self.row_of, self.map_of)):
-            G[i, self.perms[g]] = self.rows[r]
+        for lo, block in _orbit_blocks(self.surface, np.flatnonzero(self.map_of == 0)):
+            for i in np.flatnonzero((self.row_of >= lo) & (self.row_of < lo + len(block))):
+                G[i, self.perms[self.map_of[i]]] = block[self.row_of[i] - lo]
         return G
 
 
@@ -400,15 +390,16 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     SuperLU does the untransposed solve by supernodes and the transposed
     one column by column.  Every other row is the row of its orbit's
     representative under a certified permutation of `_symmetries`,
-    G[g(r), :] = G[r, g^-1(:)].  GREEN_BYTES_CAP bounds the orbit rows,
-    8 R N bytes, though no whole table of them is kept: `GreenKernel.rows`
-    solves them again when read.
+    G[g(r), :] = G[r, g^-1(:)].  GREEN_BYTES_CAP bounds 8 R N bytes as a
+    level policy (`check_green_budget`), though no whole table of the
+    orbit rows is kept; `GreenKernel.matrix` solves them again.
 
     The report reads each solved block once, with every index-table entry.
     The extremes run over the blocks, since every entry of G is an entry
     of an orbit row.  `rowsum_err` takes G w at the nodes i of the
     block's orbits as (block @ w[perms].T)[row_of[i] - lo, map_of[i]],
-    lo the block's first row.
+    lo the block's first row; the BLAS orders that product's sums, so
+    another BLAS may move it at roundoff, about 1e7 below its gate.
     `asymmetry_rel` compares G[reps[t], i] with the entry of its mirror
     gathered from i's orbit row, G[reps[row_of[i]], g^-1(reps[t])] for
     g = map_of[i], never from a transpose; a certified map carries every
@@ -437,13 +428,8 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     order = np.argsort(row_of, kind="stable")
     srow, smap = row_of[order], map_of[order]
     start = np.searchsorted(srow, np.arange(m + 1))
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
     # at[g, t]: the place of g^-1(reps[t]) in that order
-    at, inverse = np.empty((len(perms), m), dtype=np.intp), np.empty(n, dtype=np.intp)
-    for g, p in enumerate(perms):
-        inverse[p] = np.arange(n)
-        at[g] = rank[inverse[reps]]
+    at = np.argsort(order)[np.argsort(perms, axis=1)[:, reps]]
     wp = surface.weights[perms].T
     gmin, gmax, asym, rowsum = np.inf, -np.inf, 0.0, 0.0
     kept = {}               # block start -> earlier rows at that block's orbit columns
@@ -457,9 +443,9 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
         ahead = np.concatenate(kept.pop(lo, []) + [by_orbit[:, a:b]])  # G[reps[:hi], order[a:b]]
         # i in this block's orbits, t in it or before
         asym = np.maximum(asym, np.abs(by_orbit[s[:, None], at[g, :hi]] - ahead.T).max())
-        if lo:              # t in this block, i in an earlier orbit
-            mirror = ahead[srow[:a, None], at[smap[:a], lo:hi] - a]
-            asym = np.maximum(asym, np.abs(mirror - by_orbit[:, :a].T).max())
+        # t in this block, i in an earlier orbit (none for the first block)
+        mirror = ahead[srow[:a, None], at[smap[:a], lo:hi] - a]
+        asym = np.maximum(asym, np.abs(mirror - by_orbit[:, :a].T).max(initial=0.0))
         for nxt in range(hi, m, GREEN_BLOCK):
             kept.setdefault(nxt, []).append(
                 by_orbit[:, start[nxt]:start[min(nxt + GREEN_BLOCK, m)]].copy())
@@ -506,13 +492,12 @@ def export_mesh_json(surface: DiscreteSurface, path, *, config_hash=None):
     return write_json(path, payload, config_hash)
 
 
-def export_green(kernel: GreenKernel, surface: DiscreteSurface, path, *,
-                 config_hash=None):
-    """The kernel's report, with the node hash and the solved-row shape; the
-    rows themselves are not written."""
+def export_green(kernel: GreenKernel, path, *, config_hash=None):
+    """The kernel's report, with its surface's node hash and the shape
+    R x N of G's orbit rows, read off the index tables."""
     payload = {
         "rows_shape": [int(kernel.row_of.max()) + 1, len(kernel.row_of)],
-        "node_hash": node_hash(surface),
+        "node_hash": node_hash(kernel.surface),
         "report": kernel.report,
     }
     return write_json(path, payload, config_hash)

@@ -282,14 +282,13 @@ def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple((M + M.T) / 2 for M in (-4 * diag.real, 2 * cross.real - 2 * mod2.real))
 
 
-def integral_form_Q(coeffs: dict, fields, surface, green, *, WG=None) -> float:
+def integral_form_Q(coeffs: dict, fields, surface, green, *, WG) -> float:
     """x^T (Q_D + Q_G) x for the `wedge_vector` x of {a, b, c}, from the
-    `integral_matrices` of the (n, N) fields' `_green_table`.  This
-    per-element form, the table cache and the unread `green` stay only for
-    the benchmark harness, which calls it per element on one `weighted_green`."""
+    `integral_matrices` of the (n, N) fields' `_green_table` through the
+    `weighted_green` WG.  This per-element form, the table cache and the
+    unread `surface` and `green` stay only for the benchmark harness, which
+    calls it per element on one WG."""
     mu = np.asarray(fields, dtype=complex)
-    if WG is None:
-        WG = weighted_green(surface, green)
     x = wedge_vector(coeffs, len(mu))
     return float(x @ sum(integral_matrices(_green_table(mu, WG))) @ x)
 

@@ -18,10 +18,11 @@ nodes and glues it by the raw-to-glued matrix P as P^T K P, where
 `surface.build_mesh` sums each raw triangle's local matrix straight into
 its glued classes.
 
-`_matmat_by_stack` applies the Green kernel by one product of its solved
-rows with the N x (maps * k) stack of all permuted columns; the package
-never applies G (it applies D through the LU), so the tests hold the
-orbit rows and permutations against `surface.apply_D` through it.
+`_matmat_by_stack` applies the Green kernel by one product of its orbit
+rows, the solve blocks of `surface._orbit_blocks` stacked, with the
+N x (maps * k) stack of all permuted columns; the package never applies
+G (it applies D through the LU), so the tests hold the orbit rows and
+permutations against `surface.apply_D` through it, with no dense G.
 
 `_pairing_table_by_pairs` takes the pairing table two resolvent solves per
 product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where
@@ -146,13 +147,23 @@ def _stiffness_by_gluing_matrix(nodes, tris, gid, n):
     return (P.T @ K @ P).tocsc().sorted_indices()
 
 
+def _orbit_rows(kernel):
+    """The R x N orbit rows of G, the solve blocks of `surface._orbit_blocks`
+    at the representatives (map_of 0) stacked, bit for bit what the
+    kernel's report read."""
+    reps = np.flatnonzero(kernel.map_of == 0)
+    return np.concatenate([b for _, b in surface_mod._orbit_blocks(kernel.surface, reps)])
+
+
 def _matmat_by_stack(kernel, V):
     """Oracle: G @ V as (rows @ V[perms[map_of[i]]])[row_of[i]], through one
-    product of the rows with the N x (maps * k) stack of permuted columns."""
+    product of the orbit rows with the N x (maps * k) stack of permuted
+    columns."""
     V = np.asarray(V)
     X = V.reshape(len(V), -1)
     stack = X[kernel.perms.T].reshape(len(X), -1)
-    Y = (kernel.rows @ stack).reshape(len(kernel.rows), len(kernel.perms), -1)
+    rows = _orbit_rows(kernel)
+    Y = (rows @ stack).reshape(len(rows), len(kernel.perms), -1)
     return Y[kernel.row_of, kernel.map_of].reshape(V.shape)
 
 

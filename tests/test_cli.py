@@ -54,8 +54,9 @@ def test_config_hash_sensitivity():
                               "seeds-minus-1"])
 def test_invalid_config_is_a_usage_error(argv, tmp_path, capsys):
     """A setting `validate` rejects exits 2 with one error line, writing nothing.
-    Level 6 is within the node cap, but its Green kernel's orbit rows (2.2 GB)
-    exceed GREEN_BYTES_CAP."""
+    Level 6 is within the node cap, but the Green kernel's level policy
+    refuses it: 8 R N bytes for its orbit rows (2.2 GB) exceed
+    GREEN_BYTES_CAP, though no run holds them."""
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", *argv, "--out", str(out)])
@@ -475,6 +476,31 @@ def test_explain_command(tmp_path, capsys):
     assert "quaternionic_null_vector" in capsys.readouterr().out
 
 
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Two fresh `wpcurv run --mesh-level 2` processes, one BLAS thread and
+    two, both started before either is waited on: every artifact is byte
+    for byte the same, and report.json differs only in the `out` it
+    records.  Both exit 1, on the quaternionic null-vector check alone."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wpcurv.__file__)))
+    procs = [subprocess.Popen([sys.executable, "-m", "wpcurv.cli", "run", "--mesh-level", "2",
+                               "--out", str(tmp_path / threads)],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              env=dict(env, OPENBLAS_NUM_THREADS=threads))
+             for threads in ("1", "2")]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
+    one, two = ({p.name: p.read_bytes() for p in (tmp_path / t).iterdir()} for t in ("1", "2"))
+    assert set(one) == set(two) and len(one) == 9
+    assert all(one[name] == two[name] for name in one if name != "report.json")
+    r1, r2 = (json.loads(files["report.json"]) for files in (one, two))
+    assert (r1["config"].pop("out"), r2["config"].pop("out")) == (str(tmp_path / "1"),
+                                                                  str(tmp_path / "2"))
+    assert r1 == r2
+    assert [name for name, c in r1["checks"].items() if not c["pass"]] == [
+        "quaternionic_null_vector"]
+
+
 def test_run_builds_one_surface_table(tmp_path, monkeypatch):
     """A level-3 run hands the integral path the tensor path's pairing table
     itself, and builds two n^4 tables in all: that one and the surrogate's
@@ -500,8 +526,8 @@ def test_run_builds_one_surface_table(tmp_path, monkeypatch):
 
 def test_run_solves_the_green_rows_in_one_pass(tmp_path, monkeypatch):
     """A level-3 run takes the Green report and green.json from one pass of
-    ceil(81 / 8) = 11 solve blocks, and never solves the rows again for
-    `GreenKernel.rows`."""
+    ceil(81 / 8) = 11 solve blocks, and never solves them again for the
+    dense `GreenKernel.matrix`."""
     passes = []
     orbit_blocks = surface._orbit_blocks
 

@@ -14,7 +14,8 @@ from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
 from wpcurv.fuchsian import act, octagon_group
 
-from oracle import _matmat_by_stack, _stiffness_by_gluing_matrix, _symmetries_by_candidates
+from oracle import (_matmat_by_stack, _orbit_rows, _stiffness_by_gluing_matrix,
+                    _symmetries_by_candidates)
 
 
 def test_level_bounds(group):
@@ -174,10 +175,9 @@ def test_resolvent_spectral_mapping(surf3):
 
 def test_green_matches_resolvent(surf3, green3):
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        f = rng.standard_normal(surf3.num_nodes)
+    F = np.column_stack([rng.standard_normal(surf3.num_nodes) for _ in range(20)])
+    for f, via_kernel in zip(F.T, _matmat_by_stack(green3, surf3.weights[:, None] * F).T):
         direct = surface.apply_D(surf3, f)
-        via_kernel = _matmat_by_stack(green3, surf3.weights * f)
         assert np.abs(direct - via_kernel).max() < 1e-8 * np.abs(direct).max()
 
 
@@ -205,18 +205,20 @@ def test_green_blocked_report_equals_full_matrix_formulas(surf3, green3):
 def test_green_kernel_applies_D_to_roundoff(level, surf3, surf4, green3, green4):
     """sum_q G[p,q] w_q f(q) = (Df)(p) holds to roundoff, not exactly: the
     orbit rows and their permutations reproduce D, taken through the
-    oracle's product since the package applies D only by its LU."""
+    oracle's product (one, for all seven columns, so the orbit rows are
+    solved once) since the package applies D only by its LU."""
     surf = surf3 if level == 3 else surf4
     green = green3 if level == 3 else green4
     rng = np.random.default_rng(level)
-    for _ in range(5):
-        f = rng.standard_normal(surf.num_nodes)
-        direct = surface.apply_D(surf, f)
-        err = np.abs(_matmat_by_stack(green, surf.weights * f) - direct).max()
-        assert err <= 1e-13 * np.abs(direct).max()
+    fs = [rng.standard_normal(surf.num_nodes) for _ in range(5)]
     F = rng.standard_normal((surf.num_nodes, 2))
+    via = _matmat_by_stack(green, surf.weights[:, None] * np.column_stack(fs + [F]))
+    for f, col in zip(fs, via.T):
+        direct = surface.apply_D(surf, f)
+        err = np.abs(col - direct).max()
+        assert err <= 1e-13 * np.abs(direct).max()
     direct = surface.apply_D(surf, F)
-    err = np.abs(_matmat_by_stack(green, surf.weights[:, None] * F) - direct).max()
+    err = np.abs(via[:, 5:] - direct).max()
     assert err <= 1e-13 * np.abs(direct).max()
 
 
@@ -442,7 +444,7 @@ def test_orbit_rows_are_rows_of_the_dense_inverse(surf3, green3):
     G = 2 * np.linalg.inv(A)
     reps = np.flatnonzero(green3.map_of == 0)        # the identity maps only these
     assert np.array_equal(green3.row_of[reps], np.arange(len(reps)))
-    assert np.abs(green3.rows - G[reps]).max() <= 1e-14 * np.abs(G).max()
+    assert np.abs(green3.matrix[reps] - G[reps]).max() <= 1e-14 * np.abs(G).max()
 
 
 def test_planted_asymmetry_shrinks_group_to_stabilizer(surf3):
@@ -555,10 +557,11 @@ def test_green_asymmetry_pairs_the_first_and_last_blocks(surf3, green3, monkeypa
     """One entry of the first solved block, at a column of the last orbit,
     moved by 1e-6 relative: only pairs between the first and the last
     block's rows read it, so the report sees it through the kept entries."""
+    first = np.flatnonzero(green3.map_of == 0)[0]
     last = int(np.flatnonzero(green3.row_of == green3.row_of.max())[0])
     _move_block_entries(monkeypatch, 0, 0, last)
     rep = surface.green_kernel(surf3).report
-    moved = 1e-6 * green3.rows[0, last] / green3.report["max_entry"]
+    moved = 1e-6 * green3.matrix[first, last] / green3.report["max_entry"]
     assert rep["asymmetry_rel"] == pytest.approx(moved, rel=1e-6)
     assert {k: rep[k] for k in ("min_entry", "max_entry")} == {
         k: green3.report[k] for k in ("min_entry", "max_entry")}
@@ -576,34 +579,58 @@ def test_green_asymmetry_reads_the_later_rows_pairs(surf3, green3, monkeypatch):
     cols = np.flatnonzero((green3.map_of >= 8) & (green3.row_of < lo))
     _move_block_entries(monkeypatch, lo, last - lo, cols)
     rep = surface.green_kernel(surf3).report
-    moved = 1e-6 * green3.rows[last, cols].max() / green3.report["max_entry"]
+    rep_last = np.flatnonzero(green3.map_of == 0)[last]
+    moved = 1e-6 * green3.matrix[rep_last, cols].max() / green3.report["max_entry"]
     assert rep["asymmetry_rel"] == pytest.approx(moved, rel=1e-6)
 
 
+def test_green_matrix_fills_from_one_pass_of_the_solve_blocks(surf3, monkeypatch):
+    """A fresh level-3 kernel's dense `matrix` takes one more pass of
+    ceil(81 / 8) = 11 solve blocks after the report's, and its rows at the
+    representatives are bit for bit the blocks the report pass solved."""
+    passes = []
+    orbit_blocks = surface._orbit_blocks
+
+    def recorded(surf, reps):
+        passes.append([])
+        for lo, block in orbit_blocks(surf, reps):
+            passes[-1].append(block)
+            yield lo, block
+
+    monkeypatch.setattr(surface, "_orbit_blocks", recorded)
+    kernel = surface.green_kernel(surf3)
+    assert len(passes) == 1
+    G = kernel.matrix
+    assert [[len(b) for b in p] for p in passes] == [[8] * 10 + [1]] * 2
+    assert np.array_equal(G[kernel.map_of == 0], np.concatenate(passes[0]))
+
+
 def test_green_budget(surf3, green3, monkeypatch):
+    rows = green3.matrix[green3.map_of == 0]        # before any cap shrinks
     monkeypatch.setattr(surface, "GREEN_BYTES_CAP", 1000)
     with pytest.raises(KernelBudget):
         surface.green_kernel(surf3)
-    # the orbit rows fit, the dense expansion does not
-    monkeypatch.setattr(surface, "GREEN_BYTES_CAP", green3.rows.nbytes)
+    # the orbit rows' 8 R N bytes fit, the dense expansion does not
+    monkeypatch.setattr(surface, "GREEN_BYTES_CAP", rows.nbytes)
     small = surface.green_kernel(surf3)
-    assert np.array_equal(small.rows, green3.rows)
+    assert small.report == green3.report
+    assert np.array_equal(_orbit_rows(small), rows)
     with pytest.raises(KernelBudget):
         small.matrix
     # the run-time budget check predicts the rows' size exactly
     surface.check_green_budget(3)
-    monkeypatch.setattr(surface, "GREEN_BYTES_CAP", green3.rows.nbytes - 1)
+    monkeypatch.setattr(surface, "GREEN_BYTES_CAP", rows.nbytes - 1)
     with pytest.raises(KernelBudget):
         surface.check_green_budget(3)
 
 
 def test_green_export_writes_report_json(tmp_path, surf3, green3):
-    """green.json holds the report, the node hash and the solved-row shape;
-    no binary dump of the rows is written."""
-    surface.export_green(green3, surf3, tmp_path / "green.json")
+    """green.json holds the report, the node hash and the orbit-row shape
+    R x N (81 x 1,022); no binary dump of the rows is written."""
+    surface.export_green(green3, tmp_path / "green.json")
     with open(tmp_path / "green.json") as fh:
         payload = json.load(fh)
-    assert payload == {"rows_shape": list(green3.rows.shape),
+    assert payload == {"rows_shape": [81, 1022],
                        "node_hash": surface.node_hash(surf3),
                        "report": green3.report}
     assert [p.name for p in tmp_path.iterdir()] == ["green.json"]

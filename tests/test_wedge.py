@@ -306,7 +306,8 @@ def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
     rng = np.random.default_rng(3)
     coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
     assert (wedge.integral_form_Q(coeffs, scaled, surf3, green3, WG=WG)
-            == wedge.integral_form_Q(coeffs, scaled, surf3, green3))
+            == wedge.integral_form_Q(coeffs, scaled, surf3, green3,
+                                     WG=wedge.weighted_green(surf3, green3)))
 
 
 def test_real_tensor_planted_imaginary_residue_is_type_imbalance(pipe3):
