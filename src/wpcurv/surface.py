@@ -32,12 +32,14 @@ without relaxed supernodes.  Its Green
 kernel is G = 2 (K + 2M)^-1.  G is solved once per
 symmetry orbit of the nodes: the generators z -> e^{i pi/4} z and
 z -> conj(z) are certified to carry the glued mesh, w and K onto
-themselves, and their 16 compositions give the maps (289 orbit rows of
-4,094 at level 4).  The rows are solved as columns by the untransposed
-LU solve, which holds because K + 2M equals its transpose bit for bit.
-Only G's report reads the rows, in one pass over the solve blocks that
-keeps no whole table of them; G is kept as that report plus the
-permutations, and the package applies G as D, since
+themselves, and their 16 compositions give the maps (289 orbits of
+4,094 nodes at level 4).  The rows at the representatives, the least
+node of each orbit, are solved as columns by the untransposed LU solve,
+which holds because K + 2M equals its transpose bit for bit.  Only G's
+report reads them, in one pass over the solve blocks that compares each
+(representative, map, representative) triple with its mirror and keeps
+no whole table of the rows; G is kept as that report plus the node
+maps, and the package applies G as D, since
 (Df)(p) = sum_q G[p,q] w_q f(q).  That holds to roundoff, not
 exactly (about 2e-15 relative at level 3 and 4e-15 at level 4), and the
 computed G is symmetric up to roundoff.
@@ -62,15 +64,17 @@ from .fuchsian import FuchsianGroup, act
 BASE_REFINEMENTS = 1
 
 #: budgets, read at call time: raw mesh nodes, and bytes of G: 8 R N for
-#: its R orbit rows, a level policy (no run holds them) that keeps the
-#: Green report at level 5 or below, and 8 N N for `GreenKernel.matrix`
+#: its rows at the R representatives, a level policy (no run holds them)
+#: that keeps the Green report at level 5 or below, and 8 N N for
+#: `GreenKernel.matrix`
 NODE_CAP = 200_000
 GREEN_BYTES_CAP = 1_600_000_000
 
 #: columns per LU solve of G's orbit rows (`apply_D` solves its whole
 #: stack at once): the right-hand side and the solution are N x GREEN_BLOCK.
-#: On a 2-vCPU Xeon the 289 level-4 orbit rows took 87-140 ms at widths 4-64,
-#: 116-196 ms at width 289 and 156-210 ms one column at a time (medians of 5)
+#: On a 2-vCPU Xeon the 289 level-4 orbit rows took 73-81 ms at widths 4-64
+#: (78 ms at 8), 107 ms at width 289 and 132 ms one column at a time
+#: (column-major right-hand sides, medians of 9)
 GREEN_BLOCK = 8
 
 # 7-point degree-5 triangle quadrature (barycentric points and weights)
@@ -109,7 +113,8 @@ def check_green_budget(level: int):
     """Raise KernelBudget unless G's 8 R N bytes of orbit rows at `level`,
     which no run holds, fit GREEN_BYTES_CAP (a level policy: 2.2 GB at
     level 6), with N = 4**(p+1) - 2 glued nodes (Euler characteristic -2)
-    and R = (2**(p-1) + 1)**2 symmetry orbits, p = level + BASE_REFINEMENTS."""
+    and R = (2**(p-1) + 1)**2 orbits of the 16 maps, p = level + BASE_REFINEMENTS;
+    `green_kernel` checks it too, so a surface with fewer maps counts the same."""
     p = level + BASE_REFINEMENTS
     need = 8 * (2 ** (p - 1) + 1) ** 2 * (4 ** (p + 1) - 2)
     if need > GREEN_BYTES_CAP:
@@ -287,19 +292,17 @@ def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
 
 @dataclass
 class GreenKernel:
-    """G = 2 (K + 2M)^-1, with (Df)(p) = sum_q G[p,q] w_q f(q), kept as its
-    report and index tables.
+    """G = 2 (K + 2M)^-1, with (Df)(p) = sum_q G[p,q] w_q f(q), kept as the
+    node maps that carry it onto itself and its report.
 
-    Row i of G is the row of G at the representative reps[row_of[i]] of
-    its orbit (reps the nodes with map_of 0), with its columns permuted by
-    the inverse of the node map perms[map_of[i]]:
-    G[i, perms[map_of[i], k]] = G[reps[row_of[i]], k].  The identity, map
-    0, maps only the representatives.
+    Row g of `perms` holds the image g(k) of each node k under a certified
+    map, and G[g(i), g(j)] = G[i, j].  Every node is g(r) for a
+    representative r (`_representatives`, the least node of each orbit)
+    and some map g, so G is the rows at the representatives under the
+    maps: G[g(r), g(k)] = G[r, k].
     """
 
     surface: DiscreteSurface = field(repr=False)
-    row_of: np.ndarray
-    map_of: np.ndarray
     perms: np.ndarray
     report: dict
 
@@ -307,15 +310,18 @@ class GreenKernel:
     def matrix(self):
         """The dense N x N matrix G, within GREEN_BYTES_CAP, from one pass of
         the report's solve blocks, bit for bit the rows its report read: the
-        tests' reference, never built on the check path."""
-        n = len(self.row_of)
+        tests' reference, never built on the check path.  Each block row r
+        goes to G[g(r), g(:)] for every map g, the maps last to first, so a
+        node that several maps reach from r keeps the first map's row."""
+        n = self.perms.shape[1]
         if 8 * n * n > GREEN_BYTES_CAP:
             raise KernelBudget("dense kernel needs %d bytes > cap %d"
                                % (8 * n * n, GREEN_BYTES_CAP))
         G = np.empty((n, n))
-        for lo, block in _orbit_blocks(self.surface, np.flatnonzero(self.map_of == 0)):
-            for i in np.flatnonzero((self.row_of >= lo) & (self.row_of < lo + len(block))):
-                G[i, self.perms[self.map_of[i]]] = block[self.row_of[i] - lo]
+        reps = _representatives(self.perms)
+        for lo, block in _orbit_blocks(self.surface, reps):
+            for p in self.perms[::-1]:
+                G[p[reps[lo:lo + len(block)], None], p] = block
         return G
 
 
@@ -367,19 +373,27 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
     return np.array(perms)
 
 
+def _representatives(perms: np.ndarray) -> np.ndarray:
+    """The least node of each orbit of the maps `perms`, in increasing order."""
+    return np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
+
+
 def _orbit_blocks(surface: DiscreteSurface, reps: np.ndarray):
     """Rows reps[lo:lo + GREEN_BLOCK] of G as (lo, block) pairs, one
     untransposed LU solve each: the block is the solution of
-    (K + 2M) X = 2 E, E the identity's columns reps[lo:lo + GREEN_BLOCK]."""
+    (K + 2M) X = 2 E, E the identity's columns reps[lo:lo + GREEN_BLOCK],
+    built column-major, the layout SuperLU solves without a copy."""
     n, lu = surface.num_nodes, surface.factorization()
     for lo in range(0, len(reps), GREEN_BLOCK):
         r = reps[lo:lo + GREEN_BLOCK]
-        yield lo, lu.solve(2.0 * (np.arange(n)[:, None] == r)).T
+        rhs = np.zeros((n, len(r)), order="F")
+        rhs[r, np.arange(len(r))] = 2.0
+        yield lo, lu.solve(rhs).T
 
 
 def green_kernel(surface: DiscreteSurface) -> GreenKernel:
-    """Green kernel G = 2 (K + 2M)^-1 as its index tables, with a report
-    taken in one pass over its orbit rows.
+    """Green kernel G = 2 (K + 2M)^-1 as its node maps, with a report taken
+    in one pass over its rows at the representatives.
 
     G is solved once per symmetry orbit of the nodes: the least node r of
     each orbit gets row r of G as column r, GREEN_BLOCK representatives
@@ -388,67 +402,45 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     most two symmetric local terms and M is diagonal; the tests check it
     at levels 1-5), so G is symmetric and its columns are its rows.
     SuperLU does the untransposed solve by supernodes and the transposed
-    one column by column.  Every other row is the row of its orbit's
-    representative under a certified permutation of `_symmetries`,
-    G[g(r), :] = G[r, g^-1(:)].  GREEN_BYTES_CAP bounds 8 R N bytes as a
-    level policy (`check_green_budget`), though no whole table of the
-    orbit rows is kept; `GreenKernel.matrix` solves them again.
+    one column by column.  Every other row is a representative's row
+    under a certified map of `_symmetries`, G[g(r), g(:)] = G[r, :].
+    `check_green_budget` bounds 8 R N bytes as a level policy, though no
+    whole table of the rows is kept; `GreenKernel.matrix` solves them again.
 
-    The report reads each solved block once, with every index-table entry.
-    The extremes run over the blocks, since every entry of G is an entry
-    of an orbit row.  `rowsum_err` takes G w at the nodes i of the
-    block's orbits as (block @ w[perms].T)[row_of[i] - lo, map_of[i]],
-    lo the block's first row; the BLAS orders that product's sums, so
-    another BLAS may move it at roundoff, about 1e7 below its gate.
-    `asymmetry_rel` compares G[reps[t], i] with the entry of its mirror
-    gathered from i's orbit row, G[reps[row_of[i]], g^-1(reps[t])] for
-    g = map_of[i], never from a transpose; a certified map carries every
-    pair {i, j} onto a pair {r, k} with r a representative and leaves G
-    invariant, so these pairs cover every pair.  Both entries of a pair
-    lie in rows t and row_of[i], at the columns of each other's orbit, so
-    the pair is compared when the later of the two rows is solved: each
-    block keeps only its entries at the orbit columns of each later block,
-    one small array per later block, dropped once that block is compared;
-    about R N / 4 entries at most.
+    The report reads each solved block once, over every (representative,
+    map) pair.  The extremes run over the blocks, since every entry of G is
+    an entry of a representative's row.  `rowsum_err` takes (G w)(g(r_t))
+    as (block @ w[perms].T)[t - lo, g], lo the block's first row; the BLAS
+    orders that product's sums, so another BLAS may move it at roundoff,
+    about 1e7 below its gate.  `asymmetry_rel` compares, for each triple
+    (r_t, g, r_u), G[r_t, g(r_u)] with its mirror G[r_u, g^-1(r_t)], never
+    taken from a transpose.  A map h with i = h(r_t) carries the pair
+    {i, j} onto {r_t, h^-1(j)}, and h^-1(j) = g(r_u) for some g and u, so
+    the triples cover every pair, plus the maps that fix a node.  A triple
+    and (r_u, g^-1, r_t) compare the same pair, so the triples with u <= t
+    suffice: a block's rows t meet the representatives u before its end,
+    whose mirror entries come from this block and from earlier blocks.  Each
+    block keeps its entries at g^-1 of each later block's representatives,
+    one array per later block, dropped once that block is compared: one
+    entry per map (16) per (earlier row, later representative) pair, about
+    4 R^2 at the peak.  The inverses are per-map permutations, not group
+    indices, so a corrupted map table fails the check and does not raise.
     """
-    n = surface.num_nodes
+    check_green_budget(surface.level)
     perms = _symmetries(surface)
-    orbit_min = perms.min(axis=0)
-    reps = np.flatnonzero(orbit_min == np.arange(n))
-    m = len(reps)
-    if 8 * m * n > GREEN_BYTES_CAP:
-        raise KernelBudget("orbit rows need %d bytes > cap %d" % (8 * m * n, GREEN_BYTES_CAP))
-    # the first map carrying each node's representative onto it (0, the
-    # identity, for the representatives); one exists, since the maps of
-    # `_symmetries` form a group
-    map_of = (perms[:, orbit_min] == np.arange(n)).argmax(axis=0)
-    row_of = np.searchsorted(reps, orbit_min)
-    # the nodes by orbit: orbit t holds order[start[t]:start[t + 1]], and
-    # srow, smap are row_of and map_of in that order
-    order = np.argsort(row_of, kind="stable")
-    srow, smap = row_of[order], map_of[order]
-    start = np.searchsorted(srow, np.arange(m + 1))
-    # at[g, t]: the place of g^-1(reps[t]) in that order
-    at = np.argsort(order)[np.argsort(perms, axis=1)[:, reps]]
+    reps = _representatives(perms)
+    img, back = perms[:, reps], np.argsort(perms, axis=1)[:, reps]   # g(r_u), g^-1(r_u)
     wp = surface.weights[perms].T
     gmin, gmax, asym, rowsum = np.inf, -np.inf, 0.0, 0.0
-    kept = {}               # block start -> earlier rows at that block's orbit columns
+    kept = {}       # block start -> G[r_u, g^-1(r_t)] of earlier rows u, as (u, g, t)
     for lo, block in _orbit_blocks(surface, reps):
         hi = lo + len(block)
-        a, b = start[lo], start[hi]
-        s, g = srow[a:b] - lo, smap[a:b]
         gmin, gmax = np.minimum(gmin, block.min()), np.maximum(gmax, block.max())
-        rowsum = np.maximum(rowsum, np.abs((block @ wp)[s, g] - 1).max())
-        by_orbit = np.take(block, order, axis=1)
-        ahead = np.concatenate(kept.pop(lo, []) + [by_orbit[:, a:b]])  # G[reps[:hi], order[a:b]]
-        # i in this block's orbits, t in it or before
-        asym = np.maximum(asym, np.abs(by_orbit[s[:, None], at[g, :hi]] - ahead.T).max())
-        # t in this block, i in an earlier orbit (none for the first block)
-        mirror = ahead[srow[:a, None], at[smap[:a], lo:hi] - a]
-        asym = np.maximum(asym, np.abs(mirror - by_orbit[:, :a].T).max(initial=0.0))
-        for nxt in range(hi, m, GREEN_BLOCK):
-            kept.setdefault(nxt, []).append(
-                by_orbit[:, start[nxt]:start[min(nxt + GREEN_BLOCK, m)]].copy())
+        rowsum = np.maximum(rowsum, np.abs(block @ wp - 1).max())
+        mirror = np.concatenate(kept.pop(lo, []) + [block[:, back[:, lo:hi]]])
+        asym = np.maximum(asym, np.abs(block[:, img[:, :hi]] - mirror.T).max())
+        for nxt in range(hi, len(reps), GREEN_BLOCK):
+            kept.setdefault(nxt, []).append(block[:, back[:, nxt:nxt + GREEN_BLOCK]])
     gmax = np.maximum(gmax, -gmin)
     report = {
         "min_entry": float(gmin),
@@ -456,8 +448,7 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
         "asymmetry_rel": float(asym / gmax),
         "rowsum_err": float(rowsum),
     }
-    return GreenKernel(surface=surface, row_of=row_of, map_of=map_of, perms=perms,
-                       report=report)
+    return GreenKernel(surface=surface, perms=perms, report=report)
 
 
 def laplacian_eigenvalues(surface: DiscreteSurface, k: int = 6) -> np.ndarray:
@@ -494,9 +485,9 @@ def export_mesh_json(surface: DiscreteSurface, path, *, config_hash=None):
 
 def export_green(kernel: GreenKernel, path, *, config_hash=None):
     """The kernel's report, with its surface's node hash and the shape
-    R x N of G's orbit rows, read off the index tables."""
+    R x N of G's rows at the representatives."""
     payload = {
-        "rows_shape": [int(kernel.row_of.max()) + 1, len(kernel.row_of)],
+        "rows_shape": [len(_representatives(kernel.perms)), kernel.perms.shape[1]],
         "node_hash": node_hash(kernel.surface),
         "report": kernel.report,
     }

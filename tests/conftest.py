@@ -3,9 +3,9 @@
 Levels 3 and 4 of the mesh hierarchy are the validation workhorses; the
 basis is evaluated on both.  The length-8 word ball serves the group tests
 and the Poincare-series oracle of the basis.  The Green kernel is built at
-levels 3 and 4; at level 4 its report keeps about a quarter of the
-9.5 MB of orbit rows at its peak, and no test builds its dense 134 MB
-`matrix`.
+levels 3 and 4; at level 4 its report keeps about 4 R^2 entries (2.7 MB)
+at its peak, under a third of the 9.5 MB of orbit rows, and no test
+builds its dense 134 MB `matrix`.
 """
 
 import numpy as np

@@ -23,6 +23,9 @@ rows, the solve blocks of `surface._orbit_blocks` stacked, with the
 N x (maps * k) stack of all permuted columns; the package never applies
 G (it applies D through the LU), so the tests hold the orbit rows and
 permutations against `surface.apply_D` through it, with no dense G.
+`_orbit_tables` derives from the kernel's node maps the two index tables
+that say which orbit row and which map give each row of G; the package
+keeps only the maps.
 
 `_pairing_table_by_pairs` takes the pairing table two resolvent solves per
 product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where
@@ -147,11 +150,24 @@ def _stiffness_by_gluing_matrix(nodes, tris, gid, n):
     return (P.T @ K @ P).tocsc().sorted_indices()
 
 
+def _orbit_tables(kernel):
+    """Index tables of a kernel's node maps: row_of[i], the place of the
+    least node of i's orbit among those least nodes, and map_of[i], the
+    first map carrying that least node onto i (0, the identity, for the
+    least nodes themselves), so G[i, perms[map_of[i]]] is orbit row
+    row_of[i]."""
+    perms = kernel.perms
+    n = perms.shape[1]
+    orbit_min = perms.min(axis=0)
+    row_of = np.searchsorted(np.flatnonzero(orbit_min == np.arange(n)), orbit_min)
+    return row_of, (perms[:, orbit_min] == np.arange(n)).argmax(axis=0)
+
+
 def _orbit_rows(kernel):
     """The R x N orbit rows of G, the solve blocks of `surface._orbit_blocks`
     at the representatives (map_of 0) stacked, bit for bit what the
     kernel's report read."""
-    reps = np.flatnonzero(kernel.map_of == 0)
+    reps = np.flatnonzero(_orbit_tables(kernel)[1] == 0)
     return np.concatenate([b for _, b in surface_mod._orbit_blocks(kernel.surface, reps)])
 
 
@@ -164,7 +180,8 @@ def _matmat_by_stack(kernel, V):
     stack = X[kernel.perms.T].reshape(len(X), -1)
     rows = _orbit_rows(kernel)
     Y = (rows @ stack).reshape(len(rows), len(kernel.perms), -1)
-    return Y[kernel.row_of, kernel.map_of].reshape(V.shape)
+    row_of, map_of = _orbit_tables(kernel)
+    return Y[row_of, map_of].reshape(V.shape)
 
 
 def _pairing_table_by_pairs(fields, surface):
