@@ -81,33 +81,30 @@ def rotation(angle: float) -> np.ndarray:
 
 @dataclass
 class FuchsianGroup:
-    """Surface group of the regular-octagon genus-2 surface.
+    """Surface group of a centrally symmetric 2N-gon with opposite sides paired.
 
-    generators     -- (4, 2, 2): the 2g = 4 side-pairing translations
-                      g_0..g_3; g_k is the rotation conjugate
-                      R(k pi/4) g_0 R(-k pi/4) and identifies octagon side
-                      k+4 with side k.
-    side_pairings  -- (8, 2, 2): row s carries side s onto its partner side
-                      (s+4) mod 8; rows 0..3 are the inverses of g_0..g_3,
-                      rows 4..7 are g_0..g_3.
-    canonical_generators -- (4, 2, 2): a standard (a1, b1, a2, b2), written
-                      as words in `generators`, whose commutator product
-                      [a1,b1][a2,b2] is +-identity: the defining surface
-                      relation in canonical form.
-    vertices       -- the 8 octagon vertices (one equivalence class).
+    side_pairings -- (2N, 2, 2): row s carries side s onto side s + N
+                     (mod 2N), so it carries the polygon onto the copy
+                     across side s + N; rows N..2N-1 are the generators
+                     g_0..g_{N-1}, rows 0..N-1 their inverses.
+    vertices      -- the 2N polygon vertices; side s runs from vertex s-1
+                     to vertex s.
     """
 
     genus: int
-    generators: np.ndarray
     side_pairings: np.ndarray
-    canonical_generators: np.ndarray
     vertices: np.ndarray
 
+    @property
+    def generators(self):
+        """View of the N generators g_0..g_{N-1}, the rows N..2N-1 of
+        `side_pairings`."""
+        return self.side_pairings[len(self.side_pairings) // 2:]
+
     def neighbor_centers(self):
-        """Images of 0 under the 8 neighbor translations, ordered so that
-        entry s is the center of the octagon copy across side s."""
-        t0 = act(self.generators[0], 0.0)
-        return np.array([t0 * np.exp(1j * s * np.pi / 4) for s in range(8)])
+        """Images of 0 under the 2N neighbor translations, ordered so that
+        entry s is the center of the polygon copy across side s."""
+        return act(np.roll(self.side_pairings, len(self.generators), axis=0), 0.0)
 
     def octagon_relation_residual(self):
         """Entrywise residual of the octagon side-pairing relation
@@ -118,9 +115,12 @@ class FuchsianGroup:
         return projective_distance(word, np.eye(2))
 
     def commutator_residual(self):
-        """Entrywise residual of [a1,b1][a2,b2] = +-identity for the
-        canonical generators."""
-        a1, b1, a2, b2 = self.canonical_generators
+        """Entrywise residual of [a1,b1][a2,b2] = +-identity for a standard
+        (a1, b1, a2, b2) written as words in the generators: the defining
+        surface relation in canonical form."""
+        g0, g1, g2, g3 = self.generators
+        a1, b1 = g0, product(inverse(g1), g2, inverse(g3))
+        a2, b2 = product(inverse(g1), g2), product(inverse(g3), g1)
         comm = lambda x, y: product(x, y, inverse(x), inverse(y))
         return projective_distance(product(comm(a1, b1), comm(a2, b2)), np.eye(2))
 
@@ -128,11 +128,12 @@ class FuchsianGroup:
         """Write generators (8 reals each: Re and Im of a, b, c, d), the
         side-pairing table and the relation residuals."""
         eight = lambda g: g.reshape(4).view(float).tolist()
+        n = len(self.generators)
         payload = {
             "genus": self.genus,
             "generators": [eight(g) for g in self.generators],
             "side_pairings": {str(s): eight(self.side_pairings[s])
-                              for k in range(4) for s in (k, k + 4)},
+                              for k in range(n) for s in (k, k + n)},
             "octagon_relation_residual": self.octagon_relation_residual(),
             "commutator_relation_residual": self.commutator_residual(),
         }
@@ -145,8 +146,8 @@ def octagon_group(genus: int = 2) -> FuchsianGroup:
     Only genus 2 is validated; any other request raises UnsupportedGenus.
     The primitive translation T moves the origin along the positive real
     axis to the octagon copy across side 0 (cosh of half its translation
-    length is 1+sqrt(2)); the remaining generators are its conjugates by
-    rotations of k pi/4.
+    length is 1+sqrt(2)); the generators g_k are its conjugates
+    R(k pi/4) T R(-k pi/4), and g_k carries side k+4 onto side k.
     """
     if genus != 2:
         raise UnsupportedGenus("only genus 2 is implemented, got %r" % (genus,))
@@ -154,24 +155,15 @@ def octagon_group(genus: int = 2) -> FuchsianGroup:
     ch = 1 + np.sqrt(2.0)
     sh = np.sqrt(ch**2 - 1)
     T = unit_det([[ch, sh], [sh, ch]])
-    g0, g1, g2, g3 = gens = [product(rotation(k * np.pi / 4), T, rotation(-k * np.pi / 4))
-                             for k in range(4)]
-    canonical = [
-        g0,                                          # a1
-        product(inverse(g1), g2, inverse(g3)),       # b1
-        product(inverse(g1), g2),                    # a2
-        product(inverse(g3), g1),                    # b2
-    ]
+    gens = [product(rotation(k * np.pi / 4), T, rotation(-k * np.pi / 4)) for k in range(4)]
 
     # octagon vertices: radius tanh(r_v/2) with cosh(r_v) = 3 + 2 sqrt(2),
     # at the odd multiples of pi/8
     rv = np.tanh(np.arccosh(3 + 2 * np.sqrt(2.0)) / 2)
     verts = rv * np.exp(1j * (2 * np.arange(8) + 1) * np.pi / 8)
 
-    return FuchsianGroup(genus=genus, generators=np.array(gens),
-                         # g_s carries side s+4 onto side s, so its inverse s onto s+4
-                         side_pairings=np.array([inverse(g) for g in gens] + gens),
-                         canonical_generators=np.array(canonical), vertices=verts)
+    return FuchsianGroup(genus=genus, side_pairings=np.array([inverse(g) for g in gens] + gens),
+                         vertices=verts)
 
 
 def _sign_normalize(mats: np.ndarray) -> np.ndarray:
@@ -207,7 +199,7 @@ def enumerate_words(group: FuchsianGroup, L: int, *,
     """
     if L < 0:
         raise ValueError("word length must be >= 0")
-    step = np.roll(group.side_pairings, 4, axis=0)      # g_0..g_3, then inverses
+    step = np.roll(group.side_pairings, len(group.generators), axis=0)  # g_k, then inverses
 
     frontier = np.eye(2, dtype=complex)[None]
     seen = _dedup_keys(frontier)
@@ -250,8 +242,8 @@ def reduce_to_domain(group: FuchsianGroup, z):
     if not np.all(np.abs(w) < 1):
         raise ValueError("points must lie in the open unit disk")
     centers = group.neighbor_centers()
-    # side_pairings[s] carries side s onto side s+4: the copy across side s
-    # onto the octagon
+    # side_pairings[s] carries side s onto side s+N: the copy across side s
+    # onto the polygon
     step = group.side_pairings
     mats = np.tile(np.eye(2, dtype=complex), (len(w), 1, 1))
     for _ in range(REDUCE_STEPS):

@@ -92,8 +92,6 @@ def _hyp_mid(z1: complex, z2: complex) -> complex:
     """Hyperbolic midpoint of two disk points (stays on their geodesic)."""
     w = (z2 - z1) / (1 - np.conj(z1) * z2)
     aw = abs(w)
-    if aw < 1e-15:
-        return z1
     m = w / aw * np.tanh(np.arctanh(aw) / 2)
     return (m + z1) / (1 + np.conj(z1) * m)
 
@@ -130,15 +128,17 @@ def _edges(tris, n):
 
 
 def _build_raw(group: FuchsianGroup, passes: int):
-    """Subdivide the center fan `passes` times; returns (nodes, triangles).
+    """Subdivide the center fan over the polygon's vertices `passes` times;
+    returns (nodes, triangles).
 
     Each pass adds one node per edge, numbered by first use in edge order,
     and splits triangle (i, j, k) with edge midpoints a, b, c into
     (i, a, c), (a, j, b), (c, b, k), (a, b, c).  A boundary edge, an edge
     of one triangle, is split at its hyperbolic midpoint.
     """
+    n = len(group.vertices)
     nodes = np.array([0j] + [complex(v) for v in group.vertices])
-    tris = np.array([(0, 1 + s, 1 + (s + 1) % 8) for s in range(8)])
+    tris = np.array([(0, 1 + s, 1 + (s + 1) % n) for s in range(n)])
     for _ in range(passes):
         i, j, keys = _edges(tris, len(nodes))
         _, first, inv, count = np.unique(keys, return_index=True, return_inverse=True,
@@ -185,18 +185,20 @@ def _stiffness(nodes, tris, glued, n):
 
 
 def _glue(group: FuchsianGroup, nodes, tris):
-    """The root raw node of each node's glued class.  Side s holds the boundary
-    edges (of one triangle each) whose endpoint sums point along s pi/4.  Generator
-    s carries side s+4 onto side s; each side s+4 node's class joins, root to
-    root, the class of its image."""
+    """The root raw node of each node's glued class.  Of the 2N polygon sides,
+    side s holds the boundary edges (of one triangle each) whose endpoint sums
+    point along s pi/N.  `side_pairings[s + N]` carries side s + N onto
+    side s; each side s + N node's class joins, root to root, the class of
+    its image."""
     i, j, keys = _edges(tris, len(nodes))
     _, first, count = np.unique(keys, return_index=True, return_counts=True)
     ends = np.c_[i, j][first[count == 1]]
-    side = np.rint(np.angle(nodes[ends].sum(axis=1)) / (np.pi / 4)).astype(int) % 8
+    n = len(group.generators)
+    side = np.rint(np.angle(nodes[ends].sum(axis=1)) / (np.pi / n)).astype(int) % (2 * n)
     parent = np.arange(len(nodes))
-    for s in range(4):
-        src, tgt = np.unique(ends[side == s + 4]), np.unique(ends[side == s])
-        d = np.abs(nodes[tgt] - act(group.generators[s], nodes[src])[:, None])
+    for s in range(n):
+        src, tgt = np.unique(ends[side == s + n]), np.unique(ends[side == s])
+        d = np.abs(nodes[tgt] - act(group.side_pairings[s + n], nodes[src])[:, None])
         gap = d.min(axis=1).max()
         if not gap <= 1e-9:
             raise WpcurvError("side pairing failed to match boundary node (gap %g)" % gap)

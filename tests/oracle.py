@@ -18,8 +18,8 @@ nodes and glues it by the raw-to-glued matrix P as P^T K P, where
 `surface.build_mesh` sums each raw triangle's local matrix straight into
 its glued classes.
 
-`_matmat_by_stack` applies the Green kernel by one product of its orbit
-rows, the solve blocks of `surface._orbit_blocks` stacked, with the
+`_matmat_by_stack` applies the Green kernel by products of its orbit
+rows, the solve blocks of `surface._orbit_blocks`, with the
 N x (maps * k) stack of all permuted columns; the package never applies
 G (it applies D through the LU), so the tests hold the orbit rows and
 permutations against `surface.apply_D` through it, with no dense G.
@@ -172,14 +172,15 @@ def _orbit_rows(kernel):
 
 
 def _matmat_by_stack(kernel, V):
-    """Oracle: G @ V as (rows @ V[perms[map_of[i]]])[row_of[i]], through one
-    product of the orbit rows with the N x (maps * k) stack of permuted
-    columns."""
+    """Oracle: G @ V as (rows @ V[perms[map_of[i]]])[row_of[i]], through
+    products of the orbit rows, GREEN_BLOCK at a time as the kernel's
+    report takes them, with the N x (maps * k) stack of permuted columns."""
     V = np.asarray(V)
     X = V.reshape(len(V), -1)
     stack = X[kernel.perms.T].reshape(len(X), -1)
-    rows = _orbit_rows(kernel)
-    Y = (rows @ stack).reshape(len(rows), len(kernel.perms), -1)
+    rows, block = _orbit_rows(kernel), surface_mod.GREEN_BLOCK
+    Y = np.concatenate([rows[lo:lo + block] @ stack for lo in range(0, len(rows), block)])
+    Y = Y.reshape(len(rows), len(kernel.perms), -1)
     row_of, map_of = _orbit_tables(kernel)
     return Y[row_of, map_of].reshape(V.shape)
 

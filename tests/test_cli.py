@@ -476,14 +476,17 @@ def test_explain_command(tmp_path, capsys):
     assert "quaternionic_null_vector" in capsys.readouterr().out
 
 
-def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """Two fresh `wpcurv run --mesh-level 2` processes, one BLAS thread and
+@pytest.mark.parametrize("level", [2, 3])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, level):
+    """Two fresh `wpcurv run --mesh-level L` processes, one BLAS thread and
     two, both started before either is waited on: every artifact is byte
     for byte the same, and report.json differs only in the `out` it
-    records.  Both exit 1, on the quaternionic null-vector check alone."""
+    records.  Both exit 1, on the quaternionic null-vector check alone.
+    Level 3 is the CLI's default, where the Green report's `rowsum_err`
+    passes through eleven blocked BLAS products."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wpcurv.__file__)))
-    procs = [subprocess.Popen([sys.executable, "-m", "wpcurv.cli", "run", "--mesh-level", "2",
-                               "--out", str(tmp_path / threads)],
+    procs = [subprocess.Popen([sys.executable, "-m", "wpcurv.cli", "run",
+                               "--mesh-level", str(level), "--out", str(tmp_path / threads)],
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               env=dict(env, OPENBLAS_NUM_THREADS=threads))
              for threads in ("1", "2")]

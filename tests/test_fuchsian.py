@@ -1,5 +1,6 @@
 """Group, group-element, word-enumeration and fundamental-domain tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from wpcurv import qdiff
-from wpcurv.errors import NearPole, UnsupportedGenus
-from wpcurv.fuchsian import (DEDUP_DECIMALS, _dedup_keys, _sign_normalize, act,
+from wpcurv import fuchsian, qdiff
+from wpcurv.errors import BudgetExceeded, NearPole, UnsupportedGenus
+from wpcurv.fuchsian import (DEDUP_DECIMALS, FuchsianGroup, _dedup_keys, _sign_normalize, act,
                              derivative, enumerate_words, inverse, octagon_group,
                              product, projective_distance, reduce_to_domain,
                              rotation, unit_det)
@@ -103,6 +104,18 @@ def test_unsupported_genus():
         octagon_group(3)
 
 
+def test_group_holds_each_map_once():
+    """The group is its pairings and its polygon: the generators are a view
+    of the pairing rows N..2N-1, and rows 0..N-1 are their inverses."""
+    G = octagon_group(2)
+    assert [f.name for f in dataclasses.fields(FuchsianGroup)] == [
+        "genus", "side_pairings", "vertices"]
+    assert np.shares_memory(G.generators, G.side_pairings)
+    assert len(G.generators) == 4 and len(G.side_pairings) == len(G.vertices) == 8
+    for g, g_inv in zip(G.generators, G.side_pairings):
+        assert np.array_equal(g_inv, inverse(g))
+
+
 def test_octagon_relation_residual():
     assert octagon_group(2).octagon_relation_residual() < 1e-10
 
@@ -150,6 +163,9 @@ def test_side_pairing_carries_side_to_partner():
 
 
 def test_neighbor_centers_match_side_pairings():
+    """Entry s is the image of 0 under the pairing that carries side s+4
+    onto side s, and within 1e-15 of the rotation of entry 0 by s pi/4 (the
+    two differ by at most 2.2e-16)."""
     G = octagon_group(2)
     centers = G.neighbor_centers()
     for s in range(8):
@@ -157,6 +173,7 @@ def test_neighbor_centers_match_side_pairings():
         # inverse of the map that carries side s away
         gamma = G.side_pairings[(s + 4) % 8]
         assert abs(act(gamma, 0.0) - centers[s]) < 1e-12
+    assert np.abs(centers - centers[0] * np.exp(1j * np.arange(8) * np.pi / 4)).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +321,15 @@ def test_negative_length_rejected():
         enumerate_words(octagon_group(2), -1)
 
 
+def test_word_cap_raises(monkeypatch):
+    """Past WORD_CAP elements the ball raises: 9 words reach length 1, more
+    than 10 reach length 2."""
+    monkeypatch.setattr(fuchsian, "WORD_CAP", 10)
+    assert len(enumerate_words(octagon_group(2), 1)) == 9
+    with pytest.raises(BudgetExceeded, match="cap of 10 elements at length <= 2"):
+        enumerate_words(octagon_group(2), 2)
+
+
 # ---------------------------------------------------------------------------
 # fundamental domain
 
@@ -358,6 +384,16 @@ def test_reduce_to_domain():
     assert not inside.all()
     with pytest.raises(ValueError):
         reduce_to_domain(G, [0.5, 1.0])
+
+
+def test_reduce_to_domain_step_limit_raises(monkeypatch):
+    """A point that one side-pairing step does not carry into the octagon
+    raises once REDUCE_STEPS is 1; the origin needs no step."""
+    monkeypatch.setattr(fuchsian, "REDUCE_STEPS", 1)
+    G = octagon_group(2)
+    assert np.array_equal(reduce_to_domain(G, [0.0])[0], [0.0])
+    with pytest.raises(ValueError, match="1 points not reduced in 1 steps"):
+        reduce_to_domain(G, [0.0, 0.99])
 
 
 def test_reduce_to_domain_keeps_boundary_points(group):

@@ -196,10 +196,10 @@ def test_green_blocked_report_equals_full_matrix_formulas(case, surf3, green3):
     """The blocked solve agrees with one dense solve, and the report read
     off the solved rows, over all the maps, with the full-matrix formulas:
     all 16 at level 3, and on the bent-weight surface the two-map
-    stabilizer of the bent node, a proper subgroup.  There the oracle's one
-    product of the rows with a two-column stack sums in another order than
-    the report's 8-row blocks (3.9e-15 against 3.6e-15), so there the row
-    sums are held to the dense product only."""
+    stabilizer of the bent node, a proper subgroup.  The oracle takes its
+    products in the report's GREEN_BLOCK-row blocks, so the row sums equal
+    it bit for bit in both cases (in one product of all the rows they sum
+    in another order: 3.9e-15 against 3.6e-15 on the bent-weight surface)."""
     if case == "L3":
         surf, green, maps = surf3, green3, 16
     else:
@@ -215,8 +215,7 @@ def test_green_blocked_report_equals_full_matrix_formulas(case, surf3, green3):
         "max_entry": float(gmax),
         "asymmetry_rel": float(np.abs(G - G.T).max() / gmax),
     }
-    if case == "L3":
-        assert rowsum == float(np.abs(_matmat_by_stack(green, surf.weights) - 1).max())
+    assert rowsum == float(np.abs(_matmat_by_stack(green, surf.weights) - 1).max())
     assert abs(rowsum - np.abs(G @ surf.weights - 1).max()) <= 1e-14
     dense = surf.factorization().solve(2 * np.eye(surf.num_nodes))
     assert np.abs(G - dense).max() <= 1e-14 * np.abs(dense).max()
@@ -226,7 +225,7 @@ def test_green_blocked_report_equals_full_matrix_formulas(case, surf3, green3):
 def test_green_kernel_applies_D_to_roundoff(level, surf3, surf4, green3, green4):
     """sum_q G[p,q] w_q f(q) = (Df)(p) holds to roundoff, not exactly: the
     orbit rows and their permutations reproduce D, taken through the
-    oracle's product (one, for all seven columns, so the orbit rows are
+    oracle's products (one call, for all seven columns, so the orbit rows are
     solved once) since the package applies D only by its LU."""
     surf = surf3 if level == 3 else surf4
     green = green3 if level == 3 else green4
