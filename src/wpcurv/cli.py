@@ -35,6 +35,8 @@ SUBCOMMAND_FLAGS = {"run": ("mesh_level", "seeds", "out"), "spectrum": ("mesh_le
 #: sample points of each surrogate model, and its number of basis fields
 SURROGATE_POINTS = 40
 SURROGATE_FIELDS = 3
+#: most trials a run takes: `wpcurv surrogate` stacks its models, and peaks at 633 MB here
+SEEDS_CAP = 10_000
 #: the files each stage writes; a stage that fails removes all of its own
 STAGE_ARTIFACTS = {"surface": ("group.json", "mesh.json", "green.json", "tensor.json",
                                "spectrum.json"),
@@ -53,8 +55,8 @@ class RunConfig:
         surface.check_level(self.mesh_level)
         if self.stage in ("all", "surface"):
             surface.check_green_budget(self.mesh_level)
-        if self.seeds < 1:
-            raise ValueError("seeds must be at least 1")
+        if not 1 <= self.seeds <= SEEDS_CAP:
+            raise ValueError("seeds must be between 1 and %d" % SEEDS_CAP)
         if self.stage not in ("all", *STAGE_ARTIFACTS):
             raise ValueError("unknown stage %r" % self.stage)
 
@@ -67,32 +69,22 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def run_surface_stage(config: RunConfig, results: dict):
-    """Group -> basis -> mesh -> operators -> tensor -> Q -> checks, each
-    check entered into `results` as it completes."""
-    cfg_hash = config.hash("surface")
-
+def surface_stage(level: int, results: dict) -> dict:
+    """Group -> basis -> mesh -> fields -> Gram -> Green kernel -> P -> R ->
+    Q -> spectrum at mesh level `level`, each check entered into `results`
+    as it completes; returns the stage's objects by name."""
     group = octagon_group(2)
-    group.export_json(os.path.join(config.out, "group.json"), config_hash=cfg_hash)
-
     basis_q = qdiff.build_qdiff_basis(group)
-
-    surf = surface.build_mesh(group, config.mesh_level)
-    surface.export_mesh_json(surf, os.path.join(config.out, "mesh.json"), config_hash=cfg_hash)
-
+    surf = surface.build_mesh(group, level)
     fields = qdiff.beltrami_from_qdiff(basis_q, surf)
-    gram = qdiff.gram_matrix(fields, surf)
-    fields, gram, _ = qdiff.orthonormalize(fields, gram)
-
+    fields, gram, _ = qdiff.orthonormalize(fields, qdiff.gram_matrix(fields, surf))
     results["resolvent_operator"] = checks.resolvent_operator(surf)
 
     green = surface.green_kernel(surf)
-    surface.export_green(green, os.path.join(config.out, "green.json"), config_hash=cfg_hash)
     results["green_kernel"] = checks.green_kernel(green)
 
     P = curvature.pairing_table(fields, surf)
     R = curvature.curvature_tensor(P)
-    curvature.export_tensor_json(R, os.path.join(config.out, "tensor.json"), config_hash=cfg_hash)
     results["tensor_symmetries"] = checks.tensor_symmetries(R)
 
     Q = wedge.assemble_Q(R)
@@ -100,9 +92,20 @@ def run_surface_stage(config: RunConfig, results: dict):
     results["tensor_assembly"] = checks.tensor_assembly(R, gram, Q, P)   # w G w f = w D f
     results.update(checks.block_checks(Q, spec.tau))
     results["operator_nonpositive_kernel"] = checks.operator_nonpositive_kernel(Q, spec)
+    return {"group": group, "surface": surf, "fields": fields, "gram": gram, "green": green,
+            "pairings": P, "tensor": R, "Q": Q, "spectrum": spec}
 
-    wedge.export_spectrum_json(spec, os.path.join(config.out, "spectrum.json"),
-                               config_hash=cfg_hash)
+
+def run_surface_stage(config: RunConfig, results: dict):
+    """`surface_stage` at the configured level, then its five artifacts."""
+    stage = surface_stage(config.mesh_level, results)
+    cfg_hash = config.hash("surface")
+    path = lambda name: os.path.join(config.out, name)
+    stage["group"].export_json(path("group.json"), config_hash=cfg_hash)
+    surface.export_mesh_json(stage["surface"], path("mesh.json"), config_hash=cfg_hash)
+    surface.export_green(stage["green"], path("green.json"), config_hash=cfg_hash)
+    curvature.export_tensor_json(stage["tensor"], path("tensor.json"), config_hash=cfg_hash)
+    wedge.export_spectrum_json(stage["spectrum"], path("spectrum.json"), config_hash=cfg_hash)
 
 
 def run_surrogate_stage(config: RunConfig, results: dict):
@@ -157,7 +160,7 @@ def run(config: RunConfig) -> dict:
 
 def explain(report: dict) -> str:
     """One line per check: status, residual, tolerance, description; a
-    ValueError if the report is not an object of checks holding all four."""
+    ValueError if the report is not an object of checks holding all four, `pass` a bool."""
     if not isinstance(report, dict):
         raise ValueError("report is not an object")
     entries = report.get("checks")
@@ -166,8 +169,9 @@ def explain(report: dict) -> str:
     fields = ("pass", "residual", "tolerance", "description")
     lines = []
     for name, c in entries.items():
-        if not (isinstance(c, dict) and all(key in c for key in fields)):
-            raise ValueError("check %r lacks one of %s" % (name, ", ".join(fields)))
+        if not (isinstance(c, dict) and all(key in c for key in fields)
+                and isinstance(c["pass"], bool)):
+            raise ValueError("check %r needs a boolean pass and %s" % (name, ", ".join(fields[1:])))
         status = "pass" if c["pass"] else "FAIL"
         lines.append("%-28s %-4s residual=%s tol=%s  %s"
                      % (name, status, c["residual"], c["tolerance"],

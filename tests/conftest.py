@@ -1,17 +1,20 @@
 """Shared session fixtures: the expensive pipeline objects are built once.
 
-Levels 3 and 4 of the mesh hierarchy are the validation workhorses; the
-basis is evaluated on both.  The length-8 word ball serves the group tests
-and the Poincare-series oracle of the basis.  The Green kernel is built at
-levels 3 and 4; at level 4 its report keeps about 4 R^2 entries (2.7 MB)
-at its peak, under a third of the 9.5 MB of orbit rows, and no test
-builds its dense 134 MB `matrix`.
+`pipe3` and `pipe4` are `cli.surface_stage` at mesh levels 3 and 4, the
+validation workhorses, built exactly as `wpcurv run` builds the stage:
+its objects by name, and its check records under "checks".  `surf3`,
+`surf4`, `green3` and `green4` are their surfaces and Green kernels.
+`raw3` and `raw4` hold the fields and Gram matrix before
+orthonormalization and its Cholesky factor, which the stage does not
+keep.  The length-8 word ball serves the group tests and the
+Poincare-series oracle of the basis.  At level 4 the Green kernel's
+report keeps about 4 R^2 entries (2.7 MB) at its peak, under a third of
+the 9.5 MB of orbit rows, and no test builds its dense 134 MB `matrix`.
 """
 
-import numpy as np
 import pytest
 
-from wpcurv import curvature, qdiff, surface, wedge
+from wpcurv import cli, qdiff, wedge
 from wpcurv.fuchsian import enumerate_words, octagon_group
 
 
@@ -30,53 +33,56 @@ def basis(group):
     return qdiff.build_qdiff_basis(group)
 
 
-@pytest.fixture(scope="session")
-def surf3(group):
-    return surface.build_mesh(group, 3)
+def _stage(level):
+    pipe = {"checks": {}}
+    pipe.update(cli.surface_stage(level, pipe["checks"]))
+    return pipe
 
 
 @pytest.fixture(scope="session")
-def surf4(group):
-    return surface.build_mesh(group, 4)
-
-
-def _pipeline(basis, surf):
-    fields_raw = qdiff.beltrami_from_qdiff(basis, surf)
-    gram_raw = qdiff.gram_matrix(fields_raw, surf)
-    fields, gram, C = qdiff.orthonormalize(fields_raw, gram_raw)
-    P = curvature.pairing_table(fields, surf)
-    R = curvature.curvature_tensor(P)
-    Q = wedge.assemble_Q(R)
-    return {
-        "fields_raw": fields_raw,
-        "gram_raw": gram_raw,
-        "fields": fields,
-        "gram": gram,
-        "cholesky": C,
-        "pairings": P,
-        "tensor": R,
-        "Q": Q,
-    }
+def pipe3():
+    return _stage(3)
 
 
 @pytest.fixture(scope="session")
-def pipe3(basis, surf3):
-    return _pipeline(basis, surf3)
+def pipe4():
+    return _stage(4)
 
 
 @pytest.fixture(scope="session")
-def pipe4(basis, surf4):
-    return _pipeline(basis, surf4)
+def surf3(pipe3):
+    return pipe3["surface"]
 
 
 @pytest.fixture(scope="session")
-def green3(surf3):
-    return surface.green_kernel(surf3)
+def surf4(pipe4):
+    return pipe4["surface"]
 
 
 @pytest.fixture(scope="session")
-def green4(surf4):
-    return surface.green_kernel(surf4)
+def green3(pipe3):
+    return pipe3["green"]
+
+
+@pytest.fixture(scope="session")
+def green4(pipe4):
+    return pipe4["green"]
+
+
+def _raw(basis, surf):
+    fields = qdiff.beltrami_from_qdiff(basis, surf)
+    gram = qdiff.gram_matrix(fields, surf)
+    return {"fields": fields, "gram": gram, "cholesky": qdiff.orthonormalize(fields, gram)[2]}
+
+
+@pytest.fixture(scope="session")
+def raw3(basis, surf3):
+    return _raw(basis, surf3)
+
+
+@pytest.fixture(scope="session")
+def raw4(basis, surf4):
+    return _raw(basis, surf4)
 
 
 @pytest.fixture(scope="session")

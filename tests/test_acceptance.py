@@ -1,18 +1,17 @@
 """Acceptance gate: the nine headline checks, one pass/fail line each.
 
-Each criterion evaluates the named checks of `wpcurv.checks` in exactly
-the form `wpcurv run` calls them, on the objects its surface stage holds
-(tensor, Gram matrix, Q, pairing table, spectrum); a criterion that draws
-samples has its own seed and sample count.
+The surface criteria read the check records that `cli.surface_stage`,
+the stage `wpcurv run` runs, entered at mesh levels 3 and 4 (the
+`pipe3` and `pipe4` fixtures); criterion 6 also reads Q on J's -1
+eigenspace.  The surrogate and quaternionic criteria call their checks
+of `wpcurv.checks` directly, each with its own seed and sample count.
 """
 
 import time
 
 import numpy as np
 
-from wpcurv import checks, rankone, surrogate, wedge
-
-TAU_REL = wedge.TAU_REL_DEFAULT
+from wpcurv import checks, rankone, surrogate
 
 
 def _report(num, ok, detail):
@@ -20,17 +19,9 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def _kernel_check(Q):
-    return checks.operator_nonpositive_kernel(Q, wedge.spectrum(Q, TAU_REL))
-
-
-def _assembly_check(pipe):
-    return checks.tensor_assembly(pipe["tensor"], pipe["gram"], pipe["Q"], pipe["pairings"])
-
-
 def test_criterion_1_spectrum(pipe4):
     """Level-4 Q: 9 negative, 6 zero, none positive, clear spectral gap."""
-    check = _kernel_check(pipe4["Q"])
+    check = pipe4["checks"]["operator_nonpositive_kernel"]
     res = check["residual"]
     ok = check["pass"] and res["counts"] == [9, 6, 0]
     _report(1, ok, "counts=%d/%d/%d gap_ratio=%.3g" % (*res["counts"], res["gap_ratio"]))
@@ -38,7 +29,7 @@ def test_criterion_1_spectrum(pipe4):
 
 def test_criterion_2_kernel(pipe4):
     """Kernel of Q is exactly the range of (identity - J)."""
-    check = _kernel_check(pipe4["Q"])
+    check = pipe4["checks"]["operator_nonpositive_kernel"]
     res = check["residual"]
     ok = check["pass"] and res["rank"] == 9
     _report(2, ok, "range_resid=%.3g rank=%d worst_plus=%.3g"
@@ -48,15 +39,14 @@ def test_criterion_2_kernel(pipe4):
 
 def test_criterion_3_two_path(pipe3):
     """Tensor-path and integral-path matrices of Q agree."""
-    check = _assembly_check(pipe3)
+    check = pipe3["checks"]["tensor_assembly"]
     _report(3, check["pass"], "relative 2-norm deviation %.3g"
             % check["residual"]["two_path_rel"])
 
 
-def test_criterion_4_operator_hypotheses(surf3, green3):
+def test_criterion_4_operator_hypotheses(pipe3):
     """Resolvent self-adjoint and positive; Green kernel positive/symmetric."""
-    resolvent = checks.resolvent_operator(surf3)
-    green = checks.green_kernel(green3)
+    resolvent, green = (pipe3["checks"][name] for name in ("resolvent_operator", "green_kernel"))
     d, gr = resolvent["residual"], green["residual"]
     _report(4, resolvent["pass"] and green["pass"],
             "D_ldlt=%.3g D_posmin=%.3g G_min=%.3g G_asym=%.3g G_rowsum=%.3g"
@@ -67,8 +57,8 @@ def test_criterion_4_operator_hypotheses(surf3, green3):
 def test_criterion_5_tensor_symmetries(pipe3, pipe4):
     """Index symmetries, positive diagonal, negative sectional curvature,
     and the two paths of Q agreeing, at levels 3 and 4."""
-    sym = [checks.tensor_symmetries(p["tensor"]) for p in (pipe3, pipe4)]
-    assembly = [_assembly_check(p) for p in (pipe3, pipe4)]
+    sym = [p["checks"]["tensor_symmetries"] for p in (pipe3, pipe4)]
+    assembly = [p["checks"]["tensor_assembly"] for p in (pipe3, pipe4)]
     _report(5, all(c["pass"] for c in sym + assembly),
             "sym_resid=%.3g diag_min=%.3g sectional_max=%.3g two_path=%.3g"
             % (max(max(c["residual"].values()) for c in sym),
@@ -81,11 +71,10 @@ def test_criterion_6_zero_level_sets(pipe4, jmat3):
     """Null directions (antisymmetric cross block, and the range of
     identity - J, which is J's -1 eigenspace) and strict negativity of the
     pure blocks, read off Q's eigenvalues on each subspace."""
-    Q = pipe4["Q"]
-    tau = wedge.spectrum(Q, TAU_REL).tau
+    tau = pipe4["spectrum"].tau
     lam, vecs = np.linalg.eigh(jmat3)
-    kernel_worst = float(np.abs(Q.eigenvalues_on(vecs[:, lam < 0])).max())
-    blocks = checks.block_checks(Q, tau)
+    kernel_worst = float(np.abs(pipe4["Q"].eigenvalues_on(vecs[:, lam < 0])).max())
+    blocks = pipe4["checks"]
     null = blocks["cross_block_null"]
     definite = [blocks["xx_block_definite"], blocks["yy_block_definite"]]
     ok = null["pass"] and kernel_worst <= tau and all(c["pass"] for c in definite)
@@ -131,10 +120,10 @@ def test_criterion_9_mesh_convergence(pipe3, pipe4):
     ok = True
     details = []
     for name, pipe in (("level3", pipe3), ("level4", pipe4)):
-        check = _kernel_check(pipe["Q"])
+        check = pipe["checks"]["operator_nonpositive_kernel"]
         counts = check["residual"]["counts"]
         ok = (ok and check["pass"] and counts == [9, 6, 0]
-              and checks.tensor_symmetries(pipe["tensor"])["pass"])
+              and pipe["checks"]["tensor_symmetries"]["pass"])
         details.append("%s counts=%d/%d/%d" % (name, *counts))
     scale = np.abs(pipe4["Q"].matrix).max()
     drift = np.abs(pipe3["Q"].matrix - pipe4["Q"].matrix).max() / scale

@@ -49,14 +49,16 @@ def test_config_hash_sensitivity():
 
 @pytest.mark.parametrize("argv", [["--mesh-level", "9"], ["--mesh-level", "7"],
                                   ["--mesh-level", "6"],
-                                  ["--mesh-level", "1", "--seeds", "0"], ["--seeds", "-1"]],
+                                  ["--mesh-level", "1", "--seeds", "0"], ["--seeds", "-1"],
+                                  ["--mesh-level", "1", "--seeds", str(cli.SEEDS_CAP + 1)]],
                          ids=["mesh-level-9", "mesh-level-7", "mesh-level-6", "seeds-0",
-                              "seeds-minus-1"])
+                              "seeds-minus-1", "seeds-over-cap"])
 def test_invalid_config_is_a_usage_error(argv, tmp_path, capsys):
     """A setting `validate` rejects exits 2 with one error line, writing nothing.
     Level 6 is within the node cap, but the Green kernel's level policy
     refuses it: 8 R N bytes for its orbit rows (2.2 GB) exceed
-    GREEN_BYTES_CAP, though no run holds them."""
+    GREEN_BYTES_CAP, though no run holds them.  A trial count over
+    SEEDS_CAP would stack more surrogate models than a run can hold."""
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", *argv, "--out", str(out)])
@@ -118,9 +120,10 @@ def test_explain_requires_checks():
 @pytest.mark.parametrize(
     "content",
     [None, "not json", '{"checks": {}}', "[]", '{"checks": [1]}',
-     '{"checks": {"a": {"pass": true}}}', '{"checks": {"a": 1}}'],
+     '{"checks": {"a": {"pass": true}}}', '{"checks": {"a": 1}}',
+     '{"checks": {"a": {"pass": "false", "residual": 0, "tolerance": 0, "description": ""}}}'],
     ids=["missing", "not-json", "no-checks", "not-object", "checks-not-object",
-         "entry-lacks-fields", "entry-not-object"])
+         "entry-lacks-fields", "entry-not-object", "pass-not-boolean"])
 def test_explain_bad_report_is_a_usage_error(content, tmp_path, capsys):
     """A report that cannot be read, parsed or explained exits 2 with one
     error line, as a usage error, not 1 as a failed check."""
@@ -251,6 +254,17 @@ def test_surface_stage_and_determinism(tmp_path):
                           "spectrum.json", "report.json"}
     text = cli.explain(r1)
     assert len(text.splitlines()) == 9
+
+
+def test_session_fixtures_are_the_run(pipe3, tmp_path):
+    """The `pipe3` fixture is the stage a level-3 surface run runs: the same
+    check records as its report.json, and spectrum.json's eigenvalues."""
+    out = tmp_path / "o"
+    cli.run(cli.RunConfig(stage="surface", mesh_level=3, out=str(out)))
+    report, spec = (json.loads((out / name).read_text()) for name in ("report.json",
+                                                                     "spectrum.json"))
+    assert report["checks"] == json.loads(json.dumps(pipe3["checks"]))
+    assert spec["spectrum"]["eigenvalues"] == pipe3["spectrum"].eigenvalues.tolist()
 
 
 def test_one_config_into_two_directories_writes_the_same_artifacts(tmp_path):

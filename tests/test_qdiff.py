@@ -232,16 +232,16 @@ def test_beltrami_field_validation(shape, bad):
             qdiff.BeltramiField(planted)
 
 
-def test_gram_hermitian_posdef(pipe3):
-    g = pipe3["gram_raw"]
+def test_gram_hermitian_posdef(raw3):
+    g = raw3["gram"]
     assert np.abs(g - g.conj().T).max() < 1e-12 * np.abs(g).max()
     assert np.all(np.diag(g).real > 0)
     assert np.abs(np.diag(g).imag).max() < 1e-12 * np.abs(g).max()
-    assert np.linalg.eigvalsh(pipe3["gram_raw"]).min() > 0
+    assert np.linalg.eigvalsh(raw3["gram"]).min() > 0
 
 
-def test_duplicate_field_degenerate(pipe3, surf3):
-    fields = pipe3["fields_raw"]
+def test_duplicate_field_degenerate(raw3, surf3):
+    fields = raw3["fields"]
     with pytest.raises(DegenerateBasis):
         qdiff.gram_matrix([fields[0], fields[0], fields[1]], surf3)
 
@@ -256,9 +256,9 @@ def test_nan_field_sample_is_degenerate(group, basis):
         qdiff.gram_matrix(fields, surf)
 
 
-def test_wrong_surface_rejected(pipe3, surf4):
+def test_wrong_surface_rejected(raw3, surf4):
     with pytest.raises(ValueError):
-        qdiff.gram_matrix(pipe3["fields_raw"], surf4)
+        qdiff.gram_matrix(raw3["fields"], surf4)
 
 
 def test_orthonormalize_output_gram_identity(pipe3, surf3):
@@ -266,9 +266,9 @@ def test_orthonormalize_output_gram_identity(pipe3, surf3):
     assert np.abs(g - np.eye(3)).max() < 1e-12
 
 
-def test_orthonormalize_recovers_gram(pipe3):
-    C = pipe3["cholesky"]
-    g = pipe3["gram_raw"]
+def test_orthonormalize_recovers_gram(raw3):
+    C = raw3["cholesky"]
+    g = raw3["gram"]
     assert np.abs(C.conj().T @ C - g).max() < 1e-9 * np.abs(g).max()
 
 
@@ -280,7 +280,7 @@ def test_orthonormalize_identity_on_orthonormal_input(pipe3, surf3):
         assert np.abs(old - new).max() < 1e-10
 
 
-def test_petersson_consistency(basis, pipe3, surf3):
+def test_petersson_consistency(basis, raw3, surf3):
     """The weighted mu-products equal the theta-products divided by the
     metric density squared (mu = conj(theta)/sigma exactly)."""
     z = surf3.nodes
@@ -288,22 +288,22 @@ def test_petersson_consistency(basis, pipe3, surf3):
     theta = qdiff.theta(basis, z)
     direct = np.einsum("p,ip,jp->ij", surf3.weights,
                        np.conj(theta) / sigma, theta / sigma)
-    g = pipe3["gram_raw"]
+    g = raw3["gram"]
     assert np.abs(direct - g).max() < 1e-12 * np.abs(g).max()
 
 
-def test_gram_refinement(pipe3, pipe4):
-    g3, g4 = pipe3["gram_raw"], pipe4["gram_raw"]
+def test_gram_refinement(raw3, raw4):
+    g3, g4 = raw3["gram"], raw4["gram"]
     rel = np.linalg.norm(g3 - g4) / np.linalg.norm(g4)
     assert rel < 0.02
 
 
 @pytest.mark.parametrize("level", [3, 4])
-def test_whole_mesh_symmetry_certificates(level, pipe3, pipe4):
+def test_whole_mesh_symmetry_certificates(level, pipe3, pipe4, raw3, raw4):
     """The octagon's symmetries make the raw Gram matrix diagonal (distinct
     rotation characters) and the curvature tensor real, over all nodes."""
-    pipe = pipe3 if level == 3 else pipe4
-    g = pipe["gram_raw"]
+    pipe, raw = (pipe3, raw3) if level == 3 else (pipe4, raw4)
+    g = raw["gram"]
     diag = np.abs(np.diag(g))
     off = np.abs(g - np.diag(np.diag(g))) / np.sqrt(np.outer(diag, diag))
     assert off.max() <= 1e-13
