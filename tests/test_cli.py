@@ -261,8 +261,8 @@ def test_session_fixtures_are_the_run(pipe3, tmp_path):
     check records as its report.json, and spectrum.json's eigenvalues."""
     out = tmp_path / "o"
     cli.run(cli.RunConfig(stage="surface", mesh_level=3, out=str(out)))
-    report, spec = (json.loads((out / name).read_text()) for name in ("report.json",
-                                                                     "spectrum.json"))
+    report, spec = (json.loads((out / name).read_text())
+                    for name in ("report.json", "spectrum.json"))
     assert report["checks"] == json.loads(json.dumps(pipe3["checks"]))
     assert spec["spectrum"]["eigenvalues"] == pipe3["spectrum"].eigenvalues.tolist()
 
