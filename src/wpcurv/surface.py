@@ -1,15 +1,15 @@
-"""Discretization of the octagon surface: mesh, quadrature, Laplacian, D.
+"""Discretization of the surface: mesh, quadrature, Laplacian, D.
 
-The fundamental octagon is triangulated by refining the 8-triangle fan
-from the center.  Boundary edges are subdivided at *hyperbolic* midpoints
-so refined boundary nodes stay on the geodesic sides and the side-pairing
+The fundamental 2N-gon is triangulated by refining the fan of 2N triangles
+from the center, each boundary edge carrying its polygon side's index from
+the fan on.  Boundary edges are subdivided at *hyperbolic* midpoints so
+refined boundary nodes stay on the geodesic sides and the side-pairing
 isometries match boundary nodes exactly; interior edges use Euclidean
-midpoints.  Each boundary node is then glued to its image under the
-side pairing (classes joined root to root over index arrays), which
-closes the surface: the glued complex has Euler characteristic -2 and all
-8 octagon corners collapse to a single vertex (the corner angles sum to
-2 pi, so no cone point appears).  The surface stores its triangles as
-glued index triples.
+midpoints.  Each node of side s + N is then glued to its image under that
+side's pairing, which closes the surface: for the octagon the glued
+complex has Euler characteristic -2 and all 8 corners collapse to a single
+vertex (the corner angles sum to 2 pi, so no cone point appears).  The
+surface stores its triangles as glued index triples.
 
 The Laplace-Beltrami operator of the metric sigma |dz|^2 is assembled
 with the conformal-invariance trick: in 2D the P1 stiffness matrix of the
@@ -48,6 +48,7 @@ computed G is symmetric up to roundoff.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,7 +60,7 @@ from .artifacts import write_json
 from .errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
 from .fuchsian import FuchsianGroup, act
 
-#: extra subdivision passes applied to the 8-triangle fan before public
+#: extra subdivision passes applied to the center fan before public
 #: level counting starts; the base mesh (level 0) is the once-refined fan
 BASE_REFINEMENTS = 1
 
@@ -98,13 +99,13 @@ def _hyp_mid(z1: complex, z2: complex) -> complex:
 
 def check_level(level: int):
     """The one range of mesh levels: at least 1, and within NODE_CAP raw nodes.
-    Refining the fan (a disk) p = level + BASE_REFINEMENTS times gives 8 * 4**p
-    triangles, 8 * 2**p boundary edges and V = 1 + E - F = (2**(p+1) + 1)**2 nodes."""
-    raw = (2 ** (level + BASE_REFINEMENTS + 1) + 1) ** 2
+    Refining the octagon's fan (a disk) p = level + BASE_REFINEMENTS times gives
+    8 * 4**p triangles, 8 * 2**p boundary edges and V = 1 + E - F = (2**(p+1) + 1)**2
+    nodes, so V <= NODE_CAP iff p + 1 < (isqrt(NODE_CAP) - 1).bit_length()."""
     if level < 1:
         raise ValueError("mesh level must be at least 1")
-    if raw > NODE_CAP:
-        raise MeshBudget("mesh level %d needs %d raw nodes > cap %d" % (level, raw, NODE_CAP))
+    if level + BASE_REFINEMENTS + 1 >= (math.isqrt(NODE_CAP) - 1).bit_length():
+        raise MeshBudget("mesh level %d needs more raw nodes than the cap %d" % (level, NODE_CAP))
 
 
 def check_green_budget(level: int):
@@ -129,29 +130,32 @@ def _edges(tris, n):
 
 def _build_raw(group: FuchsianGroup, passes: int):
     """Subdivide the center fan over the polygon's vertices `passes` times;
-    returns (nodes, triangles).
+    returns (nodes, triangles, sides), sides[t, e] the polygon side of edge e
+    of triangle t (see `_edges`), or -1 inside.
 
     Each pass adds one node per edge, numbered by first use in edge order,
-    and splits triangle (i, j, k) with edge midpoints a, b, c into
-    (i, a, c), (a, j, b), (c, b, k), (a, b, c).  A boundary edge, an edge
-    of one triangle, is split at its hyperbolic midpoint.
+    and splits triangle (i, j, k) with edge midpoints a, b, c into (i, a, c),
+    (a, j, b), (c, b, k), (a, b, c).  The fan's edge from vertex s to s + 1
+    is side s + 1, split at hyperbolic midpoints into halves on side s + 1.
     """
     n = len(group.vertices)
     nodes = np.array([0j] + [complex(v) for v in group.vertices])
     tris = np.array([(0, 1 + s, 1 + (s + 1) % n) for s in range(n)])
+    sides = np.array([(-1, (s + 1) % n, -1) for s in range(n)])
     for _ in range(passes):
         i, j, keys = _edges(tris, len(nodes))
-        _, first, inv, count = np.unique(keys, return_index=True, return_inverse=True,
-                                         return_counts=True)
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)                   # new nodes by first use
         a, b = i[first[order]], j[first[order]]
         mid = (nodes[a] + nodes[b]) / 2
-        for e in np.flatnonzero(count[order] == 1):     # scalar: an array form moves 1 ulp
+        for e in np.flatnonzero(sides.flat[first[order]] >= 0):   # scalar: arrays move 1 ulp
             mid[e] = _hyp_mid(complex(nodes[a[e]]), complex(nodes[b[e]]))
         m = len(nodes) + np.argsort(order)[inv].reshape(-1, 3)
         nodes = np.concatenate([nodes, mid])
         tris = np.c_[tris, m][:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3)
-    return nodes, tris
+        sides = np.c_[sides, np.full(len(sides), -1)][:, [0, 3, 2, 0, 1, 3, 3, 1, 2, 3, 3, 3]]
+        sides = sides.reshape(-1, 3)
+    return nodes, tris, sides
 
 
 def _area_weights(nodes, tris):
@@ -184,17 +188,13 @@ def _stiffness(nodes, tris, glued, n):
                                          np.tile(g, 3).ravel())), shape=(n, n))
 
 
-def _glue(group: FuchsianGroup, nodes, tris):
-    """The root raw node of each node's glued class.  Of the 2N polygon sides,
-    side s holds the boundary edges (of one triangle each) whose endpoint sums
-    point along s pi/N.  `side_pairings[s + N]` carries side s + N onto
-    side s; each side s + N node's class joins, root to root, the class of
-    its image."""
-    i, j, keys = _edges(tris, len(nodes))
-    _, first, count = np.unique(keys, return_index=True, return_counts=True)
-    ends = np.c_[i, j][first[count == 1]]
+def _glue(group: FuchsianGroup, nodes, tris, sides):
+    """The root raw node of each node's glued class.  `side_pairings[s + N]`
+    carries side s + N, the endpoints of the edges `sides` puts on it, onto
+    side s; each side s + N node's class joins, root to root, its image's."""
+    on = np.flatnonzero(sides >= 0)
+    ends, side = np.stack(_edges(tris, len(nodes))[:2], axis=1)[on], sides.flat[on]
     n = len(group.generators)
-    side = np.rint(np.angle(nodes[ends].sum(axis=1)) / (np.pi / n)).astype(int) % (2 * n)
     parent = np.arange(len(nodes))
     for s in range(n):
         src, tgt = np.unique(ends[side == s + n]), np.unique(ends[side == s])
@@ -253,14 +253,14 @@ class DiscreteSurface:
 
 
 def build_mesh(group: FuchsianGroup, level: int) -> DiscreteSurface:
-    """Triangulate, weight and glue the fundamental octagon.
+    """Triangulate, weight and glue the group's fundamental 2N-gon.
 
     `level` (see `check_level`) counts refinement passes beyond the base
-    mesh (the once-refined fan), so the triangle count is 8 * 4**(level+1).
+    mesh (the once-refined fan), so the triangle count is 2N * 4**(level+1).
     """
     check_level(level)
-    nodes, tris = _build_raw(group, level + BASE_REFINEMENTS)
-    reps, gid = np.unique(_glue(group, nodes, tris), return_inverse=True)
+    nodes, tris, sides = _build_raw(group, level + BASE_REFINEMENTS)
+    reps, gid = np.unique(_glue(group, nodes, tris, sides), return_inverse=True)
     weights = np.bincount(gid, _area_weights(nodes, tris))
     if not np.all(weights > 0):
         raise SingularMass("non-positive lumped weight")

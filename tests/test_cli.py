@@ -48,24 +48,27 @@ def test_config_hash_sensitivity():
 
 
 @pytest.mark.parametrize("argv", [["--mesh-level", "9"], ["--mesh-level", "7"],
-                                  ["--mesh-level", "6"],
+                                  ["--mesh-level", "6"], ["--mesh-level", "7000"],
                                   ["--mesh-level", "1", "--seeds", "0"], ["--seeds", "-1"],
                                   ["--mesh-level", "1", "--seeds", str(cli.SEEDS_CAP + 1)]],
-                         ids=["mesh-level-9", "mesh-level-7", "mesh-level-6", "seeds-0",
-                              "seeds-minus-1", "seeds-over-cap"])
+                         ids=["mesh-level-9", "mesh-level-7", "mesh-level-6", "mesh-level-7000",
+                              "seeds-0", "seeds-minus-1", "seeds-over-cap"])
 def test_invalid_config_is_a_usage_error(argv, tmp_path, capsys):
-    """A setting `validate` rejects exits 2 with one error line, writing nothing.
-    Level 6 is within the node cap, but the Green kernel's level policy
-    refuses it: 8 R N bytes for its orbit rows (2.2 GB) exceed
-    GREEN_BYTES_CAP, though no run holds them.  A trial count over
-    SEEDS_CAP would stack more surrogate models than a run can hold."""
+    """A setting `validate` rejects exits 2 with one short error line, writing
+    nothing.  Level 6 is within the node cap, but the Green kernel's level
+    policy refuses it: 8 R N bytes for its orbit rows (2.2 GB) exceed
+    GREEN_BYTES_CAP, though no run holds them.  Level 7000 is refused by
+    comparison, not by printing the node count it would need.  A trial
+    count over SEEDS_CAP would stack more surrogate models than a run can hold."""
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", *argv, "--out", str(out)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith("wpcurv: error: ")
+    line = captured.err.splitlines()[-1]
+    assert line.startswith("wpcurv: error: ")
+    assert len(line) < 200
     assert not out.exists()
 
 

@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 
 from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
-from wpcurv.fuchsian import act, octagon_group
+from wpcurv.fuchsian import (FuchsianGroup, act, inverse, octagon_group, product, rotation,
+                             unit_det)
 
 from oracle import (_matmat_by_stack, _orbit_rows, _orbit_tables, _stiffness_by_gluing_matrix,
                     _symmetries_by_candidates)
 
 
 def test_level_bounds(group):
-    for bad in (0, 7, 9):           # level 7 needs 263,169 raw nodes > NODE_CAP
-        with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 1"):
+        surface.build_mesh(group, 0)
+    for bad in (7, 9, 8000, 10**6):     # level 7 needs 263,169 raw nodes > NODE_CAP
+        with pytest.raises(MeshBudget, match="mesh level %d .* cap 200000" % bad):
             surface.build_mesh(group, bad)
 
 
@@ -268,7 +271,7 @@ def test_green_kernel_peak_is_near_its_rows(surf4, green4):
 def test_area_weights_peak_is_below_the_term_array(group):
     """At level 4, the weights peak below the 8 * 21 * M bytes of an (M, 7, 3)
     array holding every quadrature term of the M raw triangles."""
-    nodes, tris = surface._build_raw(group, 4 + surface.BASE_REFINEMENTS)
+    nodes, tris, _ = surface._build_raw(group, 4 + surface.BASE_REFINEMENTS)
     assert _traced_peak(surface._area_weights, nodes, tris) < 8 * 21 * len(tris)
 
 
@@ -288,7 +291,7 @@ def test_raw_nodes_distinct(level, group, surf3, surf4):
 def test_mesh_loops_match_per_triangle_reference(group, surf3):
     """The vectorized weights and stiffness against per-triangle loops; the
     loops' stiffness is summed through gid, bit for bit as the mesh's."""
-    nodes, tris = surface._build_raw(group, 3 + surface.BASE_REFINEMENTS)
+    nodes, tris, _ = surface._build_raw(group, 3 + surface.BASE_REFINEMENTS)
     gid = surf3.gid
     w = np.zeros(len(nodes))
     rows, cols, vals = [], [], []
@@ -318,9 +321,10 @@ def test_mesh_loops_match_per_triangle_reference(group, surf3):
 def _reference_mesh(group, passes):
     """Per-triangle refinement over edge dicts, then a sequential union-find
     over the side pairings: (raw nodes, raw triangles, gid)."""
+    two_n, n = len(group.vertices), len(group.generators)
     nodes = [0j] + [complex(v) for v in group.vertices]
-    tris = [(0, 1 + s, 1 + (s + 1) % 8) for s in range(8)]
-    bedges = {frozenset((1 + (s - 1) % 8, 1 + s)): s for s in range(8)}   # edge -> side
+    tris = [(0, 1 + s, 1 + (s + 1) % two_n) for s in range(two_n)]
+    bedges = {frozenset((1 + (s - 1) % two_n, 1 + s)): s for s in range(two_n)}   # edge -> side
     for _ in range(passes):
         mids, newb, newtris = {}, {}, []
         for (i, j, k) in tris:
@@ -348,31 +352,71 @@ def _reference_mesh(group, passes):
     def side(s):
         return sorted({i for edge, t in bedges.items() if t == s for i in edge})
 
-    for s in range(4):
+    for s in range(n):
         tgt = side(s)
-        imgs = act(group.generators[s], np.array([nodes[i] for i in side(s + 4)]))
-        for i, z in zip(side(s + 4), imgs):
+        imgs = act(group.generators[s], np.array([nodes[i] for i in side(s + n)]))
+        for i, z in zip(side(s + n), imgs):
             d = [abs(nodes[t] - z) for t in tgt]
             assert min(d) < 1e-9
             parent[find(i)] = find(tgt[int(np.argmin(d))])
     roots = [find(i) for i in range(len(nodes))]
-    index = {r: n for n, r in enumerate(sorted(set(roots)))}
+    index = {r: k for k, r in enumerate(sorted(set(roots)))}
     return np.array(nodes), np.array(tris), np.array([index[r] for r in roots])
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
-def test_mesh_arrays_match_per_triangle_reference(level, group, surf3, surf4):
+def _moebius(a):
+    """The disk automorphism z -> (z + a) / (1 + conj(a) z)."""
+    return unit_det([[1, a], [np.conj(a), 1]])
+
+
+#: disk automorphisms A of the moved charts: a rotation and two Moebius
+#: moves that carry the octagon's center off the origin
+CHARTS = {"rotated": rotation(0.5), "moebius-1": _moebius(0.15 * np.exp(0.3j)),
+          "moebius-2": _moebius(0.3 * np.exp(1.1j))}
+
+
+def _chart(group, A):
+    """The same surface in the chart A^-1: pairings A^-1 g A, vertices A^-1 v."""
+    Ai = inverse(A)
+    pairings = np.array([product(Ai, g, A) for g in group.side_pairings])
+    return FuchsianGroup(genus=2, side_pairings=pairings, vertices=act(Ai, group.vertices))
+
+
+_CHART_CASES = [(level, chart) for chart in (None, *CHARTS) for level in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("level, chart", _CHART_CASES,
+                         ids=["%d-%s" % c if c[1] else str(c[0]) for c in _CHART_CASES])
+def test_mesh_arrays_match_per_triangle_reference(level, chart, group, surf3, surf4):
     """Refinement and gluing over index arrays against dict-based loops:
     the same nodes in the same order, triangles and glued classes, and the
-    mesh's glued triangles."""
-    surf = _mesh(group, surf3, surf4, level)
+    mesh's glued triangles, on the octagon and on moved charts of it, whose
+    sides are not centred at multiples of pi/4."""
+    if chart is None:
+        surf = _mesh(group, surf3, surf4, level)
+    else:
+        group = _chart(group, CHARTS[chart])
+        surf = surface.build_mesh(group, level)
     nodes, tris, gid = _reference_mesh(group, level + surface.BASE_REFINEMENTS)
-    raw_nodes, raw_tris = surface._build_raw(group, level + surface.BASE_REFINEMENTS)
+    raw_nodes, raw_tris, _ = surface._build_raw(group, level + surface.BASE_REFINEMENTS)
     assert np.array_equal(raw_nodes, nodes)
     assert np.array_equal(surf.raw_nodes, nodes)
     assert np.array_equal(raw_tris, tris)
     assert np.array_equal(surf.gid, gid)
     assert np.array_equal(surf.triangles, gid[tris])
+    assert surf.euler_characteristic() == -2
+
+
+def test_rotated_chart_is_the_same_mesh(group, surf3):
+    """Rotating the octagon moves its nodes but not its combinatorics: the
+    same glued classes, chi = -2, and w and K equal to roundoff (K is the flat
+    stiffness and w reads |z| only, and both are invariant under rotation)."""
+    rot = surface.build_mesh(_chart(group, CHARTS["rotated"]), 3)
+    assert np.array_equal(rot.gid, surf3.gid)
+    assert rot.euler_characteristic() == -2
+    assert np.abs(rot.weights - surf3.weights).max() <= 1e-13 * surf3.weights.max()
+    K = surf3.stiffness
+    assert abs(rot.stiffness - K).max() <= 1e-13 * abs(K).max()
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -450,7 +494,7 @@ def test_glued_stiffness_matches_gluing_matrix_product(level, group, surf3, surf
     entries to roundoff: an off-diagonal entry sums at most two terms, and
     only the diagonal sums a class's terms in another order."""
     surf = _mesh(group, surf3, surf4, level)
-    nodes, tris = surface._build_raw(group, level + surface.BASE_REFINEMENTS)
+    nodes, tris, _ = surface._build_raw(group, level + surface.BASE_REFINEMENTS)
     ref = _stiffness_by_gluing_matrix(nodes, tris, surf.gid, surf.num_nodes)
     K = surf.stiffness
     assert np.array_equal(K.indptr, ref.indptr)
