@@ -9,6 +9,8 @@ by z -> (az+b)/(cz+d); a set of elements is an (N, 2, 2) stack, such as
 the word ball of `enumerate_words`.  The module functions renormalize
 (`unit_det`), multiply (`product`), invert, act on points (`act`,
 `derivative`, both over stacks too) and compare (`projective_distance`).
+The polygon's vertices alone describe the fundamental domain: through
+`FuchsianGroup.side_charts`, `reduce_to_domain` tests points side by side.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import BudgetExceeded, NearPole, UnsupportedGenus
 POLE_TOL = 1e-14
 DEDUP_DECIMALS = 8  # rounding used for the 1e-9 entrywise dedup radius
 REDUCE_STEPS = 64  # side-pairing steps `reduce_to_domain` allows per point
-REDUCE_TOL = 1e-12  # band below |w| in which `reduce_to_domain` counts a point inside
+REDUCE_TOL = 1e-12  # band of sinh(signed distance to a side) `reduce_to_domain` counts inside
 WORD_CAP = 2_000_000  # most elements `enumerate_words` may return
 
 
@@ -101,10 +103,11 @@ class FuchsianGroup:
         `side_pairings`."""
         return self.side_pairings[len(self.side_pairings) // 2:]
 
-    def neighbor_centers(self):
-        """Images of 0 under the 2N neighbor translations, ordered so that
-        entry s is the center of the polygon copy across side s."""
-        return act(np.roll(self.side_pairings, len(self.generators), axis=0), 0.0)
+    def side_charts(self):
+        """(a, u): side s in its chart z -> (z - a_s)/(1 - conj(a_s) z) at
+        a_s = vertex s-1, where it runs from 0 to u_s, the image of vertex s."""
+        a = np.roll(self.vertices, 1)
+        return a, (self.vertices - a) / (1 - np.conj(a) * self.vertices)
 
     def octagon_relation_residual(self):
         """Entrywise residual of the octagon side-pairing relation
@@ -226,33 +229,32 @@ def enumerate_words(group: FuchsianGroup, L: int, *,
 
 
 def reduce_to_domain(group: FuchsianGroup, z):
-    """Carry each point of z into the octagon; returns (images, matrices).
+    """Carry each point of z into the polygon; returns (images, matrices).
 
-    The octagon is the Dirichlet domain centered at 0, and tanh(d(w, c)/2)
-    = |w - c| / |1 - conj(c) w|, so the ratio q of w's nearest neighbor
-    center c decides it: w is outside iff q < |w| - REDUCE_TOL.  The band
-    counts as inside, so the domain is closed and a point on a side is not
-    carried back and forth between partner sides.  Every step moves each
-    point outside by the side pairing of c, which carries the copy around
-    c onto the octagon; matrices[i] is the product of those steps, which
-    takes z[i] to images[i].  A point off the open disk, or still outside
-    after REDUCE_STEPS steps, raises ValueError.
+    In side s's `side_charts` chart, where w is zeta and the side runs
+    from 0 to u, the signed distance d from w to the side's geodesic
+    (positive on the polygon's side) has sinh d = 2 Im(conj(u/|u|) zeta) /
+    (1 - |zeta|^2); w is outside iff some side's is below -REDUCE_TOL.  The
+    band counts as inside, so the domain is closed and a point on a side is
+    not carried back and forth between partner sides.  Every step moves
+    each point outside by the pairing of its most negative side s, which
+    carries the copy across side s onto the polygon; matrices[i] is the
+    product of those steps, which takes z[i] to images[i].  A point off the
+    open disk, or still outside after REDUCE_STEPS steps, raises ValueError.
     """
     w = np.array(z, dtype=complex).reshape(-1)
     if not np.all(np.abs(w) < 1):
         raise ValueError("points must lie in the open unit disk")
-    centers = group.neighbor_centers()
-    # side_pairings[s] carries side s onto side s+N: the copy across side s
-    # onto the polygon
-    step = group.side_pairings
+    a, u = group.side_charts()
     mats = np.tile(np.eye(2, dtype=complex), (len(w), 1, 1))
     for _ in range(REDUCE_STEPS):
-        q = np.abs((w[:, None] - centers) / (1 - np.conj(centers) * w[:, None]))
-        near = q.argmin(axis=1)
-        out = np.flatnonzero(q[np.arange(len(w)), near] < np.abs(w) - REDUCE_TOL)
+        zeta = (w[:, None] - a) / (1 - np.conj(a) * w[:, None])
+        sinh_d = 2 * (np.conj(u) / abs(u) * zeta).imag / (1 - abs(zeta) ** 2)
+        side = sinh_d.argmin(axis=1)
+        out = np.flatnonzero(sinh_d[np.arange(len(w)), side] < -REDUCE_TOL)
         if not len(out):
             return w, mats
-        h = step[near[out]]
+        h = group.side_pairings[side[out]]
         w[out] = act(h, w[out])
         mats[out] = h @ mats[out]
     raise ValueError("%d points not reduced in %d steps" % (len(out), REDUCE_STEPS))

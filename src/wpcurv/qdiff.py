@@ -30,8 +30,8 @@ taken by the SVD of its square R factor; its columns are cumulative
 products of (w/R)^8, so no complex power is taken on the grid.
 `build_qdiff_basis` certifies both the solve (one null singular value per
 character, with a clear gap to the next) and its result: automorphy to
-AUTOMORPHY_TOL (`automorphy_residuals`) for all 8 side pairings, at points
-along every side up to the vertices (|z| = 0.841, the mesh's reach).
+AUTOMORPHY_TOL (`automorphy_residuals`) for all 8 side pairings, at the
+`side_points` of every side, vertex to vertex (|z| = 0.841, the mesh's reach).
 
 The tangent-space representative is the harmonic Beltrami differential
 mu = conj(theta)/sigma with sigma(z) = 4/(1-|z|^2)^2.
@@ -68,14 +68,12 @@ SIDE_POINTS = 33
 
 
 def side_points(group: FuchsianGroup, num: int = SIDE_POINTS) -> np.ndarray:
-    """(8, num) points spread along each octagon side s, from vertex s-1 to
-    vertex s: the geodesic through the side's midpoint m orthogonal to the
-    ray of m, traced by z = (w + m) / (1 + conj(m) w), w on that diameter."""
-    centers = group.neighbor_centers()
-    m = centers / np.abs(centers) * np.tanh(np.arctanh(np.abs(centers)) / 2)
-    reach = abs((group.vertices[0] - m[0]) / (1 - np.conj(m[0]) * group.vertices[0]))
-    w = 1j * (m / np.abs(m))[:, None] * reach * np.linspace(-1, 1, num)
-    return (w + m[:, None]) / (1 + np.conj(m)[:, None] * w)
+    """(2N, num) points along each polygon side s, from vertex s-1 to vertex
+    s, evenly spaced in hyperbolic length: in the side's `side_charts`
+    chart they are tanh(t artanh|u|) u/|u|, t = 0..1, carried back."""
+    a, u = (x[:, None] for x in group.side_charts())
+    zeta = u / abs(u) * np.tanh(np.linspace(0, 1, num) * np.arctanh(abs(u)))
+    return (zeta + a) / (1 + np.conj(a) * zeta)
 
 
 def theta(basis: np.ndarray, z) -> np.ndarray:

@@ -42,18 +42,25 @@ stacks all its trials.
 `seed_sweep_by_models` draws, builds and evaluates the surrogate models
 one at a time, where `surrogate.run_seed_sweep` stacks them.
 
-`in_fundamental_domain` is the half-open Dirichlet domain, ties broken
-by side index, so that each point of the disk has exactly one translate
-in it; `fuchsian.reduce_to_domain` decides by the closed domain alone.
+`in_fundamental_domain` is the half-open Dirichlet domain of the
+`neighbor_centers`, ties broken by side index, so that each point of the
+disk has exactly one translate in it; `fuchsian.reduce_to_domain` decides
+by the closed polygon alone, side by side from the vertices.
+`reduce_by_centers` is the reduction by the nearest neighbour centre,
+which on the regular octagon takes the same steps.
+
+`CHARTS` holds the disk automorphisms A of the moved charts `_chart`
+builds: the same surface with pairings A^-1 g A and vertices A^-1 v.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from wpcurv import qdiff, rankone, wedge
+from wpcurv import fuchsian, qdiff, rankone, wedge
 from wpcurv import surface as surface_mod
 from wpcurv.curvature import curvature_tensor, kernel_table
 from wpcurv.errors import TypeImbalance
+from wpcurv.fuchsian import FuchsianGroup, act, inverse, product, rotation, unit_det
 
 DOMAIN_BLOCK = 32_768  # points per block of `in_fundamental_domain` (256 kB float rows)
 DOMAIN_TOL = 1e-12  # distance margin within which `in_fundamental_domain` sees a tie
@@ -311,6 +318,51 @@ def hyperbolic_distance(z, w):
     return 2 * np.arctanh(q)
 
 
+def _moebius(a):
+    """The disk automorphism z -> (z + a) / (1 + conj(a) z)."""
+    return unit_det([[1, a], [np.conj(a), 1]])
+
+
+#: disk automorphisms A of the moved charts: a rotation and two Moebius
+#: moves that carry the octagon's center off the origin
+CHARTS = {"rotated": rotation(0.5), "moebius-1": _moebius(0.15 * np.exp(0.3j)),
+          "moebius-2": _moebius(0.3 * np.exp(1.1j))}
+
+
+def _chart(group, A):
+    """The same surface in the chart A^-1: pairings A^-1 g A, vertices A^-1 v."""
+    Ai = inverse(A)
+    pairings = np.array([product(Ai, g, A) for g in group.side_pairings])
+    return FuchsianGroup(genus=2, side_pairings=pairings, vertices=act(Ai, group.vertices))
+
+
+def neighbor_centers(group):
+    """Images of 0 under the 2N neighbor translations, ordered so that
+    entry s is the center of the polygon copy across side s."""
+    return act(np.roll(group.side_pairings, len(group.generators), axis=0), 0.0)
+
+
+def reduce_by_centers(group, z):
+    """Oracle: `fuchsian.reduce_to_domain` by the Dirichlet domain centered
+    at 0.  Since tanh(d(w, c)/2) = |w - c| / |1 - conj(c) w|, the ratio q of
+    w's nearest neighbor center c decides it: w is outside iff q < |w| -
+    REDUCE_TOL, and then steps by the side pairing of c, which carries the
+    copy around c onto the polygon."""
+    w = np.array(z, dtype=complex).reshape(-1)
+    centers = neighbor_centers(group)
+    mats = np.tile(np.eye(2, dtype=complex), (len(w), 1, 1))
+    for _ in range(fuchsian.REDUCE_STEPS):
+        q = np.abs((w[:, None] - centers) / (1 - np.conj(centers) * w[:, None]))
+        near = q.argmin(axis=1)
+        out = np.flatnonzero(q[np.arange(len(w)), near] < np.abs(w) - fuchsian.REDUCE_TOL)
+        if not len(out):
+            return w, mats
+        h = group.side_pairings[near[out]]
+        w[out] = act(h, w[out])
+        mats[out] = h @ mats[out]
+    raise ValueError("%d points not reduced in %d steps" % (len(out), fuchsian.REDUCE_STEPS))
+
+
 def in_fundamental_domain(group, z):
     """Membership in the Dirichlet domain centered at 0 (the octagon).
 
@@ -333,7 +385,7 @@ def in_fundamental_domain(group, z):
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     zf = z.reshape(-1)
-    centers = group.neighbor_centers()
+    centers = neighbor_centers(group)
     inside = np.empty(len(zf), dtype=bool)
     for lo in range(0, len(zf), DOMAIN_BLOCK):
         zb = zf[lo:lo + DOMAIN_BLOCK]

@@ -16,8 +16,8 @@ from wpcurv.fuchsian import (DEDUP_DECIMALS, FuchsianGroup, _dedup_keys, _sign_n
                              product, projective_distance, reduce_to_domain,
                              rotation, unit_det)
 
-from oracle import (DOMAIN_BLOCK, _distance_membership, hyperbolic_distance,
-                    in_fundamental_domain)
+from oracle import (CHARTS, DOMAIN_BLOCK, _chart, _distance_membership, hyperbolic_distance,
+                    in_fundamental_domain, neighbor_centers, reduce_by_centers)
 
 
 def disk_points(max_radius=0.9):
@@ -167,7 +167,7 @@ def test_neighbor_centers_match_side_pairings():
     onto side s, and within 1e-15 of the rotation of entry 0 by s pi/4 (the
     two differ by at most 2.2e-16)."""
     G = octagon_group(2)
-    centers = G.neighbor_centers()
+    centers = neighbor_centers(G)
     for s in range(8):
         # the copy across side s is the image of the octagon under the
         # inverse of the map that carries side s away
@@ -344,7 +344,7 @@ def test_side_ties_broken_by_side_index():
     """Side midpoints are exact ties: sides 0..3 keep them, 4..7 do not;
     a step of 1e-6 along the ray decides by the sign alone."""
     G = octagon_group(2)
-    centers = G.neighbor_centers()
+    centers = neighbor_centers(G)
     mids = centers / np.abs(centers) * np.tanh(np.arctanh(np.abs(centers)) / 2)
     assert list(in_fundamental_domain(G, mids)) == [True] * 4 + [False] * 4
     assert np.all(in_fundamental_domain(G, mids * (1 - 1e-6)))
@@ -361,7 +361,7 @@ def test_domain_blocks_match_distance_formula():
         2j * np.pi * rng.uniform(size=n))
     # the bisector of 0 and each center: the diameter orthogonal to the
     # center's ray, translated along that ray to the midpoint
-    centers = G.neighbor_centers()
+    centers = neighbor_centers(G)
     mids = centers / np.abs(centers) * np.tanh(np.arctanh(np.abs(centers)) / 2)
     w = 1j * centers / np.abs(centers) * rng.uniform(-0.99, 0.99, size=(50, 1))
     sides = ((w + mids) / (1 + np.conj(mids) * w)).reshape(-1)
@@ -370,12 +370,17 @@ def test_domain_blocks_match_distance_formula():
     assert np.array_equal(in_fundamental_domain(G, pts), expected)
 
 
+def _disk_draw(seed, n, radius):
+    """n points uniform in the disk |z| <= radius."""
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
 def test_reduce_to_domain():
     """Points up to |z| = 0.95 reach the octagon, and each returned product
     of side pairings maps its point onto the returned image."""
     G = octagon_group(2)
-    rng = np.random.default_rng(5)
-    z = 0.95 * np.sqrt(rng.uniform(size=400)) * np.exp(2j * np.pi * rng.uniform(size=400))
+    z = _disk_draw(5, 400, 0.95)
     images, mats = reduce_to_domain(G, z)
     assert np.all(in_fundamental_domain(G, images))
     assert np.abs(act(mats, z) - images).max() < 1e-10
@@ -384,6 +389,40 @@ def test_reduce_to_domain():
     assert not inside.all()
     with pytest.raises(ValueError):
         reduce_to_domain(G, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+def test_moved_charts_reduce_and_trace_sides(group, chart):
+    """On a rotated and two Moebius-moved charts of the octagon, whose
+    sides are not bisectors of 0 and the neighbor centers, every point of
+    `test_reduce_to_domain`'s draw reduces to a point that A carries into
+    the octagon, by the returned matrix, and A carries each row of
+    `side_points` onto side s, vertex s-1 to vertex s, inside the vertex
+    radius."""
+    A = CHARTS[chart]
+    moved = _chart(group, A)
+    z = _disk_draw(5, 400, 0.95)
+    images, mats = reduce_to_domain(moved, z)
+    assert np.all(in_fundamental_domain(group, act(A, images)))
+    assert np.abs(act(mats, z) - images).max() < 1e-10
+    sides = act(A, qdiff.side_points(moved))
+    for s in range(8):
+        assert abs(sides[s, 0] - group.vertices[s - 1]) < 1e-12
+        assert abs(sides[s, -1] - group.vertices[s]) < 1e-12
+    assert np.abs(sides).max() <= np.abs(group.vertices).max() + 1e-12
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_reduce_to_domain_is_the_center_oracle(group, seed):
+    """On the regular octagon each side is the bisector of 0 and its
+    neighbor center, all at one distance from 0, so the side test takes the
+    nearest-center reduction's steps: bit-equal images and matrices at the
+    collocation points and at 20,000 points with |z| <= 0.995."""
+    for z in (qdiff._collocation(group)[0], _disk_draw(seed, 20_000, 0.995)):
+        images, mats = reduce_to_domain(group, z)
+        ref_images, ref_mats = reduce_by_centers(group, z)
+        assert np.array_equal(images, ref_images)
+        assert np.array_equal(mats, ref_mats)
 
 
 def test_reduce_to_domain_step_limit_raises(monkeypatch):

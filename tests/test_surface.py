@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
-from wpcurv.fuchsian import (FuchsianGroup, act, inverse, octagon_group, product, rotation,
-                             unit_det)
+from wpcurv.fuchsian import act
 
-from oracle import (_matmat_by_stack, _orbit_rows, _orbit_tables, _stiffness_by_gluing_matrix,
-                    _symmetries_by_candidates)
+from oracle import (CHARTS, _chart, _matmat_by_stack, _orbit_rows, _orbit_tables,
+                    _stiffness_by_gluing_matrix, _symmetries_by_candidates)
 
 
 def test_level_bounds(group):
@@ -362,24 +361,6 @@ def _reference_mesh(group, passes):
     roots = [find(i) for i in range(len(nodes))]
     index = {r: k for k, r in enumerate(sorted(set(roots)))}
     return np.array(nodes), np.array(tris), np.array([index[r] for r in roots])
-
-
-def _moebius(a):
-    """The disk automorphism z -> (z + a) / (1 + conj(a) z)."""
-    return unit_det([[1, a], [np.conj(a), 1]])
-
-
-#: disk automorphisms A of the moved charts: a rotation and two Moebius
-#: moves that carry the octagon's center off the origin
-CHARTS = {"rotated": rotation(0.5), "moebius-1": _moebius(0.15 * np.exp(0.3j)),
-          "moebius-2": _moebius(0.3 * np.exp(1.1j))}
-
-
-def _chart(group, A):
-    """The same surface in the chart A^-1: pairings A^-1 g A, vertices A^-1 v."""
-    Ai = inverse(A)
-    pairings = np.array([product(Ai, g, A) for g in group.side_pairings])
-    return FuchsianGroup(genus=2, side_pairings=pairings, vertices=act(Ai, group.vertices))
 
 
 _CHART_CASES = [(level, chart) for chart in (None, *CHARTS) for level in (1, 2, 3)]
