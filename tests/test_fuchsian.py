@@ -393,12 +393,13 @@ def test_reduce_to_domain():
 
 @pytest.mark.parametrize("chart", CHARTS)
 def test_moved_charts_reduce_and_trace_sides(group, chart):
-    """On a rotated and two Moebius-moved charts of the octagon, whose
-    sides are not bisectors of 0 and the neighbor centers, every point of
-    `test_reduce_to_domain`'s draw reduces to a point that A carries into
-    the octagon, by the returned matrix, and A carries each row of
-    `side_points` onto side s, vertex s-1 to vertex s, inside the vertex
-    radius."""
+    """On a rotated and two Moebius-moved charts of the octagon (the moved
+    polygons' sides are not bisectors of 0 and the neighbor centers, so
+    the oracle judges the images after A carries them back to the
+    octagon), every point of `test_reduce_to_domain`'s draw reduces, by
+    the returned matrix, to a point that A carries into the octagon, and
+    A carries each row of `side_points` onto side s, vertex s-1 to vertex
+    s, inside the vertex radius."""
     A = CHARTS[chart]
     moved = _chart(group, A)
     z = _disk_draw(5, 400, 0.95)
