@@ -91,11 +91,18 @@ class FuchsianGroup:
                      g_0..g_{N-1}, rows 0..N-1 their inverses.
     vertices      -- the 2N polygon vertices; side s runs from vertex s-1
                      to vertex s.
+
+    The genus is read off the polygon, and `relation_residual` checks that
+    the pairings close up around its vertices.
     """
 
-    genus: int
     side_pairings: np.ndarray
     vertices: np.ndarray
+
+    @property
+    def genus(self):
+        """g = floor(N/2): a 4g-gon has one vertex cycle, a (4g+2)-gon two."""
+        return len(self.vertices) // 4
 
     @property
     def generators(self):
@@ -109,36 +116,24 @@ class FuchsianGroup:
         a = np.roll(self.vertices, 1)
         return a, (self.vertices - a) / (1 - np.conj(a) * self.vertices)
 
-    def octagon_relation_residual(self):
-        """Entrywise residual of the octagon side-pairing relation
-        g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3 = +-identity."""
-        g0, g1, g2, g3 = self.generators
-        word = product(g0, inverse(g1), g2, inverse(g3),
-                       inverse(g0), g1, inverse(g2), g3)
-        return projective_distance(word, np.eye(2))
-
-    def commutator_residual(self):
-        """Entrywise residual of [a1,b1][a2,b2] = +-identity for a standard
-        (a1, b1, a2, b2) written as words in the generators: the defining
-        surface relation in canonical form."""
-        g0, g1, g2, g3 = self.generators
-        a1, b1 = g0, product(inverse(g1), g2, inverse(g3))
-        a2, b2 = product(inverse(g1), g2), product(inverse(g3), g1)
-        comm = lambda x, y: product(x, y, inverse(x), inverse(y))
-        return projective_distance(product(comm(a1, b1), comm(a2, b2)), np.eye(2))
+    def relation_residual(self):
+        """Entrywise distance from +-identity of the vertex-cycle relation
+        (Poincare's polygon theorem).  From vertex t, the pairing of side t + 1
+        carries it to vertex t + 1 + N; the pairings met on the walk from
+        vertex 0 back to it, last applied leftmost, compose to a map fixing
+        vertex 0, the identity when the cycle's angles sum to 2 pi.  On a
+        4g-gon the walk visits all 2N vertices; a (4g+2)-gon has two cycles."""
+        two_n, step = len(self.vertices), len(self.vertices) // 2 + 1
+        sides = (1 + step * np.arange(two_n // np.gcd(step, two_n))) % two_n
+        return projective_distance(product(*self.side_pairings[sides[::-1]]), np.eye(2))
 
     def export_json(self, path, *, config_hash=None):
-        """Write generators (8 reals each: Re and Im of a, b, c, d), the
-        side-pairing table and the relation residuals."""
-        eight = lambda g: g.reshape(4).view(float).tolist()
-        n = len(self.generators)
+        """Write the genus, the 2N side-pairing rows in row order (8 reals
+        each: Re and Im of a, b, c, d) and the relation residual."""
         payload = {
             "genus": self.genus,
-            "generators": [eight(g) for g in self.generators],
-            "side_pairings": {str(s): eight(self.side_pairings[s])
-                              for k in range(n) for s in (k, k + n)},
-            "octagon_relation_residual": self.octagon_relation_residual(),
-            "commutator_relation_residual": self.commutator_residual(),
+            "side_pairings": [g.reshape(4).view(float).tolist() for g in self.side_pairings],
+            "relation_residual": self.relation_residual(),
         }
         return write_json(path, payload, config_hash)
 
@@ -165,8 +160,7 @@ def octagon_group(genus: int = 2) -> FuchsianGroup:
     rv = np.tanh(np.arccosh(3 + 2 * np.sqrt(2.0)) / 2)
     verts = rv * np.exp(1j * (2 * np.arange(8) + 1) * np.pi / 8)
 
-    return FuchsianGroup(genus=genus, side_pairings=np.array([inverse(g) for g in gens] + gens),
-                         vertices=verts)
+    return FuchsianGroup(side_pairings=np.array([inverse(g) for g in gens] + gens), vertices=verts)
 
 
 def _sign_normalize(mats: np.ndarray) -> np.ndarray:

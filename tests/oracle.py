@@ -333,7 +333,7 @@ def _chart(group, A):
     """The same surface in the chart A^-1: pairings A^-1 g A, vertices A^-1 v."""
     Ai = inverse(A)
     pairings = np.array([product(Ai, g, A) for g in group.side_pairings])
-    return FuchsianGroup(genus=2, side_pairings=pairings, vertices=act(Ai, group.vertices))
+    return FuchsianGroup(side_pairings=pairings, vertices=act(Ai, group.vertices))
 
 
 def neighbor_centers(group):
