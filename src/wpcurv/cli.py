@@ -54,7 +54,7 @@ class RunConfig:
     def validate(self):
         surface.check_level(self.mesh_level)
         if self.stage in ("all", "surface"):
-            surface.check_green_budget(self.mesh_level)
+            surface.check_green_level(self.mesh_level)
         if not 1 <= self.seeds <= SEEDS_CAP:
             raise ValueError("seeds must be between 1 and %d" % SEEDS_CAP)
         if self.stage not in ("all", *STAGE_ARTIFACTS):

@@ -27,7 +27,7 @@ class DegenerateBasis(WpcurvError):
 
 
 class MeshBudget(WpcurvError, ValueError):
-    """Mesh level out of range: its raw nodes would exceed the node cap."""
+    """Mesh level above `surface.MAX_LEVEL`."""
 
 
 class SingularMass(WpcurvError):
@@ -39,8 +39,8 @@ class SolverFailure(WpcurvError):
 
 
 class KernelBudget(WpcurvError, ValueError):
-    """The Green kernel's orbit rows, or its dense expansion, would exceed
-    `surface.GREEN_BYTES_CAP`."""
+    """Mesh level above the Green kernel's `surface.GREEN_MAX_LEVEL`, or its
+    dense expansion would exceed `surface.GREEN_BYTES_CAP`."""
 
 
 class SymmetryViolation(WpcurvError):

@@ -48,7 +48,6 @@ computed G is symmetric up to roundoff.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,11 +63,13 @@ from .fuchsian import FuchsianGroup, act
 #: level counting starts; the base mesh (level 0) is the once-refined fan
 BASE_REFINEMENTS = 1
 
-#: budgets, read at call time: raw mesh nodes, and bytes of G: 8 R N for
-#: its rows at the R representatives, a level policy (no run holds them)
-#: that keeps the Green report at level 5 or below, and 8 N N for
-#: `GreenKernel.matrix`
-NODE_CAP = 200_000
+#: the mesh levels `build_mesh` accepts, 1..MAX_LEVEL (level 7 refines the
+#: fan of a 2N-gon, 2N >= 8, to over 260,000 raw nodes), and those
+#: `green_kernel` accepts, 1..GREEN_MAX_LEVEL, a level policy for the Green
+#: report; GREEN_BYTES_CAP bounds the 8 N N bytes of `GreenKernel.matrix`.
+#: All three are read at call time.
+MAX_LEVEL = 6
+GREEN_MAX_LEVEL = 5
 GREEN_BYTES_CAP = 1_600_000_000
 
 #: columns per LU solve of G's orbit rows (`apply_D` solves its whole
@@ -98,27 +99,18 @@ def _hyp_mid(z1: complex, z2: complex) -> complex:
 
 
 def check_level(level: int):
-    """The one range of mesh levels: at least 1, and within NODE_CAP raw nodes.
-    Refining the octagon's fan (a disk) p = level + BASE_REFINEMENTS times gives
-    8 * 4**p triangles, 8 * 2**p boundary edges and V = 1 + E - F = (2**(p+1) + 1)**2
-    nodes, so V <= NODE_CAP iff p + 1 < (isqrt(NODE_CAP) - 1).bit_length()."""
+    """The one range of mesh levels, 1..MAX_LEVEL."""
     if level < 1:
         raise ValueError("mesh level must be at least 1")
-    if level + BASE_REFINEMENTS + 1 >= (math.isqrt(NODE_CAP) - 1).bit_length():
-        raise MeshBudget("mesh level %d needs more raw nodes than the cap %d" % (level, NODE_CAP))
+    if level > MAX_LEVEL:
+        raise MeshBudget("mesh level %d is above MAX_LEVEL %d" % (level, MAX_LEVEL))
 
 
-def check_green_budget(level: int):
-    """Raise KernelBudget unless G's 8 R N bytes of orbit rows at `level`,
-    which no run holds, fit GREEN_BYTES_CAP (a level policy: 2.2 GB at
-    level 6), with N = 4**(p+1) - 2 glued nodes (Euler characteristic -2)
-    and R = (2**(p-1) + 1)**2 orbits of the 16 maps, p = level + BASE_REFINEMENTS;
-    `green_kernel` checks it too, so a surface with fewer maps counts the same."""
-    p = level + BASE_REFINEMENTS
-    need = 8 * (2 ** (p - 1) + 1) ** 2 * (4 ** (p + 1) - 2)
-    if need > GREEN_BYTES_CAP:
-        raise KernelBudget("mesh level %d: Green orbit rows need %d bytes > cap %d"
-                           % (level, need, GREEN_BYTES_CAP))
+def check_green_level(level: int):
+    """Raise KernelBudget above GREEN_MAX_LEVEL; `green_kernel` checks it too."""
+    if level > GREEN_MAX_LEVEL:
+        raise KernelBudget("mesh level %d is above the Green kernel's GREEN_MAX_LEVEL %d"
+                           % (level, GREEN_MAX_LEVEL))
 
 
 def _edges(tris, n):
@@ -203,7 +195,7 @@ def _glue(group: FuchsianGroup, nodes, tris, sides):
         if not gap <= 1e-9:
             raise WpcurvError("side pairing failed to match boundary node (gap %g)" % gap)
         parent[parent[src]] = parent[tgt[d.argmin(axis=1)]]     # root to root
-        for _ in range(len(nodes).bit_length()):    # log2 N jumps flatten any chain
+        for _ in range(int(np.log2(len(nodes))) + 1):     # log2 N jumps flatten any chain
             parent = parent[parent]
     return parent
 
@@ -406,8 +398,8 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     SuperLU does the untransposed solve by supernodes and the transposed
     one column by column.  Every other row is a representative's row
     under a certified map of `_symmetries`, G[g(r), g(:)] = G[r, :].
-    `check_green_budget` bounds 8 R N bytes as a level policy, though no
-    whole table of the rows is kept; `GreenKernel.matrix` solves them again.
+    `check_green_level` limits the level; no whole table of the rows is
+    kept, and `GreenKernel.matrix` solves them again.
 
     The report reads each solved block once, over every (representative,
     map) pair.  The extremes run over the blocks, since every entry of G is
@@ -428,7 +420,7 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     4 R^2 at the peak.  The inverses are per-map permutations, not group
     indices, so a corrupted map table fails the check and does not raise.
     """
-    check_green_budget(surface.level)
+    check_green_level(surface.level)
     perms = _symmetries(surface)
     reps = _representatives(perms)
     img, back = perms[:, reps], np.argsort(perms, axis=1)[:, reps]   # g(r_u), g^-1(r_u)

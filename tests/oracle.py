@@ -49,6 +49,14 @@ by the closed polygon alone, side by side from the vertices.
 `reduce_by_centers` is the reduction by the nearest neighbour centre,
 which on the regular octagon takes the same steps.
 
+`in_klein_polygon` judges any convex polygon, Dirichlet domain or not, in
+the Klein model, where its sides are the chords between its vertices;
+`reduce_to_domain` decides in each side's chart of the Poincare disk.
+
+`regular_group` builds the regular 2N-gon of a given interior angle with
+opposite sides paired, the octagon's closed form in N; `REGULAR` names
+the decagon and the 12-gon the tests mesh with it.
+
 `CHARTS` holds the disk automorphisms A of the moved charts `_chart`
 builds: the same surface with pairings A^-1 g A and vertices A^-1 v.
 """
@@ -64,6 +72,7 @@ from wpcurv.fuchsian import FuchsianGroup, act, inverse, product, rotation, unit
 
 DOMAIN_BLOCK = 32_768  # points per block of `in_fundamental_domain` (256 kB float rows)
 DOMAIN_TOL = 1e-12  # distance margin within which `in_fundamental_domain` sees a tie
+KLEIN_TOL = 1e-10  # Klein-model distance outside a chord that `in_klein_polygon` counts inside
 
 #: max elements-x-points per evaluation chunk of `_series`: each temporary
 #: is 4 MB; at 8,000,000 (128 MB temporaries) a third of a run was system time
@@ -336,6 +345,46 @@ def _chart(group, A):
     return FuchsianGroup(side_pairings=pairings, vertices=act(Ai, group.vertices))
 
 
+#: (sides, interior angle) of the regular polygons past the octagon: the
+#: decagon (genus 2, two vertex classes) and the 12-gon (genus 3, one)
+REGULAR = {"decagon": (10, 2 * np.pi / 5), "12-gon": (12, np.pi / 6)}
+
+
+def regular_group(sides, angle):
+    """The regular polygon of 2N = `sides` sides and interior angle `angle`,
+    opposite sides paired.  The translation T across side N has cosh(l/2)
+    = cos(angle/2) / sin(pi/2N); rows N..2N-1 are its conjugates
+    R(2 pi k/2N) T R(-2 pi k/2N), rows 0..N-1 their inverses, and the
+    vertices are tanh(r/2) e^{i(2k+1) pi/2N}, cosh r = cot(angle/2) cot(pi/2N)."""
+    ch = np.cos(angle / 2) / np.sin(np.pi / sides)
+    sh = np.sqrt(ch**2 - 1)
+    T = unit_det([[ch, sh], [sh, ch]])
+    gens = [product(rotation(2 * np.pi * k / sides), T, rotation(-2 * np.pi * k / sides))
+            for k in range(sides // 2)]
+    rv = np.tanh(np.arccosh(1 / np.tan(angle / 2) / np.tan(np.pi / sides)) / 2)
+    verts = rv * np.exp(1j * (2 * np.arange(sides) + 1) * np.pi / sides)
+    return FuchsianGroup(side_pairings=np.array([inverse(g) for g in gens] + gens),
+                         vertices=verts)
+
+
+def klein_margins(group, z):
+    """(len(z), 2N) signed distances, in the Klein model, from each point
+    of z to the line of each side's chord, positive on the polygon's side.
+    z -> 2z / (1 + |z|^2) carries the disk onto the Klein model, where every
+    geodesic is a straight chord, so side s is the chord from vertex s-1 to
+    vertex s; the vertices run counterclockwise, so the polygon lies to the
+    left of every chord."""
+    v = 2 * group.vertices / (1 + np.abs(group.vertices) ** 2)
+    a, e = np.roll(v, 1), v - np.roll(v, 1)
+    z = np.asarray(z, dtype=complex).reshape(-1, 1)
+    return (np.conj(e) * (2 * z / (1 + np.abs(z) ** 2) - a)).imag / np.abs(e)
+
+
+def in_klein_polygon(group, z):
+    """Membership in the closed polygon: no Klein margin below -KLEIN_TOL."""
+    return klein_margins(group, z).min(axis=1) >= -KLEIN_TOL
+
+
 def neighbor_centers(group):
     """Images of 0 under the 2N neighbor translations, ordered so that
     entry s is the center of the polygon copy across side s."""
@@ -368,8 +417,8 @@ def in_fundamental_domain(group, z):
 
     A point belongs iff it is at least as close (hyperbolic distance) to 0
     as to every neighbor center gamma(0); exact ties on a side boundary are
-    broken toward the side of smaller index (sides 0..3 keep their points,
-    their partners 4..7 do not).  Accepts scalars or arrays.
+    broken toward the side of smaller index (sides 0..N-1 keep their
+    points, their partners N..2N-1 do not).  Accepts scalars or arrays.
 
     Points are taken in blocks of DOMAIN_BLOCK.  Since tanh(d(z, c)/2) =
     |z - c| / |1 - conj(c) z|, z is closer to 0 than to c iff the real margin
@@ -417,5 +466,5 @@ def _distance_membership(centers, z):
     ties = np.abs(mmin) <= DOMAIN_TOL
     if np.any(ties):
         first = np.argmax(margins[:, ties] <= DOMAIN_TOL + mmin[ties], axis=0)
-        inside[ties] = first < 4
+        inside[ties] = first < len(centers) // 2
     return inside

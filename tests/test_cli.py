@@ -55,10 +55,9 @@ def test_config_hash_sensitivity():
                               "seeds-0", "seeds-minus-1", "seeds-over-cap"])
 def test_invalid_config_is_a_usage_error(argv, tmp_path, capsys):
     """A setting `validate` rejects exits 2 with one short error line, writing
-    nothing.  Level 6 is within the node cap, but the Green kernel's level
-    policy refuses it: 8 R N bytes for its orbit rows (2.2 GB) exceed
-    GREEN_BYTES_CAP, though no run holds them.  Level 7000 is refused by
-    comparison, not by printing the node count it would need.  A trial
+    nothing.  Level 6 is within MAX_LEVEL, but the Green kernel's level
+    policy refuses it: GREEN_MAX_LEVEL is 5.  Level 7000 is refused by
+    comparison, not by printing a size it would need.  A trial
     count over SEEDS_CAP would stack more surrogate models than a run can hold."""
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:

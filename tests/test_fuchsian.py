@@ -16,8 +16,9 @@ from wpcurv.fuchsian import (DEDUP_DECIMALS, FuchsianGroup, _dedup_keys, _sign_n
                              product, projective_distance, reduce_to_domain,
                              rotation, unit_det)
 
-from oracle import (CHARTS, DOMAIN_BLOCK, _chart, _distance_membership, hyperbolic_distance,
-                    in_fundamental_domain, neighbor_centers, reduce_by_centers)
+from oracle import (CHARTS, DOMAIN_BLOCK, KLEIN_TOL, REGULAR, _chart, _distance_membership,
+                    hyperbolic_distance, in_fundamental_domain, in_klein_polygon,
+                    klein_margins, neighbor_centers, reduce_by_centers, regular_group)
 
 
 def disk_points(max_radius=0.9):
@@ -148,6 +149,23 @@ def test_relation_residual():
     planted = G.side_pairings.copy()
     planted[5] = planted[6]
     assert FuchsianGroup(side_pairings=planted, vertices=G.vertices).relation_residual() > 1
+
+
+def test_regular_closed_form_is_octagon_group():
+    """The regular polygon's closed form at 2N = 8 and angle pi/4 is
+    `octagon_group` bit for bit, pairing rows and vertices."""
+    G, R = octagon_group(2), regular_group(8, np.pi / 4)
+    assert np.array_equal(R.side_pairings, G.side_pairings)
+    assert np.array_equal(R.vertices, G.vertices)
+
+
+@pytest.mark.parametrize("name, genus", [("decagon", 2), ("12-gon", 3)])
+def test_regular_polygon_groups(name, genus):
+    """The regular decagon and 12-gon: genus 2 and 3 read off the polygon,
+    and the vertex-cycle relation within 1e-12 (5.2e-14 and 2.1e-13)."""
+    G = regular_group(*REGULAR[name])
+    assert G.genus == genus
+    assert G.relation_residual() <= 1e-12
 
 
 def test_generator_traces():
@@ -417,26 +435,63 @@ def test_reduce_to_domain():
         reduce_to_domain(G, [0.5, 1.0])
 
 
+def _reduces_into_and_traces(polygon, z):
+    """Every point of z reduces, by the returned matrix, to an image the
+    Klein oracle puts in `polygon`, which rejects some points of z itself,
+    and every row s of `side_points` lies on side s's chord; returns the
+    images."""
+    images, mats = reduce_to_domain(polygon, z)
+    assert np.all(in_klein_polygon(polygon, images))
+    assert not np.all(in_klein_polygon(polygon, z))
+    assert np.abs(act(mats, z) - images).max() < 1e-10
+    sides = qdiff.side_points(polygon)
+    margins = klein_margins(polygon, sides.reshape(-1)).reshape(sides.shape + (-1,))
+    assert margins.min() >= -KLEIN_TOL
+    assert all(np.abs(margins[s, :, s]).max() <= KLEIN_TOL for s in range(len(sides)))
+    return images
+
+
 @pytest.mark.parametrize("chart", CHARTS)
 def test_moved_charts_reduce_and_trace_sides(group, chart):
-    """On a rotated and two Moebius-moved charts of the octagon (the moved
+    """On a rotated and two Moebius-moved charts of the octagon, every
+    point of `test_reduce_to_domain`'s draw reduces into the moved polygon,
+    as the Klein oracle judges it in the moved chart itself.  The moved
     polygons' sides are not bisectors of 0 and the neighbor centers, so
-    the oracle judges the images after A carries them back to the
-    octagon), every point of `test_reduce_to_domain`'s draw reduces, by
-    the returned matrix, to a point that A carries into the octagon, and
-    A carries each row of `side_points` onto side s, vertex s-1 to vertex
-    s, inside the vertex radius."""
+    the Dirichlet oracle judges the images after A carries them back to the
+    octagon: A carries each of them into the octagon, and each row of
+    `side_points` onto side s, vertex s-1 to vertex s, inside the vertex
+    radius."""
     A = CHARTS[chart]
     moved = _chart(group, A)
-    z = _disk_draw(5, 400, 0.95)
-    images, mats = reduce_to_domain(moved, z)
+    images = _reduces_into_and_traces(moved, _disk_draw(5, 400, 0.95))
     assert np.all(in_fundamental_domain(group, act(A, images)))
-    assert np.abs(act(mats, z) - images).max() < 1e-10
     sides = act(A, qdiff.side_points(moved))
     for s in range(8):
         assert abs(sides[s, 0] - group.vertices[s - 1]) < 1e-12
         assert abs(sides[s, -1] - group.vertices[s]) < 1e-12
     assert np.abs(sides).max() <= np.abs(group.vertices).max() + 1e-12
+
+
+@pytest.mark.parametrize("name", REGULAR)
+def test_regular_polygons_reduce_and_trace_sides(name):
+    """On the regular decagon and 12-gon, every point of
+    `test_reduce_to_domain`'s draw reduces into the polygon, and every
+    `side_points` point lies on its side, as the Klein oracle judges them."""
+    _reduces_into_and_traces(regular_group(*REGULAR[name]), _disk_draw(5, 400, 0.95))
+
+
+def test_klein_oracle_is_the_dirichlet_domain_on_the_octagon(group):
+    """On the octagon, a Dirichlet domain about 0, the two oracles agree on
+    20,000 points with |z| <= 0.995 away from the sides (every Klein margin
+    at least 1e-9 in absolute value), and the Klein oracle keeps all 8
+    side midpoints, where the Dirichlet one breaks ties by side index."""
+    z = _disk_draw(13, 20_000, 0.995)
+    clear = np.abs(klein_margins(group, z)).min(axis=1) >= 1e-9
+    assert clear.mean() > 0.99
+    assert np.array_equal(in_klein_polygon(group, z[clear]), in_fundamental_domain(group, z[clear]))
+    centers = neighbor_centers(group)
+    mids = centers / np.abs(centers) * np.tanh(np.arctanh(np.abs(centers)) / 2)
+    assert np.all(in_klein_polygon(group, mids))
 
 
 @pytest.mark.parametrize("seed", [11, 12])

@@ -14,22 +14,39 @@ from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
 from wpcurv.fuchsian import act
 
-from oracle import (CHARTS, _chart, _matmat_by_stack, _orbit_rows, _orbit_tables,
-                    _stiffness_by_gluing_matrix, _symmetries_by_candidates)
+from oracle import (CHARTS, REGULAR, _chart, _matmat_by_stack, _orbit_rows, _orbit_tables,
+                    _stiffness_by_gluing_matrix, _symmetries_by_candidates, regular_group)
 
 
 def test_level_bounds(group):
     with pytest.raises(ValueError, match="at least 1"):
         surface.build_mesh(group, 0)
-    for bad in (7, 9, 8000, 10**6):     # level 7 needs 263,169 raw nodes > NODE_CAP
-        with pytest.raises(MeshBudget, match="mesh level %d .* cap 200000" % bad):
+    for bad in (7, 9, 8000, 10**6):
+        with pytest.raises(MeshBudget, match="mesh level %d is above MAX_LEVEL 6" % bad):
             surface.build_mesh(group, bad)
 
 
 def test_mesh_budget(group, monkeypatch):
-    monkeypatch.setattr(surface, "NODE_CAP", 10)
+    monkeypatch.setattr(surface, "MAX_LEVEL", 2)
     with pytest.raises(MeshBudget):
         surface.build_mesh(group, 3)
+
+
+def test_level_limits_are_comparisons():
+    """Levels 1-6 mesh and 1-5 take the Green kernel; level 6 and level
+    10**6, far past any size a level could describe, raise their typed
+    errors with messages under 200 characters."""
+    for level in range(1, 7):
+        surface.check_level(level)
+    for level in range(1, 6):
+        surface.check_green_level(level)
+    with pytest.raises(KernelBudget, match="mesh level 6 is above .* GREEN_MAX_LEVEL 5"):
+        surface.check_green_level(6)
+    for check, error in ((surface.check_level, MeshBudget),
+                         (surface.check_green_level, KernelBudget)):
+        with pytest.raises(error) as err:
+            check(10**6)
+        assert len(str(err.value)) < 200
 
 
 def test_triangle_count(group, surf3):
@@ -363,20 +380,22 @@ def _reference_mesh(group, passes):
     return np.array(nodes), np.array(tris), np.array([index[r] for r in roots])
 
 
-_CHART_CASES = [(level, chart) for chart in (None, *CHARTS) for level in (1, 2, 3)]
+_MESH_CASES = [(level, chart) for chart in (None, *CHARTS, *REGULAR) for level in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("level, chart", _CHART_CASES,
-                         ids=["%d-%s" % c if c[1] else str(c[0]) for c in _CHART_CASES])
+@pytest.mark.parametrize("level, chart", _MESH_CASES,
+                         ids=["%d-%s" % c if c[1] else str(c[0]) for c in _MESH_CASES])
 def test_mesh_arrays_match_per_triangle_reference(level, chart, group, surf3, surf4):
     """Refinement and gluing over index arrays against dict-based loops:
-    the same nodes in the same order, triangles and glued classes, and the
-    mesh's glued triangles, on the octagon and on moved charts of it, whose
-    sides are not centred at multiples of pi/4."""
+    the same nodes in the same order, triangles and glued classes, the
+    mesh's glued triangles and chi = 2 - 2g, on the octagon, on moved
+    charts of it, whose sides are not centred at multiples of pi/4, and on
+    the regular decagon and 12-gon."""
     if chart is None:
         surf = _mesh(group, surf3, surf4, level)
     else:
-        group = _chart(group, CHARTS[chart])
+        group = (regular_group(*REGULAR[chart]) if chart in REGULAR
+                 else _chart(group, CHARTS[chart]))
         surf = surface.build_mesh(group, level)
     nodes, tris, gid = _reference_mesh(group, level + surface.BASE_REFINEMENTS)
     raw_nodes, raw_tris, _ = surface._build_raw(group, level + surface.BASE_REFINEMENTS)
@@ -385,7 +404,29 @@ def test_mesh_arrays_match_per_triangle_reference(level, chart, group, surf3, su
     assert np.array_equal(raw_tris, tris)
     assert np.array_equal(surf.gid, gid)
     assert np.array_equal(surf.triangles, gid[tris])
-    assert surf.euler_characteristic() == -2
+    assert surf.euler_characteristic() == 2 - 2 * group.genus
+
+
+@pytest.mark.parametrize("name, classes", [("decagon", 2), ("12-gon", 1)])
+def test_regular_polygons_mesh_and_check(name, classes):
+    """The regular decagon (genus 2) and 12-gon (genus 3) glue their
+    corners into 2 and 1 classes at L1-L3, and the area error against
+    4 pi (g - 1) shrinks 3.5-4.5 times per level (decagon 0.294, 0.0737,
+    0.0184; 12-gon 2.04, 0.518, 0.130).  At L2 the resolvent and Green
+    checks pass.  Rotation by pi/4 is no symmetry of either polygon and
+    only conjugation is certified, so the kernel has 2 maps."""
+    group = regular_group(*REGULAR[name])
+    errors = []
+    for level in (1, 2, 3):
+        surf = surface.build_mesh(group, level)
+        assert len(np.unique(surf.gid[1:1 + len(group.vertices)])) == classes
+        errors.append(abs(surf.area - 4 * np.pi * (group.genus - 1)))
+        if level == 2:
+            kernel = surface.green_kernel(surf)
+            assert len(kernel.perms) == 2
+            assert checks.green_kernel(kernel)["pass"]
+            assert checks.resolvent_operator(surf)["pass"]
+    assert all(3.5 <= a / b <= 4.5 for a, b in zip(errors, errors[1:]))
 
 
 def test_rotated_chart_is_the_same_mesh(group, surf3):
@@ -652,21 +693,21 @@ def test_green_matrix_fills_from_one_pass_of_the_solve_blocks(surf3, monkeypatch
 
 def test_green_budget(surf3, green3, monkeypatch):
     rows = green3.matrix[_orbit_tables(green3)[1] == 0]     # before any cap shrinks
-    monkeypatch.setattr(surface, "GREEN_BYTES_CAP", 1000)
+    monkeypatch.setattr(surface, "GREEN_MAX_LEVEL", 2)
     with pytest.raises(KernelBudget):
         surface.green_kernel(surf3)
-    # the orbit rows' 8 R N bytes fit, the dense expansion does not
+    with pytest.raises(KernelBudget):
+        surface.check_green_level(3)
+    # the level limit is inclusive, and the cap on the dense expansion's
+    # 8 N N bytes is apart from it: at the orbit rows' bytes the kernel and
+    # its report are built, and the matrix is refused
+    monkeypatch.setattr(surface, "GREEN_MAX_LEVEL", 3)
     monkeypatch.setattr(surface, "GREEN_BYTES_CAP", rows.nbytes)
     small = surface.green_kernel(surf3)
     assert small.report == green3.report
     assert np.array_equal(_orbit_rows(small), rows)
     with pytest.raises(KernelBudget):
         small.matrix
-    # the run-time budget check predicts the rows' size exactly
-    surface.check_green_budget(3)
-    monkeypatch.setattr(surface, "GREEN_BYTES_CAP", rows.nbytes - 1)
-    with pytest.raises(KernelBudget):
-        surface.check_green_budget(3)
 
 
 def test_green_export_writes_report_json(tmp_path, surf3, green3):
