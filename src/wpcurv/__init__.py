@@ -1,4 +1,4 @@
 """Numerical laboratory for the Weil-Petersson curvature operator of
-genus-2 Teichmueller space, evaluated at the regular-octagon surface."""
+Teichmueller space at regular-polygon surfaces, run at the genus-2 octagon."""
 
 __version__ = "0.1.0"

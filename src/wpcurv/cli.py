@@ -69,11 +69,10 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def surface_stage(level: int, results: dict) -> dict:
+def surface_stage(group, level: int, results: dict) -> dict:
     """Group -> basis -> mesh -> fields -> Gram -> Green kernel -> P -> R ->
-    Q -> spectrum at mesh level `level`, each check entered into `results`
-    as it completes; returns the stage's objects by name."""
-    group = octagon_group(2)
+    Q -> spectrum of the surface of `group` at mesh level `level`, each check
+    entered into `results` as it completes; returns the stage's objects by name."""
     basis_q = qdiff.build_qdiff_basis(group)
     surf = surface.build_mesh(group, level)
     fields = qdiff.beltrami_from_qdiff(basis_q, surf)
@@ -97,8 +96,8 @@ def surface_stage(level: int, results: dict) -> dict:
 
 
 def run_surface_stage(config: RunConfig, results: dict):
-    """`surface_stage` at the configured level, then its five artifacts."""
-    stage = surface_stage(config.mesh_level, results)
+    """`surface_stage` of the octagon at the configured level, then its five artifacts."""
+    stage = surface_stage(octagon_group(2), config.mesh_level, results)
     cfg_hash = config.hash("surface")
     path = lambda name: os.path.join(config.out, name)
     stage["group"].export_json(path("group.json"), config_hash=cfg_hash)
@@ -192,7 +191,7 @@ def _print(text: str):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="wpcurv",
-        description="curvature-operator laboratory for the genus-2 octagon surface")
+        description="curvature-operator laboratory for closed hyperbolic surfaces (runs the octagon)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     defaults = asdict(RunConfig())      # a field a subcommand does not take keeps these

@@ -1,9 +1,10 @@
-"""Fuchsian group machinery for the genus-2 regular-octagon surface.
+"""Fuchsian group machinery for closed surfaces built from polygons.
 
 The surface is realized as the quotient of the Poincare disk (SU(1,1)
 model, metric density sigma(z) = 4/(1-|z|^2)^2) by the group generated
-by the four side pairings of the regular hyperbolic octagon centered at
-the origin, whose opposite sides are identified.  A group element is a
+by the N side pairings of a centrally symmetric hyperbolic 2N-gon centered
+at the origin, whose opposite sides are identified: `regular_group` builds
+the regular one, `octagon_group` the genus-2 octagon.  A group element is a
 2x2 complex array [[a, b], [c, d]] in SU(1,1), of unit determinant, acting
 by z -> (az+b)/(cz+d); a set of elements is an (N, 2, 2) stack, such as
 the word ball of `enumerate_words`.  The module functions renormalize
@@ -138,29 +139,30 @@ class FuchsianGroup:
         return write_json(path, payload, config_hash)
 
 
-def octagon_group(genus: int = 2) -> FuchsianGroup:
-    """Surface group of the regular octagon with opposite-side pairing.
-
-    Only genus 2 is validated; any other request raises UnsupportedGenus.
-    The primitive translation T moves the origin along the positive real
-    axis to the octagon copy across side 0 (cosh of half its translation
-    length is 1+sqrt(2)); the generators g_k are its conjugates
-    R(k pi/4) T R(-k pi/4), and g_k carries side k+4 onto side k.
-    """
-    if genus != 2:
-        raise UnsupportedGenus("only genus 2 is implemented, got %r" % (genus,))
-
-    ch = 1 + np.sqrt(2.0)
+def regular_group(sides: int, angle: float) -> FuchsianGroup:
+    """Surface group of the regular 2N-gon, 2N = `sides`, of interior angle
+    `angle`, opposite sides paired.  The translation T across side 0 has
+    cosh(l/2) = cos(angle/2) / sin(pi/2N); rows N..2N-1 are its conjugates
+    R(2 pi k/2N) T R(-2 pi k/2N), rows 0..N-1 their inverses, and the
+    vertices are tanh(r/2) e^{i(2k+1) pi/2N}, cosh r = cot(angle/2) cot(pi/2N)."""
+    ch = np.cos(angle / 2) / np.sin(np.pi / sides)
     sh = np.sqrt(ch**2 - 1)
     T = unit_det([[ch, sh], [sh, ch]])
-    gens = [product(rotation(k * np.pi / 4), T, rotation(-k * np.pi / 4)) for k in range(4)]
+    gens = [product(rotation(2 * np.pi * k / sides), T, rotation(-2 * np.pi * k / sides))
+            for k in range(sides // 2)]
+    rv = np.tanh(np.arccosh(1 / np.tan(angle / 2) / np.tan(np.pi / sides)) / 2)
+    verts = rv * np.exp(1j * (2 * np.arange(sides) + 1) * np.pi / sides)
+    return FuchsianGroup(side_pairings=np.array([inverse(g) for g in gens] + gens),
+                         vertices=verts)
 
-    # octagon vertices: radius tanh(r_v/2) with cosh(r_v) = 3 + 2 sqrt(2),
-    # at the odd multiples of pi/8
-    rv = np.tanh(np.arccosh(3 + 2 * np.sqrt(2.0)) / 2)
-    verts = rv * np.exp(1j * (2 * np.arange(8) + 1) * np.pi / 8)
 
-    return FuchsianGroup(side_pairings=np.array([inverse(g) for g in gens] + gens), vertices=verts)
+def octagon_group(genus: int = 2) -> FuchsianGroup:
+    """Surface group of the regular octagon with opposite-side pairing, the
+    `regular_group` of 8 sides whose angles sum to 2 pi.  Only genus 2 is
+    validated; any other request raises UnsupportedGenus."""
+    if genus != 2:
+        raise UnsupportedGenus("only genus 2 is implemented, got %r" % (genus,))
+    return regular_group(8, np.pi / 4)
 
 
 def _sign_normalize(mats: np.ndarray) -> np.ndarray:

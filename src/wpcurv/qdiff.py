@@ -5,12 +5,14 @@ function theta on the disk with the weight-4 automorphy law
 theta(gamma z) gamma'(z)^2 = theta(z); on genus 2 these form a space of
 dimension 3g - 3 = 3.
 
-The rotation R(z) = omega z, omega = exp(i pi/4), normalizes the group, so
-the space splits by the character theta(omega z) = omega^k theta(z).  The
-characters realized are k = 0, 2, 4 (`SEED_DEGREES`), once each, and a
-form of character k is a power series in z^8 times z^k:
+On the regular 2N-gon (2N read off the group's vertices) the rotation
+R(z) = omega z, omega = exp(2 pi i/2N), normalizes the group, so the space
+splits by the character theta(omega z) = omega^k theta(z).  On genus 2,
+octagon and decagon alike, the characters realized are k = 0, 2, 4
+(`SEED_DEGREES`), once each, and a form of character k is a power series
+in z^2N times z^k:
 
-    theta_k(z) = sum_{m < NUM_COEFFS} a_m z^(k + 8m) ,
+    theta_k(z) = sum_{m < NUM_COEFFS} a_m z^(k + 2N m) ,
 
 so the rotation law holds by construction.  The reflection z -> conj(z)
 normalizes the group too, so the a_m are real; a_0 = 1.  The basis is
@@ -18,8 +20,8 @@ one real (3, NUM_COEFFS) array whose row i holds the a_m of character
 SEED_DEGREES[i]; `theta` evaluates all its rows at once.  The a_m come from
 Hejhal's method (D. A. Hejhal, "On eigenfunctions of the Laplacian for
 Hecke triangle groups", 1999): at NUM_POINTS points w on the circle
-|w| = SOLVE_RADIUS in the sector 0 < arg w < pi/4, outside the octagon,
-gamma = `fuchsian.reduce_to_domain` carries w into the octagon, where the
+|w| = SOLVE_RADIUS in the sector 0 < arg w < 2 pi/2N, outside the polygon,
+gamma = `fuchsian.reduce_to_domain` carries w into the polygon, where the
 truncated series converges fast, and automorphy
 
     theta(w) = gamma'(w)^2 theta(gamma w)
@@ -27,11 +29,11 @@ truncated series converges fast, and automorphy
 is one complex linear equation in the a_m.  The stacked real system, with
 column n scaled by SOLVE_RADIUS^-n, has a one-dimensional null space,
 taken by the SVD of its square R factor; its columns are cumulative
-products of (w/R)^8, so no complex power is taken on the grid.
+products of (w/R)^2N, so no complex power is taken on the grid.
 `build_qdiff_basis` certifies both the solve (one null singular value per
 character, with a clear gap to the next) and its result: automorphy to
-AUTOMORPHY_TOL (`automorphy_residuals`) for all 8 side pairings, at the
-`side_points` of every side, vertex to vertex (|z| = 0.841, the mesh's reach).
+AUTOMORPHY_TOL (`automorphy_residuals`) for all 2N side pairings, at the
+`side_points` of every side, vertex to vertex (the mesh's reach).
 
 The tangent-space representative is the harmonic Beltrami differential
 mu = conj(theta)/sigma with sigma(z) = 4/(1-|z|^2)^2.
@@ -41,14 +43,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateBasis
+from .errors import ConvergenceFailure, DegenerateBasis, UnsupportedGenus
 from .fuchsian import FuchsianGroup, act, derivative, reduce_to_domain
 from .fuchsian import enumerate_words  # noqa: F401  (read as qdiff.enumerate_words)
 
-#: rotation characters k of the basis: theta_k(omega z) = omega^k theta_k(z)
+#: rotation characters k of the genus-2 basis: theta_k(omega z) = omega^k theta_k(z)
 SEED_DEGREES = (0, 2, 4)
 
-#: coefficients a_m per character (powers up to z^(k + 8 (NUM_COEFFS - 1)))
+#: coefficients a_m per character (powers up to z^(k + 2N (NUM_COEFFS - 1)))
 NUM_COEFFS = 40
 
 #: collocation points per character and the radius of their circle
@@ -60,7 +62,7 @@ SOLVE_RADIUS = 0.9
 NULL_TOL = 1e-10
 GAP_TOL = 1e-4
 
-#: relative automorphy residual accepted on the octagon sides
+#: relative automorphy residual accepted on the polygon sides
 AUTOMORPHY_TOL = 1e-10
 
 #: points per side for the automorphy certificate, both vertices included
@@ -76,22 +78,22 @@ def side_points(group: FuchsianGroup, num: int = SIDE_POINTS) -> np.ndarray:
     return (zeta + a) / (1 + np.conj(a) * zeta)
 
 
-def theta(basis: np.ndarray, z) -> np.ndarray:
+def theta(basis: np.ndarray, z, order: int) -> np.ndarray:
     """(len(basis), *z.shape) values of the forms at z: one Horner pass in
-    z^8 over all their coefficients, row i then times z^SEED_DEGREES[i]."""
+    z^order over all their coefficients, row i then times z^SEED_DEGREES[i]."""
     z = np.asarray(z, dtype=complex)
-    series = np.polynomial.polynomial.polyval(z**8, basis.T)
+    series = np.polynomial.polynomial.polyval(z**order, basis.T)
     return np.array([row * z**k for row, k in zip(series, SEED_DEGREES)])
 
 
 def automorphy_residuals(basis: np.ndarray, group: FuchsianGroup) -> np.ndarray:
     """Per form, the worst of max|theta(gamma z) gamma'(z)^2 - theta(z)| /
-    max|theta(z)| over the 8 side pairings gamma, z at the `side_points` of
+    max|theta(z)| over the 2N side pairings gamma, z at the `side_points` of
     its side: one evaluation of all forms at those points and their images."""
-    z = side_points(group)
+    z, order = side_points(group), len(group.vertices)
     g = group.side_pairings[:, None]
-    base = theta(basis, z)
-    lhs = theta(basis, act(g, z)) * derivative(g, z) ** 2
+    base = theta(basis, z, order)
+    lhs = theta(basis, act(g, z), order) * derivative(g, z) ** 2
     return (np.abs(lhs - base).max(axis=-1) / np.abs(base).max(axis=-1)).max(axis=-1)
 
 
@@ -108,29 +110,30 @@ def BeltramiField(values) -> np.ndarray:
 
 def _collocation(group: FuchsianGroup):
     """(w, gamma w, gamma's matrices) for the NUM_POINTS points w, shared by all characters."""
-    w = SOLVE_RADIUS * np.exp(1j * np.pi / 4 * (np.arange(NUM_POINTS) + 0.5) / NUM_POINTS)
+    w = SOLVE_RADIUS * np.exp(2j * np.pi / len(group.vertices)
+                              * (np.arange(NUM_POINTS) + 0.5) / NUM_POINTS)
     return (w, *reduce_to_domain(group, w))
 
 
-def _powers(z, k: int) -> np.ndarray:
-    """(len(z), NUM_COEFFS) table of (z / SOLVE_RADIUS)^(k + 8m): a cumulative
-    product of (z/R)^8 times (z/R)^k, with no complex power on the grid."""
+def _powers(z, k: int, order: int) -> np.ndarray:
+    """(len(z), NUM_COEFFS) table of (z / SOLVE_RADIUS)^(k + 2N m): a cumulative
+    product of (z/R)^2N times (z/R)^k, 2N = `order`, with no complex power."""
     u = z / SOLVE_RADIUS
     table = np.empty((len(z), NUM_COEFFS), dtype=complex)
     table[:, 0] = u ** k
-    table[:, 1:] = (u ** 8)[:, None]
+    table[:, 1:] = (u ** order)[:, None]
     return np.cumprod(table, axis=1)
 
 
-def _solve(points, k: int):
-    """Real a_m (a_0 = 1) of character k and the singular values of the
-    scaled collocation system at the `_collocation` points, both from the
-    SVD of the NUM_COEFFS x NUM_COEFFS R factor of the stacked real system."""
+def _solve(points, k: int, order: int):
+    """Real a_m (a_0 = 1) of character k, in z^order, and the singular values
+    of the scaled collocation system at the `_collocation` points, both from
+    the SVD of the NUM_COEFFS x NUM_COEFFS R factor of the stacked real system."""
     w, gw, mats = points
     dg2 = (mats[:, 1, 0] * w + mats[:, 1, 1]) ** -4
-    A = _powers(w, k) - dg2[:, None] * _powers(gw, k)
+    A = _powers(w, k, order) - dg2[:, None] * _powers(gw, k, order)
     _, sv, vt = np.linalg.svd(np.linalg.qr(np.concatenate([A.real, A.imag]), mode="r"))
-    a = vt[-1] / SOLVE_RADIUS ** (k + 8 * np.arange(NUM_COEFFS))
+    a = vt[-1] / SOLVE_RADIUS ** (k + order * np.arange(NUM_COEFFS))
     return a / a[0], sv
 
 
@@ -138,16 +141,20 @@ def build_qdiff_basis(group: FuchsianGroup) -> np.ndarray:
     """Basis of 3g-3 = 3 quadratic differentials as a (3, NUM_COEFFS) real
     array: row i holds the a_m (a_0 = 1) of character SEED_DEGREES[i].
 
-    Raises ConvergenceFailure unless each character's system has exactly
-    one singular value below NULL_TOL (relative to the largest), the next
-    above GAP_TOL, and then each row's `automorphy_residuals` entry (all
-    three from one evaluation) is at most AUTOMORPHY_TOL.  Linear
-    independence is certified downstream by the Gram matrix rank.
+    SEED_DEGREES are genus 2's characters, so any other genus raises
+    UnsupportedGenus.  Raises ConvergenceFailure unless each character's
+    system has exactly one singular value below NULL_TOL (relative to the
+    largest), the next above GAP_TOL, and then each row's
+    `automorphy_residuals` entry (all three from one evaluation) is at most
+    AUTOMORPHY_TOL.  Linear independence is certified downstream by the
+    Gram matrix rank.
     """
+    if group.genus != 2:
+        raise UnsupportedGenus("SEED_DEGREES are genus 2's, got genus %d" % group.genus)
     points = _collocation(group)
     basis = np.empty((len(SEED_DEGREES), NUM_COEFFS))
     for i, k in enumerate(SEED_DEGREES):
-        basis[i], sv = _solve(points, k)
+        basis[i], sv = _solve(points, k, len(group.vertices))
         rel = sv / sv[0]
         if not (rel[-1] <= NULL_TOL and rel[-2] >= GAP_TOL):
             raise ConvergenceFailure(
@@ -165,8 +172,8 @@ def build_qdiff_basis(group: FuchsianGroup) -> np.ndarray:
 def beltrami_from_qdiff(basis: np.ndarray, surface) -> np.ndarray:
     """(3, N) samples of mu = conj(theta)/sigma of every row of the
     `build_qdiff_basis` array at the surface quadrature nodes."""
-    z = surface.nodes
-    return BeltramiField(np.conj(theta(basis, z)) * (1 - np.abs(z) ** 2) ** 2 / 4)
+    z, order = surface.nodes, len(surface.group.vertices)
+    return BeltramiField(np.conj(theta(basis, z, order)) * (1 - np.abs(z) ** 2) ** 2 / 4)
 
 
 def gram_matrix(fields, surface) -> np.ndarray:

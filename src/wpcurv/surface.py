@@ -6,10 +6,10 @@ the fan on.  Boundary edges are subdivided at *hyperbolic* midpoints so
 refined boundary nodes stay on the geodesic sides and the side-pairing
 isometries match boundary nodes exactly; interior edges use Euclidean
 midpoints.  Each node of side s + N is then glued to its image under that
-side's pairing, which closes the surface: for the octagon the glued
-complex has Euler characteristic -2 and all 8 corners collapse to a single
+side's pairing, which closes the surface: the glued complex has Euler
+characteristic 2 - 2g, and on the octagon all 8 corners collapse to a single
 vertex (the corner angles sum to 2 pi, so no cone point appears).  The
-surface stores its triangles as glued index triples.
+surface stores its triangles as glued index triples, and its group.
 
 The Laplace-Beltrami operator of the metric sigma |dz|^2 is assembled
 with the conformal-invariance trick: in 2D the P1 stiffness matrix of the
@@ -28,21 +28,20 @@ then solves (K + 2M) u = 2 M f, one sparse factorization reused for all
 right-hand sides (the Laplace eigensolve runs Lanczos on its inverse,
 made symmetric by sqrt(w), to reuse it as well); as K + 2M is symmetric,
 the LU orders it by minimum degree on A^T + A, not by COLAMD on A^T A,
-without relaxed supernodes.  Its Green
-kernel is G = 2 (K + 2M)^-1.  G is solved once per
-symmetry orbit of the nodes: the generators z -> e^{i pi/4} z and
-z -> conj(z) are certified to carry the glued mesh, w and K onto
-themselves, and their 16 compositions give the maps (289 orbits of
-4,094 nodes at level 4).  The rows at the representatives, the least
-node of each orbit, are solved as columns by the untransposed LU solve,
-which holds because K + 2M equals its transpose bit for bit.  Only G's
-report reads them, in one pass over the solve blocks that compares each
-(representative, map, representative) triple with its mirror and keeps
-no whole table of the rows; G is kept as that report plus the node
-maps, and the package applies G as D, since
-(Df)(p) = sum_q G[p,q] w_q f(q).  That holds to roundoff, not
-exactly (about 2e-15 relative at level 3 and 4e-15 at level 4), and the
-computed G is symmetric up to roundoff.
+without relaxed supernodes.  Its Green kernel is G = 2 (K + 2M)^-1.
+G is solved once per symmetry orbit of the nodes: on the 2N-gon the
+generators z -> e^{2 pi i/2N} z and z -> conj(z) are certified to carry
+the glued mesh, w and K onto themselves, and their 4N compositions give
+the maps (289 orbits of the octagon's 4,094 nodes at level 4).  The rows
+at the representatives, the least node of each orbit, are solved as
+columns by the untransposed LU solve, which holds because K + 2M equals
+its transpose bit for bit.  Only G's report reads them, in one pass over
+the solve blocks that compares each (representative, map,
+representative) triple with its mirror and keeps no whole table of the
+rows; G is kept as that report plus the node maps, and the package
+applies G as D, since (Df)(p) = sum_q G[p,q] w_q f(q).  That holds to
+roundoff, not exactly (about 2e-15 relative at level 3 and 4e-15 at
+level 4), and the computed G is symmetric up to roundoff.
 """
 
 from __future__ import annotations
@@ -209,8 +208,9 @@ class DiscreteSurface:
     weights: np.ndarray          # lumped hyperbolic-area weights
     stiffness: sp.spmatrix       # glued flat stiffness K (Delta_h = -M^-1 K)
     triangles: np.ndarray = field(repr=False)   # (M, 3) glued node indices
-    raw_nodes: np.ndarray = field(repr=False)   # refined octagon, unglued
+    raw_nodes: np.ndarray = field(repr=False)   # refined polygon, unglued
     gid: np.ndarray = field(repr=False)         # glued class of each raw node
+    group: FuchsianGroup = field(repr=False)    # the group whose polygon was meshed
     # not an init field, so a surface made by `dataclasses.replace` starts unfactored
     _lu: object = field(default=None, init=False, repr=False)
 
@@ -260,7 +260,7 @@ def build_mesh(group: FuchsianGroup, level: int) -> DiscreteSurface:
     return DiscreteSurface(
         level=level, nodes=nodes[reps], weights=weights,
         stiffness=_stiffness(nodes, tris, glued, len(reps)),
-        triangles=glued, raw_nodes=nodes, gid=gid)
+        triangles=glued, raw_nodes=nodes, gid=gid, group=group)
 
 
 def apply_D(surface: DiscreteSurface, f, *, rtol: float = 1e-10):
@@ -322,17 +322,18 @@ class GreenKernel:
 def _symmetries(surface: DiscreteSurface) -> np.ndarray:
     """Node permutations of the dihedral maps that the surface has.
 
-    Only the two generators z -> e^{i pi/4} z and z -> conj(z) are
-    certified: a generator is kept only if it carries the raw nodes one to
-    one onto raw nodes (to 1e-9), induces a well-defined map of the glued
-    classes, and preserves w and K to 1e-12 relative; it then fixes G as
-    well, and so does every composition of kept generators.  Row g holds
-    the image of each glued node under map g, in the order identity, the
-    rotations z -> e^{ik pi/4} z (k = 1..7), then z -> e^{ik pi/4} conj(z)
-    (k = 0..7).  If one generator fails, the rows are the subgroup the
-    other generates; on such a surface a map that neither generates (say
-    a reflection in another axis) is not looked for, and G is solved over
-    the smaller group, which is correct, only slower.
+    On the 2N-gon of the surface's group only the generators
+    z -> e^{2 pi i/2N} z and z -> conj(z) are certified: a generator is kept
+    only if it carries the raw nodes one to one onto raw nodes (to 1e-9),
+    induces a well-defined map of the glued classes, and preserves w and K
+    to 1e-12 relative; it then fixes G as well, and so does every
+    composition of kept generators.  Row g holds the image of each glued
+    node under map g, in the order identity, the rotations by 2 pi k/2N
+    (k = 1..2N-1), then z -> e^{2 pi i k/2N} conj(z) (k = 0..2N-1).  If one
+    generator fails, the rows are the subgroup the other generates; on such
+    a surface a map that neither generates (say a reflection in another
+    axis) is not looked for, and G is solved over the smaller group, which
+    is correct, only slower.
     """
     raw, gid = surface.raw_nodes, surface.gid
     w, K = surface.weights, surface.stiffness.tocsc()
@@ -356,14 +357,15 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
             return None
         return perm if abs(K[perm][:, perm] - K).max() <= 1e-12 * abs(K).max() else None
 
-    rotate = certified(np.exp(1j * np.pi / 4) * raw)
+    two_n = len(surface.group.vertices)
+    rotate = certified(np.exp(2j * np.pi / two_n) * raw)
     reflect = certified(raw.conj())
     perms = [np.arange(len(w))]
-    if rotate is not None:          # e^{ik pi/4} z, as rotate applied k times
-        for _ in range(7):
+    if rotate is not None:          # e^{2 pi i k/2N} z, as rotate applied k times
+        for _ in range(two_n - 1):
             perms.append(rotate[perms[-1]])
-    if reflect is not None:         # e^{ik pi/4} conj(z) = rotation k after conj
-        perms += [p[reflect] for p in perms[:8]]
+    if reflect is not None:         # e^{2 pi i k/2N} conj(z) = rotation k after conj
+        perms += [p[reflect] for p in perms[:two_n]]
     return np.array(perms)
 
 
@@ -416,7 +418,7 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     whose mirror entries come from this block and from earlier blocks.  Each
     block keeps its entries at g^-1 of each later block's representatives,
     one array per later block, dropped once that block is compared: one
-    entry per map (16) per (earlier row, later representative) pair, about
+    entry per map (4N) per (earlier row, later representative) pair, about
     4 R^2 at the peak.  The inverses are per-map permutations, not group
     indices, so a corrupted map table fails the check and does not raise.
     """

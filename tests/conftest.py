@@ -1,12 +1,12 @@
 """Shared session fixtures: the expensive pipeline objects are built once.
 
-`pipe3` and `pipe4` are `cli.surface_stage` at mesh levels 3 and 4, the
-validation workhorses, built exactly as `wpcurv run` builds the stage:
-its objects by name, and its check records under "checks".  `surf3`,
-`surf4`, `green3` and `green4` are their surfaces and Green kernels.
-`raw3` and `raw4` hold the fields and Gram matrix before
-orthonormalization and its Cholesky factor, which the stage does not
-keep.  The length-8 word ball serves the group tests and the
+`pipe3` and `pipe4` are `cli.surface_stage` of the octagon `group` at
+mesh levels 3 and 4, the validation workhorses, built exactly as
+`wpcurv run` builds the stage: its objects by name, and its check records
+under "checks".  `surf3`, `surf4`, `green3` and `green4` are their
+surfaces and Green kernels.  `raw3` and `raw4` hold the fields and Gram
+matrix before orthonormalization and its Cholesky factor, which the
+stage does not keep.  The length-8 word ball serves the group tests and the
 Poincare-series oracle of the basis.  At level 4 the Green kernel's
 report keeps about 4 R^2 entries (2.7 MB) at its peak, under a third of
 the 9.5 MB of orbit rows, and no test builds its dense 134 MB `matrix`.
@@ -33,20 +33,20 @@ def basis(group):
     return qdiff.build_qdiff_basis(group)
 
 
-def _stage(level):
+def _stage(group, level):
     pipe = {"checks": {}}
-    pipe.update(cli.surface_stage(level, pipe["checks"]))
+    pipe.update(cli.surface_stage(group, level, pipe["checks"]))
     return pipe
 
 
 @pytest.fixture(scope="session")
-def pipe3():
-    return _stage(3)
+def pipe3(group):
+    return _stage(group, 3)
 
 
 @pytest.fixture(scope="session")
-def pipe4():
-    return _stage(4)
+def pipe4(group):
+    return _stage(group, 4)
 
 
 @pytest.fixture(scope="session")

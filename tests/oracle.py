@@ -9,7 +9,7 @@ power per grid entry and takes the full SVD of the stacked real system,
 where `qdiff._solve` builds it by cumulative products and takes the SVD
 of its R factor.
 
-`_symmetries_by_candidates` certifies each of the octagon's 16 rotations
+`_symmetries_by_candidates` certifies each of the 2N-gon's 4N rotations
 and reflections on its own, where `surface._symmetries` certifies two
 generators and composes them.
 
@@ -53,9 +53,10 @@ which on the regular octagon takes the same steps.
 the Klein model, where its sides are the chords between its vertices;
 `reduce_to_domain` decides in each side's chart of the Poincare disk.
 
-`regular_group` builds the regular 2N-gon of a given interior angle with
-opposite sides paired, the octagon's closed form in N; `REGULAR` names
-the decagon and the 12-gon the tests mesh with it.
+`octagon_closed_form` builds the regular octagon from its own numbers,
+cosh(l/2) = 1 + sqrt(2) and cosh r = 3 + 2 sqrt(2), where
+`fuchsian.regular_group` computes them for any 2N-gon and angle; `REGULAR`
+names the decagon and the 12-gon the tests build with it.
 
 `CHARTS` holds the disk automorphisms A of the moved charts `_chart`
 builds: the same surface with pairings A^-1 g A and vertices A^-1 v.
@@ -110,13 +111,13 @@ def _series(mats: np.ndarray, z: np.ndarray, degrees) -> np.ndarray:
     return out
 
 
-def _solve_by_powers(points, k: int):
+def _solve_by_powers(points, k: int, order: int):
     """Oracle: `qdiff._solve` with A[p, m] = ((w/R)^n - gamma'(w)^2 (gamma w/R)^n)
-    for n = k + 8m, each power taken by `**`, and the SVD of the whole
+    for n = k + order m, each power taken by `**`, and the SVD of the whole
     stacked (2 NUM_POINTS, NUM_COEFFS) real system."""
     w, gw, mats = points
     dg2 = (mats[:, 1, 0] * w + mats[:, 1, 1]) ** -4
-    n = k + 8 * np.arange(qdiff.NUM_COEFFS)
+    n = k + order * np.arange(qdiff.NUM_COEFFS)
     A = (w[:, None] ** n - dg2[:, None] * gw[:, None] ** n) / qdiff.SOLVE_RADIUS ** n
     _, sv, vt = np.linalg.svd(np.concatenate([A.real, A.imag]), full_matrices=False)
     a = vt[-1] / qdiff.SOLVE_RADIUS ** n
@@ -124,9 +125,9 @@ def _solve_by_powers(points, k: int):
 
 
 def _symmetries_by_candidates(surface):
-    """Oracle: certify each of the 16 maps z -> e^{ik pi/4} z and
-    z -> e^{ik pi/4} conj(z) on its own, with `surface._symmetries`' checks,
-    and keep those that pass, identity first."""
+    """Oracle: certify each of the 4N maps z -> e^{2 pi i k/2N} z and
+    z -> e^{2 pi i k/2N} conj(z) of the surface's 2N-gon on its own, with
+    `surface._symmetries`' checks, and keep those that pass, identity first."""
     raw, gid = surface.raw_nodes, surface.gid
     w, K = surface.weights, surface.stiffness.tocsc()
     K_max = abs(K).max()
@@ -137,10 +138,11 @@ def _symmetries_by_candidates(surface):
 
     order = np.argsort(grid(raw))
     keys = grid(raw)[order]
+    two_n = len(surface.group.vertices)
     perms = []
     for z in (raw, raw.conj()):
-        for k in range(8):
-            img = np.exp(1j * np.pi * k / 4) * z
+        for k in range(two_n):
+            img = np.exp(2j * np.pi * k / two_n) * z
             hit = order[np.minimum(np.searchsorted(keys, grid(img)), len(raw) - 1)]
             if np.abs(raw[hit] - img).max() > 1e-9 or np.bincount(hit).max() > 1:
                 continue
@@ -350,19 +352,17 @@ def _chart(group, A):
 REGULAR = {"decagon": (10, 2 * np.pi / 5), "12-gon": (12, np.pi / 6)}
 
 
-def regular_group(sides, angle):
-    """The regular polygon of 2N = `sides` sides and interior angle `angle`,
-    opposite sides paired.  The translation T across side N has cosh(l/2)
-    = cos(angle/2) / sin(pi/2N); rows N..2N-1 are its conjugates
-    R(2 pi k/2N) T R(-2 pi k/2N), rows 0..N-1 their inverses, and the
-    vertices are tanh(r/2) e^{i(2k+1) pi/2N}, cosh r = cot(angle/2) cot(pi/2N)."""
-    ch = np.cos(angle / 2) / np.sin(np.pi / sides)
+def octagon_closed_form():
+    """The regular octagon's group in its own numbers: the translation T
+    across side 0 has cosh(l/2) = 1 + sqrt(2), rows 4..7 are its conjugates
+    R(k pi/4) T R(-k pi/4), rows 0..3 their inverses, and the vertices are
+    tanh(r/2) at the odd multiples of pi/8, cosh r = 3 + 2 sqrt(2)."""
+    ch = 1 + np.sqrt(2.0)
     sh = np.sqrt(ch**2 - 1)
     T = unit_det([[ch, sh], [sh, ch]])
-    gens = [product(rotation(2 * np.pi * k / sides), T, rotation(-2 * np.pi * k / sides))
-            for k in range(sides // 2)]
-    rv = np.tanh(np.arccosh(1 / np.tan(angle / 2) / np.tan(np.pi / sides)) / 2)
-    verts = rv * np.exp(1j * (2 * np.arange(sides) + 1) * np.pi / sides)
+    gens = [product(rotation(k * np.pi / 4), T, rotation(-k * np.pi / 4)) for k in range(4)]
+    rv = np.tanh(np.arccosh(3 + 2 * np.sqrt(2.0)) / 2)
+    verts = rv * np.exp(1j * (2 * np.arange(8) + 1) * np.pi / 8)
     return FuchsianGroup(side_pairings=np.array([inverse(g) for g in gens] + gens),
                          vertices=verts)
 

@@ -13,6 +13,9 @@ import pytest
 import wpcurv
 from wpcurv import checks, cli, curvature, qdiff, surface, surrogate, wedge
 from wpcurv.errors import ConvergenceFailure, SolverFailure
+from wpcurv.fuchsian import act, derivative, regular_group
+
+from oracle import REGULAR
 
 
 def test_config_validation():
@@ -258,6 +261,34 @@ def test_surface_stage_and_determinism(tmp_path):
     assert len(text.splitlines()) == 9
 
 
+def test_decagon_runs_the_surface_stage():
+    """The regular decagon, a second genus-2 surface, runs the whole stage:
+    at L2 and L3 every check passes with counts (9, 6, 0) and chi = -2, its
+    basis is automorphic to 1e-10 on all 10 sides, and lambda_min(Q)
+    converges, its L2 -> L3 change 3-5 times smaller than its L1 -> L2 one
+    (-1.4373, -1.4600, -1.4662 at L1-L3)."""
+    group = regular_group(*REGULAR["decagon"])
+    basis, z = qdiff.build_qdiff_basis(group), qdiff.side_points(group)
+    for s, g in enumerate(group.side_pairings):
+        lhs = qdiff.theta(basis, act(g, z[s]), 10) * derivative(g, z[s]) ** 2
+        base = qdiff.theta(basis, z[s], 10)
+        assert np.all(np.abs(lhs - base).max(axis=1) <= 1e-10 * np.abs(base).max(axis=1))
+    lam_min = []
+    for level in (1, 2, 3):
+        results = {}
+        stage = cli.surface_stage(group, level, results)
+        spec = stage["spectrum"]
+        lam_min.append(spec.eigenvalues.min())
+        if level > 1:
+            assert set(results) == set(checks.CHECK_DESCRIPTIONS) - {
+                "surrogate_spectrum", "quaternionic_null_vector"}
+            assert all(c["pass"] for c in results.values())
+            assert (spec.num_negative, spec.num_zero, spec.num_positive) == (9, 6, 0)
+            assert stage["surface"].euler_characteristic() == -2
+    coarse, fine = lam_min[0] - lam_min[1], lam_min[1] - lam_min[2]
+    assert 3 <= coarse / fine <= 5
+
+
 def test_session_fixtures_are_the_run(pipe3, tmp_path):
     """The `pipe3` fixture is the stage a level-3 surface run runs: the same
     check records as its report.json, and spectrum.json's eigenvalues."""
@@ -437,8 +468,8 @@ def test_nan_basis_coefficient_is_a_failed_stage(tmp_path, monkeypatch):
     of the stage, recorded in the report, which is the only file left."""
     solve = qdiff._solve
 
-    def planted(points, k):
-        a, sv = solve(points, k)
+    def planted(points, k, order):
+        a, sv = solve(points, k, order)
         a[1] = np.nan
         return a, sv
 

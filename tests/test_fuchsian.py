@@ -14,11 +14,11 @@ from wpcurv.errors import BudgetExceeded, NearPole, UnsupportedGenus
 from wpcurv.fuchsian import (DEDUP_DECIMALS, FuchsianGroup, _dedup_keys, _sign_normalize, act,
                              derivative, enumerate_words, inverse, octagon_group,
                              product, projective_distance, reduce_to_domain,
-                             rotation, unit_det)
+                             regular_group, rotation, unit_det)
 
 from oracle import (CHARTS, DOMAIN_BLOCK, KLEIN_TOL, REGULAR, _chart, _distance_membership,
                     hyperbolic_distance, in_fundamental_domain, in_klein_polygon,
-                    klein_margins, neighbor_centers, reduce_by_centers, regular_group)
+                    klein_margins, neighbor_centers, octagon_closed_form, reduce_by_centers)
 
 
 def disk_points(max_radius=0.9):
@@ -152,9 +152,10 @@ def test_relation_residual():
 
 
 def test_regular_closed_form_is_octagon_group():
-    """The regular polygon's closed form at 2N = 8 and angle pi/4 is
-    `octagon_group` bit for bit, pairing rows and vertices."""
-    G, R = octagon_group(2), regular_group(8, np.pi / 4)
+    """`octagon_group`, the regular polygon at 2N = 8 and angle pi/4, is the
+    octagon's own closed form (1 + sqrt 2, 3 + 2 sqrt 2) bit for bit,
+    pairing rows and vertices."""
+    G, R = octagon_group(2), octagon_closed_form()
     assert np.array_equal(R.side_pairings, G.side_pairings)
     assert np.array_equal(R.vertices, G.vertices)
 

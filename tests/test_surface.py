@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from wpcurv import checks, surface
 from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
-from wpcurv.fuchsian import act
+from wpcurv.fuchsian import act, regular_group
 
 from oracle import (CHARTS, REGULAR, _chart, _matmat_by_stack, _orbit_rows, _orbit_tables,
-                    _stiffness_by_gluing_matrix, _symmetries_by_candidates, regular_group)
+                    _stiffness_by_gluing_matrix, _symmetries_by_candidates)
 
 
 def test_level_bounds(group):
@@ -413,8 +413,8 @@ def test_regular_polygons_mesh_and_check(name, classes):
     corners into 2 and 1 classes at L1-L3, and the area error against
     4 pi (g - 1) shrinks 3.5-4.5 times per level (decagon 0.294, 0.0737,
     0.0184; 12-gon 2.04, 0.518, 0.130).  At L2 the resolvent and Green
-    checks pass.  Rotation by pi/4 is no symmetry of either polygon and
-    only conjugation is certified, so the kernel has 2 maps."""
+    checks pass, and the kernel has the 2N-gon's 4N maps: its own rotation
+    by 2 pi/2N and conjugation are certified."""
     group = regular_group(*REGULAR[name])
     errors = []
     for level in (1, 2, 3):
@@ -423,7 +423,7 @@ def test_regular_polygons_mesh_and_check(name, classes):
         errors.append(abs(surf.area - 4 * np.pi * (group.genus - 1)))
         if level == 2:
             kernel = surface.green_kernel(surf)
-            assert len(kernel.perms) == 2
+            assert len(kernel.perms) == 2 * len(group.vertices)
             assert checks.green_kernel(kernel)["pass"]
             assert checks.resolvent_operator(surf)["pass"]
     assert all(3.5 <= a / b <= 4.5 for a, b in zip(errors, errors[1:]))
@@ -474,17 +474,25 @@ def _bent(surf, kind):
     return dataclasses.replace(surf, stiffness=(S @ surf.stiffness @ S).tocsc())
 
 
-@pytest.mark.parametrize("case", ["L1", "L2", "L3", "L4", "bent-weight", "bent-stiffness"])
+_SYMMETRY_CASES = (["L1", "L2", "L3", "L4", "bent-weight", "bent-stiffness"]
+                   + ["%s-L%d" % (name, level) for name in REGULAR for level in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("case", _SYMMETRY_CASES)
 def test_generated_symmetries_match_candidate_oracle(case, group, surf3, surf4):
     """The maps composed from the two certified generators are the maps the
-    16 separate certificates keep: the same rows in the same order."""
+    4N separate certificates keep: the same rows in the same order, all
+    4N of them on the octagon, decagon and 12-gon (16, 20 and 24)."""
     if case.startswith("bent"):
         surf = _bent(surf3, case.split("-")[1])
-    else:
+    elif case[0] == "L":
         surf = _mesh(group, surf3, surf4, int(case[1]))
+    else:
+        name, level = case.rsplit("-L", 1)
+        surf = surface.build_mesh(regular_group(*REGULAR[name]), int(level))
     perms = surface._symmetries(surf)
     assert np.array_equal(perms, _symmetries_by_candidates(surf))
-    assert len(perms) == (2 if case.startswith("bent") else 16)
+    assert len(perms) == (2 if case.startswith("bent") else 2 * len(surf.group.vertices))
 
 
 def test_replaced_surface_factors_its_own_operator(surf3):
