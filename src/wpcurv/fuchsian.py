@@ -106,6 +106,11 @@ class FuchsianGroup:
         return len(self.vertices) // 4
 
     @property
+    def rotation_order(self):
+        """2N: z -> e^{2 pi i/2N} z maps the regular 2N-gon onto itself."""
+        return len(self.vertices)
+
+    @property
     def generators(self):
         """View of the N generators g_0..g_{N-1}, the rows N..2N-1 of
         `side_pairings`."""
@@ -139,12 +144,14 @@ class FuchsianGroup:
         return write_json(path, payload, config_hash)
 
 
-def regular_group(sides: int, angle: float) -> FuchsianGroup:
-    """Surface group of the regular 2N-gon, 2N = `sides`, of interior angle
-    `angle`, opposite sides paired.  The translation T across side 0 has
-    cosh(l/2) = cos(angle/2) / sin(pi/2N); rows N..2N-1 are its conjugates
-    R(2 pi k/2N) T R(-2 pi k/2N), rows 0..N-1 their inverses, and the
-    vertices are tanh(r/2) e^{i(2k+1) pi/2N}, cosh r = cot(angle/2) cot(pi/2N)."""
+def regular_group(sides: int) -> FuchsianGroup:
+    """Surface group of the regular 2N-gon, 2N = `sides`, opposite sides
+    paired; its gcd(N + 1, 2N) vertex cycles each sum to 2 pi, which fixes
+    its angle at 2 pi gcd(N + 1, 2N)/2N.  The translation T across side 0 has
+    cosh(l/2) = cos(angle/2) / sin(pi/2N); rows N..2N-1 are R(2 pi k/2N) T
+    R(-2 pi k/2N), rows 0..N-1 their inverses, and the vertices are tanh(r/2)
+    e^{i(2k+1) pi/2N}, cosh r = cot(angle/2) cot(pi/2N)."""
+    angle = 2 * np.pi * np.gcd(sides // 2 + 1, sides) / sides
     ch = np.cos(angle / 2) / np.sin(np.pi / sides)
     sh = np.sqrt(ch**2 - 1)
     T = unit_det([[ch, sh], [sh, ch]])
@@ -162,7 +169,7 @@ def octagon_group(genus: int = 2) -> FuchsianGroup:
     validated; any other request raises UnsupportedGenus."""
     if genus != 2:
         raise UnsupportedGenus("only genus 2 is implemented, got %r" % (genus,))
-    return regular_group(8, np.pi / 4)
+    return regular_group(8)
 
 
 def _sign_normalize(mats: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ function theta on the disk with the weight-4 automorphy law
 theta(gamma z) gamma'(z)^2 = theta(z); on genus 2 these form a space of
 dimension 3g - 3 = 3.
 
-On the regular 2N-gon (2N read off the group's vertices) the rotation
+On the regular 2N-gon (2N = `FuchsianGroup.rotation_order`) the rotation
 R(z) = omega z, omega = exp(2 pi i/2N), normalizes the group, so the space
 splits by the character theta(omega z) = omega^k theta(z).  On genus 2,
 octagon and decagon alike, the characters realized are k = 0, 2, 4
@@ -90,7 +90,7 @@ def automorphy_residuals(basis: np.ndarray, group: FuchsianGroup) -> np.ndarray:
     """Per form, the worst of max|theta(gamma z) gamma'(z)^2 - theta(z)| /
     max|theta(z)| over the 2N side pairings gamma, z at the `side_points` of
     its side: one evaluation of all forms at those points and their images."""
-    z, order = side_points(group), len(group.vertices)
+    z, order = side_points(group), group.rotation_order
     g = group.side_pairings[:, None]
     base = theta(basis, z, order)
     lhs = theta(basis, act(g, z), order) * derivative(g, z) ** 2
@@ -110,7 +110,7 @@ def BeltramiField(values) -> np.ndarray:
 
 def _collocation(group: FuchsianGroup):
     """(w, gamma w, gamma's matrices) for the NUM_POINTS points w, shared by all characters."""
-    w = SOLVE_RADIUS * np.exp(2j * np.pi / len(group.vertices)
+    w = SOLVE_RADIUS * np.exp(2j * np.pi / group.rotation_order
                               * (np.arange(NUM_POINTS) + 0.5) / NUM_POINTS)
     return (w, *reduce_to_domain(group, w))
 
@@ -144,17 +144,15 @@ def build_qdiff_basis(group: FuchsianGroup) -> np.ndarray:
     SEED_DEGREES are genus 2's characters, so any other genus raises
     UnsupportedGenus.  Raises ConvergenceFailure unless each character's
     system has exactly one singular value below NULL_TOL (relative to the
-    largest), the next above GAP_TOL, and then each row's
-    `automorphy_residuals` entry (all three from one evaluation) is at most
-    AUTOMORPHY_TOL.  Linear independence is certified downstream by the
-    Gram matrix rank.
-    """
+    largest), the next above GAP_TOL, and then each row's `automorphy_residuals`
+    entry (all three from one evaluation) is at most AUTOMORPHY_TOL.  Linear
+    independence is certified downstream by the Gram matrix rank."""
     if group.genus != 2:
         raise UnsupportedGenus("SEED_DEGREES are genus 2's, got genus %d" % group.genus)
     points = _collocation(group)
     basis = np.empty((len(SEED_DEGREES), NUM_COEFFS))
     for i, k in enumerate(SEED_DEGREES):
-        basis[i], sv = _solve(points, k, len(group.vertices))
+        basis[i], sv = _solve(points, k, group.rotation_order)
         rel = sv / sv[0]
         if not (rel[-1] <= NULL_TOL and rel[-2] >= GAP_TOL):
             raise ConvergenceFailure(
@@ -172,7 +170,7 @@ def build_qdiff_basis(group: FuchsianGroup) -> np.ndarray:
 def beltrami_from_qdiff(basis: np.ndarray, surface) -> np.ndarray:
     """(3, N) samples of mu = conj(theta)/sigma of every row of the
     `build_qdiff_basis` array at the surface quadrature nodes."""
-    z, order = surface.nodes, len(surface.group.vertices)
+    z, order = surface.nodes, surface.group.rotation_order
     return BeltramiField(np.conj(theta(basis, z, order)) * (1 - np.abs(z) ** 2) ** 2 / 4)
 
 

@@ -322,18 +322,17 @@ class GreenKernel:
 def _symmetries(surface: DiscreteSurface) -> np.ndarray:
     """Node permutations of the dihedral maps that the surface has.
 
-    On the 2N-gon of the surface's group only the generators
-    z -> e^{2 pi i/2N} z and z -> conj(z) are certified: a generator is kept
-    only if it carries the raw nodes one to one onto raw nodes (to 1e-9),
-    induces a well-defined map of the glued classes, and preserves w and K
-    to 1e-12 relative; it then fixes G as well, and so does every
-    composition of kept generators.  Row g holds the image of each glued
-    node under map g, in the order identity, the rotations by 2 pi k/2N
-    (k = 1..2N-1), then z -> e^{2 pi i k/2N} conj(z) (k = 0..2N-1).  If one
-    generator fails, the rows are the subgroup the other generates; on such
-    a surface a map that neither generates (say a reflection in another
-    axis) is not looked for, and G is solved over the smaller group, which
-    is correct, only slower.
+    Only z -> e^{2 pi i/2N} z, 2N the group's `rotation_order`, and
+    z -> conj(z) are certified: a generator is kept only if it carries the
+    raw nodes one to one onto raw nodes (to 1e-9), induces a well-defined map
+    of the glued classes, and preserves w and K to 1e-12 relative; it then
+    fixes G as well, and so does every composition of kept generators.  Row g
+    holds the image of each glued node under map g, in the order identity,
+    the rotations by 2 pi k/2N (k = 1..2N-1), then z -> e^{2 pi i k/2N}
+    conj(z) (k = 0..2N-1).  If one generator fails, the rows are the subgroup
+    the other generates; on such a surface a map that neither generates (say
+    a reflection in another axis) is not looked for, and G is solved over the
+    smaller group, which is correct, only slower.
     """
     raw, gid = surface.raw_nodes, surface.gid
     w, K = surface.weights, surface.stiffness.tocsc()
@@ -357,7 +356,7 @@ def _symmetries(surface: DiscreteSurface) -> np.ndarray:
             return None
         return perm if abs(K[perm][:, perm] - K).max() <= 1e-12 * abs(K).max() else None
 
-    two_n = len(surface.group.vertices)
+    two_n = surface.group.rotation_order
     rotate = certified(np.exp(2j * np.pi / two_n) * raw)
     reflect = certified(raw.conj())
     perms = [np.arange(len(w))]
@@ -419,9 +418,9 @@ def green_kernel(surface: DiscreteSurface) -> GreenKernel:
     block keeps its entries at g^-1 of each later block's representatives,
     one array per later block, dropped once that block is compared: one
     entry per map (4N) per (earlier row, later representative) pair, about
-    4 R^2 at the peak.  The inverses are per-map permutations, not group
-    indices, so a corrupted map table fails the check and does not raise.
-    """
+    N R^2 at the peak (4 R^2 on the octagon).  The inverses are per-map
+    permutations, not group indices, so a corrupted map table fails the
+    check and does not raise."""
     check_green_level(surface.level)
     perms = _symmetries(surface)
     reps = _representatives(perms)

@@ -55,7 +55,7 @@ the Klein model, where its sides are the chords between its vertices;
 
 `octagon_closed_form` builds the regular octagon from its own numbers,
 cosh(l/2) = 1 + sqrt(2) and cosh r = 3 + 2 sqrt(2), where
-`fuchsian.regular_group` computes them for any 2N-gon and angle; `REGULAR`
+`fuchsian.regular_group` computes them for any 2N-gon; `REGULAR`
 names the decagon and the 12-gon the tests build with it.
 
 `CHARTS` holds the disk automorphisms A of the moved charts `_chart`
@@ -138,7 +138,7 @@ def _symmetries_by_candidates(surface):
 
     order = np.argsort(grid(raw))
     keys = grid(raw)[order]
-    two_n = len(surface.group.vertices)
+    two_n = surface.group.rotation_order
     perms = []
     for z in (raw, raw.conj()):
         for k in range(two_n):
@@ -347,9 +347,9 @@ def _chart(group, A):
     return FuchsianGroup(side_pairings=pairings, vertices=act(Ai, group.vertices))
 
 
-#: (sides, interior angle) of the regular polygons past the octagon: the
-#: decagon (genus 2, two vertex classes) and the 12-gon (genus 3, one)
-REGULAR = {"decagon": (10, 2 * np.pi / 5), "12-gon": (12, np.pi / 6)}
+#: side counts of the regular polygons past the octagon: the decagon
+#: (genus 2, two vertex classes) and the 12-gon (genus 3, one)
+REGULAR = {"decagon": 10, "12-gon": 12}
 
 
 def octagon_closed_form():

@@ -267,11 +267,11 @@ def test_decagon_runs_the_surface_stage():
     basis is automorphic to 1e-10 on all 10 sides, and lambda_min(Q)
     converges, its L2 -> L3 change 3-5 times smaller than its L1 -> L2 one
     (-1.4373, -1.4600, -1.4662 at L1-L3)."""
-    group = regular_group(*REGULAR["decagon"])
+    group = regular_group(REGULAR["decagon"])
     basis, z = qdiff.build_qdiff_basis(group), qdiff.side_points(group)
     for s, g in enumerate(group.side_pairings):
-        lhs = qdiff.theta(basis, act(g, z[s]), 10) * derivative(g, z[s]) ** 2
-        base = qdiff.theta(basis, z[s], 10)
+        lhs = qdiff.theta(basis, act(g, z[s]), group.rotation_order) * derivative(g, z[s]) ** 2
+        base = qdiff.theta(basis, z[s], group.rotation_order)
         assert np.all(np.abs(lhs - base).max(axis=1) <= 1e-10 * np.abs(base).max(axis=1))
     lam_min = []
     for level in (1, 2, 3):

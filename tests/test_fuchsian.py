@@ -152,21 +152,27 @@ def test_relation_residual():
 
 
 def test_regular_closed_form_is_octagon_group():
-    """`octagon_group`, the regular polygon at 2N = 8 and angle pi/4, is the
-    octagon's own closed form (1 + sqrt 2, 3 + 2 sqrt 2) bit for bit,
-    pairing rows and vertices."""
+    """`octagon_group`, `regular_group(8)` (one vertex cycle, so angle
+    pi/4), is the octagon's own closed form (1 + sqrt 2, 3 + 2 sqrt 2) bit
+    for bit, pairing rows and vertices, with rotation order 8."""
     G, R = octagon_group(2), octagon_closed_form()
     assert np.array_equal(R.side_pairings, G.side_pairings)
     assert np.array_equal(R.vertices, G.vertices)
+    assert G.rotation_order == 8
 
 
 @pytest.mark.parametrize("name, genus", [("decagon", 2), ("12-gon", 3)])
 def test_regular_polygon_groups(name, genus):
-    """The regular decagon and 12-gon: genus 2 and 3 read off the polygon,
-    and the vertex-cycle relation within 1e-12 (5.2e-14 and 2.1e-13)."""
-    G = regular_group(*REGULAR[name])
+    """The regular decagon and 12-gon, built from their side counts alone:
+    genus 2 and 3 read off the polygon, the vertex-cycle relation within
+    1e-12 (5.2e-14 and 2.1e-13), so the derived angle closes the cycles up,
+    and the rotation by 2 pi over the rotation order permutes the vertices."""
+    G = regular_group(REGULAR[name])
     assert G.genus == genus
     assert G.relation_residual() <= 1e-12
+    assert G.rotation_order == REGULAR[name]
+    turned = np.exp(2j * np.pi / G.rotation_order) * G.vertices
+    assert np.abs(turned - np.roll(G.vertices, -1)).max() < 1e-15
 
 
 def test_generator_traces():
@@ -478,7 +484,7 @@ def test_regular_polygons_reduce_and_trace_sides(name):
     """On the regular decagon and 12-gon, every point of
     `test_reduce_to_domain`'s draw reduces into the polygon, and every
     `side_points` point lies on its side, as the Klein oracle judges them."""
-    _reduces_into_and_traces(regular_group(*REGULAR[name]), _disk_draw(5, 400, 0.95))
+    _reduces_into_and_traces(regular_group(REGULAR[name]), _disk_draw(5, 400, 0.95))
 
 
 def test_klein_oracle_is_the_dirichlet_domain_on_the_octagon(group):

@@ -9,10 +9,6 @@ from wpcurv.fuchsian import act, derivative, enumerate_words, regular_group
 
 from oracle import REGULAR, _series, _solve_by_powers
 
-ORDER = 8   # the octagon's rotation order, len(group.vertices)
-OMEGA = np.exp(2j * np.pi / ORDER)
-
-
 def _probes(num=12, radius=0.35):
     """Interior points on two rings, inside every series' accurate range."""
     angles = np.arange(num) * 2 * np.pi / num + 0.1
@@ -37,8 +33,8 @@ def test_automorphy_residuals(group, basis):
     assert np.all(qdiff.automorphy_residuals(basis, group) <= qdiff.AUTOMORPHY_TOL)
     for s, z in enumerate(sides):
         g = group.side_pairings[s]
-        lhs = qdiff.theta(basis, act(g, z), ORDER) * derivative(g, z) ** 2
-        base = qdiff.theta(basis, z, ORDER)
+        lhs = qdiff.theta(basis, act(g, z), group.rotation_order) * derivative(g, z) ** 2
+        base = qdiff.theta(basis, z, group.rotation_order)
         assert np.all(np.abs(lhs - base).max(axis=1)
                       <= qdiff.AUTOMORPHY_TOL * np.abs(base).max(axis=1))
 
@@ -57,7 +53,7 @@ def test_side_points_trace_the_sides(group):
 def test_singular_values_isolate_one_null_vector(group):
     points = qdiff._collocation(group)
     for k in qdiff.SEED_DEGREES:
-        _, sv = qdiff._solve(points, k, ORDER)
+        _, sv = qdiff._solve(points, k, group.rotation_order)
         rel = sv / sv[0]
         assert rel[-1] <= qdiff.NULL_TOL
         assert rel[-2] >= qdiff.GAP_TOL
@@ -72,13 +68,13 @@ def test_solve_is_the_power_oracle(group, surf3):
     z = np.concatenate([qdiff.side_points(group).ravel(), surf3.nodes])
     rows, rows_ref = [], []
     for k in qdiff.SEED_DEGREES:
-        a, sv = qdiff._solve(points, k, ORDER)
-        a_ref, sv_ref = _solve_by_powers(points, k, ORDER)
+        a, sv = qdiff._solve(points, k, group.rotation_order)
+        a_ref, sv_ref = _solve_by_powers(points, k, group.rotation_order)
         assert np.abs(sv - sv_ref).max() <= 1e-12 * sv_ref[0]
         rows.append(a)
         rows_ref.append(a_ref)
-    theta = qdiff.theta(np.array(rows), z, ORDER)
-    ref = qdiff.theta(np.array(rows_ref), z, ORDER)
+    theta = qdiff.theta(np.array(rows), z, group.rotation_order)
+    ref = qdiff.theta(np.array(rows_ref), z, group.rotation_order)
     for row, row_ref in zip(theta, ref):
         assert np.abs(row - row_ref).max() <= 1e-12 * np.abs(row_ref).max()
 
@@ -88,7 +84,7 @@ def test_series_oracle_in_span(basis, words8, surf3):
     theta_k at the level-3 nodes, up to the series' truncation error."""
     z = surf3.nodes
     series = _series(words8, z, qdiff.SEED_DEGREES)
-    for theta, row in zip(qdiff.theta(basis, z, ORDER), series):
+    for theta, row in zip(qdiff.theta(basis, z, surf3.group.rotation_order), series):
         c = np.vdot(theta, row) / np.vdot(theta, theta)
         assert np.abs(row - c * theta).max() <= 1e-4 * np.abs(row).max()
 
@@ -162,7 +158,7 @@ def test_basis_refuses_genus_3_before_any_solve(monkeypatch):
     solve would otherwise fail as a misleading ConvergenceFailure."""
     monkeypatch.setattr(qdiff, "reduce_to_domain", None)
     with pytest.raises(UnsupportedGenus, match="genus 3"):
-        qdiff.build_qdiff_basis(regular_group(*REGULAR["12-gon"]))
+        qdiff.build_qdiff_basis(regular_group(REGULAR["12-gon"]))
 
 
 def test_collocation_points_pulled_back_once(group, monkeypatch):
@@ -175,26 +171,29 @@ def test_collocation_points_pulled_back_once(group, monkeypatch):
     assert calls == [qdiff.NUM_POINTS]
 
 
-def test_rotation_law_certified(basis):
+def test_rotation_law_certified(group, basis):
     """theta_k(omega z) = omega^k theta_k(z) holds by construction."""
+    order = group.rotation_order
+    omega = np.exp(2j * np.pi / order)
     rng = np.random.default_rng(1)
     z = 0.84 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
-    rotated = qdiff.theta(basis, OMEGA * z, ORDER)
-    values = qdiff.theta(basis, z, ORDER)
+    rotated = qdiff.theta(basis, omega * z, order)
+    values = qdiff.theta(basis, z, order)
     for k, row, base in zip(qdiff.SEED_DEGREES, rotated, values):
-        expected = OMEGA ** k * base
+        expected = omega ** k * base
         assert np.abs(row - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-def test_evaluate_sums_directly(basis):
-    """Horner in z^8 equals the monomial sum sum_m a_m z^(k + 8m)."""
-    z = np.concatenate([_probes(), 0.8 * OMEGA ** np.arange(ORDER)])
-    values = qdiff.theta(basis, z, ORDER)
+def test_evaluate_sums_directly(group, basis):
+    """Horner in z^2N equals the monomial sum sum_m a_m z^(k + 2N m)."""
+    order = group.rotation_order
+    z = np.concatenate([_probes(), 0.8 * np.exp(2j * np.pi / order) ** np.arange(order)])
+    values = qdiff.theta(basis, z, order)
     for k, a, row in zip(qdiff.SEED_DEGREES, basis, values):
-        powers = k + ORDER * np.arange(qdiff.NUM_COEFFS)
+        powers = k + order * np.arange(qdiff.NUM_COEFFS)
         direct = (a * z[:, None] ** powers).sum(axis=1)
         assert np.abs(row - direct).max() <= 1e-13 * np.abs(direct).max()
-    assert qdiff.theta(basis, 0.1, ORDER).shape == (3,)
+    assert qdiff.theta(basis, 0.1, order).shape == (3,)
 
 
 def test_odd_degree_series_vanishes(words8):
@@ -210,7 +209,8 @@ def test_beltrami_invariance(group, basis, surf3):
     rng = np.random.default_rng(0)
     z = 0.3 * np.sqrt(rng.uniform(size=16)) * np.exp(
         2j * np.pi * rng.uniform(size=16))
-    mu = lambda w: np.conj(qdiff.theta(basis, w, ORDER)[1]) * (1 - np.abs(w) ** 2) ** 2 / 4
+    mu = lambda w: (np.conj(qdiff.theta(basis, w, group.rotation_order)[1])
+                    * (1 - np.abs(w) ** 2) ** 2 / 4)
     for g in group.generators:
         gz = act(g, z)
         dg = derivative(g, z)
@@ -295,7 +295,7 @@ def test_petersson_consistency(basis, raw3, surf3):
     metric density squared (mu = conj(theta)/sigma exactly)."""
     z = surf3.nodes
     sigma = 4.0 / (1 - np.abs(z) ** 2) ** 2
-    theta = qdiff.theta(basis, z, ORDER)
+    theta = qdiff.theta(basis, z, surf3.group.rotation_order)
     direct = np.einsum("p,ip,jp->ij", surf3.weights,
                        np.conj(theta) / sigma, theta / sigma)
     g = raw3["gram"]

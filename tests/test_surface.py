@@ -394,7 +394,7 @@ def test_mesh_arrays_match_per_triangle_reference(level, chart, group, surf3, su
     if chart is None:
         surf = _mesh(group, surf3, surf4, level)
     else:
-        group = (regular_group(*REGULAR[chart]) if chart in REGULAR
+        group = (regular_group(REGULAR[chart]) if chart in REGULAR
                  else _chart(group, CHARTS[chart]))
         surf = surface.build_mesh(group, level)
     nodes, tris, gid = _reference_mesh(group, level + surface.BASE_REFINEMENTS)
@@ -415,7 +415,7 @@ def test_regular_polygons_mesh_and_check(name, classes):
     0.0184; 12-gon 2.04, 0.518, 0.130).  At L2 the resolvent and Green
     checks pass, and the kernel has the 2N-gon's 4N maps: its own rotation
     by 2 pi/2N and conjugation are certified."""
-    group = regular_group(*REGULAR[name])
+    group = regular_group(REGULAR[name])
     errors = []
     for level in (1, 2, 3):
         surf = surface.build_mesh(group, level)
@@ -423,7 +423,7 @@ def test_regular_polygons_mesh_and_check(name, classes):
         errors.append(abs(surf.area - 4 * np.pi * (group.genus - 1)))
         if level == 2:
             kernel = surface.green_kernel(surf)
-            assert len(kernel.perms) == 2 * len(group.vertices)
+            assert len(kernel.perms) == 2 * group.rotation_order
             assert checks.green_kernel(kernel)["pass"]
             assert checks.resolvent_operator(surf)["pass"]
     assert all(3.5 <= a / b <= 4.5 for a, b in zip(errors, errors[1:]))
@@ -489,10 +489,10 @@ def test_generated_symmetries_match_candidate_oracle(case, group, surf3, surf4):
         surf = _mesh(group, surf3, surf4, int(case[1]))
     else:
         name, level = case.rsplit("-L", 1)
-        surf = surface.build_mesh(regular_group(*REGULAR[name]), int(level))
+        surf = surface.build_mesh(regular_group(REGULAR[name]), int(level))
     perms = surface._symmetries(surf)
     assert np.array_equal(perms, _symmetries_by_candidates(surf))
-    assert len(perms) == (2 if case.startswith("bent") else 2 * len(surf.group.vertices))
+    assert len(perms) == (2 if case.startswith("bent") else 2 * surf.group.rotation_order)
 
 
 def test_replaced_surface_factors_its_own_operator(surf3):
