@@ -102,9 +102,11 @@ def run_surface_stage(config: RunConfig, results: dict):
     path = lambda name: os.path.join(config.out, name)
     stage["group"].export_json(path("group.json"), config_hash=cfg_hash)
     surface.export_mesh_json(stage["surface"], path("mesh.json"), config_hash=cfg_hash)
-    surface.export_green(stage["green"], path("green.json"), config_hash=cfg_hash)
-    curvature.export_tensor_json(stage["tensor"], path("tensor.json"), config_hash=cfg_hash)
-    wedge.export_spectrum_json(stage["spectrum"], path("spectrum.json"), config_hash=cfg_hash)
+    write_json(path("green.json"), {"report": stage["green"].report}, cfg_hash)
+    R = stage["tensor"]     # entries[i][j][k][l] is [Re, Im] of R[i, j, k, l]
+    write_json(path("tensor.json"), {"n": R.n, "entries": R.entries[..., None].view(float).tolist()},
+               cfg_hash)
+    write_json(path("spectrum.json"), {"spectrum": stage["spectrum"].to_dict()}, cfg_hash)
 
 
 def run_surrogate_stage(config: RunConfig, results: dict):

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_json
 from .errors import SymmetryViolation
 
 SYMMETRY_TOL = 1e-7
@@ -121,13 +120,3 @@ def holomorphic_sectional(R: CurvatureTensor, gram, i: int) -> float:
     K_i = -R[i][i][i][i] / g_ii^2 < 0.
     """
     return float(-R.entries[i, i, i, i].real / gram[i, i].real ** 2)
-
-
-def export_tensor_json(R: CurvatureTensor, path, *, config_hash=None):
-    entries = [
-        [i, j, k, l,
-         R.entries[i, j, k, l].real, R.entries[i, j, k, l].imag]
-        for i in range(R.n) for j in range(R.n)
-        for k in range(R.n) for l in range(R.n)
-    ]
-    return write_json(path, {"n": R.n, "entries": entries}, config_hash)

@@ -138,7 +138,7 @@ class FuchsianGroup:
         each: Re and Im of a, b, c, d) and the relation residual."""
         payload = {
             "genus": self.genus,
-            "side_pairings": [g.reshape(4).view(float).tolist() for g in self.side_pairings],
+            "side_pairings": self.side_pairings.reshape(-1, 4).view(float).tolist(),
             "relation_residual": self.relation_residual(),
         }
         return write_json(path, payload, config_hash)

@@ -46,7 +46,6 @@ level 4), and the computed G is symmetric up to roundoff.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -464,26 +463,11 @@ def laplacian_eigenvalues(surface: DiscreteSurface, k: int = 6) -> np.ndarray:
     return np.sort(1 / mu - 2)
 
 
-def node_hash(surface: DiscreteSurface) -> str:
-    return hashlib.sha256(np.ascontiguousarray(surface.nodes).tobytes()).hexdigest()
-
-
 def export_mesh_json(surface: DiscreteSurface, path, *, config_hash=None):
     payload = {
         "level": surface.level,
         "nodes": np.c_[surface.nodes.real, surface.nodes.imag].tolist(),
         "weights": surface.weights.tolist(),
         "triangles": surface.triangles.tolist(),
-    }
-    return write_json(path, payload, config_hash)
-
-
-def export_green(kernel: GreenKernel, path, *, config_hash=None):
-    """The kernel's report, with its surface's node hash and the shape
-    R x N of G's rows at the representatives."""
-    payload = {
-        "rows_shape": [len(_representatives(kernel.perms)), kernel.perms.shape[1]],
-        "node_hash": node_hash(kernel.surface),
-        "report": kernel.report,
     }
     return write_json(path, payload, config_hash)

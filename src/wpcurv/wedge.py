@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_json
 from .curvature import CurvatureTensor, kernel_table, weighted_D
 from .errors import KernelDimMismatch, TypeImbalance
 
@@ -291,7 +290,3 @@ def integral_form_Q(coeffs: dict, fields, surface, green, *, WG) -> float:
     mu = np.asarray(fields, dtype=complex)
     x = wedge_vector(coeffs, len(mu))
     return float(x @ sum(integral_matrices(_green_table(mu, WG))) @ x)
-
-
-def export_spectrum_json(report: SpectrumReport, path, *, config_hash=None):
-    return write_json(path, {"spectrum": report.to_dict()}, config_hash)

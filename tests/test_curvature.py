@@ -1,11 +1,12 @@
 """Pairing-table and curvature-tensor tests, including small-case oracles."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from wpcurv import curvature, surface
+from wpcurv import cli, curvature, surface
 from wpcurv.errors import SymmetryViolation
 
 from oracle import _pairing_table_by_pairs
@@ -201,7 +202,14 @@ def test_pairing_table_matches_per_pair_solves(pipe3, surf3):
     assert np.abs(P - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_tensor_export(tmp_path, pipe3):
-    payload = curvature.export_tensor_json(pipe3["tensor"], tmp_path / "t.json")
+def test_tensor_export(tmp_path, group):
+    """A level-2 run's tensor.json gives entries[i][j][k][l] = [Re, Im] of
+    R[i, j, k, l], which reload to the stage's R bit for bit."""
+    out = tmp_path / "o"
+    cli.run(cli.RunConfig(stage="surface", mesh_level=2, out=str(out)))
+    payload = json.loads((out / "tensor.json").read_text())
     assert payload["n"] == 3
-    assert len(payload["entries"]) == 81
+    E = np.array(payload["entries"])
+    assert E.shape == (3, 3, 3, 3, 2)
+    R = cli.surface_stage(group, 2, {})["tensor"].entries
+    assert np.array_equal(E[..., 0] + 1j * E[..., 1], R)

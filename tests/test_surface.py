@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcurv import checks, surface
+from wpcurv import checks, cli, surface
 from wpcurv.errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
 from wpcurv.fuchsian import act, regular_group
 
@@ -718,16 +718,16 @@ def test_green_budget(surf3, green3, monkeypatch):
         small.matrix
 
 
-def test_green_export_writes_report_json(tmp_path, surf3, green3):
-    """green.json holds the report, the node hash and the orbit-row shape
-    R x N (81 x 1,022); no binary dump of the rows is written."""
-    surface.export_green(green3, tmp_path / "green.json")
-    with open(tmp_path / "green.json") as fh:
-        payload = json.load(fh)
-    assert payload == {"rows_shape": [81, 1022],
-                       "node_hash": surface.node_hash(surf3),
-                       "report": green3.report}
-    assert [p.name for p in tmp_path.iterdir()] == ["green.json"]
+def test_green_export_writes_report_json(tmp_path, green3):
+    """A level-3 run's green.json holds the Green kernel's report and the
+    stage's stamp alone, the report that report.json records as the
+    green_kernel residual; no binary dump of the rows is written."""
+    out = tmp_path / "o"
+    report = cli.run(cli.RunConfig(stage="surface", mesh_level=3, out=str(out)))
+    payload = json.loads((out / "green.json").read_text())
+    assert set(payload) == {"report", "config_hash"}
+    assert payload["report"] == report["checks"]["green_kernel"]["residual"] == green3.report
+    assert {p.name for p in out.iterdir()} == {"report.json", *cli.STAGE_ARTIFACTS["surface"]}
 
 
 def test_resolvent_unreachable_tolerance_is_a_solver_failure(surf3):
@@ -814,9 +814,9 @@ def test_nan_side_pairing_fails_the_gluing(group, monkeypatch):
         surface.build_mesh(group, 2)
 
 
-def test_node_hash_deterministic(group, surf3):
+def test_mesh_nodes_deterministic(group, surf3):
     again = surface.build_mesh(group, 3)
-    assert surface.node_hash(again) == surface.node_hash(surf3)
+    assert np.array_equal(again.nodes, surf3.nodes)
 
 
 def test_mesh_export(tmp_path, surf3):

@@ -1,5 +1,6 @@
 """Wedge-space operator Q: assembly, involution, spectrum, integral forms."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcurv import curvature, qdiff, surface, wedge
+from wpcurv import cli, curvature, qdiff, surface, wedge
 from wpcurv.curvature import CurvatureTensor, kernel_table
 from wpcurv.errors import KernelDimMismatch, TypeImbalance
 
@@ -453,7 +454,10 @@ def test_quadratic_form_nonpositive(pipe3, seed):
 
 
 def test_spectrum_export(tmp_path, pipe3):
+    """A level-3 run's spectrum.json is the spectrum of the stage's Q and its stamp."""
+    config = cli.RunConfig(stage="surface", mesh_level=3, out=str(tmp_path / "o"))
+    cli.run(config)
+    payload = json.loads((tmp_path / "o" / "spectrum.json").read_text())
     rep = wedge.spectrum(pipe3["Q"])
-    payload = wedge.export_spectrum_json(rep, tmp_path / "spec.json")
-    assert payload == {"spectrum": rep.to_dict()}
+    assert payload == {"spectrum": rep.to_dict(), "config_hash": config.hash("surface")}
     assert payload["spectrum"]["counts"] == [9, 6, 0]
