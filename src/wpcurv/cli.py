@@ -52,6 +52,9 @@ class RunConfig:
     stage: str = "all"          # "all" or a key of STAGE_ARTIFACTS
 
     def validate(self):
+        for name in ("mesh_level", "seeds"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError("%s must be an integer" % name)
         surface.check_level(self.mesh_level)
         if self.stage in ("all", "surface"):
             surface.check_green_level(self.mesh_level)

@@ -30,6 +30,10 @@ class MeshBudget(WpcurvError, ValueError):
     """Mesh level above `surface.MAX_LEVEL`."""
 
 
+class ReductionFailure(WpcurvError, ValueError):
+    """A point off the open disk, or outside the polygon after `fuchsian.REDUCE_STEPS` steps."""
+
+
 class SingularMass(WpcurvError):
     """A lumped quadrature weight is non-positive."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_json
-from .errors import BudgetExceeded, NearPole, UnsupportedGenus
+from .errors import BudgetExceeded, NearPole, ReductionFailure, UnsupportedGenus
 
 POLE_TOL = 1e-14
 DEDUP_DECIMALS = 8  # rounding used for the 1e-9 entrywise dedup radius
@@ -243,11 +243,11 @@ def reduce_to_domain(group: FuchsianGroup, z):
     each point outside by the pairing of its most negative side s, which
     carries the copy across side s onto the polygon; matrices[i] is the
     product of those steps, which takes z[i] to images[i].  A point off the
-    open disk, or still outside after REDUCE_STEPS steps, raises ValueError.
+    open disk, or outside after REDUCE_STEPS steps, raises ReductionFailure.
     """
     w = np.array(z, dtype=complex).reshape(-1)
     if not np.all(np.abs(w) < 1):
-        raise ValueError("points must lie in the open unit disk")
+        raise ReductionFailure("points must lie in the open unit disk")
     a, u = group.side_charts()
     mats = np.tile(np.eye(2, dtype=complex), (len(w), 1, 1))
     for _ in range(REDUCE_STEPS):
@@ -260,4 +260,4 @@ def reduce_to_domain(group: FuchsianGroup, z):
         h = group.side_pairings[side[out]]
         w[out] = act(h, w[out])
         mats[out] = h @ mats[out]
-    raise ValueError("%d points not reduced in %d steps" % (len(out), REDUCE_STEPS))
+    raise ReductionFailure("%d points not reduced in %d steps" % (len(out), REDUCE_STEPS))

@@ -66,39 +66,23 @@ def random_surrogate(seeds, num_points: int, n: int) -> SurrogateModel:
     return SurrogateModel(seed=list(seeds), weights=weights, kernel=kernel, mu=mu)
 
 
-def _weighted_kernel(model: SurrogateModel) -> np.ndarray:
-    w = model.weights
-    return model.kernel * (w[..., :, None] * w[..., None, :])
-
-
 def _suite(model: SurrogateModel) -> list:
     """Pairings -> tensor -> Q -> spectrum -> range residual as one stacked
-    pass over the models of `model`, and their records in seed order.
+    pass over the models of `model`: each model's `wedge.SpectrumReport`
+    record, with its seed and range residual, in seed order.
 
     Nothing is raised: the sign counts are reported, and a positive mode or
     a kernel dimension other than n(n-1) fails `checks.surrogate_spectrum`
     through the sweep's `all_counts_ok`.  A kernel *larger* than n(n-1),
     possible when the mu vectors are linearly dependent, shows as excess.
     """
-    Q = wedge.assemble_Q(curvature_tensor(kernel_table(model.mu, _weighted_kernel(model))))
-    report = wedge.spectrum(Q)
-    expected = report.kernel_dim_expected
-    return [{
-        "seed": seed,
-        "n": Q.n,
-        "eigenvalues": list(lam),
-        "tau": tau,
-        "num_negative": neg,
-        "num_zero": zero,
-        "num_positive": pos,
-        "kernel_dim_expected": expected,
-        "kernel_dim_excess": zero - expected,
-        "gap_ratio": gap,
-        "range_residual_rel": residual,
-    } for seed, lam, tau, neg, zero, pos, gap, residual in zip(
-        model.seed, report.eigenvalues, report.tau, report.num_negative, report.num_zero,
-        report.num_positive, report.gap_ratio,
-        wedge.range_residual(Q, wedge.j_wedge_matrix(Q.n)))]
+    w = model.weights
+    Q = wedge.assemble_Q(curvature_tensor(kernel_table(
+        model.mu, model.kernel * (w[..., :, None] * w[..., None, :]))))
+    return [{"seed": seed, **record, "range_residual_rel": residual}
+            for seed, record, residual in zip(
+                model.seed, wedge.spectrum(Q).to_dict(),
+                wedge.range_residual(Q, wedge.j_wedge_matrix(Q.n)))]
 
 
 def run_property_suite(model: SurrogateModel) -> dict:
@@ -111,13 +95,13 @@ def run_seed_sweep(seeds, num_points: int, n: int) -> dict:
     """Run the suite over many seeds, their models built and evaluated as
     one stack, and summarize worst margins, in which a NaN propagates."""
     per_seed = _suite(random_surrogate(seeds, num_points, n))
+    excess = [r["counts"][1] - r["kernel_dim_expected"] for r in per_seed]
     return {
         "n": n,
         "num_points": num_points,
         "num_seeds": len(per_seed),
         "worst_eigenvalue_margin": float(np.max([r["eigenvalues"] for r in per_seed])),
-        "worst_kernel_dim_excess": int(np.max([r["kernel_dim_excess"] for r in per_seed])),
-        "all_counts_ok": all(r["num_positive"] == 0
-                             and r["num_zero"] == r["kernel_dim_expected"] for r in per_seed),
+        "worst_kernel_dim_excess": int(np.max(excess)),
+        "all_counts_ok": all(r["counts"][2] == 0 for r in per_seed) and not any(excess),
         "per_seed": per_seed,
     }

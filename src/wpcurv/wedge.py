@@ -135,6 +135,11 @@ class SpectrumReport:
     tau_rel: float              # tau / max|lambda|; not part of `to_dict`
 
     def to_dict(self):
+        """The record of one Q; for a stack, the list of each Q's record."""
+        if self.eigenvalues.ndim > 1:
+            return [SpectrumReport(*one, self.kernel_dim_expected, gap, self.tau_rel).to_dict()
+                    for *one, gap in zip(self.eigenvalues, self.tau, self.num_negative,
+                                         self.num_zero, self.num_positive, self.gap_ratio)]
         return {
             "eigenvalues": list(self.eigenvalues),
             "tau": self.tau,
@@ -227,25 +232,12 @@ def wedge_vector(coeffs: dict, n: int) -> np.ndarray:
 
 def weighted_green(surface, green):
     """WG = w G w, the Green kernel weighted on both slots, applied as
-    `curvature.weighted_D` (WG f = w D f).  Its attribute `last_table` holds
-    the last `_green_table` built through it.  `green` is not read; the
-    benchmark harness passes it until its tracer stops wrapping this."""
+    `curvature.weighted_D` (WG f = w D f); `integral_form_Q` keeps its last
+    fields and their Q_D + Q_G in its attribute `last`.  `green` is not read;
+    the benchmark harness passes it until its tracer stops wrapping this."""
     WG = weighted_D(surface)
-    WG.last_table = None
+    WG.last = (None, None)
     return WG
-
-
-def _green_table(mu: np.ndarray, WG) -> np.ndarray:
-    """T = `curvature.kernel_table`(mu, WG), kept with its fields in the
-    `weighted_green` function's `last_table` and returned again for exactly
-    equal fields, so `integral_form_Q`'s calls on one field set share it."""
-    last = WG.last_table
-    if last is not None and np.array_equal(last[0], mu):
-        return last[1]
-    T = kernel_table(mu, WG)
-    T.setflags(write=False)
-    WG.last_table = (mu.copy(), T)
-    return T
 
 
 def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,11 +274,13 @@ def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integral_form_Q(coeffs: dict, fields, surface, green, *, WG) -> float:
-    """x^T (Q_D + Q_G) x for the `wedge_vector` x of {a, b, c}, from the
-    `integral_matrices` of the (n, N) fields' `_green_table` through the
-    `weighted_green` WG.  This per-element form, the table cache and the
-    unread `surface` and `green` stay only for the benchmark harness, which
-    calls it per element on one WG."""
+    """x^T (Q_D + Q_G) x for the `wedge_vector` x of {a, b, c}, the
+    `integral_matrices` of the (n, N) fields, kept in WG.last until the fields
+    change.  This per-element form, that cache and the unread `surface` and
+    `green` stay only for the benchmark harness, which calls it per element
+    on one `weighted_green` WG."""
     mu = np.asarray(fields, dtype=complex)
+    if not np.array_equal(WG.last[0], mu):
+        WG.last = (mu.copy(), sum(integral_matrices(kernel_table(mu, WG))))
     x = wedge_vector(coeffs, len(mu))
-    return float(x @ sum(integral_matrices(_green_table(mu, WG))) @ x)
+    return float(x @ WG.last[1] @ x)

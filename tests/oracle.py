@@ -294,29 +294,17 @@ def seed_sweep_by_models(seeds, num_points: int, n: int) -> dict:
         weights, kernel, mu = _surrogate_by_draws(seed, num_points, n)
         Q = wedge.assemble_Q(curvature_tensor(
             kernel_table(mu, kernel * np.outer(weights, weights))))
-        report = wedge.spectrum(Q)
-        expected = report.kernel_dim_expected
-        per_seed.append({
-            "seed": seed,
-            "n": n,
-            "eigenvalues": list(report.eigenvalues),
-            "tau": report.tau,
-            "num_negative": report.num_negative,
-            "num_zero": report.num_zero,
-            "num_positive": report.num_positive,
-            "kernel_dim_expected": expected,
-            "kernel_dim_excess": report.num_zero - expected,
-            "gap_ratio": report.gap_ratio,
-            "range_residual_rel": wedge.range_residual(Q, wedge.j_wedge_matrix(n)),
-        })
+        per_seed.append({"seed": seed, **wedge.spectrum(Q).to_dict(),
+                         "range_residual_rel": wedge.range_residual(Q, wedge.j_wedge_matrix(n))})
     return {
         "n": n,
         "num_points": num_points,
         "num_seeds": len(per_seed),
         "worst_eigenvalue_margin": max(max(r["eigenvalues"]) for r in per_seed),
-        "worst_kernel_dim_excess": max(r["kernel_dim_excess"] for r in per_seed),
-        "all_counts_ok": all(r["num_positive"] == 0
-                             and r["num_zero"] == r["kernel_dim_expected"] for r in per_seed),
+        "worst_kernel_dim_excess": max(r["counts"][1] - r["kernel_dim_expected"]
+                                       for r in per_seed),
+        "all_counts_ok": all(r["counts"][2] == 0
+                             and r["counts"][1] == r["kernel_dim_expected"] for r in per_seed),
         "per_seed": per_seed,
     }
 

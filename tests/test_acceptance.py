@@ -91,8 +91,8 @@ def test_criterion_7_surrogate_suite():
     elapsed = time.time() - start
     c3, c2 = checks.surrogate_spectrum(s3), checks.surrogate_spectrum(s2)
     ok = (c3["pass"] and c2["pass"]
-          and all(r["num_zero"] == 6 for r in s3["per_seed"])
-          and all(r["num_zero"] == 2 for r in s2["per_seed"])
+          and all(r["counts"][1] == 6 for r in s3["per_seed"])
+          and all(r["counts"][1] == 2 for r in s2["per_seed"])
           and elapsed <= 60)
     _report(7, ok, "n3_ok=%s n2_ok=%s elapsed=%.1fs"
             % (c3["pass"], c2["pass"], elapsed))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wpcurv
-from wpcurv import checks, cli, curvature, qdiff, surface, surrogate, wedge
+from wpcurv import checks, cli, curvature, fuchsian, qdiff, surface, surrogate, wedge
 from wpcurv.errors import ConvergenceFailure, SolverFailure
 from wpcurv.fuchsian import act, derivative, regular_group
 
@@ -28,6 +28,10 @@ def test_config_validation():
     cfg = cli.RunConfig(seeds=0)
     with pytest.raises(ValueError):
         cfg.validate()
+    for field in ("mesh_level", "seeds"):
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=field):
+                cli.RunConfig(**{field: value}).validate()
     cli.RunConfig().validate()
 
 
@@ -208,7 +212,7 @@ def test_surrogate_sign_flip_is_a_failed_check(tmp_path, monkeypatch):
     assert not report["checks"]["surrogate_spectrum"]["pass"]
     payload = json.loads((tmp_path / "o" / "surrogate.json").read_text())
     assert not payload["all_counts_ok"]
-    assert all(r["num_positive"] > 0 for r in payload["per_seed"])
+    assert all(r["counts"][2] > 0 for r in payload["per_seed"])
     # the residual shows the positive mode, not only the kernel excess
     residual = report["checks"]["surrogate_spectrum"]["residual"]
     assert residual["worst_eigenvalue_margin"] > max(r["tau"] for r in payload["per_seed"])
@@ -461,6 +465,20 @@ def test_failed_stage_keeps_the_checks_it_reached(tmp_path, monkeypatch):
     assert report["checks"]["surface_stage"]["residual"] == "SolverFailure: planted"
     assert not report["all_pass"]
     assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.json"]
+
+
+def test_unreduced_point_is_a_failed_stage(tmp_path, monkeypatch):
+    """A point `reduce_to_domain` cannot carry into the polygon is a
+    ReductionFailure of the stage, recorded in the report, which is the
+    only file left."""
+    monkeypatch.setattr(fuchsian, "REDUCE_STEPS", 1)
+    report = cli.run(cli.RunConfig(mesh_level=2, out=str(tmp_path / "o")))
+    entry = report["checks"]["surface_stage"]
+    assert entry["pass"] is False
+    assert entry["residual"].startswith("ReductionFailure: ")
+    assert "not reduced in 1 steps" in entry["residual"]
+    written = {p.name for p in (tmp_path / "o").iterdir()}
+    assert "report.json" in written and not written & set(cli.STAGE_ARTIFACTS["surface"])
 
 
 def test_nan_basis_coefficient_is_a_failed_stage(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from wpcurv import fuchsian, qdiff
-from wpcurv.errors import BudgetExceeded, NearPole, UnsupportedGenus
+from wpcurv.errors import BudgetExceeded, NearPole, ReductionFailure, UnsupportedGenus
 from wpcurv.fuchsian import (DEDUP_DECIMALS, FuchsianGroup, _dedup_keys, _sign_normalize, act,
                              derivative, enumerate_words, inverse, octagon_group,
                              product, projective_distance, reduce_to_domain,
@@ -438,7 +438,7 @@ def test_reduce_to_domain():
     inside = in_fundamental_domain(G, z)
     assert np.array_equal(images[inside], z[inside])
     assert not inside.all()
-    with pytest.raises(ValueError):
+    with pytest.raises(ReductionFailure):
         reduce_to_domain(G, [0.5, 1.0])
 
 
@@ -520,7 +520,7 @@ def test_reduce_to_domain_step_limit_raises(monkeypatch):
     monkeypatch.setattr(fuchsian, "REDUCE_STEPS", 1)
     G = octagon_group(2)
     assert np.array_equal(reduce_to_domain(G, [0.0])[0], [0.0])
-    with pytest.raises(ValueError, match="1 points not reduced in 1 steps"):
+    with pytest.raises(ReductionFailure, match="1 points not reduced in 1 steps"):
         reduce_to_domain(G, [0.0, 0.99])
 
 

@@ -41,14 +41,14 @@ def test_kernel_hypotheses():
 
 def test_counts_n3():
     rep = surrogate.run_property_suite(surrogate.random_surrogate([0], 40, 3))
-    assert (rep["num_negative"], rep["num_zero"], rep["num_positive"]) == (9, 6, 0)
-    assert rep["kernel_dim_excess"] == 0
+    assert rep["counts"] == [9, 6, 0]
+    assert rep["counts"][1] == rep["kernel_dim_expected"]
     assert rep["range_residual_rel"] < 1e-8
 
 
 def test_counts_n2():
     rep = surrogate.run_property_suite(surrogate.random_surrogate([1], 20, 2))
-    assert (rep["num_negative"], rep["num_zero"], rep["num_positive"]) == (4, 2, 0)
+    assert rep["counts"] == [4, 2, 0]
 
 
 def test_degenerate_fields_grow_kernel():
@@ -57,8 +57,8 @@ def test_degenerate_fields_grow_kernel():
     m = surrogate.random_surrogate([5], 40, 3)
     m.mu[0, 2] = m.mu[0, 1]
     rep = surrogate.run_property_suite(m)
-    assert rep["num_positive"] == 0
-    assert rep["kernel_dim_excess"] > 0
+    assert rep["counts"][2] == 0
+    assert rep["counts"][1] > rep["kernel_dim_expected"]
 
 
 def test_sign_flip_detected(monkeypatch):
@@ -66,7 +66,7 @@ def test_sign_flip_detected(monkeypatch):
     modes, and the sweep's counts fail."""
     m = surrogate.random_surrogate([6], 40, 3)
     m.kernel = -m.kernel
-    assert surrogate.run_property_suite(m)["num_positive"] > 0
+    assert surrogate.run_property_suite(m)["counts"][2] > 0
     monkeypatch.setattr(surrogate, "random_surrogate", lambda *args: m)
     assert not surrogate.run_seed_sweep([6], 40, 3)["all_counts_ok"]
 

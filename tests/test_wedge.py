@@ -157,6 +157,17 @@ def test_spectrum_counts_wrong_signs_and_raises_nothing():
     assert (minus.num_negative, minus.num_zero) == (15, 0)
 
 
+def test_stack_record_is_each_matrix_record(pipe3):
+    """A stack's `to_dict` is the list of each Q's own record, bit for bit,
+    on one leading axis and on two."""
+    Q = pipe3["Q"].matrix
+    stack = np.array([Q, -Q, np.eye(15), -np.eye(15)])
+    records = [wedge.spectrum(wedge.WedgeOperator(matrix=M, n=3)).to_dict() for M in stack]
+    assert wedge.spectrum(wedge.WedgeOperator(matrix=stack, n=3)).to_dict() == records
+    assert (wedge.spectrum(wedge.WedgeOperator(matrix=stack.reshape(2, 2, 15, 15), n=3)).to_dict()
+            == [records[:2], records[2:]])
+
+
 def test_kernel_check_report(pipe3, jmat3):
     rep = wedge.kernel_check(pipe3["Q"], jmat3)
     assert rep["range_ok"]
@@ -248,7 +259,7 @@ class _RecordingWG:
     """Delegates to a weighted kernel and records the columns it is handed."""
 
     def __init__(self, WG):
-        self.WG, self.columns, self.last_table = WG, [], None
+        self.WG, self.columns, self.last = WG, [], (None, None)
 
     def __matmul__(self, X):
         assert np.isrealobj(X)
@@ -258,7 +269,7 @@ class _RecordingWG:
 
 def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
     """Each Green table applies WG once, to the n^2 real columns of the
-    products mu_i conj(mu_k); the integral path takes one table for two
+    products mu_i conj(mu_k); the integral path builds one table for two
     elements on the same fields."""
     mu = pipe3["fields"]
     WG = _RecordingWG(wedge.weighted_green(surf3, green3))
@@ -271,9 +282,9 @@ def test_green_sums_hand_WG_n_squared_columns(pipe3, surf3, green3):
 
 
 def test_integral_path_solves_nothing(pipe3, surf3, green3, monkeypatch):
-    """The per-element calls on one set of fields share one table: once the
-    first call has built it, the LU solver made to raise changes nothing,
-    and the second call returns the same value from the cached table."""
+    """The per-element calls on one set of fields share one Q_D + Q_G: once
+    the first call has built it, the LU solver made to raise changes
+    nothing, and the second call returns the same value from the cache."""
     WG = wedge.weighted_green(surf3, green3)
     rng = np.random.default_rng(9)
     coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
@@ -286,29 +297,29 @@ def test_integral_path_solves_nothing(pipe3, surf3, green3, monkeypatch):
     assert wedge.integral_form_Q(coeffs, pipe3["fields"], surf3, green3, WG=WG) == expected
 
 
-def test_weighted_green_keeps_its_last_table(pipe3, surf3, green3, monkeypatch):
-    """The operator builds the table once per field set, with one 9-column
-    `apply_D` call: equal fields reuse it with no solve, and fields scaled
-    by 2 rebuild it, bit for bit as a fresh operator builds it."""
+def test_weighted_green_keeps_its_last_matrix(pipe3, surf3, green3, monkeypatch):
+    """`integral_form_Q` builds Q_D + Q_G once per field set, with one
+    9-column `apply_D` call: equal fields reuse it with no solve, and fields
+    scaled by 2 rebuild it, bit for bit as a fresh table gives it."""
     mu = pipe3["fields"]
     WG = wedge.weighted_green(surf3, green3)
     calls = []
     apply_D = surface.apply_D
     monkeypatch.setattr(surface, "apply_D",
                         lambda surf, X, **kw: calls.append(np.shape(X)) or apply_D(surf, X, **kw))
-    T = wedge._green_table(mu, WG)
-    assert wedge._green_table(mu.copy(), WG) is T
-    assert calls == [(surf3.num_nodes, 9)]
-    T2 = wedge._green_table(2 * mu, WG)
-    assert calls == [(surf3.num_nodes, 9)] * 2
-    assert np.array_equal(T2, kernel_table(2 * mu, wedge.weighted_green(surf3, green3)))
-    assert not np.array_equal(T2, T)
-    scaled = [qdiff.BeltramiField(row) for row in 2 * mu]
     rng = np.random.default_rng(3)
     coeffs = {key: rng.standard_normal((3, 3)) for key in "abc"}
-    assert (wedge.integral_form_Q(coeffs, scaled, surf3, green3, WG=WG)
-            == wedge.integral_form_Q(coeffs, scaled, surf3, green3,
-                                     WG=wedge.weighted_green(surf3, green3)))
+    wedge.integral_form_Q(coeffs, mu, surf3, green3, WG=WG)
+    M = WG.last[1]
+    wedge.integral_form_Q(coeffs, mu.copy(), surf3, green3, WG=WG)
+    assert WG.last[1] is M
+    assert calls == [(surf3.num_nodes, 9)]
+    scaled = [qdiff.BeltramiField(row) for row in 2 * mu]
+    wedge.integral_form_Q(coeffs, scaled, surf3, green3, WG=WG)
+    assert calls == [(surf3.num_nodes, 9)] * 2
+    fresh = sum(wedge.integral_matrices(kernel_table(2 * mu, wedge.weighted_green(surf3, green3))))
+    assert np.array_equal(WG.last[1], fresh)
+    assert not np.array_equal(WG.last[1], M)
 
 
 def test_real_tensor_planted_imaginary_residue_is_type_imbalance(pipe3):
