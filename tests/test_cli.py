@@ -469,8 +469,8 @@ def test_failed_stage_keeps_the_checks_it_reached(tmp_path, monkeypatch):
 
 def test_unreduced_point_is_a_failed_stage(tmp_path, monkeypatch):
     """A point `reduce_to_domain` cannot carry into the polygon is a
-    ReductionFailure of the stage, recorded in the report, which is the
-    only file left."""
+    ReductionFailure of the surface stage, recorded in the written report,
+    and the stage leaves none of its files."""
     monkeypatch.setattr(fuchsian, "REDUCE_STEPS", 1)
     report = cli.run(cli.RunConfig(mesh_level=2, out=str(tmp_path / "o")))
     entry = report["checks"]["surface_stage"]
