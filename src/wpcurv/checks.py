@@ -125,8 +125,8 @@ def operator_nonpositive_kernel(Q, spec):
           and spec.gap_ratio >= 1e2 and kernel["range_ok"]
           and kernel["plus_eigenspace_negative"])
     return _check("operator_nonpositive_kernel", ok,
-                  {"counts": [spec.num_negative, spec.num_zero, spec.num_positive],
-                   "gap_ratio": spec.gap_ratio, **kernel}, spec.tau_rel)
+                  {"counts": spec.to_dict()["counts"], "gap_ratio": spec.gap_ratio, **kernel},
+                  spec.tau_rel)
 
 
 def surrogate_spectrum(summary):

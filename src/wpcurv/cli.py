@@ -104,7 +104,11 @@ def run_surface_stage(config: RunConfig, results: dict):
     cfg_hash = config.hash("surface")
     path = lambda name: os.path.join(config.out, name)
     stage["group"].export_json(path("group.json"), config_hash=cfg_hash)
-    surface.export_mesh_json(stage["surface"], path("mesh.json"), config_hash=cfg_hash)
+    surf = stage["surface"]     # nodes[k] is [Re, Im] of node k
+    write_json(path("mesh.json"), {"level": surf.level,
+                                   "nodes": surf.nodes[:, None].view(float).tolist(),
+                                   "weights": surf.weights.tolist(),
+                                   "triangles": surf.triangles.tolist()}, cfg_hash)
     write_json(path("green.json"), {"report": stage["green"].report}, cfg_hash)
     R = stage["tensor"]     # entries[i][j][k][l] is [Re, Im] of R[i, j, k, l]
     write_json(path("tensor.json"), {"n": R.n, "entries": R.entries[..., None].view(float).tolist()},

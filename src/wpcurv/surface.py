@@ -53,7 +53,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .artifacts import write_json
 from .errors import KernelBudget, MeshBudget, SingularMass, SolverFailure, WpcurvError
 from .fuchsian import FuchsianGroup, act
 
@@ -461,13 +460,3 @@ def laplacian_eigenvalues(surface: DiscreteSurface, k: int = 6) -> np.ndarray:
     mu = spla.eigsh(S, k=k, which="LA", v0=s * surface.weights,
                     return_eigenvectors=False)
     return np.sort(1 / mu - 2)
-
-
-def export_mesh_json(surface: DiscreteSurface, path, *, config_hash=None):
-    payload = {
-        "level": surface.level,
-        "nodes": np.c_[surface.nodes.real, surface.nodes.imag].tolist(),
-        "weights": surface.weights.tolist(),
-        "triangles": surface.triangles.tolist(),
-    }
-    return write_json(path, payload, config_hash)

@@ -32,10 +32,6 @@ class SurrogateModel:
     kernel: np.ndarray        # (S, N, N), symmetric, entrywise positive
     mu: np.ndarray            # (S, n, N), complex
 
-    @property
-    def n(self):
-        return self.mu.shape[-2]
-
 
 def random_surrogate(seeds, num_points: int, n: int) -> SurrogateModel:
     """Deterministic random models with a Gaussian radial kernel, one per

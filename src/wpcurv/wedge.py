@@ -28,8 +28,9 @@ Cauchy-Schwarz step).  The zero locus is exactly the antisymmetric
 cross-block, i.e. the range of (identity - J), where J is the involution
 induced on wedges by the complex structure.
 
-Both terms are contractions of one n^4 table taken through the weighted
-Green kernel WG = w G w.  Since WG f = w D f, that is the tensor path's
+Both terms read a few entries per pair of unit wedges, by index, from one
+n^4 table taken through the weighted Green kernel WG = w G w, so the path
+costs O(m^2) at any n.  Since WG f = w D f, that is the tensor path's
 pairing table, which `checks.tensor_assembly` hands to `integral_matrices`:
 the paths share the table, and their comparison checks the wedge and sign
 bookkeeping, not the discretization.  G's solved rows are read only by its own check.
@@ -248,29 +249,36 @@ def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     An element folds its yy-block into its xx-block (d = a + c; the wedge
     involution J sends xx-wedges to yy-wedges and preserves Q) and enters
     through L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p)), coeff = d + ib.
-    The unit wedge k has coeff C_k: E_ij for the xx- and yy-wedges of
-    i < j, i E_ij for x_i ^ y_j.  Polarized over the C_k, the Green sums
+    Q_D = -4 diag is the D-term -4 <d, D d>_w and Q_G = -2 mod2 + 2 Re cross
+    (for a symmetric WG, -sum_pq WG[p,q] |L[p,q] - conj(L[q,p])|^2), the Green
+    sums diag = sum_pq WG[p,q] Im L[p,p] Im L[q,q], mod2 = sum_pq WG[p,q]
+    |L[p,q]|^2 and cross = sum_pq WG[p,q] L[p,q] L[q,p] polarized over the
+    unit wedges.  Wedge a, the pair (r, c) of `np.triu_indices(2n, 1)`, has
+    coeff s_a E_ij, i_a = r mod n, j_a = c mod n, s_a = i for x_i ^ y_j
+    (r < n <= c) and 1 otherwise, so each sum is a few entries of T:
 
-        diag  = sum_pq WG[p,q] d(p) d(q)      = sum e_ij e_kl T[i,j,k,l],
-        mod2  = sum_pq WG[p,q] |L[p,q]|^2     = sum coeff_ij conj(coeff_kl) T[i,k,l,j],
-        cross = sum_pq WG[p,q] L[p,q] L[q,p]  = sum coeff_ij coeff_kl T[i,l,k,j],
+        mod2[a,b]  = s_a s*_b T[i_a,i_b,j_b,j_a],   cross[a,b] = s_a s_b T[i_a,j_b,i_b,j_a],
+        -4 diag[a,b] = s_a s_b T[i_a,j_a,i_b,j_b] - s_a s*_b T[i_a,j_a,j_b,i_b]
+                       - s*_a s_b T[j_a,i_a,i_b,j_b] + s*_a s*_b T[j_a,i_a,j_b,i_b]
 
-    with d(p) = Im L[p,p] = sum_ij e_ij mu_i(p) conj(mu_j(p)) for the
-    Hermitian e = (coeff - coeff^H) / 2i, give Q_D = -4 diag, the D-term
-    -4 <d, D d>_w, and Q_G = -2 mod2 + 2 Re cross, which for a symmetric WG
-    is -sum_pq WG[p,q] |L[p,q] - conj(L[q,p])|^2.  An element's value is
-    x^T (Q_D + Q_G) x on its `wedge_vector` x; WG need not be symmetric.  On
-    generic fields the tensor path matches d - ib instead (a known defect).
+    (s* = conj(s); all four, as WG need not be symmetric).  An element's
+    value is x^T (Q_D + Q_G) x on its `wedge_vector` x.  A known defect
+    (ROADMAP item 1): `_wedge_map` gives x_i ^ y_j the coefficient
+    U[r] V[c] = 1 * (-i) = -i on the slot pair (i, j), where this path reads
+    s = +i, so the paths differ where R is not real.  The +i stays until the
+    benchmark harness, which documents `tensor_assembly` failing on its
+    generic fields, is edited with the mend.
     """
     n = len(T)
     r, c = np.triu_indices(2 * n, 1)
-    C = np.zeros((len(r), n, n), dtype=complex)
-    C[np.arange(len(r)), r % n, c % n] = np.where((r < n) & (c >= n), 1j, 1)
-    E = (C - np.conj(C).transpose(0, 2, 1)) / 2j
-    diag = np.einsum("aij,bkl,ijkl->ab", E, E, T)
-    mod2 = np.einsum("aij,bkl,iklj->ab", C, np.conj(C), T)
-    cross = np.einsum("aij,bkl,ilkj->ab", C, C, T)
-    return tuple((M + M.T) / 2 for M in (-4 * diag.real, 2 * cross.real - 2 * mod2.real))
+    i, j = r % n, c % n
+    s = np.where((r < n) & (c >= n), 1j, 1)
+    ia, ja, a, b = i[:, None], j[:, None], s[:, None], s    # rows a, columns b
+    mod2 = a * np.conj(b) * T[ia, i, j, ja]
+    cross = a * b * T[ia, j, i, ja]
+    minus4diag = (a * b * T[ia, ja, i, j] - a * np.conj(b) * T[ia, ja, j, i]
+                  - np.conj(a) * b * T[ja, ia, i, j] + np.conj(a * b) * T[ja, ia, j, i])
+    return tuple((M + M.T) / 2 for M in (minus4diag.real, 2 * cross.real - 2 * mod2.real))
 
 
 def integral_form_Q(coeffs: dict, fields, surface, green, *, WG) -> float:

@@ -35,6 +35,11 @@ product mu_i conj(mu_j), i <= j, and one einsum per pair (i, j), where
 complex curvature tensor in one einsum, over all (2n)^4 entries, where
 `wedge.assemble_Q` reads only the wedge pairs through one fixed map.
 
+`integral_matrices_by_einsum` builds each unit wedge's n x n coefficient
+matrix and its Hermitian part and contracts them with the table in three
+einsums, where `wedge.integral_matrices` reads the few entries of the
+table each pair of unit wedges meets.
+
 `lemma51_by_trials` evaluates the quaternionic lemma one trial at a time,
 with scalar `rankone.quat_curvature` calls, where `rankone.lemma51_check`
 stacks all its trials.
@@ -246,6 +251,23 @@ def real_tensor(R) -> np.ndarray:
         raise TypeImbalance(
             "imaginary residue %.3g in a real curvature value" % residue)
     return full.real
+
+
+def integral_matrices_by_einsum(T) -> tuple:
+    """Oracle: (Q_D, Q_G) of the table T as contractions.  C[a] is the
+    coefficient matrix of unit wedge a (E_ij, or i E_ij for x_i ^ y_j) and
+    E[a] its Hermitian part (C - C^H) / 2i; the Green sums are
+    diag = E_a T E_b, mod2 = C_a T conj(C_b) and cross = C_a T C_b over the
+    index orders of `wedge.integral_matrices`' docstring."""
+    n = len(T)
+    r, c = np.triu_indices(2 * n, 1)
+    C = np.zeros((len(r), n, n), dtype=complex)
+    C[np.arange(len(r)), r % n, c % n] = np.where((r < n) & (c >= n), 1j, 1)
+    E = (C - np.conj(C).transpose(0, 2, 1)) / 2j
+    diag = np.einsum("aij,bkl,ijkl->ab", E, E, T, optimize=True)
+    mod2 = np.einsum("aij,bkl,iklj->ab", C, np.conj(C), T, optimize=True)
+    cross = np.einsum("aij,bkl,ilkj->ab", C, C, T, optimize=True)
+    return tuple((M + M.T) / 2 for M in (-4 * diag.real, 2 * cross.real - 2 * mod2.real))
 
 
 def lemma51_by_trials(m: int, trials: int) -> list:

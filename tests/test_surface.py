@@ -820,14 +820,16 @@ def test_mesh_nodes_deterministic(group, surf3):
 
 
 def test_mesh_export(tmp_path, surf3):
-    """`mesh.json` is one line that reloads to the mesh float for float."""
-    payload = surface.export_mesh_json(surf3, tmp_path / "mesh.json")
-    assert len(payload["nodes"]) == surf3.num_nodes
-    text = (tmp_path / "mesh.json").read_text()
+    """A level-3 run's `mesh.json` is one line that reloads to the mesh
+    float for float, stamped with the surface stage's hash."""
+    config = cli.RunConfig(stage="surface", mesh_level=3, out=str(tmp_path / "o"))
+    cli.run(config)
+    text = (tmp_path / "o" / "mesh.json").read_text()
     assert "\n" not in text
     back = json.loads(text)
     assert back["level"] == surf3.level
     assert back["nodes"] == [[z.real, z.imag] for z in surf3.nodes.tolist()]
     assert back["weights"] == surf3.weights.tolist()
     assert back["triangles"] == surf3.triangles.tolist()
-    assert back.keys() == {"level", "nodes", "weights", "triangles"}
+    assert back["config_hash"] == config.hash("surface")
+    assert back.keys() == {"level", "nodes", "weights", "triangles", "config_hash"}

@@ -128,7 +128,7 @@ def test_stacked_sweep_is_the_per_model_loop(num_points, n):
 
 def test_stacked_model_is_its_single_models():
     stack = surrogate.random_surrogate(range(3), 40, 3)
-    assert stack.seed == [0, 1, 2] and stack.n == 3
+    assert stack.seed == [0, 1, 2] and stack.mu.shape[-2] == 3
     for i in range(3):
         one = surrogate.random_surrogate([i], 40, 3)
         assert one.seed == [i]

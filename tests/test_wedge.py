@@ -12,7 +12,7 @@ from wpcurv import cli, curvature, qdiff, surface, wedge
 from wpcurv.curvature import CurvatureTensor, kernel_table
 from wpcurv.errors import KernelDimMismatch, TypeImbalance
 
-from oracle import real_tensor
+from oracle import integral_matrices_by_einsum, real_tensor
 
 
 def test_j_matrix_involution_and_trace():
@@ -253,6 +253,30 @@ def test_green_sums_oracle():
     assert x @ Q_D @ x == pytest.approx(-4 * diag.real, rel=1e-13)
     assert abs(x @ Q_G @ x - (2 * cross.real - 2 * mod2.real)) \
         <= 1e-13 * (2 * abs(cross) + 2 * abs(mod2))
+
+
+@pytest.mark.parametrize("n, symmetric", [(3, True), (3, False), (6, True), (6, False),
+                                           (9, True), (9, False), (12, False)])
+def test_integral_matrices_match_einsum_oracle(n, symmetric):
+    """The entries read by index are the oracle's contractions, to 1e-14 of
+    the oracle's largest entry, on tables of random fields through a random
+    real weight, symmetric or not, above the octagon's n = 3."""
+    rng = np.random.default_rng(n)
+    mu = rng.standard_normal((n, 40)) + 1j * rng.standard_normal((n, 40))
+    W = rng.standard_normal((40, 40))
+    T = kernel_table(mu, W + W.T if symmetric else W)
+    for got, ref in zip(wedge.integral_matrices(T), integral_matrices_by_einsum(T)):
+        assert got.shape == ref.shape == (n * (2 * n - 1),) * 2
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_integral_green_term_is_the_oracle_bit_for_bit(pipe3):
+    """On the level-3 octagon table Q_G is the oracle's, bit for bit; Q_D
+    sums its four terms in another order, so it agrees to roundoff."""
+    (Q_D, Q_G), (ref_D, ref_G) = (f(pipe3["pairings"]) for f in (
+        wedge.integral_matrices, integral_matrices_by_einsum))
+    assert np.array_equal(Q_G, ref_G)
+    assert np.abs(Q_D - ref_D).max() <= 1e-15 * np.abs(ref_D).max()
 
 
 class _RecordingWG:
