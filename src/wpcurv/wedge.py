@@ -249,25 +249,26 @@ def integral_matrices(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     An element folds its yy-block into its xx-block (d = a + c; the wedge
     involution J sends xx-wedges to yy-wedges and preserves Q) and enters
     through L[p,q] = sum_ij coeff_ij mu_i(q) conj(mu_j(p)), coeff = d + ib.
-    Q_D = -4 diag is the D-term -4 <d, D d>_w and Q_G = -2 mod2 + 2 Re cross
-    (for a symmetric WG, -sum_pq WG[p,q] |L[p,q] - conj(L[q,p])|^2), the Green
-    sums diag = sum_pq WG[p,q] Im L[p,p] Im L[q,q], mod2 = sum_pq WG[p,q]
-    |L[p,q]|^2 and cross = sum_pq WG[p,q] L[p,q] L[q,p] polarized over the
-    unit wedges.  Wedge a, the pair (r, c) of `np.triu_indices(2n, 1)`, has
-    coeff s_a E_ij, i_a = r mod n, j_a = c mod n, s_a = i for x_i ^ y_j
-    (r < n <= c) and 1 otherwise, so each sum is a few entries of T:
+    Q_D = -4 diag is the D-term -4 <u, D u>_w of u(p) = Im L[p,p], and
+    Q_G = -2 mod2 + 2 Re cross is, for a symmetric WG, -sum_pq WG[p,q]
+    |L[p,q] - conj(L[q,p])|^2, with the Green sums diag = sum_pq WG[p,q]
+    u(p) u(q), mod2 = sum_pq WG[p,q] |L[p,q]|^2 and cross = sum_pq WG[p,q]
+    L[p,q] L[q,p] polarized over the unit wedges.  Wedge a, the pair (r, c)
+    of `np.triu_indices(2n, 1)`, has coeff s_a E_ij, i_a = r mod n,
+    j_a = c mod n, s_a = i for x_i ^ y_j (r < n <= c) and 1 otherwise, so
+    each sum is a few entries of T:
 
         mod2[a,b]  = s_a s*_b T[i_a,i_b,j_b,j_a],   cross[a,b] = s_a s_b T[i_a,j_b,i_b,j_a],
         -4 diag[a,b] = s_a s_b T[i_a,j_a,i_b,j_b] - s_a s*_b T[i_a,j_a,j_b,i_b]
                        - s*_a s_b T[j_a,i_a,i_b,j_b] + s*_a s*_b T[j_a,i_a,j_b,i_b]
 
-    (s* = conj(s); all four, as WG need not be symmetric).  An element's
-    value is x^T (Q_D + Q_G) x on its `wedge_vector` x.  A known defect
-    (ROADMAP item 1): `_wedge_map` gives x_i ^ y_j the coefficient
-    U[r] V[c] = 1 * (-i) = -i on the slot pair (i, j), where this path reads
-    s = +i, so the paths differ where R is not real.  The +i stays until the
-    benchmark harness, which documents `tensor_assembly` failing on its
-    generic fields, is edited with the mend.
+    (s* = conj(s); all four terms, as WG need not be symmetric).  An
+    element's value is x^T (Q_D + Q_G) x on its `wedge_vector` x.  A known
+    defect (ROADMAP item 1): `_wedge_map` gives x_i ^ y_j the coefficient
+    U[r] V[c] = 1 * (-i) = -i on the slot pair (i, j), where this path
+    reads s = +i, so the paths differ where R is not real.  The +i stays
+    until the benchmark harness, which documents `tensor_assembly` failing
+    on its generic fields, is edited with the mend.
     """
     n = len(T)
     r, c = np.triu_indices(2 * n, 1)
