@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 from . import checks, curvature, qdiff, rankone, surface, surrogate, wedge
@@ -26,22 +27,20 @@ from .fuchsian import enumerate_words  # noqa: F401  (read as cli.enumerate_word
 from .fuchsian import octagon_group
 
 
-#: the stage each subcommand runs
-SUBCOMMAND_STAGES = {"run": "all", "spectrum": "surface", "surrogate": "surrogate",
-                     "rankone": "rankone"}
-#: the RunConfig fields each subcommand takes as flags: those its stage reads
-SUBCOMMAND_FLAGS = {"run": ("mesh_level", "seeds", "out"), "spectrum": ("mesh_level", "out"),
-                    "surrogate": ("seeds", "out"), "rankone": ("seeds", "out")}
 #: sample points of each surrogate model, and its number of basis fields
 SURROGATE_POINTS = 40
 SURROGATE_FIELDS = 3
 #: most trials a run takes: `wpcurv surrogate` stacks its models, and peaks at 633 MB here
 SEEDS_CAP = 10_000
-#: the files each stage writes; a stage that fails removes all of its own
-STAGE_ARTIFACTS = {"surface": ("group.json", "mesh.json", "green.json", "tensor.json",
-                               "spectrum.json"),
-                   "surrogate": ("surrogate.json",),
-                   "rankone": ("rankone_m1.json", "rankone_m2.json")}
+#: a stage: the subcommand that runs it alone, the RunConfig fields it reads
+#: (its flags but --out, and what its files' config_hash hashes) and the files it writes
+Stage = namedtuple("Stage", "command settings files")
+#: every stage, in the order `wpcurv run` takes them all with the union of their
+#: settings; `run_<key>_stage` runs each, and one that fails removes all its files
+STAGES = {"surface": Stage("spectrum", ("mesh_level",), ("group.json", "mesh.json", "green.json",
+                                                         "tensor.json", "spectrum.json")),
+          "surrogate": Stage("surrogate", ("seeds",), ("surrogate.json",)),
+          "rankone": Stage("rankone", ("seeds",), ("rankone_m1.json", "rankone_m2.json"))}
 
 
 @dataclass
@@ -49,7 +48,7 @@ class RunConfig:
     mesh_level: int = 3
     seeds: int = 20             # trials: surrogate models and rankone samples
     out: str = "wpcurv_out"
-    stage: str = "all"          # "all" or a key of STAGE_ARTIFACTS
+    stage: str = "all"          # "all" or a key of STAGES
 
     def validate(self):
         for name in ("mesh_level", "seeds"):
@@ -60,15 +59,15 @@ class RunConfig:
             surface.check_green_level(self.mesh_level)
         if not 1 <= self.seeds <= SEEDS_CAP:
             raise ValueError("seeds must be between 1 and %d" % SEEDS_CAP)
-        if self.stage not in ("all", *STAGE_ARTIFACTS):
+        if self.stage not in ("all", *STAGES):
             raise ValueError("unknown stage %r" % self.stage)
 
     def hash(self, stage: str | None = None) -> str:
-        """Hash of the settings `stage` (by default this run's) reads: the
-        flags of the subcommand that runs it, but `out`."""
-        command = next(c for c, s in SUBCOMMAND_STAGES.items() if s == (stage or self.stage))
-        blob = json.dumps({k: getattr(self, k) for k in SUBCOMMAND_FLAGS[command] if k != "out"},
-                          sort_keys=True).encode()
+        """Hash of the settings `stage` (by default this run's) reads: its
+        STAGES entry's, or for "all" those of every stage."""
+        stage = stage or self.stage
+        blob = json.dumps({k: getattr(self, k) for s, entry in STAGES.items()
+                           if stage in ("all", s) for k in entry.settings}, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -137,18 +136,16 @@ def run(config: RunConfig) -> dict:
     """Execute the selected stages; returns the verification report, which
     is always written.  A stage raising a WpcurvError keeps the checks it
     completed, adds the failed entry `<stage>_stage`, the error its residual,
-    and leaves no `STAGE_ARTIFACTS`."""
+    and leaves none of the stage's STAGES files."""
     config.validate()
     os.makedirs(config.out, exist_ok=True)
     results = {}
-    for stage, runner in (("surface", run_surface_stage),
-                          ("surrogate", run_surrogate_stage),
-                          ("rankone", run_rankone_stage)):
+    for stage, entry in STAGES.items():
         if config.stage in ("all", stage):
-            try:
-                runner(config, results)
+            try:        # by name, so that a wrapper set on the module is the one called
+                globals()["run_%s_stage" % stage](config, results)
             except WpcurvError as exc:
-                for name in STAGE_ARTIFACTS[stage]:
+                for name in entry.files:
                     if os.path.exists(path := os.path.join(config.out, name)):
                         os.remove(path)
                 results[stage + "_stage"] = {
@@ -204,9 +201,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     defaults = asdict(RunConfig())      # a field a subcommand does not take keeps these
-    for name, flags in SUBCOMMAND_FLAGS.items():
+    union = dict.fromkeys(k for entry in STAGES.values() for k in entry.settings)
+    commands = {"run": ("all", union), **{e.command: (s, e.settings) for s, e in STAGES.items()}}
+    for name, (stage, settings) in commands.items():
         p = sub.add_parser(name)
-        for field in flags:
+        p.set_defaults(stage=stage)
+        for field in (*settings, "out"):
             p.add_argument("--" + field.replace("_", "-"), dest=field,
                            type=type(defaults[field]), default=defaults[field])
     sub.add_parser("explain").add_argument("report", help="path to a report.json")
@@ -222,8 +222,7 @@ def main(argv=None) -> int:
         _print(text)
         return 0
 
-    config = RunConfig(stage=SUBCOMMAND_STAGES[args.command],
-                       **{field: getattr(args, field) for field in SUBCOMMAND_FLAGS[args.command]})
+    config = RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
     try:
         config.validate()
         os.makedirs(config.out, exist_ok=True)

@@ -2,6 +2,7 @@
 
 import builtins
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -121,6 +122,36 @@ def test_run_takes_every_flag(tmp_path):
     assert json.loads((out / "surrogate.json").read_text())["num_seeds"] == 2
 
 
+
+def test_each_subcommand_runs_its_stage_alone(tmp_path, capsys):
+    """A stage's subcommand records that stage in the report and writes its
+    files and the report, nothing else."""
+    for stage, entry in cli.STAGES.items():
+        out = tmp_path / stage
+        level = ["--mesh-level", "1"] if "mesh_level" in entry.settings else []
+        cli.main([entry.command, *level, "--out", str(out)])
+        assert json.loads((out / "report.json").read_text())["config"]["stage"] == stage
+        assert {p.name for p in out.iterdir()} == {"report.json", *entry.files}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_artifact_bytes_are_pinned(level, tmp_path, monkeypatch):
+    """A default run into `o` writes its nine files byte for byte as
+    `artifact_digests.json` records them (report.json's `out` is fixed by
+    running in tmp_path).  A change that moves bits on purpose updates the
+    digests; the failure names each file that moved."""
+    monkeypatch.chdir(tmp_path)
+    cli.run(cli.RunConfig(mesh_level=level, out="o"))
+    with open(os.path.join(os.path.dirname(__file__), "artifact_digests.json")) as fh:
+        pinned = json.load(fh)[str(level)]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "o").iterdir()}
+    assert sorted(digests) == sorted(pinned)
+    moved = [name for name in sorted(pinned) if digests[name] != pinned[name]]
+    assert not moved, "level %d: %s moved" % (level, ", ".join(moved))
+
+
 def test_explain_requires_checks():
     with pytest.raises(ValueError):
         cli.explain({"checks": {}})
@@ -227,7 +258,7 @@ def test_block_and_kernel_checks_do_not_depend_on_seeds(tmp_path):
         out = tmp_path / str(seeds)
         report = cli.run(cli.RunConfig(stage="surface", mesh_level=2, seeds=seeds,
                                        out=str(out)))
-        artifacts = {name: (out / name).read_bytes() for name in cli.STAGE_ARTIFACTS["surface"]}
+        artifacts = {name: (out / name).read_bytes() for name in cli.STAGES["surface"].files}
         assert len(report["checks"]) == 9
         runs.append((artifacts, report["checks"]))
     assert runs[0] == runs[1]
@@ -239,7 +270,7 @@ def test_spectrum_and_run_write_the_same_surface_files(tmp_path, capsys):
     cli.main(["spectrum", "--mesh-level", "2", "--out", str(tmp_path / "s")])
     cli.main(["run", "--mesh-level", "2", "--seeds", "3", "--out", str(tmp_path / "r")])
     capsys.readouterr()
-    names = cli.STAGE_ARTIFACTS["surface"]
+    names = cli.STAGES["surface"].files
     assert len(names) == 5
     for name in names:
         assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
@@ -333,14 +364,14 @@ def test_run_writes_each_artifact_once(tmp_path, monkeypatch):
     config = cli.RunConfig(mesh_level=2, seeds=3, out=str(tmp_path / "o"))
     report = cli.run(config)
     monkeypatch.undo()
-    stage_of = {name: stage for stage, files in cli.STAGE_ARTIFACTS.items() for name in files}
-    hashes = {stage: config.hash(stage) for stage in ("all", *cli.STAGE_ARTIFACTS)}
+    stage_of = {name: stage for stage, entry in cli.STAGES.items() for name in entry.files}
+    hashes = {stage: config.hash(stage) for stage in ("all", *cli.STAGES)}
     assert hashes["surrogate"] == hashes["rankone"]         # both read `seeds` alone
     assert len({hashes["all"], hashes["surface"], hashes["surrogate"]}) == 3
     assert report["config_hash"] == hashes["all"] == config.hash()
     names = sorted(p.name for p in (tmp_path / "o").iterdir())
     assert len(names) == 9 and all(name.endswith(".json") for name in names)
-    assert set(names) == {"report.json"}.union(*cli.STAGE_ARTIFACTS.values())
+    assert set(names) == {"report.json"}.union(*(entry.files for entry in cli.STAGES.values()))
     for name in names:
         assert [mode for seen, mode in opened if seen == name] == ["w"]
         text = (tmp_path / "o" / name).read_text()
@@ -441,7 +472,7 @@ def test_failed_stage_leaves_none_of_its_files(tmp_path, monkeypatch):
     cfg = cli.RunConfig(stage="surface", mesh_level=2, out=str(tmp_path / "o"))
     cli.run(cfg)
     written = {p.name for p in (tmp_path / "o").iterdir()}
-    assert written == {"report.json", *cli.STAGE_ARTIFACTS["surface"]}
+    assert written == {"report.json", *cli.STAGES["surface"].files}
 
     def fail(group):
         raise ConvergenceFailure("planted")
@@ -478,7 +509,7 @@ def test_unreduced_point_is_a_failed_stage(tmp_path, monkeypatch):
     assert entry["residual"].startswith("ReductionFailure: ")
     assert "not reduced in 1 steps" in entry["residual"]
     written = {p.name for p in (tmp_path / "o").iterdir()}
-    assert "report.json" in written and not written & set(cli.STAGE_ARTIFACTS["surface"])
+    assert "report.json" in written and not written & set(cli.STAGES["surface"].files)
 
 
 def test_nan_basis_coefficient_is_a_failed_stage(tmp_path, monkeypatch):

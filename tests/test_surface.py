@@ -727,7 +727,7 @@ def test_green_export_writes_report_json(tmp_path, green3):
     payload = json.loads((out / "green.json").read_text())
     assert set(payload) == {"report", "config_hash"}
     assert payload["report"] == report["checks"]["green_kernel"]["residual"] == green3.report
-    assert {p.name for p in out.iterdir()} == {"report.json", *cli.STAGE_ARTIFACTS["surface"]}
+    assert {p.name for p in out.iterdir()} == {"report.json", *cli.STAGES["surface"].files}
 
 
 def test_resolvent_unreachable_tolerance_is_a_solver_failure(surf3):
